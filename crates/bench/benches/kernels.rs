@@ -12,6 +12,10 @@
 //!   `BENCH_kernels.json`).
 //! * `cache` — template lookups against the sharded cache from one thread
 //!   and from 32 threads hammering one hot entry (read-mostly fast path).
+//! * `statevector` — the dense simulation behind `estimate`:
+//!   `StateVector::from_circuit` of the optimized UCC-(6,12) circuit, and
+//!   for one benzene commuting group the clone → diagonalizer →
+//!   `sample_indices(8192)` every group of a request runs.
 //!
 //! Record results with `CRITERION_JSON=<path> cargo bench -p quclear-bench
 //! --bench kernels`.
@@ -22,8 +26,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use quclear_core::{compile, QuClearConfig};
 use quclear_engine::Engine;
 use quclear_pauli::{PauliFrame, PauliOp, PauliRotation, PauliString, SignedPauli};
+use quclear_sim::StateVector;
 use quclear_tableau::{conjugate_all_by_gate, random_clifford_circuit, CliffordTableau};
-use quclear_workloads::Benchmark;
+use quclear_workloads::{Benchmark, Molecule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -155,11 +160,58 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_statevector(c: &mut Criterion) {
+    let mut group = c.benchmark_group("statevector");
+    group.sample_size(20);
+    let engine = Engine::new(4);
+
+    let ucc = engine
+        .compile(&Benchmark::Ucc(6, 12).rotations())
+        .expect("compile UCC-(6,12)")
+        .optimized;
+    group.bench_with_input(
+        BenchmarkId::new("from_circuit", "ucc612"),
+        &ucc,
+        |b, circuit| {
+            b.iter(|| StateVector::from_circuit(black_box(circuit)));
+        },
+    );
+
+    // The benzene group with the longest diagonalizer: the per-group work
+    // of an estimate after its one shared simulation.
+    let benzene = Benchmark::Molecule(Molecule::Benzene);
+    let program = benzene.rotations();
+    let plan = engine
+        .measurement_plan(&program, &benzene.observables())
+        .expect("benzene measurement plan");
+    let diagonalizer = plan
+        .groups()
+        .iter()
+        .map(|g| g.diagonalizer().circuit())
+        .max_by_key(|circuit| circuit.len())
+        .expect("benzene has groups");
+    let base = StateVector::from_circuit(&engine.compile(&program).expect("compile").optimized);
+    group.bench_with_input(
+        BenchmarkId::new("diagonalize_sample_8192", "benzene_widest_group"),
+        &(base, diagonalizer),
+        |b, (base, diagonalizer)| {
+            b.iter(|| {
+                let mut rotated = base.clone();
+                rotated.apply_circuit(black_box(diagonalizer));
+                let mut rng = StdRng::seed_from_u64(7);
+                rotated.sample_indices(8192, &mut rng)
+            });
+        },
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_tableau,
     bench_frame,
     bench_extraction,
-    bench_cache
+    bench_cache,
+    bench_statevector
 );
 criterion_main!(benches);

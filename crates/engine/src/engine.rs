@@ -30,7 +30,7 @@ use crate::template::{CompiledTemplate, StageMetrics};
 
 /// Metric name of the engine's per-stage latency histograms (labeled by
 /// `stage`: `fingerprint`, `extract`, `bind`, `peephole`, `absorb_pre`,
-/// `absorb_post`).
+/// `absorb_post`, `diagonalize`, `simulate`, `sample`).
 pub const ENGINE_STAGE_METRIC: &str = "quclear_engine_stage_duration_ns";
 
 /// Metric name of the single-flight latency histograms (labeled by `role`:
@@ -197,6 +197,8 @@ pub struct Engine {
     stage_fingerprint: Arc<Histogram>,
     stage_extract: Arc<Histogram>,
     stage_absorb_post: Arc<Histogram>,
+    stage_simulate: Arc<Histogram>,
+    stage_sample: Arc<Histogram>,
     singleflight_leader: Arc<Histogram>,
     singleflight_waiter: Arc<Histogram>,
     /// Handles handed to every compiled template (bind / peephole /
@@ -220,6 +222,12 @@ impl Default for Engine {
 /// Largest register [`Engine::estimate_observables`] will simulate: the
 /// dense statevector simulator's own guard rail.
 pub const MAX_ESTIMABLE_QUBITS: usize = 26;
+
+/// Largest per-group shot count [`Engine::estimate_observables`] will
+/// sample. A group's draw materializes one index per shot before packing,
+/// so larger requests are refused as [`EngineError::NotEstimable`] before
+/// anything is allocated.
+pub const MAX_ESTIMATE_SHOTS: u64 = 1 << 20;
 
 /// The deterministic per-group sampling seed used by
 /// [`Engine::estimate_observables`]: a SplitMix64-style mix of the request
@@ -336,6 +344,8 @@ impl Engine {
             stage_fingerprint: stage("fingerprint"),
             stage_extract: stage("extract"),
             stage_absorb_post: stage("absorb_post"),
+            stage_simulate: stage("simulate"),
+            stage_sample: stage("sample"),
             singleflight_leader: flight("leader"),
             singleflight_waiter: flight("waiter"),
             template_metrics: StageMetrics {
@@ -947,9 +957,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::NotEstimable`] when `shots == 0` or the
-    /// register exceeds the dense simulator's 26-qubit budget; otherwise as
-    /// [`Self::measurement_plan`].
+    /// Returns [`EngineError::NotEstimable`] when `shots` is zero or above
+    /// [`MAX_ESTIMATE_SHOTS`], or the register exceeds the dense simulator's
+    /// 26-qubit budget; otherwise as [`Self::measurement_plan`].
     pub fn estimate_observables(
         &self,
         program: &[PauliRotation],
@@ -981,6 +991,13 @@ impl Engine {
                 reason: "shot count must be positive".to_string(),
             });
         }
+        if shots > MAX_ESTIMATE_SHOTS {
+            return Err(EngineError::NotEstimable {
+                reason: format!(
+                    "{shots} shots per group exceed the budget of {MAX_ESTIMATE_SHOTS}"
+                ),
+            });
+        }
         let plan = self.measurement_plan_with_deadline(program, observables, deadline)?;
         if plan.num_qubits() > MAX_ESTIMABLE_QUBITS {
             return Err(EngineError::NotEstimable {
@@ -1001,10 +1018,14 @@ impl Engine {
         deadline.check()?;
         let template = self.template_for_with_deadline(program, deadline)?;
         let bound = contain_panics(|| template.bind_program(program))?;
+        let simulate_start = Instant::now();
         let base = contain_panics(|| Ok(StateVector::from_circuit(&bound.optimized)))?;
+        self.stage_simulate
+            .record_duration(simulate_start.elapsed());
         let mut batches = Vec::with_capacity(plan.num_groups());
         for (g, group) in plan.groups().iter().enumerate() {
             deadline.check()?;
+            let sample_start = Instant::now();
             let batch = contain_panics(|| {
                 let mut rotated = base.clone();
                 rotated.apply_circuit(group.diagonalizer().circuit());
@@ -1012,6 +1033,7 @@ impl Engine {
                 let indices = rotated.sample_indices(shots as usize, &mut rng);
                 Ok(ShotBatch::from_indices(plan.num_qubits(), &indices))
             })?;
+            self.stage_sample.record_duration(sample_start.elapsed());
             batches.push(batch);
         }
         let expectations = plan.estimate(&batches);

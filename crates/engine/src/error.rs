@@ -49,8 +49,9 @@ pub enum EngineError {
     NotAbsorbable(AbsorptionError),
     /// The request cannot be served by sampled observable estimation
     /// ([`crate::Engine::estimate_observables`]): the register exceeds the
-    /// dense simulator's qubit budget, or the shot count is zero. Not
-    /// transient — the same request fails the same way every time.
+    /// dense simulator's qubit budget, or the shot count is zero or above
+    /// [`crate::MAX_ESTIMATE_SHOTS`]. Not transient — the same request
+    /// fails the same way every time.
     NotEstimable {
         /// Human-readable reason the estimate cannot be produced.
         reason: String,

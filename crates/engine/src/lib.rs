@@ -61,6 +61,7 @@ pub use deadline::Deadline;
 pub use engine::{
     group_shot_seed, BatchJob, Engine, EngineStats, EstimateResult, DEFAULT_CACHE_CAPACITY,
     DEFAULT_CACHE_SHARDS, ENGINE_SINGLEFLIGHT_METRIC, ENGINE_STAGE_METRIC, MAX_ESTIMABLE_QUBITS,
+    MAX_ESTIMATE_SHOTS,
 };
 pub use error::EngineError;
 pub use fingerprint::ProgramFingerprint;

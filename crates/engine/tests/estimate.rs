@@ -7,7 +7,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use quclear_engine::{group_shot_seed, Deadline, Engine, EngineError};
+use quclear_engine::{
+    group_shot_seed, Deadline, Engine, EngineError, ENGINE_STAGE_METRIC, MAX_ESTIMATE_SHOTS,
+};
 use quclear_pauli::{PauliOp, PauliRotation, PauliString, SignedPauli};
 use quclear_sim::StateVector;
 use quclear_workloads::{vqe_expectation_sweep, Benchmark};
@@ -190,6 +192,32 @@ fn zero_shots_and_oversized_registers_are_not_estimable() {
     let big_observables = vec![SignedPauli::positive(PauliString::single(n, 1, PauliOp::Z))];
     let big = engine.estimate_observables(&big_program, &big_observables, 10, 1);
     assert!(matches!(big, Err(EngineError::NotEstimable { .. })));
+
+    // The per-group shot cap is inclusive.
+    let small = vec![PauliRotation::parse("ZZ", 0.4).unwrap()];
+    let small_observables = vec![SignedPauli::positive("ZZ".parse().unwrap())];
+    let at_cap = engine.estimate_observables(&small, &small_observables, MAX_ESTIMATE_SHOTS, 1);
+    assert_eq!(at_cap.unwrap().expectations, vec![1.0]);
+    let over = engine.estimate_observables(&small, &small_observables, MAX_ESTIMATE_SHOTS + 1, 1);
+    assert!(matches!(over, Err(EngineError::NotEstimable { .. })));
+}
+
+#[test]
+fn estimate_times_one_simulation_and_one_sample_per_group() {
+    let engine = Engine::new(8);
+    let (program, observables) = ucc_workload();
+    let result = engine
+        .estimate_observables(&program, &observables, 64, 5)
+        .unwrap();
+    let snapshot = engine.metrics_snapshot();
+    let count = |stage: &str| {
+        snapshot
+            .histogram(ENGINE_STAGE_METRIC, Some(("stage", stage)))
+            .unwrap_or_else(|| panic!("stage `{stage}` not registered"))
+            .count()
+    };
+    assert_eq!(count("simulate"), 1);
+    assert_eq!(count("sample"), result.groups.len() as u64);
 }
 
 #[test]

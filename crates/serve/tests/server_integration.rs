@@ -767,3 +767,26 @@ fn panicking_diagonalization_answers_only_its_request() {
 
     server.stop();
 }
+
+/// `shots` flows from the wire into a per-group index vector, so it must be
+/// bounded before anything is allocated: an allocation failure aborts the
+/// whole process, which no `catch_unwind` contains.
+#[test]
+fn oversized_shot_counts_are_refused_and_the_server_keeps_serving() {
+    let engine = Arc::new(Engine::new(16));
+    let server = start_server(Arc::clone(&engine), 2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let err = client
+        .estimate(&["ZZII"], &[0.4], &["+ZZII"], 1 << 40, 1)
+        .unwrap_err();
+    assert_eq!(err.remote().expect("remote error").kind, "not_estimable");
+
+    let mut fresh = Client::connect(server.local_addr()).expect("fresh connection");
+    fresh.health().expect("health after the refused estimate");
+    let (expectations, _, _) = fresh
+        .estimate(&["ZZII"], &[0.4], &["+ZZII"], 100, 1)
+        .expect("estimate after the refused estimate");
+    assert_eq!(expectations.len(), 1);
+
+    server.stop();
+}

@@ -71,47 +71,80 @@ impl StateVector {
     }
 
     /// Applies a single gate in place.
+    ///
+    /// Every gate kind runs a branch-free block kernel: two-qubit gates touch
+    /// only the quarter-slices of the state they permute or negate, `X`
+    /// swaps half-blocks, the diagonal gates scale each half by its diagonal
+    /// entry, `H` is a real-scalar butterfly, and the remaining single-qubit
+    /// gates use the general `u00·a0 + u01·a1` form. Each specialization only
+    /// drops terms of the general 2×2 product that are exactly `±0` or
+    /// multiplications by exactly `±1`, so every amplitude is `==` to the
+    /// dense per-gate product's: no reassociation, no fusion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gate touches a qubit outside the state.
     pub fn apply_gate(&mut self, gate: &Gate) {
+        let qubits = gate.qubit_list();
+        for &q in qubits.as_slice() {
+            assert!(
+                q < self.num_qubits,
+                "gate {gate} touches qubit {q} >= {}",
+                self.num_qubits
+            );
+        }
+        let amps = self.amps.as_mut_slice();
         match *gate {
+            // Coinciding operands keep the dense kernel's meaning: CX and
+            // SWAP select no index, CZ negates wherever the bit is set.
+            Gate::Cx { control, target } if control == target => {}
+            Gate::Swap { a, b } if a == b => {}
+            Gate::Cz { a, b } if a == b => for_halves(amps, a, |_, hi| negate(hi)),
             Gate::Cx { control, target } => {
-                let cm = 1usize << control;
-                let tm = 1usize << target;
-                for i in 0..self.amps.len() {
-                    if i & cm != 0 && i & tm == 0 {
-                        self.amps.swap(i, i | tm);
-                    }
-                }
+                for_quarters(amps, control, target, |_, _, c1t0, c1t1| {
+                    c1t0.swap_with_slice(c1t1);
+                });
             }
-            Gate::Cz { a, b } => {
-                let am = 1usize << a;
-                let bm = 1usize << b;
-                for (i, amp) in self.amps.iter_mut().enumerate() {
-                    if i & am != 0 && i & bm != 0 {
-                        *amp = -*amp;
-                    }
-                }
-            }
+            Gate::Cz { a, b } => for_quarters(amps, a, b, |_, _, _, both| negate(both)),
             Gate::Swap { a, b } => {
-                let am = 1usize << a;
-                let bm = 1usize << b;
-                for i in 0..self.amps.len() {
-                    if i & am != 0 && i & bm == 0 {
-                        self.amps.swap(i, (i & !am) | bm);
+                for_quarters(amps, a, b, |_, a0b1, a1b0, _| a0b1.swap_with_slice(a1b0));
+            }
+            Gate::X(q) => for_halves(amps, q, |lo, hi| lo.swap_with_slice(hi)),
+            Gate::Z(q) => for_halves(amps, q, |_, hi| negate(hi)),
+            // i·a and −i·a with the zero products dropped.
+            Gate::S(q) => for_halves(amps, q, |_, hi| {
+                hi.iter_mut().for_each(|a| *a = C64::new(-a.im, a.re));
+            }),
+            Gate::Sdg(q) => for_halves(amps, q, |_, hi| {
+                hi.iter_mut().for_each(|a| *a = C64::new(a.im, -a.re));
+            }),
+            Gate::Rz { qubit, .. } => {
+                let u = single_qubit_matrix(gate);
+                let (d0, d1) = (u.m[0][0], u.m[1][1]);
+                for_halves(amps, qubit, |lo, hi| {
+                    lo.iter_mut().for_each(|a| *a = d0 * *a);
+                    hi.iter_mut().for_each(|a| *a = d1 * *a);
+                });
+            }
+            Gate::H(q) => {
+                let s = std::f64::consts::FRAC_1_SQRT_2;
+                for_halves(amps, q, |lo, hi| {
+                    for (a0, a1) in lo.iter_mut().zip(hi) {
+                        let (x, y) = (a0.scale(s), a1.scale(s));
+                        *a0 = x + y;
+                        *a1 = x - y;
                     }
-                }
+                });
             }
             ref g => {
-                let q = g.qubits()[0];
                 let u = single_qubit_matrix(g);
-                let qm = 1usize << q;
-                for i in 0..self.amps.len() {
-                    if i & qm == 0 {
-                        let a0 = self.amps[i];
-                        let a1 = self.amps[i | qm];
-                        self.amps[i] = u.m[0][0] * a0 + u.m[0][1] * a1;
-                        self.amps[i | qm] = u.m[1][0] * a0 + u.m[1][1] * a1;
+                for_halves(amps, qubits.as_slice()[0], |lo, hi| {
+                    for (a0, a1) in lo.iter_mut().zip(hi) {
+                        let (x, y) = (*a0, *a1);
+                        *a0 = u.m[0][0] * x + u.m[0][1] * y;
+                        *a1 = u.m[1][0] * x + u.m[1][1] * y;
                     }
-                }
+                });
             }
         }
     }
@@ -360,6 +393,49 @@ impl StateVector {
     }
 }
 
+/// Runs `kernel(lo, hi)` on every `2^(q+1)`-amplitude block of the state:
+/// `lo` holds the block's amplitudes with bit `q` clear and `hi` the
+/// matching amplitudes with bit `q` set, index for index.
+fn for_halves(amps: &mut [C64], q: usize, mut kernel: impl FnMut(&mut [C64], &mut [C64])) {
+    let stride = 1usize << q;
+    for block in amps.chunks_exact_mut(2 * stride) {
+        let (lo, hi) = block.split_at_mut(stride);
+        kernel(lo, hi);
+    }
+}
+
+/// Runs `kernel(x00, x01, x10, x11)` on the quarter-slices of the state for
+/// two distinct qubits `a` and `b`: `xij` holds the amplitudes with bit `a`
+/// equal to `i` and bit `b` equal to `j`, index for index.
+fn for_quarters(
+    amps: &mut [C64],
+    a: usize,
+    b: usize,
+    mut kernel: impl FnMut(&mut [C64], &mut [C64], &mut [C64], &mut [C64]),
+) {
+    let (high, low) = (a.max(b), a.min(b));
+    let stride = 1usize << low;
+    for_halves(amps, high, |h0, h1| {
+        for (l0, l1) in h0
+            .chunks_exact_mut(2 * stride)
+            .zip(h1.chunks_exact_mut(2 * stride))
+        {
+            // Split by (high bit, low bit), then hand over in (a, b) order.
+            let (q00, q01) = l0.split_at_mut(stride);
+            let (q10, q11) = l1.split_at_mut(stride);
+            if a > b {
+                kernel(q00, q01, q10, q11);
+            } else {
+                kernel(q00, q10, q01, q11);
+            }
+        }
+    });
+}
+
+fn negate(amps: &mut [C64]) {
+    amps.iter_mut().for_each(|a| *a = -*a);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,6 +584,13 @@ mod tests {
         state.apply_circuit(&c.inverse());
         let zero = StateVector::zero_state(3);
         assert!(state.approx_eq_up_to_phase(&zero, 1e-10));
+    }
+
+    #[test]
+    #[should_panic(expected = "touches qubit")]
+    fn out_of_range_gate_panics() {
+        let mut s = StateVector::zero_state(2);
+        s.apply_gate(&Gate::H(2));
     }
 
     #[test]
