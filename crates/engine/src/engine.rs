@@ -176,8 +176,50 @@ impl BatchJob {
 /// assert_eq!((stats.hits, stats.misses), (1, 1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// # Deadlines
+///
+/// An `Engine` is a cheap handle: the cache, single-flight table and
+/// metrics live in one shared core, and the handle adds the [`Deadline`]
+/// its operations run under. [`Engine::new`] and friends build a handle
+/// with [`Deadline::none`], which never fails with
+/// [`EngineError::DeadlineExceeded`]. [`Engine::with_deadline`] returns a
+/// handle on the **same** core under a request budget — a serving front
+/// end makes one per request.
+///
+/// The budget is cooperative. It is checked between pipeline stages and
+/// never preempts a running extraction. A template lookup that hits the
+/// cache is served even past the deadline (answering is cheaper than
+/// composing the error); later stages still check the budget. A coalesced
+/// single-flight waiter parks on the leader's flight **at most** until the
+/// deadline, then detaches; the leader's template still lands in the cache,
+/// so a retry typically hits. The deadline is one absolute instant, so every
+/// stage (and every job of a batch) shares one budget rather than each
+/// getting a fresh allowance.
+///
+/// ```
+/// use std::time::Duration;
+/// use quclear_engine::{Deadline, Engine, EngineError};
+/// use quclear_pauli::PauliRotation;
+///
+/// let engine = Engine::new(64);
+/// let program = vec![PauliRotation::parse("ZZZZ", 0.3)?];
+/// let spent = engine.with_deadline(Deadline::within(Duration::ZERO));
+/// assert_eq!(spent.compile(&program).unwrap_err(), EngineError::DeadlineExceeded);
+/// engine.compile(&program)?; // the plain handle has no budget...
+/// assert!(spent.template_for(&program).is_ok()); // ...and warmed the shared cache
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug)]
 pub struct Engine {
+    core: Arc<EngineCore>,
+    /// The request budget this handle's operations run under.
+    deadline: Deadline,
+}
+
+/// The state every handle of one engine shares.
+#[derive(Debug)]
+struct EngineCore {
     config: QuClearConfig,
     cache: ShardedCache<ProgramFingerprint, CompiledTemplate>,
     /// Coalesces concurrent compilations of the same structure: one leader
@@ -313,7 +355,7 @@ impl Engine {
                 "worker threads available to the parallel plane sweeps",
             )
             .set(rayon::current_num_threads() as i64);
-        Engine {
+        let core = EngineCore {
             inflight: SingleFlight::new(),
             hits: metrics.counter(
                 "quclear_engine_cache_hits_total",
@@ -361,13 +403,28 @@ impl Engine {
             fault_fingerprint: Mutex::new(None),
             delay_armed: AtomicBool::new(false),
             fault_delay: Mutex::new(None),
+        };
+        Engine {
+            core: Arc::new(core),
+            deadline: Deadline::none(),
+        }
+    }
+
+    /// A handle on this engine's cache, counters and metric registry whose
+    /// operations run under `deadline` instead of this handle's budget (see
+    /// [Deadlines](Engine#deadlines)). Costs one `Arc` clone.
+    #[must_use]
+    pub fn with_deadline(&self, deadline: Deadline) -> Engine {
+        Engine {
+            core: Arc::clone(&self.core),
+            deadline,
         }
     }
 
     /// The pipeline configuration used for every compilation.
     #[must_use]
     pub fn config(&self) -> &QuClearConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Returns the cached template for `axes`, compiling it on a miss.
@@ -378,74 +435,57 @@ impl Engine {
     /// *different* structures never serialize — the in-flight table is keyed
     /// by fingerprint and compilation runs outside every lock.
     ///
+    /// Under a deadline, a hit is always served, a miss checks the budget
+    /// before extracting, and a coalesced waiter detaches from a leader that
+    /// outlives the budget; the leader's template still lands in the cache.
+    ///
     /// # Errors
     ///
     /// Propagates template-compilation failures (inconsistent register
     /// sizes, contained panics). A coalesced caller receives a clone of the
     /// leader's error; failed compilations are never cached, so a later
-    /// request retries from scratch.
-    pub fn template(&self, axes: &[SignedPauli]) -> Result<Arc<CompiledTemplate>, EngineError> {
-        self.template_with_deadline(axes, Deadline::none())
-    }
-
-    /// [`Self::template`] under a request [`Deadline`].
-    ///
-    /// The budget is cooperative: cache hits are always served (they cost
-    /// microseconds), but a miss checks the deadline before extracting, and
-    /// a coalesced waiter parks on the leader's flight **at most** until the
-    /// deadline and then detaches with [`EngineError::DeadlineExceeded`]
-    /// instead of waiting out an arbitrarily slow leader. The leader's
-    /// flight is unaffected by a detach — its eventual template still lands
-    /// in the cache, so the work a detached waiter paid for is not wasted.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::template`], plus [`EngineError::DeadlineExceeded`] once the
-    /// budget is spent. A detached waiter counts as a miss (it was not
-    /// answered from the cache or a shared flight) without a
-    /// `coalesced_waits` increment, preserving the
+    /// request retries from scratch. [`EngineError::DeadlineExceeded`] once
+    /// the handle's budget is spent; a detached waiter counts as a miss
+    /// without a `coalesced_waits` increment, preserving the
     /// `coalesced_waits <= hits + misses` snapshot invariant.
-    pub fn template_with_deadline(
-        &self,
-        axes: &[SignedPauli],
-        deadline: Deadline,
-    ) -> Result<Arc<CompiledTemplate>, EngineError> {
+    pub fn template(&self, axes: &[SignedPauli]) -> Result<Arc<CompiledTemplate>, EngineError> {
+        let core = &*self.core;
         let fingerprint_start = Instant::now();
-        let fingerprint = ProgramFingerprint::of_axes(axes, &self.config);
-        self.stage_fingerprint
+        let fingerprint = ProgramFingerprint::of_axes(axes, &core.config);
+        core.stage_fingerprint
             .record_duration(fingerprint_start.elapsed());
         self.maybe_injected_panic(&fingerprint);
         // Hit fast path: a shard *read* lock plus an atomic recency bump —
         // concurrent hits never serialize, even on the same template. Hits
         // are served even past the deadline: answering from the cache is
         // cheaper than composing the error.
-        if let Some(template) = self.cache.get(&fingerprint) {
-            self.hits.inc();
+        if let Some(template) = core.cache.get(&fingerprint) {
+            core.hits.inc();
             return Ok(template);
         }
 
         let flight_start = Instant::now();
         let Some((result, role)) =
-            self.inflight
-                .run_with_deadline(&fingerprint, deadline.instant(), || {
-                    self.compile_into_cache(fingerprint, axes, deadline)
+            core.inflight
+                .run_with_deadline(&fingerprint, self.deadline.instant(), || {
+                    self.compile_into_cache(fingerprint, axes)
                 })
         else {
             // Detached: the leader outlived this request's budget. The
             // flight keeps running and will populate the cache; this lookup
             // was answered by neither the cache nor a shared result, so it
             // counts as a miss (and *not* as a coalesced wait).
-            self.singleflight_waiter
+            core.singleflight_waiter
                 .record_duration(flight_start.elapsed());
-            self.misses.inc();
+            core.misses.inc();
             return Err(EngineError::DeadlineExceeded);
         };
         match role {
-            Role::Led => self
+            Role::Led => core
                 .singleflight_leader
                 .record_duration(flight_start.elapsed()),
             Role::Coalesced => {
-                self.singleflight_waiter
+                core.singleflight_waiter
                     .record_duration(flight_start.elapsed());
                 // The waiter was answered without compiling: a hit when the
                 // leader succeeded, a miss when its compilation failed
@@ -455,11 +495,11 @@ impl Engine {
                 // `coalesced_waits` first with Acquire — so every snapshot
                 // observes `coalesced_waits <= hits + misses`.
                 match &result {
-                    Ok(_) => self.hits.inc(),
-                    Err(_) => self.misses.inc(),
+                    Ok(_) => core.hits.inc(),
+                    Err(_) => core.misses.inc(),
                 };
                 // ordering: Release pairs with stats()'s Acquire read.
-                self.coalesced_waits.add_ordered(1, Ordering::Release);
+                core.coalesced_waits.add_ordered(1, Ordering::Release);
             }
         }
         result
@@ -472,40 +512,50 @@ impl Engine {
         &self,
         fingerprint: ProgramFingerprint,
         axes: &[SignedPauli],
-        deadline: Deadline,
     ) -> Result<Arc<CompiledTemplate>, EngineError> {
         // Re-check under flight leadership: a previous leader may have
         // published the template between our cache probe and our election.
-        if let Some(template) = self.cache.get(&fingerprint) {
-            self.hits.inc();
+        if let Some(template) = self.core.cache.get(&fingerprint) {
+            self.core.hits.inc();
             return Ok(template);
         }
-        self.misses.inc();
+        self.core.misses.inc();
         // Last cooperative checkpoint before the expensive extraction: a
         // leader whose budget is already spent fails fast instead of
         // compiling a template nobody is waiting for. (Waiters coalesced on
         // this flight share the error, never cache it — the next request
         // retries from scratch, exactly like any other failed compile.)
-        deadline.check()?;
+        self.deadline.check()?;
         self.maybe_injected_delay(&fingerprint);
         let extract_start = Instant::now();
-        let compiled = contain_panics(|| CompiledTemplate::compile(axes, &self.config));
-        self.stage_extract.record_duration(extract_start.elapsed());
+        let compiled = contain_panics(|| CompiledTemplate::compile(axes, &self.core.config));
+        self.core
+            .stage_extract
+            .record_duration(extract_start.elapsed());
         let mut template = compiled?;
-        template.set_stage_metrics(self.template_metrics.clone());
+        template.set_stage_metrics(self.core.template_metrics.clone());
         let template = Arc::new(template);
         // Only displacement of a different structure counts as an eviction,
         // which is exactly what the sharded insert reports.
         if self
+            .core
             .cache
             .insert(fingerprint, Arc::clone(&template))
             .is_some()
         {
-            self.evictions.inc();
+            self.core.evictions.inc();
         }
-        self.cache_entries
-            .set(self.cache.len().min(self.cache.capacity()) as i64);
+        self.refresh_cache_entries();
         Ok(template)
+    }
+
+    /// Sets the occupancy gauge from the live cache length, clamped to the
+    /// capacity (an in-progress insert may overshoot it transiently).
+    fn refresh_cache_entries(&self) {
+        let cache = &self.core.cache;
+        self.core
+            .cache_entries
+            .set(cache.len().min(cache.capacity()) as i64);
     }
 
     /// Test-support fault injection: every template lookup whose structural
@@ -519,10 +569,12 @@ impl Engine {
     #[doc(hidden)]
     pub fn inject_lookup_panic(&self, fingerprint: Option<ProgramFingerprint>) {
         *self
+            .core
             .fault_fingerprint
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = fingerprint;
-        self.fault_armed
+        self.core
+            .fault_armed
             .store(fingerprint.is_some(), Ordering::Release);
     }
 
@@ -534,18 +586,22 @@ impl Engine {
     #[doc(hidden)]
     pub fn inject_compile_delay(&self, delay: Option<(ProgramFingerprint, std::time::Duration)>) {
         *self
+            .core
             .fault_delay
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = delay;
-        self.delay_armed.store(delay.is_some(), Ordering::Release);
+        self.core
+            .delay_armed
+            .store(delay.is_some(), Ordering::Release);
     }
 
     /// Sleeps when a compile delay is armed for this fingerprint.
     fn maybe_injected_delay(&self, fingerprint: &ProgramFingerprint) {
-        if !self.delay_armed.load(Ordering::Acquire) {
+        if !self.core.delay_armed.load(Ordering::Acquire) {
             return;
         }
         let armed = *self
+            .core
             .fault_delay
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
@@ -559,10 +615,11 @@ impl Engine {
     /// Fires the injected lookup panic when armed for this fingerprint.
     /// Disarmed (the overwhelmingly common case) this is one relaxed load.
     fn maybe_injected_panic(&self, fingerprint: &ProgramFingerprint) {
-        if !self.fault_armed.load(Ordering::Acquire) {
+        if !self.core.fault_armed.load(Ordering::Acquire) {
             return;
         }
         let armed = *self
+            .core
             .fault_fingerprint
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
@@ -580,53 +637,27 @@ impl Engine {
         &self,
         program: &[PauliRotation],
     ) -> Result<Arc<CompiledTemplate>, EngineError> {
-        self.template_for_with_deadline(program, Deadline::none())
-    }
-
-    /// [`Self::template_for`] under a request [`Deadline`]; see
-    /// [`Self::template_with_deadline`] for the budget semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::template_with_deadline`].
-    pub fn template_for_with_deadline(
-        &self,
-        program: &[PauliRotation],
-        deadline: Deadline,
-    ) -> Result<Arc<CompiledTemplate>, EngineError> {
         let axes: Vec<SignedPauli> = program
             .iter()
             .map(|r| SignedPauli::positive(r.pauli().clone()))
             .collect();
-        self.template_with_deadline(&axes, deadline)
+        self.template(&axes)
     }
 
     /// Compiles one program, reusing a cached template when available.
     ///
+    /// The deadline is checked at every stage boundary: before the template
+    /// lookup resolves and again before binding.
+    ///
     /// # Errors
     ///
-    /// Propagates template and binding failures for this program.
+    /// Propagates template and binding failures for this program, and
+    /// [`EngineError::DeadlineExceeded`] once the handle's budget is spent.
     pub fn compile(&self, program: &[PauliRotation]) -> Result<QuClearResult, EngineError> {
-        self.compile_with_deadline(program, Deadline::none())
-    }
-
-    /// [`Self::compile`] under a request [`Deadline`], checked at every
-    /// stage boundary (before the template lookup resolves and again before
-    /// binding).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compile`], plus [`EngineError::DeadlineExceeded`] once the
-    /// budget is spent.
-    pub fn compile_with_deadline(
-        &self,
-        program: &[PauliRotation],
-        deadline: Deadline,
-    ) -> Result<QuClearResult, EngineError> {
-        let template = self.template_for_with_deadline(program, deadline)?;
-        deadline.check()?;
+        let template = self.template_for(program)?;
+        self.deadline.check()?;
         let result = contain_panics(|| template.bind_program(program))?;
-        self.binds.inc();
+        self.core.binds.inc();
         Ok(result)
     }
 
@@ -645,35 +676,24 @@ impl Engine {
     /// instead of unwinding through the parallel runner and tearing down
     /// every sibling job. (Binding alone used to be wrapped; a panicking
     /// lookup — e.g. against a poisoned cache shard — killed the batch.)
-    pub fn compile_batch(&self, jobs: &[BatchJob]) -> Vec<Result<QuClearResult, EngineError>> {
-        self.compile_batch_with_deadline(jobs, Deadline::none())
-    }
-
-    /// [`Self::compile_batch`] under a request [`Deadline`].
     ///
-    /// The budget is **shared** across the batch, not per job: `Deadline` is
-    /// an absolute instant, so every job checks the same wall-clock expiry.
-    /// Jobs that start after the budget is spent fail fast with
-    /// [`EngineError::DeadlineExceeded`] in their slot — failure isolation
-    /// works exactly as for any other per-job error, so a batch that runs
+    /// The handle's deadline is **shared** across the batch, not per job:
+    /// jobs that start after the budget is spent fail fast with
+    /// [`EngineError::DeadlineExceeded`] in their slot, so a batch that runs
     /// out of time returns the jobs it finished plus typed errors for the
     /// rest, never a torn result.
-    pub fn compile_batch_with_deadline(
-        &self,
-        jobs: &[BatchJob],
-        deadline: Deadline,
-    ) -> Vec<Result<QuClearResult, EngineError>> {
+    pub fn compile_batch(&self, jobs: &[BatchJob]) -> Vec<Result<QuClearResult, EngineError>> {
         jobs.par_iter()
             .map(|job| {
                 contain_panics(|| {
-                    deadline.check()?;
-                    let template = self.template_for_with_deadline(&job.program, deadline)?;
-                    deadline.check()?;
+                    self.deadline.check()?;
+                    let template = self.template_for(&job.program)?;
+                    self.deadline.check()?;
                     let result = match &job.angles {
                         Some(angles) => template.bind(angles),
                         None => template.bind_program(&job.program),
                     }?;
-                    self.binds.inc();
+                    self.core.binds.inc();
                     Ok(result)
                 })
             })
@@ -684,42 +704,28 @@ impl Engine {
     /// binds every angle set in parallel.
     ///
     /// Equivalent to a [`Self::compile_batch`] over identical structures,
-    /// but pays the cache lookup once instead of per job.
+    /// but pays the cache lookup once instead of per job. The handle's
+    /// deadline is shared by the template compilation and every bind.
     ///
     /// # Errors
     ///
     /// Returns the template error if the *structure* fails to compile;
-    /// per-angle-set failures are isolated in the output vector.
+    /// per-angle-set failures are isolated in the output vector. Angle sets
+    /// bound after the budget is spent get
+    /// [`EngineError::DeadlineExceeded`] in their slot.
     #[allow(clippy::type_complexity)]
     pub fn sweep(
         &self,
         program: &[PauliRotation],
         angle_sets: &[Vec<f64>],
     ) -> Result<Vec<Result<QuClearResult, EngineError>>, EngineError> {
-        self.sweep_with_deadline(program, angle_sets, Deadline::none())
-    }
-
-    /// [`Self::sweep`] under a request [`Deadline`] shared by the template
-    /// compilation and every per-angle-set bind.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::sweep`]; angle sets bound after the budget is spent get
-    /// [`EngineError::DeadlineExceeded`] in their slot.
-    #[allow(clippy::type_complexity)]
-    pub fn sweep_with_deadline(
-        &self,
-        program: &[PauliRotation],
-        angle_sets: &[Vec<f64>],
-        deadline: Deadline,
-    ) -> Result<Vec<Result<QuClearResult, EngineError>>, EngineError> {
-        let template = self.template_for_with_deadline(program, deadline)?;
+        let template = self.template_for(program)?;
         let results = angle_sets
             .par_iter()
             .map(|angles| {
-                deadline.check()?;
+                self.deadline.check()?;
                 let result = contain_panics(|| template.bind(angles))?;
-                self.binds.inc();
+                self.core.binds.inc();
                 Ok(result)
             })
             .collect();
@@ -736,7 +742,8 @@ impl Engine {
     /// and Heisenberg map. QASM programs that differ only in rotation
     /// angles therefore share one template: the second
     /// `compile_qasm` of an ansatz costs one parse + lift + `O(gates)`
-    /// bind.
+    /// bind. The deadline is checked after the parse + lift stage and at
+    /// every later stage boundary.
     ///
     /// # Errors
     ///
@@ -759,24 +766,9 @@ impl Engine {
     /// # Ok::<(), quclear_engine::EngineError>(())
     /// ```
     pub fn compile_qasm(&self, qasm: &str) -> Result<QuClearResult, EngineError> {
-        self.compile_qasm_with_deadline(qasm, Deadline::none())
-    }
-
-    /// [`Self::compile_qasm`] under a request [`Deadline`], checked after
-    /// the parse + lift stage and at every later stage boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compile_qasm`], plus [`EngineError::DeadlineExceeded`]
-    /// once the budget is spent.
-    pub fn compile_qasm_with_deadline(
-        &self,
-        qasm: &str,
-        deadline: Deadline,
-    ) -> Result<QuClearResult, EngineError> {
         let lifted = lift(&from_qasm(qasm)?);
-        deadline.check()?;
-        self.compile_lifted_with_deadline(&lifted, None, deadline)
+        self.deadline.check()?;
+        self.compile_lifted(&lifted, None)
     }
 
     /// Compiles OpenQASM 2.0 text with the rotation angles overridden.
@@ -787,7 +779,8 @@ impl Engine {
     /// parsed, lifted and template-compiled once, then every angle set is
     /// an `O(gates)` bind. For more control (e.g. lifting once for many
     /// binds), use [`quclear_core::lift_qasm`] with
-    /// [`Self::compile_lifted`].
+    /// [`Self::compile_lifted`]. The deadline is checked as for
+    /// [`Self::compile_qasm`].
     ///
     /// # Errors
     ///
@@ -795,25 +788,9 @@ impl Engine {
     /// [`EngineError::AngleCountMismatch`] when `angles.len()` differs from
     /// the circuit's rotation count; otherwise as [`Self::compile`].
     pub fn bind_qasm(&self, qasm: &str, angles: &[f64]) -> Result<QuClearResult, EngineError> {
-        self.bind_qasm_with_deadline(qasm, angles, Deadline::none())
-    }
-
-    /// [`Self::bind_qasm`] under a request [`Deadline`], checked after the
-    /// parse + lift stage and at every later stage boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::bind_qasm`], plus [`EngineError::DeadlineExceeded`] once
-    /// the budget is spent.
-    pub fn bind_qasm_with_deadline(
-        &self,
-        qasm: &str,
-        angles: &[f64],
-        deadline: Deadline,
-    ) -> Result<QuClearResult, EngineError> {
         let lifted = lift(&from_qasm(qasm)?);
-        deadline.check()?;
-        self.compile_lifted_with_deadline(&lifted, Some(angles), deadline)
+        self.deadline.check()?;
+        self.compile_lifted(&lifted, Some(angles))
     }
 
     /// Compiles an already-lifted program through the template cache,
@@ -834,29 +811,13 @@ impl Engine {
         lifted: &LiftedProgram,
         angles: Option<&[f64]>,
     ) -> Result<QuClearResult, EngineError> {
-        self.compile_lifted_with_deadline(lifted, angles, Deadline::none())
-    }
-
-    /// [`Self::compile_lifted`] under a request [`Deadline`]; see
-    /// [`Self::template_with_deadline`] for the budget semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compile_lifted`], plus
-    /// [`EngineError::DeadlineExceeded`] once the budget is spent.
-    pub fn compile_lifted_with_deadline(
-        &self,
-        lifted: &LiftedProgram,
-        angles: Option<&[f64]>,
-        deadline: Deadline,
-    ) -> Result<QuClearResult, EngineError> {
-        let template = self.template_with_deadline(lifted.axes(), deadline)?;
-        deadline.check()?;
+        let template = self.template(lifted.axes())?;
+        self.deadline.check()?;
         let result = contain_panics(|| match angles {
             Some(angles) => template.bind(angles),
             None => template.bind(lifted.native_angles()),
         })?;
-        self.binds.inc();
+        self.core.binds.inc();
         Ok(lifted.attach(result))
     }
 
@@ -864,11 +825,13 @@ impl Engine {
     /// cache: the observable set is conjugated through the extracted
     /// Clifford in one word-parallel frame sweep on first sight, and a
     /// template cache hit with a previously seen set returns the memoized
-    /// rewriting without re-conjugating anything.
+    /// rewriting without re-conjugating anything. The deadline is checked
+    /// between the template lookup and the conjugation sweep.
     ///
     /// # Errors
     ///
-    /// Propagates template-compilation failures. A register-size mismatch
+    /// Propagates template-compilation failures and
+    /// [`EngineError::DeadlineExceeded`]. A register-size mismatch
     /// between the program and the observables surfaces as
     /// [`EngineError::CompilationPanicked`] (the absorption panic is
     /// contained, like every other compilation panic).
@@ -877,24 +840,8 @@ impl Engine {
         program: &[PauliRotation],
         observables: &[SignedPauli],
     ) -> Result<Arc<AbsorbedObservables>, EngineError> {
-        self.absorb_observables_with_deadline(program, observables, Deadline::none())
-    }
-
-    /// [`Self::absorb_observables`] under a request [`Deadline`]; the check
-    /// sits between the template lookup and the conjugation sweep.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::absorb_observables`], plus
-    /// [`EngineError::DeadlineExceeded`] once the budget is spent.
-    pub fn absorb_observables_with_deadline(
-        &self,
-        program: &[PauliRotation],
-        observables: &[SignedPauli],
-        deadline: Deadline,
-    ) -> Result<Arc<AbsorbedObservables>, EngineError> {
-        let template = self.template_for_with_deadline(program, deadline)?;
-        deadline.check()?;
+        let template = self.template_for(program)?;
+        self.deadline.check()?;
         contain_panics(|| Ok(template.absorb_observables(observables)))
     }
 
@@ -905,11 +852,13 @@ impl Engine {
     /// plan is memoized on the template (shared across clones), and the
     /// grouping + diagonalization work records under the `diagonalize` stage
     /// histogram; the group count is exported on the
-    /// `quclear_engine_measurement_groups` gauge.
+    /// `quclear_engine_measurement_groups` gauge. The deadline is checked
+    /// between the template lookup and the diagonalization sweep.
     ///
     /// # Errors
     ///
-    /// Propagates template-compilation failures; a register-size mismatch
+    /// Propagates template-compilation failures and
+    /// [`EngineError::DeadlineExceeded`]; a register-size mismatch
     /// between program and observables surfaces as
     /// [`EngineError::CompilationPanicked`] (contained, like every other
     /// compilation panic).
@@ -918,26 +867,20 @@ impl Engine {
         program: &[PauliRotation],
         observables: &[SignedPauli],
     ) -> Result<Arc<MeasurementPlan>, EngineError> {
-        self.measurement_plan_with_deadline(program, observables, Deadline::none())
+        let template = self.template_for(program)?;
+        self.plan_on(&template, observables)
     }
 
-    /// [`Self::measurement_plan`] under a request [`Deadline`]; the check
-    /// sits between the template lookup and the diagonalization sweep.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::measurement_plan`], plus
-    /// [`EngineError::DeadlineExceeded`] once the budget is spent.
-    pub fn measurement_plan_with_deadline(
+    /// The plan-building half of [`Self::measurement_plan`], on a template
+    /// the caller already looked up.
+    fn plan_on(
         &self,
-        program: &[PauliRotation],
+        template: &CompiledTemplate,
         observables: &[SignedPauli],
-        deadline: Deadline,
     ) -> Result<Arc<MeasurementPlan>, EngineError> {
-        let template = self.template_for_with_deadline(program, deadline)?;
-        deadline.check()?;
+        self.deadline.check()?;
         let plan = contain_panics(|| Ok(template.measurement_plan(observables)))?;
-        self.measurement_groups.set(plan.num_groups() as i64);
+        self.core.measurement_groups.set(plan.num_groups() as i64);
         Ok(plan)
     }
 
@@ -949,11 +892,14 @@ impl Engine {
     /// draw one seeded `shots`-sized batch, and read *all* group members
     /// from that single batch through the composed affine map. The total
     /// sample cost is `groups` batches instead of `observables` batches —
-    /// the reported [`EstimateResult::shot_budget_divisor`].
+    /// the reported [`EstimateResult::shot_budget_divisor`]. One template
+    /// lookup serves both the plan and the bind.
     ///
     /// Deterministic: the same `(program, observables, shots, seed)` always
     /// produces the same batches (group `g` samples with
-    /// [`group_shot_seed`]`(seed, g)`) and hence the same estimates.
+    /// [`group_shot_seed`]`(seed, g)`) and hence the same estimates. The
+    /// deadline is checked between the template lookup, the plan build, the
+    /// bind, and every per-group simulation.
     ///
     /// # Errors
     ///
@@ -967,25 +913,6 @@ impl Engine {
         shots: u64,
         seed: u64,
     ) -> Result<EstimateResult, EngineError> {
-        self.estimate_observables_with_deadline(program, observables, shots, seed, Deadline::none())
-    }
-
-    /// [`Self::estimate_observables`] under a request [`Deadline`]; the
-    /// budget is checked between the template lookup, the plan build, the
-    /// bind, and every per-group simulation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::estimate_observables`], plus
-    /// [`EngineError::DeadlineExceeded`] once the budget is spent.
-    pub fn estimate_observables_with_deadline(
-        &self,
-        program: &[PauliRotation],
-        observables: &[SignedPauli],
-        shots: u64,
-        seed: u64,
-        deadline: Deadline,
-    ) -> Result<EstimateResult, EngineError> {
         if shots == 0 {
             return Err(EngineError::NotEstimable {
                 reason: "shot count must be positive".to_string(),
@@ -998,7 +925,8 @@ impl Engine {
                 ),
             });
         }
-        let plan = self.measurement_plan_with_deadline(program, observables, deadline)?;
+        let template = self.template_for(program)?;
+        let plan = self.plan_on(&template, observables)?;
         if plan.num_qubits() > MAX_ESTIMABLE_QUBITS {
             return Err(EngineError::NotEstimable {
                 reason: format!(
@@ -1015,16 +943,16 @@ impl Engine {
                 shot_budget_divisor: plan.shot_budget_divisor(),
             });
         }
-        deadline.check()?;
-        let template = self.template_for_with_deadline(program, deadline)?;
+        self.deadline.check()?;
         let bound = contain_panics(|| template.bind_program(program))?;
         let simulate_start = Instant::now();
         let base = contain_panics(|| Ok(StateVector::from_circuit(&bound.optimized)))?;
-        self.stage_simulate
+        self.core
+            .stage_simulate
             .record_duration(simulate_start.elapsed());
         let mut batches = Vec::with_capacity(plan.num_groups());
         for (g, group) in plan.groups().iter().enumerate() {
-            deadline.check()?;
+            self.deadline.check()?;
             let sample_start = Instant::now();
             let batch = contain_panics(|| {
                 let mut rotated = base.clone();
@@ -1033,7 +961,9 @@ impl Engine {
                 let indices = rotated.sample_indices(shots as usize, &mut rng);
                 Ok(ShotBatch::from_indices(plan.num_qubits(), &indices))
             })?;
-            self.stage_sample.record_duration(sample_start.elapsed());
+            self.core
+                .stage_sample
+                .record_duration(sample_start.elapsed());
             batches.push(batch);
         }
         let expectations = plan.estimate(&batches);
@@ -1067,7 +997,7 @@ impl Engine {
             .map_err(EngineError::NotAbsorbable)?;
         let start = Instant::now();
         let processed = contain_panics(|| Ok(absorber.post_process_shots(shots)))?;
-        self.stage_absorb_post.record_duration(start.elapsed());
+        self.core.stage_absorb_post.record_duration(start.elapsed());
         Ok(processed)
     }
 
@@ -1078,7 +1008,7 @@ impl Engine {
     /// snapshot covers the whole process.
     #[must_use]
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// A coherent snapshot of every metric in [`Engine::metrics`], with the
@@ -1086,9 +1016,8 @@ impl Engine {
     /// hot path does not maintain exactly — see [`EngineStats::entries`]).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.cache_entries
-            .set(self.cache.len().min(self.cache.capacity()) as i64);
-        self.metrics.snapshot()
+        self.refresh_cache_entries();
+        self.core.metrics.snapshot()
     }
 
     /// A point-in-time snapshot of the counters.
@@ -1116,17 +1045,18 @@ impl Engine {
         // ordering: Acquire, and read *first* — pairs with the Release
         // increment above so `coalesced_waits <= hits + misses` holds in
         // every snapshot (model-checked in tests/sched_models.rs).
-        let coalesced_waits = self.coalesced_waits.get_ordered(Ordering::Acquire);
-        let hits = self.hits.get();
-        let misses = self.misses.get();
+        let core = &*self.core;
+        let coalesced_waits = core.coalesced_waits.get_ordered(Ordering::Acquire);
+        let hits = core.hits.get();
+        let misses = core.misses.get();
         EngineStats {
             hits,
             misses,
             coalesced_waits,
-            evictions: self.evictions.get(),
-            binds: self.binds.get(),
-            entries: self.cache.len().min(self.cache.capacity()),
-            capacity: self.cache.capacity(),
+            evictions: core.evictions.get(),
+            binds: core.binds.get(),
+            entries: core.cache.len().min(core.cache.capacity()),
+            capacity: core.cache.capacity(),
             lane_words: quclear_pauli::kernel_lane_words(),
             sweep_threads: rayon::current_num_threads(),
         }
@@ -1135,13 +1065,13 @@ impl Engine {
     /// Number of cache shards in use.
     #[must_use]
     pub fn num_cache_shards(&self) -> usize {
-        self.cache.num_shards()
+        self.core.cache.num_shards()
     }
 
     /// Drops every cached template (counters are kept).
     pub fn clear_cache(&self) {
-        self.cache.clear();
-        self.cache_entries.set(0);
+        self.core.cache.clear();
+        self.core.cache_entries.set(0);
     }
 }
 
@@ -1338,7 +1268,8 @@ mod tests {
     fn expired_deadline_fails_a_cold_compile_fast() {
         let engine = Engine::new(8);
         let err = engine
-            .compile_with_deadline(&program_a(), Deadline::within(std::time::Duration::ZERO))
+            .with_deadline(Deadline::within(std::time::Duration::ZERO))
+            .compile(&program_a())
             .unwrap_err();
         assert_eq!(err, EngineError::DeadlineExceeded);
         // The budget check fired before extraction: nothing was cached.
@@ -1351,7 +1282,8 @@ mod tests {
         engine.compile(&program_a()).unwrap();
         // A hit costs microseconds; serving it beats composing the error.
         let template = engine
-            .template_for_with_deadline(&program_a(), Deadline::within(std::time::Duration::ZERO))
+            .with_deadline(Deadline::within(std::time::Duration::ZERO))
+            .template_for(&program_a())
             .unwrap();
         assert!(template.num_params() > 0);
         assert_eq!(engine.stats().hits, 1);
@@ -1364,17 +1296,17 @@ mod tests {
             BatchJob::new(vec![rot("ZZ", 0.4)]),
             BatchJob::new(vec![rot("XX", 0.1)]),
         ];
-        let results =
-            engine.compile_batch_with_deadline(&jobs, Deadline::within(std::time::Duration::ZERO));
+        let results = engine
+            .with_deadline(Deadline::within(std::time::Duration::ZERO))
+            .compile_batch(&jobs);
         assert_eq!(results.len(), 2);
         for result in results {
             assert_eq!(result.unwrap_err(), EngineError::DeadlineExceeded);
         }
         // A generous budget compiles the same batch normally.
-        let results = engine.compile_batch_with_deadline(
-            &jobs,
-            Deadline::within(std::time::Duration::from_secs(60)),
-        );
+        let results = engine
+            .with_deadline(Deadline::within(std::time::Duration::from_secs(60)))
+            .compile_batch(&jobs);
         assert!(results.iter().all(Result::is_ok));
     }
 
@@ -1383,18 +1315,45 @@ mod tests {
         let engine = Engine::new(8);
         let qasm = "qreg q[2];\ncx q[0], q[1];\nrz(0.5) q[1];\ncx q[0], q[1];\n";
         let err = engine
-            .compile_qasm_with_deadline(qasm, Deadline::within(std::time::Duration::ZERO))
+            .with_deadline(Deadline::within(std::time::Duration::ZERO))
+            .compile_qasm(qasm)
             .unwrap_err();
         assert_eq!(err, EngineError::DeadlineExceeded);
-        engine
-            .compile_qasm_with_deadline(qasm, Deadline::within(std::time::Duration::from_secs(60)))
+        let generous = engine.with_deadline(Deadline::within(std::time::Duration::from_secs(60)));
+        generous.compile_qasm(qasm).unwrap();
+        generous.bind_qasm(qasm, &[1.5]).unwrap();
+    }
+
+    #[test]
+    fn deadline_handles_share_the_cache_and_registry() {
+        let engine = Engine::new(8);
+        let handle = engine.with_deadline(Deadline::within(std::time::Duration::from_secs(60)));
+        handle.compile(&program_a()).unwrap();
+        assert_eq!((engine.stats().hits, engine.stats().misses), (0, 1));
+        // The plain engine sees the template the handle compiled.
+        engine.compile(&program_a()).unwrap();
+        assert_eq!((engine.stats().hits, engine.stats().misses), (1, 1));
+        assert_eq!(handle.stats(), engine.stats());
+        assert!(Arc::ptr_eq(engine.metrics(), handle.metrics()));
+    }
+
+    #[test]
+    fn a_plain_engine_never_exceeds_a_deadline() {
+        let engine = Engine::new(8);
+        let slow = ProgramFingerprint::of_program(&program_a(), engine.config());
+        engine.inject_compile_delay(Some((slow, std::time::Duration::from_millis(20))));
+        engine.compile(&program_a()).unwrap();
+        engine.inject_compile_delay(None);
+        let jobs = vec![
+            BatchJob::new(program_a()),
+            BatchJob::new(vec![rot("XX", 0.1)]),
+        ];
+        assert!(engine.compile_batch(&jobs).iter().all(Result::is_ok));
+        engine.sweep(&program_a(), &[vec![0.1, 0.2]]).unwrap()[0]
+            .as_ref()
             .unwrap();
         engine
-            .bind_qasm_with_deadline(
-                qasm,
-                &[1.5],
-                Deadline::within(std::time::Duration::from_secs(60)),
-            )
+            .compile_qasm("qreg q[2];\ncx q[0], q[1];\nrz(0.5) q[1];\n")
             .unwrap();
     }
 

@@ -51,7 +51,6 @@ mod deadline;
 mod engine;
 mod error;
 mod fingerprint;
-mod lru;
 mod sharded;
 pub mod singleflight;
 mod sync;
@@ -65,7 +64,6 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use fingerprint::ProgramFingerprint;
-pub use lru::LruCache;
 pub use sharded::ShardedCache;
 pub use singleflight::SingleFlight;
 pub use template::CompiledTemplate;

@@ -1,6 +1,6 @@
 //! A sharded, read-mostly template cache.
 //!
-//! The engine's original cache was one `Mutex<LruCache>`: every lookup —
+//! The engine's original cache was one mutex-guarded LRU list: every lookup —
 //! including the overwhelmingly common *hit* — took the same global lock and
 //! mutated the recency list, so ≥32-thread batch workloads serialized on a
 //! single cache line. This module splits the cache two ways:

@@ -12,10 +12,6 @@
 //! violation. Concurrency-critical modules must import sync primitives
 //! from here, never from `std::sync` directly, or the checker cannot see
 //! them (enforced by `cargo run -p xtask -- lint`).
-//!
-//! `engine::lru` is deliberately absent: the slab LRU has no interior
-//! mutability and is only ever touched under a `ShardedCache` shard lock,
-//! so there is nothing for the scheduler to interpose on.
 
 #[cfg(feature = "sched-model")]
 pub(crate) use quclear_sched::sync::{

@@ -48,10 +48,9 @@ fn waiter_detaches_while_leader_still_populates_the_cache() {
                 // the in-flight compile instead of leading its own.
                 std::thread::sleep(Duration::from_millis(100));
                 let start = Instant::now();
-                let result = engine.compile_with_deadline(
-                    &rotations,
-                    Deadline::within(Duration::from_millis(150)),
-                );
+                let result = engine
+                    .with_deadline(Deadline::within(Duration::from_millis(150)))
+                    .compile(&rotations);
                 (result, start.elapsed())
             })
         };
@@ -78,7 +77,8 @@ fn waiter_detaches_while_leader_still_populates_the_cache() {
     // even with a zero budget.
     let before = engine.stats();
     engine
-        .compile_with_deadline(&rotations, Deadline::within(Duration::from_millis(200)))
+        .with_deadline(Deadline::within(Duration::from_millis(200)))
+        .compile(&rotations)
         .expect("warm cache serves bounded requests");
     let after = engine.stats();
     assert_eq!(after.hits, before.hits + 1, "the retry must be a cache hit");
@@ -112,10 +112,9 @@ fn many_bounded_waiters_all_detach_without_poisoning_the_flight() {
                 scope.spawn(move || {
                     barrier.wait();
                     std::thread::sleep(Duration::from_millis(80));
-                    engine.compile_with_deadline(
-                        &rotations,
-                        Deadline::within(Duration::from_millis(120)),
-                    )
+                    engine
+                        .with_deadline(Deadline::within(Duration::from_millis(120)))
+                        .compile(&rotations)
                 })
             })
             .collect();

@@ -172,8 +172,39 @@ fn estimate_respects_an_expired_deadline() {
         .unwrap();
     let expired = Deadline::within(Duration::ZERO);
     std::thread::sleep(Duration::from_millis(2));
-    let result = engine.estimate_observables_with_deadline(&program, &observables, 10, 1, expired);
+    let result = engine
+        .with_deadline(expired)
+        .estimate_observables(&program, &observables, 10, 1);
     assert!(matches!(result, Err(EngineError::DeadlineExceeded)));
+}
+
+#[test]
+fn a_warm_estimate_looks_its_template_up_once() {
+    let engine = Engine::new(8);
+    let (program, observables) = ucc_workload();
+    engine
+        .estimate_observables(&program, &observables, 10, 1)
+        .unwrap();
+    let fingerprints = |engine: &Engine| {
+        engine
+            .metrics_snapshot()
+            .histogram(ENGINE_STAGE_METRIC, Some(("stage", "fingerprint")))
+            .expect("fingerprint stage registered")
+            .count()
+    };
+    let (lookups, fingerprinted) = (engine.stats().lookups(), fingerprints(&engine));
+    let result = engine
+        .estimate_observables(&program, &observables, 10, 2)
+        .unwrap();
+    assert_eq!(engine.stats().lookups(), lookups + 1);
+    assert_eq!(fingerprints(&engine), fingerprinted + 1);
+    // The plan built on that one lookup still reports its group count.
+    assert_eq!(
+        engine
+            .metrics_snapshot()
+            .gauge_value("quclear_engine_measurement_groups", None),
+        Some(result.groups.len() as i64)
+    );
 }
 
 #[test]

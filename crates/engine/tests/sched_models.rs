@@ -58,9 +58,9 @@ fn singleflight_panicking_leader_never_strands_waiter() {
 }
 
 /// Hit/miss accounting around `run_with_deadline`, mirroring the discipline
-/// `Engine::template_with_deadline` uses: a led call counts a miss (inside
-/// the closure), a coalesced call counts a hit then bumps the coalesced
-/// counter with `Release`, and a *detached* waiter counts a miss. The
+/// `Engine::template` uses: a led call counts a miss (inside the closure),
+/// a coalesced call counts a hit then bumps the coalesced counter with
+/// `Release`, and a *detached* waiter counts a miss. The
 /// invariants: every lookup is accounted exactly once (`hits + misses ==
 /// lookups` after the dust settles), and a stats-order reader (coalesced
 /// first with `Acquire`) never observes `coalesced > hits`.

@@ -73,8 +73,7 @@ pub use client::{Client, ClientError, RetryPolicy};
 #[cfg(any(test, feature = "faults"))]
 pub use faults::FaultPlan;
 pub use protocol::{
-    CompiledSummary, Request, RequestKind, RequestLatencySummary, Response, ResponseBody,
-    StatsSummary, WireError,
+    CompiledSummary, Request, RequestKind, Response, ResponseBody, StatsSummary, WireError,
 };
 pub use server::{
     Server, ServerConfig, SERVE_ERROR_METRIC, SERVE_FRAME_METRIC, SERVE_REQUEST_METRIC,

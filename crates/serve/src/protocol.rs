@@ -308,23 +308,6 @@ pub struct CompiledSummary {
     pub gate_count: usize,
 }
 
-/// Latency digest of one request kind, folded into [`StatsSummary`].
-///
-/// A compressed view of the full per-kind latency histogram the `metrics`
-/// request exposes: enough for a dashboard's headline numbers without
-/// shipping bucket arrays on every `stats` poll.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RequestLatencySummary {
-    /// Request kind name (e.g. `"compile"`).
-    pub kind: String,
-    /// Requests of this kind the server has answered.
-    pub count: u64,
-    /// Median handling latency, in nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile handling latency, in nanoseconds.
-    pub p99_ns: u64,
-}
-
 /// Engine + server counters, as returned by a `stats` request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatsSummary {
@@ -366,10 +349,6 @@ pub struct StatsSummary {
     pub sweep_threads: u64,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
-    /// Per-request-kind latency digests (kinds the server has actually
-    /// answered, sorted by kind name). Empty when talking to a server from
-    /// before this field existed — decoding tolerates its absence.
-    pub request_latencies: Vec<RequestLatencySummary>,
 }
 
 /// A response, as decoded from one frame.
@@ -692,23 +671,6 @@ impl Response {
                         entries.push(("lane_words", Json::Uint(stats.lane_words)));
                         entries.push(("sweep_threads", Json::Uint(stats.sweep_threads)));
                         entries.push(("uptime_ms", Json::Uint(stats.uptime_ms)));
-                        entries.push((
-                            "request_latencies",
-                            Json::Array(
-                                stats
-                                    .request_latencies
-                                    .iter()
-                                    .map(|digest| {
-                                        obj(vec![
-                                            ("kind", Json::Str(digest.kind.clone())),
-                                            ("count", Json::Uint(digest.count)),
-                                            ("p50_ns", Json::Uint(digest.p50_ns)),
-                                            ("p99_ns", Json::Uint(digest.p99_ns)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ));
                     }
                     ResponseBody::Metrics(snapshot) => {
                         entries.push(("kind", Json::Str("metrics".into())));
@@ -807,7 +769,6 @@ impl Response {
                 lane_words: field_u64_or_zero(&tree, "lane_words")?,
                 sweep_threads: field_u64_or_zero(&tree, "sweep_threads")?,
                 uptime_ms: field_u64(&tree, "uptime_ms")?,
-                request_latencies: latency_digests(&tree)?,
             }),
             "metrics" => {
                 let snapshot = tree
@@ -935,29 +896,6 @@ fn field_f64s(tree: &Json, key: &str) -> Result<Vec<f64>, WireError> {
         .collect()
 }
 
-/// Decodes the optional `request_latencies` array of a `stats` response.
-/// Absence (a pre-telemetry server) decodes as empty; a present-but-
-/// malformed array is an error.
-fn latency_digests(tree: &Json) -> Result<Vec<RequestLatencySummary>, WireError> {
-    let Some(raw) = tree.get("request_latencies") else {
-        return Ok(Vec::new());
-    };
-    let items = raw
-        .as_array()
-        .ok_or_else(|| WireError::new("bad_request", "`request_latencies` is not an array"))?;
-    items
-        .iter()
-        .map(|item| {
-            Ok(RequestLatencySummary {
-                kind: field_str(item, "kind")?,
-                count: field_u64(item, "count")?,
-                p50_ns: field_u64(item, "p50_ns")?,
-                p99_ns: field_u64(item, "p99_ns")?,
-            })
-        })
-        .collect()
-}
-
 fn field_f64_sets(tree: &Json, key: &str) -> Result<Vec<Vec<f64>>, WireError> {
     field(tree, key)?
         .as_array()
@@ -1079,20 +1017,6 @@ mod tests {
                 lane_words: 4,
                 sweep_threads: 8,
                 uptime_ms: 12345,
-                request_latencies: vec![
-                    RequestLatencySummary {
-                        kind: "compile".into(),
-                        count: 12,
-                        p50_ns: 1_500,
-                        p99_ns: 90_000,
-                    },
-                    RequestLatencySummary {
-                        kind: "stats".into(),
-                        count: 3,
-                        p50_ns: 200,
-                        p99_ns: 400,
-                    },
-                ],
             }),
             ResponseBody::Metrics(sample_snapshot()),
             ResponseBody::Health { uptime_ms: 1 },
@@ -1175,17 +1099,29 @@ mod tests {
 
     #[test]
     fn stats_without_request_latencies_still_decode() {
-        // A response from a server predating the latency digests must
-        // decode, with the new field defaulting to empty.
+        // A response from a server predating the later stats fields must
+        // decode, with those fields defaulting to zero.
         let legacy = br#"{"id": 5, "ok": true, "kind": "stats",
             "hits": 1, "misses": 2, "coalesced_waits": 0, "evictions": 0,
             "binds": 3, "entries": 1, "capacity": 64, "hit_rate": 0.333,
             "requests_served": 6, "connections_accepted": 1, "uptime_ms": 9}"#;
+        // Servers that still send the retired `request_latencies` digests
+        // decode too; the field is ignored (`metrics` carries the full
+        // per-kind histograms).
+        let with_digests = br#"{"id": 5, "ok": true, "kind": "stats",
+            "hits": 1, "misses": 2, "coalesced_waits": 0, "evictions": 0,
+            "binds": 3, "entries": 1, "capacity": 64, "hit_rate": 0.333,
+            "requests_served": 6, "connections_accepted": 1, "uptime_ms": 9,
+            "request_latencies": [{"kind": "compile", "count": 1,
+                "p50_ns": 10, "p99_ns": 20}]}"#;
         let decoded = Response::decode(legacy).expect("legacy stats must decode");
+        assert_eq!(
+            Response::decode(with_digests).expect("stats with digests must decode"),
+            decoded
+        );
         match decoded.body {
             Ok(ResponseBody::Stats(stats)) => {
                 assert_eq!(stats.hits, 1);
-                assert!(stats.request_latencies.is_empty());
                 // Overload counters from after this payload's vintage
                 // default to zero.
                 assert_eq!(stats.shed_connections, 0);

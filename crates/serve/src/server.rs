@@ -47,8 +47,8 @@ use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::protocol::{
-    write_frame_with_limit, CompiledSummary, Request, RequestKind, RequestLatencySummary, Response,
-    ResponseBody, StatsSummary, WireError, MAX_FRAME_BYTES,
+    write_frame_with_limit, CompiledSummary, Request, RequestKind, Response, ResponseBody,
+    StatsSummary, WireError, MAX_FRAME_BYTES,
 };
 
 /// Metric family: per-request-kind handling latency, in nanoseconds
@@ -274,18 +274,6 @@ struct Shared {
 impl Shared {
     fn stats(&self) -> StatsSummary {
         let engine = self.engine.stats();
-        let mut request_latencies = Vec::new();
-        for (&kind, histogram) in &self.metrics.request_duration {
-            let snapshot = histogram.snapshot();
-            if snapshot.count() > 0 {
-                request_latencies.push(RequestLatencySummary {
-                    kind: kind.to_string(),
-                    count: snapshot.count(),
-                    p50_ns: snapshot.p50(),
-                    p99_ns: snapshot.p99(),
-                });
-            }
-        }
         StatsSummary {
             hits: engine.hits,
             misses: engine.misses,
@@ -302,7 +290,6 @@ impl Shared {
             lane_words: engine.lane_words as u64,
             sweep_threads: engine.sweep_threads as u64,
             uptime_ms: self.started.elapsed().as_millis() as u64,
-            request_latencies,
         }
     }
 }
@@ -726,41 +713,32 @@ fn handle_request(
     kind: RequestKind,
     deadline: Deadline,
 ) -> (Result<ResponseBody, WireError>, Continuation) {
+    let engine = shared.engine.with_deadline(deadline);
     let body = match kind {
-        RequestKind::Compile { program, angles } => compile(shared, &program, &angles, deadline),
+        RequestKind::Compile { program, angles } => compile(&engine, &program, &angles),
         RequestKind::Sweep {
             program,
             angle_sets,
-        } => sweep(shared, &program, &angle_sets, deadline),
-        RequestKind::CompileQasm { qasm } => shared
-            .engine
-            .compile_qasm_with_deadline(&qasm, deadline)
+        } => sweep(&engine, &program, &angle_sets),
+        RequestKind::CompileQasm { qasm } => engine
+            .compile_qasm(&qasm)
             .map(|result| ResponseBody::Compiled(summarize(&result)))
             .map_err(|e| engine_error(&e)),
-        RequestKind::BindQasm { qasm, angles } => shared
-            .engine
-            .bind_qasm_with_deadline(&qasm, &angles, deadline)
+        RequestKind::BindQasm { qasm, angles } => engine
+            .bind_qasm(&qasm, &angles)
             .map(|result| ResponseBody::Compiled(summarize(&result)))
             .map_err(|e| engine_error(&e)),
         RequestKind::Absorb {
             program,
             observables,
-        } => absorb(shared, &program, &observables, deadline),
+        } => absorb(&engine, &program, &observables),
         RequestKind::Estimate {
             program,
             angles,
             observables,
             shots,
             seed,
-        } => estimate(
-            shared,
-            &program,
-            &angles,
-            &observables,
-            shots,
-            seed,
-            deadline,
-        ),
+        } => estimate(&engine, &program, &angles, &observables, shots, seed),
         RequestKind::Stats => Ok(ResponseBody::Stats(shared.stats())),
         RequestKind::Metrics => Ok(ResponseBody::Metrics(shared.engine.metrics_snapshot())),
         RequestKind::Health => Ok(ResponseBody::Health {
@@ -815,26 +793,19 @@ fn to_rotations(axes: &[SignedPauli], angles: &[f64]) -> Result<Vec<PauliRotatio
         .collect())
 }
 
-fn compile(
-    shared: &Shared,
-    program: &[String],
-    angles: &[f64],
-    deadline: Deadline,
-) -> Result<ResponseBody, WireError> {
+fn compile(engine: &Engine, program: &[String], angles: &[f64]) -> Result<ResponseBody, WireError> {
     let axes = parse_axes(program)?;
     let rotations = to_rotations(&axes, angles)?;
-    shared
-        .engine
-        .compile_with_deadline(&rotations, deadline)
+    engine
+        .compile(&rotations)
         .map(|result| ResponseBody::Compiled(summarize(&result)))
         .map_err(|e| engine_error(&e))
 }
 
 fn sweep(
-    shared: &Shared,
+    engine: &Engine,
     program: &[String],
     angle_sets: &[Vec<f64>],
-    deadline: Deadline,
 ) -> Result<ResponseBody, WireError> {
     let axes = parse_axes(program)?;
     // The engine's sweep binds raw angles against positive axes, so fold
@@ -854,9 +825,8 @@ fn sweep(
         })
         .collect();
     let rotations = to_rotations(&axes, &vec![0.0; axes.len()])?;
-    let results = shared
-        .engine
-        .sweep_with_deadline(&rotations, &folded, deadline)
+    let results = engine
+        .sweep(&rotations, &folded)
         .map_err(|e| engine_error(&e))?;
     Ok(ResponseBody::Sweep(
         results
@@ -867,10 +837,9 @@ fn sweep(
 }
 
 fn absorb(
-    shared: &Shared,
+    engine: &Engine,
     program: &[String],
     observables: &[String],
-    deadline: Deadline,
 ) -> Result<ResponseBody, WireError> {
     let axes = parse_axes(program)?;
     let rotations = to_rotations(&axes, &vec![0.0; axes.len()])?;
@@ -885,9 +854,8 @@ fn absorb(
             })
         })
         .collect::<Result<_, _>>()?;
-    let absorbed = shared
-        .engine
-        .absorb_observables_with_deadline(&rotations, &parsed, deadline)
+    let absorbed = engine
+        .absorb_observables(&rotations, &parsed)
         .map_err(|e| engine_error(&e))?;
     Ok(ResponseBody::Absorbed {
         observables: absorbed.to_vec().iter().map(ToString::to_string).collect(),
@@ -896,13 +864,12 @@ fn absorb(
 }
 
 fn estimate(
-    shared: &Shared,
+    engine: &Engine,
     program: &[String],
     angles: &[f64],
     observables: &[String],
     shots: u64,
     seed: u64,
-    deadline: Deadline,
 ) -> Result<ResponseBody, WireError> {
     let axes = parse_axes(program)?;
     let rotations = to_rotations(&axes, angles)?;
@@ -917,9 +884,8 @@ fn estimate(
             })
         })
         .collect::<Result<_, _>>()?;
-    let result = shared
-        .engine
-        .estimate_observables_with_deadline(&rotations, &parsed, shots, seed, deadline)
+    let result = engine
+        .estimate_observables(&rotations, &parsed, shots, seed)
         .map_err(|e| engine_error(&e))?;
     Ok(ResponseBody::Estimated {
         expectations: result.expectations,

@@ -624,11 +624,11 @@ fn metrics_endpoint_spans_engine_and_serve() {
     server.stop();
 }
 
-/// `stats` folds per-kind latency digests in back-compatibly: kinds that
-/// served requests appear with count/p50/p99, and the digest agrees with
-/// the requests the connection actually made.
+/// The `metrics` snapshot carries the per-kind request latency histograms:
+/// kinds that served requests show their counts and quantiles, and the
+/// counts agree with the requests the connection actually made.
 #[test]
-fn stats_carry_request_latency_digests() {
+fn metrics_carry_request_latency_histograms() {
     let engine = Arc::new(Engine::new(16));
     let server = start_server(Arc::clone(&engine), 2);
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -642,33 +642,25 @@ fn stats_carry_request_latency_digests() {
     }
     client.health().expect("health");
 
-    let stats = client.stats().expect("stats");
-    let digest = |kind: &str| {
-        stats
-            .request_latencies
-            .iter()
-            .find(|d| d.kind == kind)
-            .unwrap_or_else(|| panic!("no `{kind}` digest in {:?}", stats.request_latencies))
-            .clone()
+    let latency = |snapshot: &quclear_telemetry::MetricsSnapshot, kind: &str| {
+        snapshot
+            .histogram(quclear_serve::SERVE_REQUEST_METRIC, Some(("kind", kind)))
+            .unwrap_or_else(|| panic!("no `{kind}` latency histogram"))
     };
-    let compile = digest("compile");
-    assert_eq!(compile.count, 3);
-    assert!(compile.p50_ns <= compile.p99_ns);
-    assert_eq!(digest("health").count, 1);
+    let snapshot = client.metrics().expect("metrics");
+    let compile = latency(&snapshot, "compile");
+    assert_eq!(compile.count(), 3);
+    assert!(compile.p50() <= compile.p99());
+    assert_eq!(latency(&snapshot, "health").count(), 1);
     // No failed or unknown requests were made on this connection.
-    assert!(stats.request_latencies.iter().all(|d| d.kind != "unknown"));
+    assert_eq!(latency(&snapshot, "unknown").count(), 0);
     // A request's latency is recorded after it is answered, so the first
-    // stats response cannot include itself...
-    assert!(stats.request_latencies.iter().all(|d| d.kind != "stats"));
+    // metrics response cannot include itself...
+    assert_eq!(latency(&snapshot, "metrics").count(), 0);
 
-    // ...but a second stats call sees the first one counted.
-    let again = client.stats().expect("stats again");
-    let stats_digest = again
-        .request_latencies
-        .iter()
-        .find(|d| d.kind == "stats")
-        .expect("stats digest on the second call");
-    assert_eq!(stats_digest.count, 1);
+    // ...but a second metrics call sees the first one counted.
+    let again = client.metrics().expect("metrics again");
+    assert_eq!(latency(&again, "metrics").count(), 1);
 
     server.stop();
 }

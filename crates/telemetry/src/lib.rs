@@ -18,14 +18,15 @@
 //! - [`MetricsRegistry`]: names → shared metric handles. Registration is
 //!   idempotent and returns the *same* cell, so bookkeeping reads (the
 //!   engine's `stats()`) and metric exposition cannot drift apart.
-//! - [`Span`] and the [`span!`] macro: RAII guards that record elapsed
-//!   nanoseconds into a histogram on drop, optionally emitting a
-//!   [`SlowEvent`] to a pluggable [`EventSink`] when a threshold is
-//!   exceeded.
 //! - [`MetricsSnapshot`]: plain-data snapshots that render as Prometheus
 //!   text ([`MetricsSnapshot::to_prometheus_text`]) or cross the
 //!   `quclear-serve` wire as JSON ([`MetricsSnapshot::to_json`] /
 //!   [`MetricsSnapshot::from_json`]).
+//!
+//! There is no span or tracing layer: callers hold prebuilt histogram
+//! handles and record into them directly ([`Histogram::record_duration`]),
+//! which is how the engine times its pipeline stages and the server its
+//! request kinds.
 //!
 //! # Example
 //!
@@ -38,9 +39,8 @@
 //!     "engine pipeline stage latency",
 //!     ("stage", "extract"),
 //! );
-//! for _ in 0..3 {
-//!     let _span = registry.span_on(hist.clone(), "extract");
-//!     // ... stage work ...
+//! for elapsed_ns in [1_200, 950, 40_000] {
+//!     hist.record(elapsed_ns);
 //! }
 //! let snapshot = registry.snapshot();
 //! let stage = snapshot
@@ -56,7 +56,6 @@ mod histogram;
 mod metric;
 mod registry;
 mod snapshot;
-mod span;
 mod sync;
 
 pub use histogram::{
@@ -65,4 +64,3 @@ pub use histogram::{
 pub use metric::{Counter, Gauge, GaugeGuard};
 pub use registry::MetricsRegistry;
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
-pub use span::{EventSink, SlowEvent, Span};

@@ -2,15 +2,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, PoisonError, RwLock};
 
 use crate::histogram::Histogram;
 use crate::metric::{Counter, Gauge};
 use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
-use crate::span::{EventSink, Span};
 
 /// Identity of one metric: a name plus an optional `key="value"` label pair
 /// (the subset of the Prometheus data model this workspace needs — one
@@ -79,11 +76,6 @@ struct Registered {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: RwLock<BTreeMap<MetricKey, Registered>>,
-    /// Fast "is a sink installed?" check so the span drop path pays one
-    /// relaxed load when slow-event emission is off (the common case).
-    sink_armed: AtomicBool,
-    sink: RwLock<Option<Arc<dyn EventSink>>>,
-    slow_threshold_ns: AtomicU64,
 }
 
 fn read<T>(lock: &RwLock<T>) -> crate::sync::RwLockReadGuard<'_, T> {
@@ -103,7 +95,7 @@ impl MetricsRegistry {
 
     /// The process-wide registry (created on first use). Library code in
     /// this workspace takes an explicit registry; the global instance exists
-    /// for application code and the bare [`crate::span!`] macro form.
+    /// for application code.
     #[must_use]
     pub fn global() -> &'static MetricsRegistry {
         static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
@@ -227,56 +219,6 @@ impl MetricsRegistry {
             Metric::Histogram(histogram) => Some(Arc::clone(histogram)),
             _ => None,
         }
-    }
-
-    /// Installs a sink that receives a structured record for every span that
-    /// runs at least `slow_threshold` (see [`crate::span!`] /
-    /// [`MetricsRegistry::span_on`]). Pass through [`MetricsRegistry::clear_event_sink`]
-    /// to disarm. Emission happens on the instrumented thread, inside the
-    /// span guard's drop — sinks should be cheap (a channel send, a line to
-    /// a log) and must not panic.
-    pub fn set_event_sink(&self, sink: Arc<dyn EventSink>, slow_threshold: Duration) {
-        // ordering: Relaxed — the threshold is published by the Release
-        // store of `sink_armed` below; readers Acquire that flag first.
-        self.slow_threshold_ns.store(
-            u64::try_from(slow_threshold.as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        *write(&self.sink) = Some(sink);
-        self.sink_armed.store(true, Ordering::Release);
-    }
-
-    /// Removes the slow-event sink.
-    pub fn clear_event_sink(&self) {
-        self.sink_armed.store(false, Ordering::Release);
-        *write(&self.sink) = None;
-    }
-
-    /// Starts a span recording into the histogram registered under `name`
-    /// (registering it on demand). Prefer [`MetricsRegistry::span_on`] with
-    /// a pre-registered handle on hot paths — it skips the name lookup.
-    #[must_use]
-    pub fn span_named(&self, name: &'static str) -> Span {
-        let histogram = self.histogram(name, "span duration in nanoseconds");
-        self.span_on(histogram, name)
-    }
-
-    /// Starts a span recording into an explicit histogram. The guard
-    /// records the elapsed nanoseconds when dropped; if a slow-event sink
-    /// is armed and the span ran at least the configured threshold, the
-    /// sink receives a [`crate::SlowEvent`] naming the span.
-    #[must_use]
-    pub fn span_on(&self, histogram: Arc<Histogram>, name: &'static str) -> Span {
-        let slow = if self.sink_armed.load(Ordering::Acquire) {
-            read(&self.sink)
-                .clone()
-                // ordering: Relaxed — ordered after the armed flag's
-                // Acquire load above, which pairs with set_event_sink.
-                .map(|sink| (sink, self.slow_threshold_ns.load(Ordering::Relaxed)))
-        } else {
-            None
-        };
-        Span::new(histogram, name, slow, Instant::now())
     }
 
     /// A coherent point-in-time snapshot of every registered metric,

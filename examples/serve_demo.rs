@@ -118,19 +118,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         client.reconnects(),
     );
 
-    // Per-kind latency digests ride along on the same stats response.
-    for digest in &stats.request_latencies {
-        println!(
-            "latency[{}]: {} served, p50 {} ns, p99 {} ns",
-            digest.kind, digest.count, digest.p50_ns, digest.p99_ns
-        );
-    }
-
     // The full telemetry picture: engine pipeline stages (fingerprint,
-    // extract, bind, absorb) and serve-side instruments in one snapshot,
-    // rendered as Prometheus text — point a scraper at this and the node
-    // is on a dashboard.
+    // extract, bind, absorb) and serve-side instruments in one snapshot.
+    // Per-kind request latencies come first; the whole snapshot renders as
+    // Prometheus text — point a scraper at this and the node is on a
+    // dashboard.
     let snapshot = client.metrics()?;
+    for sample in snapshot.histogram_family(quclear::serve::SERVE_REQUEST_METRIC) {
+        let latency = sample.histogram();
+        if latency.count() > 0 {
+            let kind = sample.label.as_ref().map_or("", |(_, kind)| kind.as_str());
+            println!(
+                "latency[{kind}]: {} served, p50 {} ns, p99 {} ns",
+                latency.count(),
+                latency.p50(),
+                latency.p99()
+            );
+        }
+    }
     println!("\n--- metrics (Prometheus text exposition) ---");
     print!("{}", snapshot.to_prometheus_text());
     println!("--- end of scrape ---\n");
