@@ -4,7 +4,7 @@
 //! Two groups measure the batch paths against their scalar baselines:
 //!
 //! * `ca_pre` — rewriting ≥10k observables through the extracted Clifford:
-//!   per-string `absorb_observables` (the pre-PR scalar path) versus the
+//!   per-string `CliffordTableau::apply_signed` (the scalar path) versus the
 //!   `AbsorptionPlan` frame sweep and the raw `CliffordTableau::apply_frame`
 //!   kernel.
 //! * `ca_post` — post-processing ≥1M shots: the per-shot `map_index` loop
@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use quclear_core::{absorb_observables, compile, QuClearConfig, ShotBatch};
+use quclear_core::{compile, QuClearConfig, ShotBatch};
 use quclear_pauli::{BitVec, PauliFrame, PauliOp, PauliString, SignedPauli};
 use quclear_workloads::Benchmark;
 use rand::rngs::StdRng;
@@ -59,7 +59,12 @@ fn bench_ca_pre(c: &mut Criterion) {
         BenchmarkId::new("scalar", OBSERVABLES),
         &observables,
         |b, obs| {
-            b.iter(|| absorb_observables(&result.heisenberg, black_box(obs)));
+            b.iter(|| {
+                black_box(obs)
+                    .iter()
+                    .map(|o| result.heisenberg.apply_signed(o))
+                    .collect::<Vec<_>>()
+            });
         },
     );
     group.bench_with_input(

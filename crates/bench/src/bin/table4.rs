@@ -68,7 +68,7 @@ fn main() {
         let start = Instant::now();
         let absorption = chem_result.absorb_observables(&observables);
         let observable_time = start.elapsed().as_secs_f64();
-        assert_eq!(absorption.transformed().len(), count);
+        assert_eq!(absorption.len(), count);
 
         // Measured-state post-processing runtime (CA-Post for QAOA workloads).
         let mut measured: BTreeMap<usize, u64> = BTreeMap::new();

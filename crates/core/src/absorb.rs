@@ -24,22 +24,6 @@ use quclear_tableau::{conjugate_all_by_gate, CliffordTableau};
 use crate::gf2::Gf2Matrix;
 use crate::shots::ShotBatch;
 
-/// Rewrites a set of Pauli observables through the extracted Clifford:
-/// `O'_i = U_CL† O_i U_CL` (the CA-Pre step for observable measurements).
-///
-/// `heisenberg` is the map `P ↦ U_CL† P U_CL`, available directly from
-/// [`ExtractionResult::heisenberg`](crate::ExtractionResult::heisenberg).
-#[must_use]
-pub fn absorb_observables(
-    heisenberg: &CliffordTableau,
-    observables: &[SignedPauli],
-) -> Vec<SignedPauli> {
-    observables
-        .iter()
-        .map(|o| heisenberg.apply_signed(o))
-        .collect()
-}
-
 /// A reusable, batch-first recipe for Clifford Absorption: everything that
 /// depends only on the extracted Clifford (never on the observables, angles
 /// or shots), built once and applied to arbitrarily many observable sets.
@@ -48,7 +32,7 @@ pub fn absorb_observables(
 /// set is loaded into a [`PauliFrame`] and conjugated through the extracted
 /// Clifford either by replaying the inverse extracted gates with
 /// [`conjugate_all_by_gate`] (`O(gates · observables/64)` word operations)
-/// or, when only the Heisenberg tableau is available, with
+/// or, for extractions longer than ~`2n²` gates, with
 /// [`CliffordTableau::apply_frame`]. No per-string
 /// [`CliffordTableau::apply`] calls are made anywhere.
 ///
@@ -76,25 +60,14 @@ pub struct AbsorptionPlan {
     /// Gate sequence whose frame replay implements `P ↦ U_CL† P U_CL`
     /// (the gates of the inverse extracted circuit, in time order). Shared so
     /// cloning a plan — e.g. into every cached template — is cheap.
-    replay: Option<Arc<[Gate]>>,
+    replay: Arc<[Gate]>,
 }
 
 impl AbsorptionPlan {
-    /// Builds a plan from the Heisenberg map alone. CA-Pre then uses the
-    /// tableau frame kernel ([`CliffordTableau::apply_frame`]).
-    #[must_use]
-    pub fn from_heisenberg(heisenberg: CliffordTableau) -> Self {
-        AbsorptionPlan {
-            n: heisenberg.num_qubits(),
-            heisenberg,
-            replay: None,
-        }
-    }
-
     /// Builds a plan from the Heisenberg map plus the extracted Clifford
-    /// circuit it was derived from. CA-Pre then replays the inverse
-    /// extracted gates over the observable frame, which is the cheaper path
-    /// whenever the extracted circuit is shorter than `O(n²)` gates.
+    /// circuit it was derived from. CA-Pre replays the inverse extracted
+    /// gates over the observable frame whenever the extracted circuit is
+    /// shorter than `O(n²)` gates, and sweeps the tableau otherwise.
     ///
     /// # Panics
     ///
@@ -106,11 +79,10 @@ impl AbsorptionPlan {
             heisenberg.num_qubits(),
             "extracted circuit and Heisenberg tableau must share a register"
         );
-        let replay: Arc<[Gate]> = extracted.inverse().gates().to_vec().into();
         AbsorptionPlan {
             n: heisenberg.num_qubits(),
             heisenberg,
-            replay: Some(replay),
+            replay: extracted.inverse().gates().to_vec().into(),
         }
     }
 
@@ -126,8 +98,9 @@ impl AbsorptionPlan {
         &self.heisenberg
     }
 
-    /// Rewrites every row of `frame` through the extracted Clifford in
-    /// place: row `i` becomes `U_CL† · row_i · U_CL`.
+    /// CA-Pre on a whole observable set: loads the set into one frame,
+    /// conjugates it through the extracted Clifford in a single sweep, and
+    /// returns the rewritten observables (with their coefficient signs).
     ///
     /// Both available kernels are word-parallel over the rows; the plan
     /// picks the cheaper one. Gate replay costs one plane update per gate
@@ -138,46 +111,17 @@ impl AbsorptionPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the frame's qubit count differs from the plan's.
-    pub fn rewrite_frame_in_place(&self, frame: &mut PauliFrame) {
-        assert_eq!(
-            frame.num_qubits(),
-            self.n,
-            "frame qubit count must match the absorption plan"
-        );
-        match &self.replay {
-            Some(gates) if gates.len() <= 2 * self.n * self.n => {
-                for gate in gates.iter() {
-                    conjugate_all_by_gate(frame, gate);
-                }
-            }
-            _ => *frame = self.heisenberg.apply_frame(frame),
-        }
-    }
-
-    /// Rewrites a frame through the extracted Clifford, returning the image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame's qubit count differs from the plan's.
-    #[must_use]
-    pub fn rewrite_frame(&self, frame: &PauliFrame) -> PauliFrame {
-        let mut out = frame.clone();
-        self.rewrite_frame_in_place(&mut out);
-        out
-    }
-
-    /// CA-Pre on a whole observable set: loads the set into one frame,
-    /// conjugates it through the extracted Clifford in a single sweep, and
-    /// returns the rewritten observables (with their coefficient signs).
-    ///
-    /// # Panics
-    ///
     /// Panics if any observable's qubit count differs from the plan's.
     #[must_use]
     pub fn absorb(&self, observables: &[SignedPauli]) -> AbsorbedObservables {
         let mut frame = PauliFrame::from_signed(self.n, observables);
-        self.rewrite_frame_in_place(&mut frame);
+        if self.replay.len() <= 2 * self.n * self.n {
+            for gate in self.replay.iter() {
+                conjugate_all_by_gate(&mut frame, gate);
+            }
+        } else {
+            frame = self.heisenberg.apply_frame(&frame);
+        }
         AbsorbedObservables { frame }
     }
 }
@@ -263,7 +207,7 @@ impl AbsorbedObservables {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn measurement_circuit(&self, i: usize) -> Circuit {
-        measurement_basis_circuit(self.num_qubits(), &self.frame.row_pauli(i))
+        crate::extract::basis_change_circuit(self.num_qubits(), &self.frame.row_pauli(i))
     }
 
     /// CA-Post sign folding: converts the measured expectation of the `i`-th
@@ -285,100 +229,12 @@ impl AbsorbedObservables {
     pub fn commuting_groups(&self) -> Vec<Vec<usize>> {
         crate::grouping::group_commuting_frame(&self.frame)
     }
-
-    /// Greedy *qubit-wise* commuting groups of the rewritten observables,
-    /// each with its shared measurement basis.
-    #[must_use]
-    pub fn qubitwise_groups(&self) -> Vec<crate::grouping::MeasurementGroup> {
-        crate::grouping::group_qubitwise_commuting(&self.to_vec())
-    }
-}
-
-/// The CA-Pre + CA-Post bookkeeping for observable measurements: keeps the
-/// original observables, their absorbed counterparts and the mapping between
-/// the two.
-#[derive(Clone, Debug)]
-pub struct ObservableAbsorption {
-    original: Vec<SignedPauli>,
-    transformed: Vec<SignedPauli>,
-}
-
-impl ObservableAbsorption {
-    /// Absorbs `observables` through the extracted Clifford.
-    #[must_use]
-    pub fn new(heisenberg: &CliffordTableau, observables: &[SignedPauli]) -> Self {
-        let transformed = absorb_observables(heisenberg, observables);
-        ObservableAbsorption {
-            original: observables.to_vec(),
-            transformed,
-        }
-    }
-
-    /// Number of observables.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.original.len()
-    }
-
-    /// Returns `true` if there are no observables.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.original.is_empty()
-    }
-
-    /// The original observables, in input order.
-    #[must_use]
-    pub fn original(&self) -> &[SignedPauli] {
-        &self.original
-    }
-
-    /// The absorbed observables (`U_CL† O U_CL`), in input order.
-    #[must_use]
-    pub fn transformed(&self) -> &[SignedPauli] {
-        &self.transformed
-    }
-
-    /// The single-qubit basis-rotation circuit to append before measuring the
-    /// `i`-th absorbed observable in the computational basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn measurement_circuit(&self, i: usize) -> Circuit {
-        measurement_basis_circuit(
-            self.transformed[i].num_qubits(),
-            self.transformed[i].pauli(),
-        )
-    }
-
-    /// CA-Post: converts the measured expectation value of the `i`-th
-    /// *transformed* Pauli string into the expectation value of the `i`-th
-    /// original observable (folding in both signs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn original_expectation(&self, i: usize, transformed_pauli_expectation: f64) -> f64 {
-        // ⟨O_i⟩ = sign(O_i) · sign-free original … the transformed observable
-        // already carries the combined sign: ⟨O_i⟩ = sign(O'_i)·⟨P'_i⟩ where
-        // the input observable sign was folded during absorption.
-        self.transformed[i].sign() * transformed_pauli_expectation
-    }
-}
-
-/// Builds the single-qubit rotation circuit that maps the measurement of a
-/// Pauli observable to computational-basis measurements: `H` for `X`,
-/// `S†`+`H` for `Y`, nothing for `Z`/`I`.
-#[must_use]
-pub fn measurement_basis_circuit(n: usize, observable: &PauliString) -> Circuit {
-    crate::extract::basis_change_circuit(n, observable)
 }
 
 /// Estimates `⟨P⟩` from computational-basis probabilities measured *after*
-/// [`measurement_basis_circuit`] was applied: the expectation is the ±1
-/// parity of the measured bits over the observable's support.
+/// [`basis_change_circuit`](crate::basis_change_circuit) was applied: the
+/// expectation is the ±1 parity of the measured bits over the observable's
+/// support.
 ///
 /// # Panics
 ///
@@ -637,48 +493,41 @@ fn y_image(forward: &CliffordTableau, q: usize) -> SignedPauli {
     SignedPauli::new(pauli, exponent == 2)
 }
 
-/// A convenience check for Proposition 1: returns `true` when the extracted
-/// Clifford of a circuit is absorbable into probability measurements.
-#[must_use]
-pub fn is_probability_absorbable(extracted: &Circuit) -> bool {
-    ProbabilityAbsorber::from_extracted(extracted).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use quclear_circuit::Gate as G;
+
+    /// The per-string CA-Pre oracle: conjugates each observable through the
+    /// Heisenberg tableau on its own.
+    fn per_string(heisenberg: &CliffordTableau, observables: &[SignedPauli]) -> Vec<SignedPauli> {
+        observables
+            .iter()
+            .map(|o| heisenberg.apply_signed(o))
+            .collect()
+    }
+
+    fn plan_for(extracted: &Circuit) -> AbsorptionPlan {
+        AbsorptionPlan::from_extraction(
+            CliffordTableau::heisenberg_from_circuit(extracted),
+            extracted,
+        )
+    }
 
     #[test]
     fn absorb_observables_through_cnot() {
         // U_CL = CNOT(0→1): O = XX becomes XI (Heisenberg map of CNOT).
         let mut e = Circuit::new(2);
         e.cx(0, 1);
-        let heisenberg = CliffordTableau::heisenberg_from_circuit(&e);
         let obs: Vec<SignedPauli> = vec!["XX".parse().unwrap(), "ZZ".parse().unwrap()];
-        let absorbed = absorb_observables(&heisenberg, &obs);
-        assert_eq!(absorbed[0].to_string(), "+XI");
-        assert_eq!(absorbed[1].to_string(), "+IZ");
-    }
-
-    #[test]
-    fn observable_absorption_bookkeeping() {
-        let mut e = Circuit::new(2);
-        e.h(0);
-        e.cx(0, 1);
-        let heisenberg = CliffordTableau::heisenberg_from_circuit(&e);
-        let obs: Vec<SignedPauli> = vec!["-ZI".parse().unwrap()];
-        let absorption = ObservableAbsorption::new(&heisenberg, &obs);
-        assert_eq!(absorption.len(), 1);
-        assert!(!absorption.is_empty());
-        // ⟨-ZI⟩ on the original = transformed sign × measured ⟨pauli⟩.
-        let sign = absorption.transformed()[0].sign();
-        assert_eq!(absorption.original_expectation(0, 0.5), sign * 0.5);
+        let absorbed = plan_for(&e).absorb(&obs);
+        assert_eq!(absorbed.get(0).to_string(), "+XI");
+        assert_eq!(absorbed.get(1).to_string(), "+IZ");
     }
 
     #[test]
     fn measurement_basis_circuit_shapes() {
-        let c = measurement_basis_circuit(3, &"XYZ".parse().unwrap());
+        let c = crate::basis_change_circuit(3, &"XYZ".parse().unwrap());
         // X needs one H, Y needs S†+H, Z needs nothing.
         assert_eq!(c.len(), 3);
         assert!(matches!(c.gates()[0], G::H(0)));
@@ -745,11 +594,11 @@ mod tests {
         e.h(1);
         e.cx(1, 0);
         e.s(0);
-        let result = ProbabilityAbsorber::from_extracted(&e);
         // Either it reduces (fine: S contributes only phases) or it reports a
-        // clean error — it must never panic. For this specific circuit the
-        // map is not basis-preserving, so expect an error.
-        assert!(result.is_err() || is_probability_absorbable(&e));
+        // clean `NotReducible` error — it must never panic.
+        if let Err(err) = ProbabilityAbsorber::from_extracted(&e) {
+            assert!(matches!(err, AbsorptionError::NotReducible { .. }));
+        }
     }
 
     #[test]
@@ -768,30 +617,33 @@ mod tests {
 
     #[test]
     fn absorption_plan_matches_per_string_absorption() {
-        let mut e = Circuit::new(3);
-        e.h(0);
-        e.cx(0, 1);
-        e.s(2);
-        e.cx(1, 2);
-        e.sdg(0);
-        let heisenberg = CliffordTableau::heisenberg_from_circuit(&e);
+        let mut layer = Circuit::new(3);
+        layer.h(0);
+        layer.cx(0, 1);
+        layer.s(2);
+        layer.cx(1, 2);
+        layer.sdg(0);
+        // Five layers (25 gates) exceed the 2n² = 18 replay budget.
+        let mut deep = Circuit::new(3);
+        for _ in 0..5 {
+            deep.append(&layer);
+        }
         let observables: Vec<SignedPauli> = ["XXI", "-ZZZ", "IYI", "ZIX", "-YYY", "III"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        let scalar = absorb_observables(&heisenberg, &observables);
-        // Replay path (from the extracted circuit).
-        let plan = AbsorptionPlan::from_extraction(heisenberg.clone(), &e);
-        assert_eq!(plan.absorb(&observables).to_vec(), scalar);
-        // Tableau-only path (frame apply).
-        let plan = AbsorptionPlan::from_heisenberg(heisenberg);
-        let absorbed = plan.absorb(&observables);
-        assert_eq!(absorbed.to_vec(), scalar);
-        // Sign plane mirrors the per-row signs.
-        for (i, o) in scalar.iter().enumerate() {
-            assert_eq!(absorbed.signs().get(i), o.is_negative());
-            assert_eq!(absorbed.sign(i), o.sign());
-            assert_eq!(absorbed.original_expectation(i, 0.25), o.sign() * 0.25);
+        for (extracted, replays) in [(&layer, true), (&deep, false)] {
+            let plan = plan_for(extracted);
+            assert_eq!(plan.replay.len() <= 2 * 3 * 3, replays);
+            let scalar = per_string(plan.heisenberg(), &observables);
+            let absorbed = plan.absorb(&observables);
+            assert_eq!(absorbed.to_vec(), scalar);
+            // Sign plane mirrors the per-row signs.
+            for (i, o) in scalar.iter().enumerate() {
+                assert_eq!(absorbed.signs().get(i), o.is_negative());
+                assert_eq!(absorbed.sign(i), o.sign());
+                assert_eq!(absorbed.original_expectation(i, 0.25), o.sign() * 0.25);
+            }
         }
     }
 
@@ -799,15 +651,12 @@ mod tests {
     fn absorbed_observables_grouping_and_circuits() {
         let mut e = Circuit::new(2);
         e.cx(0, 1);
-        let plan =
-            AbsorptionPlan::from_extraction(CliffordTableau::heisenberg_from_circuit(&e), &e);
         let observables: Vec<SignedPauli> = vec!["ZZ".parse().unwrap(), "XX".parse().unwrap()];
-        let absorbed = plan.absorb(&observables);
+        let absorbed = plan_for(&e).absorb(&observables);
         // CNOT absorption: ZZ → IZ, XX → XI — they commute qubit-wise.
         let groups = absorbed.commuting_groups();
         let covered: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(covered, 2);
-        assert!(!absorbed.qubitwise_groups().is_empty());
         // Measurement circuit of the X-type row needs one H.
         assert_eq!(absorbed.measurement_circuit(1).len(), 1);
     }

@@ -154,7 +154,6 @@ pub struct GroupDiagonalizer {
     circuit: Circuit,
     diagonal: PauliFrame,
     z_supports: Vec<BitVec>,
-    parity_blocks: Vec<Gf2Matrix>,
 }
 
 /// Synthesizes a diagonalizing Clifford for a frame of mutually commuting
@@ -228,22 +227,10 @@ pub fn diagonalize_commuting_frame(frame: &PauliFrame) -> GroupDiagonalizer {
         );
     }
     let z_supports: Vec<BitVec> = (0..rows).map(|i| work.row_z_support(i)).collect();
-    // The affine readout map has one row per member; members can outnumber
-    // qubits (dependent Paulis), so pack the rows into square n×n blocks for
-    // the mul_planes kernel.
-    let parity_blocks = z_supports
-        .chunks(n.max(1))
-        .map(|chunk| {
-            let mut block = chunk.to_vec();
-            block.resize(n, BitVec::zeros(n));
-            Gf2Matrix::from_bit_rows(block)
-        })
-        .collect();
     GroupDiagonalizer {
         circuit,
         diagonal: work,
         z_supports,
-        parity_blocks,
     }
 }
 
@@ -271,12 +258,6 @@ impl GroupDiagonalizer {
     #[must_use]
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
-    }
-
-    /// The fully Z-diagonal conjugated frame `D·P_i·D†` with composed signs.
-    #[must_use]
-    pub fn diagonal_frame(&self) -> &PauliFrame {
-        &self.diagonal
     }
 
     /// Row `i` after conjugation, as a signed Pauli (guaranteed Z-diagonal).
@@ -335,7 +316,9 @@ impl GroupDiagonalizer {
     /// once with the CA-Post bit-plane kernel ([`Gf2Matrix::mul_planes`]):
     /// plane `i`, bit `s` is the measured outcome bit of member `i` on shot
     /// `s` (0 ↦ eigenvalue `+1`). Averaging `(-1)^bit` over a plane equals
-    /// the corresponding [`Self::expectations`] entry bit-for-bit.
+    /// the corresponding [`Self::expectations`] entry bit-for-bit. The
+    /// parity blocks of `A` are built from [`Self::z_supports`] on each
+    /// call; the estimation path never needs them.
     ///
     /// # Panics
     ///
@@ -347,12 +330,16 @@ impl GroupDiagonalizer {
             self.num_qubits(),
             "shot batch register width must match the diagonalized group"
         );
+        // The affine readout map has one row per member; members can
+        // outnumber qubits (dependent Paulis), so pack the rows into square
+        // n×n blocks for the mul_planes kernel.
         let n = self.num_qubits();
         let mut planes: Vec<BitVec> = Vec::with_capacity(self.len());
-        for (b, block) in self.parity_blocks.iter().enumerate() {
-            let produced = block.mul_planes(shots.planes());
-            let keep = (self.len() - b * n.max(1)).min(n.max(1));
-            planes.extend(produced.into_iter().take(keep));
+        for chunk in self.z_supports.chunks(n.max(1)) {
+            let mut rows = chunk.to_vec();
+            rows.resize(n, BitVec::zeros(n));
+            let produced = Gf2Matrix::from_bit_rows(rows).mul_planes(shots.planes());
+            planes.extend(produced.into_iter().take(chunk.len()));
         }
         for (i, plane) in planes.iter_mut().enumerate() {
             if self.diagonal.sign(i) {

@@ -10,10 +10,11 @@
 //! * [`extract_clifford`] — the Clifford Extraction pass (Algorithm 2), which
 //!   moves roughly half of every rotation block to a terminal Clifford
 //!   subcircuit while simplifying later blocks,
-//! * [`absorb_observables`] / [`ProbabilityAbsorber`] — Clifford Absorption
+//! * [`AbsorptionPlan`] / [`ProbabilityAbsorber`] — Clifford Absorption
 //!   (Section VI): the terminal Clifford is folded into measurement
-//!   observables, or reduced to a measurement-basis layer plus a classical
-//!   affine bitstring map for probability measurements (Proposition 1),
+//!   observables in one word-parallel frame sweep, or reduced to a
+//!   measurement-basis layer plus a classical affine bitstring map for
+//!   probability measurements (Proposition 1),
 //! * [`compile`] — the end-to-end pipeline with the ablation switches used by
 //!   Figures 9 and 10,
 //! * [`lift`](lift()) / [`lift_qasm`] — the ingestion front door: a
@@ -37,7 +38,7 @@
 //!
 //! let observable: SignedPauli = "XXZZ".parse()?;
 //! let absorbed = result.absorb_observables(&[observable]);
-//! assert_eq!(absorbed.transformed().len(), 1);
+//! assert_eq!(absorbed.len(), 1);
 //! # Ok::<(), quclear_pauli::ParsePauliError>(())
 //! ```
 
@@ -55,9 +56,8 @@ mod shots;
 mod tree;
 
 pub use absorb::{
-    absorb_observables, expectation_from_probabilities, is_probability_absorbable,
-    measurement_basis_circuit, AbsorbedObservables, AbsorptionError, AbsorptionPlan,
-    ObservableAbsorption, ProbabilityAbsorber,
+    expectation_from_probabilities, AbsorbedObservables, AbsorptionError, AbsorptionPlan,
+    ProbabilityAbsorber,
 };
 pub use blocks::CommutingBlocks;
 pub use extract::{basis_change_circuit, extract_clifford, ExtractionConfig, ExtractionResult};
@@ -83,7 +83,6 @@ mod tests {
         assert_send_sync::<QuClearConfig>();
         assert_send_sync::<QuClearResult>();
         assert_send_sync::<ProbabilityAbsorber>();
-        assert_send_sync::<ObservableAbsorption>();
         assert_send_sync::<Gf2Matrix>();
         assert_send_sync::<AbsorptionPlan>();
         assert_send_sync::<AbsorbedObservables>();

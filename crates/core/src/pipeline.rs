@@ -5,7 +5,7 @@ use quclear_circuit::{optimize_with, Circuit, OptimizeOptions};
 use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_tableau::CliffordTableau;
 
-use crate::absorb::{AbsorptionError, AbsorptionPlan, ObservableAbsorption, ProbabilityAbsorber};
+use crate::absorb::{AbsorbedObservables, AbsorptionError, AbsorptionPlan, ProbabilityAbsorber};
 use crate::extract::{extract_clifford, ExtractionConfig};
 
 /// Configuration of the full QuCLEAR pipeline.
@@ -86,10 +86,19 @@ impl QuClearResult {
         self.optimized.entangling_depth()
     }
 
-    /// CA-Pre/CA-Post bookkeeping for a set of Pauli observables.
+    /// CA-Pre for a set of Pauli observables: row `i` of the result is
+    /// `U_CL† O_i U_CL`, with its CA-Post sign folding.
+    ///
+    /// This builds the [`Self::absorption_plan`] and sweeps the set through
+    /// it once. To absorb many observable sets, build the plan once and call
+    /// [`AbsorptionPlan::absorb`] on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any observable's qubit count differs from the program's.
     #[must_use]
-    pub fn absorb_observables(&self, observables: &[SignedPauli]) -> ObservableAbsorption {
-        ObservableAbsorption::new(&self.heisenberg, observables)
+    pub fn absorb_observables(&self, observables: &[SignedPauli]) -> AbsorbedObservables {
+        self.absorption_plan().absorb(observables)
     }
 
     /// The batch-first absorption recipe for this compilation: built once,
@@ -198,7 +207,7 @@ mod tests {
             vec!["ZI".parse().unwrap(), "XX".parse().unwrap()];
         let absorption = result.absorb_observables(&obs);
         assert_eq!(absorption.len(), 2);
-        assert_eq!(absorption.transformed()[0].num_qubits(), 2);
+        assert_eq!(absorption.get(0).num_qubits(), 2);
     }
 
     #[test]

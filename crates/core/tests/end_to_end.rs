@@ -72,7 +72,7 @@ fn paper_figure_2_example_full_equivalence() {
     let observable: SignedPauli = "XXZZ".parse().unwrap();
     let absorption = result.absorb_observables(std::slice::from_ref(&observable));
     let direct = reference_state.expectation_signed(&observable);
-    let transformed = &absorption.transformed()[0];
+    let transformed = absorption.get(0);
     let measured = optimized_state.expectation(transformed.pauli());
     let via_absorption = absorption.original_expectation(0, measured);
     assert!(
@@ -157,7 +157,7 @@ fn uccsd_like_block_observable_absorption() {
     let absorption = result.absorb_observables(&observables);
     for (i, obs) in observables.iter().enumerate() {
         let direct = reference_state.expectation_signed(obs);
-        let measured = optimized_state.expectation(absorption.transformed()[i].pauli());
+        let measured = optimized_state.expectation(absorption.get(i).pauli());
         let recovered = absorption.original_expectation(i, measured);
         assert!(
             (direct - recovered).abs() < 1e-9,
@@ -181,13 +181,13 @@ fn measurement_basis_circuit_reproduces_expectations() {
     let observables: Vec<SignedPauli> = vec!["XYZ".parse().unwrap(), "ZZZ".parse().unwrap()];
     let absorption = result.absorb_observables(&observables);
     for i in 0..observables.len() {
-        let transformed = absorption.transformed()[i].pauli();
-        let exact = optimized_state.expectation(transformed);
+        let transformed = absorption.get(i);
+        let exact = optimized_state.expectation(transformed.pauli());
 
         let mut with_basis = result.optimized.clone();
         with_basis.append(&absorption.measurement_circuit(i));
         let probs = StateVector::from_circuit(&with_basis).probabilities();
-        let estimated = expectation_from_probabilities(transformed, &probs);
+        let estimated = expectation_from_probabilities(transformed.pauli(), &probs);
         assert!(
             (exact - estimated).abs() < 1e-9,
             "basis-rotated estimate {estimated} differs from exact {exact}"
@@ -233,7 +233,7 @@ proptest! {
         let absorption = result.absorb_observables(&observables);
         for (i, obs) in observables.iter().enumerate() {
             let direct = reference.expectation_signed(obs);
-            let measured = optimized_state.expectation(absorption.transformed()[i].pauli());
+            let measured = optimized_state.expectation(absorption.get(i).pauli());
             let recovered = absorption.original_expectation(i, measured);
             prop_assert!((direct - recovered).abs() < 1e-8,
                 "observable {} mismatch: {} vs {}", obs, direct, recovered);

@@ -9,7 +9,7 @@
 //! [`EngineError::DeadlineExceeded`] instead of starting work whose result
 //! nobody will read. Crucially, a coalesced waiter parked on another
 //! thread's in-flight compilation waits **at most** until its deadline and
-//! then detaches ([`crate::SingleFlight::run_with_deadline`]), so a slow
+//! then detaches ([`crate::SingleFlight::run`]), so a slow
 //! leader can never hold a bounded request hostage.
 //!
 //! `Deadline` is `Copy` and absolute, so one value can be handed to every

@@ -107,24 +107,19 @@ where
     /// return a clone of its value with [`Role::Coalesced`]. If the leader
     /// panics, its waiters elect a new leader among themselves instead of
     /// hanging, and the panic propagates to the original leader's caller.
-    pub fn run(&self, key: &K, compute: impl FnOnce() -> V) -> (V, Role) {
-        self.run_with_deadline(key, None, compute)
-            .expect("an unbounded wait cannot detach")
-    }
-
-    /// [`SingleFlight::run`] with a bounded wait: a **waiter** whose
-    /// `deadline` passes while the leader is still computing detaches and
-    /// returns `None` instead of parking forever behind a slow flight. The
-    /// flight itself is unaffected — the leader runs to completion and its
-    /// result still serves every waiter with more budget (and, in the
-    /// engine, still populates the template cache).
+    ///
+    /// A **waiter** whose `deadline` passes while the leader is still
+    /// computing detaches and returns `None` instead of parking forever
+    /// behind a slow flight. The flight itself is unaffected — the leader
+    /// runs to completion and its result still serves every waiter with
+    /// more budget (and, in the engine, still populates the template cache).
+    /// `deadline: None` waits unboundedly, so the call always returns `Some`.
     ///
     /// A caller that *leads* is never interrupted: the computation is not
     /// preemptible, so leaders always return `Some` (callers wanting a
     /// pre-flight budget check should make it inside `compute`, where a
     /// fail-fast value is shared with the waiters like any other result).
-    /// `deadline: None` waits unboundedly, exactly like [`SingleFlight::run`].
-    pub fn run_with_deadline(
+    pub fn run(
         &self,
         key: &K,
         deadline: Option<Instant>,
@@ -270,10 +265,10 @@ mod tests {
     #[test]
     fn sequential_calls_each_lead() {
         let sf: SingleFlight<u32, u32> = SingleFlight::new();
-        let (v, role) = sf.run(&1, || 10);
+        let (v, role) = sf.run(&1, None, || 10).unwrap();
         assert_eq!((v, role), (10, Role::Led));
         // The flight closed; a second call recomputes.
-        let (v, role) = sf.run(&1, || 11);
+        let (v, role) = sf.run(&1, None, || 11).unwrap();
         assert_eq!((v, role), (11, Role::Led));
         assert_eq!(sf.in_flight(), 0);
     }
@@ -294,13 +289,14 @@ mod tests {
                     let barrier = Arc::clone(&barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        sf.run(&7, || {
+                        sf.run(&7, None, || {
                             computed.fetch_add(1, Ordering::SeqCst);
                             // Hold the flight open long enough for the other
                             // threads to park on it.
                             std::thread::sleep(std::time::Duration::from_millis(50));
                             42u64
                         })
+                        .unwrap()
                     })
                 })
                 .collect();
@@ -329,7 +325,7 @@ mod tests {
             let handles: Vec<_> = (0..4u32)
                 .map(|k| {
                     let sf = Arc::clone(&sf);
-                    scope.spawn(move || sf.run(&k, || k * 10))
+                    scope.spawn(move || sf.run(&k, None, || k * 10).unwrap())
                 })
                 .collect();
             for (k, handle) in handles.into_iter().enumerate() {
@@ -343,10 +339,10 @@ mod tests {
     #[test]
     fn errors_are_shared_not_cached() {
         let sf: SingleFlight<u32, Result<u32, String>> = SingleFlight::new();
-        let (v, _) = sf.run(&1, || Err("boom".to_string()));
+        let (v, _) = sf.run(&1, None, || Err("boom".to_string())).unwrap();
         assert_eq!(v, Err("boom".to_string()));
         // The flight closed with the error; the next call recomputes.
-        let (v, role) = sf.run(&1, || Ok(5));
+        let (v, role) = sf.run(&1, None, || Ok(5)).unwrap();
         assert_eq!((v, role), (Ok(5), Role::Led));
     }
 
@@ -359,7 +355,7 @@ mod tests {
                 let sf = Arc::clone(&sf);
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
-                    sf.run(&5, || {
+                    sf.run(&5, None, || {
                         barrier.wait();
                         // Outlive the waiter's deadline by a wide margin.
                         std::thread::sleep(std::time::Duration::from_millis(400));
@@ -373,7 +369,7 @@ mod tests {
                 scope.spawn(move || {
                     barrier.wait();
                     let deadline = Instant::now() + std::time::Duration::from_millis(50);
-                    sf.run_with_deadline(&5, Some(deadline), || {
+                    sf.run(&5, Some(deadline), || {
                         panic!("a waiter that detaches must never run the closure")
                     })
                 })
@@ -383,7 +379,7 @@ mod tests {
                 "the waiter must detach at its deadline"
             );
             // The leader was unaffected by the detach.
-            assert_eq!(leader.join().unwrap(), (77, Role::Led));
+            assert_eq!(leader.join().unwrap(), Some((77, Role::Led)));
         });
         assert_eq!(sf.in_flight(), 0);
     }
@@ -395,7 +391,7 @@ mod tests {
         // inside the computation).
         let sf: SingleFlight<u32, u32> = SingleFlight::new();
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let outcome = sf.run_with_deadline(&9, Some(past), || 13);
+        let outcome = sf.run(&9, Some(past), || 13);
         assert_eq!(outcome, Some((13, Role::Led)));
         assert_eq!(sf.in_flight(), 0);
     }
@@ -410,7 +406,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
                     catch_unwind(AssertUnwindSafe(|| {
-                        sf.run(&3, || {
+                        sf.run(&3, None, || {
                             barrier.wait();
                             // Give the waiter time to park on the flight.
                             std::thread::sleep(std::time::Duration::from_millis(50));
@@ -426,7 +422,7 @@ mod tests {
                     barrier.wait();
                     // Arrive while the leader is (most likely) mid-flight;
                     // either way the call must complete, not hang.
-                    sf.run(&3, || 99)
+                    sf.run(&3, None, || 99).unwrap()
                 })
             };
             assert!(leader.join().unwrap().is_err(), "leader must panic");

@@ -28,7 +28,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 use quclear_circuit::{
@@ -39,7 +39,6 @@ use quclear_core::{
     ProbabilityAbsorber, QuClearConfig, QuClearResult,
 };
 use quclear_pauli::{PauliRotation, SignedPauli};
-use quclear_tableau::CliffordTableau;
 use quclear_telemetry::Histogram;
 
 use crate::error::EngineError;
@@ -120,7 +119,6 @@ pub struct CompiledTemplate {
     skeleton: Circuit,
     slots: Vec<RzSlot>,
     extracted: Circuit,
-    heisenberg: CliffordTableau,
     /// Fusion decisions recorded while peepholing the marker skeleton. The
     /// Clifford (angle-free) runs — the vast majority — repeat exactly on
     /// every bind, so `bind` replays them instead of redoing the Euler
@@ -136,17 +134,18 @@ pub struct CompiledTemplate {
     optimized_skeleton: Option<(Circuit, Vec<OptimizedSlot>)>,
     /// Batch absorption recipe (angle-independent, like the extracted
     /// Clifford it derives from): built once at compile time so every warm
-    /// bind gets CA-Pre/CA-Post for free.
+    /// bind gets CA-Pre/CA-Post for free. It holds the template's one copy
+    /// of the Heisenberg tableau.
     absorption: AbsorptionPlan,
     /// Memoized CA-Pre results per observable set. Shared across template
     /// clones (the cache hands out `Arc<CompiledTemplate>` clones), so a
     /// template cache hit never re-conjugates an observable set it has
     /// already rewritten.
-    absorbed_memo: Arc<RwLock<HashMap<u64, AbsorbedEntry>>>,
+    absorbed_memo: Arc<ObservableSetMemo<AbsorbedObservables>>,
     /// Memoized measurement-reduction plans (commuting groups + per-group
     /// diagonalizers + composed readout maps) per observable set, shared
     /// across clones like the CA-Pre memo.
-    measurement_memo: Arc<RwLock<HashMap<u64, MeasurementEntry>>>,
+    measurement_memo: Arc<ObservableSetMemo<MeasurementPlan>>,
     /// Memoized CA-Post shot absorber (or the reason the extracted Clifford
     /// does not reduce to one), built on first use and shared across clones.
     probability_absorber: Arc<OnceLock<Result<Arc<ProbabilityAbsorber>, AbsorptionError>>>,
@@ -155,29 +154,73 @@ pub struct CompiledTemplate {
     stage_metrics: Option<StageMetrics>,
 }
 
-/// One memoized CA-Pre result. The key is a 64-bit hash of the observable
-/// set; the stored set disambiguates collisions exactly.
-#[derive(Clone, Debug)]
-struct AbsorbedEntry {
-    observables: Vec<SignedPauli>,
-    absorbed: Arc<AbsorbedObservables>,
+/// Soft cap on memoized observable sets per template and memo: workloads
+/// measure a handful of Hamiltonians per ansatz, so this is generous, and it
+/// bounds memory if a caller streams unique sets through one template.
+const OBSERVABLE_SET_MEMO_CAPACITY: usize = 16;
+
+/// A per-template memo from observable sets to a result derived from them.
+///
+/// Entries are keyed by a 64-bit hash of the set, and the stored set
+/// disambiguates collisions exactly: a collision recomputes, never
+/// corrupts. Past [`OBSERVABLE_SET_MEMO_CAPACITY`] sets, an arbitrary entry
+/// is dropped: the memo is a convenience cache, not an LRU.
+#[derive(Debug)]
+struct ObservableSetMemo<T> {
+    entries: RwLock<HashMap<u64, MemoEntry<T>>>,
 }
 
-/// One memoized measurement-reduction plan, keyed and disambiguated like
-/// [`AbsorbedEntry`].
-#[derive(Clone, Debug)]
-struct MeasurementEntry {
-    observables: Vec<SignedPauli>,
-    plan: Arc<MeasurementPlan>,
+/// One memoized set: the exact observables (the collision check) and the
+/// shared result.
+type MemoEntry<T> = (Vec<SignedPauli>, Arc<T>);
+
+impl<T> Default for ObservableSetMemo<T> {
+    fn default() -> Self {
+        ObservableSetMemo {
+            entries: RwLock::new(HashMap::new()),
+        }
+    }
 }
 
-/// Soft cap on memoized observable sets per template: workloads measure a
-/// handful of Hamiltonians per ansatz, so this is generous, and it bounds
-/// memory if a caller streams unique sets through one template.
-const ABSORBED_MEMO_CAPACITY: usize = 16;
+impl<T> ObservableSetMemo<T> {
+    /// Returns the memoized result for `observables`, or runs `compute`
+    /// (with no lock held) and memoizes its result.
+    fn get_or_compute(&self, observables: &[SignedPauli], compute: impl FnOnce() -> T) -> Arc<T> {
+        let key = observable_set_key(observables);
+        // Both acquisitions recover from lock poisoning: the map only holds
+        // `Arc`s and every mutation below is a single HashMap operation, so
+        // it is structurally valid at every panic point. A panicked request
+        // (e.g. an `absorb` on mismatched register sizes, contained by the
+        // engine) must not disable the memo for the template's lifetime.
+        if let Some((set, value)) = self
+            .entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            if set == observables {
+                return Arc::clone(value);
+            }
+        }
+        let value = Arc::new(compute());
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+        if entries.len() >= OBSERVABLE_SET_MEMO_CAPACITY && !entries.contains_key(&key) {
+            if let Some(&evict) = entries.keys().next() {
+                entries.remove(&evict);
+            }
+        }
+        entries.insert(key, (observables.to_vec(), Arc::clone(&value)));
+        value
+    }
 
-/// Same bound for memoized measurement plans (one per observable set).
-const MEASUREMENT_MEMO_CAPACITY: usize = 16;
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+}
 
 /// Order-sensitive 64-bit hash of an observable set (axes + signs + size).
 fn observable_set_key(observables: &[SignedPauli]) -> u64 {
@@ -258,7 +301,7 @@ impl CompiledTemplate {
         };
 
         let absorption =
-            AbsorptionPlan::from_extraction(extraction.heisenberg.clone(), &extraction.extracted);
+            AbsorptionPlan::from_extraction(extraction.heisenberg, &extraction.extracted);
         Ok(CompiledTemplate {
             fingerprint: ProgramFingerprint::of_axes(axes, config),
             config: *config,
@@ -267,12 +310,11 @@ impl CompiledTemplate {
             skeleton,
             slots,
             extracted: extraction.extracted,
-            heisenberg: extraction.heisenberg,
             peephole_cache,
             optimized_skeleton,
             absorption,
-            absorbed_memo: Arc::new(RwLock::new(HashMap::new())),
-            measurement_memo: Arc::new(RwLock::new(HashMap::new())),
+            absorbed_memo: Arc::default(),
+            measurement_memo: Arc::default(),
             probability_absorber: Arc::new(OnceLock::new()),
             stage_metrics: None,
         })
@@ -315,26 +357,23 @@ impl CompiledTemplate {
     ///   [`Self::num_params`].
     /// * [`EngineError::NonFiniteAngle`] — an angle is NaN or infinite.
     pub fn bind(&self, angles: &[f64]) -> Result<QuClearResult, EngineError> {
-        Ok(QuClearResult {
-            optimized: self.patch_and_peephole(angles)?,
-            extracted: self.extracted.clone(),
-            heisenberg: self.heisenberg.clone(),
-        })
-    }
-
-    /// Shared implementation of the bind variants: validate, patch the `Rz`
-    /// slots, and run the (memo-backed) peephole. Records the whole call
-    /// into the engine's `bind` stage histogram when handles are attached.
-    fn patch_and_peephole(&self, angles: &[f64]) -> Result<Circuit, EngineError> {
+        // The `bind` stage times validation, patching and the peephole, not
+        // the copies of the shared parts below.
         let start = Instant::now();
-        let result = self.patch_and_peephole_impl(angles);
+        let optimized = self.patch_and_peephole(angles);
         if let Some(metrics) = &self.stage_metrics {
             metrics.bind.record_duration(start.elapsed());
         }
-        result
+        Ok(QuClearResult {
+            optimized: optimized?,
+            extracted: self.extracted.clone(),
+            heisenberg: self.absorption.heisenberg().clone(),
+        })
     }
 
-    fn patch_and_peephole_impl(&self, angles: &[f64]) -> Result<Circuit, EngineError> {
+    /// Validates the angles, patches the `Rz` slots, and runs the
+    /// (memo-backed) peephole.
+    fn patch_and_peephole(&self, angles: &[f64]) -> Result<Circuit, EngineError> {
         if angles.len() != self.num_params {
             return Err(EngineError::AngleCountMismatch {
                 expected: self.num_params,
@@ -404,21 +443,6 @@ impl CompiledTemplate {
         optimized
     }
 
-    /// Rebinds to concrete angles, returning only the optimized circuit.
-    ///
-    /// [`Self::bind`] clones the (angle-independent) extracted Clifford and
-    /// Heisenberg tableau into every [`QuClearResult`]; in tight sweep loops
-    /// that only inspect the optimized circuit, this variant skips those
-    /// copies — the shared parts stay accessible through
-    /// [`Self::extracted`] and the template itself.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::bind`].
-    pub fn bind_optimized(&self, angles: &[f64]) -> Result<Circuit, EngineError> {
-        self.patch_and_peephole(angles)
-    }
-
     /// Rebinds using the angles carried by a rotation program.
     ///
     /// The axes of `program` are **not** re-checked against the template;
@@ -471,13 +495,6 @@ impl CompiledTemplate {
         &self.extracted
     }
 
-    /// The batch absorption recipe shared by every binding (the extracted
-    /// Clifford — and hence CA-Pre/CA-Post — is angle-independent).
-    #[must_use]
-    pub fn absorption_plan(&self) -> &AbsorptionPlan {
-        &self.absorption
-    }
-
     /// CA-Pre on an observable set, memoized per template: the first call
     /// conjugates the whole set through the extracted Clifford in one
     /// word-parallel frame sweep; repeat calls with the same set return the
@@ -492,47 +509,14 @@ impl CompiledTemplate {
     /// Panics if an observable's qubit count differs from the template's.
     #[must_use]
     pub fn absorb_observables(&self, observables: &[SignedPauli]) -> Arc<AbsorbedObservables> {
-        let key = observable_set_key(observables);
-        // Both acquisitions recover from lock poisoning: the memo map only
-        // holds `Arc`s and every mutation below is a single HashMap
-        // operation, so it is structurally valid at every panic point. A
-        // panicked request (e.g. an `absorb` on mismatched register sizes,
-        // contained by the engine) must not disable the memo for the
-        // template's remaining lifetime.
-        if let Some(entry) = self
-            .absorbed_memo
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            if entry.observables == observables {
-                return Arc::clone(&entry.absorbed);
+        self.absorbed_memo.get_or_compute(observables, || {
+            let start = Instant::now();
+            let absorbed = self.absorption.absorb(observables);
+            if let Some(metrics) = &self.stage_metrics {
+                metrics.absorb_pre.record_duration(start.elapsed());
             }
-        }
-        let start = Instant::now();
-        let absorbed = Arc::new(self.absorption.absorb(observables));
-        if let Some(metrics) = &self.stage_metrics {
-            metrics.absorb_pre.record_duration(start.elapsed());
-        }
-        let mut memo = self
-            .absorbed_memo
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if memo.len() >= ABSORBED_MEMO_CAPACITY && !memo.contains_key(&key) {
-            // Drop an arbitrary entry: the memo is a convenience cache, not
-            // an LRU; workloads rarely exceed a handful of sets.
-            if let Some(&evict) = memo.keys().next() {
-                memo.remove(&evict);
-            }
-        }
-        memo.insert(
-            key,
-            AbsorbedEntry {
-                observables: observables.to_vec(),
-                absorbed: Arc::clone(&absorbed),
-            },
-        );
-        absorbed
+            absorbed
+        })
     }
 
     /// The measurement-reduction plan for an observable set, memoized per
@@ -553,43 +537,15 @@ impl CompiledTemplate {
     /// Panics if an observable's qubit count differs from the template's.
     #[must_use]
     pub fn measurement_plan(&self, observables: &[SignedPauli]) -> Arc<MeasurementPlan> {
-        let key = observable_set_key(observables);
-        // Poison recovery mirrors `absorb_observables`: every mutation is a
-        // single structurally-safe HashMap operation, and a contained panic
-        // in one request must not disable the memo.
-        if let Some(entry) = self
-            .measurement_memo
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            if entry.observables == observables {
-                return Arc::clone(&entry.plan);
+        self.measurement_memo.get_or_compute(observables, || {
+            let absorbed = self.absorb_observables(observables);
+            let start = Instant::now();
+            let plan = MeasurementPlan::from_absorbed(&absorbed);
+            if let Some(metrics) = &self.stage_metrics {
+                metrics.diagonalize.record_duration(start.elapsed());
             }
-        }
-        let absorbed = self.absorb_observables(observables);
-        let start = Instant::now();
-        let plan = Arc::new(MeasurementPlan::from_absorbed(&absorbed));
-        if let Some(metrics) = &self.stage_metrics {
-            metrics.diagonalize.record_duration(start.elapsed());
-        }
-        let mut memo = self
-            .measurement_memo
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if memo.len() >= MEASUREMENT_MEMO_CAPACITY && !memo.contains_key(&key) {
-            if let Some(&evict) = memo.keys().next() {
-                memo.remove(&evict);
-            }
-        }
-        memo.insert(
-            key,
-            MeasurementEntry {
-                observables: observables.to_vec(),
-                plan: Arc::clone(&plan),
-            },
-        );
-        plan
+            plan
+        })
     }
 
     /// The CA-Post shot absorber for this template's extracted Clifford,
@@ -748,13 +704,30 @@ mod tests {
     }
 
     #[test]
-    fn bind_optimized_matches_bind() {
+    fn observable_set_memos_stay_bounded_and_share_results() {
         let config = QuClearConfig::default();
-        let program = vec![rot("ZZZZ", 0.37), rot("YYXX", -0.91)];
+        let program = vec![rot("ZZZ", 0.3), rot("XXI", 0.7)];
         let template = CompiledTemplate::compile_program(&program, &config).unwrap();
-        let full = template.bind(&[0.4, 0.5]).unwrap();
-        let light = template.bind_optimized(&[0.4, 0.5]).unwrap();
-        assert_eq!(full.optimized.gates(), light.gates());
+        // Twenty distinct single-observable sets: 1..=20 in base 4 over IXYZ.
+        let sets: Vec<Vec<SignedPauli>> = (1..=20usize)
+            .map(|i| {
+                let axis: String = (0..3)
+                    .map(|q| ['I', 'X', 'Y', 'Z'][(i >> (2 * q)) & 3])
+                    .collect();
+                vec![axis.parse().unwrap()]
+            })
+            .collect();
+        let plans: Vec<_> = sets
+            .iter()
+            .map(|set| template.measurement_plan(set))
+            .collect();
+        // Each plan also filled the CA-Pre memo; both stay at the cap.
+        assert_eq!(template.absorbed_memo.len(), OBSERVABLE_SET_MEMO_CAPACITY);
+        let plan_count = template.measurement_memo.len();
+        assert_eq!(plan_count, OBSERVABLE_SET_MEMO_CAPACITY);
+        // Eviction runs before the insert, so the latest set is retained.
+        let again = template.measurement_plan(sets.last().unwrap());
+        assert!(Arc::ptr_eq(&again, plans.last().unwrap()));
     }
 
     #[test]

@@ -31,20 +31,23 @@ fn singleflight_panicking_leader_never_strands_waiter() {
         let sf2 = Arc::clone(&sf);
         let leader = thread::spawn(move || {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sf2.run(&3, || -> u32 { panic!("leader dies") })
+                sf2.run(&3, None, || -> u32 { panic!("leader dies") })
             }));
             match caught {
                 // Led: the closure ran, the panic propagated to this caller.
                 Err(_) => {}
                 // Arrived while the other call's flight was open: coalesced
                 // onto it, so the panicking closure never ran.
-                Ok((v, Role::Coalesced)) => assert_eq!(v, 99),
-                Ok((_, Role::Led)) => panic!("leading must run the panicking closure"),
+                Ok(Some((v, Role::Coalesced))) => assert_eq!(v, 99),
+                Ok(Some((_, Role::Led))) => panic!("leading must run the panicking closure"),
+                Ok(None) => panic!("an unbounded wait cannot detach"),
             }
         });
         // Whatever the schedule — before the leader, parked on its flight,
         // or after the abandon — this call must complete with 99.
-        let (value, _role) = sf.run(&3, || 99);
+        let (value, _role) = sf
+            .run(&3, None, || 99)
+            .expect("an unbounded wait cannot detach");
         assert_eq!(value, 99, "only the non-panicking closure produces a value");
         leader.join().unwrap();
         assert_eq!(sf.in_flight(), 0, "no flight may outlive its callers");
@@ -57,7 +60,7 @@ fn singleflight_panicking_leader_never_strands_waiter() {
     );
 }
 
-/// Hit/miss accounting around `run_with_deadline`, mirroring the discipline
+/// Hit/miss accounting around a bounded `run`, mirroring the discipline
 /// `Engine::template` uses: a led call counts a miss (inside the closure),
 /// a coalesced call counts a hit then bumps the coalesced counter with
 /// `Release`, and a *detached* waiter counts a miss. The
@@ -73,7 +76,7 @@ fn singleflight_detach_keeps_hit_miss_accounting() {
     }
 
     fn lookup(sf: &SingleFlight<u32, u32>, c: &Counters, deadline: Option<Instant>) {
-        match sf.run_with_deadline(&1, deadline, || {
+        match sf.run(&1, deadline, || {
             c.misses.fetch_add(1, Ordering::Relaxed);
             42
         }) {

@@ -33,7 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver};
 use std::thread::JoinHandle;
@@ -263,6 +263,9 @@ struct Shared {
     engine: Arc<Engine>,
     config: ServerConfig,
     shutdown: AtomicBool,
+    /// The listener's address, dialed once to wake the blocked accept loop
+    /// at shutdown.
+    local_addr: SocketAddr,
     started: Instant,
     metrics: ServeMetrics,
     /// Admission index of the next connection, used to key its
@@ -272,6 +275,25 @@ struct Shared {
 }
 
 impl Shared {
+    /// Raises the shutdown flag. The first caller also wakes the accept
+    /// loop, which blocks in `accept`, with one loopback connection that
+    /// the loop drops uncounted. Idempotent.
+    fn request_shutdown(&self) {
+        // ordering: AcqRel — the swap elects the one waking caller, and its
+        // Release pairs with every Acquire load of the flag.
+        if self.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, POLL_INTERVAL);
+    }
+
     fn stats(&self) -> StatsSummary {
         let engine = self.engine.stats();
         StatsSummary {
@@ -302,7 +324,6 @@ impl Shared {
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
     threads: Vec<JoinHandle<()>>,
     /// The handle's own view of the connection queue, kept so teardown can
     /// drain streams that never reached a worker (see
@@ -341,7 +362,6 @@ impl Server {
         config: ServerConfig,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let metrics = ServeMetrics::register(engine.metrics());
         let shared = Arc::new(Shared {
@@ -352,6 +372,7 @@ impl Server {
                 ..config
             },
             shutdown: AtomicBool::new(false),
+            local_addr,
             started: Instant::now(),
             metrics,
             #[cfg(any(test, feature = "faults"))]
@@ -382,7 +403,6 @@ impl Server {
         }
         Ok(Server {
             shared,
-            local_addr,
             threads,
             queue: rx,
         })
@@ -391,7 +411,7 @@ impl Server {
     /// The address the server is listening on.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// The engine behind the server (e.g. to inspect stats directly).
@@ -401,9 +421,10 @@ impl Server {
     }
 
     /// Signals every thread to stop after finishing its current work.
-    /// Idempotent; returns immediately — pair with [`Server::join`].
+    /// Idempotent; returns without waiting for the threads — pair with
+    /// [`Server::join`].
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.request_shutdown();
     }
 
     /// Waits for every server thread to exit. Does **not** signal shutdown
@@ -459,10 +480,14 @@ const MAX_ACCEPT_BACKOFF: Duration = Duration::from_secs(1);
 fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &std::sync::mpsc::Sender<TcpStream>) {
     let mut backoff = POLL_INTERVAL;
     loop {
+        // The listener blocks, so a new connection is handed over as soon
+        // as it arrives; `request_shutdown` wakes this call with a
+        // connection of its own, dropped here uncounted.
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::Acquire) {
             return; // dropping `tx` wakes every idle worker
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 backoff = POLL_INTERVAL;
                 shared.metrics.connections_accepted.inc();
@@ -485,16 +510,12 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &std::sync::mpsc::Se
                     return; // every worker is gone; nothing left to serve
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                backoff = POLL_INTERVAL;
-                std::thread::sleep(POLL_INTERVAL);
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
                 // Listener failure (fd exhaustion, teardown): count it and
                 // back off exponentially (capped) instead of busy-retrying a
-                // persistent failure every poll tick; a successful accept
-                // resets the backoff. Shutdown remains the only way to stop
+                // persistent failure; a successful accept resets the
+                // backoff. Shutdown remains the only way to stop
                 // serving.
                 shared.metrics.accept_errors.inc();
                 std::thread::sleep(backoff);
@@ -746,7 +767,7 @@ fn handle_request(
         }),
         RequestKind::Shutdown => {
             return if shared.config.allow_remote_shutdown {
-                shared.shutdown.store(true, Ordering::Release);
+                shared.request_shutdown();
                 (
                     Ok(ResponseBody::ShuttingDown),
                     Continuation::CloseConnection,

@@ -782,3 +782,29 @@ fn oversized_shot_counts_are_refused_and_the_server_keeps_serving() {
 
     server.stop();
 }
+
+/// A fresh connection is served as soon as it arrives: the accept loop
+/// blocks in `accept` rather than sleeping between polls, so connecting
+/// after an idle spell does not wait out a poll interval.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_delay() {
+    let engine = Arc::new(Engine::new(16));
+    let server = start_server(engine, 2);
+    let addr = server.local_addr();
+    let mut round_trips: Vec<std::time::Duration> = (0..7)
+        .map(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(7));
+            let start = std::time::Instant::now();
+            let mut client = Client::connect(addr).expect("connect");
+            client.health().expect("health");
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(5),
+        "median fresh-connection health round trip {median:?} (all: {round_trips:?})"
+    );
+    server.stop();
+}

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let absorbed = result.absorb_observables(&observables);
     let state = StateVector::from_circuit(&result.optimized);
     for (i, observable) in observables.iter().enumerate() {
-        let measured = state.expectation(absorbed.transformed()[i].pauli());
+        let measured = state.expectation(absorbed.get(i).pauli());
         let value = absorbed.original_expectation(i, measured);
         println!("⟨{observable}⟩ = {value:+.6}");
     }

@@ -32,14 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Clifford Absorption: measure the rewritten observable instead.
     let observable: SignedPauli = "XXZZ".parse()?;
     let absorption = result.absorb_observables(std::slice::from_ref(&observable));
-    println!(
-        "observable {observable} becomes {}",
-        absorption.transformed()[0]
-    );
+    println!("observable {observable} becomes {}", absorption.get(0));
 
     // Check the answer against the dense simulator.
     let optimized_state = StateVector::from_circuit(&result.optimized);
-    let measured = optimized_state.expectation(absorption.transformed()[0].pauli());
+    let measured = optimized_state.expectation(absorption.get(0).pauli());
     let recovered = absorption.original_expectation(0, measured);
 
     let reference_state = StateVector::from_circuit(&result.full_circuit());

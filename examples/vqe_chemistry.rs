@@ -55,7 +55,7 @@ fn main() {
     let mut absorbed_energy = 0.0;
     for (i, (coeff, pauli)) in hamiltonian.iter().enumerate() {
         direct_energy += coeff.abs() * reference_state.expectation_signed(&observables[i]);
-        let measured = optimized_state.expectation(absorption.transformed()[i].pauli());
+        let measured = optimized_state.expectation(absorption.get(i).pauli());
         absorbed_energy += coeff.abs() * absorption.original_expectation(i, measured);
         let _ = pauli;
     }

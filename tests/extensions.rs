@@ -47,7 +47,7 @@ fn grouping_absorbed_lih_observables() {
     let observables = molecule.observables();
     let absorption = result.absorb_observables(&observables);
 
-    let groups = group_qubitwise_commuting(absorption.transformed());
+    let groups = group_qubitwise_commuting(&absorption.to_vec());
     let covered: usize = groups.iter().map(|g| g.members.len()).sum();
     assert_eq!(covered, observables.len());
     assert!(
@@ -60,7 +60,7 @@ fn grouping_absorbed_lih_observables() {
         for &member in &group.members {
             assert!(quclear::core::qubit_wise_commute(
                 &group.basis,
-                absorption.transformed()[member].pauli()
+                absorption.get(member).pauli()
             ));
         }
     }

@@ -78,14 +78,10 @@ fn engine_compile_qasm_matches_native_compile_and_expectations() {
     let native_absorbed = native_result.absorb_observables(&observables);
     for (i, observable) in observables.iter().enumerate() {
         let truth = reference.expectation_signed(observable);
-        let via_qasm = qasm_absorbed.original_expectation(
-            i,
-            qasm_opt.expectation(qasm_absorbed.transformed()[i].pauli()),
-        );
-        let via_native = native_absorbed.original_expectation(
-            i,
-            native_opt.expectation(native_absorbed.transformed()[i].pauli()),
-        );
+        let via_qasm = qasm_absorbed
+            .original_expectation(i, qasm_opt.expectation(qasm_absorbed.get(i).pauli()));
+        let via_native = native_absorbed
+            .original_expectation(i, native_opt.expectation(native_absorbed.get(i).pauli()));
         assert!(
             (truth - via_qasm).abs() < 1e-9,
             "observable {observable}: QASM path {via_qasm} vs reference {truth}"
@@ -143,8 +139,8 @@ fn non_trivial_trailing_clifford_composes_through_the_engine() {
     let absorbed = result.absorb_observables(&observables);
     for (i, observable) in observables.iter().enumerate() {
         let truth = reference.expectation_signed(observable);
-        let recovered = absorbed
-            .original_expectation(i, optimized.expectation(absorbed.transformed()[i].pauli()));
+        let recovered =
+            absorbed.original_expectation(i, optimized.expectation(absorbed.get(i).pauli()));
         assert!(
             (truth - recovered).abs() < 1e-9,
             "observable {observable}: {recovered} vs {truth}"

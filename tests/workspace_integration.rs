@@ -119,7 +119,7 @@ fn lih_observables_match_after_absorption() {
     let optimized = StateVector::from_circuit(&result.optimized);
     for (i, obs) in observables.iter().enumerate() {
         let direct = reference.expectation_signed(obs);
-        let measured = optimized.expectation(absorption.transformed()[i].pauli());
+        let measured = optimized.expectation(absorption.get(i).pauli());
         let recovered = absorption.original_expectation(i, measured);
         assert!(
             (direct - recovered).abs() < 1e-8,
