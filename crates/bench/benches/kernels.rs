@@ -13,9 +13,11 @@
 //! * `cache` — template lookups against the sharded cache from one thread
 //!   and from 32 threads hammering one hot entry (read-mostly fast path).
 //! * `statevector` — the dense simulation behind `estimate`:
-//!   `StateVector::from_circuit` of the optimized UCC-(6,12) circuit, and
-//!   for one benzene commuting group the clone → diagonalizer →
-//!   `sample_indices(8192)` every group of a request runs.
+//!   `StateVector::from_circuit` of the optimized UCC-(6,12) circuit, the
+//!   same state built the way `estimate` builds it (one in-place pass per
+//!   program rotation, then the resynthesized extracted Clifford
+//!   inverted), and for one benzene commuting group the clone →
+//!   diagonalizer → `sample_indices(8192)` every group of a request runs.
 //!
 //! Record results with `CRITERION_JSON=<path> cargo bench -p quclear-bench
 //! --bench kernels`.
@@ -165,8 +167,9 @@ fn bench_statevector(c: &mut Criterion) {
     group.sample_size(20);
     let engine = Engine::new(4);
 
+    let ucc_program = Benchmark::Ucc(6, 12).rotations();
     let ucc = engine
-        .compile(&Benchmark::Ucc(6, 12).rotations())
+        .compile(&ucc_program)
         .expect("compile UCC-(6,12)")
         .optimized;
     group.bench_with_input(
@@ -174,6 +177,26 @@ fn bench_statevector(c: &mut Criterion) {
         &ucc,
         |b, circuit| {
             b.iter(|| StateVector::from_circuit(black_box(circuit)));
+        },
+    );
+    // The same state (up to global phase) the way `estimate` builds it:
+    // one pass per program rotation, then the resynthesized extracted
+    // Clifford inverted.
+    let uncompute = engine
+        .template_for(&ucc_program)
+        .expect("UCC-(6,12) template")
+        .extracted()
+        .inverse();
+    group.bench_with_input(
+        BenchmarkId::new("rotations_then_clifford", "ucc612"),
+        &(ucc_program, uncompute),
+        |b, (program, uncompute)| {
+            b.iter(|| {
+                let mut state = StateVector::zero_state(uncompute.num_qubits());
+                state.apply_rotations(black_box(program));
+                state.apply_circuit(black_box(uncompute));
+                state
+            });
         },
     );
 

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use quclear_circuit::{Circuit, Gate};
 use quclear_pauli::{PauliFrame, PauliOp, PauliRotation, PauliString};
-use quclear_tableau::{conjugate_all_by_gate, CliffordTableau};
+use quclear_tableau::{conjugate_all_by_gate, synthesize_clifford, CliffordTableau};
 
 use crate::blocks::CommutingBlocks;
 use crate::tree::{FrameLookahead, TreeSynthesizer};
@@ -66,12 +66,19 @@ impl Default for ExtractionConfig {
 /// [`ExtractionResult::optimized`] followed by [`ExtractionResult::extracted`]
 /// reproduces the input circuit exactly. The extracted part is pure Clifford
 /// and is meant to be absorbed classically (see [`crate::absorb`]).
+///
+/// [`extract_clifford`] returns `extracted` as the raw extraction log: the
+/// mirror of every emitted basis layer and CNOT tree, so it carries as many
+/// CNOTs as the optimized circuit. [`ExtractionResult::resynthesized`]
+/// swaps it for an `O(n²)`-gate circuit of the same Clifford;
+/// [`crate::compile`] serves that form.
 #[derive(Clone, Debug)]
 pub struct ExtractionResult {
     /// The optimized (non-Clifford) circuit `U'` to run on hardware.
     pub optimized: Circuit,
     /// The extracted Clifford subcircuit `U_CL`, in execution order, that
-    /// formally follows `optimized`.
+    /// formally follows `optimized`: the raw extraction log, or its
+    /// resynthesis after [`ExtractionResult::resynthesized`].
     pub extracted: Circuit,
     /// The Heisenberg map `P ↦ U_CL† · P · U_CL` used to absorb observables.
     pub heisenberg: CliffordTableau,
@@ -99,6 +106,22 @@ impl ExtractionResult {
     #[must_use]
     pub fn extracted_cnot_count(&self) -> usize {
         self.extracted.cnot_count()
+    }
+
+    /// Replaces `extracted` with [`synthesize_clifford`] of its tableau when
+    /// that circuit has fewer gates. The resynthesis implements the same
+    /// Clifford up to global phase (equal tableaux), so `heisenberg`, every
+    /// absorption and every expectation value are unchanged, while the
+    /// circuit shrinks from one mirrored tree per rotation to `O(n²)` gates.
+    #[must_use]
+    pub fn resynthesized(mut self) -> Self {
+        // `heisenberg` is the tableau of U_CL†; its synthesis, inverted, is
+        // a circuit for U_CL.
+        let short = synthesize_clifford(&self.heisenberg).inverse();
+        if short.len() < self.extracted.len() {
+            self.extracted = short;
+        }
+        self
     }
 }
 

@@ -58,7 +58,10 @@ impl QuClearConfig {
 pub struct QuClearResult {
     /// The optimized circuit `U'` to execute on the quantum device.
     pub optimized: Circuit,
-    /// The extracted Clifford `U_CL` (never executed; absorbed classically).
+    /// The extracted Clifford `U_CL` (never executed; absorbed classically),
+    /// resynthesized from its tableau ([`crate::ExtractionResult::resynthesized`]):
+    /// `O(n²)` gates, equal to the raw extraction log up to global phase.
+    /// [`crate::extract_clifford`] still returns the raw log.
     pub extracted: Circuit,
     /// The Heisenberg map `P ↦ U_CL† P U_CL`.
     pub heisenberg: CliffordTableau,
@@ -66,7 +69,7 @@ pub struct QuClearResult {
 
 impl QuClearResult {
     /// The circuit `optimized` followed by `extracted`; equivalent to the
-    /// input program.
+    /// input program up to global phase.
     #[must_use]
     pub fn full_circuit(&self) -> Circuit {
         let mut full = self.optimized.clone();
@@ -140,7 +143,7 @@ impl QuClearResult {
 /// ```
 #[must_use]
 pub fn compile(rotations: &[PauliRotation], config: &QuClearConfig) -> QuClearResult {
-    let extraction = extract_clifford(rotations, &config.extraction);
+    let extraction = extract_clifford(rotations, &config.extraction).resynthesized();
     let optimized = if config.apply_peephole {
         optimize_with(&extraction.optimized, &config.peephole)
     } else {

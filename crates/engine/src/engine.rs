@@ -30,7 +30,7 @@ use crate::template::{CompiledTemplate, StageMetrics};
 
 /// Metric name of the engine's per-stage latency histograms (labeled by
 /// `stage`: `fingerprint`, `extract`, `bind`, `peephole`, `absorb_pre`,
-/// `absorb_post`, `diagonalize`, `simulate`, `sample`).
+/// `absorb_post`, `diagonalize`, `simulate`, `sample`, `readout`).
 pub const ENGINE_STAGE_METRIC: &str = "quclear_engine_stage_duration_ns";
 
 /// Metric name of the single-flight latency histograms (labeled by `role`:
@@ -187,8 +187,9 @@ impl BatchJob {
 /// handle on the **same** core under a request budget — a serving front
 /// end makes one per request.
 ///
-/// The budget is cooperative. It is checked between pipeline stages and
-/// never preempts a running extraction. A template lookup that hits the
+/// The budget is cooperative. It is checked between pipeline stages, and
+/// inside an estimate's simulation every ~2^20 amplitude updates; it never
+/// preempts a running extraction. A template lookup that hits the
 /// cache is served even past the deadline (answering is cheaper than
 /// composing the error); later stages still check the budget. A coalesced
 /// single-flight waiter parks on the leader's flight **at most** until the
@@ -241,6 +242,7 @@ struct EngineCore {
     stage_absorb_post: Arc<Histogram>,
     stage_simulate: Arc<Histogram>,
     stage_sample: Arc<Histogram>,
+    stage_readout: Arc<Histogram>,
     singleflight_leader: Arc<Histogram>,
     singleflight_waiter: Arc<Histogram>,
     /// Handles handed to every compiled template (bind / peephole /
@@ -388,6 +390,7 @@ impl Engine {
             stage_absorb_post: stage("absorb_post"),
             stage_simulate: stage("simulate"),
             stage_sample: stage("sample"),
+            stage_readout: stage("readout"),
             singleflight_leader: flight("leader"),
             singleflight_waiter: flight("waiter"),
             template_metrics: StageMetrics {
@@ -885,27 +888,36 @@ impl Engine {
     }
 
     /// Estimates every observable of a program by sampled simultaneous
-    /// measurement: bind the program, simulate the *optimized* circuit once
-    /// (the extracted Clifford is absorbed into the observables — the CA
-    /// identity), then for each commuting group of the
+    /// measurement: simulate the state the *optimized* circuit prepares
+    /// once (the extracted Clifford is absorbed into the observables — the
+    /// CA identity), then for each commuting group of the
     /// [`Self::measurement_plan`] append the group's diagonalizing Clifford,
     /// draw one seeded `shots`-sized batch, and read *all* group members
     /// from that single batch through the composed affine map. The total
     /// sample cost is `groups` batches instead of `observables` batches —
     /// the reported [`EstimateResult::shot_budget_divisor`]. One template
-    /// lookup serves both the plan and the bind.
+    /// lookup serves both the plan and the simulation.
+    ///
+    /// The optimized circuit `U'` satisfies `program = U_CL · U'`, so its
+    /// state is built as `U_CL† · U_program|0⟩` (equal up to global phase,
+    /// which sampling cannot see): one in-place pass per program rotation,
+    /// then the template's short resynthesized `U_CL` inverted — far fewer
+    /// passes than the optimized circuit has gates, and no bind.
     ///
     /// Deterministic: the same `(program, observables, shots, seed)` always
     /// produces the same batches (group `g` samples with
     /// [`group_shot_seed`]`(seed, g)`) and hence the same estimates. The
-    /// deadline is checked between the template lookup, the plan build, the
-    /// bind, and every per-group simulation.
+    /// deadline is checked between the template lookup, the plan build and
+    /// every per-group sampling, and inside the simulation before every
+    /// run of about 2^20 amplitude updates, so a spent budget stops even a
+    /// long simulation promptly.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::NotEstimable`] when `shots` is zero or above
     /// [`MAX_ESTIMATE_SHOTS`], or the register exceeds the dense simulator's
-    /// 26-qubit budget; otherwise as [`Self::measurement_plan`].
+    /// 26-qubit budget; [`EngineError::NonFiniteAngle`] for a NaN or
+    /// infinite angle; otherwise as [`Self::measurement_plan`].
     pub fn estimate_observables(
         &self,
         program: &[PauliRotation],
@@ -943,10 +955,9 @@ impl Engine {
                 shot_budget_divisor: plan.shot_budget_divisor(),
             });
         }
-        self.deadline.check()?;
-        let bound = contain_panics(|| template.bind_program(program))?;
+        template.check_angles(program.iter().map(PauliRotation::angle))?;
         let simulate_start = Instant::now();
-        let base = contain_panics(|| Ok(StateVector::from_circuit(&bound.optimized)))?;
+        let base = contain_panics(|| self.simulate_optimized(&template, program))?;
         self.core
             .stage_simulate
             .record_duration(simulate_start.elapsed());
@@ -966,12 +977,40 @@ impl Engine {
                 .record_duration(sample_start.elapsed());
             batches.push(batch);
         }
+        let readout_start = Instant::now();
         let expectations = plan.estimate(&batches);
+        self.core
+            .stage_readout
+            .record_duration(readout_start.elapsed());
         Ok(EstimateResult {
             expectations,
             groups,
             shot_budget_divisor: plan.shot_budget_divisor(),
         })
+    }
+
+    /// `U_CL† · U_program|0⟩`, the optimized circuit's state up to global
+    /// phase: `program`'s rotations one pass each, then the template's
+    /// extracted Clifford inverted. Passes run in runs of
+    /// `max(1, 2^20 / 2^n)` (about 10^6 amplitude updates), with a deadline
+    /// check before each run.
+    fn simulate_optimized(
+        &self,
+        template: &CompiledTemplate,
+        program: &[PauliRotation],
+    ) -> Result<StateVector, EngineError> {
+        let n = template.num_qubits();
+        let run = ((1usize << 20) >> n).max(1);
+        let mut state = StateVector::zero_state(n);
+        for rotations in program.chunks(run) {
+            self.deadline.check()?;
+            state.apply_rotations(rotations);
+        }
+        for gates in template.extracted().inverse().gates().chunks(run) {
+            self.deadline.check()?;
+            gates.iter().for_each(|gate| state.apply_gate(gate));
+        }
+        Ok(state)
     }
 
     /// CA-Post for measured shots, served through the template cache: the

@@ -57,9 +57,10 @@ pub enum EngineError {
         reason: String,
     },
     /// The request's [`crate::Deadline`] expired before the pipeline
-    /// finished. The work already done is not wasted — a compilation that
-    /// completes after its requester detached still populates the template
-    /// cache — but this request's caller asked not to wait any longer.
+    /// finished, at any stage: compilation, binding or simulation. The work
+    /// already done is not wasted — a compilation that completes after its
+    /// requester detached still populates the template cache — but this
+    /// request's caller asked not to wait any longer.
     /// Transient by construction: retrying once the cache is warm (or the
     /// system less loaded) typically succeeds.
     DeadlineExceeded,
@@ -94,7 +95,7 @@ impl fmt::Display for EngineError {
                 write!(f, "sampled estimation is not available: {reason}")
             }
             EngineError::DeadlineExceeded => {
-                write!(f, "request deadline exceeded before compilation finished")
+                write!(f, "request deadline exceeded")
             }
         }
     }

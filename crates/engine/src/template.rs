@@ -266,7 +266,7 @@ impl CompiledTemplate {
             .map(|(i, axis)| PauliRotation::with_signed_pauli(axis.clone(), (i + 1) as f64))
             .collect();
 
-        let extraction = extract_clifford(&marked, &config.extraction);
+        let extraction = extract_clifford(&marked, &config.extraction).resynthesized();
         let skeleton = extraction.optimized;
 
         let mut slots = Vec::new();
@@ -374,15 +374,7 @@ impl CompiledTemplate {
     /// Validates the angles, patches the `Rz` slots, and runs the
     /// (memo-backed) peephole.
     fn patch_and_peephole(&self, angles: &[f64]) -> Result<Circuit, EngineError> {
-        if angles.len() != self.num_params {
-            return Err(EngineError::AngleCountMismatch {
-                expected: self.num_params,
-                found: angles.len(),
-            });
-        }
-        if let Some(index) = angles.iter().position(|a| !a.is_finite()) {
-            return Err(EngineError::NonFiniteAngle { index });
-        }
+        self.check_angles(angles.iter().copied())?;
 
         // Fast path: patch the already-optimized marker skeleton. All
         // structural peephole decisions are angle-independent, so for
@@ -441,6 +433,24 @@ impl CompiledTemplate {
             metrics.peephole.record_duration(start.elapsed());
         }
         optimized
+    }
+
+    /// Checks a binding's angles as [`Self::bind`] does: one per parameter,
+    /// all finite.
+    pub(crate) fn check_angles(
+        &self,
+        mut angles: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<(), EngineError> {
+        if angles.len() != self.num_params {
+            return Err(EngineError::AngleCountMismatch {
+                expected: self.num_params,
+                found: angles.len(),
+            });
+        }
+        if let Some(index) = angles.position(|a| !a.is_finite()) {
+            return Err(EngineError::NonFiniteAngle { index });
+        }
+        Ok(())
     }
 
     /// Rebinds using the angles carried by a rotation program.

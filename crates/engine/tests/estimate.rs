@@ -1,11 +1,13 @@
 //! Engine-level tests for sampled observable estimation: the differential
 //! scalar oracle (bit-for-bit agreement with a naive per-observable
-//! diagonalize → simulate → count loop), the end-to-end statistical VQE
-//! sweep against exact statevector expectations, plan memoization across
-//! template clones, deadline handling, and panic containment.
+//! diagonalize → simulate → count loop), the rotation-pass state against
+//! the optimized circuit's, the end-to-end statistical VQE sweep against
+//! exact statevector expectations, plan memoization across template clones,
+//! deadline handling (inside the simulation too), angle validation, and
+//! panic containment.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use quclear_engine::{
     group_shot_seed, Deadline, Engine, EngineError, ENGINE_STAGE_METRIC, MAX_ESTIMATE_SHOTS,
@@ -14,7 +16,7 @@ use quclear_pauli::{PauliOp, PauliRotation, PauliString, SignedPauli};
 use quclear_sim::StateVector;
 use quclear_workloads::{vqe_expectation_sweep, Benchmark};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The Table-3-style UCC workload: ansatz program plus a Hamiltonian-shaped
 /// observable set, with a few members negated so sign handling is exercised.
@@ -249,6 +251,87 @@ fn estimate_times_one_simulation_and_one_sample_per_group() {
     };
     assert_eq!(count("simulate"), 1);
     assert_eq!(count("sample"), result.groups.len() as u64);
+    assert_eq!(count("readout"), 1);
+}
+
+/// The estimate builds its state as `U_CL† · U_program|0⟩` — one pass per
+/// program rotation, then the template's resynthesized extracted Clifford
+/// inverted. On every Table II program of at most 12 qubits that state is
+/// the optimized circuit's, up to global phase.
+#[test]
+fn rotation_passes_reproduce_the_optimized_circuit_state() {
+    let engine = Engine::new(32);
+    for bench in Benchmark::all() {
+        let program = bench.rotations();
+        if program[0].num_qubits() > 12 {
+            continue;
+        }
+        let template = engine.template_for(&program).unwrap();
+        let mut state = StateVector::zero_state(template.num_qubits());
+        state.apply_rotations(&program);
+        state.apply_circuit(&template.extracted().inverse());
+        let optimized = StateVector::from_circuit(&engine.compile(&program).unwrap().optimized);
+        assert!(
+            state.approx_eq_up_to_phase(&optimized, 1e-10),
+            "{}: |<rotations|optimized>| = {}",
+            bench.name(),
+            state.inner_product(&optimized).norm()
+        );
+    }
+}
+
+#[test]
+fn a_non_finite_angle_is_rejected_with_its_index() {
+    let engine = Engine::new(8);
+    let (mut program, observables) = ucc_workload();
+    let index = program.len() / 2;
+    program[index] = PauliRotation::new(program[index].pauli().clone(), f64::NAN);
+    let result = engine.estimate_observables(&program, &observables, 64, 1);
+    assert_eq!(result, Err(EngineError::NonFiniteAngle { index }));
+}
+
+/// A spent deadline stops the simulation itself, not just the stages
+/// around it: on a warm 18-qubit template the request answers
+/// `DeadlineExceeded` long before the few hundred rotation passes could
+/// finish, and no simulation is recorded as completed.
+#[test]
+fn a_deadline_interrupts_the_simulation() {
+    let n = 18;
+    let mut rng = StdRng::seed_from_u64(18);
+    let program: Vec<PauliRotation> = (0..300)
+        .map(|_| {
+            let mut pauli = PauliString::identity(n);
+            for _ in 0..4 {
+                let op = [PauliOp::X, PauliOp::Y, PauliOp::Z][rng.gen_range(0..3usize)];
+                pauli.set_op(rng.gen_range(0..n), op);
+            }
+            PauliRotation::new(pauli, rng.gen_range(0.1..3.0))
+        })
+        .collect();
+    let observables: Vec<SignedPauli> = (0..n)
+        .map(|q| SignedPauli::positive(PauliString::single(n, q, PauliOp::Z)))
+        .collect();
+    let engine = Engine::new(8);
+    // Warm the template and the plan so only the simulation is left.
+    engine.measurement_plan(&program, &observables).unwrap();
+    let simulations = |engine: &Engine| {
+        engine
+            .metrics_snapshot()
+            .histogram(ENGINE_STAGE_METRIC, Some(("stage", "simulate")))
+            .expect("simulate stage registered")
+            .count()
+    };
+    let start = Instant::now();
+    let result = engine
+        .with_deadline(Deadline::within(Duration::from_millis(20)))
+        .estimate_observables(&program, &observables, 64, 1);
+    let elapsed = start.elapsed();
+    assert_eq!(result, Err(EngineError::DeadlineExceeded));
+    assert_eq!(simulations(&engine), 0, "the simulation ran to completion");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "answered after {elapsed:?}"
+    );
 }
 
 #[test]

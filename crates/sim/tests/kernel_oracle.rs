@@ -1,4 +1,4 @@
-//! Scalar oracle for the state-vector kernels.
+//! Scalar oracles for the state-vector kernels.
 //!
 //! `scalar_apply_gate` is the dense kernel `StateVector::apply_gate` used
 //! before the block kernels, kept verbatim: a scan over every index with a
@@ -7,12 +7,19 @@
 //! multiplications by exactly ±1, so every amplitude must stay `==` to the
 //! oracle's — not merely close — and sampling from the two states with one
 //! seed must draw the same indices.
+//!
+//! `scalar_apply_rotation` is the allocate-and-combine formula
+//! `StateVector::apply_rotation` used before the in-place pivot kernel:
+//! build `P|ψ⟩` in a fresh vector, then combine `c·ψ − i·s·P|ψ⟩` with full
+//! complex products. The in-place kernel multiplies in a different order,
+//! so its contract is `1e-12` per amplitude, not `==`.
 
 use std::f64::consts::PI;
 
 use proptest::prelude::*;
 use quclear_circuit::math::{single_qubit_matrix, C64};
 use quclear_circuit::{Circuit, Gate};
+use quclear_pauli::{PauliOp, PauliRotation, PauliString};
 use quclear_sim::StateVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,6 +67,44 @@ fn scalar_apply_gate(amps: &mut [C64], gate: &Gate) {
                 }
             }
         }
+    }
+}
+
+/// The allocate-and-combine rotation formula the in-place kernel replaced:
+/// `exp(−i·θ/2·P)` as `c·ψ − i·s·P|ψ⟩`, the identity as a global phase, a
+/// zero angle as nothing.
+fn scalar_apply_rotation(amps: &mut [C64], rotation: &PauliRotation) {
+    let pauli = rotation.pauli();
+    let c = (rotation.angle() / 2.0).cos();
+    let s = (rotation.angle() / 2.0).sin();
+    if rotation.is_trivial() && !pauli.is_identity() {
+        return;
+    }
+    if pauli.is_identity() {
+        let phase = C64::new(c, -s);
+        amps.iter_mut().for_each(|a| *a = phase * *a);
+        return;
+    }
+    let (mut x_mask, mut z_mask, mut y_count) = (0usize, 0usize, 0u32);
+    for (q, op) in pauli.ops() {
+        let (x, z) = op.xz();
+        x_mask |= usize::from(x) << q;
+        z_mask |= usize::from(z) << q;
+        y_count += u32::from(x && z);
+    }
+    let global = [C64::ONE, C64::I, -C64::ONE, -C64::I][(y_count % 4) as usize];
+    let mut p_psi = vec![C64::ZERO; amps.len()];
+    for (i, amp) in amps.iter().enumerate() {
+        let phase = if (i & z_mask).count_ones() % 2 == 1 {
+            -C64::ONE
+        } else {
+            C64::ONE
+        };
+        p_psi[i ^ x_mask] = global * phase * *amp;
+    }
+    let minus_i_s = C64::new(0.0, -s);
+    for (amp, p_amp) in amps.iter_mut().zip(&p_psi) {
+        *amp = amp.scale(c) + minus_i_s * *p_amp;
     }
 }
 
@@ -161,5 +206,76 @@ proptest! {
         let drawn = state.sample_indices(shots, &mut rng);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5A3F);
         prop_assert_eq!(drawn, scalar_sample_indices(&oracle, shots, &mut rng));
+    }
+}
+
+/// A seeded rotation sequence on `n` qubits covering the kernel's cases:
+/// the identity, pure-Z strings, X on qubit 0 and on qubit `n − 1` (the
+/// lowest and highest pivots), all-Y strings, trivial angles, then random
+/// strings (each site Y-biased) with random angles.
+fn random_rotations(n: usize, seed: u64) -> Vec<PauliRotation> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let single = |q: usize, op: PauliOp| {
+        let mut p = PauliString::identity(n);
+        p.set_op(q, op);
+        p
+    };
+    let mut all_z = PauliString::identity(n);
+    let mut all_y = PauliString::identity(n);
+    for q in 0..n {
+        all_z.set_op(q, PauliOp::Z);
+        all_y.set_op(q, PauliOp::Y);
+    }
+    let mut rotations: Vec<PauliRotation> = [
+        PauliString::identity(n),
+        all_z,
+        single(0, PauliOp::Z),
+        single(0, PauliOp::X),
+        single(n - 1, PauliOp::X),
+        single(n - 1, PauliOp::Y),
+        all_y.clone(),
+    ]
+    .into_iter()
+    .map(|p| PauliRotation::new(p, rng.gen_range(-PI..PI)))
+    .collect();
+    rotations.push(PauliRotation::new(all_y, 0.0));
+    rotations.push(PauliRotation::new(single(n - 1, PauliOp::X), 0.0));
+    rotations.push(PauliRotation::new(PauliString::identity(n), 0.0));
+    for _ in 0..48 {
+        let mut p = PauliString::identity(n);
+        for q in 0..n {
+            let op = [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Y, PauliOp::Z];
+            p.set_op(q, op[rng.gen_range(0..op.len())]);
+        }
+        rotations.push(PauliRotation::new(p, rng.gen_range(-PI..PI)));
+    }
+    rotations
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// From a generic dense state, every rotation keeps every amplitude
+    /// within `1e-12` of the allocate-and-combine oracle.
+    #[test]
+    fn rotation_kernel_matches_the_scalar_oracle(n in 1usize..=10, seed in any::<u64>()) {
+        let mut prep = Circuit::new(n);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
+        for q in 0..n {
+            prep.ry(q, rng.gen_range(0.1..3.0));
+            prep.rz(q, rng.gen_range(-PI..PI));
+        }
+        let mut state = StateVector::from_circuit(&prep);
+        let mut oracle = state.amplitudes().to_vec();
+        for (k, rotation) in random_rotations(n, seed).iter().enumerate() {
+            state.apply_rotation(rotation);
+            scalar_apply_rotation(&mut oracle, rotation);
+            for (i, (a, b)) in state.amplitudes().iter().zip(&oracle).enumerate() {
+                prop_assert!(
+                    (*a - *b).norm() <= 1e-12,
+                    "n = {n}, rotation {k} ({rotation:?}), amplitude {i}: {a:?} vs oracle {b:?}"
+                );
+            }
+        }
     }
 }

@@ -3,9 +3,10 @@
 
 use quclear::baselines::{synthesize_naive, Method};
 use quclear::circuit::{route, CouplingMap};
-use quclear::core::{compile, QuClearConfig};
+use quclear::core::{compile, extract_clifford, ProbabilityAbsorber, QuClearConfig};
 use quclear::prelude::*;
 use quclear::sim::StateVector;
+use quclear::tableau::CliffordTableau;
 use quclear::workloads::{maxcut_qaoa, qaoa_initial_layer, Benchmark, Graph, Molecule, Uccsd};
 
 /// Every compilation method produces a unitarily equivalent circuit on a
@@ -77,6 +78,40 @@ fn qaoa_benchmarks_are_probability_absorbable() {
             bench.name()
         );
     }
+}
+
+/// On all 19 Table II programs the pipeline serves the extracted Clifford
+/// resynthesized from its tableau: tableau-equal to the raw extraction log
+/// (so equal up to global phase), never longer, with the same Proposition 1
+/// verdict, and short in total.
+#[test]
+fn served_extracted_clifford_is_the_resynthesized_raw_log() {
+    let config = QuClearConfig::default();
+    let (mut raw_total, mut served_total) = (0, 0);
+    for bench in Benchmark::all() {
+        let rotations = bench.rotations();
+        let raw = extract_clifford(&rotations, &config.extraction).extracted;
+        let served = compile(&rotations, &config).extracted;
+        assert_eq!(
+            CliffordTableau::from_circuit(&served),
+            CliffordTableau::from_circuit(&raw),
+            "{}: resynthesis changed the Clifford",
+            bench.name()
+        );
+        assert!(served.len() <= raw.len(), "{}", bench.name());
+        assert_eq!(
+            ProbabilityAbsorber::from_extracted(&served).is_ok(),
+            ProbabilityAbsorber::from_extracted(&raw).is_ok(),
+            "{}: Proposition 1 verdict moved",
+            bench.name()
+        );
+        raw_total += raw.len();
+        served_total += served.len();
+    }
+    assert!(
+        served_total <= 3_000,
+        "Table II extracted gates: {served_total} served, {raw_total} raw"
+    );
 }
 
 /// End-to-end QAOA equivalence through the facade: simulated measurement
