@@ -3,9 +3,12 @@
 //!
 //! The headline acceptance number is the cold/warm ratio on a 20-rotation
 //! program: a warm `bind` skips extraction, reordering and tree synthesis
-//! entirely and must be ≥10× faster than a cold `compile`. Record a
+//! entirely and must be ≥10× faster than a cold `compile`
+//! (`warm_vs_cold_smoke` asserts it, in `-- --test` mode too). Record a
 //! baseline with `CRITERION_JSON=... cargo bench -p quclear-bench --bench
 //! engine` (see `BENCH_engine.json` at the workspace root).
+
+use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use quclear_core::{compile, QuClearConfig};
@@ -106,5 +109,51 @@ fn bench_batched_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cold_vs_warm, bench_batched_sweep);
+/// Minimum cold-compile / warm-bind ratio on the 20-rotation program.
+const MIN_WARM_SPEEDUP: f64 = 10.0;
+
+/// Best-of-`rounds` wall time of `f`, in nanoseconds.
+fn best_of_ns(rounds: usize, mut f: impl FnMut()) -> f64 {
+    (0..rounds)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The acceptance smoke: a cold `compile` of the 20-rotation program must
+/// take at least [`MIN_WARM_SPEEDUP`]× as long as a warm `Engine::compile`
+/// of it. Runs in `--test` mode too, where the criterion stand-in skips
+/// timing but this `Instant` loop does not.
+fn warm_vs_cold_smoke(_c: &mut Criterion) {
+    let program = twenty_rotation_program();
+    let config = QuClearConfig::default();
+    let engine = Engine::new(4);
+    engine.compile(&program).unwrap(); // prime the cache
+    let cold_ns = best_of_ns(20, || {
+        black_box(compile(black_box(&program), &config));
+    });
+    let warm_ns = best_of_ns(200, || {
+        black_box(engine.compile(black_box(&program)).unwrap());
+    });
+    let ratio = cold_ns / warm_ns;
+    println!(
+        "engine/warm_vs_cold_smoke: cold={:.1} us warm={:.2} us ratio={ratio:.1}",
+        cold_ns / 1e3,
+        warm_ns / 1e3,
+    );
+    assert!(
+        ratio >= MIN_WARM_SPEEDUP,
+        "warm bind is only {ratio:.1}x faster than a cold compile (floor {MIN_WARM_SPEEDUP})"
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_cold_vs_warm,
+    bench_batched_sweep,
+    warm_vs_cold_smoke
+);
 criterion_main!(benches);

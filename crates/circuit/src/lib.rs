@@ -32,7 +32,6 @@
 
 mod circuit;
 mod coupling;
-mod fidelity;
 mod gate;
 pub mod math;
 mod optimize;
@@ -41,13 +40,9 @@ mod routing;
 
 pub use circuit::Circuit;
 pub use coupling::CouplingMap;
-pub use fidelity::NoiseModel;
 pub use gate::{Gate, QubitList};
 pub use math::{Mat2, C64};
-pub use optimize::{
-    is_zero_rotation, optimize, optimize_warming, optimize_with, optimize_with_shared_cache,
-    OptimizeOptions, PeepholeCache,
-};
+pub use optimize::{is_zero_rotation, optimize, optimize_with, OptimizeOptions};
 pub use routing::{initial_layout_by_interaction, route, route_with_layout, RoutingResult};
 
 #[cfg(test)]

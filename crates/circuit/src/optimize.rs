@@ -68,48 +68,6 @@ pub fn optimize(circuit: &Circuit) -> Circuit {
 /// Optimizes a circuit with explicit options.
 #[must_use]
 pub fn optimize_with(circuit: &Circuit, options: &OptimizeOptions) -> Circuit {
-    // A call-local memo still pays off: the fixpoint loop re-examines the
-    // same single-qubit runs every round.
-    let mut cache = PeepholeCache::new();
-    optimize_warming(circuit, options, &mut cache)
-}
-
-/// Optimizes a circuit while recording fusion decisions into `cache`.
-///
-/// Produces bit-for-bit the same circuit as [`optimize_with`]; the filled
-/// cache can then serve [`optimize_with_shared_cache`] calls on circuits
-/// that repeat the same single-qubit runs (e.g. rebinding a compiled
-/// template to new rotation angles).
-#[must_use]
-pub fn optimize_warming(
-    circuit: &Circuit,
-    options: &OptimizeOptions,
-    cache: &mut PeepholeCache,
-) -> Circuit {
-    optimize_rounds(circuit, options, &mut CacheMode::Warming(cache))
-}
-
-/// Optimizes a circuit against a pre-filled, read-only fusion memo.
-///
-/// Runs the identical pass pipeline as [`optimize_with`] — cache hits replay
-/// recorded decisions, misses fall back to the full computation (without
-/// storing) — so the output is bit-for-bit the same. Taking `&PeepholeCache`
-/// makes this safe to call concurrently from many threads sharing one
-/// cache. The cache must have been filled with the same `options`.
-#[must_use]
-pub fn optimize_with_shared_cache(
-    circuit: &Circuit,
-    options: &OptimizeOptions,
-    cache: &PeepholeCache,
-) -> Circuit {
-    optimize_rounds(circuit, options, &mut CacheMode::Shared(cache))
-}
-
-fn optimize_rounds(
-    circuit: &Circuit,
-    options: &OptimizeOptions,
-    cache: &mut CacheMode<'_>,
-) -> Circuit {
     let mut current = circuit.clone();
     for _ in 0..options.max_passes {
         let mut changed = false;
@@ -124,7 +82,7 @@ fn optimize_rounds(
             changed |= c;
         }
         if options.fuse_single_qubit {
-            let (next, c) = fuse_single_qubit_runs(&current, options, cache);
+            let (next, c) = fuse_single_qubit_runs(&current, options);
             current = next;
             changed |= c;
         }
@@ -329,290 +287,92 @@ fn is_zero_angle(angle: f64, tol: f64) -> bool {
     is_zero_rotation(angle, tol)
 }
 
-/// A single-qubit gate stripped of its qubit: discriminant plus exact angle
-/// bits. A run of these is a pure key for the fusion decision.
-type RunAtom = (u8, u64);
-
-fn run_atom(gate: &Gate) -> RunAtom {
-    match *gate {
-        Gate::H(_) => (0, 0),
-        Gate::S(_) => (1, 0),
-        Gate::Sdg(_) => (2, 0),
-        Gate::X(_) => (3, 0),
-        Gate::Y(_) => (4, 0),
-        Gate::Z(_) => (5, 0),
-        Gate::SqrtX(_) => (6, 0),
-        Gate::SqrtXdg(_) => (7, 0),
-        Gate::Rz { angle, .. } => (8, angle.to_bits()),
-        Gate::Rx { angle, .. } => (9, angle.to_bits()),
-        Gate::Ry { angle, .. } => (10, angle.to_bits()),
-        Gate::Cx { .. } | Gate::Cz { .. } | Gate::Swap { .. } => {
-            unreachable!("two-qubit gates never appear in single-qubit runs")
-        }
+/// Emits the pending single-qubit run on qubit `q` into `out` and clears
+/// it, fused into at most three Euler rotations (`Rz·Ry·Rz`) when that is
+/// shorter, or dropped when it multiplies to the identity. Returns whether
+/// the run was rewritten.
+fn flush_run(
+    run: &mut Vec<Gate>,
+    q: usize,
+    options: &OptimizeOptions,
+    out: &mut Vec<Gate>,
+) -> bool {
+    let rewritten = run.len() > 1 && fuse_run(run, q, options, out);
+    if !rewritten {
+        out.append(run);
     }
+    run.clear();
+    rewritten
 }
 
-fn atom_gate(atom: RunAtom, qubit: usize) -> Gate {
-    match atom.0 {
-        0 => Gate::H(qubit),
-        1 => Gate::S(qubit),
-        2 => Gate::Sdg(qubit),
-        3 => Gate::X(qubit),
-        4 => Gate::Y(qubit),
-        5 => Gate::Z(qubit),
-        6 => Gate::SqrtX(qubit),
-        7 => Gate::SqrtXdg(qubit),
-        8 => Gate::Rz {
-            qubit,
-            angle: f64::from_bits(atom.1),
-        },
-        9 => Gate::Rx {
-            qubit,
-            angle: f64::from_bits(atom.1),
-        },
-        10 => Gate::Ry {
-            qubit,
-            angle: f64::from_bits(atom.1),
-        },
-        other => unreachable!("invalid run atom discriminant {other}"),
-    }
-}
-
-/// The memoized outcome of fusing one single-qubit run.
-#[derive(Clone, Debug)]
-enum FuseDecision {
-    /// The run could not be shortened; emit it unchanged.
-    Keep,
-    /// The run is replaced by these (qubit-independent) gates — possibly
-    /// none, when the run multiplies to the identity.
-    Replace(Vec<RunAtom>),
-}
-
-/// A reusable memo of single-qubit-run fusion decisions.
-///
-/// Fusing a run — matrix products, an Euler (ZYZ) decomposition and the
-/// branch-matching trigonometry — is by far the most expensive part of the
-/// peephole, and the same runs recur: across fixpoint rounds within one
-/// [`optimize_with`] call, and across repeated optimizations of structurally
-/// identical circuits (the `quclear-engine` template `bind` path, where only
-/// `Rz` angles change between calls and every Clifford run repeats exactly).
-///
-/// Decisions are keyed on the exact gate sequence (discriminants plus f64
-/// angle bits), so cached and uncached optimization are bit-for-bit
-/// identical. A cache must only be reused with the same
-/// [`OptimizeOptions`]; pairing it with different tolerances would replay
-/// stale decisions.
-#[derive(Clone, Debug, Default)]
-pub struct PeepholeCache {
-    fuse: std::collections::HashMap<Vec<RunAtom>, FuseDecision, BuildRunHasher>,
-}
-
-/// A fast, non-cryptographic hasher for run keys (the memo is an internal
-/// performance cache, never fed attacker-controlled data).
-#[derive(Clone, Debug, Default)]
-struct BuildRunHasher;
-
-impl std::hash::BuildHasher for BuildRunHasher {
-    type Hasher = RunHasher;
-
-    fn build_hasher(&self) -> RunHasher {
-        RunHasher {
-            state: 0x9ae1_6a3b_2f90_404f,
-        }
-    }
-}
-
-/// SplitMix64-style streaming hasher over the key words.
-#[derive(Clone, Debug)]
-struct RunHasher {
-    state: u64,
-}
-
-impl std::hash::Hasher for RunHasher {
-    fn finish(&self) -> u64 {
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.state = (self.state ^ v).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        self.state ^= self.state >> 29;
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-impl PeepholeCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        PeepholeCache::default()
-    }
-
-    /// Number of memoized run decisions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.fuse.len()
-    }
-
-    /// Whether no decision has been memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.fuse.is_empty()
-    }
-}
-
-/// How a pass may interact with the fusion memo.
-enum CacheMode<'a> {
-    /// Compute-and-insert (single-threaded warming).
-    Warming(&'a mut PeepholeCache),
-    /// Read-only lookups; misses are computed but not stored. Shared-safe.
-    Shared(&'a PeepholeCache),
-}
-
-/// Computes the fusion decision for a run (the uncached slow path).
-fn compute_fuse(run: &[Gate], options: &OptimizeOptions) -> FuseDecision {
+/// Pushes the fused form of `run` onto `out` and returns `true`, or pushes
+/// nothing and returns `false` when fusion would not shorten the run.
+fn fuse_run(run: &[Gate], q: usize, options: &OptimizeOptions, out: &mut Vec<Gate>) -> bool {
     // Multiply matrices in time order: U = g_k · … · g_1.
     let mut u = Mat2::identity();
     for g in run {
         u = single_qubit_matrix(g).mul(&u);
     }
     if u.is_identity_up_to_phase(options.angle_tolerance.max(1e-9)) {
-        return FuseDecision::Replace(Vec::new());
+        return true;
     }
     let (alpha, beta, gamma) = zyz_decompose(&u);
-    let mut fused: Vec<RunAtom> = Vec::with_capacity(3);
-    if !is_zero_angle(gamma, options.angle_tolerance) {
-        fused.push((8, gamma.to_bits()));
-    }
-    if !is_zero_angle(beta, options.angle_tolerance) {
-        fused.push((10, beta.to_bits()));
-    }
-    if !is_zero_angle(alpha, options.angle_tolerance) {
-        fused.push((8, alpha.to_bits()));
-    }
+    let fused: Vec<Gate> = [
+        Gate::Rz {
+            qubit: q,
+            angle: gamma,
+        },
+        Gate::Ry {
+            qubit: q,
+            angle: beta,
+        },
+        Gate::Rz {
+            qubit: q,
+            angle: alpha,
+        },
+    ]
+    .into_iter()
+    .filter(|g| !is_zero_angle(merged_angle(g), options.angle_tolerance))
+    .collect();
     if fused.len() < run.len() {
-        FuseDecision::Replace(fused)
+        out.extend(fused);
+        true
     } else {
-        FuseDecision::Keep
+        false
     }
 }
 
 /// Pass 3: fuse maximal runs of single-qubit *Clifford* gates into at most
 /// three Euler rotations (`Rz·Ry·Rz`), dropping runs that multiply to the
 /// identity. Two-qubit gates and parameterized rotations break runs; keeping
-/// rotations out means every memo key is angle-independent, so a cache
-/// warmed once (per compiled template) serves every rebind without redoing
-/// the Euler math.
-fn fuse_single_qubit_runs(
-    circuit: &Circuit,
-    options: &OptimizeOptions,
-    cache: &mut CacheMode<'_>,
-) -> (Circuit, bool) {
+/// rotations out makes every fusion decision angle-independent, which is
+/// what lets a compiled template patch new angles into its optimized
+/// skeleton.
+fn fuse_single_qubit_runs(circuit: &Circuit, options: &OptimizeOptions) -> (Circuit, bool) {
     let n = circuit.num_qubits();
     let mut pending: Vec<Vec<Gate>> = vec![Vec::new(); n];
     let mut out: Vec<Gate> = Vec::with_capacity(circuit.len());
     let mut changed = false;
-    let mut key_scratch: Vec<RunAtom> = Vec::with_capacity(8);
-
-    let flush = |q: usize,
-                 pending: &mut Vec<Vec<Gate>>,
-                 out: &mut Vec<Gate>,
-                 changed: &mut bool,
-                 key_scratch: &mut Vec<RunAtom>,
-                 cache: &mut CacheMode<'_>| {
-        let run = std::mem::take(&mut pending[q]);
-        if run.is_empty() {
-            return;
-        }
-        if run.len() == 1 {
-            out.push(run[0]);
-            return;
-        }
-        key_scratch.clear();
-        key_scratch.extend(run.iter().map(run_atom));
-        let computed;
-        let decision: &FuseDecision = match cache {
-            CacheMode::Warming(memo) => {
-                if !memo.fuse.contains_key(key_scratch.as_slice()) {
-                    let decision = compute_fuse(&run, options);
-                    memo.fuse.insert(key_scratch.clone(), decision);
-                }
-                &memo.fuse[key_scratch.as_slice()]
-            }
-            CacheMode::Shared(memo) => match memo.fuse.get(key_scratch.as_slice()) {
-                Some(decision) => decision,
-                None => {
-                    computed = compute_fuse(&run, options);
-                    &computed
-                }
-            },
-        };
-        match decision {
-            FuseDecision::Keep => out.extend(run),
-            FuseDecision::Replace(atoms) => {
-                *changed = true;
-                out.extend(atoms.iter().map(|&atom| atom_gate(atom, q)));
-            }
-        }
-    };
 
     for gate in circuit.gates() {
         if gate.is_two_qubit() {
             for &q in gate.qubit_list().as_slice() {
-                flush(
-                    q,
-                    &mut pending,
-                    &mut out,
-                    &mut changed,
-                    &mut key_scratch,
-                    cache,
-                );
+                changed |= flush_run(&mut pending[q], q, options, &mut out);
             }
             out.push(*gate);
         } else if matches!(gate, Gate::Rz { .. } | Gate::Rx { .. } | Gate::Ry { .. }) {
             // Parameterized rotations act as run barriers: runs stay
-            // Clifford-only, so their memo keys carry no angle bits and a
-            // warmed cache keeps hitting when only rotation angles change
-            // (the template-bind hot path). Rotation-rotation simplification
-            // is the job of the merge/cancel passes.
+            // Clifford-only. Rotation-rotation simplification is the job of
+            // the merge/cancel passes.
             let q = gate.qubit_list().as_slice()[0];
-            flush(
-                q,
-                &mut pending,
-                &mut out,
-                &mut changed,
-                &mut key_scratch,
-                cache,
-            );
+            changed |= flush_run(&mut pending[q], q, options, &mut out);
             out.push(*gate);
         } else {
             pending[gate.qubit_list().as_slice()[0]].push(*gate);
         }
     }
-    for q in 0..n {
-        flush(
-            q,
-            &mut pending,
-            &mut out,
-            &mut changed,
-            &mut key_scratch,
-            cache,
-        );
+    for (q, run) in pending.iter_mut().enumerate() {
+        changed |= flush_run(run, q, options, &mut out);
     }
 
     (Circuit::from_gates(n, out), changed)

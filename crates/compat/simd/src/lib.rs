@@ -12,17 +12,15 @@
 //! auto-vectorizes into SSE2/AVX2/NEON at `W ∈ {2, 4, 8}`. The point of the
 //! abstraction is to give the compiler *provably* unit-stride, fixed-trip
 //! inner loops (and the optimizer a single obvious unroll factor) instead of
-//! hoping it widens a `zip` over `Vec<u64>` by itself — and to give the
-//! workspace one `#[cfg]`-selectable knob for the width.
+//! hoping it widens a `zip` over `Vec<u64>` by itself.
 //!
-//! # Width selection
+//! # Width
 //!
-//! The crate-level constant [`LANE_WORDS`] is chosen by cargo feature —
-//! `lane2` / `lane4` (default) / `lane8`, widest wins, scalar `1` when none
-//! is enabled — and [`DefaultLane`] is the corresponding `Lane` type. The
-//! default slice kernels (`xor_into`, …) are monomorphized at `LANE_WORDS`;
-//! their `*_w` variants take the width as a const generic so tests can
-//! compare **every** supported width against the scalar oracle in one build.
+//! The crate-level constant [`LANE_WORDS`] is 4 (256-bit lanes), and
+//! [`DefaultLane`] is the corresponding `Lane` type. The default slice
+//! kernels (`xor_into`, …) are monomorphized at `LANE_WORDS`; their `*_w`
+//! variants take the width as a const generic so tests can compare **every**
+//! width against the scalar (`W = 1`) oracle in one build.
 //!
 //! # Examples
 //!
@@ -44,23 +42,10 @@
 
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
 
-/// The configured lane width of the default kernels, in 64-bit words.
-///
-/// Selected by cargo feature (`lane2`/`lane4`/`lane8`; widest enabled wins);
-/// `1` — the scalar `u64` fallback — when no width feature is enabled.
-#[cfg(feature = "lane8")]
-pub const LANE_WORDS: usize = 8;
-/// The configured lane width of the default kernels, in 64-bit words.
-#[cfg(all(feature = "lane4", not(feature = "lane8")))]
+/// The lane width of the default kernels, in 64-bit words.
 pub const LANE_WORDS: usize = 4;
-/// The configured lane width of the default kernels, in 64-bit words.
-#[cfg(all(feature = "lane2", not(any(feature = "lane4", feature = "lane8"))))]
-pub const LANE_WORDS: usize = 2;
-/// The configured lane width of the default kernels, in 64-bit words.
-#[cfg(not(any(feature = "lane2", feature = "lane4", feature = "lane8")))]
-pub const LANE_WORDS: usize = 1;
 
-/// The [`Lane`] type at the configured [`LANE_WORDS`] width.
+/// The [`Lane`] type at the [`LANE_WORDS`] width.
 pub type DefaultLane = Lane<LANE_WORDS>;
 
 /// A fixed block of `W` consecutive `u64` words treated as one wide bitwise
@@ -209,7 +194,7 @@ impl<const W: usize> Not for Lane<W> {
 // the remainder with a scalar loop, so any slice length — including lengths
 // that are not a multiple of the lane width — is handled exactly. The `_w`
 // variants take the width as a const generic; the unsuffixed functions are
-// the same kernels monomorphized at the configured `LANE_WORDS`.
+// the same kernels monomorphized at `LANE_WORDS`.
 
 /// Asserts the shared length of a kernel's slices.
 macro_rules! check_len {
@@ -464,37 +449,37 @@ macro_rules! default_kernels {
 }
 
 default_kernels! {
-    /// [`xor_into_w`] at the configured [`LANE_WORDS`].
+    /// [`xor_into_w`] at [`LANE_WORDS`].
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     fn xor_into(dst: &mut [u64], src: &[u64]) => xor_into_w;
-    /// [`and_into_w`] at the configured [`LANE_WORDS`].
+    /// [`and_into_w`] at [`LANE_WORDS`].
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     fn and_into(dst: &mut [u64], src: &[u64]) => and_into_w;
-    /// [`or_into_w`] at the configured [`LANE_WORDS`].
+    /// [`or_into_w`] at [`LANE_WORDS`].
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     fn or_into(dst: &mut [u64], src: &[u64]) => or_into_w;
-    /// [`xor_and_into_w`] at the configured [`LANE_WORDS`].
+    /// [`xor_and_into_w`] at [`LANE_WORDS`].
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     fn xor_and_into(dst: &mut [u64], a: &[u64], b: &[u64]) => xor_and_into_w;
-    /// [`xor_andnot_into_w`] at the configured [`LANE_WORDS`].
+    /// [`xor_andnot_into_w`] at [`LANE_WORDS`].
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     fn xor_andnot_into(dst: &mut [u64], a: &[u64], b: &[u64]) => xor_andnot_into_w;
-    /// [`xor_many_into_w`] at the configured [`LANE_WORDS`].
+    /// [`xor_many_into_w`] at [`LANE_WORDS`].
     ///
     /// # Panics
     ///
@@ -502,14 +487,14 @@ default_kernels! {
     fn xor_many_into(dst: &mut [u64], srcs: &[&[u64]]) => xor_many_into_w;
 }
 
-/// [`popcount_w`] at the configured [`LANE_WORDS`].
+/// [`popcount_w`] at [`LANE_WORDS`].
 #[inline]
 #[must_use]
 pub fn popcount(words: &[u64]) -> u64 {
     popcount_w::<LANE_WORDS>(words)
 }
 
-/// [`and_popcount_w`] at the configured [`LANE_WORDS`].
+/// [`and_popcount_w`] at [`LANE_WORDS`].
 ///
 /// # Panics
 ///
@@ -520,7 +505,7 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     and_popcount_w::<LANE_WORDS>(a, b)
 }
 
-/// [`xor_popcount_w`] at the configured [`LANE_WORDS`].
+/// [`xor_popcount_w`] at [`LANE_WORDS`].
 ///
 /// # Panics
 ///

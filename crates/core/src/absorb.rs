@@ -30,10 +30,11 @@ use crate::shots::ShotBatch;
 ///
 /// CA-Pre rewrites a whole observable set in one word-parallel sweep: the
 /// set is loaded into a [`PauliFrame`] and conjugated through the extracted
-/// Clifford either by replaying the inverse extracted gates with
-/// [`conjugate_all_by_gate`] (`O(gates · observables/64)` word operations)
-/// or, for extractions longer than ~`2n²` gates, with
-/// [`CliffordTableau::apply_frame`]. No per-string
+/// Clifford by replaying the inverse extracted gates with
+/// [`conjugate_all_by_gate`] (`O(gates · observables/64)` word operations).
+/// The plan expects the served, resynthesized `U_CL`
+/// ([`crate::ExtractionResult::resynthesized`]), whose `O(n²)` gates make
+/// the replay cheaper than a full tableau sweep. No per-string
 /// [`CliffordTableau::apply`] calls are made anywhere.
 ///
 /// # Examples
@@ -66,8 +67,8 @@ pub struct AbsorptionPlan {
 impl AbsorptionPlan {
     /// Builds a plan from the Heisenberg map plus the extracted Clifford
     /// circuit it was derived from. CA-Pre replays the inverse extracted
-    /// gates over the observable frame whenever the extracted circuit is
-    /// shorter than `O(n²)` gates, and sweeps the tableau otherwise.
+    /// gates over the observable frame, so `extracted` should be the short
+    /// resynthesized `U_CL` the pipeline serves.
     ///
     /// # Panics
     ///
@@ -102,12 +103,8 @@ impl AbsorptionPlan {
     /// conjugates it through the extracted Clifford in a single sweep, and
     /// returns the rewritten observables (with their coefficient signs).
     ///
-    /// Both available kernels are word-parallel over the rows; the plan
-    /// picks the cheaper one. Gate replay costs one plane update per gate
-    /// (`O(gates · rows/64)`), the tableau sweep one masked multiply per
-    /// (generator, qubit) pair (`O(n² · rows/64)`), so replay wins exactly
-    /// when the extracted circuit is shorter than ~`2n²` gates (QAOA CNOT
-    /// networks) and the tableau wins on deep extractions (UCCSD).
+    /// The sweep replays the inverse extracted gates, one word-parallel
+    /// plane update per gate (`O(gates · rows/64)`).
     ///
     /// # Panics
     ///
@@ -115,12 +112,8 @@ impl AbsorptionPlan {
     #[must_use]
     pub fn absorb(&self, observables: &[SignedPauli]) -> AbsorbedObservables {
         let mut frame = PauliFrame::from_signed(self.n, observables);
-        if self.replay.len() <= 2 * self.n * self.n {
-            for gate in self.replay.iter() {
-                conjugate_all_by_gate(&mut frame, gate);
-            }
-        } else {
-            frame = self.heisenberg.apply_frame(&frame);
+        for gate in self.replay.iter() {
+            conjugate_all_by_gate(&mut frame, gate);
         }
         AbsorbedObservables { frame }
     }
@@ -623,7 +616,7 @@ mod tests {
         layer.s(2);
         layer.cx(1, 2);
         layer.sdg(0);
-        // Five layers (25 gates) exceed the 2n² = 18 replay budget.
+        // A short circuit and a five-layer (25-gate) one.
         let mut deep = Circuit::new(3);
         for _ in 0..5 {
             deep.append(&layer);
@@ -632,9 +625,8 @@ mod tests {
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
-        for (extracted, replays) in [(&layer, true), (&deep, false)] {
+        for extracted in [&layer, &deep] {
             let plan = plan_for(extracted);
-            assert_eq!(plan.replay.len() <= 2 * 3 * 3, replays);
             let scalar = per_string(plan.heisenberg(), &observables);
             let absorbed = plan.absorb(&observables);
             assert_eq!(absorbed.to_vec(), scalar);

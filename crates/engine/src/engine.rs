@@ -87,9 +87,8 @@ pub struct EngineStats {
     pub entries: usize,
     /// Configured cache capacity.
     pub capacity: usize,
-    /// Lane width of the bit-plane kernels, in 64-bit words (a compile-time
-    /// constant of the build: the `simd` shim's `lane*` feature; `1` means
-    /// the scalar fallback).
+    /// Lane width of the bit-plane kernels, in 64-bit words (the `simd`
+    /// shim's `LANE_WORDS` constant).
     pub lane_words: usize,
     /// Worker threads the parallel plane sweeps use when a sweep exceeds its
     /// sequential cutoff (`rayon::current_num_threads()`; `1` means every
@@ -348,7 +347,7 @@ impl Engine {
         metrics
             .gauge(
                 "quclear_engine_kernel_lane_words",
-                "lane width of the bit-plane kernels in 64-bit words (1 = scalar fallback)",
+                "lane width of the bit-plane kernels in 64-bit words",
             )
             .set(quclear_pauli::kernel_lane_words() as i64);
         metrics

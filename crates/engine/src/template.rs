@@ -13,11 +13,12 @@
 //! A [`CompiledTemplate`] therefore compiles the program once with
 //! *marker angles* (the i-th rotation gets angle `i + 1`), reads back which
 //! `Rz` belongs to which input rotation and with which sign, and stores the
-//! pre-peephole skeleton. [`CompiledTemplate::bind`] patches the recorded
-//! `Rz` slots with real angles in `O(gates)` and re-runs only the cheap
-//! local peephole pass — producing, for programs whose angles are all
-//! non-zero, **gate-for-gate the same circuit** as a from-scratch
-//! [`quclear_core::compile`] (a property-tested invariant).
+//! peephole-optimized marker skeleton: the peephole's structural decisions
+//! are angle-independent too. [`CompiledTemplate::bind`] patches the
+//! recorded `Rz` slots with real angles in `O(gates)` — producing, for
+//! programs whose angles are all non-zero, **gate-for-gate the same
+//! circuit** as a from-scratch [`quclear_core::compile`] (a property-tested
+//! invariant).
 //!
 //! The one caveat is exact zeros: a from-scratch compile *skips* zero-angle
 //! rotations entirely (changing downstream extraction), while a template
@@ -31,9 +32,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use quclear_circuit::{
-    is_zero_rotation, optimize_warming, optimize_with_shared_cache, Circuit, Gate, PeepholeCache,
-};
+use quclear_circuit::{is_zero_rotation, optimize_with, Circuit, Gate};
 use quclear_core::{
     extract_clifford, AbsorbedObservables, AbsorptionError, AbsorptionPlan, MeasurementPlan,
     ProbabilityAbsorber, QuClearConfig, QuClearResult,
@@ -60,30 +59,19 @@ pub(crate) struct StageMetrics {
     pub(crate) diagonalize: Arc<Histogram>,
 }
 
-/// One parameterized `Rz` in the *optimized* marker skeleton: the peephole
-/// may have folded Z-axis Clifford gates into the slot, contributing a
-/// constant offset on the `π/2` grid.
+/// One parameterized `Rz` in the template skeleton, bound to
+/// `sign · θ[param] + offset`.
 #[derive(Clone, Copy, Debug)]
-struct OptimizedSlot {
-    /// Index of the `Rz` gate within the optimized skeleton.
-    gate: usize,
-    /// Index of the parameter the slot binds.
-    param: usize,
-    /// Sign acquired by Heisenberg conjugation (and the axis sign).
-    sign: f64,
-    /// Constant angle folded in by the peephole (a multiple of `π/2`).
-    offset: f64,
-}
-
-/// One parameterized `Rz` in the template skeleton.
-#[derive(Clone, Copy, Debug)]
-struct RzSlot {
+struct Slot {
     /// Index of the `Rz` gate within the skeleton circuit.
     gate: usize,
     /// Index of the parameter (input rotation) the slot binds.
     param: usize,
     /// Sign acquired by Heisenberg conjugation (and the axis sign).
     sign: f64,
+    /// Constant angle the peephole folded in from Z-axis Clifford gates (a
+    /// multiple of `π/2`; zero in a raw skeleton).
+    offset: f64,
 }
 
 /// A rotation program compiled once, ready to be re-bound to new angles.
@@ -115,23 +103,16 @@ pub struct CompiledTemplate {
     config: QuClearConfig,
     num_qubits: usize,
     num_params: usize,
-    /// Extraction output with marker angles still in place.
+    /// The circuit every bind patches, with marker angles in its slots: the
+    /// peephole-optimized extraction output, or the raw one when the config
+    /// disables the peephole or `raw_skeleton` is set.
     skeleton: Circuit,
-    slots: Vec<RzSlot>,
+    slots: Vec<Slot>,
+    /// Set when the marker peephole merged two slots into one rotation, so
+    /// the optimized skeleton cannot be patched: the skeleton is the raw
+    /// extraction and every bind re-runs the peephole on it.
+    raw_skeleton: bool,
     extracted: Circuit,
-    /// Fusion decisions recorded while peepholing the marker skeleton. The
-    /// Clifford (angle-free) runs — the vast majority — repeat exactly on
-    /// every bind, so `bind` replays them instead of redoing the Euler
-    /// decompositions.
-    peephole_cache: PeepholeCache,
-    /// The marker skeleton *after* the full peephole, with its surviving
-    /// `Rz` slots decoded, when every parameter could be located in it.
-    /// Since every structural peephole decision is angle-independent
-    /// (rotations never enter fusion runs), a bind with generic angles
-    /// reaches the same structure — so `bind` patches this circuit and the
-    /// pipeline merely confirms the fixpoint in one cheap verify round,
-    /// instead of re-deriving every rewrite from the raw skeleton.
-    optimized_skeleton: Option<(Circuit, Vec<OptimizedSlot>)>,
     /// Batch absorption recipe (angle-independent, like the extracted
     /// Clifford it derives from): built once at compile time so every warm
     /// bind gets CA-Pre/CA-Post for free. It holds the template's one copy
@@ -267,10 +248,10 @@ impl CompiledTemplate {
             .collect();
 
         let extraction = extract_clifford(&marked, &config.extraction).resynthesized();
-        let skeleton = extraction.optimized;
+        let raw = extraction.optimized;
 
-        let mut slots = Vec::new();
-        for (gate_idx, gate) in skeleton.gates().iter().enumerate() {
+        let mut raw_slots = Vec::new();
+        for (gate_idx, gate) in raw.gates().iter().enumerate() {
             if let Gate::Rz { angle, .. } = gate {
                 let magnitude = angle.abs();
                 let param = magnitude.round() as usize - 1;
@@ -278,26 +259,28 @@ impl CompiledTemplate {
                     (magnitude - magnitude.round()).abs() < 1e-9 && param < axes.len(),
                     "marker angle {angle} does not decode to a parameter index"
                 );
-                slots.push(RzSlot {
+                raw_slots.push(Slot {
                     gate: gate_idx,
                     param,
                     sign: angle.signum(),
+                    // `-0.0` is the exact additive identity: `θ + -0.0`
+                    // keeps even a bound `-0.0` bit for bit.
+                    offset: -0.0,
                 });
             }
         }
 
-        // Warm the peephole memo on the marker skeleton so that warm binds
-        // skip the expensive fusion math for every angle-free run, and keep
-        // the optimized marker circuit: if every slot survives in it
-        // decodably, binds start from this near-fixpoint instead of the raw
-        // skeleton.
-        let mut peephole_cache = PeepholeCache::new();
-        let optimized_skeleton = if config.apply_peephole {
-            let optimized = optimize_warming(&skeleton, &config.peephole, &mut peephole_cache);
-            decode_optimized_slots(&optimized, axes.len(), &slots)
-                .map(|decoded| (optimized, decoded))
+        // Peephole the marker skeleton once: if every slot survives in it
+        // decodably, binds patch this fixpoint instead of re-deriving every
+        // rewrite from the raw skeleton.
+        let (skeleton, slots, raw_skeleton) = if config.apply_peephole {
+            let optimized = optimize_with(&raw, &config.peephole);
+            match decode_optimized_slots(&optimized, axes.len(), &raw_slots) {
+                Some(slots) => (optimized, slots, false),
+                None => (raw, raw_slots, true),
+            }
         } else {
-            None
+            (raw, raw_slots, false)
         };
 
         let absorption =
@@ -309,9 +292,8 @@ impl CompiledTemplate {
             num_params: axes.len(),
             skeleton,
             slots,
+            raw_skeleton,
             extracted: extraction.extracted,
-            peephole_cache,
-            optimized_skeleton,
             absorption,
             absorbed_memo: Arc::default(),
             measurement_memo: Arc::default(),
@@ -346,10 +328,11 @@ impl CompiledTemplate {
 
     /// Rebinds the template to concrete rotation angles.
     ///
-    /// Runs in `O(gates)` plus one local peephole pass (when the config
-    /// enables it) — no extraction, tree synthesis or tableau algebra. For
-    /// programs with no exactly-zero angle the result is gate-for-gate
-    /// identical to [`quclear_core::compile`] on the same program.
+    /// Runs in `O(gates)` — no extraction, tree synthesis or tableau
+    /// algebra, and no peephole pass unless a bound slot lands on a zero
+    /// rotation or the template keeps a raw skeleton. For programs with no
+    /// exactly-zero angle the result is gate-for-gate identical to
+    /// [`quclear_core::compile`] on the same program.
     ///
     /// # Errors
     ///
@@ -371,64 +354,38 @@ impl CompiledTemplate {
         })
     }
 
-    /// Validates the angles, patches the `Rz` slots, and runs the
-    /// (memo-backed) peephole.
+    /// Validates the angles, patches the `Rz` slots, and runs the peephole
+    /// when the patched skeleton may not be its fixpoint.
     fn patch_and_peephole(&self, angles: &[f64]) -> Result<Circuit, EngineError> {
         self.check_angles(angles.iter().copied())?;
 
-        // Fast path: patch the already-optimized marker skeleton. All
-        // structural peephole decisions are angle-independent, so for
-        // generic angles this circuit is already the pipeline's fixpoint;
-        // the shared-cache run below is one verify round (and it still
-        // catches the extra rewrites that special values — exact zeros —
-        // enable).
-        if let Some((optimized, slots)) = &self.optimized_skeleton {
-            let mut gates = optimized.gates().to_vec();
-            let mut any_zero = false;
-            for slot in slots {
-                let Gate::Rz { qubit, .. } = gates[slot.gate] else {
-                    unreachable!("optimized slot {slot:?} does not point at an Rz gate");
-                };
-                let angle = slot.sign * angles[slot.param] + slot.offset;
-                any_zero |= is_zero_rotation(angle, self.config.peephole.angle_tolerance);
-                gates[slot.gate] = Gate::Rz { qubit, angle };
-            }
-            let patched = Circuit::from_gates(self.num_qubits, gates);
-            // Every value-sensitive rewrite needs either a zero-angle
-            // rotation or a mergeable/cancellable rotation pair, and the
-            // compile-time peephole already eliminated every such pair
-            // angle-independently. So unless a patched slot landed on zero,
-            // the optimized skeleton is the pipeline's fixpoint verbatim.
-            if !any_zero {
-                return Ok(patched);
-            }
-            return Ok(self.run_peephole(&patched));
-        }
-
         let mut gates = self.skeleton.gates().to_vec();
+        let mut any_zero = false;
         for slot in &self.slots {
             let Gate::Rz { qubit, .. } = gates[slot.gate] else {
                 unreachable!("slot {slot:?} does not point at an Rz gate");
             };
-            gates[slot.gate] = Gate::Rz {
-                qubit,
-                angle: slot.sign * angles[slot.param],
-            };
+            let angle = slot.sign * angles[slot.param] + slot.offset;
+            any_zero |= is_zero_rotation(angle, self.config.peephole.angle_tolerance);
+            gates[slot.gate] = Gate::Rz { qubit, angle };
         }
         let patched = Circuit::from_gates(self.num_qubits, gates);
-        if self.config.apply_peephole {
-            Ok(self.run_peephole(&patched))
-        } else {
-            Ok(patched)
+        // Every value-sensitive rewrite needs either a zero-angle rotation
+        // or a mergeable/cancellable rotation pair, and the compile-time
+        // peephole already eliminated every such pair angle-independently.
+        // So unless a patched slot landed on zero, an optimized skeleton is
+        // the pipeline's fixpoint verbatim.
+        if !self.config.apply_peephole || !(self.raw_skeleton || any_zero) {
+            return Ok(patched);
         }
+        Ok(self.run_peephole(&patched))
     }
 
-    /// The memo-backed peephole pass, timed into the `peephole` stage
-    /// histogram when handles are attached.
+    /// The peephole pass, timed into the `peephole` stage histogram when
+    /// handles are attached.
     fn run_peephole(&self, patched: &Circuit) -> Circuit {
         let start = Instant::now();
-        let optimized =
-            optimize_with_shared_cache(patched, &self.config.peephole, &self.peephole_cache);
+        let optimized = optimize_with(patched, &self.config.peephole);
         if let Some(metrics) = &self.stage_metrics {
             metrics.peephole.record_duration(start.elapsed());
         }
@@ -492,8 +449,8 @@ impl CompiledTemplate {
         self.num_params
     }
 
-    /// CNOT count of the skeleton (invariant under binding: the peephole
-    /// only ever removes gates).
+    /// CNOT count of the skeleton: an upper bound on every binding's CNOT
+    /// count (the peephole only ever removes gates).
     #[must_use]
     pub fn skeleton_cnot_count(&self) -> usize {
         self.skeleton.cnot_count()
@@ -588,13 +545,14 @@ impl CompiledTemplate {
 /// each appearing once. That rules out the one ambiguous case: the peephole
 /// merging two marker slots into a single rotation (`θᵢ + θⱼ`, whose marker
 /// angle would decode as some unrelated single parameter); a merge always
-/// changes the surviving parameter set, so set equality detects it. The
-/// slow path stays bit-for-bit correct for such templates.
+/// changes the surviving parameter set, so set equality detects it. Binding
+/// from the raw skeleton plus a peephole run stays bit-for-bit correct for
+/// such templates.
 fn decode_optimized_slots(
     optimized: &Circuit,
     num_params: usize,
-    raw_slots: &[RzSlot],
-) -> Option<Vec<OptimizedSlot>> {
+    raw_slots: &[Slot],
+) -> Option<Vec<Slot>> {
     use std::f64::consts::FRAC_PI_2;
     const TOL: f64 = 1e-6;
     let mut slots = Vec::new();
@@ -615,7 +573,7 @@ fn decode_optimized_slots(
         let Some((k, offset)) = decoded else {
             // Not decodable as a slot. Constants synthesized by Clifford
             // fusion and Z-axis merges lie on the π/2 grid; anything off
-            // the grid is unexplained → slow path.
+            // the grid is unexplained → raw skeleton.
             let angle = match gate {
                 Gate::Rz { angle, .. } => *angle,
                 _ => unreachable!(),
@@ -631,7 +589,7 @@ fn decode_optimized_slots(
             return None; // duplicate decode; be conservative
         }
         seen[param] = true;
-        slots.push(OptimizedSlot {
+        slots.push(Slot {
             gate: gate_idx,
             param,
             sign: k.signum(),

@@ -3,11 +3,16 @@
 //! remain unitarily correct even in the zero-angle corner where the two
 //! pipelines legitimately produce different gate lists.
 
+use std::f64::consts::PI;
+
 use proptest::prelude::*;
 use quclear_core::{compile, QuClearConfig};
-use quclear_engine::{BatchJob, CompiledTemplate, Engine};
+use quclear_engine::{BatchJob, CompiledTemplate, Engine, ENGINE_STAGE_METRIC};
 use quclear_pauli::{PauliOp, PauliRotation, PauliString};
 use quclear_sim::StateVector;
+use quclear_workloads::Benchmark;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Random rotation programs on `n` qubits with non-zero angles (the regime
 /// where bind/compile equivalence is exact).
@@ -191,6 +196,53 @@ fn zero_angle_adjacency_merge_falls_back_and_stays_equivalent() {
         assert!(
             bound_state.approx_eq_up_to_phase(&direct_state, 1e-8),
             "zero-angle adjacency merge broke equivalence for {axes:?}"
+        );
+    }
+}
+
+/// A warm bind with generic angles patches the optimized skeleton and never
+/// runs the peephole: every benchmark program's slots must decode at compile
+/// time. A decode regression keeps every answer correct (the raw-skeleton
+/// fallback is exact) but makes binds several times slower, so this counts
+/// peephole runs directly. An all-zero bind must still take the fallback.
+#[test]
+fn generic_binds_of_benchmark_programs_never_run_the_peephole() {
+    let mut rng = StdRng::seed_from_u64(17);
+    for bench in Benchmark::small_suite() {
+        let engine = Engine::new(4);
+        let peephole_runs = || {
+            engine
+                .metrics_snapshot()
+                .histogram(ENGINE_STAGE_METRIC, Some(("stage", "peephole")))
+                .expect("peephole stage registered")
+                .count()
+        };
+        let program = bench.rotations();
+        let reangled = |angles: Vec<f64>| -> Vec<PauliRotation> {
+            program
+                .iter()
+                .zip(angles)
+                .map(|(r, a)| PauliRotation::new(r.pauli().clone(), a))
+                .collect()
+        };
+        engine.compile(&program).unwrap();
+        let warm = peephole_runs();
+        for _ in 0..2 {
+            let angles = (0..program.len()).map(|_| rng.gen_range(-PI..PI)).collect();
+            engine.compile(&reangled(angles)).unwrap();
+        }
+        assert_eq!(
+            peephole_runs(),
+            warm,
+            "{}: a generic bind ran the peephole",
+            bench.name()
+        );
+        engine.compile(&reangled(vec![0.0; program.len()])).unwrap();
+        assert_eq!(
+            peephole_runs(),
+            warm + 1,
+            "{}: an all-zero bind must re-run the peephole once",
+            bench.name()
         );
     }
 }

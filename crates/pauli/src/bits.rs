@@ -8,9 +8,8 @@
 //! conjugating Pauli strings through large Clifford tableaus stays cheap.
 //!
 //! The bulk operations (`xor_with`, `and_popcount`, …) run on the wide-lane
-//! kernels of the [`simd`] shim, so a single cargo feature on that crate
-//! (`lane2`/`lane4`/`lane8`) selects how many words every kernel in the
-//! workspace processes per step.
+//! kernels of the [`simd`] shim, which process `simd::LANE_WORDS` words per
+//! step.
 
 use std::fmt;
 

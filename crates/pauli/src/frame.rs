@@ -46,7 +46,7 @@ use crate::string::PauliString;
 /// keep five to six planes live per loop iteration, so lanes wider than one
 /// vector register spill to the stack and run slower than scalar. With AVX2
 /// a 4-word lane is one ymm register and everything stays resident, so the
-/// workspace-wide `simd::LANE_WORDS` knob applies up to 4; on narrower ISAs
+/// workspace-wide `simd::LANE_WORDS` applies up to 4; on narrower ISAs
 /// (SSE2/NEON baseline) these sweeps stay scalar.
 const LW: usize = if cfg!(target_feature = "avx2") {
     if simd::LANE_WORDS < 4 {

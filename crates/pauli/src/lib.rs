@@ -46,9 +46,8 @@ pub use string::PauliString;
 
 /// Lane width of the workspace's bit-plane kernels, in 64-bit words.
 ///
-/// Fixed at compile time by the cargo features of the `simd` shim
-/// (`lane2`/`lane4`/`lane8`, or `1` for the scalar fallback); surfaced here
-/// so deployments can report which kernel configuration they are running.
+/// The `simd` shim's `LANE_WORDS` constant, surfaced here so deployments
+/// can report which kernel width they are running.
 #[must_use]
 pub fn kernel_lane_words() -> usize {
     simd::LANE_WORDS

@@ -340,9 +340,9 @@ pub struct StatsSummary {
     /// [`crate::ServerConfig::request_deadline`] budget ran out. Zero when
     /// the field is absent (pre-overload-protection server).
     pub deadline_exceeded: u64,
-    /// Lane width of the server's bit-plane kernels in 64-bit words (1 =
-    /// scalar fallback). Zero when the field is absent (a server from before
-    /// the wide-lane kernels).
+    /// Lane width of the server's bit-plane kernels in 64-bit words. Zero
+    /// when the field is absent (a server from before the wide-lane
+    /// kernels).
     pub lane_words: u64,
     /// Worker threads available to the server's parallel plane sweeps. Zero
     /// when the field is absent (pre-wide-lane server).

@@ -14,7 +14,7 @@ use crate::rules::conjugate_all_by_gate;
 /// or more planes live per loop iteration, so lanes wider than one vector
 /// register spill to the stack and run *slower* than scalar. With AVX2 a
 /// 4-word lane is exactly one ymm register (7 live lanes fit in 16), so the
-/// workspace-wide `simd::LANE_WORDS` knob applies up to 4; on narrower ISAs
+/// workspace-wide `simd::LANE_WORDS` applies up to 4; on narrower ISAs
 /// (SSE2/NEON baseline) these kernels stay scalar and the wide lanes are
 /// reserved for the ≤3-stream kernels, where they measure ~2.5× faster.
 const LW: usize = if cfg!(target_feature = "avx2") {

@@ -1,9 +1,8 @@
 //! Integration tests for the extension features: multi-layer QAOA
-//! absorption, measurement grouping, QASM round-trips and fidelity estimates.
+//! absorption, measurement grouping, and QASM round-trips.
 
 use quclear::baselines::synthesize_naive;
 use quclear::circuit::qasm::{from_qasm, to_qasm};
-use quclear::circuit::NoiseModel;
 use quclear::core::{compile, group_qubitwise_commuting, QuClearConfig};
 use quclear::prelude::*;
 use quclear::sim::StateVector;
@@ -78,22 +77,6 @@ fn optimized_circuit_qasm_roundtrip() {
     let a = StateVector::from_circuit(&result.optimized);
     let b = StateVector::from_circuit(&parsed);
     assert!(a.approx_eq_up_to_phase(&b, 1e-9));
-}
-
-/// CNOT reductions translate into estimated fidelity gains under a simple
-/// noise model — the practical motivation of the paper.
-#[test]
-fn quclear_improves_estimated_fidelity() {
-    let program = Benchmark::Ucc(2, 6).rotations();
-    let naive = synthesize_naive(&program);
-    let optimized = compile(&program, &QuClearConfig::default()).optimized;
-    let model = NoiseModel::superconducting_typical();
-    let fid_naive = model.estimated_fidelity(&naive);
-    let fid_optimized = model.estimated_fidelity(&optimized);
-    assert!(
-        fid_optimized > fid_naive * 2.0,
-        "expected a large fidelity gain: {fid_optimized} vs {fid_naive}"
-    );
 }
 
 /// LABS programs (multi-qubit Z terms + X mixer) also go through the full
