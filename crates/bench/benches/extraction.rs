@@ -14,6 +14,10 @@ fn bench_extraction(c: &mut Criterion) {
         Benchmark::Molecule(quclear_workloads::Molecule::LiH),
         Benchmark::MaxCutRegular { n: 15, degree: 4 },
         Benchmark::Labs(10),
+        // Programs whose commuting blocks make candidate scoring dominate.
+        Benchmark::Ucc(6, 12),
+        Benchmark::Molecule(quclear_workloads::Molecule::Benzene),
+        Benchmark::Labs(15),
     ] {
         let rotations = bench.rotations();
         group.bench_with_input(

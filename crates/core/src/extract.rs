@@ -21,20 +21,20 @@
 //!   tableau per lookahead string. The frame is compacted once more than
 //!   half of its rows have been consumed, so its width tracks the remaining
 //!   work.
-//! * **Cost memo** — `find_next_pauli` scores `O(block²)` (current,
-//!   candidate) pairs, but the score depends only on the two *images*, not
-//!   on the map that produced them. A hash memo keyed on the image pair
-//!   makes repeated scoring (ubiquitous in ansätze with repeated excitation
-//!   structure) a lookup instead of a tree synthesis.
-
-use std::collections::HashMap;
+//! * **Scratch buffers** — `find_next_pauli` scores `O(block²)` (current,
+//!   candidate) pairs, and every score synthesizes a one-lookahead CNOT
+//!   tree. The scorer reads each candidate row word-wise into one reused
+//!   string, basis-remaps only the current rotation's support into a dense
+//!   operator row, and builds the tree in a reused index arena, so a score
+//!   allocates nothing. There is deliberately no memo of scores: a score
+//!   costs less than hashing and looking up its (current, candidate) key.
 
 use quclear_circuit::{Circuit, Gate};
 use quclear_pauli::{PauliFrame, PauliOp, PauliRotation, PauliString};
 use quclear_tableau::{conjugate_all_by_gate, synthesize_clifford, CliffordTableau};
 
 use crate::blocks::CommutingBlocks;
-use crate::tree::{FrameLookahead, TreeSynthesizer};
+use crate::tree::{apply_cx, FrameLookahead, LookaheadOps, TreeScratch, TreeSynthesizer};
 
 /// Configuration of the Clifford Extraction pass.
 #[derive(Clone, Copy, Debug)]
@@ -191,7 +191,7 @@ pub fn extract_clifford(
         segments: Vec::new(),
         phi: CliffordTableau::identity(n),
         images: PauliFrame::from_paulis(n, &all_axes),
-        cost_memo: HashMap::new(),
+        scratch: Scratch::default(),
     };
 
     let mut processed = 0usize;
@@ -291,47 +291,77 @@ fn compact_frame(
     }
 }
 
+/// One dense operator row served as a single lookahead string.
+struct DenseLookahead<'a>(&'a [PauliOp]);
+
+impl LookaheadOps for DenseLookahead<'_> {
+    fn lookahead_len(&self) -> usize {
+        1
+    }
+
+    fn num_qubits(&self) -> usize {
+        self.0.len()
+    }
+
+    fn op_at(&self, _d: usize, qubit: usize) -> PauliOp {
+        self.0[qubit]
+    }
+}
+
+/// Reusable buffers of the extraction inner loop.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Tree synthesizer buffers, shared by scoring and emission.
+    tree: TreeScratch,
+    /// Dense candidate operators on the current support, basis-remapped and
+    /// then conjugated through the scored tree.
+    ops: Vec<PauliOp>,
+    /// CNOTs of the tree being scored or emitted.
+    gates: Vec<Gate>,
+}
+
 /// Cost of a candidate (number of non-identity operators) after extracting
-/// the Clifford subcircuit that would be synthesized for `current` when
-/// optimizing for the candidate. Both arguments are images under the current
-/// Heisenberg map — the cost depends on nothing else, which is what makes it
-/// memoizable. Signs are irrelevant to the weight, so the simulation is
-/// entirely sign-free: the basis layer is applied with two-bit operator maps
-/// (X sites conjugate by H, Y sites by S† then H) and the tree gates with
-/// the two-operator CX rule.
+/// the Clifford subcircuit that would be synthesized for `current` (whose
+/// non-identity qubits are `support`) when optimizing for the candidate.
+/// Both strings are images under the current Heisenberg map; the cost
+/// depends on nothing else. Signs are irrelevant to the weight, so the
+/// simulation is entirely sign-free: the basis layer is applied with
+/// two-bit operator maps (X sites conjugate by H, Y sites by S† then H)
+/// and the tree gates with the two-operator CX rule. Both act only on the
+/// support, so the candidate's weight off the support is carried over as
+/// is.
 fn extraction_cost(
-    n: usize,
     recursive_tree: bool,
     current: &PauliString,
+    support: &[usize],
     candidate: &PauliString,
+    scratch: &mut Scratch,
 ) -> usize {
-    debug_assert!(!current.is_identity());
-    let mut updated = candidate.clone();
-    for (q, op) in current.ops() {
-        match op {
-            PauliOp::X => {
-                let (x, z) = updated.op(q).xz();
-                updated.set_op(q, PauliOp::from_xz(z, x));
-            }
-            PauliOp::Y => {
-                let (x, z) = updated.op(q).xz();
-                // S†: (x, z) → (x, z ^ x); then H swaps the bits.
-                updated.set_op(q, PauliOp::from_xz(z ^ x, x));
-            }
-            PauliOp::I | PauliOp::Z => {}
-        }
+    debug_assert!(!support.is_empty());
+    let ops = &mut scratch.ops;
+    ops.resize(candidate.num_qubits(), PauliOp::I);
+    let mut on_support = 0;
+    for &q in support {
+        let (x, z) = candidate.op(q).xz();
+        on_support += usize::from(x | z);
+        ops[q] = match current.op(q) {
+            PauliOp::X => PauliOp::from_xz(z, x),
+            // S†: (x, z) → (x, z ^ x); then H swaps the bits.
+            PauliOp::Y => PauliOp::from_xz(x ^ z, x),
+            PauliOp::I | PauliOp::Z => PauliOp::from_xz(x, z),
+        };
     }
-    let lookahead = std::slice::from_ref(&updated);
-    let synth = TreeSynthesizer::new(lookahead, recursive_tree);
-    let support = current.support();
-    let (tree_gates, _) = synth.synthesize(&support);
-    // Conjugate the candidate through the tree as well (all CNOTs).
-    let mut updated = updated.clone();
-    for gate in &tree_gates {
-        crate::tree::apply_cx(&mut updated, gate);
+    scratch.gates.clear();
+    TreeSynthesizer::new(&DenseLookahead(ops), recursive_tree).synthesize_into(
+        support,
+        &mut scratch.tree,
+        &mut scratch.gates,
+    );
+    for gate in &scratch.gates {
+        apply_cx(ops, gate);
     }
-    debug_assert_eq!(n, updated.num_qubits());
-    updated.weight()
+    let after = support.iter().filter(|&&q| !ops[q].is_identity()).count();
+    candidate.weight() - on_support + after
 }
 
 struct ExtractionState {
@@ -346,10 +376,8 @@ struct ExtractionState {
     /// Images of the pending rotation axes under `phi`, advanced gate by
     /// gate in lockstep with it (word-parallel over all pending rows).
     images: PauliFrame,
-    /// Memoized `extraction_cost` keyed on the (current, candidate) image
-    /// pair — the cost depends on nothing else. Two-level so cache hits
-    /// need no key allocation.
-    cost_memo: HashMap<PauliString, HashMap<PauliString, usize>>,
+    /// Reusable buffers of scoring and tree synthesis.
+    scratch: Scratch,
 }
 
 impl ExtractionState {
@@ -369,32 +397,25 @@ impl ExtractionState {
         if current.is_identity() {
             return pos + 1;
         }
-        // Take the memo row for `current` out of the map once, instead of
-        // re-hashing the key per candidate; it is moved back (keyed by the
-        // owned `current`) after the scan.
-        let mut memo_row = self.cost_memo.remove(&current).unwrap_or_default();
+        let support = current.support();
         let mut best = pos + 1;
         let mut best_cost = usize::MAX;
         let mut candidate = PauliString::identity(self.n);
         debug_assert_eq!(row_ids[block_idx].len(), block.len());
         for (offset, &candidate_row) in row_ids[block_idx][pos + 1..].iter().enumerate() {
-            let candidate_idx = pos + 1 + offset;
             self.images.read_row_into(candidate_row, &mut candidate);
-            let cost = match memo_row.get(&candidate) {
-                Some(&cost) => cost,
-                None => {
-                    let cost =
-                        extraction_cost(self.n, self.config.recursive_tree, &current, &candidate);
-                    memo_row.insert(candidate.clone(), cost);
-                    cost
-                }
-            };
+            let cost = extraction_cost(
+                self.config.recursive_tree,
+                &current,
+                &support,
+                &candidate,
+                &mut self.scratch,
+            );
             if cost < best_cost {
                 best_cost = cost;
-                best = candidate_idx;
+                best = pos + 1 + offset;
             }
         }
-        self.cost_memo.insert(current, memo_row);
         best
     }
 
@@ -422,13 +443,14 @@ impl ExtractionState {
         // now include the basis layer just applied), read operator-by-
         // operator straight out of the pending-image frame.
         let support = pauli.support();
-        let (tree_gates, root) = if support.len() == 1 {
-            (Vec::new(), support[0])
-        } else {
-            let lookahead = FrameLookahead::new(&self.images, lookahead_rows);
-            let synth = TreeSynthesizer::new(&lookahead, self.config.recursive_tree);
-            synth.synthesize(&support)
-        };
+        let tree_gates = &mut self.scratch.gates;
+        tree_gates.clear();
+        let lookahead = FrameLookahead::new(&self.images, lookahead_rows);
+        let root = TreeSynthesizer::new(&lookahead, self.config.recursive_tree).synthesize_into(
+            &support,
+            &mut self.scratch.tree,
+            tree_gates,
+        );
 
         // Emit [basis][tree][Rz] into the optimized circuit.
         let mut forward = basis;
@@ -441,7 +463,7 @@ impl ExtractionState {
 
         // Finish updating the Heisenberg map: φ ← (P ↦ W φ(P) W†) with W the
         // forward Clifford just emitted.
-        for gate in &tree_gates {
+        for gate in &self.scratch.gates {
             self.phi.then_gate(gate);
             conjugate_all_by_gate(&mut self.images, gate);
         }
@@ -606,5 +628,104 @@ mod tests {
         let result = extract_clifford(&[], &ExtractionConfig::default());
         assert!(result.optimized.is_empty());
         assert!(result.extracted.is_empty());
+    }
+
+    /// The clone-based scoring formula: basis-change a copy of the whole
+    /// candidate, synthesize the one-lookahead tree with the allocating
+    /// entry point, conjugate the whole copy through the tree and count.
+    fn reference_cost(
+        recursive_tree: bool,
+        current: &PauliString,
+        candidate: &PauliString,
+    ) -> usize {
+        let mut updated = candidate.clone();
+        for (q, op) in current.ops() {
+            let (x, z) = updated.op(q).xz();
+            match op {
+                PauliOp::X => updated.set_op(q, PauliOp::from_xz(z, x)),
+                PauliOp::Y => updated.set_op(q, PauliOp::from_xz(z ^ x, x)),
+                PauliOp::I | PauliOp::Z => {}
+            }
+        }
+        let lookahead = std::slice::from_ref(&updated);
+        let (tree_gates, _) =
+            TreeSynthesizer::new(lookahead, recursive_tree).synthesize(&current.support());
+        let mut ops: Vec<PauliOp> = updated.ops().map(|(_, op)| op).collect();
+        for gate in &tree_gates {
+            apply_cx(&mut ops, gate);
+        }
+        ops.iter().filter(|op| !op.is_identity()).count()
+    }
+
+    /// A random string on `n` qubits whose operators are drawn from
+    /// `palette` (repeats weight the draw).
+    fn random_pauli(rng: &mut proptest::TestRng, n: usize, palette: &[PauliOp]) -> PauliString {
+        let ops: Vec<PauliOp> = (0..n)
+            .map(|_| palette[(rng.next_u64() % palette.len() as u64) as usize])
+            .collect();
+        PauliString::from_ops(&ops)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// One scratch is reused across many pairs of varying width, as in
+        /// extraction, so stale entries from a wider or differently
+        /// supported pair must never leak into a score.
+        #[test]
+        fn extraction_cost_matches_the_clone_based_formula(
+            seed in proptest::any::<u64>(),
+            recursive_tree in proptest::any::<bool>(),
+        ) {
+            use PauliOp::{I, X, Y, Z};
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let mut scratch = Scratch::default();
+            for round in 0..32 {
+                let n = 1 + (rng.next_u64() % 70) as usize;
+                let (current, candidate) = match round % 4 {
+                    // Uniform operators.
+                    0 => (
+                        random_pauli(&mut rng, n, &[I, X, Y, Z]),
+                        random_pauli(&mut rng, n, &[I, X, Y, Z]),
+                    ),
+                    // Y-heavy on both sides.
+                    1 => (
+                        random_pauli(&mut rng, n, &[I, Y, Y, Y, X, Z]),
+                        random_pauli(&mut rng, n, &[I, Y, Y, Y, X, Z]),
+                    ),
+                    // No Z left on the support after the basis change, so
+                    // the Y and X subtrees' chains come first.
+                    2 => (
+                        random_pauli(&mut rng, n, &[I, Z, Z]),
+                        random_pauli(&mut rng, n, &[X, Y, Y]),
+                    ),
+                    // Disjoint supports: the candidate lives off the
+                    // current rotation's support.
+                    _ => {
+                        let current = random_pauli(&mut rng, n, &[I, I, X, Y, Z]);
+                        let mut candidate = random_pauli(&mut rng, n, &[X, Y, Z]);
+                        for q in current.support() {
+                            candidate.set_op(q, I);
+                        }
+                        (current, candidate)
+                    }
+                };
+                if current.is_identity() {
+                    continue;
+                }
+                let cost = extraction_cost(
+                    recursive_tree,
+                    &current,
+                    &current.support(),
+                    &candidate,
+                    &mut scratch,
+                );
+                let expected = reference_cost(recursive_tree, &current, &candidate);
+                proptest::prop_assert!(
+                    cost == expected,
+                    "current {current} candidate {candidate}: {cost} != {expected}"
+                );
+            }
+        }
     }
 }

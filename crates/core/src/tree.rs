@@ -8,6 +8,7 @@
 //! Table-I reduction rules.
 
 use std::fmt;
+use std::ops::Range;
 
 use quclear_circuit::Gate;
 use quclear_pauli::{PauliFrame, PauliOp, PauliString};
@@ -118,118 +119,155 @@ impl<'a, L: LookaheadOps + ?Sized> TreeSynthesizer<'a, L> {
     /// Panics if `support` is empty.
     #[must_use]
     pub fn synthesize(&self, support: &[usize]) -> (Vec<Gate>, usize) {
+        let mut gates = Vec::new();
+        let root = self.synthesize_into(support, &mut TreeScratch::default(), &mut gates);
+        (gates, root)
+    }
+
+    /// [`Self::synthesize`] over reusable buffers: appends the tree's CNOTs
+    /// to `gates` and returns the root, allocating nothing once `scratch`
+    /// and `gates` have grown to the largest tree seen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `support` is empty.
+    pub(crate) fn synthesize_into(
+        &self,
+        support: &[usize],
+        scratch: &mut TreeScratch,
+        gates: &mut Vec<Gate>,
+    ) -> usize {
         assert!(
             !support.is_empty(),
             "cannot synthesize a tree over an empty support"
         );
-        let mut gates = Vec::new();
-        let root = self.synth_rec(support, 0, &mut gates);
-        (gates, root)
+        scratch.arena.clear();
+        scratch.arena.extend_from_slice(support);
+        let n = self.lookahead.num_qubits();
+        if scratch.live.len() < n {
+            scratch.live.resize(n, PauliOp::I);
+        }
+        self.synth_rec(0..support.len(), 0, scratch, gates)
     }
 
-    fn synth_rec(&self, tree_idxs: &[usize], depth: usize, gates: &mut Vec<Gate>) -> usize {
-        if tree_idxs.len() == 1 {
-            return tree_idxs[0];
+    /// Synthesizes the subtree over the qubits `scratch.arena[range]`.
+    fn synth_rec(
+        &self,
+        range: Range<usize>,
+        depth: usize,
+        scratch: &mut TreeScratch,
+        gates: &mut Vec<Gate>,
+    ) -> usize {
+        if range.len() == 1 {
+            return scratch.arena[range.start];
         }
-        if !self.recursive && depth > 0 {
-            return chain(tree_idxs, gates);
-        }
-        if depth >= self.lookahead.lookahead_len() {
+        if (!self.recursive && depth > 0) || depth >= self.lookahead.lookahead_len() {
             // No further Pauli to optimize for: any tree is as good as any
             // other; use a simple chain.
-            return chain(tree_idxs, gates);
+            return chain(&scratch.arena[range], gates);
         }
+        let start = gates.len();
 
-        // Step 1: partition the qubits by the next Pauli's operator.
-        let mut groups: [Vec<usize>; 4] = Default::default();
-        for &q in tree_idxs {
-            let slot = match self.lookahead.op_at(depth, q) {
-                PauliOp::Z => 0,
-                PauliOp::I => 1,
-                PauliOp::Y => 2,
-                PauliOp::X => 3,
-            };
-            groups[slot].push(q);
+        // Step 1: partition the qubits by the next Pauli's operator into
+        // contiguous Z, I, Y, X groups appended to the arena, each in input
+        // order.
+        let base = scratch.arena.len();
+        let mut group_ends = [base; 4];
+        for (op, end) in [PauliOp::Z, PauliOp::I, PauliOp::Y, PauliOp::X]
+            .into_iter()
+            .zip(&mut group_ends)
+        {
+            for i in range.clone() {
+                let q = scratch.arena[i];
+                if self.lookahead.op_at(depth, q) == op {
+                    scratch.arena.push(q);
+                }
+            }
+            *end = scratch.arena.len();
         }
 
         // Step 2: synthesize each subtree (recursively, using the Pauli after
         // next to order the qubits inside the subtree).
-        let mut roots: Vec<usize> = Vec::new();
-        for group in &groups {
-            match group.len() {
-                0 => {}
-                1 => roots.push(group[0]),
-                _ => {
-                    let root = if self.recursive {
-                        self.synth_rec(group, depth + 1, gates)
-                    } else {
-                        chain(group, gates)
-                    };
-                    roots.push(root);
-                }
-            }
+        let mut roots = [0usize; 4];
+        let mut remaining = 0;
+        let mut group_start = base;
+        for end in group_ends {
+            let group = group_start..end;
+            group_start = end;
+            roots[remaining] = match group.len() {
+                0 => continue,
+                1 => scratch.arena[group.start],
+                _ if self.recursive => self.synth_rec(group, depth + 1, scratch, gates),
+                _ => chain(&scratch.arena[group], gates),
+            };
+            remaining += 1;
         }
 
-        // Step 3: connect the subtree roots, preferring CNOTs that reduce the
-        // next Pauli according to Table I. Residual operators at the roots
-        // are tracked live through the gates emitted so far for this tree.
-        self.connect_roots(&roots, depth, gates)
-    }
-
-    /// Connects the given roots into a single tree root, greedily choosing
-    /// (control, target) pairs that minimize the next Pauli's weight.
-    ///
-    /// The tree gates are all CNOTs and only weights matter here, so the
-    /// live view is a phase-free string updated with the two-operator CX
-    /// rule — no string-wide conjugation or allocation in the O(roots²)
-    /// candidate scan.
-    fn connect_roots(&self, roots: &[usize], depth: usize, gates: &mut Vec<Gate>) -> usize {
-        let mut remaining: Vec<usize> = roots.to_vec();
-        // Live view of the next Pauli conjugated through the tree built so
-        // far. Only qubits the tree touches can influence or be influenced
-        // by the tree's CNOTs, so the view is populated on those alone.
-        let mut live = PauliString::identity(self.lookahead.num_qubits());
-        let mut touched: Vec<usize> = roots.to_vec();
-        for gate in gates.iter() {
-            if let Gate::Cx { control, target } = gate {
-                touched.push(*control);
-                touched.push(*target);
-            }
+        // Step 3: connect the subtree roots, greedily choosing the
+        // (control, target) pairs that most reduce the next Pauli (Table I).
+        // The operators at the roots are the next Pauli conjugated through
+        // this node's own subtrees, `gates[start..]`, which act only on the
+        // node's qubits. Earlier gates belong to other branches, on disjoint
+        // qubits, so they cannot reach these roots. The live view is a dense
+        // phase-free row updated with the two-operator CX rule.
+        let live = &mut scratch.live;
+        for &q in &scratch.arena[base..] {
+            live[q] = self.lookahead.op_at(depth, q);
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for &q in &touched {
-            live.set_op(q, self.lookahead.op_at(depth, q));
+        for gate in &gates[start..] {
+            apply_cx(live, gate);
         }
-        for gate in gates.iter() {
-            apply_cx(&mut live, gate);
-        }
-        while remaining.len() > 1 {
+        while remaining > 1 {
             let mut best: Option<(usize, usize, i32)> = None;
-            for (ci, &control) in remaining.iter().enumerate() {
-                for (ti, &target) in remaining.iter().enumerate() {
+            for (ci, &control) in roots[..remaining].iter().enumerate() {
+                for (ti, &target) in roots[..remaining].iter().enumerate() {
                     if ci == ti {
                         continue;
                     }
-                    let (oc, ot) = (live.op(control), live.op(target));
+                    let (oc, ot) = (live[control], live[target]);
                     let (nc, nt) = cx_images(oc, ot);
                     let before_weight = weight_of(oc) + weight_of(ot);
                     let after_weight = weight_of(nc) + weight_of(nt);
                     let reduction = before_weight as i32 - after_weight as i32;
                     if best.is_none_or(|(_, _, r)| reduction > r) {
-                        best = Some((control, target, reduction));
+                        best = Some((ci, target, reduction));
                     }
                 }
             }
-            let (control, target, _) = best.expect("at least two roots remain");
-            let (nc, nt) = cx_images(live.op(control), live.op(target));
-            live.set_op(control, nc);
-            live.set_op(target, nt);
+            let (ci, target, _) = best.expect("at least two roots remain");
+            let control = roots[ci];
+            (live[control], live[target]) = cx_images(live[control], live[target]);
             gates.push(Gate::Cx { control, target });
-            remaining.retain(|&q| q != control);
+            // Ordered removal of the control.
+            roots[ci..remaining].rotate_left(1);
+            remaining -= 1;
         }
-        remaining[0]
+        scratch.arena.truncate(base);
+        roots[0]
     }
+}
+
+/// Reusable buffers of [`TreeSynthesizer::synthesize_into`].
+#[derive(Debug, Default)]
+pub(crate) struct TreeScratch {
+    /// Qubit-index arena: the support, then each open recursion level's
+    /// partition of its range, truncated when the level returns.
+    arena: Vec<usize>,
+    /// Dense live view of the next Pauli at the roots being connected,
+    /// indexed by qubit; only the current node's qubits are meaningful.
+    live: Vec<PauliOp>,
+}
+
+/// Applies the sign-free CX rule of `gate` to the dense operator row `ops`.
+///
+/// # Panics
+///
+/// Panics if `gate` is not a CNOT (tree circuits contain nothing else).
+pub(crate) fn apply_cx(ops: &mut [PauliOp], gate: &Gate) {
+    let Gate::Cx { control, target } = *gate else {
+        panic!("tree circuits contain only CNOTs, found {gate}")
+    };
+    (ops[control], ops[target]) = cx_images(ops[control], ops[target]);
 }
 
 /// Sign-free CX conjugation on the (control, target) operator pair.
@@ -238,20 +276,6 @@ fn cx_images(control: PauliOp, target: PauliOp) -> (PauliOp, PauliOp) {
     let (xc, zc) = control.xz();
     let (xt, zt) = target.xz();
     (PauliOp::from_xz(xc, zc ^ zt), PauliOp::from_xz(xt ^ xc, zt))
-}
-
-/// Applies the sign-free CX rule of `gate` to `pauli` in place.
-///
-/// # Panics
-///
-/// Panics if `gate` is not a CNOT (tree circuits contain nothing else).
-pub(crate) fn apply_cx(pauli: &mut PauliString, gate: &Gate) {
-    let Gate::Cx { control, target } = gate else {
-        panic!("tree circuits contain only CNOTs, found {gate}")
-    };
-    let (nc, nt) = cx_images(pauli.op(*control), pauli.op(*target));
-    pauli.set_op(*control, nc);
-    pauli.set_op(*target, nt);
 }
 
 /// Connects the qubits in index order with a CNOT chain and returns the last

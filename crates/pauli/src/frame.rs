@@ -309,17 +309,9 @@ impl PauliFrame {
     /// Extracts row `i` as a phase-free Pauli string.
     #[must_use]
     pub fn row_pauli(&self, i: usize) -> PauliString {
-        let mut x = BitVec::zeros(self.n);
-        let mut z = BitVec::zeros(self.n);
-        for q in 0..self.n {
-            if self.x[q].get(i) {
-                x.set(q, true);
-            }
-            if self.z[q].get(i) {
-                z.set(q, true);
-            }
-        }
-        PauliString::from_xz(x, z)
+        let mut pauli = PauliString::identity(self.n);
+        self.read_row_into(i, &mut pauli);
+        pauli
     }
 
     /// Extracts row `i` as a signed Pauli.
@@ -332,16 +324,20 @@ impl PauliFrame {
     ///
     /// # Panics
     ///
-    /// Panics if `out` is not on `n` qubits.
+    /// Panics if `out` is not on `n` qubits or `i` is out of range.
     pub fn read_row_into(&self, i: usize, out: &mut PauliString) {
         assert_eq!(
             out.num_qubits(),
             self.n,
             "qubit count mismatch in PauliFrame::read_row_into"
         );
-        for q in 0..self.n {
-            out.set_op(q, self.op(i, q));
-        }
+        let (x, z) = out.xz_words_mut();
+        self.gather_row(&self.x, i, x);
+        self.gather_row(&self.z, i, z);
+        debug_assert!(
+            out.x_bits().tail_is_clear() && out.z_bits().tail_is_clear(),
+            "row gather must not write past the qubit count"
+        );
     }
 
     /// The X-support of row `i` as a qubit mask (bit `q` = row `i` has an X
@@ -349,11 +345,7 @@ impl PauliFrame {
     #[must_use]
     pub fn row_x_support(&self, i: usize) -> BitVec {
         let mut support = BitVec::zeros(self.n);
-        for q in 0..self.n {
-            if self.x[q].get(i) {
-                support.set(q, true);
-            }
-        }
+        self.gather_row(&self.x, i, support.words_mut());
         support
     }
 
@@ -363,12 +355,21 @@ impl PauliFrame {
     #[must_use]
     pub fn row_z_support(&self, i: usize) -> BitVec {
         let mut support = BitVec::zeros(self.n);
-        for q in 0..self.n {
-            if self.z[q].get(i) {
-                support.set(q, true);
-            }
-        }
+        self.gather_row(&self.z, i, support.words_mut());
         support
+    }
+
+    /// Gathers bit `i` of every plane into the qubit-indexed words `out`
+    /// (bit `q` of `out` = bit `i` of `planes[q]`): one shift-and-or per
+    /// plane, a whole output word at a time.
+    fn gather_row(&self, planes: &[BitVec], i: usize, out: &mut [u64]) {
+        assert!(i < self.rows, "row {i} out of range ({} rows)", self.rows);
+        let (word, shift) = (i / 64, i % 64);
+        for (chunk, out) in planes.chunks(64).zip(out) {
+            *out = chunk.iter().enumerate().fold(0, |acc, (b, plane)| {
+                acc | ((plane.words()[word] >> shift) & 1) << b
+            });
+        }
     }
 
     /// Pauli weight of row `i` (number of non-identity operators).
@@ -776,5 +777,34 @@ mod tests {
         f.load_row(1, &"XYZ".parse().unwrap(), true);
         assert_eq!(f.get(1).to_string(), "-XYZ");
         assert!(f.is_identity_row(0));
+    }
+
+    /// The word-level row gather agrees with per-bit reads across word
+    /// boundaries in both dimensions, and overwrites stale output.
+    #[test]
+    fn row_reads_match_per_bit_reads_across_words() {
+        let (n, rows) = (130, 150);
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut f = PauliFrame::identities(n, rows);
+        for i in 0..rows {
+            for q in 0..n {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let op = [PauliOp::I, PauliOp::X, PauliOp::Y, PauliOp::Z][(state % 4) as usize];
+                f.set_op(i, q, op);
+            }
+        }
+        let mut out = PauliString::from_ops(&[PauliOp::Y; 130]);
+        for i in [0, 1, 63, 64, 65, 127, 128, 149] {
+            let expected: Vec<PauliOp> = (0..n).map(|q| f.op(i, q)).collect();
+            let expected = PauliString::from_ops(&expected);
+            f.read_row_into(i, &mut out);
+            assert_eq!(out, expected, "row {i}");
+            assert_eq!(f.row_pauli(i), expected, "row {i}");
+            assert_eq!(f.row_x_support(i), *expected.x_bits(), "row {i}");
+            assert_eq!(f.row_z_support(i), *expected.z_bits(), "row {i}");
+            assert_eq!(expected.weight(), f.weight(i), "row {i}");
+        }
     }
 }

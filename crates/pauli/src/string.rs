@@ -107,6 +107,12 @@ impl PauliString {
         &self.z
     }
 
+    /// Mutable words of the X and Z blocks, for in-crate word-level writers.
+    /// Callers must keep bits at positions `>= num_qubits()` zero.
+    pub(crate) fn xz_words_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        (self.x.words_mut(), self.z.words_mut())
+    }
+
     /// Returns the operator acting on `qubit`.
     ///
     /// # Panics
@@ -136,10 +142,14 @@ impl PauliString {
     /// Number of non-identity operators (the Pauli weight).
     #[must_use]
     pub fn weight(&self) -> usize {
-        let mut or = self.x.clone();
-        or.xor_with(&self.z);
-        // x | z = (x ^ z) | (x & z); count via the two pieces.
-        or.count_ones() + self.x.and_count(&self.z)
+        // The word sum counts padding bits too; writers keep them zero.
+        debug_assert!(self.x.tail_is_clear() && self.z.tail_is_clear());
+        self.x
+            .words()
+            .iter()
+            .zip(self.z.words())
+            .map(|(x, z)| (x | z).count_ones() as usize)
+            .sum()
     }
 
     /// Returns the indices of qubits with a non-identity operator, ascending.
