@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the Clifford Extraction pass (compile-time
 //! component of Table III).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use quclear_circuit::optimize;
 use quclear_core::{compile, extract_clifford, ExtractionConfig, QuClearConfig};
 use quclear_workloads::Benchmark;
 
@@ -50,5 +51,35 @@ fn bench_full_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_extraction, bench_full_pipeline);
+/// The peephole alone on extraction outputs: the second layer of a cold
+/// compile after extraction itself.
+fn bench_peephole(c: &mut Criterion) {
+    let mut group = c.benchmark_group("extraction");
+    group.sample_size(20);
+    for (id, bench) in [
+        ("ucc612", Benchmark::Ucc(6, 12)),
+        (
+            "benzene",
+            Benchmark::Molecule(quclear_workloads::Molecule::Benzene),
+        ),
+    ] {
+        let extracted =
+            extract_clifford(&bench.rotations(), &ExtractionConfig::default()).optimized;
+        group.bench_with_input(
+            BenchmarkId::new("peephole", id),
+            &extracted,
+            |b, circuit| {
+                b.iter(|| optimize(black_box(circuit)));
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_extraction,
+    bench_full_pipeline,
+    bench_peephole
+);
 criterion_main!(benches);

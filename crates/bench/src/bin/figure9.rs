@@ -30,7 +30,7 @@ fn main() {
         let time_without = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let with = compile(&rotations, &QuClearConfig::full());
+        let with = compile(&rotations, &QuClearConfig::default());
         let time_with = start.elapsed().as_secs_f64();
 
         rows.push(Row {

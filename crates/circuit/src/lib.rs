@@ -5,7 +5,7 @@
 //! * [`Gate`] and [`Circuit`] — the gate set and circuit container with the
 //!   metrics the paper's evaluation reports (CNOT count, entangling depth,
 //!   total depth, single-qubit gate count),
-//! * [`optimize`] — a peephole optimizer playing the role of "Qiskit
+//! * [`optimize`] — a one-pass peephole optimizer playing the role of "Qiskit
 //!   optimization level 3" in the paper's pipeline,
 //! * [`CouplingMap`] and [`route`] — device topologies (Sycamore-like grid,
 //!   heavy-hex) and a greedy SWAP router for the Figure 11 mapping
@@ -42,7 +42,7 @@ pub use circuit::Circuit;
 pub use coupling::CouplingMap;
 pub use gate::{Gate, QubitList};
 pub use math::{Mat2, C64};
-pub use optimize::{is_zero_rotation, optimize, optimize_with, OptimizeOptions};
+pub use optimize::{is_zero_rotation, optimize};
 pub use routing::{initial_layout_by_interaction, route, route_with_layout, RoutingResult};
 
 #[cfg(test)]
@@ -56,6 +56,5 @@ mod tests {
         assert_send_sync::<Circuit>();
         assert_send_sync::<CouplingMap>();
         assert_send_sync::<RoutingResult>();
-        assert_send_sync::<OptimizeOptions>();
     }
 }

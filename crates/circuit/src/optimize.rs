@@ -1,51 +1,41 @@
 //! Peephole circuit optimization.
 //!
-//! This module plays the role that "Qiskit optimization level 3" plays in the
-//! QuCLEAR paper: a local-rewriting clean-up pass applied to synthesized
-//! circuits. It is intentionally a *local* optimizer — it cancels inverse
-//! pairs (with commutation-aware lookback), merges adjacent rotations and
-//! fuses runs of single-qubit gates — and does not understand Pauli-level
-//! structure; that is the job of the QuCLEAR core and the baselines.
+//! [`optimize`] plays the role that "Qiskit optimization level 3" plays in
+//! the QuCLEAR paper: a local clean-up of synthesized circuits, blind to
+//! Pauli-level structure. It is **one forward pass over per-qubit wires**:
+//! each incoming gate walks back along its qubits, past the gates it
+//! commutes with, to the first gate it cancels or merges with. It cancels
+//! gate/inverse pairs, merges same-axis rotations (`S`, `S†` and `Z` merge
+//! into an `Rz`), drops zero rotations, and fuses runs of single-qubit
+//! Cliffords into at most three Euler rotations (`Rz·Ry·Rz`) when that is
+//! shorter, or into nothing when they multiply to the identity.
+//!
+//! A removal uncovers the gates behind it: the single-qubit Cliffords left at
+//! the end of a touched wire reopen into that qubit's run, so the runs on
+//! both sides of a cancelled pair fuse as one. That is why one pass suffices,
+//! and why the pass has no options: no round count, lookback window or
+//! per-rewrite switch.
+//!
+//! Every structural decision is angle-independent: runs only hold Cliffords
+//! and commutation is decided by gate kind. Only zero-angle drops and
+//! exact-inverse cancellations look at angle values. A compiled template
+//! relies on this when it patches real angles into the pass's output on
+//! marker angles.
+
+use std::f64::consts::{FRAC_PI_2, PI};
 
 use crate::gate::QubitList;
 use crate::math::{single_qubit_matrix, zyz_decompose, Mat2};
 use crate::{Circuit, Gate};
 
-/// Options controlling [`optimize_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct OptimizeOptions {
-    /// Cancel gate/inverse pairs, looking backwards past commuting gates.
-    pub cancel_inverses: bool,
-    /// Merge adjacent rotations of the same kind on the same qubit.
-    pub merge_rotations: bool,
-    /// Fuse runs of single-qubit gates into at most three Euler rotations.
-    pub fuse_single_qubit: bool,
-    /// Maximum number of fixpoint iterations over all passes.
-    pub max_passes: usize,
-    /// How many earlier gates the cancellation pass may look back through.
-    pub lookback: usize,
-    /// Angles smaller than this (mod 2π) are treated as zero.
-    pub angle_tolerance: f64,
-}
+/// Angles within this distance of a multiple of 2π count as zero.
+const ANGLE_TOLERANCE: f64 = 1e-10;
 
-impl Default for OptimizeOptions {
-    fn default() -> Self {
-        OptimizeOptions {
-            cancel_inverses: true,
-            merge_rotations: true,
-            fuse_single_qubit: true,
-            max_passes: 8,
-            lookback: 128,
-            angle_tolerance: 1e-10,
-        }
-    }
-}
-
-/// Optimizes a circuit with the default options.
+/// Optimizes a circuit with one forward peephole pass.
 ///
-/// The result implements the same unitary as the input (this is checked
-/// end-to-end by the simulator-backed tests in `quclear-sim` and the
-/// workspace integration tests).
+/// The result implements the same unitary as the input up to global phase
+/// (this is checked end-to-end by the simulator-backed tests in
+/// `quclear-sim` and the workspace integration tests).
 ///
 /// # Examples
 ///
@@ -62,43 +52,246 @@ impl Default for OptimizeOptions {
 /// ```
 #[must_use]
 pub fn optimize(circuit: &Circuit) -> Circuit {
-    optimize_with(circuit, &OptimizeOptions::default())
+    let n = circuit.num_qubits();
+    let mut pass = Pass {
+        out: Vec::with_capacity(circuit.len()),
+        wires: vec![Vec::new(); n],
+        runs: vec![Vec::new(); n],
+    };
+    for gate in circuit.gates() {
+        pass.push(*gate);
+    }
+    for q in 0..n {
+        pass.close(q);
+    }
+    Circuit::from_gates(n, pass.out.into_iter().flatten().collect())
 }
 
-/// Optimizes a circuit with explicit options.
+/// Returns `true` when `angle` is within 1e-10 of a multiple of 2π — the
+/// exact predicate the peephole uses to drop rotations. Public so that
+/// callers patching angles into an optimized skeleton (the engine's template
+/// bind path) can pre-check whether a zero-angle rewrite could fire at all.
 #[must_use]
-pub fn optimize_with(circuit: &Circuit, options: &OptimizeOptions) -> Circuit {
-    let mut current = circuit.clone();
-    for _ in 0..options.max_passes {
-        let mut changed = false;
-        if options.cancel_inverses {
-            let (next, c) = cancel_inverse_pairs(&current, options);
-            current = next;
-            changed |= c;
-        }
-        if options.merge_rotations {
-            let (next, c) = merge_rotations(&current, options);
-            current = next;
-            changed |= c;
-        }
-        if options.fuse_single_qubit {
-            let (next, c) = fuse_single_qubit_runs(&current, options);
-            current = next;
-            changed |= c;
-        }
-        if !changed {
-            break;
+pub fn is_zero_rotation(angle: f64) -> bool {
+    let two_pi = 2.0 * PI;
+    let reduced = angle.rem_euclid(two_pi);
+    reduced < ANGLE_TOLERANCE || (two_pi - reduced) < ANGLE_TOLERANCE
+}
+
+/// The state of the forward pass.
+struct Pass {
+    /// Emitted gates; `None` marks a gate a later one cancelled or merged
+    /// away.
+    out: Vec<Option<Gate>>,
+    /// Per qubit, the indices into `out` of its gates, oldest first.
+    wires: Vec<Vec<usize>>,
+    /// Per qubit, the open run of single-qubit Cliffords not yet emitted;
+    /// it follows every gate on the qubit's wire.
+    runs: Vec<Vec<Gate>>,
+}
+
+impl Pass {
+    fn push(&mut self, mut gate: Gate) {
+        let qubits = gate.qubit_list();
+        let q = qubits.as_slice()[0];
+        if let &[a, b] = qubits.as_slice() {
+            // Try through the open runs first; closing them (which may fuse
+            // them away) only helps when there is a run to close.
+            let cancelled = self.cancel_pair(gate, a, b) || {
+                let runs_open = !(self.runs[a].is_empty() && self.runs[b].is_empty());
+                self.close(a);
+                self.close(b);
+                runs_open && self.cancel_pair(gate, a, b)
+            };
+            if cancelled {
+                self.reopen(a);
+                self.reopen(b);
+            } else {
+                self.emit(gate);
+            }
+        } else if is_rotation(&gate) {
+            // An Rz takes in the phase gates that end the run, as it would
+            // merge with them once they were emitted.
+            if let Gate::Rz { angle, .. } = &mut gate {
+                let run = &mut self.runs[q];
+                let phases = run.iter().rev().take_while(|g| g.is_diagonal()).count();
+                let tail = run.drain(run.len() - phases..);
+                *angle += tail.filter_map(|g| axis_view(&g)).map(|v| v.2).sum::<f64>();
+            }
+            self.close(q);
+            self.place(gate);
+            self.reopen(q);
+        } else if self.runs[q].last() == Some(&gate.inverse()) {
+            self.runs[q].pop();
+        } else if self.runs[q].is_empty() && self.place(gate) {
+            self.reopen(q);
+        } else {
+            self.runs[q].push(gate);
         }
     }
-    current
+
+    /// Cancels the two-qubit `gate` on `a` and `b` against the same inverse
+    /// gate reached along both wires. Returns whether it did.
+    fn cancel_pair(&mut self, gate: Gate, a: usize, b: usize) -> bool {
+        let inverse = gate.inverse();
+        let hit = |p: &Gate| (*p == inverse).then_some(None);
+        match self.walk(a, &gate, hit) {
+            Some((i, _)) if self.walk(b, &gate, hit).is_some_and(|(j, _)| j == i) => {
+                self.out[i] = None;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Places a single-qubit gate on a qubit with an empty run: it is dropped
+    /// if it is a zero rotation, cancels an exact inverse, or merges into the
+    /// first same-axis rotation it reaches. A rotation that does none of
+    /// these is emitted; a Clifford is left to the caller. Returns whether
+    /// the gate was consumed.
+    fn place(&mut self, gate: Gate) -> bool {
+        if is_rotation(&gate) && axis_view(&gate).is_some_and(|v| is_zero_rotation(v.2)) {
+            return true;
+        }
+        let q = gate.qubit_list().as_slice()[0];
+        let inverse = gate.inverse();
+        let found = self
+            .walk(q, &gate, |p| (*p == inverse).then_some(None))
+            .or_else(|| self.walk(q, &gate, |p| merge(p, &gate)));
+        if let Some((i, rewritten)) = found {
+            self.out[i] = rewritten;
+        } else if is_rotation(&gate) {
+            self.emit(gate);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Walks back along qubit `q`, passing only gates that commute with
+    /// `gate`, to the first live gate `meet` rewrites, and returns its index
+    /// in `out` with what it becomes. The open run comes first: `gate` must
+    /// commute with all of it.
+    fn walk(
+        &self,
+        q: usize,
+        gate: &Gate,
+        meet: impl Fn(&Gate) -> Option<Option<Gate>>,
+    ) -> Option<(usize, Option<Gate>)> {
+        if !self.runs[q].iter().all(|r| gates_commute(r, gate)) {
+            return None;
+        }
+        for &i in self.wires[q].iter().rev() {
+            let Some(prev) = &self.out[i] else { continue };
+            if let Some(rewritten) = meet(prev) {
+                return Some((i, rewritten));
+            }
+            if !gates_commute(prev, gate) {
+                return None;
+            }
+        }
+        None
+    }
+
+    /// Appends `gate` to the output and to the wires of its qubits.
+    fn emit(&mut self, gate: Gate) {
+        let index = self.out.len();
+        self.out.push(Some(gate));
+        for &q in gate.qubit_list().as_slice() {
+            self.wires[q].push(index);
+        }
+    }
+
+    /// Moves the single-qubit Cliffords left at the end of `q`'s wire back
+    /// to the front of its open run, so that they fuse with it.
+    fn reopen(&mut self, q: usize) {
+        let run = &mut self.runs[q];
+        let len = run.len();
+        while let Some(&i) = self.wires[q].last() {
+            match self.out[i] {
+                Some(g) if g.is_two_qubit() || is_rotation(&g) => break,
+                Some(g) => {
+                    run.push(g);
+                    self.out[i] = None;
+                }
+                None => {}
+            }
+            self.wires[q].pop();
+        }
+        // The tail was collected newest first; put it oldest first, ahead
+        // of the gates already in the run.
+        let reopened = run.len() - len;
+        run[len..].reverse();
+        run.rotate_right(reopened);
+    }
+
+    /// Emits `q`'s open run and clears it: fused into at most three Euler
+    /// rotations (`Rz·Ry·Rz`) when that is shorter, dropped when it
+    /// multiplies to the identity, and as-is otherwise. Fused rotations are
+    /// placed like any other rotation.
+    fn close(&mut self, q: usize) {
+        let mut run = std::mem::take(&mut self.runs[q]);
+        match fuse(&run, q) {
+            Some(fused) => {
+                for gate in fused {
+                    self.place(gate);
+                }
+            }
+            None => {
+                for &gate in &run {
+                    self.emit(gate);
+                }
+            }
+        }
+        // Hand the buffer back so the next run on `q` reuses it.
+        run.clear();
+        self.runs[q] = run;
+    }
 }
 
-/// Conservative test whether two gates commute; used to look backwards past
-/// unrelated gates during cancellation.
+/// Returns `true` for the parameterized rotations `Rz`, `Rx` and `Ry`.
+fn is_rotation(gate: &Gate) -> bool {
+    matches!(gate, Gate::Rz { .. } | Gate::Rx { .. } | Gate::Ry { .. })
+}
+
+/// The rotation view of a gate: `(axis, qubit, angle)` with axis 0, 1, 2
+/// for Z, X, Y. `S`, `S†` and `Z` are Z rotations by π/2, −π/2 and π (up to
+/// global phase).
+fn axis_view(gate: &Gate) -> Option<(u8, usize, f64)> {
+    match *gate {
+        Gate::Rz { qubit, angle } => Some((0, qubit, angle)),
+        Gate::S(q) => Some((0, q, FRAC_PI_2)),
+        Gate::Sdg(q) => Some((0, q, -FRAC_PI_2)),
+        Gate::Z(q) => Some((0, q, PI)),
+        Gate::Rx { qubit, angle } => Some((1, qubit, angle)),
+        Gate::Ry { qubit, angle } => Some((2, qubit, angle)),
+        _ => None,
+    }
+}
+
+/// The rotation about `axis` (as in [`axis_view`]).
+fn rotation(axis: u8, qubit: usize, angle: f64) -> Gate {
+    match axis {
+        0 => Gate::Rz { qubit, angle },
+        1 => Gate::Rx { qubit, angle },
+        _ => Gate::Ry { qubit, angle },
+    }
+}
+
+/// What `prev` becomes when `gate`, on the same qubit, merges into it
+/// (`None` for a zero angle): they merge when they share an axis and at
+/// least one is a rotation. Two Cliffords never merge; runs fuse them.
+fn merge(prev: &Gate, gate: &Gate) -> Option<Option<Gate>> {
+    let (axis, qubit, a) = axis_view(prev)?;
+    let (other, _, b) = axis_view(gate)?;
+    let merges = axis == other && (is_rotation(prev) || is_rotation(gate));
+    merges.then(|| (!is_zero_rotation(a + b)).then(|| rotation(axis, qubit, a + b)))
+}
+
+/// Conservative test whether two gates commute; used to walk back past
+/// unrelated gates.
 fn gates_commute(a: &Gate, b: &Gate) -> bool {
-    let qa = a.qubit_list();
-    let qb = b.qubit_list();
-    if qa.is_disjoint(qb) {
+    if a.qubit_list().is_disjoint(b.qubit_list()) {
         return true;
     }
     // Both diagonal in the computational basis.
@@ -111,9 +304,7 @@ fn gates_commute(a: &Gate, b: &Gate) -> bool {
     let cx_commutes = |cx_control: usize, cx_target: usize, other: &Gate| -> bool {
         match other {
             Gate::Cx { control, target } => {
-                (*control == cx_control
-                    && *target != cx_target
-                    && !qb_overlap(*target, cx_control, *control, cx_target))
+                (*control == cx_control && *target != cx_target)
                     || (*target == cx_target && *control != cx_control)
             }
             g if g.qubit_list() == QubitList::one(cx_control) => g.is_diagonal(),
@@ -133,249 +324,28 @@ fn gates_commute(a: &Gate, b: &Gate) -> bool {
     }
 }
 
-/// Helper guarding against the CX/CX case where the "other" CNOT's target is
-/// our control (those do not commute).
-fn qb_overlap(
-    other_target: usize,
-    my_control: usize,
-    other_control: usize,
-    my_target: usize,
-) -> bool {
-    other_target == my_control || other_control == my_target
-}
-
-/// Pass 1: cancel gate/inverse pairs, looking backwards through commuting
-/// gates. Returns the new circuit and whether anything changed.
-fn cancel_inverse_pairs(circuit: &Circuit, options: &OptimizeOptions) -> (Circuit, bool) {
-    let gates = circuit.gates();
-    let mut live: Vec<Option<Gate>> = gates.iter().copied().map(Some).collect();
-    let mut changed = false;
-
-    for i in 0..live.len() {
-        let Some(current) = live[i] else { continue };
-        // Walk backwards looking for a cancelling partner.
-        let mut steps = 0usize;
-        let mut j = i;
-        while j > 0 && steps < options.lookback {
-            j -= 1;
-            let Some(prev) = live[j] else { continue };
-            steps += 1;
-            if prev == current.inverse() && prev.qubit_list() == current.qubit_list() {
-                live[i] = None;
-                live[j] = None;
-                changed = true;
-                break;
-            }
-            if !gates_commute(&prev, &current) {
-                break;
-            }
-        }
+/// The fused form of a single-qubit Clifford run on qubit `q`: `Some` of at
+/// most three Euler rotations (none when the run multiplies to the
+/// identity) when that is shorter than the run, `None` otherwise.
+fn fuse(run: &[Gate], q: usize) -> Option<Vec<Gate>> {
+    if run.len() < 2 {
+        return None;
     }
-
-    let kept: Vec<Gate> = live.into_iter().flatten().collect();
-    (Circuit::from_gates(circuit.num_qubits(), kept), changed)
-}
-
-/// The Z-axis "rotation view" of a gate: `Some((qubit, angle, is_rz))` for
-/// gates diagonal on one qubit up to global phase (`S = Rz(π/2)`,
-/// `S† = Rz(−π/2)`, `Z = Rz(π)`, `Rz`), `None` otherwise.
-fn z_axis_view(gate: &Gate) -> Option<(usize, f64, bool)> {
-    use std::f64::consts::{FRAC_PI_2, PI};
-    match *gate {
-        Gate::Rz { qubit, angle } => Some((qubit, angle, true)),
-        Gate::S(q) => Some((q, FRAC_PI_2, false)),
-        Gate::Sdg(q) => Some((q, -FRAC_PI_2, false)),
-        Gate::Z(q) => Some((q, PI, false)),
-        _ => None,
-    }
-}
-
-/// Pass 2: merge adjacent rotations of the same kind on the same qubit and
-/// drop rotations with (near-)zero angle. Z-axis Clifford gates (`S`, `S†`,
-/// `Z`) merge into adjacent `Rz` gates as fixed-angle rotations — this is
-/// what keeps `S·Rz(θ) → Rz(θ+π/2)` working even though parameterized
-/// rotations never enter single-qubit fusion runs.
-fn merge_rotations(circuit: &Circuit, options: &OptimizeOptions) -> (Circuit, bool) {
-    let gates = circuit.gates();
-    let mut live: Vec<Option<Gate>> = gates.iter().copied().map(Some).collect();
-    let mut changed = false;
-
-    for i in 0..live.len() {
-        let Some(current) = live[i] else { continue };
-        let (kind, qubit, angle, current_is_rz) = match current {
-            Gate::Rz { qubit, angle } => (0u8, qubit, angle, true),
-            Gate::Rx { qubit, angle } => (1u8, qubit, angle, true),
-            Gate::Ry { qubit, angle } => (2u8, qubit, angle, true),
-            Gate::S(_) | Gate::Sdg(_) | Gate::Z(_) => {
-                let (qubit, angle, _) = z_axis_view(&current).expect("Z-axis gate");
-                (0u8, qubit, angle, false)
-            }
-            _ => continue,
-        };
-        if current_is_rz && is_zero_angle(angle, options.angle_tolerance) {
-            live[i] = None;
-            changed = true;
-            continue;
-        }
-        let mut steps = 0usize;
-        let mut j = i;
-        while j > 0 && steps < options.lookback {
-            j -= 1;
-            let Some(prev) = live[j] else { continue };
-            steps += 1;
-            let merged = match (kind, prev) {
-                (0, _) => match z_axis_view(&prev) {
-                    // Merge only when an actual Rz is involved: pure
-                    // Clifford phase-gate runs belong to the fusion pass.
-                    Some((q, a, prev_is_rz)) if q == qubit && (prev_is_rz || current_is_rz) => {
-                        Some(Gate::Rz {
-                            qubit,
-                            angle: a + angle,
-                        })
-                    }
-                    _ => None,
-                },
-                (1, Gate::Rx { qubit: q, angle: a }) if q == qubit => Some(Gate::Rx {
-                    qubit,
-                    angle: a + angle,
-                }),
-                (2, Gate::Ry { qubit: q, angle: a }) if q == qubit => Some(Gate::Ry {
-                    qubit,
-                    angle: a + angle,
-                }),
-                _ => None,
-            };
-            if let Some(m) = merged {
-                live[j] = if is_zero_angle(merged_angle(&m), options.angle_tolerance) {
-                    None
-                } else {
-                    Some(m)
-                };
-                live[i] = None;
-                changed = true;
-                break;
-            }
-            if !gates_commute(&prev, &current) {
-                break;
-            }
-        }
-    }
-
-    let kept: Vec<Gate> = live.into_iter().flatten().collect();
-    (Circuit::from_gates(circuit.num_qubits(), kept), changed)
-}
-
-fn merged_angle(gate: &Gate) -> f64 {
-    match gate {
-        Gate::Rz { angle, .. } | Gate::Rx { angle, .. } | Gate::Ry { angle, .. } => *angle,
-        _ => f64::NAN,
-    }
-}
-
-/// Returns `true` when `angle` is within `tol` of a multiple of 2π — the
-/// exact predicate the peephole uses to drop rotations. Public so that
-/// callers replaying peephole fixpoints (the engine's template bind path)
-/// can pre-check whether a zero-angle rewrite could fire at all.
-#[must_use]
-pub fn is_zero_rotation(angle: f64, tol: f64) -> bool {
-    let two_pi = 2.0 * std::f64::consts::PI;
-    let reduced = angle.rem_euclid(two_pi);
-    reduced < tol || (two_pi - reduced) < tol
-}
-
-fn is_zero_angle(angle: f64, tol: f64) -> bool {
-    is_zero_rotation(angle, tol)
-}
-
-/// Emits the pending single-qubit run on qubit `q` into `out` and clears
-/// it, fused into at most three Euler rotations (`Rz·Ry·Rz`) when that is
-/// shorter, or dropped when it multiplies to the identity. Returns whether
-/// the run was rewritten.
-fn flush_run(
-    run: &mut Vec<Gate>,
-    q: usize,
-    options: &OptimizeOptions,
-    out: &mut Vec<Gate>,
-) -> bool {
-    let rewritten = run.len() > 1 && fuse_run(run, q, options, out);
-    if !rewritten {
-        out.append(run);
-    }
-    run.clear();
-    rewritten
-}
-
-/// Pushes the fused form of `run` onto `out` and returns `true`, or pushes
-/// nothing and returns `false` when fusion would not shorten the run.
-fn fuse_run(run: &[Gate], q: usize, options: &OptimizeOptions, out: &mut Vec<Gate>) -> bool {
     // Multiply matrices in time order: U = g_k · … · g_1.
     let mut u = Mat2::identity();
     for g in run {
         u = single_qubit_matrix(g).mul(&u);
     }
-    if u.is_identity_up_to_phase(options.angle_tolerance.max(1e-9)) {
-        return true;
+    if u.is_identity_up_to_phase(1e-9) {
+        return Some(Vec::new());
     }
     let (alpha, beta, gamma) = zyz_decompose(&u);
-    let fused: Vec<Gate> = [
-        Gate::Rz {
-            qubit: q,
-            angle: gamma,
-        },
-        Gate::Ry {
-            qubit: q,
-            angle: beta,
-        },
-        Gate::Rz {
-            qubit: q,
-            angle: alpha,
-        },
-    ]
-    .into_iter()
-    .filter(|g| !is_zero_angle(merged_angle(g), options.angle_tolerance))
-    .collect();
-    if fused.len() < run.len() {
-        out.extend(fused);
-        true
-    } else {
-        false
-    }
-}
-
-/// Pass 3: fuse maximal runs of single-qubit *Clifford* gates into at most
-/// three Euler rotations (`Rz·Ry·Rz`), dropping runs that multiply to the
-/// identity. Two-qubit gates and parameterized rotations break runs; keeping
-/// rotations out makes every fusion decision angle-independent, which is
-/// what lets a compiled template patch new angles into its optimized
-/// skeleton.
-fn fuse_single_qubit_runs(circuit: &Circuit, options: &OptimizeOptions) -> (Circuit, bool) {
-    let n = circuit.num_qubits();
-    let mut pending: Vec<Vec<Gate>> = vec![Vec::new(); n];
-    let mut out: Vec<Gate> = Vec::with_capacity(circuit.len());
-    let mut changed = false;
-
-    for gate in circuit.gates() {
-        if gate.is_two_qubit() {
-            for &q in gate.qubit_list().as_slice() {
-                changed |= flush_run(&mut pending[q], q, options, &mut out);
-            }
-            out.push(*gate);
-        } else if matches!(gate, Gate::Rz { .. } | Gate::Rx { .. } | Gate::Ry { .. }) {
-            // Parameterized rotations act as run barriers: runs stay
-            // Clifford-only. Rotation-rotation simplification is the job of
-            // the merge/cancel passes.
-            let q = gate.qubit_list().as_slice()[0];
-            changed |= flush_run(&mut pending[q], q, options, &mut out);
-            out.push(*gate);
-        } else {
-            pending[gate.qubit_list().as_slice()[0]].push(*gate);
-        }
-    }
-    for (q, run) in pending.iter_mut().enumerate() {
-        changed |= flush_run(run, q, options, &mut out);
-    }
-
-    (Circuit::from_gates(n, out), changed)
+    let fused: Vec<Gate> = [(0, gamma), (2, beta), (0, alpha)]
+        .into_iter()
+        .filter(|&(_, angle)| !is_zero_rotation(angle))
+        .map(|(axis, angle)| rotation(axis, q, angle))
+        .collect();
+    (fused.len() < run.len()).then_some(fused)
 }
 
 #[cfg(test)]
@@ -464,6 +434,14 @@ mod tests {
         c.sdg(1);
         let opt = optimize(&c);
         assert!(opt.is_empty());
+
+        // An inverse pair inside a run cancels before the run is closed, so
+        // what is left stays as it was instead of fusing into rotations.
+        let mut c = Circuit::new(1);
+        c.sdg(0);
+        c.s(0);
+        c.push(Gate::SqrtX(0));
+        assert_eq!(optimize(&c).gates(), &[Gate::SqrtX(0)]);
     }
 
     #[test]
@@ -505,17 +483,58 @@ mod tests {
     }
 
     #[test]
-    fn custom_options_disable_passes() {
-        let mut c = Circuit::new(1);
+    fn cancellation_reopens_the_runs_on_both_sides() {
+        // Once the CX pair cancels, the S·H before it and the S·H after it
+        // form one four-gate run, which fuses into at most three rotations.
+        let mut c = Circuit::new(2);
+        c.s(0);
         c.h(0);
+        c.cx(0, 1);
+        c.cx(0, 1);
+        c.s(0);
         c.h(0);
-        let opts = OptimizeOptions {
-            cancel_inverses: false,
-            fuse_single_qubit: false,
-            merge_rotations: false,
-            ..OptimizeOptions::default()
-        };
-        let opt = optimize_with(&c, &opts);
+        let opt = optimize(&c);
+        assert_eq!(opt.cnot_count(), 0);
+        assert!(opt.len() < 4, "{opt}");
+    }
+
+    #[test]
+    fn closing_a_run_can_clear_the_way_for_a_cancellation() {
+        // X·Y on the control blocks the CX pair until the run fuses into a
+        // Z rotation, which commutes with the control.
+        let mut c = Circuit::new(2);
+        c.cx(0, 1);
+        c.x(0);
+        c.y(0);
+        c.cx(0, 1);
+        let opt = optimize(&c);
+        assert_eq!(opt.cnot_count(), 0);
+        assert_eq!(opt.len(), 1);
+    }
+
+    #[test]
+    fn phase_gates_fold_into_rotations() {
+        // S† walks back past the CX control into the Rz.
+        let mut c = Circuit::new(2);
+        c.rz(0, 0.4);
+        c.cx(0, 1);
+        c.sdg(0);
+        let opt = optimize(&c);
         assert_eq!(opt.len(), 2);
+        assert_eq!(
+            opt.gates()[0],
+            Gate::Rz {
+                qubit: 0,
+                angle: 0.4 - std::f64::consts::FRAC_PI_2
+            }
+        );
+
+        // An Rz takes in the phase gates that end its qubit's open run
+        // before the run fuses: here Z·Rz(−π) vanishes and X is left.
+        let mut c = Circuit::new(1);
+        c.x(0);
+        c.z(0);
+        c.rz(0, -std::f64::consts::PI);
+        assert_eq!(optimize(&c).gates(), &[Gate::X(0)]);
     }
 }

@@ -1,7 +1,7 @@
 //! The end-to-end QuCLEAR pipeline: Clifford Extraction followed by local
 //! clean-up and Clifford Absorption helpers.
 
-use quclear_circuit::{optimize_with, Circuit, OptimizeOptions};
+use quclear_circuit::{optimize, Circuit};
 use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_tableau::CliffordTableau;
 
@@ -20,8 +20,6 @@ pub struct QuClearConfig {
     /// Apply the peephole optimizer to the optimized circuit afterwards
     /// (the paper's "with Qiskit optimization" configuration, Figure 9).
     pub apply_peephole: bool,
-    /// Options for the peephole pass.
-    pub peephole: OptimizeOptions,
 }
 
 impl Default for QuClearConfig {
@@ -29,19 +27,11 @@ impl Default for QuClearConfig {
         QuClearConfig {
             extraction: ExtractionConfig::default(),
             apply_peephole: true,
-            peephole: OptimizeOptions::default(),
         }
     }
 }
 
 impl QuClearConfig {
-    /// The configuration used for the paper's headline numbers: everything
-    /// enabled.
-    #[must_use]
-    pub fn full() -> Self {
-        QuClearConfig::default()
-    }
-
     /// QuCLEAR without the trailing peephole pass (Figure 9's "without Qiskit
     /// optimization" variant).
     #[must_use]
@@ -145,7 +135,7 @@ impl QuClearResult {
 pub fn compile(rotations: &[PauliRotation], config: &QuClearConfig) -> QuClearResult {
     let extraction = extract_clifford(rotations, &config.extraction).resynthesized();
     let optimized = if config.apply_peephole {
-        optimize_with(&extraction.optimized, &config.peephole)
+        optimize(&extraction.optimized)
     } else {
         extraction.optimized
     };
@@ -180,7 +170,7 @@ mod tests {
             rot("XXXX", 0.3),
             rot("IIZZ", 0.4),
         ];
-        let with = compile(&program, &QuClearConfig::full());
+        let with = compile(&program, &QuClearConfig::default());
         let without = compile(&program, &QuClearConfig::without_peephole());
         assert!(with.cnot_count() <= without.cnot_count());
         assert_eq!(with.extracted.gates(), without.extracted.gates());

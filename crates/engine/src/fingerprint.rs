@@ -137,12 +137,6 @@ fn hash_config(hasher: &mut Lanes, config: &QuClearConfig) {
     hasher.write_u64(u64::from(config.extraction.reorder_commuting));
     hasher.write_u64(config.extraction.lookahead_depth as u64);
     hasher.write_u64(u64::from(config.apply_peephole));
-    hasher.write_u64(u64::from(config.peephole.cancel_inverses));
-    hasher.write_u64(u64::from(config.peephole.merge_rotations));
-    hasher.write_u64(u64::from(config.peephole.fuse_single_qubit));
-    hasher.write_u64(config.peephole.max_passes as u64);
-    hasher.write_u64(config.peephole.lookback as u64);
-    hasher.write_u64(config.peephole.angle_tolerance.to_bits());
 }
 
 /// Two independent 64-bit mixing lanes (SplitMix64-style finalizers over an

@@ -32,7 +32,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use quclear_circuit::{is_zero_rotation, optimize_with, Circuit, Gate};
+use quclear_circuit::{is_zero_rotation, optimize, Circuit, Gate};
 use quclear_core::{
     extract_clifford, AbsorbedObservables, AbsorptionError, AbsorptionPlan, MeasurementPlan,
     ProbabilityAbsorber, QuClearConfig, QuClearResult,
@@ -271,10 +271,10 @@ impl CompiledTemplate {
         }
 
         // Peephole the marker skeleton once: if every slot survives in it
-        // decodably, binds patch this fixpoint instead of re-deriving every
-        // rewrite from the raw skeleton.
+        // decodably, binds patch the pass's output instead of re-deriving
+        // every rewrite from the raw skeleton.
         let (skeleton, slots, raw_skeleton) = if config.apply_peephole {
-            let optimized = optimize_with(&raw, &config.peephole);
+            let optimized = optimize(&raw);
             match decode_optimized_slots(&optimized, axes.len(), &raw_slots) {
                 Some(slots) => (optimized, slots, false),
                 None => (raw, raw_slots, true),
@@ -355,7 +355,7 @@ impl CompiledTemplate {
     }
 
     /// Validates the angles, patches the `Rz` slots, and runs the peephole
-    /// when the patched skeleton may not be its fixpoint.
+    /// when the patched skeleton may differ from the pipeline's output.
     fn patch_and_peephole(&self, angles: &[f64]) -> Result<Circuit, EngineError> {
         self.check_angles(angles.iter().copied())?;
 
@@ -366,7 +366,7 @@ impl CompiledTemplate {
                 unreachable!("slot {slot:?} does not point at an Rz gate");
             };
             let angle = slot.sign * angles[slot.param] + slot.offset;
-            any_zero |= is_zero_rotation(angle, self.config.peephole.angle_tolerance);
+            any_zero |= is_zero_rotation(angle);
             gates[slot.gate] = Gate::Rz { qubit, angle };
         }
         let patched = Circuit::from_gates(self.num_qubits, gates);
@@ -374,7 +374,7 @@ impl CompiledTemplate {
         // or a mergeable/cancellable rotation pair, and the compile-time
         // peephole already eliminated every such pair angle-independently.
         // So unless a patched slot landed on zero, an optimized skeleton is
-        // the pipeline's fixpoint verbatim.
+        // the pipeline's output verbatim.
         if !self.config.apply_peephole || !(self.raw_skeleton || any_zero) {
             return Ok(patched);
         }
@@ -385,7 +385,7 @@ impl CompiledTemplate {
     /// handles are attached.
     fn run_peephole(&self, patched: &Circuit) -> Circuit {
         let start = Instant::now();
-        let optimized = optimize_with(patched, &self.config.peephole);
+        let optimized = optimize(patched);
         if let Some(metrics) = &self.stage_metrics {
             metrics.peephole.record_duration(start.elapsed());
         }

@@ -47,7 +47,7 @@ proptest! {
         peephole in any::<bool>(),
     ) {
         let config = if peephole {
-            QuClearConfig::full()
+            QuClearConfig::default()
         } else {
             QuClearConfig::without_peephole()
         };
