@@ -2,221 +2,141 @@
 //!
 //! The build environment of this repository has no network access (and the
 //! stable toolchain has no `std::simd`), so this crate provides the small
-//! SIMD surface the workspace's bit-plane kernels need: a [`Lane`] — a fixed
-//! block of `W` consecutive `u64` words treated as one wide bitwise value —
-//! plus slice kernels (`xor_into`, `and_popcount`, …) that walk a slice one
-//! lane at a time with a scalar tail loop.
+//! SIMD surface the workspace's bit-plane kernels need: slice kernels
+//! (`xor_into`, `and_popcount`, …) that walk a slice one lane of
+//! [`LANE_WORDS`] consecutive `u64` words at a time, then finish the
+//! remainder with a scalar tail loop.
 //!
-//! Nothing here uses intrinsics: a `Lane` is a plain `[u64; W]` and every
-//! operation is a fixed-length element-wise loop, which LLVM reliably
-//! auto-vectorizes into SSE2/AVX2/NEON at `W ∈ {2, 4, 8}`. The point of the
+//! Nothing here uses intrinsics: a lane is a private `[u64; LANE_WORDS]`
+//! and every operation is a fixed-length element-wise loop, which LLVM
+//! reliably auto-vectorizes into SSE2/AVX2/NEON. The point of the
 //! abstraction is to give the compiler *provably* unit-stride, fixed-trip
 //! inner loops (and the optimizer a single obvious unroll factor) instead of
 //! hoping it widens a `zip` over `Vec<u64>` by itself.
 //!
-//! # Width
-//!
-//! The crate-level constant [`LANE_WORDS`] is 4 (256-bit lanes), and
-//! [`DefaultLane`] is the corresponding `Lane` type. The default slice
-//! kernels (`xor_into`, …) are monomorphized at `LANE_WORDS`; their `*_w`
-//! variants take the width as a const generic so tests can compare **every**
-//! width against the scalar (`W = 1`) oracle in one build.
-//!
 //! # Examples
 //!
 //! ```
-//! use simd::{Lane, LANE_WORDS};
-//!
-//! let a = Lane::<4>::splat(0b1010);
-//! let b = Lane::<4>::splat(0b0110);
-//! assert_eq!((a ^ b).popcount(), 4 * 2);
-//!
 //! let mut dst = vec![0u64; 100];
 //! let src = vec![u64::MAX; 100];
 //! simd::xor_into(&mut dst, &src);
 //! assert_eq!(simd::popcount(&dst), 100 * 64);
-//! assert!(LANE_WORDS.is_power_of_two());
+//! assert!(simd::LANE_WORDS.is_power_of_two());
 //! ```
 
 #![warn(missing_docs)]
 
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
+use std::ops::{BitAnd, BitOr, BitXor, BitXorAssign};
 
-/// The lane width of the default kernels, in 64-bit words.
+/// The lane width of the slice kernels, in 64-bit words (256-bit lanes).
 pub const LANE_WORDS: usize = 4;
 
-/// The [`Lane`] type at the [`LANE_WORDS`] width.
-pub type DefaultLane = Lane<LANE_WORDS>;
+/// A fixed block of [`LANE_WORDS`] consecutive words treated as one wide
+/// bitwise value. Kernels load one lane from a slice, combine lanes, and
+/// store the result back.
+#[derive(Clone, Copy)]
+struct Lane([u64; LANE_WORDS]);
 
-/// A fixed block of `W` consecutive `u64` words treated as one wide bitwise
-/// value: `64·W` bits with element-wise XOR/AND/OR/NOT, a masked-update
-/// helper and a popcount.
-///
-/// `Lane` is `Copy` and lives entirely in registers; kernels load one lane
-/// from a slice, combine lanes, and store the result back
-/// ([`Lane::load`]/[`Lane::store`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Lane<const W: usize>(pub [u64; W]);
-
-impl<const W: usize> Default for Lane<W> {
-    fn default() -> Self {
-        Self::ZERO
-    }
-}
-
-impl<const W: usize> Lane<W> {
-    /// The all-zero lane.
-    pub const ZERO: Self = Lane([0; W]);
-
-    /// Broadcasts one word into every element of the lane.
+impl Lane {
+    /// Loads the first `LANE_WORDS` words of `src`.
     #[inline]
-    #[must_use]
-    pub fn splat(word: u64) -> Self {
-        Lane([word; W])
-    }
-
-    /// Loads the first `W` words of `src`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() < W`.
-    #[inline]
-    #[must_use]
-    pub fn load(src: &[u64]) -> Self {
-        let mut out = [0u64; W];
-        out.copy_from_slice(&src[..W]);
+    fn load(src: &[u64]) -> Self {
+        let mut out = [0u64; LANE_WORDS];
+        out.copy_from_slice(&src[..LANE_WORDS]);
         Lane(out)
     }
 
-    /// Stores the lane into the first `W` words of `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst.len() < W`.
+    /// Stores the lane into the first `LANE_WORDS` words of `dst`.
     #[inline]
-    pub fn store(self, dst: &mut [u64]) {
-        dst[..W].copy_from_slice(&self.0);
+    fn store(self, dst: &mut [u64]) {
+        dst[..LANE_WORDS].copy_from_slice(&self.0);
     }
 
-    /// Element-wise `self & !other` (AND-NOT, the sign-update primitive of
-    /// the `S†`/`√X` conjugation kernels).
+    /// Element-wise `f(self, other)`.
     #[inline]
-    #[must_use]
-    pub fn andnot(self, other: Self) -> Self {
+    fn zip_with(self, other: Self, f: impl Fn(u64, u64) -> u64) -> Self {
         let mut out = self.0;
-        for (o, b) in out.iter_mut().zip(&other.0) {
-            *o &= !b;
+        for (o, &b) in out.iter_mut().zip(&other.0) {
+            *o = f(*o, b);
         }
         Lane(out)
     }
 
-    /// Masked update: replaces the bits of `self` selected by `mask` with the
-    /// corresponding bits of `other` (`(self & !mask) | (other & mask)`).
+    /// Element-wise `self & !other`.
     #[inline]
-    #[must_use]
-    pub fn select(self, other: Self, mask: Self) -> Self {
-        let mut out = self.0;
-        for ((o, b), m) in out.iter_mut().zip(&other.0).zip(&mask.0) {
-            *o = (*o & !m) | (b & m);
-        }
-        Lane(out)
+    fn andnot(self, other: Self) -> Self {
+        self.zip_with(other, |a, b| a & !b)
     }
 
     /// Number of set bits across the whole lane.
     #[inline]
-    #[must_use]
-    pub fn popcount(self) -> u32 {
+    fn popcount(self) -> u32 {
         let mut total = 0u32;
         for w in self.0 {
             total += w.count_ones();
         }
         total
     }
+}
 
-    /// Returns `true` if every bit of the lane is zero.
+impl BitXor for Lane {
+    type Output = Lane;
+
     #[inline]
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        let mut acc = 0u64;
-        for w in self.0 {
-            acc |= w;
-        }
-        acc == 0
+    fn bitxor(self, rhs: Lane) -> Lane {
+        self.zip_with(rhs, |a, b| a ^ b)
     }
 }
 
-macro_rules! lane_binop {
-    ($trait:ident, $method:ident, $assign_trait:ident, $assign_method:ident, $op:tt) => {
-        impl<const W: usize> $trait for Lane<W> {
-            type Output = Lane<W>;
-
-            #[inline]
-            fn $method(self, rhs: Lane<W>) -> Lane<W> {
-                let mut out = self.0;
-                for (o, r) in out.iter_mut().zip(&rhs.0) {
-                    *o $op r;
-                }
-                Lane(out)
-            }
-        }
-
-        impl<const W: usize> $assign_trait for Lane<W> {
-            #[inline]
-            fn $assign_method(&mut self, rhs: Lane<W>) {
-                for (o, r) in self.0.iter_mut().zip(&rhs.0) {
-                    *o $op r;
-                }
-            }
-        }
-    };
-}
-
-lane_binop!(BitXor, bitxor, BitXorAssign, bitxor_assign, ^=);
-lane_binop!(BitAnd, bitand, BitAndAssign, bitand_assign, &=);
-lane_binop!(BitOr, bitor, BitOrAssign, bitor_assign, |=);
-
-impl<const W: usize> Not for Lane<W> {
-    type Output = Lane<W>;
+impl BitAnd for Lane {
+    type Output = Lane;
 
     #[inline]
-    fn not(self) -> Lane<W> {
-        let mut out = self.0;
-        for o in out.iter_mut() {
-            *o = !*o;
+    fn bitand(self, rhs: Lane) -> Lane {
+        self.zip_with(rhs, |a, b| a & b)
+    }
+}
+
+impl BitOr for Lane {
+    type Output = Lane;
+
+    #[inline]
+    fn bitor(self, rhs: Lane) -> Lane {
+        self.zip_with(rhs, |a, b| a | b)
+    }
+}
+
+impl BitXorAssign for Lane {
+    #[inline]
+    fn bitxor_assign(&mut self, rhs: Lane) {
+        for (o, r) in self.0.iter_mut().zip(&rhs.0) {
+            *o ^= r;
         }
-        Lane(out)
     }
 }
 
 // --- slice kernels ---------------------------------------------------------
 //
-// Every kernel walks the slices one lane at a time (`W` words) and finishes
-// the remainder with a scalar loop, so any slice length — including lengths
-// that are not a multiple of the lane width — is handled exactly. The `_w`
-// variants take the width as a const generic; the unsuffixed functions are
-// the same kernels monomorphized at `LANE_WORDS`.
+// Every kernel walks the slices one lane at a time and finishes the
+// remainder with a scalar loop, so any slice length — including lengths
+// that are not a multiple of the lane width — is handled exactly. Every
+// kernel is `#[inline]`: the workspace builds without LTO, and the callers
+// in other crates run them on planes of a few words, where a call that
+// cannot inline measurably slows the sweep.
 
-/// Asserts the shared length of a kernel's slices.
-macro_rules! check_len {
-    ($len:expr, $($s:expr),+) => {
-        $(debug_assert_eq!($s.len(), $len, "simd kernel slice length mismatch");)+
-    };
-}
-
-/// `dst[i] ^= src[i]` at lane width `W`.
+/// `dst[i] ^= src[i]`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn xor_into_w<const W: usize>(dst: &mut [u64], src: &[u64]) {
+#[inline]
+pub fn xor_into(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "xor_into length mismatch");
     let len = dst.len();
     let mut i = 0;
-    while i + W <= len {
-        let a = Lane::<W>::load(&dst[i..]);
-        let b = Lane::<W>::load(&src[i..]);
-        (a ^ b).store(&mut dst[i..]);
-        i += W;
+    while i + LANE_WORDS <= len {
+        (Lane::load(&dst[i..]) ^ Lane::load(&src[i..])).store(&mut dst[i..]);
+        i += LANE_WORDS;
     }
     while i < len {
         dst[i] ^= src[i];
@@ -224,41 +144,19 @@ pub fn xor_into_w<const W: usize>(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst[i] &= src[i]` at lane width `W`.
+/// `dst[i] |= src[i]`.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn and_into_w<const W: usize>(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "and_into length mismatch");
-    let len = dst.len();
-    let mut i = 0;
-    while i + W <= len {
-        let a = Lane::<W>::load(&dst[i..]);
-        let b = Lane::<W>::load(&src[i..]);
-        (a & b).store(&mut dst[i..]);
-        i += W;
-    }
-    while i < len {
-        dst[i] &= src[i];
-        i += 1;
-    }
-}
-
-/// `dst[i] |= src[i]` at lane width `W`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn or_into_w<const W: usize>(dst: &mut [u64], src: &[u64]) {
+#[inline]
+pub fn or_into(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "or_into length mismatch");
     let len = dst.len();
     let mut i = 0;
-    while i + W <= len {
-        let a = Lane::<W>::load(&dst[i..]);
-        let b = Lane::<W>::load(&src[i..]);
-        (a | b).store(&mut dst[i..]);
-        i += W;
+    while i + LANE_WORDS <= len {
+        (Lane::load(&dst[i..]) | Lane::load(&src[i..])).store(&mut dst[i..]);
+        i += LANE_WORDS;
     }
     while i < len {
         dst[i] |= src[i];
@@ -266,23 +164,21 @@ pub fn or_into_w<const W: usize>(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// `dst[i] ^= a[i] & b[i]` at lane width `W` (the word-parallel sign-update
-/// primitive).
+/// `dst[i] ^= a[i] & b[i]` (the word-parallel sign-update primitive).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn xor_and_into_w<const W: usize>(dst: &mut [u64], a: &[u64], b: &[u64]) {
+#[inline]
+pub fn xor_and_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
     assert_eq!(dst.len(), a.len(), "xor_and_into length mismatch");
     assert_eq!(dst.len(), b.len(), "xor_and_into length mismatch");
     let len = dst.len();
     let mut i = 0;
-    while i + W <= len {
-        let d = Lane::<W>::load(&dst[i..]);
-        let la = Lane::<W>::load(&a[i..]);
-        let lb = Lane::<W>::load(&b[i..]);
-        (d ^ (la & lb)).store(&mut dst[i..]);
-        i += W;
+    while i + LANE_WORDS <= len {
+        let d = Lane::load(&dst[i..]);
+        (d ^ (Lane::load(&a[i..]) & Lane::load(&b[i..]))).store(&mut dst[i..]);
+        i += LANE_WORDS;
     }
     while i < len {
         dst[i] ^= a[i] & b[i];
@@ -290,22 +186,22 @@ pub fn xor_and_into_w<const W: usize>(dst: &mut [u64], a: &[u64], b: &[u64]) {
     }
 }
 
-/// `dst[i] ^= a[i] & !b[i]` at lane width `W`.
+/// `dst[i] ^= a[i] & !b[i]` (the sign-update primitive of the `S†`/`√X`
+/// conjugation kernels).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn xor_andnot_into_w<const W: usize>(dst: &mut [u64], a: &[u64], b: &[u64]) {
+#[inline]
+pub fn xor_andnot_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
     assert_eq!(dst.len(), a.len(), "xor_andnot_into length mismatch");
     assert_eq!(dst.len(), b.len(), "xor_andnot_into length mismatch");
     let len = dst.len();
     let mut i = 0;
-    while i + W <= len {
-        let d = Lane::<W>::load(&dst[i..]);
-        let la = Lane::<W>::load(&a[i..]);
-        let lb = Lane::<W>::load(&b[i..]);
-        (d ^ la.andnot(lb)).store(&mut dst[i..]);
-        i += W;
+    while i + LANE_WORDS <= len {
+        let d = Lane::load(&dst[i..]);
+        (d ^ Lane::load(&a[i..]).andnot(Lane::load(&b[i..]))).store(&mut dst[i..]);
+        i += LANE_WORDS;
     }
     while i < len {
         dst[i] ^= a[i] & !b[i];
@@ -325,19 +221,20 @@ pub fn xor_andnot_into_w<const W: usize>(dst: &mut [u64], a: &[u64], b: &[u64]) 
 /// # Panics
 ///
 /// Panics if any source length differs from `dst.len()`.
-pub fn xor_many_into_w<const W: usize>(dst: &mut [u64], srcs: &[&[u64]]) {
+#[inline]
+pub fn xor_many_into(dst: &mut [u64], srcs: &[&[u64]]) {
     let len = dst.len();
     for s in srcs {
         assert_eq!(s.len(), len, "xor_many_into length mismatch");
     }
     let mut i = 0;
-    while i + W <= len {
-        let mut acc = Lane::<W>::load(&dst[i..]);
+    while i + LANE_WORDS <= len {
+        let mut acc = Lane::load(&dst[i..]);
         for s in srcs {
-            acc ^= Lane::<W>::load(&s[i..]);
+            acc ^= Lane::load(&s[i..]);
         }
         acc.store(&mut dst[i..]);
-        i += W;
+        i += LANE_WORDS;
     }
     while i < len {
         let mut acc = dst[i];
@@ -349,15 +246,16 @@ pub fn xor_many_into_w<const W: usize>(dst: &mut [u64], srcs: &[&[u64]]) {
     }
 }
 
-/// Total set bits of a slice at lane width `W`.
+/// Total set bits of a slice.
+#[inline]
 #[must_use]
-pub fn popcount_w<const W: usize>(words: &[u64]) -> u64 {
+pub fn popcount(words: &[u64]) -> u64 {
     let len = words.len();
     let mut total = 0u64;
     let mut i = 0;
-    while i + W <= len {
-        total += u64::from(Lane::<W>::load(&words[i..]).popcount());
-        i += W;
+    while i + LANE_WORDS <= len {
+        total += u64::from(Lane::load(&words[i..]).popcount());
+        i += LANE_WORDS;
     }
     while i < len {
         total += u64::from(words[i].count_ones());
@@ -372,17 +270,16 @@ pub fn popcount_w<const W: usize>(words: &[u64]) -> u64 {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
+#[inline]
 #[must_use]
-pub fn and_popcount_w<const W: usize>(a: &[u64], b: &[u64]) -> u64 {
+pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     assert_eq!(a.len(), b.len(), "and_popcount length mismatch");
     let len = a.len();
     let mut total = 0u64;
     let mut i = 0;
-    while i + W <= len {
-        let la = Lane::<W>::load(&a[i..]);
-        let lb = Lane::<W>::load(&b[i..]);
-        total += u64::from((la & lb).popcount());
-        i += W;
+    while i + LANE_WORDS <= len {
+        total += u64::from((Lane::load(&a[i..]) & Lane::load(&b[i..])).popcount());
+        i += LANE_WORDS;
     }
     while i < len {
         total += u64::from((a[i] & b[i]).count_ones());
@@ -403,24 +300,24 @@ pub fn and_popcount_w<const W: usize>(a: &[u64], b: &[u64]) -> u64 {
 /// # Panics
 ///
 /// Panics if any source length differs from `len`.
+#[inline]
 #[must_use]
-pub fn xor_popcount_w<const W: usize>(srcs: &[&[u64]], len: usize) -> u64 {
+pub fn xor_popcount(srcs: &[&[u64]], len: usize) -> u64 {
     for s in srcs {
         assert_eq!(s.len(), len, "xor_popcount length mismatch");
     }
     let Some((first, rest)) = srcs.split_first() else {
         return 0;
     };
-    check_len!(len, first);
     let mut total = 0u64;
     let mut i = 0;
-    while i + W <= len {
-        let mut acc = Lane::<W>::load(&first[i..]);
+    while i + LANE_WORDS <= len {
+        let mut acc = Lane::load(&first[i..]);
         for s in rest {
-            acc ^= Lane::<W>::load(&s[i..]);
+            acc ^= Lane::load(&s[i..]);
         }
         total += u64::from(acc.popcount());
-        i += W;
+        i += LANE_WORDS;
     }
     while i < len {
         let mut acc = first[i];
@@ -431,89 +328,6 @@ pub fn xor_popcount_w<const W: usize>(srcs: &[&[u64]], len: usize) -> u64 {
         i += 1;
     }
     total
-}
-
-macro_rules! default_kernels {
-    ($(
-        $(#[$doc:meta])*
-        fn $name:ident ( $($arg:ident : $ty:ty),* ) $(-> $ret:ty)? => $generic:ident;
-    )+) => {
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $name($($arg: $ty),*) $(-> $ret)? {
-                $generic::<LANE_WORDS>($($arg),*)
-            }
-        )+
-    };
-}
-
-default_kernels! {
-    /// [`xor_into_w`] at [`LANE_WORDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    fn xor_into(dst: &mut [u64], src: &[u64]) => xor_into_w;
-    /// [`and_into_w`] at [`LANE_WORDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    fn and_into(dst: &mut [u64], src: &[u64]) => and_into_w;
-    /// [`or_into_w`] at [`LANE_WORDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    fn or_into(dst: &mut [u64], src: &[u64]) => or_into_w;
-    /// [`xor_and_into_w`] at [`LANE_WORDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    fn xor_and_into(dst: &mut [u64], a: &[u64], b: &[u64]) => xor_and_into_w;
-    /// [`xor_andnot_into_w`] at [`LANE_WORDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    fn xor_andnot_into(dst: &mut [u64], a: &[u64], b: &[u64]) => xor_andnot_into_w;
-    /// [`xor_many_into_w`] at [`LANE_WORDS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source length differs from `dst.len()`.
-    fn xor_many_into(dst: &mut [u64], srcs: &[&[u64]]) => xor_many_into_w;
-}
-
-/// [`popcount_w`] at [`LANE_WORDS`].
-#[inline]
-#[must_use]
-pub fn popcount(words: &[u64]) -> u64 {
-    popcount_w::<LANE_WORDS>(words)
-}
-
-/// [`and_popcount_w`] at [`LANE_WORDS`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-#[must_use]
-pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
-    and_popcount_w::<LANE_WORDS>(a, b)
-}
-
-/// [`xor_popcount_w`] at [`LANE_WORDS`].
-///
-/// # Panics
-///
-/// Panics if any source length differs from `len`.
-#[inline]
-#[must_use]
-pub fn xor_popcount(srcs: &[&[u64]], len: usize) -> u64 {
-    xor_popcount_w::<LANE_WORDS>(srcs, len)
 }
 
 #[cfg(test)]
@@ -532,141 +346,93 @@ mod tests {
             .collect()
     }
 
-    /// Runs `check` at every supported lane width.
-    macro_rules! every_width {
-        ($w:ident => $body:block) => {{
-            const $w: usize = 1;
-            $body
-        }
-        {
-            const $w: usize = 2;
-            $body
-        }
-        {
-            const $w: usize = 4;
-            $body
-        }
-        {
-            const $w: usize = 8;
-            $body
-        }};
-    }
-
     #[test]
     fn lane_ops_match_wordwise() {
-        let a = Lane::<4>([1, 2, 3, u64::MAX]);
-        let b = Lane::<4>([3, 2, 1, 0]);
+        let a = Lane([1, 2, 3, u64::MAX]);
+        let b = Lane([3, 2, 1, 0]);
         assert_eq!((a ^ b).0, [2, 0, 2, u64::MAX]);
         assert_eq!((a & b).0, [1, 2, 1, 0]);
         assert_eq!((a | b).0, [3, 2, 3, u64::MAX]);
-        assert_eq!((!Lane::<2>([0, u64::MAX])).0, [u64::MAX, 0]);
         assert_eq!(a.andnot(b).0, [0, 0, 2, u64::MAX]);
         assert_eq!(a.popcount(), 1 + 1 + 2 + 64);
-        assert!(Lane::<3>::ZERO.is_zero());
-        assert!(!a.is_zero());
         let mut c = a;
         c ^= b;
-        assert_eq!(c, a ^ b);
-    }
-
-    #[test]
-    fn lane_select_replaces_masked_bits() {
-        let a = Lane::<2>::splat(0b1100);
-        let b = Lane::<2>::splat(0b1010);
-        let m = Lane::<2>::splat(0b0110);
-        assert_eq!(a.select(b, m).0, [0b1010, 0b1010]);
+        assert_eq!(c.0, (a ^ b).0);
     }
 
     #[test]
     fn lane_load_store_roundtrip() {
-        let src = data(10, 1);
-        let lane = Lane::<8>::load(&src);
-        let mut out = vec![0u64; 10];
+        let src = data(6, 1);
+        let lane = Lane::load(&src);
+        let mut out = vec![0u64; 6];
         lane.store(&mut out);
-        assert_eq!(&out[..8], &src[..8]);
-        assert_eq!(&out[8..], &[0, 0]);
+        assert_eq!(&out[..LANE_WORDS], &src[..LANE_WORDS]);
+        assert_eq!(&out[LANE_WORDS..], &[0, 0]);
     }
 
+    /// Every kernel against a plain per-word loop, on lengths that leave
+    /// every possible partial final lane.
     #[test]
-    fn slice_kernels_match_scalar_at_every_width_and_odd_lengths() {
+    fn slice_kernels_match_scalar_at_odd_lengths() {
         for len in [0usize, 1, 3, 7, 8, 9, 31, 64, 65, 100] {
             let a = data(len, 7);
             let b = data(len, 11);
             let c = data(len, 13);
-            every_width!(W => {
-                let mut d = a.clone();
-                xor_into_w::<W>(&mut d, &b);
-                for i in 0..len {
-                    assert_eq!(d[i], a[i] ^ b[i]);
-                }
-                let mut d = a.clone();
-                and_into_w::<W>(&mut d, &b);
-                for i in 0..len {
-                    assert_eq!(d[i], a[i] & b[i]);
-                }
-                let mut d = a.clone();
-                or_into_w::<W>(&mut d, &b);
-                for i in 0..len {
-                    assert_eq!(d[i], a[i] | b[i]);
-                }
-                let mut d = a.clone();
-                xor_and_into_w::<W>(&mut d, &b, &c);
-                for i in 0..len {
-                    assert_eq!(d[i], a[i] ^ (b[i] & c[i]));
-                }
-                let mut d = a.clone();
-                xor_andnot_into_w::<W>(&mut d, &b, &c);
-                for i in 0..len {
-                    assert_eq!(d[i], a[i] ^ (b[i] & !c[i]));
-                }
-                let mut d = a.clone();
-                xor_many_into_w::<W>(&mut d, &[&b, &c, &b]);
-                for i in 0..len {
-                    assert_eq!(d[i], a[i] ^ c[i], "three sources, two cancel");
-                }
-                let want: u64 = a.iter().map(|w| u64::from(w.count_ones())).sum();
-                assert_eq!(popcount_w::<W>(&a), want);
-                let want: u64 = (0..len).map(|i| u64::from((a[i] & b[i]).count_ones())).sum();
-                assert_eq!(and_popcount_w::<W>(&a, &b), want);
-                let want: u64 = (0..len)
-                    .map(|i| u64::from((a[i] ^ b[i] ^ c[i]).count_ones()))
-                    .sum();
-                assert_eq!(xor_popcount_w::<W>(&[&a, &b, &c], len), want);
-                assert_eq!(xor_popcount_w::<W>(&[], len), 0);
-            });
+            let mut d = a.clone();
+            xor_into(&mut d, &b);
+            for i in 0..len {
+                assert_eq!(d[i], a[i] ^ b[i]);
+            }
+            let mut d = a.clone();
+            or_into(&mut d, &b);
+            for i in 0..len {
+                assert_eq!(d[i], a[i] | b[i]);
+            }
+            let mut d = a.clone();
+            xor_and_into(&mut d, &b, &c);
+            for i in 0..len {
+                assert_eq!(d[i], a[i] ^ (b[i] & c[i]));
+            }
+            let mut d = a.clone();
+            xor_andnot_into(&mut d, &b, &c);
+            for i in 0..len {
+                assert_eq!(d[i], a[i] ^ (b[i] & !c[i]));
+            }
+            let mut d = a.clone();
+            xor_many_into(&mut d, &[&b, &c, &b]);
+            for i in 0..len {
+                assert_eq!(d[i], a[i] ^ c[i], "three sources, two cancel");
+            }
+            let want: u64 = a.iter().map(|w| u64::from(w.count_ones())).sum();
+            assert_eq!(popcount(&a), want);
+            let want: u64 = (0..len)
+                .map(|i| u64::from((a[i] & b[i]).count_ones()))
+                .sum();
+            assert_eq!(and_popcount(&a, &b), want);
+            let want: u64 = (0..len)
+                .map(|i| u64::from((a[i] ^ b[i] ^ c[i]).count_ones()))
+                .sum();
+            assert_eq!(xor_popcount(&[&a, &b, &c], len), want);
+            assert_eq!(xor_popcount(&[], len), 0);
         }
     }
 
+    /// The kernels agree with each other across a length that is not a
+    /// multiple of the configured lane width.
     #[test]
     fn default_kernels_use_the_configured_width() {
-        assert!(matches!(LANE_WORDS, 1 | 2 | 4 | 8));
-        let a = data(37, 3);
-        let b = data(37, 5);
+        assert!(LANE_WORDS.is_power_of_two());
+        let len = 9 * LANE_WORDS + 1;
+        let a = data(len, 3);
+        let b = data(len, 5);
         let mut d = a.clone();
         xor_into(&mut d, &b);
-        let mut e = a.clone();
-        xor_into_w::<LANE_WORDS>(&mut e, &b);
-        assert_eq!(d, e);
-        assert_eq!(popcount(&a), popcount_w::<1>(&a));
-        assert_eq!(and_popcount(&a, &b), and_popcount_w::<1>(&a, &b));
         let mut m = a.clone();
         xor_many_into(&mut m, &[&b]);
         assert_eq!(m, d);
-        assert_eq!(xor_popcount(&[&a, &b], 37), popcount(&d));
-        let mut o = a.clone();
-        or_into(&mut o, &b);
-        let mut an = a.clone();
-        and_into(&mut an, &b);
-        let mut x1 = a.clone();
-        xor_and_into(&mut x1, &b, &a);
-        let mut x2 = a.clone();
-        xor_andnot_into(&mut x2, &b, &a);
-        for i in 0..37 {
-            assert_eq!(o[i], a[i] | b[i]);
-            assert_eq!(an[i], a[i] & b[i]);
-            assert_eq!(x1[i], a[i] ^ (b[i] & a[i]));
-            assert_eq!(x2[i], a[i] ^ (b[i] & !a[i]));
-        }
+        assert_eq!(xor_popcount(&[&a, &b], len), popcount(&d));
+        assert_eq!(xor_popcount(&[&a], len), popcount(&a));
+        assert_eq!(and_popcount(&a, &a), popcount(&a));
     }
 
     #[test]

@@ -95,19 +95,6 @@ impl ExtractionResult {
         full
     }
 
-    /// CNOT count of the optimized circuit alone (what actually runs on the
-    /// quantum device once the Clifford is absorbed).
-    #[must_use]
-    pub fn optimized_cnot_count(&self) -> usize {
-        self.optimized.cnot_count()
-    }
-
-    /// CNOT count of the extracted Clifford subcircuit.
-    #[must_use]
-    pub fn extracted_cnot_count(&self) -> usize {
-        self.extracted.cnot_count()
-    }
-
     /// Replaces `extracted` with [`synthesize_clifford`] of its tableau when
     /// that circuit has fewer gates. The resynthesis implements the same
     /// Clifford up to global phase (equal tableaux), so `heisenberg`, every

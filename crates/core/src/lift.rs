@@ -304,19 +304,6 @@ impl LiftedProgram {
             .collect()
     }
 
-    /// Appends the trailing Clifford to a circuit implementing the rotation
-    /// sequence, producing a circuit equivalent to the lifted input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register sizes differ.
-    #[must_use]
-    pub fn complete_circuit(&self, rotation_circuit: &Circuit) -> Circuit {
-        let mut full = rotation_circuit.clone();
-        full.append(&self.trailing_circuit);
-        full
-    }
-
     /// Merges the trailing Clifford into a compilation of
     /// [`Self::rotations`]: the returned result's `optimized ∘ extracted`
     /// is equivalent to the original circuit, and its Heisenberg map (hence

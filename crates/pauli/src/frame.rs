@@ -35,28 +35,10 @@
 
 use std::fmt;
 
-use simd::Lane;
-
 use crate::bits::{transpose64_top, BitVec};
 use crate::op::PauliOp;
 use crate::signed::SignedPauli;
 use crate::string::PauliString;
-
-/// Lane width of the in-crate sweep kernels. The fused two-qubit sweeps
-/// keep five to six planes live per loop iteration, so lanes wider than one
-/// vector register spill to the stack and run slower than scalar. With AVX2
-/// a 4-word lane is one ymm register and everything stays resident, so the
-/// workspace-wide `simd::LANE_WORDS` applies up to 4; on narrower ISAs
-/// (SSE2/NEON baseline) these sweeps stay scalar.
-const LW: usize = if cfg!(target_feature = "avx2") {
-    if simd::LANE_WORDS < 4 {
-        simd::LANE_WORDS
-    } else {
-        4
-    }
-} else {
-    1
-};
 
 /// Disjoint mutable borrows of two planes of the same axis.
 fn pair_mut(planes: &mut [BitVec], a: usize, b: usize) -> (&mut BitVec, &mut BitVec) {
@@ -72,51 +54,23 @@ fn pair_mut(planes: &mut [BitVec], a: usize, b: usize) -> (&mut BitVec, &mut Bit
 
 /// The fused CX conjugation sweep over raw plane words (pre-update reads):
 /// `S ^= Xc & Zt & !(Xt ^ Zc)`, `Xt ^= Xc`, `Zc ^= Zt`.
-fn cx_sweep<const W: usize>(s: &mut [u64], xc: &[u64], xt: &mut [u64], zc: &mut [u64], zt: &[u64]) {
-    let len = s.len();
-    let mut i = 0;
-    while i + W <= len {
-        let lxc = Lane::<W>::load(&xc[i..]);
-        let lzt = Lane::<W>::load(&zt[i..]);
-        let lxt = Lane::<W>::load(&xt[i..]);
-        let lzc = Lane::<W>::load(&zc[i..]);
-        let ls = Lane::<W>::load(&s[i..]);
-        (ls ^ (lxc & lzt).andnot(lxt ^ lzc)).store(&mut s[i..]);
-        (lxt ^ lxc).store(&mut xt[i..]);
-        (lzc ^ lzt).store(&mut zc[i..]);
-        i += W;
-    }
-    while i < len {
+fn cx_sweep(s: &mut [u64], xc: &[u64], xt: &mut [u64], zc: &mut [u64], zt: &[u64]) {
+    for i in 0..s.len() {
         let (wxc, wzt, wxt, wzc) = (xc[i], zt[i], xt[i], zc[i]);
         s[i] ^= wxc & wzt & !(wxt ^ wzc);
         xt[i] = wxt ^ wxc;
         zc[i] = wzc ^ wzt;
-        i += 1;
     }
 }
 
 /// The fused CZ conjugation sweep over raw plane words (pre-update reads):
 /// `S ^= Xa & Xb & (Za ^ Zb)`, `Za ^= Xb`, `Zb ^= Xa`.
-fn cz_sweep<const W: usize>(s: &mut [u64], xa: &[u64], xb: &[u64], za: &mut [u64], zb: &mut [u64]) {
-    let len = s.len();
-    let mut i = 0;
-    while i + W <= len {
-        let lxa = Lane::<W>::load(&xa[i..]);
-        let lxb = Lane::<W>::load(&xb[i..]);
-        let lza = Lane::<W>::load(&za[i..]);
-        let lzb = Lane::<W>::load(&zb[i..]);
-        let ls = Lane::<W>::load(&s[i..]);
-        (ls ^ (lxa & lxb & (lza ^ lzb))).store(&mut s[i..]);
-        (lza ^ lxb).store(&mut za[i..]);
-        (lzb ^ lxa).store(&mut zb[i..]);
-        i += W;
-    }
-    while i < len {
+fn cz_sweep(s: &mut [u64], xa: &[u64], xb: &[u64], za: &mut [u64], zb: &mut [u64]) {
+    for i in 0..s.len() {
         let (wxa, wxb, wza, wzb) = (xa[i], xb[i], za[i], zb[i]);
         s[i] ^= wxa & wxb & (wza ^ wzb);
         za[i] = wza ^ wxb;
         zb[i] = wzb ^ wxa;
-        i += 1;
     }
 }
 
@@ -301,11 +255,6 @@ impl PauliFrame {
         self.signs.get(i)
     }
 
-    /// Sets the sign of row `i`.
-    pub fn set_sign(&mut self, i: usize, negative: bool) {
-        self.signs.set(i, negative);
-    }
-
     /// Extracts row `i` as a phase-free Pauli string.
     #[must_use]
     pub fn row_pauli(&self, i: usize) -> PauliString {
@@ -404,27 +353,6 @@ impl PauliFrame {
         &self.signs
     }
 
-    /// Mutable X bit-plane of qubit `q`, for out-of-crate word-parallel
-    /// kernels (e.g. `CliffordTableau::apply_frame`). Callers must preserve
-    /// the plane length and keep bits at positions `>= num_rows()` zero.
-    #[must_use]
-    pub fn x_plane_mut(&mut self, q: usize) -> &mut BitVec {
-        &mut self.x[q]
-    }
-
-    /// Mutable Z bit-plane of qubit `q`; same invariants as
-    /// [`Self::x_plane_mut`].
-    #[must_use]
-    pub fn z_plane_mut(&mut self, q: usize) -> &mut BitVec {
-        &mut self.z[q]
-    }
-
-    /// Mutable sign plane; same invariants as [`Self::x_plane_mut`].
-    #[must_use]
-    pub fn sign_plane_mut(&mut self) -> &mut BitVec {
-        &mut self.signs
-    }
-
     /// Gathers the given rows (in order) into a new, smaller frame.
     ///
     /// Used to compact a frame after many rows have been consumed.
@@ -506,7 +434,7 @@ impl PauliFrame {
         // Pre-update values: S ^= Xc & Zt & !(Xt ^ Zc), Xt ^= Xc, Zc ^= Zt.
         let (xc, xt) = pair_mut(&mut self.x, control, target);
         let (zc, zt) = pair_mut(&mut self.z, control, target);
-        cx_sweep::<LW>(
+        cx_sweep(
             self.signs.words_mut(),
             xc.words(),
             xt.words_mut(),
@@ -529,7 +457,7 @@ impl PauliFrame {
         // Pre-update values: S ^= Xa & Xb & (Za ^ Zb), Za ^= Xb, Zb ^= Xa.
         let (xa, xb) = pair_mut(&mut self.x, a, b);
         let (za, zb) = pair_mut(&mut self.z, a, b);
-        cz_sweep::<LW>(
+        cz_sweep(
             self.signs.words_mut(),
             xa.words(),
             xb.words(),
@@ -710,8 +638,10 @@ mod tests {
         assert_eq!(f.get(129).to_string(), "+XX");
     }
 
+    /// The fused sweeps against a per-bit scalar oracle of the CX/CZ sign
+    /// and plane rules, on every word count up to 11.
     #[test]
-    fn two_qubit_sweeps_agree_at_every_lane_width() {
+    fn two_qubit_sweeps_match_per_bit_oracle() {
         fn words(len: usize, seed: u64) -> Vec<u64> {
             let mut s = seed;
             (0..len)
@@ -723,41 +653,39 @@ mod tests {
                 })
                 .collect()
         }
-        // 11 words: not a multiple of any lane width, exercising the tails.
-        let len = 11;
-        let run_cx = |w: usize| {
-            let mut s = words(len, 1);
-            let xc = words(len, 2);
-            let mut xt = words(len, 3);
-            let mut zc = words(len, 4);
-            let zt = words(len, 5);
-            match w {
-                1 => cx_sweep::<1>(&mut s, &xc, &mut xt, &mut zc, &zt),
-                2 => cx_sweep::<2>(&mut s, &xc, &mut xt, &mut zc, &zt),
-                4 => cx_sweep::<4>(&mut s, &xc, &mut xt, &mut zc, &zt),
-                _ => cx_sweep::<8>(&mut s, &xc, &mut xt, &mut zc, &zt),
+        let bit = |w: &[u64], i: usize| (w[i / 64] >> (i % 64)) & 1 == 1;
+        for len in 0..=11 {
+            let (s0, p1, p2, p3, p4) = (
+                words(len, 1),
+                words(len, 2),
+                words(len, 3),
+                words(len, 4),
+                words(len, 5),
+            );
+            let (mut s, mut xt, mut zc) = (s0.clone(), p2.clone(), p3.clone());
+            cx_sweep(&mut s, &p1, &mut xt, &mut zc, &p4);
+            for i in 0..64 * len {
+                let (xc, xt0, zc0, zt) = (bit(&p1, i), bit(&p2, i), bit(&p3, i), bit(&p4, i));
+                assert_eq!(
+                    bit(&s, i),
+                    bit(&s0, i) ^ (xc && zt && xt0 == zc0),
+                    "cx sign {i}"
+                );
+                assert_eq!(bit(&xt, i), xt0 ^ xc, "cx Xt {i}");
+                assert_eq!(bit(&zc, i), zc0 ^ zt, "cx Zc {i}");
             }
-            (s, xt, zc)
-        };
-        let run_cz = |w: usize| {
-            let mut s = words(len, 1);
-            let xa = words(len, 2);
-            let xb = words(len, 3);
-            let mut za = words(len, 4);
-            let mut zb = words(len, 5);
-            match w {
-                1 => cz_sweep::<1>(&mut s, &xa, &xb, &mut za, &mut zb),
-                2 => cz_sweep::<2>(&mut s, &xa, &xb, &mut za, &mut zb),
-                4 => cz_sweep::<4>(&mut s, &xa, &xb, &mut za, &mut zb),
-                _ => cz_sweep::<8>(&mut s, &xa, &xb, &mut za, &mut zb),
+            let (mut s, mut za, mut zb) = (s0.clone(), p3.clone(), p4.clone());
+            cz_sweep(&mut s, &p1, &p2, &mut za, &mut zb);
+            for i in 0..64 * len {
+                let (xa, xb, za0, zb0) = (bit(&p1, i), bit(&p2, i), bit(&p3, i), bit(&p4, i));
+                assert_eq!(
+                    bit(&s, i),
+                    bit(&s0, i) ^ (xa && xb && za0 != zb0),
+                    "cz sign {i}"
+                );
+                assert_eq!(bit(&za, i), za0 ^ xb, "cz Za {i}");
+                assert_eq!(bit(&zb, i), zb0 ^ xa, "cz Zb {i}");
             }
-            (s, za, zb)
-        };
-        let cx_oracle = run_cx(1);
-        let cz_oracle = run_cz(1);
-        for w in [2usize, 4, 8] {
-            assert_eq!(run_cx(w), cx_oracle, "cx_sweep at width {w}");
-            assert_eq!(run_cz(w), cz_oracle, "cz_sweep at width {w}");
         }
     }
 

@@ -1,29 +1,22 @@
 //! Scalar-oracle property tests for the wide-lane kernels.
 //!
-//! Every slice kernel of the `simd` shim is compared against its width-1
-//! (plain `u64`) instantiation — the scalar oracle — at **every** supported
-//! lane width, on lengths that are not multiples of any lane width. The
-//! `BitVec` layer is then checked against a `Vec<bool>` oracle on lengths
-//! that are not multiples of 64, so the masked final partial word and the
-//! tail-padding invariant are exercised on every operation.
+//! Every slice kernel of the `simd` shim is compared against a plain
+//! per-word `u64` loop written here — the scalar oracle — on lengths that
+//! leave every possible partial final lane. The `BitVec` layer is then
+//! checked against a `Vec<bool>` oracle on lengths that are not multiples
+//! of 64, so the masked final partial word and the tail-padding invariant
+//! are exercised on every operation.
 
 use proptest::prelude::*;
 use quclear_pauli::BitVec;
-
-/// Applies `f` to a fresh copy of `dst` and returns the result.
-fn on_copy(dst: &[u64], f: impl Fn(&mut Vec<u64>)) -> Vec<u64> {
-    let mut out = dst.to_vec();
-    f(&mut out);
-    out
-}
 
 fn bitvec(bools: &[bool]) -> BitVec {
     BitVec::from_bools(bools.iter().copied())
 }
 
 proptest! {
-    /// Every in-place slice kernel agrees with the scalar (width-1) oracle
-    /// at widths 2, 4 and 8, including on lengths with a partial final lane.
+    /// Every slice kernel agrees with a per-word scalar loop, including on
+    /// lengths with a partial final lane and on an empty source set.
     #[test]
     fn slice_kernels_match_scalar_oracle(
         data in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..131),
@@ -32,36 +25,32 @@ proptest! {
         let b: Vec<u64> = data.iter().map(|t| t.1).collect();
         let c: Vec<u64> = data.iter().map(|t| t.2).collect();
         let len = a.len();
+        let zip = |f: fn(u64, u64, u64) -> u64| -> Vec<u64> {
+            (0..len).map(|i| f(a[i], b[i], c[i])).collect()
+        };
+        let count = |words: Vec<u64>| -> u64 { words.iter().map(|w| u64::from(w.count_ones())).sum() };
 
-        macro_rules! check2 {
-            ($name:ident, $($src:expr),*) => {{
-                let oracle = on_copy(&a, |d| simd::$name::<1>(d, $($src),*));
-                prop_assert_eq!(&on_copy(&a, |d| simd::$name::<2>(d, $($src),*)), &oracle);
-                prop_assert_eq!(&on_copy(&a, |d| simd::$name::<4>(d, $($src),*)), &oracle);
-                prop_assert_eq!(&on_copy(&a, |d| simd::$name::<8>(d, $($src),*)), &oracle);
-            }};
-        }
-        check2!(xor_into_w, &b);
-        check2!(and_into_w, &b);
-        check2!(or_into_w, &b);
-        check2!(xor_and_into_w, &b, &c);
-        check2!(xor_andnot_into_w, &b, &c);
-        check2!(xor_many_into_w, &[&b[..], &c[..], &b[..]]);
+        let mut d = a.clone();
+        simd::xor_into(&mut d, &b);
+        prop_assert_eq!(&d, &zip(|a, b, _| a ^ b));
+        let mut d = a.clone();
+        simd::or_into(&mut d, &b);
+        prop_assert_eq!(&d, &zip(|a, b, _| a | b));
+        let mut d = a.clone();
+        simd::xor_and_into(&mut d, &b, &c);
+        prop_assert_eq!(&d, &zip(|a, b, c| a ^ (b & c)));
+        let mut d = a.clone();
+        simd::xor_andnot_into(&mut d, &b, &c);
+        prop_assert_eq!(&d, &zip(|a, b, c| a ^ (b & !c)));
+        let mut d = a.clone();
+        simd::xor_many_into(&mut d, &[&b[..], &c[..], &b[..]]);
+        prop_assert_eq!(&d, &zip(|a, b, c| a ^ b ^ c ^ b));
 
-        let pop_oracle = simd::popcount_w::<1>(&a);
-        let and_oracle = simd::and_popcount_w::<1>(&a, &b);
-        let fold_oracle = simd::xor_popcount_w::<1>(&[&a, &b, &c], len);
-        prop_assert_eq!(simd::popcount_w::<2>(&a), pop_oracle);
-        prop_assert_eq!(simd::popcount_w::<4>(&a), pop_oracle);
-        prop_assert_eq!(simd::popcount_w::<8>(&a), pop_oracle);
-        prop_assert_eq!(simd::and_popcount_w::<2>(&a, &b), and_oracle);
-        prop_assert_eq!(simd::and_popcount_w::<4>(&a, &b), and_oracle);
-        prop_assert_eq!(simd::and_popcount_w::<8>(&a, &b), and_oracle);
-        prop_assert_eq!(simd::xor_popcount_w::<2>(&[&a, &b, &c], len), fold_oracle);
-        prop_assert_eq!(simd::xor_popcount_w::<4>(&[&a, &b, &c], len), fold_oracle);
-        prop_assert_eq!(simd::xor_popcount_w::<8>(&[&a, &b, &c], len), fold_oracle);
-        // Empty source set: parity identically zero at every width.
-        prop_assert_eq!(simd::xor_popcount_w::<8>(&[], len), 0);
+        prop_assert_eq!(simd::popcount(&a), count(a.clone()));
+        prop_assert_eq!(simd::and_popcount(&a, &b), count(zip(|a, b, _| a & b)));
+        prop_assert_eq!(simd::xor_popcount(&[&a, &b, &c], len), count(zip(|a, b, c| a ^ b ^ c)));
+        // Empty source set: parity identically zero.
+        prop_assert_eq!(simd::xor_popcount(&[], len), 0);
     }
 
     /// The `BitVec` bulk operations agree with a per-bit `Vec<bool>` oracle

@@ -42,10 +42,7 @@ mod synth;
 mod tableau;
 
 pub use random::random_clifford_circuit;
-pub use rules::{
-    conjugate_all_by_circuit, conjugate_all_by_gate, conjugate_pauli_by_gate,
-    conjugate_pauli_by_gate_inverse,
-};
+pub use rules::{conjugate_all_by_gate, conjugate_pauli_by_gate};
 pub use synth::synthesize_clifford;
 pub use tableau::CliffordTableau;
 

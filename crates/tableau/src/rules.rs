@@ -7,7 +7,7 @@
 //! simulator in the workspace integration tests and against the paper's
 //! Table I in this crate's unit tests.
 
-use quclear_circuit::{Circuit, Gate};
+use quclear_circuit::Gate;
 use quclear_pauli::{PauliFrame, PauliOp, SignedPauli};
 
 /// Conjugates a signed Pauli by a single Clifford gate: returns `g·P·g†`.
@@ -93,39 +93,6 @@ pub fn conjugate_all_by_gate(frame: &mut PauliFrame, gate: &Gate) {
             panic!("cannot conjugate a Pauli by non-Clifford gate {gate}")
         }
     }
-}
-
-/// Conjugates every Pauli in a [`PauliFrame`] by a whole Clifford circuit:
-/// each row becomes `C·P·C†` for `C = g_k ⋯ g_1` (gates in circuit order).
-///
-/// One call per gate into [`conjugate_all_by_gate`], so the whole replay is
-/// `O(gates · rows/64)` word operations. This is the conjugation direction
-/// measurement needs: appending `C` to a circuit and measuring `C·P·C†`
-/// in the computational basis estimates `⟨P⟩` of the pre-`C` state.
-///
-/// # Panics
-///
-/// Panics if the circuit contains a non-Clifford gate (`Rz`/`Rx`/`Ry`) or
-/// acts on a different register size than the frame.
-pub fn conjugate_all_by_circuit(frame: &mut PauliFrame, circuit: &Circuit) {
-    assert_eq!(
-        frame.num_qubits(),
-        circuit.num_qubits(),
-        "circuit and frame register sizes must match"
-    );
-    for gate in circuit.gates() {
-        conjugate_all_by_gate(frame, gate);
-    }
-}
-
-/// Conjugates a signed Pauli by the *inverse* of a gate: returns `g†·P·g`.
-///
-/// # Panics
-///
-/// Panics if `gate` is not a Clifford gate.
-#[must_use]
-pub fn conjugate_pauli_by_gate_inverse(pauli: &SignedPauli, gate: &Gate) -> SignedPauli {
-    conjugate_pauli_by_gate(pauli, &gate.inverse())
 }
 
 /// Single-qubit conjugation rule: returns `(g·P·g†, sign_flips)`.
@@ -333,7 +300,7 @@ mod tests {
             for s in ["XY", "-ZI", "YZ", "IX"] {
                 let sp: SignedPauli = s.parse().unwrap();
                 let roundtrip =
-                    conjugate_pauli_by_gate_inverse(&conjugate_pauli_by_gate(&sp, &gate), &gate);
+                    conjugate_pauli_by_gate(&conjugate_pauli_by_gate(&sp, &gate), &gate.inverse());
                 assert_eq!(
                     roundtrip, sp,
                     "g† g conjugation must be the identity for {gate}"

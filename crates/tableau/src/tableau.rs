@@ -5,174 +5,8 @@ use std::fmt;
 
 use quclear_circuit::{Circuit, Gate};
 use quclear_pauli::{BitVec, PauliFrame, PauliOp, PauliString, SignedPauli};
-use rayon::prelude::*;
-use simd::Lane;
 
 use crate::rules::conjugate_all_by_gate;
-
-/// Lane width of the phase-tracking frame-sweep kernels. These keep seven
-/// or more planes live per loop iteration, so lanes wider than one vector
-/// register spill to the stack and run *slower* than scalar. With AVX2 a
-/// 4-word lane is exactly one ymm register (7 live lanes fit in 16), so the
-/// workspace-wide `simd::LANE_WORDS` applies up to 4; on narrower ISAs
-/// (SSE2/NEON baseline) these kernels stay scalar and the wide lanes are
-/// reserved for the ≤3-stream kernels, where they measure ~2.5× faster.
-const LW: usize = if cfg!(target_feature = "avx2") {
-    if simd::LANE_WORDS < 4 {
-        simd::LANE_WORDS
-    } else {
-        4
-    }
-} else {
-    1
-};
-
-/// Minimum words of the batch dimension per parallel block of
-/// [`CliffordTableau::apply_frame`]. Below this, a block's share of the
-/// generator sweep is too small to amortize a thread spawn, so the sweep
-/// stays sequential (128 words = 8192 batch rows per block).
-const MIN_BLOCK_WORDS: usize = 128;
-
-// --- lane kernels of the generator sweep -----------------------------------
-//
-// Each kernel multiplies one generator image literal into the accumulator
-// planes of one qubit column for every selected row at once, fusing the
-// 2-bit phase ripple add (i-exponent mod 4, planes `p1 p0`) with the literal
-// XOR so each word of each plane is loaded and stored exactly once.
-// `add2(d1 d0)` is: carry = p0 & d0; p0 ^= d0; p1 ^= d1 ^ carry.
-
-/// X-factor multiply: `delta = za·(1 + 2·xa)` → `d0 = sel & oz`,
-/// `d1 = d0 & ox`, then `ox ^= sel`.
-fn mul_x_factor<const W: usize>(
-    sel: &[u64],
-    ox: &mut [u64],
-    oz: &[u64],
-    p0: &mut [u64],
-    p1: &mut [u64],
-) {
-    let len = sel.len();
-    let mut i = 0;
-    while i + W <= len {
-        let lsel = Lane::<W>::load(&sel[i..]);
-        let lox = Lane::<W>::load(&ox[i..]);
-        let loz = Lane::<W>::load(&oz[i..]);
-        let lp0 = Lane::<W>::load(&p0[i..]);
-        let lp1 = Lane::<W>::load(&p1[i..]);
-        let d0 = lsel & loz;
-        let carry = lp0 & d0;
-        (lp0 ^ d0).store(&mut p0[i..]);
-        (lp1 ^ (d0 & lox) ^ carry).store(&mut p1[i..]);
-        (lox ^ lsel).store(&mut ox[i..]);
-        i += W;
-    }
-    while i < len {
-        let d0 = sel[i] & oz[i];
-        let carry = p0[i] & d0;
-        p0[i] ^= d0;
-        p1[i] ^= (d0 & ox[i]) ^ carry;
-        ox[i] ^= sel[i];
-        i += 1;
-    }
-}
-
-/// Z-factor multiply: `delta = xa·(3 − 2·za)` → `d0 = sel & ox`,
-/// `d1 = d0 & !oz`, then `oz ^= sel`.
-fn mul_z_factor<const W: usize>(
-    sel: &[u64],
-    ox: &[u64],
-    oz: &mut [u64],
-    p0: &mut [u64],
-    p1: &mut [u64],
-) {
-    let len = sel.len();
-    let mut i = 0;
-    while i + W <= len {
-        let lsel = Lane::<W>::load(&sel[i..]);
-        let lox = Lane::<W>::load(&ox[i..]);
-        let loz = Lane::<W>::load(&oz[i..]);
-        let lp0 = Lane::<W>::load(&p0[i..]);
-        let lp1 = Lane::<W>::load(&p1[i..]);
-        let d0 = lsel & lox;
-        let carry = lp0 & d0;
-        (lp0 ^ d0).store(&mut p0[i..]);
-        (lp1 ^ d0.andnot(loz) ^ carry).store(&mut p1[i..]);
-        (loz ^ lsel).store(&mut oz[i..]);
-        i += W;
-    }
-    while i < len {
-        let d0 = sel[i] & ox[i];
-        let carry = p0[i] & d0;
-        p0[i] ^= d0;
-        p1[i] ^= (d0 & !oz[i]) ^ carry;
-        oz[i] ^= sel[i];
-        i += 1;
-    }
-}
-
-/// Y-factor multiply: `delta = 0,1,3,0` for `(xa,za) = 00,10,01,11` →
-/// `d0 = sel & (ox ^ oz)`, `d1 = sel & oz & !ox`, then both planes flip.
-fn mul_y_factor<const W: usize>(
-    sel: &[u64],
-    ox: &mut [u64],
-    oz: &mut [u64],
-    p0: &mut [u64],
-    p1: &mut [u64],
-) {
-    let len = sel.len();
-    let mut i = 0;
-    while i + W <= len {
-        let lsel = Lane::<W>::load(&sel[i..]);
-        let lox = Lane::<W>::load(&ox[i..]);
-        let loz = Lane::<W>::load(&oz[i..]);
-        let lp0 = Lane::<W>::load(&p0[i..]);
-        let lp1 = Lane::<W>::load(&p1[i..]);
-        let d0 = lsel & (lox ^ loz);
-        let carry = lp0 & d0;
-        (lp0 ^ d0).store(&mut p0[i..]);
-        (lp1 ^ (lsel & loz).andnot(lox) ^ carry).store(&mut p1[i..]);
-        (lox ^ lsel).store(&mut ox[i..]);
-        (loz ^ lsel).store(&mut oz[i..]);
-        i += W;
-    }
-    while i < len {
-        let d0 = sel[i] & (ox[i] ^ oz[i]);
-        let carry = p0[i] & d0;
-        p0[i] ^= d0;
-        p1[i] ^= (sel[i] & oz[i] & !ox[i]) ^ carry;
-        ox[i] ^= sel[i];
-        oz[i] ^= sel[i];
-        i += 1;
-    }
-}
-
-/// Accumulator planes of one batch-word block of the frame sweep: the output
-/// X/Z literal planes (flattened `n × block_words`) and the sign plane.
-struct BlockImage {
-    ox: Vec<u64>,
-    oz: Vec<u64>,
-    p1: Vec<u64>,
-}
-
-/// Seeds the phase planes with `i^{#Y}` per row: one `add2(01)` per qubit
-/// whose X and Z planes are both set (`d0 = x & z`, `d1 = 0`).
-fn add_y_counts<const W: usize>(x: &[u64], z: &[u64], p0: &mut [u64], p1: &mut [u64]) {
-    let len = x.len();
-    let mut i = 0;
-    while i + W <= len {
-        let d0 = Lane::<W>::load(&x[i..]) & Lane::<W>::load(&z[i..]);
-        let lp0 = Lane::<W>::load(&p0[i..]);
-        let lp1 = Lane::<W>::load(&p1[i..]);
-        (lp0 ^ d0).store(&mut p0[i..]);
-        (lp1 ^ (lp0 & d0)).store(&mut p1[i..]);
-        i += W;
-    }
-    while i < len {
-        let d0 = x[i] & z[i];
-        p1[i] ^= p0[i] & d0;
-        p0[i] ^= d0;
-        i += 1;
-    }
-}
 
 /// A Clifford unitary `U` represented by the images of the Pauli generators
 /// under conjugation: `U X_i U†` and `U Z_i U†` (the stabilizer-tableau
@@ -379,27 +213,6 @@ impl CliffordTableau {
         conjugate_all_by_gate(&mut self.frame, gate);
     }
 
-    /// Post-composes with conjugation by the *inverse* of a gate:
-    /// `M'(P) = g†·M(P)·g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate` is not Clifford.
-    pub fn then_gate_inverse(&mut self, gate: &Gate) {
-        self.then_gate(&gate.inverse());
-    }
-
-    /// Post-composes with every gate of a Clifford circuit in time order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit contains non-Clifford gates.
-    pub fn then_circuit(&mut self, circuit: &Circuit) {
-        for gate in circuit.gates() {
-            self.then_gate(gate);
-        }
-    }
-
     /// Composes two maps: the result applies `self` first, then `other`
     /// (`(other ∘ self)(P) = other(self(P))`).
     ///
@@ -514,165 +327,6 @@ impl CliffordTableau {
         SignedPauli::new(PauliString::from_xz(res_x, res_z), total == 2)
     }
 
-    /// Applies the map to **every** row of a [`PauliFrame`] in one
-    /// word-parallel sweep: row `i` of the result is `apply_signed(row_i)`.
-    ///
-    /// Instead of conjugating the rows one string at a time, the sweep walks
-    /// the `2n` generator images in multiplication order (all X generators by
-    /// ascending qubit, then all Z generators) and multiplies each image into
-    /// the accumulator of *every* row that selects it simultaneously: the
-    /// selector of generator `q` (resp. `n+q`) is the input's X (resp. Z)
-    /// bit-plane of qubit `q`, so each per-column literal multiplication is a
-    /// handful of AND/XOR word operations over the batch dimension. The
-    /// `i`-exponent of each row is carried in two phase bit-planes (a masked
-    /// 2-bit ripple counter) rather than per-row integers.
-    ///
-    /// This is the batched CA-Pre kernel: loading an observable set into one
-    /// frame and applying the Heisenberg tableau rewrites all observables at
-    /// `O(rows/64)` words per (generator, qubit) pair. The word sweeps run on
-    /// wide lanes (`simd` shim), and large batches are split into independent
-    /// word-range blocks executed on the rayon pool: every update is
-    /// element-wise in the batch dimension, so the blocked result is
-    /// bit-identical to the sequential one at any block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ.
-    #[must_use]
-    pub fn apply_frame(&self, input: &PauliFrame) -> PauliFrame {
-        let words = input.sign_plane().words().len();
-        let threads = rayon::current_num_threads();
-        // One block per thread, but never blocks so small the spawn overhead
-        // dominates; threads == 1 degenerates to a single sequential block.
-        let block_words = if threads <= 1 {
-            words.max(1)
-        } else {
-            words.div_ceil(threads).max(MIN_BLOCK_WORDS)
-        };
-        self.apply_frame_chunked(input, block_words)
-    }
-
-    /// [`CliffordTableau::apply_frame`] with an explicit word-block size for
-    /// the batch dimension (`block_words` ≥ 1; one 64-row word per unit).
-    ///
-    /// Exposed so tests can pin the chunking and verify that every block size
-    /// — sequential (`block_words >= words`) or maximally split
-    /// (`block_words == 1`) — produces bit-identical output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ.
-    #[must_use]
-    pub fn apply_frame_chunked(&self, input: &PauliFrame, block_words: usize) -> PauliFrame {
-        assert_eq!(
-            input.num_qubits(),
-            self.n,
-            "qubit count mismatch in tableau frame application"
-        );
-        let n = self.n;
-        let rows = input.num_rows();
-        let words = input.sign_plane().words().len();
-        let mut out = PauliFrame::identities(n, rows);
-        if words == 0 {
-            return out;
-        }
-        let block_words = block_words.clamp(1, words);
-        let ranges: Vec<(usize, usize)> = (0..words)
-            .step_by(block_words)
-            .map(|w0| (w0, (w0 + block_words).min(words)))
-            .collect();
-        let blocks: Vec<BlockImage> = if ranges.len() == 1 {
-            vec![self.sweep_block(input, 0, words)]
-        } else {
-            ranges
-                .par_iter()
-                .map(|&(w0, w1)| self.sweep_block(input, w0, w1))
-                .collect()
-        };
-        for (&(w0, w1), block) in ranges.iter().zip(&blocks) {
-            let bw = w1 - w0;
-            for j in 0..n {
-                out.x_plane_mut(j).words_mut()[w0..w1].copy_from_slice(&block.ox[j * bw..][..bw]);
-                out.z_plane_mut(j).words_mut()[w0..w1].copy_from_slice(&block.oz[j * bw..][..bw]);
-            }
-            out.sign_plane_mut().words_mut()[w0..w1].copy_from_slice(&block.p1);
-        }
-        debug_assert!(
-            (0..n).all(|j| out.x_plane(j).tail_is_clear() && out.z_plane(j).tail_is_clear())
-                && out.sign_plane().tail_is_clear(),
-            "block stitch must not write past the batch width"
-        );
-        out
-    }
-
-    /// Runs the full generator sweep restricted to batch words `[w0, w1)`,
-    /// returning the accumulator planes of that block.
-    fn sweep_block(&self, input: &PauliFrame, w0: usize, w1: usize) -> BlockImage {
-        let n = self.n;
-        let bw = w1 - w0;
-
-        // Accumulator bit-planes of the output literals (flattened n × bw:
-        // column j at `j*bw..(j+1)*bw`), plus the i-exponent mod 4 as two
-        // phase planes (p1 p0 little-endian per row).
-        let mut ox = vec![0u64; n * bw];
-        let mut oz = vec![0u64; n * bw];
-        let mut p0 = vec![0u64; bw];
-        let mut p1 = vec![0u64; bw];
-
-        // i^{#Y(P)}: the literal decomposition of each input row contributes
-        // one factor of i per Y, and an input −1 sign contributes i².
-        for q in 0..n {
-            add_y_counts::<LW>(
-                &input.x_plane(q).words()[w0..w1],
-                &input.z_plane(q).words()[w0..w1],
-                &mut p0,
-                &mut p1,
-            );
-        }
-        simd::xor_into(&mut p1, &input.sign_plane().words()[w0..w1]);
-
-        for g in 0..2 * n {
-            let sel = if g < n {
-                input.x_plane(g)
-            } else {
-                input.z_plane(g - n)
-            };
-            let selw = &sel.words()[w0..w1];
-            if selw.iter().all(|&w| w == 0) {
-                continue;
-            }
-            // A negative generator image contributes i² to every selecting row.
-            if self.frame.sign_plane().get(g) {
-                simd::xor_into(&mut p1, selw);
-            }
-            for j in 0..n {
-                let gx = self.frame.x_plane(j).get(g);
-                let gz = self.frame.z_plane(j).get(g);
-                let oxj = &mut ox[j * bw..(j + 1) * bw];
-                let ozj = &mut oz[j * bw..(j + 1) * bw];
-                // Multiply the accumulator literal (xa, za) by the image's
-                // literal (gx, gz) at this column, masked by the selector:
-                // literal(a)·literal(b) = i^{delta}·literal(a⊕b) with
-                // delta = xa·za + gx·gz − (xa⊕gx)(za⊕gz) + 2·za·gx (mod 4).
-                match (gx, gz) {
-                    (false, false) => {}
-                    (true, false) => mul_x_factor::<LW>(selw, oxj, ozj, &mut p0, &mut p1),
-                    (false, true) => mul_z_factor::<LW>(selw, oxj, ozj, &mut p0, &mut p1),
-                    (true, true) => mul_y_factor::<LW>(selw, oxj, ozj, &mut p0, &mut p1),
-                }
-            }
-        }
-
-        // The result literal reassembly folds i^{−#Y(result)} back in the
-        // same way the scalar `apply` does, so the surviving exponent must be
-        // real: p0 ≡ 0 and p1 is the −1 sign plane.
-        debug_assert!(
-            p0.iter().all(|&w| w == 0),
-            "Clifford frame conjugation produced an imaginary phase; tableau is corrupt"
-        );
-        BlockImage { ox, oz, p1 }
-    }
-
     /// Applies the map to a signed Pauli.
     #[must_use]
     pub fn apply_signed(&self, pauli: &SignedPauli) -> SignedPauli {
@@ -696,13 +350,6 @@ impl CliffordTableau {
             let z = self.frame.z_plane(j);
             x.count_ones() == 1 && x.get(j) && z.count_ones() == 1 && z.get(self.n + j)
         })
-    }
-
-    /// Direct access to the generator-image frame (rows `0..n` are X images,
-    /// rows `n..2n` are Z images).
-    #[must_use]
-    pub fn generator_frame(&self) -> &PauliFrame {
-        &self.frame
     }
 
     /// The inverse map (the tableau of `U†` if `self` is the tableau of `U`).
@@ -977,42 +624,6 @@ mod tests {
             let p: PauliString = s.parse().unwrap();
             assert_eq!(t.apply(&p), reference(&p), "apply mismatch on {s}");
         }
-    }
-
-    /// `apply_frame` must agree with per-string `apply_signed` on every row,
-    /// including signed inputs and rows beyond one word.
-    #[test]
-    fn apply_frame_matches_per_string_apply() {
-        let mut c = Circuit::new(4);
-        c.h(0);
-        c.cx(0, 3);
-        c.s(2);
-        c.cz(1, 3);
-        c.sdg(0);
-        c.cx(2, 1);
-        c.push(Gate::SqrtX(3));
-        c.swap(1, 2);
-        let t = CliffordTableau::from_circuit(&c);
-        // 150 signed rows: cycle through a mix, crossing word boundaries.
-        let pool = [
-            "XYZI", "-ZZZZ", "IIII", "YIYI", "-XXXX", "IZXY", "YXZI", "-IYIZ",
-        ];
-        let rows: Vec<SignedPauli> = (0..150)
-            .map(|i| pool[i % pool.len()].parse().unwrap())
-            .collect();
-        let frame = PauliFrame::from_signed(4, &rows);
-        let image = t.apply_frame(&frame);
-        assert_eq!(image.num_rows(), 150);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(image.get(i), t.apply_signed(row), "row {i}: {row}");
-        }
-    }
-
-    #[test]
-    fn apply_frame_on_empty_frame() {
-        let t = CliffordTableau::identity(3);
-        let frame = PauliFrame::identities(3, 0);
-        assert_eq!(t.apply_frame(&frame).num_rows(), 0);
     }
 
     #[test]

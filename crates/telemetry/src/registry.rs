@@ -153,21 +153,7 @@ impl MetricsRegistry {
     /// Panics on a metric-kind mismatch, like [`MetricsRegistry::counter`].
     #[must_use]
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_impl(name, help, None)
-    }
-
-    /// Registers (or retrieves) a gauge with a `key="value"` label.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a metric-kind mismatch, like [`MetricsRegistry::counter`].
-    #[must_use]
-    pub fn gauge_labeled(&self, name: &str, help: &str, label: (&str, &str)) -> Arc<Gauge> {
-        self.gauge_impl(name, help, Some(label))
-    }
-
-    fn gauge_impl(&self, name: &str, help: &str, label: Option<(&str, &str)>) -> Arc<Gauge> {
-        let key = metric_key(name, label);
+        let key = metric_key(name, None);
         match self.register(key, help, || Metric::Gauge(Arc::new(Gauge::new()))) {
             Metric::Gauge(gauge) => gauge,
             other => panic!("metric `{name}` is a {}, not a gauge", other.kind()),
