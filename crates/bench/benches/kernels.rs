@@ -10,8 +10,9 @@
 //! * `extraction` — cold compile of the UCC-(2,6) workload, the headline
 //!   acceptance number (≥3× over the pre-bit-plane baseline; see
 //!   `BENCH_kernels.json`).
-//! * `cache` — template lookups against the sharded cache from one thread
-//!   and from 32 threads hammering one hot entry (read-mostly fast path).
+//! * `cache` — template lookups against the engine's LRU cache from one
+//!   thread and from 32 threads hammering one hot entry (read-mostly fast
+//!   path).
 //! * `statevector` — the dense simulation behind `estimate`:
 //!   `StateVector::from_circuit` of the optimized UCC-(6,12) circuit, the
 //!   same state built the way `estimate` builds it (one in-place pass per

@@ -13,7 +13,7 @@
 //! leader can never hold a bounded request hostage.
 //!
 //! `Deadline` is `Copy` and absolute, so one value can be handed to every
-//! stage (and every job of a batch) without re-arithmetic: the budget is
+//! stage (and every bind of a sweep) without re-arithmetic: the budget is
 //! shared, not per-stage.
 
 use std::time::Duration;
@@ -50,11 +50,13 @@ impl Deadline {
         Deadline { at: None }
     }
 
-    /// A deadline `budget` from now.
+    /// A deadline `budget` from now. A budget that reaches past the last
+    /// representable instant (e.g. [`Duration::MAX`]) never expires, like
+    /// [`Deadline::none`].
     #[must_use]
     pub fn within(budget: Duration) -> Self {
         Deadline {
-            at: Some(Instant::now() + budget),
+            at: Instant::now().checked_add(budget),
         }
     }
 
@@ -127,6 +129,14 @@ mod tests {
         let d = Deadline::within(Duration::from_secs(3600));
         assert!(!d.expired());
         assert!(d.remaining().unwrap() > Duration::from_secs(3500));
+        d.check().unwrap();
+    }
+
+    #[test]
+    fn unrepresentable_budget_never_expires() {
+        let d = Deadline::within(Duration::MAX);
+        assert!(!d.expired());
+        assert_eq!(d, Deadline::none());
         d.check().unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! The thread-safe compilation engine: template cache + batch front-end.
+//! The thread-safe compilation engine: template cache + sweep front-end.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 // Stage timing below uses the real wall clock on purpose: stage metrics
@@ -24,7 +24,7 @@ use rayon::prelude::*;
 use crate::deadline::Deadline;
 use crate::error::EngineError;
 use crate::fingerprint::ProgramFingerprint;
-use crate::sharded::ShardedCache;
+use crate::sharded::LruCache;
 use crate::singleflight::{Role, SingleFlight};
 use crate::template::{CompiledTemplate, StageMetrics};
 
@@ -40,10 +40,6 @@ pub const ENGINE_SINGLEFLIGHT_METRIC: &str = "quclear_engine_singleflight_durati
 
 /// Default number of cached templates.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
-
-/// Default number of cache shards (clamped down when the capacity is
-/// smaller; see [`Engine::with_shards`]).
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
 /// A point-in-time snapshot of the engine's counters.
 ///
@@ -83,7 +79,7 @@ pub struct EngineStats {
     pub evictions: u64,
     /// Total successful `bind` operations served.
     pub binds: u64,
-    /// Templates currently cached (never reported above `capacity`).
+    /// Templates currently cached (never above `capacity`).
     pub entries: usize,
     /// Configured cache capacity.
     pub capacity: usize,
@@ -117,35 +113,6 @@ impl EngineStats {
     #[must_use]
     pub fn lookups(&self) -> u64 {
         self.hits.saturating_add(self.misses)
-    }
-}
-
-/// One unit of work for [`Engine::compile_batch`].
-#[derive(Clone, Debug)]
-pub struct BatchJob {
-    /// The rotation program (axes + default angles).
-    pub program: Vec<PauliRotation>,
-    /// Optional angle override; when `None` the program's own angles bind.
-    pub angles: Option<Vec<f64>>,
-}
-
-impl BatchJob {
-    /// A job compiled with the program's own angles.
-    #[must_use]
-    pub fn new(program: Vec<PauliRotation>) -> Self {
-        BatchJob {
-            program,
-            angles: None,
-        }
-    }
-
-    /// A job rebinding `program`'s structure to explicit `angles`.
-    #[must_use]
-    pub fn with_angles(program: Vec<PauliRotation>, angles: Vec<f64>) -> Self {
-        BatchJob {
-            program,
-            angles: Some(angles),
-        }
     }
 }
 
@@ -194,7 +161,7 @@ impl BatchJob {
 /// single-flight waiter parks on the leader's flight **at most** until the
 /// deadline, then detaches; the leader's template still lands in the cache,
 /// so a retry typically hits. The deadline is one absolute instant, so every
-/// stage (and every job of a batch) shares one budget rather than each
+/// stage (and every bind of a sweep) shares one budget rather than each
 /// getting a fresh allowance.
 ///
 /// ```
@@ -221,7 +188,7 @@ pub struct Engine {
 #[derive(Debug)]
 struct EngineCore {
     config: QuClearConfig,
-    cache: ShardedCache<ProgramFingerprint, CompiledTemplate>,
+    cache: LruCache<ProgramFingerprint, CompiledTemplate>,
     /// Coalesces concurrent compilations of the same structure: one leader
     /// extracts, everyone else waits for its result (`singleflight`).
     inflight: SingleFlight<ProgramFingerprint, Result<Arc<CompiledTemplate>, EngineError>>,
@@ -300,8 +267,7 @@ pub struct EstimateResult {
 
 impl Engine {
     /// Creates an engine with the default pipeline configuration and room
-    /// for `capacity` cached templates (clamped to at least one), sharded
-    /// over [`DEFAULT_CACHE_SHARDS`] sub-caches.
+    /// for `capacity` cached templates (clamped to at least one).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Engine::with_config(capacity, QuClearConfig::default())
@@ -310,19 +276,7 @@ impl Engine {
     /// Creates an engine compiling with an explicit pipeline configuration.
     #[must_use]
     pub fn with_config(capacity: usize, config: QuClearConfig) -> Self {
-        Engine::with_shards(capacity, DEFAULT_CACHE_SHARDS, config)
-    }
-
-    /// Creates an engine with an explicit shard count.
-    ///
-    /// Shards trade strictness of the *global* LRU order for parallelism:
-    /// lookups only ever take a per-shard read lock, and inserts only that
-    /// shard's write lock. Eviction is exact LRU *within* each shard. The
-    /// shard count is clamped to `[1, capacity]`; one shard gives the exact
-    /// single-cache LRU semantics.
-    #[must_use]
-    pub fn with_shards(capacity: usize, shards: usize, config: QuClearConfig) -> Self {
-        let cache = ShardedCache::new(capacity.max(1), shards);
+        let cache = LruCache::new(capacity);
         let metrics = Arc::new(MetricsRegistry::new());
         let stage = |name: &str| {
             metrics.histogram_labeled(
@@ -457,7 +411,7 @@ impl Engine {
         core.stage_fingerprint
             .record_duration(fingerprint_start.elapsed());
         self.maybe_injected_panic(&fingerprint);
-        // Hit fast path: a shard *read* lock plus an atomic recency bump —
+        // Hit fast path: the cache's *read* lock plus an atomic recency bump —
         // concurrent hits never serialize, even on the same template. Hits
         // are served even past the deadline: answering from the cache is
         // cheaper than composing the error.
@@ -538,7 +492,7 @@ impl Engine {
         template.set_stage_metrics(self.core.template_metrics.clone());
         let template = Arc::new(template);
         // Only displacement of a different structure counts as an eviction,
-        // which is exactly what the sharded insert reports.
+        // which is exactly what the cache's insert reports.
         if self
             .core
             .cache
@@ -551,23 +505,17 @@ impl Engine {
         Ok(template)
     }
 
-    /// Sets the occupancy gauge from the live cache length, clamped to the
-    /// capacity (an in-progress insert may overshoot it transiently).
+    /// Sets the occupancy gauge from the live cache length.
     fn refresh_cache_entries(&self) {
-        let cache = &self.core.cache;
-        self.core
-            .cache_entries
-            .set(cache.len().min(cache.capacity()) as i64);
+        self.core.cache_entries.set(self.core.cache.len() as i64);
     }
 
     /// Test-support fault injection: every template lookup whose structural
     /// fingerprint equals `fingerprint` panics **before** the cache is
-    /// consulted, modeling an unexpected panic on the lookup path (the bug
-    /// class that used to tear down whole batches and poison cache shards).
-    /// Pass `None` to disarm. Hidden from docs; it exists so the panic
-    /// containment of [`Self::compile_batch`] and of `quclear-serve` request
-    /// workers can be exercised end-to-end without depending on a
-    /// coincidental panicking input.
+    /// consulted, modeling an unexpected panic on the lookup path. Pass
+    /// `None` to disarm. Hidden from docs; it exists so the panic
+    /// containment of `quclear-serve` request workers can be exercised
+    /// end-to-end without depending on a coincidental panicking input.
     #[doc(hidden)]
     pub fn inject_lookup_panic(&self, fingerprint: Option<ProgramFingerprint>) {
         *self
@@ -663,51 +611,12 @@ impl Engine {
         Ok(result)
     }
 
-    /// Compiles a batch of jobs in parallel.
-    ///
-    /// Results come back **in input order**, one per job, and failures are
-    /// isolated: a malformed job produces an `Err` in its slot without
-    /// affecting any other job. Jobs sharing a structure share one template
-    /// through the cache (and through the single-flight table when they
-    /// race).
-    ///
-    /// Isolation covers panics end to end: the **whole** per-job pipeline —
-    /// fingerprinting, cache lookup, template compilation *and* binding —
-    /// runs inside one `catch_unwind`, so a panic anywhere in one job
-    /// surfaces as [`EngineError::CompilationPanicked`] in that job's slot
-    /// instead of unwinding through the parallel runner and tearing down
-    /// every sibling job. (Binding alone used to be wrapped; a panicking
-    /// lookup — e.g. against a poisoned cache shard — killed the batch.)
-    ///
-    /// The handle's deadline is **shared** across the batch, not per job:
-    /// jobs that start after the budget is spent fail fast with
-    /// [`EngineError::DeadlineExceeded`] in their slot, so a batch that runs
-    /// out of time returns the jobs it finished plus typed errors for the
-    /// rest, never a torn result.
-    pub fn compile_batch(&self, jobs: &[BatchJob]) -> Vec<Result<QuClearResult, EngineError>> {
-        jobs.par_iter()
-            .map(|job| {
-                contain_panics(|| {
-                    self.deadline.check()?;
-                    let template = self.template_for(&job.program)?;
-                    self.deadline.check()?;
-                    let result = match &job.angles {
-                        Some(angles) => template.bind(angles),
-                        None => template.bind_program(&job.program),
-                    }?;
-                    self.core.binds.inc();
-                    Ok(result)
-                })
-            })
-            .collect()
-    }
-
     /// Parameter-sweep fast path: compiles `program`'s structure once and
     /// binds every angle set in parallel.
     ///
-    /// Equivalent to a [`Self::compile_batch`] over identical structures,
-    /// but pays the cache lookup once instead of per job. The handle's
-    /// deadline is shared by the template compilation and every bind.
+    /// Equivalent to one [`Self::compile`] per angle set, but pays the
+    /// cache lookup once instead of per set. The handle's deadline is
+    /// shared by the template compilation and every bind.
     ///
     /// # Errors
     ///
@@ -1062,10 +971,8 @@ impl Engine {
     ///
     /// Safe to call concurrently with requests; see the staleness contract
     /// on [`EngineStats`]. Each counter is read exactly once (so successive
-    /// snapshots are monotone per field), `entries` is clamped to the
-    /// configured capacity (the live length can transiently overshoot by an
-    /// in-progress insert that has reserved its slot but not evicted yet),
-    /// and the read order pins the cross-field invariants:
+    /// snapshots are monotone per field), and the read order pins the
+    /// cross-field invariants:
     /// `coalesced_waits` is read *first* (Acquire, pairing with the Release
     /// increment that every coalesced request performs after its hit/miss),
     /// so `coalesced_waits <= hits + misses` in every snapshot, and the
@@ -1093,7 +1000,7 @@ impl Engine {
             coalesced_waits,
             evictions: core.evictions.get(),
             binds: core.binds.get(),
-            entries: core.cache.len().min(core.cache.capacity()),
+            entries: core.cache.len(),
             capacity: core.cache.capacity(),
             lane_words: quclear_pauli::kernel_lane_words(),
             sweep_threads: rayon::current_num_threads(),
@@ -1153,9 +1060,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_is_counted() {
-        // One shard: exact global LRU, deterministic regardless of how the
-        // fingerprints hash.
-        let engine = Engine::with_shards(2, 1, QuClearConfig::default());
+        let engine = Engine::new(2);
         let programs = [
             vec![rot("XX", 0.1)],
             vec![rot("YY", 0.1)],
@@ -1174,34 +1079,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_order_and_isolates_errors() {
-        let engine = Engine::new(8);
-        let jobs = vec![
-            BatchJob::new(vec![rot("ZZ", 0.4)]),
-            // Bad job: inconsistent register sizes.
-            BatchJob::new(vec![rot("X", 0.1), rot("XX", 0.2)]),
-            BatchJob::with_angles(vec![rot("ZZ", 0.0)], vec![1.25]),
-            // Bad job: wrong angle count.
-            BatchJob::with_angles(vec![rot("YY", 0.1)], vec![0.1, 0.2]),
-        ];
-        let results = engine.compile_batch(&jobs);
-        assert_eq!(results.len(), 4);
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(EngineError::InconsistentQubitCounts { .. })
-        ));
-        assert!(results[2].is_ok());
-        assert!(matches!(
-            results[3],
-            Err(EngineError::AngleCountMismatch {
-                expected: 1,
-                found: 2
-            })
-        ));
-        // Jobs 0 and 2 share the ZZ structure: one miss, one hit.
-        let stats = engine.stats();
-        assert_eq!(stats.entries, 2);
+    fn default_engine_evicts_exact_lru() {
+        let engine = Engine::new(2);
+        let (a, b, c) = (
+            vec![rot("XX", 0.1)],
+            vec![rot("YY", 0.1)],
+            vec![rot("ZZ", 0.1)],
+        );
+        engine.compile(&a).unwrap();
+        engine.compile(&b).unwrap();
+        engine.compile(&a).unwrap(); // hit: b becomes least recently used
+        engine.compile(&c).unwrap(); // evicts b, whatever the keys hash to
+        assert_eq!((engine.stats().hits, engine.stats().misses), (1, 3));
+        engine.compile(&a).unwrap();
+        assert_eq!(
+            (engine.stats().hits, engine.stats().misses),
+            (2, 3),
+            "a stayed"
+        );
+        engine.compile(&b).unwrap();
+        assert_eq!(
+            (engine.stats().hits, engine.stats().misses),
+            (2, 4),
+            "b was evicted"
+        );
     }
 
     #[test]
@@ -1322,27 +1223,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_deadline_errors_are_isolated_per_job() {
-        let engine = Engine::new(8);
-        let jobs = vec![
-            BatchJob::new(vec![rot("ZZ", 0.4)]),
-            BatchJob::new(vec![rot("XX", 0.1)]),
-        ];
-        let results = engine
-            .with_deadline(Deadline::within(std::time::Duration::ZERO))
-            .compile_batch(&jobs);
-        assert_eq!(results.len(), 2);
-        for result in results {
-            assert_eq!(result.unwrap_err(), EngineError::DeadlineExceeded);
-        }
-        // A generous budget compiles the same batch normally.
-        let results = engine
-            .with_deadline(Deadline::within(std::time::Duration::from_secs(60)))
-            .compile_batch(&jobs);
-        assert!(results.iter().all(Result::is_ok));
-    }
-
-    #[test]
     fn qasm_deadlines_cover_the_lifted_pipeline() {
         let engine = Engine::new(8);
         let qasm = "qreg q[2];\ncx q[0], q[1];\nrz(0.5) q[1];\ncx q[0], q[1];\n";
@@ -1376,11 +1256,8 @@ mod tests {
         engine.inject_compile_delay(Some((slow, std::time::Duration::from_millis(20))));
         engine.compile(&program_a()).unwrap();
         engine.inject_compile_delay(None);
-        let jobs = vec![
-            BatchJob::new(program_a()),
-            BatchJob::new(vec![rot("XX", 0.1)]),
-        ];
-        assert!(engine.compile_batch(&jobs).iter().all(Result::is_ok));
+        engine.compile(&program_a()).unwrap();
+        engine.compile(&[rot("XX", 0.1)]).unwrap();
         engine.sweep(&program_a(), &[vec![0.1, 0.2]]).unwrap()[0]
             .as_ref()
             .unwrap();

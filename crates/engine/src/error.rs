@@ -1,8 +1,8 @@
 //! Error types of the compilation engine.
 //!
-//! Every per-job failure mode is a variant of [`EngineError`] so that batch
-//! APIs can isolate failures: one bad job yields one `Err` slot in the
-//! output vector and never poisons its neighbours.
+//! Every per-request failure mode is a variant of [`EngineError`] so that
+//! [`crate::Engine::sweep`] can isolate failures: one bad angle set yields
+//! one `Err` slot in the output vector and never poisons its neighbours.
 
 use std::error::Error;
 use std::fmt;

@@ -13,9 +13,8 @@
 //!   calls, each gate-for-gate equivalent to a from-scratch compile;
 //! * [`Engine`] — a thread-safe LRU template cache with hit/miss/eviction
 //!   counters ([`EngineStats`]);
-//! * [`Engine::compile_batch`] / [`Engine::sweep`] — parallel batch
-//!   compilation with deterministic output ordering and per-job error
-//!   isolation;
+//! * [`Engine::sweep`] — one template lookup, then every angle set bound in
+//!   parallel, in input order, with per-set error isolation;
 //! * [`Engine::compile_qasm`] / [`Engine::bind_qasm`] — QASM ingestion:
 //!   OpenQASM 2.0 text is parsed, lifted into a rotation program
 //!   ([`quclear_core::lift()`]) and served through the same template cache,
@@ -58,13 +57,12 @@ mod template;
 
 pub use deadline::Deadline;
 pub use engine::{
-    group_shot_seed, BatchJob, Engine, EngineStats, EstimateResult, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_CACHE_SHARDS, ENGINE_SINGLEFLIGHT_METRIC, ENGINE_STAGE_METRIC, MAX_ESTIMABLE_QUBITS,
-    MAX_ESTIMATE_SHOTS,
+    group_shot_seed, Engine, EngineStats, EstimateResult, DEFAULT_CACHE_CAPACITY,
+    ENGINE_SINGLEFLIGHT_METRIC, ENGINE_STAGE_METRIC, MAX_ESTIMABLE_QUBITS, MAX_ESTIMATE_SHOTS,
 };
 pub use error::EngineError;
 pub use fingerprint::ProgramFingerprint;
-pub use sharded::ShardedCache;
+pub use sharded::LruCache;
 pub use singleflight::SingleFlight;
 pub use template::CompiledTemplate;
 
@@ -80,7 +78,6 @@ mod tests {
         assert_send_sync::<CompiledTemplate>();
         assert_send_sync::<ProgramFingerprint>();
         assert_send_sync::<EngineError>();
-        assert_send_sync::<BatchJob>();
         assert_send_sync::<Deadline>();
     }
 }

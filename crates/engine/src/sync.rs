@@ -8,7 +8,7 @@
 //! atomic access, condvar park/notify, and `Instant::now` through a
 //! deterministic scheduler, so the model-check suite
 //! (`tests/sched_models.rs`) can explore the interleavings of
-//! `SingleFlight` and `ShardedCache` exhaustively and replay any
+//! `SingleFlight` and `LruCache` exhaustively and replay any
 //! violation. Concurrency-critical modules must import sync primitives
 //! from here, never from `std::sync` directly, or the checker cannot see
 //! them (enforced by `cargo run -p xtask -- lint`).

@@ -14,7 +14,7 @@
 use std::time::Duration;
 
 use quclear_engine::singleflight::Role;
-use quclear_engine::{ShardedCache, SingleFlight};
+use quclear_engine::{LruCache, SingleFlight};
 use quclear_sched::sync::atomic::{AtomicU64, Ordering};
 use quclear_sched::sync::Arc;
 use quclear_sched::time::Instant;
@@ -137,24 +137,22 @@ fn singleflight_detach_keeps_hit_miss_accounting() {
     );
 }
 
-/// Two racing inserts into a full single-shard cache: the reserve-then-evict
-/// protocol may overshoot `capacity` transiently by at most the number of
-/// in-progress inserts (the documented slack), and must settle at exactly
-/// `capacity` once both inserts finish — every interleaving, including the
-/// ones where both threads have reserved before either evicts.
+/// Two racing inserts into a full cache: `len` never exceeds `capacity` at
+/// any observed point, and the cache settles at exactly `capacity` once both
+/// inserts finish — every interleaving.
 #[test]
-fn sharded_cache_len_stays_bounded_mid_eviction() {
+fn lru_cache_len_never_exceeds_capacity_mid_eviction() {
     let report = Explorer::dfs().check(|| {
-        let cache: Arc<ShardedCache<u32, u32>> = Arc::new(ShardedCache::new(1, 1));
+        let cache: Arc<LruCache<u32, u32>> = Arc::new(LruCache::new(1));
         let (c1, c2) = (Arc::clone(&cache), Arc::clone(&cache));
         let a = thread::spawn(move || c1.insert(1, Arc::new(10)));
         let b = thread::spawn(move || c2.insert(2, Arc::new(20)));
-        // Mid-flight: len never exceeds capacity + in-progress inserts and
-        // is never wildly off (no double-reserve, no lost decrement).
+        // Mid-flight: the length is read under the lock, so no in-progress
+        // insert can push it past capacity.
         let mid = cache.len();
         assert!(
-            mid <= cache.capacity() + 2,
-            "len {mid} exceeds capacity plus in-progress inserts"
+            mid <= cache.capacity(),
+            "len {mid} exceeds capacity mid-eviction"
         );
         a.join().unwrap();
         b.join().unwrap();
@@ -169,7 +167,7 @@ fn sharded_cache_len_stays_bounded_mid_eviction() {
     });
     report.assert_passed();
     eprintln!(
-        "sharded-cache eviction model: {} interleavings explored",
+        "lru-cache eviction model: {} interleavings explored",
         report.schedules
     );
 }

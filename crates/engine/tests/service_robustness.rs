@@ -1,19 +1,17 @@
 //! Long-running-service robustness: panic isolation and request coalescing.
 //!
 //! A compile-once/serve-many engine lives for days inside one process, so a
-//! single panicking request must never take out sibling requests (batch
-//! isolation), future requests (no poisoned shard cascades), or requests
-//! that happened to be waiting on the same compilation (single-flight
-//! abandon handling). These tests drive those properties through the public
-//! `Engine` API, using the engine's fault-injection hook to model a panic on
-//! the template-lookup path — the code that used to sit *outside*
-//! `compile_batch`'s per-job `catch_unwind`.
+//! single panicking request must never take out future requests (no
+//! poisoned cache lock) or requests that happened to be waiting on the same
+//! compilation (single-flight abandon handling). These tests drive those
+//! properties through the public `Engine` API, using the engine's
+//! fault-injection hook to model a panic on the template-lookup path.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use quclear_core::QuClearConfig;
-use quclear_engine::{BatchJob, Engine, EngineError, ProgramFingerprint};
+use quclear_engine::{Engine, ProgramFingerprint};
 use quclear_pauli::PauliRotation;
 
 fn rot(s: &str, angle: f64) -> PauliRotation {
@@ -48,69 +46,32 @@ fn slow_program(tag: u64) -> Vec<PauliRotation> {
         .collect()
 }
 
-/// Satellite regression: a job whose *lookup* panics (not just its bind)
-/// must fail alone. Before the fix, `template_for` sat outside the per-job
-/// `catch_unwind`, so this panic unwound through the parallel runner and
-/// tore down the entire batch.
-#[test]
-fn panicking_job_is_isolated_in_a_batch() {
-    let engine = Engine::new(32);
-    let poisoned_program = vec![rot("XYZX", 0.4), rot("ZZXX", 0.2)];
-    engine.inject_lookup_panic(Some(fingerprint_of(&poisoned_program, &engine)));
-
-    let jobs = vec![
-        BatchJob::new(vec![rot("ZZII", 0.4)]),
-        BatchJob::new(poisoned_program.clone()),
-        BatchJob::with_angles(vec![rot("IXXI", 0.0)], vec![1.25]),
-        // A second doomed job: isolation must hold per job, not just once.
-        BatchJob::with_angles(poisoned_program.clone(), vec![0.5, 0.6]),
-        BatchJob::new(vec![rot("YYYY", -0.7)]),
-    ];
-    let results = engine.compile_batch(&jobs);
-    assert_eq!(results.len(), 5);
-    assert!(results[0].is_ok(), "healthy job 0 must succeed");
-    assert!(
-        matches!(results[1], Err(EngineError::CompilationPanicked { .. })),
-        "the panicking job must fail in its own slot, got {:?}",
-        results[1]
-    );
-    assert!(results[2].is_ok(), "healthy job 2 must succeed");
-    assert!(matches!(
-        results[3],
-        Err(EngineError::CompilationPanicked { .. })
-    ));
-    assert!(results[4].is_ok(), "healthy job 4 must succeed");
-
-    // The panic left no residue: disarmed, the same structure compiles.
-    engine.inject_lookup_panic(None);
-    assert!(engine.compile(&poisoned_program).is_ok());
-}
-
 /// A panicking request must not poison state consulted by *other*
 /// structures: while the fault is armed for one fingerprint, every other
-/// program keeps compiling — including ones that share a cache shard with
-/// the doomed key (with a single shard, all of them do).
+/// program keeps compiling through the same cache, and the panics stay on
+/// the threads that raised them.
 #[test]
 fn panicking_request_does_not_poison_other_structures() {
-    let engine = Engine::with_shards(16, 1, QuClearConfig::default());
+    let engine = Engine::new(16);
     let doomed = vec![rot("XXXX", 0.3)];
     engine.inject_lookup_panic(Some(fingerprint_of(&doomed, &engine)));
 
     for i in 0..8 {
         let healthy = vec![rot("ZZII", 0.1 * f64::from(i)), rot("IXXI", 0.2)];
         assert!(engine.compile(&healthy).is_ok(), "round {i}");
-        let batch = engine.compile_batch(&[
-            BatchJob::new(doomed.clone()),
-            BatchJob::new(vec![rot("YYII", 0.4)]),
-        ]);
-        assert!(matches!(
-            batch[0],
-            Err(EngineError::CompilationPanicked { .. })
-        ));
-        assert!(
-            batch[1].is_ok(),
-            "same-shard neighbour must survive round {i}"
-        );
+        std::thread::scope(|scope| {
+            let doomed_request =
+                scope.spawn(|| catch_unwind(AssertUnwindSafe(|| engine.compile(&doomed))).is_err());
+            let neighbour = scope.spawn(|| engine.compile(&[rot("YYII", 0.4)]));
+            assert!(
+                doomed_request.join().unwrap(),
+                "the injected lookup panic must fire in round {i}"
+            );
+            assert!(
+                neighbour.join().unwrap().is_ok(),
+                "neighbour must survive round {i}"
+            );
+        });
     }
 
     engine.inject_lookup_panic(None);
@@ -211,7 +172,7 @@ fn distinct_structures_do_not_coalesce() {
 /// `hit_rate` in `[0, 1]` and `entries <= capacity`.
 #[test]
 fn stats_snapshots_stay_coherent_under_load() {
-    let engine = Arc::new(Engine::with_shards(4, 4, QuClearConfig::default()));
+    let engine = Arc::new(Engine::new(4));
     let snapshots_bad = Arc::new(AtomicU64::new(0));
     std::thread::scope(|scope| {
         for t in 0..4u64 {

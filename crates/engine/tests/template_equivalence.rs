@@ -7,7 +7,7 @@ use std::f64::consts::PI;
 
 use proptest::prelude::*;
 use quclear_core::{compile, QuClearConfig};
-use quclear_engine::{BatchJob, CompiledTemplate, Engine, ENGINE_STAGE_METRIC};
+use quclear_engine::{CompiledTemplate, Engine, ENGINE_STAGE_METRIC};
 use quclear_pauli::{PauliOp, PauliRotation, PauliString};
 use quclear_sim::StateVector;
 use quclear_workloads::Benchmark;
@@ -245,33 +245,4 @@ fn generic_binds_of_benchmark_programs_never_run_the_peephole() {
             bench.name()
         );
     }
-}
-
-/// Batch compilation over a mixed workload: outputs arrive in input order
-/// and agree with sequential compilation.
-#[test]
-fn batch_results_are_ordered_and_correct() {
-    let engine = Engine::new(16);
-    let structures = ["ZZII", "IXXI", "IIYY", "XIIX", "YZYZ"];
-    let jobs: Vec<BatchJob> = (0..40)
-        .map(|i| {
-            let pauli = structures[i % structures.len()];
-            let angle = 0.07 * (i + 1) as f64;
-            BatchJob::new(vec![
-                PauliRotation::parse(pauli, angle).unwrap(),
-                PauliRotation::parse("ZZZZ", -angle).unwrap(),
-            ])
-        })
-        .collect();
-    let results = engine.compile_batch(&jobs);
-    assert_eq!(results.len(), jobs.len());
-    for (job, result) in jobs.iter().zip(&results) {
-        let got = result.as_ref().expect("job must succeed");
-        let want = compile(&job.program, engine.config());
-        assert_eq!(got.optimized.gates(), want.optimized.gates());
-    }
-    // Five distinct structures → five misses, the rest hits.
-    let stats = engine.stats();
-    assert_eq!(stats.misses, 5);
-    assert_eq!(stats.hits, 35);
 }

@@ -1,15 +1,15 @@
-//! Threaded stress tests of the sharded engine cache.
+//! Threaded stress tests of the engine's template cache.
 //!
-//! These run under `--release` in CI as the cache-sharding regression gate:
-//! many threads hammer one engine with a mix of distinct structures (each
-//! shard takes independent write locks) and one hot structure (the
+//! These run under `--release` in CI as the cache-concurrency regression
+//! gate: many threads hammer one engine with a mix of distinct structures
+//! (inserts and evictions under the write lock) and one hot structure (the
 //! read-mostly hit path), and every result must still be correct,
 //! deterministic per job, and accounted for in the stats.
 
 use std::sync::Arc;
 
-use quclear_core::{compile, QuClearConfig};
-use quclear_engine::{BatchJob, Engine};
+use quclear_core::compile;
+use quclear_engine::Engine;
 use quclear_pauli::{PauliOp, PauliRotation, PauliString};
 
 /// A deterministic pseudo-random weight-mixed program, distinct per `tag`.
@@ -45,7 +45,7 @@ fn program(tag: u64, n: usize, rotations: usize) -> Vec<PauliRotation> {
         .collect()
 }
 
-/// 32 threads × distinct structures: every shard sees traffic, no thread may
+/// 32 threads × distinct structures: inserts race each other, no thread may
 /// observe another's template, and each result equals a direct compile.
 #[test]
 fn thirty_two_threads_distinct_fingerprints() {
@@ -108,37 +108,37 @@ fn thirty_two_threads_one_hot_template() {
     assert_eq!(stats.entries, 1);
 }
 
-/// `compile_batch` over a mixed batch from many threads at once: output
-/// order and per-job isolation must hold under contention.
+/// Eight threads compile one mixed job list at once: every valid program
+/// compiles to the direct result and every malformed one fails, under
+/// contention on the shared cache.
 #[test]
-fn concurrent_compile_batches_stay_isolated() {
+fn concurrent_compiles_stay_isolated() {
     let engine = Arc::new(Engine::new(128));
-    let jobs: Vec<BatchJob> = (0..24)
+    let jobs: Vec<Vec<PauliRotation>> = (0..24)
         .map(|i| {
             if i % 8 == 7 {
                 // Malformed job: inconsistent register sizes.
-                BatchJob::new(vec![
+                vec![
                     PauliRotation::parse("XX", 0.1).unwrap(),
                     PauliRotation::parse("XXX", 0.2).unwrap(),
-                ])
+                ]
             } else {
-                BatchJob::new(program(i as u64 % 6, 5, 6))
+                program(i as u64 % 6, 5, 6)
             }
         })
         .collect();
     std::thread::scope(|scope| {
         for _ in 0..8 {
             let engine = Arc::clone(&engine);
-            let jobs = jobs.clone();
+            let jobs = &jobs;
             scope.spawn(move || {
-                let results = engine.compile_batch(&jobs);
-                assert_eq!(results.len(), jobs.len());
-                for (i, result) in results.iter().enumerate() {
+                for (i, job) in jobs.iter().enumerate() {
+                    let result = engine.compile(job);
                     if i % 8 == 7 {
                         assert!(result.is_err(), "malformed job {i} must fail");
                     } else {
-                        let got = result.as_ref().expect("job must succeed");
-                        let want = compile(&jobs[i].program, engine.config());
+                        let got = result.expect("job must succeed");
+                        let want = compile(job, engine.config());
                         assert_eq!(got.optimized.gates(), want.optimized.gates());
                     }
                 }
@@ -147,24 +147,4 @@ fn concurrent_compile_batches_stay_isolated() {
     });
     // 6 distinct valid structures cached; failures are never cached.
     assert_eq!(engine.stats().entries, 6);
-}
-
-/// Sweeps through the sharded cache behave identically to unsharded
-/// compilation, shard count notwithstanding.
-#[test]
-fn sweep_results_match_across_shard_counts() {
-    let prog = program(5, 6, 10);
-    let angle_sets: Vec<Vec<f64>> = (0..16)
-        .map(|i| (0..10).map(|j| 0.05 * (i * 10 + j) as f64 + 0.01).collect())
-        .collect();
-    let sharded = Engine::new(64);
-    let single = Engine::with_shards(64, 1, QuClearConfig::default());
-    let a = sharded.sweep(&prog, &angle_sets).expect("sharded sweep");
-    let b = single
-        .sweep(&prog, &angle_sets)
-        .expect("single-shard sweep");
-    for (ra, rb) in a.iter().zip(&b) {
-        let (ra, rb) = (ra.as_ref().unwrap(), rb.as_ref().unwrap());
-        assert_eq!(ra.optimized.gates(), rb.optimized.gates());
-    }
 }

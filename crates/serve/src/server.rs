@@ -681,7 +681,7 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, Continuation) {
     let kind_name = request.kind.name();
     // The request's time-in-system budget starts now — after the frame was
     // read, before any pipeline stage. One absolute deadline is shared by
-    // every stage (and every job of a batch), so slow stages eat into the
+    // every stage (and every bind of a sweep), so slow stages eat into the
     // budget of later ones rather than each getting a fresh allowance.
     let deadline = shared
         .config

@@ -7,8 +7,7 @@
 //!    with the overlap visible in `coalesced_waits`.
 //! 2. **Panic robustness** — a deliberately panicking compile answers its
 //!    own request with an error and nothing else: the worker, the other
-//!    connections, the engine cache (including the doomed structure's own
-//!    shard) all keep serving.
+//!    connections and the engine cache all keep serving.
 //!
 //! Shutdown is exercised in every test: `Server::stop` joins all server
 //! threads, so a test that returns has, by construction, leaked none.
@@ -184,13 +183,9 @@ fn identical_and_distinct_fingerprints_mix() {
 
 #[test]
 fn panicking_compile_neither_kills_the_server_nor_poisons_its_shard() {
-    // One cache shard: the doomed structure and every healthy one share it,
-    // so any post-panic poisoning would take down all later requests.
-    let engine = Arc::new(Engine::with_shards(
-        64,
-        1,
-        quclear_core::QuClearConfig::default(),
-    ));
+    // The doomed structure and every healthy one share the cache's one
+    // lock, so any post-panic poisoning would take down all later requests.
+    let engine = Arc::new(Engine::new(64));
     let doomed_axes = program_axes(77, 8);
     let doomed_rotations: Vec<PauliRotation> = doomed_axes
         .iter()
@@ -215,8 +210,8 @@ fn panicking_compile_neither_kills_the_server_nor_poisons_its_shard() {
             .unwrap_or_else(|| panic!("round {round}: {err}"));
         assert_eq!(remote.kind, "panicked", "round {round}: {remote}");
 
-        // ...and the same connection keeps working: a healthy structure on
-        // the same (only) shard compiles fine right after.
+        // ...and the same connection keeps working: a healthy structure
+        // compiles through the same cache right after.
         let healthy = program_axes(200 + round, 8);
         let healthy_refs: Vec<&str> = healthy.iter().map(String::as_str).collect();
         client
@@ -230,8 +225,8 @@ fn panicking_compile_neither_kills_the_server_nor_poisons_its_shard() {
     let stats = second.stats().expect("stats after panics");
     assert!(stats.requests_served >= 6);
 
-    // Disarm the fault: the previously doomed structure now compiles on the
-    // very same shard — nothing was poisoned.
+    // Disarm the fault: the previously doomed structure now compiles
+    // through the very same cache — nothing was poisoned.
     engine.inject_lookup_panic(None);
     second
         .compile(&doomed_refs, &doomed_angles)
@@ -733,6 +728,30 @@ fn estimate_respects_the_server_deadline() {
         err.remote().expect("remote error").kind,
         "deadline_exceeded"
     );
+    server.stop();
+}
+
+/// A budget too large to add to the clock is an unbounded deadline: the
+/// server answers instead of dropping the connection.
+#[test]
+fn an_unrepresentable_request_deadline_still_answers() {
+    let engine = Arc::new(Engine::new(16));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            workers: 2,
+            request_deadline: Some(std::time::Duration::MAX),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("binding an ephemeral port");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.health().expect("health under Duration::MAX");
+    client
+        .compile(&["ZZII", "IXXI"], &[0.4, 0.2])
+        .expect("compile under Duration::MAX");
+    assert_eq!(engine.stats().misses, 1);
     server.stop();
 }
 

@@ -10,8 +10,8 @@
 //! * **lock-unwrap** — no `.unwrap()` / `.expect(` directly on
 //!   `lock()`/`read()`/`write()` results. Long-running services recover
 //!   from poisoning (`unwrap_or_else(PoisonError::into_inner)`) instead of
-//!   turning one panicked request into a permanent outage (see
-//!   `engine::sharded`'s module docs for when that recovery is sound).
+//!   turning one panicked request into a permanent outage (the engine
+//!   template cache's module docs say when that recovery is sound).
 //! * **ordering-relaxed** — every `Ordering::Relaxed` on an atomic must
 //!   carry a `// ordering:` audit comment (same line or within the
 //!   preceding eight lines) justifying why relaxed is enough. Atomics that

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use quclear::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // One engine behind the server: its sharded template cache and
+    // One engine behind the server: its template cache and
     // single-flight table are what every client shares.
     let engine = Arc::new(Engine::new(256));
     let config = ServerConfig {

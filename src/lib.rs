@@ -30,7 +30,7 @@ pub mod prelude {
     pub use quclear_core::{
         lift, lift_qasm, AbsorbedObservables, AbsorptionPlan, LiftedProgram, ShotBatch,
     };
-    pub use quclear_engine::{BatchJob, CompiledTemplate, Deadline, Engine, ProgramFingerprint};
+    pub use quclear_engine::{CompiledTemplate, Deadline, Engine, ProgramFingerprint};
     pub use quclear_pauli::{PauliOp, PauliRotation, PauliString, SignedPauli};
     pub use quclear_serve::{Client, ClientError, RetryPolicy, Server, ServerConfig};
     pub use quclear_telemetry::{MetricsRegistry, MetricsSnapshot};
