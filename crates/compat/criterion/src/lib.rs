@@ -11,7 +11,10 @@
 //! `sample_size` samples; each sample runs the closure enough times to take
 //! roughly [`SAMPLE_TARGET`]. Median, minimum and mean per-iteration times
 //! are printed in a criterion-like format. Passing `--test` (as `cargo test`
-//! does for harness-less targets) runs every closure exactly once. Setting
+//! does for harness-less targets) runs every closure exactly once. The
+//! first argument that is not a flag filters benchmarks: only those whose
+//! `group/id` contains it run (`cargo bench --bench kernels -- cache`).
+//! Setting
 //! the `CRITERION_JSON` environment variable to a path appends one JSON line
 //! per benchmark: `{"id": .., "median_ns": .., "min_ns": .., "mean_ns": ..}`.
 
@@ -137,20 +140,44 @@ fn format_time(ns: f64) -> String {
 #[derive(Debug)]
 pub struct Criterion {
     test_mode: bool,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let test_mode = std::env::args().any(|a| a == "--test");
-        Criterion { test_mode }
+        Criterion::from_args(std::env::args().skip(1))
     }
 }
 
 impl Criterion {
+    /// Reads the command line (without the program name): `--test` selects
+    /// test mode, and the first non-flag argument is the benchmark filter.
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let mut criterion = Criterion {
+            test_mode: false,
+            filter: None,
+        };
+        for arg in args {
+            if arg == "--test" {
+                criterion.test_mode = true;
+            } else if !arg.starts_with('-') && criterion.filter.is_none() {
+                criterion.filter = Some(arg);
+            }
+        }
+        criterion
+    }
+
+    /// Whether the benchmark `full_id` (`group/id`) passes the filter.
+    fn selects(&self, full_id: &str) -> bool {
+        self.filter
+            .as_deref()
+            .is_none_or(|filter| full_id.contains(filter))
+    }
+
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _criterion: self,
+            criterion: self,
             name: name.into(),
             sample_size: 50,
             test_mode: self.test_mode,
@@ -170,7 +197,7 @@ impl Criterion {
 /// A named group of benchmarks sharing configuration.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
-    _criterion: &'a Criterion,
+    criterion: &'a Criterion,
     name: String,
     sample_size: usize,
     test_mode: bool,
@@ -214,6 +241,9 @@ impl BenchmarkGroup<'_> {
         } else {
             format!("{}/{}", self.name, id)
         };
+        if !self.criterion.selects(&full_id) {
+            return;
+        }
         let mut bencher = Bencher {
             test_mode,
             sample_size,
@@ -297,11 +327,35 @@ mod tests {
 
     #[test]
     fn bencher_runs_in_test_mode() {
-        let mut c = Criterion { test_mode: true };
+        let mut c = Criterion::from_args(["--test".to_string()]);
         let mut calls = 0usize;
         let mut group = c.benchmark_group("g");
         group.bench_function("f", |b| b.iter(|| calls += 1));
         group.finish();
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn filter_is_the_first_non_flag_argument_matched_as_a_substring() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let c = Criterion::from_args(args(&["--bench", "cache", "other"]));
+        assert!(!c.test_mode);
+        assert!(c.selects("cache/warm_lookup_bind/1thread"));
+        assert!(c.selects("engine/cache_hit"));
+        assert!(!c.selects("tableau/apply/64"));
+
+        let all = Criterion::from_args(args(&["--test"]));
+        assert!(all.test_mode);
+        assert!(all.selects("tableau/apply/64"));
+
+        let mut c = Criterion::from_args(args(&["--test", "cache"]));
+        let (mut kept, mut skipped) = (0usize, 0usize);
+        let mut group = c.benchmark_group("cache");
+        group.bench_function("hit", |b| b.iter(|| kept += 1));
+        group.finish();
+        let mut group = c.benchmark_group("tableau");
+        group.bench_function("apply", |b| b.iter(|| skipped += 1));
+        group.finish();
+        assert_eq!((kept, skipped), (1, 0));
     }
 }

@@ -1,175 +1,11 @@
-//! Offline stand-in for the [`rayon`](https://crates.io/crates/rayon) crate.
+//! Offline stand-in for the [`rayon`](https://crates.io/crates/rayon) crate,
+//! with no API.
 //!
-//! The build environment of this repository has no network access, so this
-//! crate implements the data-parallel subset the workspace uses:
-//! `slice.par_iter().map(f).collect::<Vec<_>>()` plus [`join`]. Work is
-//! executed on `std::thread::scope` threads — one contiguous chunk per
-//! available core — and results are returned **in input order**, matching
-//! rayon's `collect` semantics for indexed parallel iterators.
-//!
-//! There is no global thread pool and no work stealing: throughput is within
-//! a small factor of rayon for the coarse-grained compilation jobs this
-//! workspace parallelizes, which is all that is needed here.
+//! Every library kernel in this workspace runs on its calling thread; the
+//! server's worker pool is the one unit of concurrency. No crate calls into
+//! rayon any more, but `quclear-core`, `quclear-engine` and
+//! `quclear-tableau` still declare the dependency (and lock files pin it),
+//! so the crate stays as an empty placeholder until those edges are
+//! dropped.
 
 #![warn(missing_docs)]
-
-use std::num::NonZeroUsize;
-
-/// The common imports: `use rayon::prelude::*;`.
-pub mod prelude {
-    pub use crate::IntoParallelRefIterator;
-}
-
-/// Number of worker threads used for parallel operations.
-#[must_use]
-pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(b);
-        let ra = a();
-        let rb = handle.join().expect("rayon::join closure panicked");
-        (ra, rb)
-    })
-}
-
-/// Types that can produce a parallel iterator over references.
-pub trait IntoParallelRefIterator<'a> {
-    /// The element type.
-    type Item: Sync + 'a;
-
-    /// Returns a parallel iterator over `&Self::Item`.
-    fn par_iter(&'a self) -> ParIter<'a, Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = T;
-
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { slice: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = T;
-
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { slice: self }
-    }
-}
-
-/// Parallel iterator over a slice.
-#[derive(Clone, Copy, Debug)]
-pub struct ParIter<'a, T> {
-    slice: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Maps every element through `f` in parallel.
-    pub fn map<U, F>(self, f: F) -> ParMap<'a, T, F>
-    where
-        F: Fn(&'a T) -> U + Sync,
-        U: Send,
-    {
-        ParMap {
-            slice: self.slice,
-            f,
-        }
-    }
-}
-
-/// Parallel map over a slice; consumed by [`ParMap::collect`].
-#[derive(Clone, Copy, Debug)]
-pub struct ParMap<'a, T, F> {
-    slice: &'a [T],
-    f: F,
-}
-
-impl<'a, T, U, F> ParMap<'a, T, F>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&'a T) -> U + Sync,
-{
-    /// Runs the map on scoped threads and collects results in input order.
-    pub fn collect<C: FromOrderedParallel<U>>(self) -> C {
-        C::from_ordered(self.run())
-    }
-
-    fn run(self) -> Vec<U> {
-        let items = self.slice;
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = current_num_threads().min(n).max(1);
-        if threads == 1 {
-            return items.iter().map(&self.f).collect();
-        }
-        let chunk_len = n.div_ceil(threads);
-        let f = &self.f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
-                .collect();
-            let mut out = Vec::with_capacity(n);
-            for handle in handles {
-                out.extend(handle.join().expect("parallel map worker panicked"));
-            }
-            out
-        })
-    }
-}
-
-/// Collections buildable from an ordered parallel computation.
-pub trait FromOrderedParallel<U> {
-    /// Builds the collection from results in input order.
-    fn from_ordered(items: Vec<U>) -> Self;
-}
-
-impl<U> FromOrderedParallel<U> for Vec<U> {
-    fn from_ordered(items: Vec<U>) -> Self {
-        items
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-
-    #[test]
-    fn map_collect_preserves_order() {
-        let input: Vec<usize> = (0..1000).collect();
-        let doubled: Vec<usize> = input.par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_single_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        let out: Vec<u8> = empty.par_iter().map(|x| *x).collect();
-        assert!(out.is_empty());
-        let one = [7usize];
-        let out: Vec<usize> = one[..].par_iter().map(|x| x + 1).collect();
-        assert_eq!(out, vec![8]);
-    }
-
-    #[test]
-    fn join_runs_both_sides() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
-}

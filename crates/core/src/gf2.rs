@@ -10,12 +10,6 @@
 use std::fmt;
 
 use quclear_pauli::BitVec;
-use rayon::prelude::*;
-
-/// Minimum total words of output (rows × plane words) before
-/// [`Gf2Matrix::mul_planes`] fans rows out to the rayon pool; smaller
-/// products are faster sequential than the thread-spawn overhead.
-const MUL_PLANES_PAR_WORDS: usize = 1 << 14;
 
 /// A square matrix over GF(2) with bit-packed rows.
 ///
@@ -172,8 +166,7 @@ impl Gf2Matrix {
     /// Each output plane is produced in a **single fused pass**
     /// ([`simd::xor_many_into`]): every selected input plane is read once and
     /// the output written once, instead of one read-modify-write sweep per
-    /// selected column. Rows are independent, so large products fan out to
-    /// the rayon pool (in row order, deterministically).
+    /// selected column.
     ///
     /// # Panics
     ///
@@ -187,22 +180,19 @@ impl Gf2Matrix {
             "plane count must match matrix dimension"
         );
         let shots = planes.first().map_or(0, BitVec::len);
-        let words = shots.div_ceil(64);
-        let one_row = |row: &BitVec| {
-            let mut out = BitVec::zeros(shots);
-            let srcs: Vec<&[u64]> = row.iter_ones().map(|c| planes[c].words()).collect();
-            simd::xor_many_into(out.words_mut(), &srcs);
-            debug_assert!(
-                out.tail_is_clear(),
-                "fused xor must not set bits past the shot count"
-            );
-            out
-        };
-        if self.n * words >= MUL_PLANES_PAR_WORDS && rayon::current_num_threads() > 1 {
-            self.rows.par_iter().map(one_row).collect()
-        } else {
-            self.rows.iter().map(one_row).collect()
-        }
+        self.rows
+            .iter()
+            .map(|row| {
+                let mut out = BitVec::zeros(shots);
+                let srcs: Vec<&[u64]> = row.iter_ones().map(|c| planes[c].words()).collect();
+                simd::xor_many_into(out.words_mut(), &srcs);
+                debug_assert!(
+                    out.tail_is_clear(),
+                    "fused xor must not set bits past the shot count"
+                );
+                out
+            })
+            .collect()
     }
 
     /// The inverse matrix, if it exists (Gauss–Jordan elimination with

@@ -16,19 +16,9 @@
 use std::collections::BTreeMap;
 
 use quclear_pauli::{transpose64_pack32, transpose64_top, BitVec, PauliString};
-use rayon::prelude::*;
 
 /// Number of bits per storage word (matches [`BitVec`]).
 const WORD_BITS: usize = 64;
-
-/// Minimum total words of work (observables × plane words) before
-/// [`ShotBatch::parity_expectations`] fans observables out to the rayon
-/// pool.
-const EXPECTATIONS_PAR_WORDS: usize = 1 << 14;
-
-/// Minimum 64-shot transpose blocks before pack/unpack fans blocks out to
-/// the rayon pool (each block is an independent 64×64 bit transpose).
-const TRANSPOSE_PAR_BLOCKS: usize = 1 << 10;
 
 /// A batch of measurement shots stored as per-qubit bit-planes.
 ///
@@ -75,59 +65,24 @@ impl ShotBatch {
                 planes,
             };
         }
-        // Each 64-shot block transposes independently; the plane stitch
-        // stays sequential (one word store per qubit per block). The
-        // parallel path materializes the transposed blocks; the sequential
-        // path scatters each block straight from registers so no
-        // blocks-sized intermediate ever leaves the cache. Only the first
-        // `n` of each block's 64 transposed rows become planes, so the
-        // butterfly ladder is pruned to that prefix — and for `n ≤ 32` the
-        // source load fuses with the first stage into a half-size block.
-        let parallel = words >= TRANSPOSE_PAR_BLOCKS && rayon::current_num_threads() > 1;
-        if n <= 32 {
-            let pack_block = |w: &usize| -> [u64; 32] {
-                let base = *w * WORD_BITS;
-                transpose64_pack32(&shots[base..count.min(base + WORD_BITS)], n)
-            };
-            if parallel {
-                let word_idx: Vec<usize> = (0..words).collect();
-                let blocks: Vec<[u64; 32]> = word_idx.par_iter().map(pack_block).collect();
-                for (w, block) in blocks.iter().enumerate() {
-                    for (q, plane) in planes.iter_mut().enumerate() {
-                        plane.words_mut()[w] = block[q];
-                    }
+        // Each 64-shot block is transposed and scattered straight into the
+        // planes. Only the first `n` of its 64 transposed rows become planes,
+        // so the butterfly ladder is pruned to that prefix — and for `n ≤ 32`
+        // the source load fuses with the first stage into a half-size block.
+        for w in 0..words {
+            let base = w * WORD_BITS;
+            let chunk = &shots[base..count.min(base + WORD_BITS)];
+            if n <= 32 {
+                let block = transpose64_pack32(chunk, n);
+                for (q, plane) in planes.iter_mut().enumerate() {
+                    plane.words_mut()[w] = block[q];
                 }
             } else {
-                for w in 0..words {
-                    let block = pack_block(&w);
-                    for (q, plane) in planes.iter_mut().enumerate() {
-                        plane.words_mut()[w] = block[q];
-                    }
-                }
-            }
-        } else {
-            let transpose_block = |w: &usize| -> [u64; 64] {
-                let base = *w * WORD_BITS;
-                let chunk = &shots[base..count.min(base + WORD_BITS)];
                 let mut block = [0u64; 64];
                 block[..chunk.len()].copy_from_slice(chunk);
                 transpose64_top(&mut block, n);
-                block
-            };
-            if parallel {
-                let word_idx: Vec<usize> = (0..words).collect();
-                let blocks: Vec<[u64; 64]> = word_idx.par_iter().map(transpose_block).collect();
-                for (w, block) in blocks.iter().enumerate() {
-                    for (q, plane) in planes.iter_mut().enumerate() {
-                        plane.words_mut()[w] = block[q];
-                    }
-                }
-            } else {
-                for w in 0..words {
-                    let block = transpose_block(&w);
-                    for (q, plane) in planes.iter_mut().enumerate() {
-                        plane.words_mut()[w] = block[q];
-                    }
+                for (q, plane) in planes.iter_mut().enumerate() {
+                    plane.words_mut()[w] = block[q];
                 }
             }
         }
@@ -213,30 +168,15 @@ impl ShotBatch {
         }
         // Only the shots actually present in a block are copied out, so the
         // tail block's transpose is pruned to its occupied prefix.
-        let transpose_block = |w: &usize| -> [u64; 64] {
+        for w in 0..words {
+            let base = w * WORD_BITS;
+            let take = self.shots.min(base + WORD_BITS) - base;
             let mut block = [0u64; 64];
             for (q, plane) in self.planes.iter().enumerate() {
-                block[q] = plane.words()[*w];
+                block[q] = plane.words()[w];
             }
-            let take = self.shots.min((*w + 1) * WORD_BITS) - *w * WORD_BITS;
             transpose64_top(&mut block, take);
-            block
-        };
-        if words >= TRANSPOSE_PAR_BLOCKS && rayon::current_num_threads() > 1 {
-            let word_idx: Vec<usize> = (0..words).collect();
-            let blocks: Vec<[u64; 64]> = word_idx.par_iter().map(transpose_block).collect();
-            for (w, block) in blocks.iter().enumerate() {
-                let base = w * WORD_BITS;
-                let take = self.shots.min(base + WORD_BITS) - base;
-                out[base..base + take].copy_from_slice(&block[..take]);
-            }
-        } else {
-            for w in 0..words {
-                let block = transpose_block(&w);
-                let base = w * WORD_BITS;
-                let take = self.shots.min(base + WORD_BITS) - base;
-                out[base..base + take].copy_from_slice(&block[..take]);
-            }
+            out[base..base + take].copy_from_slice(&block[..take]);
         }
         out
     }
@@ -284,29 +224,17 @@ impl ShotBatch {
     }
 
     /// Estimates [`Self::parity_expectation`] for a whole set of observables
-    /// at once, fanning the (independent) observables out to the rayon pool
-    /// when the batch is large enough to amortize the threads.
-    ///
-    /// The result order matches the input order and is bit-identical to
-    /// calling [`Self::parity_expectation`] per support sequentially.
+    /// at once, in input order.
     ///
     /// # Panics
     ///
     /// Panics if any mask length differs from the qubit count.
     #[must_use]
     pub fn parity_expectations(&self, supports: &[BitVec]) -> Vec<f64> {
-        let words = self.shots.div_ceil(WORD_BITS);
-        if supports.len() * words >= EXPECTATIONS_PAR_WORDS && rayon::current_num_threads() > 1 {
-            supports
-                .par_iter()
-                .map(|s| self.parity_expectation(s))
-                .collect()
-        } else {
-            supports
-                .iter()
-                .map(|s| self.parity_expectation(s))
-                .collect()
-        }
+        supports
+            .iter()
+            .map(|s| self.parity_expectation(s))
+            .collect()
     }
 
     /// [`Self::parity_expectation`] with the support taken from a Pauli

@@ -2,7 +2,10 @@
 //! oracles: the packed affine map `x ↦ A·x ⊕ b` must agree bit-for-bit
 //! with a naive per-shot, per-bit loop — including shot counts that are
 //! not multiples of 64 — and the word-parallel expectation accumulator
-//! must agree with per-shot parity counting.
+//! must agree with per-shot parity counting. Pack/unpack and the batched
+//! expectations also run on batches of more than 1,024 64-shot blocks
+//! ending in a partial block, for registers on both sides of the 32-qubit
+//! split between the two transpose kernels.
 //!
 //! These run in the release-mode CI job as well: the word kernels compile
 //! to different code under optimization, and release is the configuration
@@ -34,6 +37,28 @@ fn affine_map(n: usize) -> impl Strategy<Value = (Gf2Matrix, Vec<bool>)> {
             }
             (m, offset)
         })
+}
+
+/// Deterministic pseudo-random `n`-qubit shots (SplitMix64 from `seed`).
+fn shots_for(n: usize, count: usize, seed: u64) -> Vec<u64> {
+    let mask = u64::MAX >> (64 - n);
+    let mut state = seed;
+    (0..count)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) & mask
+        })
+        .collect()
+}
+
+/// Shot counts either below 300 (empty, partial words, exact multiples) or
+/// above 1,024 full 64-shot blocks with a partial tail block.
+fn shot_count() -> impl Strategy<Value = usize> {
+    (any::<bool>(), 0usize..300, 1usize..64)
+        .prop_map(|(large, small, tail)| if large { 1024 * 64 + tail } else { small })
 }
 
 /// The scalar oracle: applies `x ↦ A·x ⊕ b` one shot and one bit at a time.
@@ -77,13 +102,20 @@ proptest! {
         prop_assert_eq!(mapped.to_indices(), naive_affine(&matrix, &offset, &shots));
     }
 
-    /// Pack → unpack is the identity for any shot count.
+    /// Pack → unpack is the identity for any shot count, through both the
+    /// `n ≤ 32` and the `n > 32` transpose kernels.
     #[test]
     fn pack_unpack_roundtrip(
-        shots in prop::collection::vec(any::<u64>().prop_map(|x| x & 0xFFFFF), 0..300),
+        n_low in 1usize..=32,
+        n_high in 33usize..=64,
+        count in shot_count(),
+        seed in any::<u64>(),
     ) {
-        let batch = ShotBatch::from_indices(20, &shots);
-        prop_assert_eq!(batch.to_indices(), shots);
+        for n in [n_low, n_high] {
+            let shots = shots_for(n, count, seed);
+            let batch = ShotBatch::from_indices(n, &shots);
+            prop_assert_eq!(batch.to_indices(), shots);
+        }
     }
 
     /// The popcount expectation accumulator == per-shot parity counting.
@@ -104,30 +136,46 @@ proptest! {
         prop_assert!((batch.parity_expectation(&support) - scalar).abs() < 1e-12);
     }
 
-    /// The batched `parity_expectations` sweep returns exactly the same
-    /// values, in the same order, as calling `parity_expectation` per
-    /// support — the parallel path must be bit-identical to the scalar one.
+    /// The batched `parity_expectations` sweep returns, in input order,
+    /// exactly the values of `parity_expectation` per support, and both
+    /// agree with the scalar per-shot parity fold.
     #[test]
     fn batched_expectations_match_per_support_calls(
-        shots in prop::collection::vec(0u64..(1 << 11), 1..200),
-        masks in prop::collection::vec(0u64..(1 << 11), 0..40),
+        n_low in 1usize..=32,
+        n_high in 33usize..=64,
+        count in shot_count(),
+        seed in any::<u64>(),
+        masks in prop::collection::vec(any::<u64>(), 0..40),
     ) {
-        let batch = ShotBatch::from_indices(11, &shots);
-        let supports: Vec<BitVec> = masks
-            .iter()
-            .map(|&mask| {
-                let mut support = BitVec::zeros(11);
-                for q in 0..11 {
-                    support.set(q, mask & (1 << q) != 0);
-                }
-                support
-            })
-            .collect();
-        let batched = batch.parity_expectations(&supports);
-        prop_assert_eq!(batched.len(), supports.len());
-        for (got, support) in batched.iter().zip(&supports) {
-            // Exact equality: both paths run the identical word kernel.
-            prop_assert_eq!(*got, batch.parity_expectation(support));
+        for n in [n_low, n_high] {
+            let shots = shots_for(n, count, seed);
+            let batch = ShotBatch::from_indices(n, &shots);
+            let masks: Vec<u64> = masks.iter().map(|&m| m & (u64::MAX >> (64 - n))).collect();
+            let supports: Vec<BitVec> = masks
+                .iter()
+                .map(|&mask| {
+                    let mut support = BitVec::zeros(n);
+                    for q in 0..n {
+                        support.set(q, mask & (1 << q) != 0);
+                    }
+                    support
+                })
+                .collect();
+            let batched = batch.parity_expectations(&supports);
+            prop_assert_eq!(batched.len(), supports.len());
+            for ((got, support), &mask) in batched.iter().zip(&supports).zip(&masks) {
+                // Exact equality: both run the identical word kernel.
+                prop_assert_eq!(*got, batch.parity_expectation(support));
+                let scalar = if shots.is_empty() {
+                    0.0
+                } else {
+                    shots
+                        .iter()
+                        .map(|&s| if (s & mask).count_ones() % 2 == 1 { -1.0 } else { 1.0 })
+                        .sum::<f64>() / shots.len() as f64
+                };
+                prop_assert!((got - scalar).abs() < 1e-12, "n {} mask {:x}", n, mask);
+            }
         }
     }
 }

@@ -19,12 +19,11 @@ use quclear_sim::StateVector;
 use quclear_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
+use crate::cache::LruCache;
 use crate::deadline::Deadline;
 use crate::error::EngineError;
 use crate::fingerprint::ProgramFingerprint;
-use crate::sharded::LruCache;
 use crate::singleflight::{Role, SingleFlight};
 use crate::template::{CompiledTemplate, StageMetrics};
 
@@ -86,9 +85,9 @@ pub struct EngineStats {
     /// Lane width of the bit-plane kernels, in 64-bit words (the `simd`
     /// shim's `LANE_WORDS` constant).
     pub lane_words: usize,
-    /// Worker threads the parallel plane sweeps use when a sweep exceeds its
-    /// sequential cutoff (`rayon::current_num_threads()`; `1` means every
-    /// sweep runs sequentially).
+    /// Threads a sweep binds its angle sets on: always `1`, because every
+    /// sweep runs sequentially on the calling thread (the server's worker
+    /// pool is the unit of concurrency).
     pub sweep_threads: usize,
 }
 
@@ -304,12 +303,6 @@ impl Engine {
                 "lane width of the bit-plane kernels in 64-bit words",
             )
             .set(quclear_pauli::kernel_lane_words() as i64);
-        metrics
-            .gauge(
-                "quclear_engine_sweep_threads",
-                "worker threads available to the parallel plane sweeps",
-            )
-            .set(rayon::current_num_threads() as i64);
         let core = EngineCore {
             inflight: SingleFlight::new(),
             hits: metrics.counter(
@@ -612,7 +605,7 @@ impl Engine {
     }
 
     /// Parameter-sweep fast path: compiles `program`'s structure once and
-    /// binds every angle set in parallel.
+    /// binds every angle set in order on the calling thread.
     ///
     /// Equivalent to one [`Self::compile`] per angle set, but pays the
     /// cache lookup once instead of per set. The handle's deadline is
@@ -632,7 +625,7 @@ impl Engine {
     ) -> Result<Vec<Result<QuClearResult, EngineError>>, EngineError> {
         let template = self.template_for(program)?;
         let results = angle_sets
-            .par_iter()
+            .iter()
             .map(|angles| {
                 self.deadline.check()?;
                 let result = contain_panics(|| template.bind(angles))?;
@@ -1003,7 +996,7 @@ impl Engine {
             entries: core.cache.len(),
             capacity: core.cache.capacity(),
             lane_words: quclear_pauli::kernel_lane_words(),
-            sweep_threads: rayon::current_num_threads(),
+            sweep_threads: 1,
         }
     }
 
@@ -1118,6 +1111,18 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.binds, 20);
+        assert_eq!(stats.sweep_threads, 1);
+        // Slot i holds exactly what compiling angle set i would return.
+        for (result, angles) in results.iter().zip(&angle_sets) {
+            let program: Vec<PauliRotation> = program
+                .iter()
+                .zip(angles)
+                .map(|(r, &angle)| PauliRotation::new(r.pauli().clone(), angle))
+                .collect();
+            let (swept, direct) = (result.as_ref().unwrap(), engine.compile(&program).unwrap());
+            assert_eq!(swept.optimized.gates(), direct.optimized.gates());
+            assert_eq!(swept.extracted.gates(), direct.extracted.gates());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`Engine`] — a thread-safe LRU template cache with hit/miss/eviction
 //!   counters ([`EngineStats`]);
 //! * [`Engine::sweep`] — one template lookup, then every angle set bound in
-//!   parallel, in input order, with per-set error isolation;
+//!   input order on the calling thread, with per-set error isolation;
 //! * [`Engine::compile_qasm`] / [`Engine::bind_qasm`] — QASM ingestion:
 //!   OpenQASM 2.0 text is parsed, lifted into a rotation program
 //!   ([`quclear_core::lift()`]) and served through the same template cache,
@@ -46,15 +46,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cache;
 mod deadline;
 mod engine;
 mod error;
 mod fingerprint;
-mod sharded;
 pub mod singleflight;
 mod sync;
 mod template;
 
+pub use cache::LruCache;
 pub use deadline::Deadline;
 pub use engine::{
     group_shot_seed, Engine, EngineStats, EstimateResult, DEFAULT_CACHE_CAPACITY,
@@ -62,7 +63,6 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use fingerprint::ProgramFingerprint;
-pub use sharded::LruCache;
 pub use singleflight::SingleFlight;
 pub use template::CompiledTemplate;
 

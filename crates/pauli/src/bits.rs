@@ -170,16 +170,6 @@ impl BitVec {
         simd::and_popcount(&self.words, &other.words) as usize
     }
 
-    /// Alias of [`BitVec::and_popcount`], kept for the original call sites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    #[must_use]
-    pub fn and_count(&self, other: &BitVec) -> usize {
-        self.and_popcount(other)
-    }
-
     /// Parity (XOR) of the AND of the two vectors; this is the symplectic
     /// building block used for commutation checks.
     ///
@@ -188,7 +178,7 @@ impl BitVec {
     /// Panics if the lengths differ.
     #[must_use]
     pub fn and_parity(&self, other: &BitVec) -> bool {
-        self.and_count(other) % 2 == 1
+        self.and_popcount(other) % 2 == 1
     }
 
     /// Iterator over the indices of set bits, in increasing order.
@@ -198,49 +188,6 @@ impl BitVec {
             let len = self.len;
             IterWordOnes { word, base }.filter(move |&i| i < len)
         })
-    }
-
-    /// XORs the bit range `[start, end)` of `other` into the same range of
-    /// `self`, touching whole words where possible and masking the partial
-    /// words at the two ends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ or `start > end` or `end > self.len()`.
-    pub fn xor_range(&mut self, other: &BitVec, start: usize, end: usize) {
-        assert_eq!(self.len, other.len, "length mismatch in BitVec::xor_range");
-        assert!(start <= end, "inverted range in BitVec::xor_range");
-        assert!(end <= self.len, "range end {end} out of range {}", self.len);
-        if start == end {
-            return;
-        }
-        let first = start / WORD_BITS;
-        let last = (end - 1) / WORD_BITS;
-        // Masked partial words at the two ends, wide lanes for the interior.
-        let mut lo = first;
-        if !start.is_multiple_of(WORD_BITS) {
-            let mut mask = u64::MAX << (start % WORD_BITS);
-            if first == last {
-                let tail = end % WORD_BITS;
-                if tail != 0 {
-                    mask &= u64::MAX >> (WORD_BITS - tail);
-                }
-            }
-            self.words[first] ^= other.words[first] & mask;
-            lo = first + 1;
-        }
-        if lo > last {
-            return;
-        }
-        let mut hi = last + 1;
-        let tail = end % WORD_BITS;
-        if tail != 0 && last >= lo {
-            self.words[last] ^= other.words[last] & (u64::MAX >> (WORD_BITS - tail));
-            hi = last;
-        }
-        if lo < hi {
-            simd::xor_into(&mut self.words[lo..hi], &other.words[lo..hi]);
-        }
     }
 
     /// XORs the word-wise AND of `a` and `b` into `self`
@@ -518,7 +465,7 @@ mod tests {
     fn and_count_and_parity() {
         let a = BitVec::from_bools([true, true, true, false]);
         let b = BitVec::from_bools([true, true, false, true]);
-        assert_eq!(a.and_count(&b), 2);
+        assert_eq!(a.and_popcount(&b), 2);
         assert!(!a.and_parity(&b));
         let c = BitVec::from_bools([true, false, false, false]);
         assert!(a.and_parity(&c));
@@ -559,57 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_range_within_one_word() {
-        let mut a = BitVec::zeros(40);
-        let mut b = BitVec::zeros(40);
-        for i in 0..40 {
-            b.set(i, true);
-        }
-        a.xor_range(&b, 5, 9);
-        let expected: Vec<usize> = (5..9).collect();
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), expected);
-    }
-
-    #[test]
-    fn xor_range_across_word_boundary() {
-        let mut a = BitVec::zeros(200);
-        let mut b = BitVec::zeros(200);
-        for i in 0..200 {
-            b.set(i, i % 2 == 0);
-        }
-        a.xor_range(&b, 60, 131);
-        for i in 0..200 {
-            let expected = (60..131).contains(&i) && i % 2 == 0;
-            assert_eq!(a.get(i), expected, "bit {i}");
-        }
-        // XORing the same range again cancels it.
-        a.xor_range(&b, 60, 131);
-        assert!(a.is_zero());
-    }
-
-    #[test]
-    fn xor_range_trailing_partial_word() {
-        // len = 70: the second word holds only 6 valid bits.
-        let mut a = BitVec::zeros(70);
-        let mut b = BitVec::zeros(70);
-        for i in 0..70 {
-            b.set(i, true);
-        }
-        a.xor_range(&b, 64, 70);
-        assert_eq!(
-            a.iter_ones().collect::<Vec<_>>(),
-            vec![64, 65, 66, 67, 68, 69]
-        );
-        // Full-length range equals xor_with.
-        let mut c = BitVec::zeros(70);
-        c.xor_range(&b, 0, 70);
-        assert_eq!(c, b);
-        // Empty range is a no-op.
-        c.xor_range(&b, 33, 33);
-        assert_eq!(c, b);
-    }
-
-    #[test]
     fn and_count_across_word_boundaries() {
         let mut a = BitVec::zeros(130);
         let mut b = BitVec::zeros(130);
@@ -619,7 +515,7 @@ mod tests {
         for i in [63, 64, 100, 129] {
             b.set(i, true);
         }
-        assert_eq!(a.and_count(&b), 3); // 63, 64, 129
+        assert_eq!(a.and_popcount(&b), 3); // 63, 64, 129
         assert!(a.and_parity(&b));
     }
 
@@ -634,14 +530,6 @@ mod tests {
         }
         s.xor_with_and(&a, &b);
         assert_eq!(s, expected);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn xor_range_out_of_range_panics() {
-        let mut a = BitVec::zeros(10);
-        let b = BitVec::zeros(10);
-        a.xor_range(&b, 0, 11);
     }
 
     #[test]
@@ -743,7 +631,6 @@ mod tests {
         let b = BitVec::from_bools((0..200).map(|i| i % 4 == 0));
         let want = (0..200).filter(|i| i % 3 == 0 && i % 4 == 0).count();
         assert_eq!(a.and_popcount(&b), want);
-        assert_eq!(a.and_count(&b), want);
     }
 
     #[test]
@@ -758,26 +645,6 @@ mod tests {
         s.xor_with_andnot(&a, &b);
         assert_eq!(s, expected);
         assert!(s.tail_is_clear());
-    }
-
-    #[test]
-    fn xor_range_wide_interior_with_masked_ends() {
-        // Long enough that the interior spans several full lanes.
-        let mut a = BitVec::zeros(1000);
-        let b = BitVec::from_bools((0..1000).map(|i| i % 2 == 0));
-        a.xor_range(&b, 3, 997);
-        for i in 0..1000 {
-            let expected = (3..997).contains(&i) && i % 2 == 0;
-            assert_eq!(a.get(i), expected, "bit {i}");
-        }
-        // Word-aligned start, masked end only.
-        let mut c = BitVec::zeros(1000);
-        c.xor_range(&b, 64, 999);
-        for i in 0..1000 {
-            let expected = (64..999).contains(&i) && i % 2 == 0;
-            assert_eq!(c.get(i), expected, "bit {i}");
-        }
-        assert!(a.tail_is_clear() && c.tail_is_clear());
     }
 
     #[test]

@@ -94,29 +94,4 @@ proptest! {
         prop_assert_eq!(&f, &bitvec(&ab.iter().map(|&x| !x).collect::<Vec<_>>()));
         prop_assert!(f.tail_is_clear());
     }
-
-    /// `xor_range` (masked ends + wide-lane interior) agrees with a per-bit
-    /// oracle on arbitrary sub-ranges, including empty and full ranges.
-    #[test]
-    fn xor_range_matches_bool_oracle(
-        pairs in prop::collection::vec((any::<bool>(), any::<bool>()), 1..200),
-        lo in 0usize..1000,
-        hi in 0usize..1000,
-    ) {
-        let ab: Vec<bool> = pairs.iter().map(|p| p.0).collect();
-        let bb: Vec<bool> = pairs.iter().map(|p| p.1).collect();
-        let len = ab.len();
-        let mut start = lo % (len + 1);
-        let mut end = hi % (len + 1);
-        if start > end {
-            std::mem::swap(&mut start, &mut end);
-        }
-        let mut got = bitvec(&ab);
-        got.xor_range(&bitvec(&bb), start, end);
-        let want: Vec<bool> = (0..len)
-            .map(|i| ab[i] ^ ((start..end).contains(&i) && bb[i]))
-            .collect();
-        prop_assert_eq!(&got, &bitvec(&want));
-        prop_assert!(got.tail_is_clear());
-    }
 }

@@ -79,45 +79,33 @@ pub fn write_frame_with_limit(
 /// length prefix above `max_bytes`, and any transport error otherwise
 /// (including `WouldBlock`/`TimedOut` when the reader has a timeout set).
 pub fn read_frame(reader: &mut impl Read, max_bytes: usize) -> io::Result<Option<Vec<u8>>> {
-    read_frame_with(reader, max_bytes, &mut Err)
+    read_frame_with(reader, max_bytes, &mut |blocked| {
+        blocked.map_or(Ok(true), Err)
+    })
 }
 
 /// The one copy of the framing rules, shared by the blocking [`read_frame`]
 /// and the server's shutdown-aware polling read.
 ///
-/// `on_block` decides what a `WouldBlock`/`TimedOut` read means:
-/// `Ok(true)` retries (poll again), `Ok(false)` abandons the frame — the
-/// caller sees `Ok(None)`, the "connection over" signal — and `Err`
-/// propagates the failure to the caller.
+/// `poll` runs after every read that leaves the frame incomplete: with
+/// `None` after a read that made progress, and with the error after a
+/// `WouldBlock`/`TimedOut` read. `Ok(true)` keeps reading, `Ok(false)`
+/// abandons the frame — the caller sees `Ok(None)`, the "connection over"
+/// signal — and `Err` propagates the failure to the caller.
 pub(crate) fn read_frame_with(
     reader: &mut impl Read,
     max_bytes: usize,
-    on_block: &mut dyn FnMut(io::Error) -> io::Result<bool>,
+    poll: &mut dyn FnMut(Option<io::Error>) -> io::Result<bool>,
 ) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match reader.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-header",
-                    ))
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if !on_block(e)? {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
+    match fill(reader, &mut header, poll)? {
+        Some(4) => {}
+        Some(0) | None => return Ok(None),
+        Some(_) => {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-header",
+            ))
         }
     }
     let len = u32::from_be_bytes(header) as usize;
@@ -128,28 +116,48 @@ pub(crate) fn read_frame_with(
         ));
     }
     let mut payload = vec![0u8; len];
+    match fill(reader, &mut payload, poll)? {
+        None => Ok(None),
+        Some(filled) if filled == len => Ok(Some(payload)),
+        Some(_) => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        )),
+    }
+}
+
+/// Reads into `buf` until it is full or the stream ends, consulting `poll`
+/// as [`read_frame_with`] describes. Returns the bytes read, or `None` when
+/// `poll` abandons the read.
+fn fill(
+    reader: &mut impl Read,
+    buf: &mut [u8],
+    poll: &mut dyn FnMut(Option<io::Error>) -> io::Result<bool>,
+) -> io::Result<Option<usize>> {
     let mut filled = 0;
-    while filled < len {
-        match reader.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
+    while filled < buf.len() {
+        let blocked = match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => {
+                filled += n;
+                if filled == buf.len() {
+                    break;
+                }
+                None
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if !on_block(e)? {
-                    return Ok(None);
-                }
+                Some(e)
             }
             Err(e) => return Err(e),
+        };
+        if !poll(blocked)? {
+            return Ok(None);
         }
     }
-    Ok(Some(payload))
+    Ok(Some(filled))
 }
 
 /// A request, as decoded from one frame.

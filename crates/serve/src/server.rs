@@ -940,18 +940,19 @@ fn engine_error(error: &EngineError) -> WireError {
     WireError::new(kind, error.to_string())
 }
 
-/// Reads one frame, waking every [`POLL_INTERVAL`] (the socket's read
-/// timeout) to honor shutdown and the idle budget. `Ok(None)` means
+/// Reads one frame, checking shutdown and the idle budget after every
+/// read that leaves the frame incomplete and at least every
+/// [`POLL_INTERVAL`] (the socket's read timeout). `Ok(None)` means
 /// "connection over" — clean EOF, shutdown arrived (between frames the
 /// request was never handled; mid-frame the half-sent request is
-/// abandoned), or the connection sat idle past
-/// [`ServerConfig::idle_timeout`] without delivering a frame. The framing
-/// rules themselves live in one place,
-/// [`crate::protocol::read_frame_with`]; only the blocked-read policy
-/// differs from the client's blocking read.
+/// abandoned), or the connection went past [`ServerConfig::idle_timeout`]
+/// without delivering a whole frame, whether it sent nothing or trickled
+/// bytes. The framing rules themselves live in one place,
+/// [`crate::protocol::read_frame_with`]; only the polling policy differs
+/// from the client's blocking read.
 fn read_frame_polling(shared: &Shared, stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
     let waiting_since = Instant::now();
-    crate::protocol::read_frame_with(stream, shared.config.max_frame_bytes, &mut |_timeout| {
+    crate::protocol::read_frame_with(stream, shared.config.max_frame_bytes, &mut |_blocked| {
         if shared.shutdown.load(Ordering::Acquire) {
             return Ok(false);
         }

@@ -429,6 +429,75 @@ fn idle_connections_release_their_worker() {
     server.stop();
 }
 
+/// A trickled frame is bounded by the same idle budget as a silent one: a
+/// client sending one byte every few milliseconds (each read succeeds well
+/// inside the poll interval) must not hold the only worker for the whole
+/// frame; the connection is closed and counted as reclaimed.
+#[test]
+fn trickled_frames_are_reclaimed_past_the_idle_budget() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+
+    let engine = Arc::new(Engine::new(16));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        engine,
+        ServerConfig {
+            workers: 1,
+            idle_timeout: Some(Duration::from_millis(150)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+
+    let axes = program_axes(900, 8);
+    let request = quclear_serve::Request {
+        id: 7,
+        kind: quclear_serve::RequestKind::Compile {
+            angles: angles_for(&axes, 0.1),
+            program: axes,
+        },
+    }
+    .encode();
+    let mut frame = (request.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&request);
+    // Sent whole, the frame would take far longer than the budget.
+    let spacing = Duration::from_millis(5);
+    assert!(spacing * frame.len() as u32 > Duration::from_millis(600));
+
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+    raw.set_nodelay(true).unwrap();
+    let started = Instant::now();
+    for byte in &frame {
+        if raw.write_all(std::slice::from_ref(byte)).is_err() {
+            break;
+        }
+        std::thread::sleep(spacing);
+    }
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut buf = [0u8; 64];
+    match raw.read(&mut buf) {
+        Ok(0) => {}
+        Err(e) if !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {}
+        other => panic!(
+            "a frame trickled past the idle budget must close the connection, got {other:?} after {:?}",
+            started.elapsed()
+        ),
+    }
+
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let snapshot = client.metrics().expect("metrics");
+    assert_eq!(
+        snapshot.counter_value("quclear_serve_idle_reclaimed_total", None),
+        Some(1)
+    );
+    server.stop();
+}
+
 /// A response that would exceed the server's frame cap degrades into a
 /// structured `response_too_large` error on the same connection — the
 /// client learns why, instead of watching the socket die.

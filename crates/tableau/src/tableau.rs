@@ -270,7 +270,7 @@ impl CliffordTableau {
 
         // i^{#Y}: the literal decomposition of P contributes i per Y factor
         // (word-level popcount, not a per-qubit loop).
-        let mut phase: i64 = pauli.x_bits().and_count(pauli.z_bits()) as i64;
+        let mut phase: i64 = pauli.x_bits().and_popcount(pauli.z_bits()) as i64;
         let mut res_x = BitVec::zeros(n);
         let mut res_z = BitVec::zeros(n);
         let mask_words = mask.words();

@@ -1,7 +1,6 @@
 //! The metric registry: named handles out, coherent snapshots in.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use crate::sync::{Arc, PoisonError, RwLock};
 
@@ -50,10 +49,8 @@ struct Registered {
 /// source of truth. Registration takes a write lock (cold path);
 /// recording through a handle is lock-free.
 ///
-/// One registry normally serves the whole process — [`MetricsRegistry::global`]
-/// hands out a process-wide instance — but independent instances are cheap
-/// and keep tests isolated; the engine creates one per instance and the
-/// serve layer joins it.
+/// Instances are cheap and independent, which keeps tests isolated: the
+/// engine creates one per instance and the serve layer joins it.
 ///
 /// # Examples
 ///
@@ -91,15 +88,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// The process-wide registry (created on first use). Library code in
-    /// this workspace takes an explicit registry; the global instance exists
-    /// for application code.
-    #[must_use]
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     fn register(&self, key: MetricKey, help: &str, build: impl FnOnce() -> Metric) -> Metric {
@@ -305,12 +293,5 @@ mod tests {
         assert!(registry.find_histogram("present_ns", None).is_some());
         assert!(registry.snapshot().counters.is_empty());
         assert_eq!(registry.snapshot().histograms.len(), 1);
-    }
-
-    #[test]
-    fn global_registry_is_one_instance() {
-        let a = MetricsRegistry::global();
-        let b = MetricsRegistry::global();
-        assert!(std::ptr::eq(a, b));
     }
 }

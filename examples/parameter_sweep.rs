@@ -3,7 +3,7 @@
 //! Variational workloads evaluate one ansatz *structure* at thousands of
 //! parameter points. Recompiling from scratch pays the full Clifford
 //! Extraction every time; the engine compiles the structure once, caches the
-//! template, and rebinds angles in `O(gates)` — in parallel for batches.
+//! template, and rebinds angles in `O(gates)`.
 //!
 //! Run with `cargo run --release --example parameter_sweep`.
 
@@ -41,7 +41,7 @@ fn main() {
     let naive_time = start.elapsed();
     println!("from-scratch recompiles: {naive_time:?}");
 
-    // Engine: one extraction, then parallel cached rebinds.
+    // Engine: one extraction, then cached rebinds.
     let engine = Engine::new(64);
     let start = Instant::now();
     let results = engine.sweep(&sweep.program, &sweep.angle_sets).unwrap();
