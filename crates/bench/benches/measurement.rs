@@ -13,17 +13,29 @@
 //! * `measurement/per_observable_scalar` — the pre-grouping baseline: one
 //!   shot vector per observable, parities counted one shot at a time.
 //!
-//! The `grouped_vs_per_observable_smoke` assertion runs under
-//! `cargo bench -p quclear-bench --bench measurement -- --test` and is wired
-//! into CI: grouped estimation must agree with the scalar readout
-//! bit-for-bit and must not be slower than the per-observable loop.
+//! Two smokes run under
+//! `cargo bench -p quclear-bench --bench measurement -- --test` and are
+//! wired into CI:
+//!
+//! * `grouped_vs_per_observable_smoke` — grouped estimation must agree with
+//!   the scalar readout bit-for-bit and must not be slower than the
+//!   per-observable loop.
+//! * `per_group_path_smoke` — over every benzene commuting group, the
+//!   production per-group path of `estimate` (gather the diagonalizer's
+//!   monomial prefix into a reused scratch state, one `H` pass per pivot,
+//!   guide-table draws, pack) must draw the same shots as the gate-by-gate
+//!   oracle path (clone, run the diagonalizer gate by gate, one binary
+//!   search per shot, pack) in under 0.7× its time.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use quclear_circuit::{Circuit, Gate};
 use quclear_core::{MeasurementPlan, ShotBatch};
+use quclear_engine::Engine;
 use quclear_pauli::PauliFrame;
-use quclear_workloads::{vqe_expectation_sweep, Benchmark};
+use quclear_sim::StateVector;
+use quclear_workloads::{vqe_expectation_sweep, Benchmark, Molecule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -284,5 +296,117 @@ fn grouped_vs_per_observable_smoke(_c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_measurement, grouped_vs_per_observable_smoke);
+/// Shots per group of the per-group path smoke, as `vqe_estimate` sends.
+const ESTIMATE_SHOTS: usize = 8192;
+
+/// Ceiling on production / oracle time in `per_group_path_smoke`.
+const PER_GROUP_RATIO_CEILING: f64 = 0.7;
+
+/// The gate-by-gate oracle of one group's sampling: clone the state, run
+/// the diagonalizer one gate at a time, draw with one binary search per
+/// shot.
+fn oracle_group_shots(base: &StateVector, circuit: &Circuit, seed: u64) -> Vec<u64> {
+    let mut rotated = base.clone();
+    rotated.apply_circuit(circuit);
+    let mut acc = 0.0;
+    let mut cdf: Vec<f64> = rotated
+        .amplitudes()
+        .iter()
+        .map(|a| {
+            acc += a.norm_sq();
+            acc
+        })
+        .collect();
+    if let Some(last) = cdf.last_mut() {
+        *last = f64::max(*last, 1.0);
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..ESTIMATE_SHOTS)
+        .map(|_| {
+            let draw: f64 = rng.gen_range(0.0..1.0);
+            cdf.partition_point(|&c| c <= draw) as u64
+        })
+        .collect()
+}
+
+/// The per-group acceptance smoke on benzene (12 qubits, 74 groups): the
+/// production path and the gate-by-gate oracle path draw identical shots
+/// for every group, and over 15 interleaved rounds the median round's
+/// production / oracle time ratio stays under [`PER_GROUP_RATIO_CEILING`].
+fn per_group_path_smoke(_c: &mut Criterion) {
+    let engine = Engine::new(8);
+    let benzene = Benchmark::Molecule(Molecule::Benzene);
+    let program = benzene.rotations();
+    let plan = engine
+        .measurement_plan(&program, &benzene.observables())
+        .expect("benzene measurement plan");
+    let base = StateVector::from_circuit(&engine.compile(&program).expect("compile").optimized);
+    let n = plan.num_qubits();
+    let mut scratch = StateVector::zero_state(n);
+    let mut production = |check: bool| {
+        let mut sink = 0u64;
+        for (g, group) in plan.groups().iter().enumerate() {
+            let diagonalizer = group.diagonalizer();
+            scratch.gather(black_box(&base), diagonalizer.monomial());
+            for &q in diagonalizer.hadamard_qubits() {
+                scratch.apply_gate(&Gate::H(q));
+            }
+            let mut rng = StdRng::seed_from_u64(g as u64);
+            let indices = scratch.sample_indices(ESTIMATE_SHOTS, &mut rng);
+            if check {
+                let oracle = oracle_group_shots(&base, diagonalizer.circuit(), g as u64);
+                assert!(
+                    indices == oracle,
+                    "group {g}: production shots differ from the oracle's"
+                );
+            }
+            sink ^= ShotBatch::from_indices(n, &indices).planes()[0].words()[0];
+        }
+        sink
+    };
+    let oracle = || {
+        let mut sink = 0u64;
+        for (g, group) in plan.groups().iter().enumerate() {
+            let indices =
+                oracle_group_shots(black_box(&base), group.diagonalizer().circuit(), g as u64);
+            sink ^= ShotBatch::from_indices(n, &indices).planes()[0].words()[0];
+        }
+        sink
+    };
+    black_box(production(true));
+    // Each round times both paths back to back, so host drift hits both
+    // sides of a round's ratio alike; the median round ratio is the gate.
+    let mut rounds: Vec<(f64, f64)> = (0..15)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(production(false));
+            let production_ns = start.elapsed().as_nanos() as f64;
+            let start = Instant::now();
+            black_box(oracle());
+            (production_ns, start.elapsed().as_nanos() as f64)
+        })
+        .collect();
+    rounds.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
+    let (production_ns, oracle_ns) = rounds[rounds.len() / 2];
+    let ratio = production_ns / oracle_ns;
+    println!(
+        "measurement/per_group_path_smoke: production={:.2} ms oracle={:.2} ms median round \
+         ratio={ratio:.3} ({} groups, {} dense passes, {ESTIMATE_SHOTS} shots each)",
+        production_ns / 1e6,
+        oracle_ns / 1e6,
+        plan.num_groups(),
+        plan.dense_passes(),
+    );
+    assert!(
+        ratio < PER_GROUP_RATIO_CEILING,
+        "per-group path is {ratio:.3}x the gate-by-gate oracle (ceiling {PER_GROUP_RATIO_CEILING})"
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_measurement,
+    grouped_vs_per_observable_smoke,
+    per_group_path_smoke
+);
 criterion_main!(benches);

@@ -11,7 +11,9 @@
 //!   heavy-hex) and a greedy SWAP router for the Figure 11 mapping
 //!   experiments,
 //! * [`C64`] / [`Mat2`] — the minimal complex arithmetic shared with the
-//!   state-vector simulator.
+//!   state-vector simulator,
+//! * [`MonomialMap`] — a permutation-and-phase Clifford layer as one
+//!   gather over a dense state.
 //!
 //! # Examples
 //!
@@ -34,6 +36,7 @@ mod circuit;
 mod coupling;
 mod gate;
 pub mod math;
+mod monomial;
 mod optimize;
 pub mod qasm;
 mod routing;
@@ -42,6 +45,7 @@ pub use circuit::Circuit;
 pub use coupling::CouplingMap;
 pub use gate::{Gate, QubitList};
 pub use math::{Mat2, C64};
+pub use monomial::MonomialMap;
 pub use optimize::{is_zero_rotation, optimize};
 pub use routing::{initial_layout_by_interaction, route, route_with_layout, RoutingResult};
 

@@ -72,6 +72,20 @@ impl C64 {
     pub fn scale(self, s: f64) -> Self {
         C64::new(self.re * s, self.im * s)
     }
+
+    /// Multiplies by `i^p` (`p` taken mod 4) exactly: an odd `p` swaps the
+    /// components, and the signs flip by bit operations, so the result is
+    /// what `S`, `S†` and `Z` produce bit for bit, with no branch.
+    #[must_use]
+    pub fn times_i_pow(self, p: u32) -> Self {
+        let swap = 0u64.wrapping_sub(u64::from(p & 1));
+        let (re, im) = (self.re.to_bits(), self.im.to_bits());
+        let (a, b) = ((re & !swap) | (im & swap), (im & !swap) | (re & swap));
+        // i^p·(x + iy) negates the new re for p ∈ {1, 2} and the new im for p ∈ {2, 3}.
+        let flip_re = u64::from((p ^ (p >> 1)) & 1) << 63;
+        let flip_im = u64::from((p >> 1) & 1) << 63;
+        C64::new(f64::from_bits(a ^ flip_re), f64::from_bits(b ^ flip_im))
+    }
 }
 
 impl Add for C64 {

@@ -11,18 +11,23 @@
 //!
 //! It also provides the *general*-commuting composition step: for each group
 //! from [`group_commuting_frame`], [`diagonalize_commuting_frame`] synthesizes
-//! (symplectic Gram–Schmidt style) a Clifford `D` that conjugates every member
-//! to a signed Z-diagonal Pauli. Appending `D` to the circuit and reading the
-//! packed shot planes through the composed affine map — rows are Z-supports,
-//! offsets are tracked signs — estimates **all** members of a group from one
-//! shot batch via the CA-Post bit-plane kernels ([`Gf2Matrix::mul_planes`],
-//! [`ShotBatch::parity_expectations`]). [`MeasurementPlan`] bundles the full
-//! pipeline for an absorbed observable batch.
+//! a Clifford `D = H_A · Phase · CX` that conjugates every member to a signed
+//! Z-diagonal Pauli. Its CX/S/CZ prefix only permutes and phases basis
+//! states, so a dense state runs `D` as one gather plus `|A|` Hadamard
+//! passes ([`GroupDiagonalizer::monomial`]). Appending `D` to the circuit
+//! and reading the packed shot planes through the composed affine map —
+//! rows are Z-supports, offsets are tracked signs — estimates **all**
+//! members of a group from one shot batch via the CA-Post bit-plane kernels
+//! ([`Gf2Matrix::mul_planes`], [`ShotBatch::parity_expectations`]).
+//! [`MeasurementPlan`] bundles the full pipeline for an absorbed observable
+//! batch.
+
+use std::sync::OnceLock;
 
 use crate::absorb::AbsorbedObservables;
 use crate::gf2::Gf2Matrix;
 use crate::shots::ShotBatch;
-use quclear_circuit::{Circuit, Gate};
+use quclear_circuit::{Circuit, Gate, MonomialMap};
 use quclear_pauli::{BitVec, PauliFrame, PauliOp, PauliString, SignedPauli};
 use quclear_tableau::conjugate_all_by_gate;
 
@@ -149,23 +154,36 @@ pub fn group_commuting_frame(frame: &PauliFrame) -> Vec<Vec<usize>> {
 /// (e.g. CA-Pre absorption signs) with the conjugation phases picked up
 /// during diagonalization, so [`Self::expectations`] reports expectations of
 /// the *original* observables directly.
+///
+/// `D` has the canonical form `H_A · M`: a monomial prefix `M` of CX, S and
+/// CZ gates ([`Self::monomial_prefix`]) followed by one `H` on each qubit of
+/// `A` ([`Self::hadamard_qubits`]), where `|A|` is the GF(2) rank of the
+/// rows' X-part. A dense state therefore runs `D` as one gather
+/// ([`Self::monomial`]) plus `|A|` Hadamard passes.
 #[derive(Clone, Debug)]
 pub struct GroupDiagonalizer {
     circuit: Circuit,
+    hadamards: Vec<usize>,
+    monomial: OnceLock<MonomialMap>,
     diagonal: PauliFrame,
     z_supports: Vec<BitVec>,
 }
 
-/// Synthesizes a diagonalizing Clifford for a frame of mutually commuting
-/// Pauli rows via a symplectic Gram–Schmidt pivot sweep.
+/// Synthesizes a diagonalizing Clifford `D = H_A · Phase · CX` for a frame
+/// of mutually commuting Pauli rows.
 ///
-/// For each row with X-support, the first X-support qubit becomes the pivot:
-/// a CX fan-out clears the row's remaining X columns onto the pivot, an `S`
-/// removes a leftover Y at the pivot, CZs from the pivot clear the remaining
-/// Z columns, and a final `H` maps the lone `±X_pivot` to `±Z_pivot`.
-/// Commutation guarantees no other row carries Z at the pivot when the `H`
-/// lands, so pivot qubits retire monotonically and finished rows are never
-/// disturbed — `O(rows · qubits)` gates total.
+/// 1. **CX**: Gaussian elimination of the rows' X-part by column
+///    operations. A row whose X-part reaches a qubit `p` that is not yet a
+///    pivot takes the first such qubit as its pivot, and CXs from `p` onto
+///    every other qubit of its X-part make that X-part exactly `e_p`
+///    (earlier pivot rows have no X at `p`, so they keep theirs). The
+///    pivots `A` number the GF(2) rank of the X-part.
+/// 2. **Phase**: the pivot rows' Z-part restricted to `A` is a symmetric
+///    matrix (the rows commute); an `S` clears each diagonal one and a `CZ`
+///    each off-diagonal pair.
+/// 3. **H** on every pivot. Pivot rows are now `X_p` times Z's off `A`, and
+///    every other row has its X-part inside `A` and, commuting with the
+///    pivot rows, no Z on `A`; the `H` layer turns all of them Z-diagonal.
 ///
 /// # Panics
 ///
@@ -190,34 +208,39 @@ pub fn diagonalize_commuting_frame(frame: &PauliFrame) -> GroupDiagonalizer {
         conjugate_all_by_gate(work, &gate);
         circuit.push(gate);
     };
+    // (pivot qubit, its row), in elimination order.
+    let mut pivots: Vec<(usize, usize)> = Vec::new();
+    let mut is_pivot = vec![false; n];
     for i in 0..rows {
         let x_support = work.row_x_support(i);
-        let Some(pivot) = (0..n).find(|&q| x_support.get(q)) else {
-            continue; // already pure-Z: nothing to do for this row
+        let Some(pivot) = (0..n).find(|&q| x_support.get(q) && !is_pivot[q]) else {
+            continue; // X-part already spanned by the pivots so far
         };
-        for q in (pivot + 1)..n {
-            if x_support.get(q) {
-                emit(
-                    &mut work,
-                    &mut circuit,
-                    Gate::Cx {
-                        control: pivot,
-                        target: q,
-                    },
-                );
+        for q in (0..n).filter(|&q| q != pivot && x_support.get(q)) {
+            emit(
+                &mut work,
+                &mut circuit,
+                Gate::Cx {
+                    control: pivot,
+                    target: q,
+                },
+            );
+        }
+        is_pivot[pivot] = true;
+        pivots.push((pivot, i));
+    }
+    for (k, &(p, i)) in pivots.iter().enumerate() {
+        if work.z_plane(p).get(i) {
+            emit(&mut work, &mut circuit, Gate::S(p));
+        }
+        for &(other, _) in &pivots[k + 1..] {
+            if work.z_plane(other).get(i) {
+                emit(&mut work, &mut circuit, Gate::Cz { a: p, b: other });
             }
         }
-        // The CX sweep may have folded Z bits back onto the pivot
-        // (conj_cx updates Z_control ^= Z_target), so fix the Y after it.
-        if work.z_plane(pivot).get(i) {
-            emit(&mut work, &mut circuit, Gate::S(pivot));
-        }
-        for q in 0..n {
-            if q != pivot && work.z_plane(q).get(i) {
-                emit(&mut work, &mut circuit, Gate::Cz { a: pivot, b: q });
-            }
-        }
-        emit(&mut work, &mut circuit, Gate::H(pivot));
+    }
+    for &(p, _) in &pivots {
+        emit(&mut work, &mut circuit, Gate::H(p));
     }
     for q in 0..n {
         assert_eq!(
@@ -229,6 +252,8 @@ pub fn diagonalize_commuting_frame(frame: &PauliFrame) -> GroupDiagonalizer {
     let z_supports: Vec<BitVec> = (0..rows).map(|i| work.row_z_support(i)).collect();
     GroupDiagonalizer {
         circuit,
+        hadamards: pivots.iter().map(|&(p, _)| p).collect(),
+        monomial: OnceLock::new(),
         diagonal: work,
         z_supports,
     }
@@ -258,6 +283,40 @@ impl GroupDiagonalizer {
     #[must_use]
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
+    }
+
+    /// The gates of `D` before its Hadamard layer: CX, S and CZ only, so
+    /// they permute and phase basis states.
+    #[must_use]
+    pub fn monomial_prefix(&self) -> &[Gate] {
+        let gates = self.circuit.gates();
+        &gates[..gates.len() - self.hadamards.len()]
+    }
+
+    /// The qubits `A` of `D`'s closing Hadamard layer, one per pivot; `|A|`
+    /// is the GF(2) rank of the group's X-part.
+    #[must_use]
+    pub fn hadamard_qubits(&self) -> &[usize] {
+        &self.hadamards
+    }
+
+    /// [`Self::monomial_prefix`] as a gather map, built on first use and
+    /// kept with the diagonalizer (and so with a cached plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register is wider than 30 qubits.
+    #[must_use]
+    pub fn monomial(&self) -> &MonomialMap {
+        self.monomial
+            .get_or_init(|| MonomialMap::from_gates(self.num_qubits(), self.monomial_prefix()))
+    }
+
+    /// Dense passes to run `D` on a state vector: one gather plus one per
+    /// Hadamard.
+    #[must_use]
+    pub fn dense_passes(&self) -> usize {
+        1 + self.hadamards.len()
     }
 
     /// Row `i` after conjugation, as a signed Pauli (guaranteed Z-diagonal).
@@ -451,6 +510,17 @@ impl MeasurementPlan {
     #[must_use]
     pub fn groups(&self) -> &[PlannedGroup] {
         &self.groups
+    }
+
+    /// Dense state-vector passes to run every group's diagonalizer: the sum
+    /// of [`GroupDiagonalizer::dense_passes`], one gather plus `|A|`
+    /// Hadamard passes per group.
+    #[must_use]
+    pub fn dense_passes(&self) -> usize {
+        self.groups
+            .iter()
+            .map(|g| g.diagonalizer.dense_passes())
+            .sum()
     }
 
     /// How many times fewer shot batches the plan needs compared to

@@ -5,10 +5,13 @@
 //! cross-checked against [`CliffordTableau`] conjugation, the shot-level
 //! parity readout against a scalar oracle bit-for-bit, and the conjugation
 //! identity `⟨ψ|P|ψ⟩ = ⟨Dψ|DPD†|Dψ⟩` against exact [`StateVector`]
-//! expectations to 1e-9.
+//! expectations to 1e-9. The diagonalizer's shape is pinned too: a monomial
+//! CX/S/CZ prefix, then one `H` per qubit of `A` with `|A|` the GF(2) rank
+//! of the members' X-part, and the prefix's gather followed by those `H`
+//! passes reproduces the gate-by-gate amplitudes exactly.
 
 use proptest::prelude::*;
-use quclear_circuit::Circuit;
+use quclear_circuit::{Circuit, Gate};
 use quclear_core::{diagonalize_commuting_frame, MeasurementPlan, ShotBatch};
 use quclear_pauli::{PauliFrame, PauliOp, PauliString, SignedPauli};
 use quclear_sim::StateVector;
@@ -165,6 +168,75 @@ proptest! {
                 let bit = ((shot & mask).count_ones() % 2 == 1) ^ (diag.sign(i) < 0.0);
                 prop_assert!(planes[i].get(s) == bit, "member {i} shot {s}");
             }
+        }
+    }
+}
+
+/// GF(2) rank of the members' X-parts.
+fn x_rank(members: &[SignedPauli]) -> usize {
+    let mut basis: Vec<u64> = Vec::new();
+    for member in members {
+        let mut x: u64 = (0..member.num_qubits())
+            .filter(|&q| member.pauli().op(q).xz().0)
+            .map(|q| 1u64 << q)
+            .sum();
+        for &b in &basis {
+            x = x.min(x ^ b);
+        }
+        if x != 0 {
+            basis.push(x);
+            basis.sort_unstable_by(|a, b| b.cmp(a));
+        }
+    }
+    basis.len()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `D` is a monomial CX/S/CZ prefix followed by `H` on `A`, one pass per
+    /// pivot, with `|A|` the GF(2) rank of the X-part; gathering the prefix
+    /// and then running the `H` passes gives amplitudes `==` (re and im) to
+    /// running `D` gate by gate.
+    #[test]
+    fn diagonalizer_is_a_monomial_prefix_then_hadamards_and_gathers_exactly(
+        n in 1usize..=10,
+        masks in prop::collection::vec(0u64..1024, 1..=12),
+        signs in any::<u64>(),
+        clifford_seed in any::<u64>(),
+        prep_seed in any::<u64>(),
+    ) {
+        let masks: Vec<u64> = masks.iter().map(|m| m % (1 << n)).collect();
+        let members = commuting_set(n, &masks, signs, clifford_seed);
+        let diag = diagonalize_commuting_frame(&PauliFrame::from_signed(n, &members));
+        let gates = diag.circuit().gates();
+        let hadamards = diag.hadamard_qubits();
+        let prefix = diag.monomial_prefix();
+        prop_assert!(prefix.len() + hadamards.len() == gates.len());
+        prop_assert!(prefix == &gates[..prefix.len()]);
+        prop_assert!(prefix
+            .iter()
+            .all(|g| matches!(g, Gate::Cx { .. } | Gate::S(_) | Gate::Cz { .. })));
+        for (gate, &q) in gates[prefix.len()..].iter().zip(hadamards) {
+            prop_assert!(*gate == Gate::H(q), "{gate} in the Hadamard layer");
+        }
+        let mut distinct = hadamards.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert!(distinct.len() == hadamards.len());
+        prop_assert!(hadamards.len() == x_rank(&members));
+        prop_assert!(diag.dense_passes() == 1 + hadamards.len());
+
+        let psi = StateVector::from_circuit(&prep_circuit(n, prep_seed));
+        let mut expected = psi.clone();
+        expected.apply_circuit(diag.circuit());
+        let mut gathered = StateVector::zero_state(n);
+        gathered.gather(&psi, diag.monomial());
+        for &q in hadamards {
+            gathered.apply_gate(&Gate::H(q));
+        }
+        for (i, (a, b)) in gathered.amplitudes().iter().zip(expected.amplitudes()).enumerate() {
+            prop_assert!(a.re == b.re && a.im == b.im, "amplitude {i}: {a:?} vs {b:?}");
         }
     }
 }

@@ -10,6 +10,7 @@ use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{Arc, Mutex, PoisonError};
 
 use quclear_circuit::qasm::from_qasm;
+use quclear_circuit::Gate;
 use quclear_core::{
     lift, AbsorbedObservables, LiftedProgram, MeasurementPlan, QuClearConfig, QuClearResult,
     ShotBatch,
@@ -202,6 +203,7 @@ struct EngineCore {
     binds: Arc<Counter>,
     cache_entries: Arc<Gauge>,
     measurement_groups: Arc<Gauge>,
+    measurement_dense_passes: Arc<Gauge>,
     stage_fingerprint: Arc<Histogram>,
     stage_extract: Arc<Histogram>,
     stage_absorb_post: Arc<Histogram>,
@@ -330,6 +332,11 @@ impl Engine {
             measurement_groups: metrics.gauge(
                 "quclear_engine_measurement_groups",
                 "commuting groups in the most recently built measurement plan",
+            ),
+            measurement_dense_passes: metrics.gauge(
+                "quclear_engine_measurement_dense_passes",
+                "state-vector passes (one gather plus one per Hadamard, per group) to run \
+                 the diagonalizers of the most recently built measurement plan",
             ),
             stage_fingerprint: stage("fingerprint"),
             stage_extract: stage("extract"),
@@ -756,8 +763,10 @@ impl Engine {
     /// plan is memoized on the template (shared across clones), and the
     /// grouping + diagonalization work records under the `diagonalize` stage
     /// histogram; the group count is exported on the
-    /// `quclear_engine_measurement_groups` gauge. The deadline is checked
-    /// between the template lookup and the diagonalization sweep.
+    /// `quclear_engine_measurement_groups` gauge and the plan's
+    /// [`MeasurementPlan::dense_passes`] on the
+    /// `quclear_engine_measurement_dense_passes` gauge. The deadline is
+    /// checked between the template lookup and the diagonalization sweep.
     ///
     /// # Errors
     ///
@@ -785,6 +794,9 @@ impl Engine {
         self.deadline.check()?;
         let plan = contain_panics(|| Ok(template.measurement_plan(observables)))?;
         self.core.measurement_groups.set(plan.num_groups() as i64);
+        self.core
+            .measurement_dense_passes
+            .set(plan.dense_passes() as i64);
         Ok(plan)
     }
 
@@ -792,12 +804,21 @@ impl Engine {
     /// measurement: simulate the state the *optimized* circuit prepares
     /// once (the extracted Clifford is absorbed into the observables — the
     /// CA identity), then for each commuting group of the
-    /// [`Self::measurement_plan`] append the group's diagonalizing Clifford,
+    /// [`Self::measurement_plan`] apply the group's diagonalizing Clifford,
     /// draw one seeded `shots`-sized batch, and read *all* group members
     /// from that single batch through the composed affine map. The total
     /// sample cost is `groups` batches instead of `observables` batches —
     /// the reported [`EstimateResult::shot_budget_divisor`]. One template
     /// lookup serves both the plan and the simulation.
+    ///
+    /// A group costs `1 + |A|` dense passes and O(1) expected work per shot:
+    /// its diagonalizer's monomial CX/S/CZ prefix runs as one gather of the
+    /// shared state into one scratch state reused by every group (no
+    /// per-group clone), then one `H` pass per qubit of `A`
+    /// ([`quclear_core::GroupDiagonalizer::hadamard_qubits`]), then
+    /// guide-table draws ([`StateVector::sample_indices`]). The amplitudes
+    /// are `==` to running the diagonalizer gate by gate, and each draw
+    /// lands where a binary search over the CDF would.
     ///
     /// The optimized circuit `U'` satisfies `program = U_CL · U'`, so its
     /// state is built as `U_CL† · U_program|0⟩` (equal up to global phase,
@@ -863,12 +884,16 @@ impl Engine {
             .stage_simulate
             .record_duration(simulate_start.elapsed());
         let mut batches = Vec::with_capacity(plan.num_groups());
+        let mut rotated = StateVector::zero_state(plan.num_qubits());
         for (g, group) in plan.groups().iter().enumerate() {
             self.deadline.check()?;
             let sample_start = Instant::now();
             let batch = contain_panics(|| {
-                let mut rotated = base.clone();
-                rotated.apply_circuit(group.diagonalizer().circuit());
+                let diagonalizer = group.diagonalizer();
+                rotated.gather(&base, diagonalizer.monomial());
+                for &q in diagonalizer.hadamard_qubits() {
+                    rotated.apply_gate(&Gate::H(q));
+                }
                 let mut rng = StdRng::seed_from_u64(group_shot_seed(seed, g));
                 let indices = rotated.sample_indices(shots as usize, &mut rng);
                 Ok(ShotBatch::from_indices(plan.num_qubits(), &indices))
@@ -1367,14 +1392,29 @@ mod tests {
         // A plan for the absorbed set reuses its CA-Pre result and is itself
         // memoized: one diagonalization, no new frame sweep.
         engine.measurement_plan(&program_a(), &observables).unwrap();
-        engine.measurement_plan(&program_a(), &observables).unwrap();
+        let plan = engine.measurement_plan(&program_a(), &observables).unwrap();
         assert_eq!(stage("absorb_pre"), 1);
         assert_eq!(stage("diagonalize"), 1);
-        // A new set pays one sweep and one diagonalization.
+        let gauge = |name: &str| engine.metrics_snapshot().gauge_value(name, None);
+        assert_eq!(gauge("quclear_engine_measurement_groups"), Some(1));
+        assert_eq!(
+            gauge("quclear_engine_measurement_dense_passes"),
+            Some(plan.dense_passes() as i64)
+        );
+        // A new set pays one sweep and one diagonalization, and the gauges
+        // follow the newest plan: one gather plus one Hadamard pass.
         let other: Vec<SignedPauli> = vec!["+XIII".parse().unwrap()];
-        engine.measurement_plan(&program_a(), &other).unwrap();
+        let plan = engine.measurement_plan(&program_a(), &other).unwrap();
         assert_eq!(stage("absorb_pre"), 2);
         assert_eq!(stage("diagonalize"), 2);
+        assert_eq!(
+            plan.dense_passes(),
+            1 + plan.groups()[0].diagonalizer().hadamard_qubits().len()
+        );
+        assert_eq!(
+            gauge("quclear_engine_measurement_dense_passes"),
+            Some(plan.dense_passes() as i64)
+        );
     }
 
     #[test]

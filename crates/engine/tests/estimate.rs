@@ -14,7 +14,7 @@ use quclear_engine::{
 };
 use quclear_pauli::{PauliOp, PauliRotation, PauliString, SignedPauli};
 use quclear_sim::StateVector;
-use quclear_workloads::{vqe_expectation_sweep, Benchmark};
+use quclear_workloads::{vqe_expectation_sweep, Benchmark, Molecule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,9 +32,10 @@ fn ucc_workload() -> (Vec<PauliRotation>, Vec<SignedPauli>) {
 }
 
 /// The naive scalar oracle: for one observable, find its group, re-simulate
-/// the optimized circuit plus that group's diagonalizer, re-sample the
-/// group's batch from the same derived seed, and count parities one shot at
-/// a time with no plane kernels.
+/// the optimized circuit plus that group's diagonalizer gate by gate,
+/// re-sample the group's batch from the same derived seed with one binary
+/// search per shot, and count parities one shot at a time with no plane
+/// kernels.
 fn scalar_estimate(
     engine: &Engine,
     program: &[PauliRotation],
@@ -62,7 +63,7 @@ fn scalar_estimate(
     let mut rotated = base.clone();
     rotated.apply_circuit(diagonalizer.circuit());
     let mut rng = StdRng::seed_from_u64(group_shot_seed(seed, g));
-    let indices = rotated.sample_indices(shots as usize, &mut rng);
+    let indices = binary_search_draws(&rotated, shots as usize, &mut rng);
     let mask: u64 = (0..plan.num_qubits())
         .filter(|&q| diagonalizer.z_support(slot).get(q))
         .map(|q| 1u64 << q)
@@ -78,6 +79,28 @@ fn scalar_estimate(
         })
         .sum();
     diagonalizer.sign(slot) * parity_sum as f64 / indices.len() as f64
+}
+
+/// Inverse-CDF draws with one `partition_point` per shot, independent of
+/// `StateVector::sample_indices`' guide table.
+fn binary_search_draws(state: &StateVector, shots: usize, rng: &mut StdRng) -> Vec<u64> {
+    let mut cdf: Vec<f64> = state
+        .amplitudes()
+        .iter()
+        .scan(0.0, |acc, amp| {
+            *acc += amp.norm_sq();
+            Some(*acc)
+        })
+        .collect();
+    if let Some(last) = cdf.last_mut() {
+        *last = f64::max(*last, 1.0);
+    }
+    (0..shots)
+        .map(|_| {
+            let draw: f64 = rng.gen_range(0.0..1.0);
+            cdf.partition_point(|&c| c <= draw) as u64
+        })
+        .collect()
 }
 
 #[test]
@@ -99,6 +122,29 @@ fn estimate_matches_scalar_oracle_bit_for_bit() {
             );
         }
     }
+}
+
+#[test]
+fn benzene_measures_in_at_most_528_dense_passes() {
+    let engine = Engine::new(8);
+    let benzene = Benchmark::Molecule(Molecule::Benzene);
+    let plan = engine
+        .measurement_plan(&benzene.rotations(), &benzene.observables())
+        .unwrap();
+    // One gather per group plus one Hadamard pass per unit of X-rank:
+    // 74 + 454, against 4,679 gate passes before the canonical form.
+    assert_eq!(plan.num_groups(), 74);
+    assert!(
+        plan.dense_passes() <= 528,
+        "{} dense passes",
+        plan.dense_passes()
+    );
+    assert_eq!(
+        engine
+            .metrics_snapshot()
+            .gauge_value("quclear_engine_measurement_dense_passes", None),
+        Some(plan.dense_passes() as i64)
+    );
 }
 
 #[test]

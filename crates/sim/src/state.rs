@@ -1,7 +1,7 @@
 //! Dense state-vector simulation.
 
 use quclear_circuit::math::{single_qubit_matrix, C64};
-use quclear_circuit::{Circuit, Gate};
+use quclear_circuit::{Circuit, Gate, MonomialMap};
 use quclear_pauli::{BitVec, PauliRotation, PauliString, SignedPauli};
 use rand::Rng;
 
@@ -47,6 +47,22 @@ impl StateVector {
         );
         let mut amps = vec![C64::ZERO; 1 << num_qubits];
         amps[0] = C64::ONE;
+        StateVector { num_qubits, amps }
+    }
+
+    /// A state holding the given amplitudes, unnormalized ones included.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the length is a power of two of at most `2^26`.
+    #[must_use]
+    pub fn from_amplitudes(amps: Vec<C64>) -> Self {
+        assert!(
+            amps.len().is_power_of_two() && amps.len() <= 1 << 26,
+            "{} amplitudes are not a state of at most 26 qubits",
+            amps.len()
+        );
+        let num_qubits = amps.len().trailing_zeros() as usize;
         StateVector { num_qubits, amps }
     }
 
@@ -163,6 +179,21 @@ impl StateVector {
         for gate in circuit.gates() {
             self.apply_gate(gate);
         }
+    }
+
+    /// Overwrites this state with `M·from` for a monomial Clifford `M`, in
+    /// one gather pass and no allocation. Every amplitude is `==` to running
+    /// `M`'s gates on a copy of `from` with [`Self::apply_gate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three register widths differ.
+    pub fn gather(&mut self, from: &StateVector, map: &MonomialMap) {
+        assert!(
+            from.num_qubits == self.num_qubits && map.num_qubits() == self.num_qubits,
+            "gather needs equal register widths"
+        );
+        map.apply(&from.amps, &mut self.amps);
     }
 
     /// Applies a Pauli string to the state, returning a new state `P|ψ⟩`.
@@ -377,10 +408,14 @@ impl StateVector {
     }
 
     /// Samples `shots` computational-basis measurement outcomes from the
-    /// state's probability distribution (inverse-CDF sampling, one binary
-    /// search per shot). Returned indices use the same little-endian
-    /// convention as [`Self::probability_of`], so they can be packed
-    /// directly into a bit-plane shot batch for CA-Post processing.
+    /// state's probability distribution by inverse-CDF sampling: shot `s`
+    /// is the first index whose cumulative probability exceeds the `s`-th
+    /// draw `rng.gen_range(0.0..1.0)`, one `next_u64` per shot. A guide
+    /// table over the CDF finds that index in O(1) expected steps; the
+    /// result equals a binary search (`partition_point`) draw for draw.
+    /// Returned indices use the same little-endian convention as
+    /// [`Self::probability_of`], so they can be packed directly into a
+    /// bit-plane shot batch for CA-Post processing.
     #[must_use]
     pub fn sample_indices<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> Vec<u64> {
         // Cumulative distribution; the final entry is clamped to 1 so a draw
@@ -394,13 +429,50 @@ impl StateVector {
         if let Some(last) = cdf.last_mut() {
             *last = f64::max(*last, 1.0);
         }
+        let guide = guide_table(&cdf);
+        let buckets = (guide.len() - 1) as f64;
         (0..shots)
             .map(|_| {
                 let draw: f64 = rng.gen_range(0.0..1.0);
-                cdf.partition_point(|&c| c <= draw) as u64
+                // Every index before guide[b] has cdf <= b/K <= draw; the
+                // last cdf is >= 1 > draw, so no step passes the end.
+                let mut i = guide[(draw * buckets) as u32 as usize] as usize;
+                i += usize::from(cdf[i] <= draw);
+                i += usize::from(cdf[i] <= draw);
+                while cdf[i] <= draw {
+                    i += 1;
+                }
+                i as u64
             })
             .collect()
     }
+}
+
+/// The guide table of a non-decreasing CDF over `2^n` outcomes with
+/// `K = 2^n` buckets: `guide[b]` is the number of entries `<= b/K`, the
+/// first index a draw in `[b/K, (b+1)/K)` can land on (`guide[K]` is never
+/// read). Scaling by the power of two `K` is exact, so `cdf[i] <= b/K`
+/// exactly when `⌈cdf[i]·K⌉ <= b`: one pass counts each entry at its
+/// ceiling, a prefix pass sums the counts. A draw steps over index `i` only
+/// if it falls in the bucket holding `cdf[i]`, so it takes at most
+/// `2^n / K = 1` step past `guide[b]` in expectation.
+fn guide_table(cdf: &[f64]) -> Vec<u32> {
+    let buckets = cdf.len();
+    let scale = buckets as f64;
+    let mut guide = vec![0u32; buckets + 1];
+    for &c in cdf {
+        // ⌈x⌉ for 0 <= x <= K without `f64::ceil` (no `roundsd` on
+        // baseline x86-64); the clamp also sends a NaN to K.
+        let x = (c * scale).min(scale);
+        let floor = x as u32;
+        guide[(floor + u32::from(f64::from(floor) < x)) as usize] += 1;
+    }
+    let mut total = 0u32;
+    for slot in &mut guide {
+        total += *slot;
+        *slot = total;
+    }
+    guide
 }
 
 /// Runs `kernel(lo, hi)` on every `2^(q+1)`-amplitude block of the state:
@@ -561,6 +633,43 @@ mod tests {
         // Deterministic in the seed.
         let mut rng = StdRng::seed_from_u64(11);
         assert_eq!(state.sample_indices(4000, &mut rng), shots);
+    }
+
+    /// Replays fixed words, so draws can sit exactly on CDF values and
+    /// bucket edges.
+    struct Words<I>(I);
+
+    impl<I: Iterator<Item = u64>> rand::RngCore for Words<I> {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("enough words")
+        }
+    }
+
+    #[test]
+    fn draws_on_cdf_values_and_bucket_edges_take_the_next_index() {
+        // Probabilities 1/4, 1/4, 0, 1/2: CDF 0.25, 0.5, 0.5, 1.0, whose
+        // values are also the edges of the four guide buckets.
+        let half = std::f64::consts::FRAC_1_SQRT_2;
+        let state = StateVector::from_amplitudes(vec![
+            C64::new(0.5, 0.0),
+            C64::new(0.0, 0.5),
+            C64::ZERO,
+            C64::new(half, 0.0),
+        ]);
+        assert_eq!(state.norm_sq(), 1.0);
+        let draws = [
+            0.0,
+            0.25,
+            0.5,
+            0.75,
+            0.2499,
+            0.4999,
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        // `gen_range(0.0..1.0)` maps word `w` to `(w >> 11)·2^-53`.
+        let words = draws.map(|d| ((d * (1u64 << 53) as f64) as u64) << 11);
+        let drawn = state.sample_indices(draws.len(), &mut Words(words.into_iter()));
+        assert_eq!(drawn, vec![0, 1, 3, 3, 0, 1, 3]);
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! oracle's — not merely close — and sampling from the two states with one
 //! seed must draw the same indices.
 //!
+//! `scalar_sample_indices` is the binary-search draw `sample_indices` used
+//! before its guide table: one `partition_point` over the CDF per shot. The
+//! guide table must land on the same index for every draw and consume the
+//! same random words, on dense, skewed, one-hot and sparse states and on
+//! CDFs whose total is off 1 by `1e-12` either way.
+//!
+//! `StateVector::gather` runs a monomial layer (`CX` gates, then `S` and
+//! `CZ` gates) as one pass; its amplitudes must be bit for bit what the
+//! layer's gates give through the block kernels.
+//!
 //! `scalar_apply_rotation` is the allocate-and-combine formula
 //! `StateVector::apply_rotation` used before the in-place pivot kernel:
 //! build `P|ψ⟩` in a fresh vector, then combine `c·ψ − i·s·P|ψ⟩` with full
@@ -18,11 +28,11 @@ use std::f64::consts::PI;
 
 use proptest::prelude::*;
 use quclear_circuit::math::{single_qubit_matrix, C64};
-use quclear_circuit::{Circuit, Gate};
+use quclear_circuit::{Circuit, Gate, MonomialMap};
 use quclear_pauli::{PauliOp, PauliRotation, PauliString};
 use quclear_sim::StateVector;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// The dense per-gate kernel the block kernels replaced.
 fn scalar_apply_gate(amps: &mut [C64], gate: &Gate) {
@@ -108,7 +118,7 @@ fn scalar_apply_rotation(amps: &mut [C64], rotation: &PauliRotation) {
     }
 }
 
-/// `StateVector::sample_indices`' inverse-CDF draw over raw amplitudes.
+/// The binary-search inverse-CDF draw over raw amplitudes.
 fn scalar_sample_indices(amps: &[C64], shots: usize, rng: &mut StdRng) -> Vec<u64> {
     let mut cdf = Vec::with_capacity(amps.len());
     let mut acc = 0.0f64;
@@ -276,6 +286,126 @@ proptest! {
                     "n = {n}, rotation {k} ({rotation:?}), amplitude {i}: {a:?} vs oracle {b:?}"
                 );
             }
+        }
+    }
+}
+
+/// A seeded state of one of four shapes, its CDF total then scaled by
+/// `1 − 1e-12`, `1` or `1 + 1e-12`:
+/// 0. a dense state after random rotations (continuous, skewed weights);
+/// 1. a one-hot basis state (also shape 0 on zero qubits);
+/// 2. random amplitudes on aligned runs, with long all-zero runs between;
+/// 3. a few large weights among many tiny ones.
+fn sampling_state(n: usize, seed: u64) -> StateVector {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len = 1usize << n;
+    let amps: Vec<C64> = match seed % 4 {
+        0 if n > 0 => {
+            let mut state = StateVector::zero_state(n);
+            for q in 0..n {
+                state.apply_gate(&Gate::Ry {
+                    qubit: q,
+                    angle: rng.gen_range(0.1..3.0),
+                });
+            }
+            state.apply_rotations(&random_rotations(n, seed));
+            state.amplitudes().to_vec()
+        }
+        0 | 1 => {
+            let mut amps = vec![C64::ZERO; len];
+            amps[rng.gen_range(0..len)] = C64::ONE;
+            amps
+        }
+        2 => {
+            let run = 1usize << rng.gen_range(0..n.max(1));
+            let keep = rng.gen_range(1u64..u64::MAX);
+            (0..len)
+                .map(|i| {
+                    if (keep >> ((i / run) % 64)) & 1 == 1 {
+                        C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+                    } else {
+                        C64::ZERO
+                    }
+                })
+                .collect()
+        }
+        _ => (0..len)
+            .map(|_| {
+                let scale = if rng.gen_bool(0.05) { 1.0 } else { 1e-4 };
+                C64::new(scale * rng.gen_range(0.0..1.0), 0.0)
+            })
+            .collect(),
+    };
+    let total: f64 = amps.iter().map(|a| a.norm_sq()).sum();
+    let target = [1.0 - 1e-12, 1.0, 1.0 + 1e-12][rng.gen_range(0..3usize)];
+    let factor = (target / total).sqrt();
+    StateVector::from_amplitudes(amps.iter().map(|a| a.scale(factor)).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The guide-table draw picks the binary search's index for every shot
+    /// and leaves the generator where one `next_u64` per shot leaves it.
+    #[test]
+    fn guide_table_draws_match_binary_search(
+        n in 0usize..=10,
+        seed in any::<u64>(),
+        shots in 1usize..=2000,
+    ) {
+        let state = sampling_state(n, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD4A3);
+        let drawn = state.sample_indices(shots, &mut rng);
+        let mut oracle_rng = StdRng::seed_from_u64(seed ^ 0xD4A3);
+        let oracle = scalar_sample_indices(state.amplitudes(), shots, &mut oracle_rng);
+        prop_assert!(drawn == oracle, "n = {n}, shape {}: indices differ", seed % 4);
+        prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+    }
+}
+
+/// A seeded monomial layer: random `CX` gates, then random `S` and `CZ`
+/// gates, on distinct qubits (`n >= 2`).
+fn random_monomial_layer(n: usize, seed: u64) -> Vec<Gate> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pair = || {
+        let a = rng.gen_range(0..n);
+        (a, (a + rng.gen_range(1..n)) % n)
+    };
+    let mut gates: Vec<Gate> = (0..4 * n)
+        .map(|_| {
+            let (control, target) = pair();
+            Gate::Cx { control, target }
+        })
+        .collect();
+    for k in 0..4 * n {
+        let (a, b) = pair();
+        gates.push(if k % 3 == 0 {
+            Gate::S(a)
+        } else {
+            Gate::Cz { a, b }
+        });
+    }
+    gates
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One gather of a monomial layer is `==`, component for component, to
+    /// the layer's gates run one by one on a generic dense state.
+    #[test]
+    fn gather_matches_the_gate_kernels_exactly(n in 2usize..=10, seed in any::<u64>()) {
+        let gates = random_monomial_layer(n, seed);
+        let base = StateVector::from_circuit(&random_circuit(n, seed ^ 0x6A7E));
+        let mut expected = base.clone();
+        gates.iter().for_each(|gate| expected.apply_gate(gate));
+        let mut gathered = StateVector::zero_state(n);
+        gathered.gather(&base, &MonomialMap::from_gates(n, &gates));
+        for (i, (a, b)) in gathered.amplitudes().iter().zip(expected.amplitudes()).enumerate() {
+            prop_assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "n = {n}, amplitude {i}: {a:?} vs gate kernels {b:?}"
+            );
         }
     }
 }
