@@ -175,12 +175,6 @@ impl Circuit {
         self.gates.iter().map(Gate::cnot_cost).sum()
     }
 
-    /// Number of two-qubit gate instructions (SWAP counts as one here).
-    #[must_use]
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.is_two_qubit()).count()
-    }
-
     /// Number of single-qubit gates.
     #[must_use]
     pub fn single_qubit_count(&self) -> usize {
@@ -250,17 +244,6 @@ impl Circuit {
         let gates: Vec<Gate> = self.gates.iter().map(|g| g.map_qubits(&mut f)).collect();
         Circuit::from_gates(new_size, gates)
     }
-
-    /// Histogram of gate kinds, as `(name, count)` pairs sorted by name.
-    #[must_use]
-    pub fn gate_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut counts: std::collections::BTreeMap<&'static str, usize> =
-            std::collections::BTreeMap::new();
-        for g in &self.gates {
-            *counts.entry(g.name()).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
-    }
 }
 
 impl Extend<Gate> for Circuit {
@@ -323,7 +306,6 @@ mod tests {
         let mut c = Circuit::new(2);
         c.swap(0, 1);
         assert_eq!(c.cnot_count(), 3);
-        assert_eq!(c.two_qubit_gate_count(), 1);
     }
 
     #[test]
@@ -383,14 +365,6 @@ mod tests {
         assert!(c.is_clifford());
         c.rz(1, 0.3);
         assert!(!c.is_clifford());
-    }
-
-    #[test]
-    fn gate_histogram_counts_kinds() {
-        let c = ghz(4);
-        let hist = c.gate_histogram();
-        assert!(hist.contains(&("cx", 3)));
-        assert!(hist.contains(&("h", 1)));
     }
 
     #[test]

@@ -58,18 +58,6 @@ impl CouplingMap {
         }
     }
 
-    /// A fully connected (all-to-all) device.
-    #[must_use]
-    pub fn fully_connected(num_qubits: usize) -> Self {
-        let mut edges = Vec::new();
-        for a in 0..num_qubits {
-            for b in a + 1..num_qubits {
-                edges.push((a, b));
-            }
-        }
-        CouplingMap::from_edges(num_qubits, &edges)
-    }
-
     /// A linear chain `0 - 1 - … - (n-1)`.
     #[must_use]
     pub fn linear(num_qubits: usize) -> Self {
@@ -208,27 +196,6 @@ impl CouplingMap {
         self.distance[a][b]
     }
 
-    /// A shortest path from `a` to `b`, inclusive of both endpoints.
-    ///
-    /// Returns `None` if no path exists.
-    #[must_use]
-    pub fn shortest_path(&self, a: usize, b: usize) -> Option<Vec<usize>> {
-        if self.distance(a, b) == usize::MAX {
-            return None;
-        }
-        // Greedy descent on the distance matrix.
-        let mut path = vec![a];
-        let mut current = a;
-        while current != b {
-            let next = *self.adjacency[current]
-                .iter()
-                .min_by_key(|&&nb| self.distance[nb][b])?;
-            path.push(next);
-            current = next;
-        }
-        Some(path)
-    }
-
     /// Returns `true` if every qubit can reach every other qubit.
     #[must_use]
     pub fn is_connected(&self) -> bool {
@@ -279,7 +246,10 @@ mod tests {
 
     #[test]
     fn fully_connected_distance_is_one() {
-        let f = CouplingMap::fully_connected(6);
+        let edges: Vec<_> = (0..6)
+            .flat_map(|a| (a + 1..6).map(move |b| (a, b)))
+            .collect();
+        let f = CouplingMap::from_edges(6, &edges);
         for a in 0..6 {
             for b in 0..6 {
                 if a != b {
@@ -313,23 +283,10 @@ mod tests {
     }
 
     #[test]
-    fn shortest_path_endpoints_and_length() {
-        let g = CouplingMap::grid(4, 4);
-        let path = g.shortest_path(0, 15).unwrap();
-        assert_eq!(*path.first().unwrap(), 0);
-        assert_eq!(*path.last().unwrap(), 15);
-        assert_eq!(path.len(), g.distance(0, 15) + 1);
-        for w in path.windows(2) {
-            assert!(g.are_connected(w[0], w[1]));
-        }
-    }
-
-    #[test]
     fn disconnected_map_reports_max_distance() {
         let m = CouplingMap::from_edges(4, &[(0, 1), (2, 3)]);
         assert!(!m.is_connected());
         assert_eq!(m.distance(0, 2), usize::MAX);
-        assert!(m.shortest_path(0, 3).is_none());
     }
 
     #[test]

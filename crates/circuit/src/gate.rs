@@ -233,21 +233,6 @@ impl Gate {
         }
     }
 
-    /// Returns `true` if the gate is its own inverse.
-    #[must_use]
-    pub fn is_self_inverse(&self) -> bool {
-        matches!(
-            self,
-            Gate::H(_)
-                | Gate::X(_)
-                | Gate::Y(_)
-                | Gate::Z(_)
-                | Gate::Cx { .. }
-                | Gate::Cz { .. }
-                | Gate::Swap { .. }
-        )
-    }
-
     /// Returns `true` if the gate is diagonal in the computational basis.
     #[must_use]
     pub fn is_diagonal(&self) -> bool {
@@ -418,8 +403,6 @@ mod tests {
         }
         .is_diagonal());
         assert!(!Gate::H(0).is_diagonal());
-        assert!(Gate::H(0).is_self_inverse());
-        assert!(!Gate::S(0).is_self_inverse());
     }
 
     #[test]

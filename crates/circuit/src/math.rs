@@ -260,15 +260,6 @@ fn angular_distance(a: f64, b: f64) -> f64 {
     d.min(two_pi - d)
 }
 
-/// The ZYZ matrix `Rz(α) · Ry(β) · Rz(γ)` (no global phase).
-#[must_use]
-pub fn zyz_matrix(alpha: f64, beta: f64, gamma: f64) -> Mat2 {
-    let rz_a = rz_matrix(alpha);
-    let ry_b = ry_matrix(beta);
-    let rz_g = rz_matrix(gamma);
-    rz_a.mul(&ry_b).mul(&rz_g)
-}
-
 /// Matrix of `Rz(θ)`.
 #[must_use]
 pub fn rz_matrix(theta: f64) -> Mat2 {
@@ -348,6 +339,13 @@ pub fn single_qubit_matrix(gate: &crate::Gate) -> Mat2 {
 mod tests {
     use super::*;
     use crate::Gate;
+
+    /// The ZYZ matrix `Rz(α) · Ry(β) · Rz(γ)` (no global phase).
+    fn zyz_matrix(alpha: f64, beta: f64, gamma: f64) -> Mat2 {
+        rz_matrix(alpha)
+            .mul(&ry_matrix(beta))
+            .mul(&rz_matrix(gamma))
+    }
 
     #[test]
     fn complex_basics() {

@@ -237,7 +237,10 @@ mod tests {
     #[test]
     fn routing_on_full_connectivity_inserts_no_swaps() {
         let c = all_to_all_circuit(5);
-        let result = route(&c, &CouplingMap::fully_connected(5));
+        let edges: Vec<_> = (0..5)
+            .flat_map(|a| (a + 1..5).map(move |b| (a, b)))
+            .collect();
+        let result = route(&c, &CouplingMap::from_edges(5, &edges));
         assert_eq!(result.swap_count, 0);
         assert_eq!(result.circuit.cnot_count(), c.cnot_count());
     }

@@ -192,17 +192,6 @@ impl AbsorbedObservables {
         (0..self.len()).map(|i| self.frame.get(i)).collect()
     }
 
-    /// The single-qubit basis-rotation circuit to append before measuring
-    /// the `i`-th rewritten observable in the computational basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn measurement_circuit(&self, i: usize) -> Circuit {
-        crate::extract::basis_change_circuit(self.num_qubits(), &self.frame.row_pauli(i))
-    }
-
     /// CA-Post sign folding: converts the measured expectation of the `i`-th
     /// sign-free rewritten Pauli into the expectation of the `i`-th original
     /// observable.
@@ -650,7 +639,8 @@ mod tests {
         let covered: usize = groups.iter().map(Vec::len).sum();
         assert_eq!(covered, 2);
         // Measurement circuit of the X-type row needs one H.
-        assert_eq!(absorbed.measurement_circuit(1).len(), 1);
+        let circuit = crate::basis_change_circuit(2, absorbed.get(1).pauli());
+        assert_eq!(circuit.len(), 1);
     }
 
     #[test]

@@ -24,7 +24,8 @@ use quclear_pauli::PauliRotation;
 ///     PauliRotation::parse("XII", 0.3)?, // does not commute → new block
 /// ];
 /// let blocks = CommutingBlocks::from_rotations(&rotations);
-/// assert_eq!(blocks.block_sizes(), vec![2, 1]);
+/// assert_eq!(blocks.num_blocks(), 2);
+/// assert_eq!(blocks.blocks()[0].len(), 2);
 /// # Ok::<(), quclear_pauli::ParsePauliError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -84,18 +85,6 @@ impl CommutingBlocks {
         self.blocks.len()
     }
 
-    /// Total number of rotations across all blocks.
-    #[must_use]
-    pub fn num_rotations(&self) -> usize {
-        self.blocks.iter().map(Vec::len).sum()
-    }
-
-    /// The sizes of the blocks, in order.
-    #[must_use]
-    pub fn block_sizes(&self) -> Vec<usize> {
-        self.blocks.iter().map(Vec::len).collect()
-    }
-
     /// Flattens the blocks back into a single rotation sequence.
     #[must_use]
     pub fn flatten(&self) -> Vec<PauliRotation> {
@@ -111,19 +100,23 @@ mod tests {
         PauliRotation::parse(s, 0.1).unwrap()
     }
 
+    fn block_sizes(blocks: &CommutingBlocks) -> Vec<usize> {
+        blocks.blocks().iter().map(Vec::len).collect()
+    }
+
     #[test]
     fn all_commuting_forms_one_block() {
         let rotations = vec![rot("ZZII"), rot("IZZI"), rot("IIZZ"), rot("ZIIZ")];
         let blocks = CommutingBlocks::from_rotations(&rotations);
         assert_eq!(blocks.num_blocks(), 1);
-        assert_eq!(blocks.num_rotations(), 4);
+        assert_eq!(blocks.flatten().len(), 4);
     }
 
     #[test]
     fn anticommuting_neighbours_split() {
         let rotations = vec![rot("ZI"), rot("XI"), rot("ZI")];
         let blocks = CommutingBlocks::from_rotations(&rotations);
-        assert_eq!(blocks.block_sizes(), vec![1, 1, 1]);
+        assert_eq!(block_sizes(&blocks), vec![1, 1, 1]);
     }
 
     #[test]
@@ -132,7 +125,7 @@ mod tests {
         // one block; then XI anticommutes with ZZ and starts a new block.
         let rotations = vec![rot("ZZ"), rot("XX"), rot("YY"), rot("XI")];
         let blocks = CommutingBlocks::from_rotations(&rotations);
-        assert_eq!(blocks.block_sizes(), vec![3, 1]);
+        assert_eq!(block_sizes(&blocks), vec![3, 1]);
     }
 
     #[test]
@@ -148,14 +141,14 @@ mod tests {
         ];
         let blocks = CommutingBlocks::from_rotations(&rotations);
         assert_eq!(blocks.num_blocks(), 2);
-        assert_eq!(blocks.block_sizes(), vec![3, 3]);
+        assert_eq!(block_sizes(&blocks), vec![3, 3]);
     }
 
     #[test]
     fn singletons_disable_grouping() {
         let rotations = vec![rot("ZZ"), rot("XX")];
         let blocks = CommutingBlocks::singletons(&rotations);
-        assert_eq!(blocks.block_sizes(), vec![1, 1]);
+        assert_eq!(block_sizes(&blocks), vec![1, 1]);
     }
 
     #[test]
@@ -171,6 +164,6 @@ mod tests {
     fn empty_input_gives_no_blocks() {
         let blocks = CommutingBlocks::from_rotations(&[]);
         assert_eq!(blocks.num_blocks(), 0);
-        assert_eq!(blocks.num_rotations(), 0);
+        assert_eq!(blocks.flatten().len(), 0);
     }
 }

@@ -73,20 +73,6 @@ impl Gf2Matrix {
         Gf2Matrix { n, rows }
     }
 
-    /// Builds a matrix from bit-packed rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows do not form a square matrix.
-    #[must_use]
-    pub fn from_bit_rows(rows: Vec<BitVec>) -> Self {
-        let n = rows.len();
-        for row in &rows {
-            assert_eq!(row.len(), n, "Gf2Matrix rows must form a square matrix");
-        }
-        Gf2Matrix { n, rows }
-    }
-
     /// Matrix dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
@@ -216,12 +202,6 @@ impl Gf2Matrix {
         }
         Some(Gf2Matrix { n, rows: inv })
     }
-
-    /// Returns `true` if the matrix is invertible over GF(2).
-    #[must_use]
-    pub fn is_invertible(&self) -> bool {
-        self.inverse().is_some()
-    }
 }
 
 impl fmt::Debug for Gf2Matrix {
@@ -263,7 +243,7 @@ mod tests {
     #[test]
     fn singular_matrix_has_no_inverse() {
         let m = Gf2Matrix::zeros(3);
-        assert!(!m.is_invertible());
+        assert!(m.inverse().is_none());
         let mut m = Gf2Matrix::identity(3);
         m.set(2, 2, false);
         assert!(m.inverse().is_none());
@@ -319,11 +299,6 @@ mod tests {
             vec![false, false, true, true],
         ];
         let m = Gf2Matrix::from_rows(rows.clone());
-        let bit_rows: Vec<BitVec> = rows
-            .iter()
-            .map(|r| BitVec::from_bools(r.iter().copied()))
-            .collect();
-        assert_eq!(m, Gf2Matrix::from_bit_rows(bit_rows));
         let v = [true, false, true, true];
         let want: Vec<bool> = rows
             .iter()

@@ -17,15 +17,14 @@
 //! passes ([`GroupDiagonalizer::monomial`]). Appending `D` to the circuit
 //! and reading the packed shot planes through the composed affine map —
 //! rows are Z-supports, offsets are tracked signs — estimates **all**
-//! members of a group from one shot batch via the CA-Post bit-plane kernels
-//! ([`Gf2Matrix::mul_planes`], [`ShotBatch::parity_expectations`]).
+//! members of a group from one shot batch via the CA-Post bit-plane kernel
+//! [`ShotBatch::parity_expectations`].
 //! [`MeasurementPlan`] bundles the full pipeline for an absorbed observable
 //! batch.
 
 use std::sync::OnceLock;
 
 use crate::absorb::AbsorbedObservables;
-use crate::gf2::Gf2Matrix;
 use crate::shots::ShotBatch;
 use quclear_circuit::{Circuit, Gate, MonomialMap};
 use quclear_pauli::{BitVec, PauliFrame, PauliOp, PauliString, SignedPauli};
@@ -40,14 +39,6 @@ pub struct MeasurementGroup {
     /// Per-qubit measurement basis: the non-identity operator measured on
     /// each qubit (identity where no member touches the qubit).
     pub basis: PauliString,
-}
-
-impl MeasurementGroup {
-    /// The single-qubit rotation circuit shared by every member of the group.
-    #[must_use]
-    pub fn measurement_circuit(&self) -> Circuit {
-        crate::extract::basis_change_circuit(self.basis.num_qubits(), &self.basis)
-    }
 }
 
 /// Returns `true` if two Pauli strings commute *qubit-wise*: on every qubit
@@ -319,12 +310,6 @@ impl GroupDiagonalizer {
         1 + self.hadamards.len()
     }
 
-    /// Row `i` after conjugation, as a signed Pauli (guaranteed Z-diagonal).
-    #[must_use]
-    pub fn diagonal_pauli(&self, i: usize) -> SignedPauli {
-        self.diagonal.get(i)
-    }
-
     /// The qubit parity mask of diagonalized row `i` — the row of the
     /// composed affine readout map for member `i`.
     #[must_use]
@@ -369,43 +354,6 @@ impl GroupDiagonalizer {
             .enumerate()
             .map(|(i, e)| self.sign(i) * e)
             .collect()
-    }
-
-    /// Applies the composed affine map `shot ↦ A·shot ⊕ b` to every shot at
-    /// once with the CA-Post bit-plane kernel ([`Gf2Matrix::mul_planes`]):
-    /// plane `i`, bit `s` is the measured outcome bit of member `i` on shot
-    /// `s` (0 ↦ eigenvalue `+1`). Averaging `(-1)^bit` over a plane equals
-    /// the corresponding [`Self::expectations`] entry bit-for-bit. The
-    /// parity blocks of `A` are built from [`Self::z_supports`] on each
-    /// call; the estimation path never needs them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch register width differs from the group's.
-    #[must_use]
-    pub fn outcome_planes(&self, shots: &ShotBatch) -> Vec<BitVec> {
-        assert_eq!(
-            shots.num_qubits(),
-            self.num_qubits(),
-            "shot batch register width must match the diagonalized group"
-        );
-        // The affine readout map has one row per member; members can
-        // outnumber qubits (dependent Paulis), so pack the rows into square
-        // n×n blocks for the mul_planes kernel.
-        let n = self.num_qubits();
-        let mut planes: Vec<BitVec> = Vec::with_capacity(self.len());
-        for chunk in self.z_supports.chunks(n.max(1)) {
-            let mut rows = chunk.to_vec();
-            rows.resize(n, BitVec::zeros(n));
-            let produced = Gf2Matrix::from_bit_rows(rows).mul_planes(shots.planes());
-            planes.extend(produced.into_iter().take(chunk.len()));
-        }
-        for (i, plane) in planes.iter_mut().enumerate() {
-            if self.diagonal.sign(i) {
-                plane.flip_all();
-            }
-        }
-        planes
     }
 }
 
@@ -628,7 +576,8 @@ mod tests {
         let groups = group_qubitwise_commuting(&observables);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].basis.to_string(), "XYZ");
-        assert_eq!(groups[0].measurement_circuit().len(), (1 + 2));
+        let circuit = crate::basis_change_circuit(3, &groups[0].basis);
+        assert_eq!(circuit.len(), (1 + 2));
     }
 
     #[test]
@@ -706,7 +655,7 @@ mod tests {
         assert_eq!(diag.len(), 3);
         let tableau = CliffordTableau::from_circuit(diag.circuit());
         for i in 0..diag.len() {
-            let row = diag.diagonal_pauli(i);
+            let row = diag.diagonal.get(i);
             assert!(is_z_diagonal(&row), "row {i} not Z-diagonal: {row}");
             // Cross-check the frame conjugation against the tableau path.
             assert_eq!(row, tableau.apply_signed(&input.get(i)), "row {i}");
@@ -728,22 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn outcome_planes_match_expectations_bit_for_bit() {
-        let diag = diagonalize_commuting_frame(&frame(&["ZZI", "XXI", "-YYI", "IIZ"]));
-        // 70 shots: deliberately not a multiple of 64.
-        let indices: Vec<u64> = (0..70u64).map(|i| (i * 2654435761) % 8).collect();
-        let shots = ShotBatch::from_indices(3, &indices);
-        let expectations = diag.expectations(&shots);
-        let planes = diag.outcome_planes(&shots);
-        assert_eq!(planes.len(), diag.len());
-        for (i, plane) in planes.iter().enumerate() {
-            let ones = (0..shots.num_shots()).filter(|&s| plane.get(s)).count();
-            let from_plane = (shots.num_shots() - 2 * ones) as f64 / shots.num_shots() as f64;
-            assert_eq!(expectations[i].to_bits(), from_plane.to_bits(), "row {i}");
-        }
-    }
-
-    #[test]
     fn plan_groups_cover_and_divide_the_shot_budget() {
         let plan = MeasurementPlan::from_frame(&frame(&["ZZII", "XXII", "YYII", "XZII", "IIZZ"]));
         let covered: usize = plan.groups().iter().map(|g| g.members().len()).sum();
@@ -754,13 +687,12 @@ mod tests {
 
     #[test]
     fn more_members_than_qubits_still_estimates() {
-        // Five dependent Z-diagonal members on two qubits: the affine map has
-        // more rows than qubits and must be block-chunked.
+        // Five dependent Z-diagonal members on two qubits: the readout has
+        // more parity rows than qubits.
         let diag = diagonalize_commuting_frame(&frame(&["ZI", "IZ", "ZZ", "-ZI", "-ZZ"]));
         let shots = ShotBatch::from_indices(2, &[0, 1, 2, 3, 1, 0, 2]);
         let expectations = diag.expectations(&shots);
-        let planes = diag.outcome_planes(&shots);
-        assert_eq!(planes.len(), 5);
+        assert_eq!(expectations.len(), 5);
         assert_eq!(expectations[0], -expectations[3]);
         assert_eq!(expectations[2], -expectations[4]);
     }

@@ -235,12 +235,6 @@ impl LiftedProgram {
         self.num_qubits
     }
 
-    /// Number of lifted rotations (= bindable parameters).
-    #[must_use]
-    pub fn num_rotations(&self) -> usize {
-        self.rotations.len()
-    }
-
     /// The conjugated rotation axes with their structural signs.
     ///
     /// These are the axes to fingerprint and template-compile: the sign is
@@ -272,36 +266,6 @@ impl LiftedProgram {
     #[must_use]
     pub fn heisenberg(&self) -> &CliffordTableau {
         &self.heisenberg
-    }
-
-    /// Returns `true` if the input contained no rotation gates (the circuit
-    /// is entirely Clifford).
-    #[must_use]
-    pub fn is_clifford_only(&self) -> bool {
-        self.rotations.is_empty()
-    }
-
-    /// The lifted rotations re-bound to new native angles (angle `i`
-    /// replaces the input circuit's `i`-th rotation angle; axis signs are
-    /// re-folded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `angles.len()` differs from [`Self::num_rotations`].
-    #[must_use]
-    pub fn rotations_with_angles(&self, angles: &[f64]) -> Vec<PauliRotation> {
-        assert_eq!(
-            angles.len(),
-            self.rotations.len(),
-            "angle count mismatch: {} angles for {} rotations",
-            angles.len(),
-            self.rotations.len()
-        );
-        self.axes
-            .iter()
-            .zip(angles)
-            .map(|(axis, &angle)| PauliRotation::with_signed_pauli(axis.clone(), angle))
-            .collect()
     }
 
     /// Merges the trailing Clifford into a compilation of
@@ -466,7 +430,7 @@ mod tests {
     fn clifford_only_circuit_lifts_to_empty_program() {
         let c = all_clifford_gates(4);
         let lifted = lift(&c);
-        assert!(lifted.is_clifford_only());
+        assert!(lifted.rotations.is_empty());
         assert_eq!(lifted.trailing_circuit().gates(), c.gates());
         assert_eq!(lifted.trailing_clifford, CliffordTableau::from_circuit(&c));
     }
@@ -611,8 +575,8 @@ mod tests {
         assert_eq!(lifted.native_angles(), &[0.6]);
         assert!((lifted.rotations[0].angle() + 0.6).abs() < 1e-15);
 
-        let rebound = lifted.rotations_with_angles(&[1.5]);
-        assert!((rebound[0].angle() + 1.5).abs() < 1e-15);
+        let rebound = PauliRotation::with_signed_pauli(lifted.axes()[0].clone(), 1.5);
+        assert!((rebound.angle() + 1.5).abs() < 1e-15);
     }
 
     #[test]
@@ -665,7 +629,7 @@ mod tests {
     #[test]
     fn empty_circuit_lifts_to_empty_everything() {
         let lifted = lift(&Circuit::new(3));
-        assert!(lifted.is_clifford_only());
+        assert!(lifted.rotations.is_empty());
         assert!(lifted.trailing_clifford.is_identity());
         assert!(lifted.trailing_circuit().is_empty());
     }

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use quclear_pauli::{transpose64_pack32, transpose64_top, BitVec, PauliString};
+use quclear_pauli::{transpose64_pack32, transpose64_top, BitVec};
 
 /// Number of bits per storage word (matches [`BitVec`]).
 const WORD_BITS: usize = 64;
@@ -33,7 +33,7 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(batch.index(1), 0b01);
 /// // ⟨Z₀⟩ over the batch: outcomes −1, −1, +1.
 /// let z0: quclear_pauli::PauliString = "ZI".parse()?;
-/// assert!((batch.parity_expectation_of(&z0) + 1.0 / 3.0).abs() < 1e-12);
+/// assert!((batch.parity_expectation(z0.z_bits()) + 1.0 / 3.0).abs() < 1e-12);
 /// # Ok::<(), quclear_pauli::ParsePauliError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -236,25 +236,6 @@ impl ShotBatch {
             .map(|s| self.parity_expectation(s))
             .collect()
     }
-
-    /// [`Self::parity_expectation`] with the support taken from a Pauli
-    /// string's non-identity positions (the estimator for an observable
-    /// measured after its basis-change circuit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observable's qubit count differs from the batch's.
-    #[must_use]
-    pub fn parity_expectation_of(&self, observable: &PauliString) -> f64 {
-        assert_eq!(
-            observable.num_qubits(),
-            self.n,
-            "observable qubit count must match the batch"
-        );
-        let mut support = observable.x_bits().clone();
-        support.or_with(observable.z_bits());
-        self.parity_expectation(&support)
-    }
 }
 
 #[cfg(test)]
@@ -328,15 +309,6 @@ mod tests {
                 "mask {mask_bits:b}"
             );
         }
-    }
-
-    #[test]
-    fn parity_expectation_of_uses_full_support() {
-        // Y counts as support (X and Z bits both set).
-        let batch = ShotBatch::from_indices(3, &[0b001, 0b010]);
-        let obs: PauliString = "YIZ".parse().unwrap();
-        // Support = {0, 2}: parities 1 and 0 → outcomes −1, +1.
-        assert!((batch.parity_expectation_of(&obs) - 0.0).abs() < 1e-12);
     }
 
     #[test]

@@ -185,7 +185,7 @@ fn measurement_basis_circuit_reproduces_expectations() {
         let exact = optimized_state.expectation(transformed.pauli());
 
         let mut with_basis = result.optimized.clone();
-        with_basis.append(&absorption.measurement_circuit(i));
+        with_basis.append(&basis_change_circuit(3, transformed.pauli()));
         let probs = StateVector::from_circuit(&with_basis).probabilities();
         let estimated = expectation_from_probabilities(transformed.pauli(), &probs);
         assert!(

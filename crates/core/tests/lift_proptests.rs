@@ -7,12 +7,24 @@
 use proptest::prelude::*;
 use quclear_circuit::qasm::{from_qasm, to_qasm};
 use quclear_circuit::{Circuit, Gate};
-use quclear_core::{compile, lift, QuClearConfig};
+use quclear_core::{compile, lift, LiftedProgram, QuClearConfig};
 use quclear_pauli::{PauliOp, PauliRotation, PauliString};
 use quclear_sim::StateVector;
 use quclear_tableau::CliffordTableau;
 
 const NUM_QUBITS: usize = 4;
+
+/// The lifted rotations re-bound to new native angles (angle `i` replaces
+/// the input circuit's `i`-th rotation angle; axis signs are re-folded).
+fn rotations_with_angles(lifted: &LiftedProgram, angles: &[f64]) -> Vec<PauliRotation> {
+    assert_eq!(angles.len(), lifted.axes().len(), "angle count mismatch");
+    lifted
+        .axes()
+        .iter()
+        .zip(angles)
+        .map(|(axis, &angle)| PauliRotation::with_signed_pauli(axis.clone(), angle))
+        .collect()
+}
 
 /// Decodes one random word into a gate, covering the whole gate set.
 fn decode_gate(word: u64) -> Gate {
@@ -126,7 +138,7 @@ proptest! {
         let circuit = random_circuit(&words);
         let lifted = lift(&circuit);
         let doubled: Vec<f64> = lifted.native_angles().iter().map(|a| 2.0 * a).collect();
-        let rebound = lifted.rotations_with_angles(&doubled);
+        let rebound = rotations_with_angles(&lifted, &doubled);
 
         let regauged = Circuit::from_gates(
             NUM_QUBITS,

@@ -83,13 +83,6 @@ pub struct EngineStats {
     pub entries: usize,
     /// Configured cache capacity.
     pub capacity: usize,
-    /// Lane width of the bit-plane kernels, in 64-bit words (the `simd`
-    /// shim's `LANE_WORDS` constant).
-    pub lane_words: usize,
-    /// Threads a sweep binds its angle sets on: always `1`, because every
-    /// sweep runs sequentially on the calling thread (the server's worker
-    /// pool is the unit of concurrency).
-    pub sweep_threads: usize,
 }
 
 impl EngineStats {
@@ -1020,8 +1013,6 @@ impl Engine {
             binds: core.binds.get(),
             entries: core.cache.len(),
             capacity: core.cache.capacity(),
-            lane_words: quclear_pauli::kernel_lane_words(),
-            sweep_threads: 1,
         }
     }
 
@@ -1136,7 +1127,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.binds, 20);
-        assert_eq!(stats.sweep_threads, 1);
         // Slot i holds exactly what compiling angle set i would return.
         for (result, angles) in results.iter().zip(&angle_sets) {
             let program: Vec<PauliRotation> = program

@@ -99,12 +99,6 @@ impl ProgramFingerprint {
         }
         hasher.finish()
     }
-
-    /// The digest as one 128-bit integer.
-    #[must_use]
-    pub fn as_u128(&self) -> u128 {
-        (u128::from(self.hi) << 64) | u128::from(self.lo)
-    }
 }
 
 impl fmt::Debug for ProgramFingerprint {
@@ -268,6 +262,7 @@ mod tests {
         let text = fp.to_string();
         assert_eq!(text.len(), 32);
         assert!(text.chars().all(|c| c.is_ascii_hexdigit()));
-        assert_eq!(u128::from_str_radix(&text, 16).unwrap(), fp.as_u128());
+        let digest = (u128::from(fp.hi) << 64) | u128::from(fp.lo);
+        assert_eq!(u128::from_str_radix(&text, 16).unwrap(), digest);
     }
 }

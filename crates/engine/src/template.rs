@@ -193,14 +193,6 @@ impl<T> ObservableSetMemo<T> {
         entries.insert(key, (observables.to_vec(), Arc::clone(&value)));
         value
     }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.entries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
 }
 
 /// Order-sensitive 64-bit hash of an observable set (axes + signs + size).
@@ -611,6 +603,15 @@ fn decode_optimized_slots(
 mod tests {
     use super::*;
     use quclear_core::compile;
+
+    impl<T> ObservableSetMemo<T> {
+        fn len(&self) -> usize {
+            self.entries
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len()
+        }
+    }
 
     fn rot(s: &str, angle: f64) -> PauliRotation {
         PauliRotation::parse(s, angle).unwrap()

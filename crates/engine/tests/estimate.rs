@@ -14,9 +14,19 @@ use quclear_engine::{
 };
 use quclear_pauli::{PauliOp, PauliRotation, PauliString, SignedPauli};
 use quclear_sim::StateVector;
-use quclear_workloads::{vqe_expectation_sweep, Benchmark, Molecule};
+use quclear_workloads::{vqe_expectation_sweep, Benchmark, Molecule, SweepScenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The sweep's structure re-bound to the angles of evaluation point `point`.
+fn program_at(scenario: &SweepScenario, point: usize) -> Vec<PauliRotation> {
+    scenario
+        .program
+        .iter()
+        .zip(&scenario.angle_sets[point])
+        .map(|(rotation, &angle)| PauliRotation::new(rotation.pauli().clone(), angle))
+        .collect()
+}
 
 /// The Table-3-style UCC workload: ansatz program plus a Hamiltonian-shaped
 /// observable set, with a few members negated so sign handling is exercised.
@@ -28,7 +38,7 @@ fn ucc_workload() -> (Vec<PauliRotation>, Vec<SignedPauli>) {
             *observable = SignedPauli::new(observable.pauli().clone(), true);
         }
     }
-    (sweep.scenario.program_at(0), observables)
+    (program_at(&sweep.scenario, 0), observables)
 }
 
 /// The naive scalar oracle: for one observable, find its group, re-simulate
@@ -171,7 +181,7 @@ fn vqe_sweep_converges_to_statevector_within_sampling_bound() {
     let shots = 20_000u64;
     let bound = 6.0 / (shots as f64).sqrt();
     for point in 0..sweep.scenario.len() {
-        let program = sweep.scenario.program_at(point);
+        let program = program_at(&sweep.scenario, point);
         let result = engine
             .estimate_observables(&program, &sweep.observables, shots, 7)
             .unwrap();

@@ -109,17 +109,6 @@ impl BitVec {
         }
     }
 
-    /// Flips the bit at position `idx`, returning its new value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.len()`.
-    pub fn toggle(&mut self, idx: usize) -> bool {
-        let new = !self.get(idx);
-        self.set(idx, new);
-        new
-    }
-
     /// Number of bits set to one.
     #[must_use]
     pub fn count_ones(&self) -> usize {
@@ -141,16 +130,6 @@ impl BitVec {
     pub fn xor_with(&mut self, other: &BitVec) {
         assert_eq!(self.len, other.len, "length mismatch in BitVec::xor_with");
         simd::xor_into(&mut self.words, &other.words);
-    }
-
-    /// ORs `other` into `self` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn or_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "length mismatch in BitVec::or_with");
-        simd::or_into(&mut self.words, &other.words);
     }
 
     /// Returns the number of positions where both vectors have a one bit,
@@ -445,14 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn toggle_flips() {
-        let mut b = BitVec::zeros(5);
-        assert!(b.toggle(2));
-        assert!(!b.toggle(2));
-        assert!(b.is_zero());
-    }
-
-    #[test]
     fn xor_with_combines() {
         let a = BitVec::from_bools([true, false, true, false]);
         let b = BitVec::from_bools([true, true, false, false]);
@@ -613,16 +584,6 @@ mod tests {
         let mut c = BitVec::zeros(64);
         c.flip_all();
         assert_eq!(c.count_ones(), 64);
-    }
-
-    #[test]
-    fn or_with_combines() {
-        let mut a = BitVec::from_bools((0..130).map(|i| i % 3 == 0));
-        let b = BitVec::from_bools((0..130).map(|i| i % 5 == 0));
-        a.or_with(&b);
-        for i in 0..130 {
-            assert_eq!(a.get(i), i % 3 == 0 || i % 5 == 0, "bit {i}");
-        }
     }
 
     #[test]

@@ -329,12 +329,6 @@ impl PauliFrame {
             .count()
     }
 
-    /// Returns `true` if row `i` is the identity string.
-    #[must_use]
-    pub fn is_identity_row(&self, i: usize) -> bool {
-        (0..self.n).all(|q| !self.x[q].get(i) && !self.z[q].get(i))
-    }
-
     /// The X bit-plane of qubit `q` (bit `i` = row `i` has an X component).
     #[must_use]
     pub fn x_plane(&self, q: usize) -> &BitVec {
@@ -506,7 +500,7 @@ mod tests {
         assert_eq!(f.num_qubits(), 4);
         assert_eq!(f.get(0).to_string(), "+XIZY");
         assert_eq!(f.get(1).to_string(), "-ZZZZ");
-        assert!(f.is_identity_row(2));
+        assert_eq!(f.weight(2), 0);
         assert_eq!(f.weight(0), 3);
         assert_eq!(f.weight(1), 4);
     }
@@ -701,10 +695,10 @@ mod tests {
     #[test]
     fn load_row_overwrites() {
         let mut f = PauliFrame::identities(3, 2);
-        assert!(f.is_identity_row(0));
+        assert_eq!(f.weight(0), 0);
         f.load_row(1, &"XYZ".parse().unwrap(), true);
         assert_eq!(f.get(1).to_string(), "-XYZ");
-        assert!(f.is_identity_row(0));
+        assert_eq!(f.weight(0), 0);
     }
 
     /// The word-level row gather agrees with per-bit reads across word

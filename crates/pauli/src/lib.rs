@@ -79,33 +79,9 @@ impl fmt::Display for ParsePauliError {
 
 impl Error for ParsePauliError {}
 
-/// Convenience helper that parses a slice of textual Pauli strings.
-///
-/// # Errors
-///
-/// Returns the first parse error encountered.
-///
-/// # Examples
-///
-/// ```
-/// let paulis = quclear_pauli::parse_paulis(&["ZZI", "IXX"])?;
-/// assert_eq!(paulis.len(), 2);
-/// # Ok::<(), quclear_pauli::ParsePauliError>(())
-/// ```
-pub fn parse_paulis(strings: &[&str]) -> Result<Vec<PauliString>, ParsePauliError> {
-    strings.iter().map(|s| s.parse()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_paulis_helper() {
-        let ps = parse_paulis(&["XX", "ZZ"]).unwrap();
-        assert_eq!(ps[0].to_string(), "XX");
-        assert!(parse_paulis(&["XX", "A"]).is_err());
-    }
 
     #[test]
     fn error_display() {

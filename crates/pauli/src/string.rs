@@ -164,13 +164,6 @@ impl PauliString {
         self.x.is_zero() && self.z.is_zero()
     }
 
-    /// Returns `true` if every non-identity operator equals `op`
-    /// (identity-only strings return `true` for any `op`).
-    #[must_use]
-    pub fn is_uniform(&self, op: PauliOp) -> bool {
-        self.ops().all(|(_, o)| o.is_identity() || o == op)
-    }
-
     /// Returns `true` if the two Pauli strings commute.
     ///
     /// Uses the symplectic criterion: `P` and `Q` commute iff
@@ -218,35 +211,6 @@ impl PauliString {
         let mut z = self.z.clone();
         z.xor_with(&other.z);
         (PauliString { n: self.n, x, z }, phase)
-    }
-
-    /// Restricts the string to the given qubits, producing a smaller string
-    /// whose qubit `i` is `self.op(qubits[i])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    #[must_use]
-    pub fn restrict(&self, qubits: &[usize]) -> PauliString {
-        let ops: Vec<PauliOp> = qubits.iter().map(|&q| self.op(q)).collect();
-        PauliString::from_ops(&ops)
-    }
-
-    /// Embeds the string into a larger register of `n` qubits, placing qubit
-    /// `i` of `self` at position `positions[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `positions.len() != self.num_qubits()` or any position is out
-    /// of range.
-    #[must_use]
-    pub fn embed(&self, n: usize, positions: &[usize]) -> PauliString {
-        assert_eq!(positions.len(), self.n, "positions must match qubit count");
-        let mut p = PauliString::identity(n);
-        for (i, &pos) in positions.iter().enumerate() {
-            p.set_op(pos, self.op(i));
-        }
-        p
     }
 
     /// Counts how many qubits carry each operator, returned as
@@ -335,13 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn uniformity() {
-        assert!(p("ZIZZ").is_uniform(PauliOp::Z));
-        assert!(!p("ZIXZ").is_uniform(PauliOp::Z));
-        assert!(p("IIII").is_uniform(PauliOp::X));
-    }
-
-    #[test]
     fn commutation_examples() {
         // ZZ and XX commute (two anticommuting positions).
         assert!(p("ZZ").commutes_with(&p("XX")));
@@ -373,16 +330,6 @@ mod tests {
         let (r, k) = p("XX").mul(&p("YY"));
         assert_eq!(r, p("ZZ"));
         assert_eq!(k, 2);
-    }
-
-    #[test]
-    fn restrict_and_embed_are_inverse_on_support() {
-        let s = p("XIZYI");
-        let sup = s.support();
-        let restricted = s.restrict(&sup);
-        assert_eq!(restricted.to_string(), "XZY");
-        let embedded = restricted.embed(5, &sup);
-        assert_eq!(embedded, s);
     }
 
     #[test]

@@ -76,11 +76,6 @@ proptest! {
         prop_assert_eq!(&x, &bitvec(&(0..len).map(|i| ab[i] ^ bb[i]).collect::<Vec<_>>()));
         prop_assert!(x.tail_is_clear());
 
-        let mut o = a.clone();
-        o.or_with(&b);
-        prop_assert_eq!(&o, &bitvec(&(0..len).map(|i| ab[i] | bb[i]).collect::<Vec<_>>()));
-        prop_assert!(o.tail_is_clear());
-
         let mut s = BitVec::zeros(len);
         s.xor_with_and(&a, &b);
         prop_assert_eq!(&s, &bitvec(&(0..len).map(|i| ab[i] & bb[i]).collect::<Vec<_>>()));

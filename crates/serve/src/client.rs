@@ -539,32 +539,6 @@ impl Client {
             other => Err(unexpected(&other)),
         }
     }
-
-    /// Liveness probe; returns the server's uptime in milliseconds.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn health(&mut self) -> Result<u64, ClientError> {
-        match self.request(RequestKind::Health)? {
-            ResponseBody::Health { uptime_ms } => Ok(uptime_ms),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Asks the server to shut down (requires
-    /// [`crate::ServerConfig::allow_remote_shutdown`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Remote`] with kind `"forbidden"` when the server does
-    /// not allow remote shutdown.
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.request(RequestKind::Shutdown)? {
-            ResponseBody::ShuttingDown => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
 }
 
 fn expect_compiled(body: ResponseBody) -> Result<CompiledSummary, ClientError> {

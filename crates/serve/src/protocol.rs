@@ -352,8 +352,8 @@ pub struct StatsSummary {
     /// when the field is absent (a server from before the wide-lane
     /// kernels).
     pub lane_words: u64,
-    /// Worker threads available to the server's parallel plane sweeps. Zero
-    /// when the field is absent (pre-wide-lane server).
+    /// Threads one sweep binds its angle sets on: `1`, the worker that
+    /// serves it. Zero when the field is absent (pre-wide-lane server).
     pub sweep_threads: u64,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,

@@ -309,8 +309,9 @@ impl Shared {
             connections_accepted: self.metrics.connections_accepted.get(),
             shed_connections: self.metrics.shed.get(),
             deadline_exceeded: self.metrics.deadline_exceeded.get(),
-            lane_words: engine.lane_words as u64,
-            sweep_threads: engine.sweep_threads as u64,
+            lane_words: quclear_pauli::kernel_lane_words() as u64,
+            // Every sweep binds its angle sets on the calling worker thread.
+            sweep_threads: 1,
             uptime_ms: self.started.elapsed().as_millis() as u64,
         }
     }

@@ -17,7 +17,25 @@ use std::sync::{Arc, Barrier};
 
 use quclear_engine::{Engine, ProgramFingerprint};
 use quclear_pauli::PauliRotation;
-use quclear_serve::{Client, Server, ServerConfig};
+use quclear_serve::{Client, ClientError, RequestKind, ResponseBody, Server, ServerConfig};
+
+/// Liveness probe through the generic request path: the server's uptime in
+/// milliseconds.
+fn health(client: &mut Client) -> Result<u64, ClientError> {
+    match client.request(RequestKind::Health)? {
+        ResponseBody::Health { uptime_ms } => Ok(uptime_ms),
+        other => panic!("unexpected health response {other:?}"),
+    }
+}
+
+/// Asks the server to shut down; a `forbidden` remote error unless the
+/// server allows remote shutdown.
+fn shutdown_server(client: &mut Client) -> Result<(), ClientError> {
+    match client.request(RequestKind::Shutdown)? {
+        ResponseBody::ShuttingDown => Ok(()),
+        other => panic!("unexpected shutdown response {other:?}"),
+    }
+}
 
 /// A deterministic pseudo-random program; `tag` selects the structure.
 /// Large enough (rotations × qubits) that extraction takes real time, so
@@ -298,10 +316,14 @@ fn sweep_qasm_absorb_and_health_roundtrip() {
     assert!(!client.is_broken());
 
     // Health and stats.
-    client.health().expect("health");
+    health(&mut client).expect("health");
     let stats = client.stats().expect("stats");
     assert!(stats.requests_served >= 6);
     assert!(stats.capacity >= stats.entries);
+    // The sweeps above each ran on one worker thread, over kernels of the
+    // library's lane width.
+    assert_eq!(stats.sweep_threads, 1);
+    assert_eq!(stats.lane_words, quclear_pauli::kernel_lane_words() as u64);
 
     server.stop();
 }
@@ -312,10 +334,10 @@ fn remote_shutdown_is_gated_and_graceful() {
     let engine = Arc::new(Engine::new(16));
     let server = start_server(Arc::clone(&engine), 2);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let err = client.shutdown_server().expect_err("must be forbidden");
+    let err = shutdown_server(&mut client).expect_err("must be forbidden");
     assert_eq!(err.remote().expect("remote").kind, "forbidden");
     // The refusal did not kill the connection.
-    client.health().expect("health after refused shutdown");
+    health(&mut client).expect("health after refused shutdown");
     server.stop();
 
     // Opt-in config: shutdown acknowledged, then the server drains.
@@ -333,7 +355,7 @@ fn remote_shutdown_is_gated_and_graceful() {
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
     client.compile(&["ZZ"], &[0.4]).expect("compile");
-    client.shutdown_server().expect("shutdown acknowledged");
+    shutdown_server(&mut client).expect("shutdown acknowledged");
     server.join(); // returns only when every thread exited: nothing leaked
 
     // The listener is gone: new connections fail (immediately or on first
@@ -344,7 +366,10 @@ fn remote_shutdown_is_gated_and_graceful() {
             client
                 .set_read_timeout(Some(std::time::Duration::from_millis(500)))
                 .unwrap();
-            assert!(client.health().is_err(), "a stopped server must not answer");
+            assert!(
+                health(&mut client).is_err(),
+                "a stopped server must not answer"
+            );
         }
     }
 }
@@ -423,7 +448,7 @@ fn idle_connections_release_their_worker() {
         .set_read_timeout(Some(std::time::Duration::from_secs(2)))
         .unwrap();
     assert!(
-        idler.health().is_err(),
+        health(&mut idler).is_err(),
         "the reclaimed idle connection must not answer"
     );
     server.stop();
@@ -525,7 +550,7 @@ fn oversized_responses_degrade_to_structured_errors() {
         "response_too_large"
     );
     // Same connection keeps serving small responses.
-    client.health().expect("health after oversized response");
+    health(&mut client).expect("health after oversized response");
     server.stop();
 }
 
@@ -564,7 +589,7 @@ fn timed_out_client_breaks_instead_of_desynchronizing() {
 
     // Every later call fails fast with a clear signal, even though the late
     // response frame is now sitting in the socket.
-    let err = client.health().expect_err("broken client must refuse");
+    let err = health(&mut client).expect_err("broken client must refuse");
     assert!(matches!(err, quclear_serve::ClientError::Io(_)));
 
     // A fresh connection is unaffected; once the in-flight compile drains
@@ -610,7 +635,7 @@ fn malformed_frames_do_not_kill_the_server() {
     huge.write_all(&u32::MAX.to_be_bytes())
         .expect("send huge header");
     drop(huge);
-    client.health().expect("server alive after oversized frame");
+    health(&mut client).expect("server alive after oversized frame");
 
     server.stop();
 }
@@ -704,7 +729,7 @@ fn metrics_carry_request_latency_histograms() {
             .compile(&refs, &angles_for(&axes, seed))
             .expect("compile");
     }
-    client.health().expect("health");
+    health(&mut client).expect("health");
 
     let latency = |snapshot: &quclear_telemetry::MetricsSnapshot, kind: &str| {
         snapshot
@@ -816,7 +841,7 @@ fn an_unrepresentable_request_deadline_still_answers() {
     )
     .expect("binding an ephemeral port");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    client.health().expect("health under Duration::MAX");
+    health(&mut client).expect("health under Duration::MAX");
     client
         .compile(&["ZZII", "IXXI"], &[0.4, 0.2])
         .expect("compile under Duration::MAX");
@@ -843,7 +868,7 @@ fn panicking_diagonalization_answers_only_its_request() {
         .estimate(&["ZZII"], &[0.4], &["+ZZII"], 100, 1)
         .expect("estimate after panic");
     assert_eq!(expectations.len(), 1);
-    client.health().expect("health after panic");
+    health(&mut client).expect("health after panic");
 
     server.stop();
 }
@@ -862,7 +887,7 @@ fn oversized_shot_counts_are_refused_and_the_server_keeps_serving() {
     assert_eq!(err.remote().expect("remote error").kind, "not_estimable");
 
     let mut fresh = Client::connect(server.local_addr()).expect("fresh connection");
-    fresh.health().expect("health after the refused estimate");
+    health(&mut fresh).expect("health after the refused estimate");
     let (expectations, _, _) = fresh
         .estimate(&["ZZII"], &[0.4], &["+ZZII"], 100, 1)
         .expect("estimate after the refused estimate");
@@ -884,7 +909,7 @@ fn fresh_connections_are_accepted_without_a_poll_delay() {
             std::thread::sleep(std::time::Duration::from_millis(7));
             let start = std::time::Instant::now();
             let mut client = Client::connect(addr).expect("connect");
-            client.health().expect("health");
+            health(&mut client).expect("health");
             start.elapsed()
         })
         .collect();

@@ -351,16 +351,6 @@ impl StateVector {
         self.amps.iter().map(|a| a.norm_sq()).collect()
     }
 
-    /// Probability of measuring the given basis index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= 2^n`.
-    #[must_use]
-    pub fn probability_of(&self, index: usize) -> f64 {
-        self.amps[index].norm_sq()
-    }
-
     /// Returns `true` if the two states are equal up to a global phase.
     #[must_use]
     pub fn approx_eq_up_to_phase(&self, other: &StateVector, tol: f64) -> bool {
@@ -370,35 +360,6 @@ impl StateVector {
         // |⟨a|b⟩| must be 1 for pure states equal up to phase.
         let overlap = self.inner_product(other).norm();
         (overlap - 1.0).abs() < tol
-    }
-
-    /// Converts a basis index into the left-to-right bitstring convention
-    /// (character `q` of the returned string is the value of qubit `q`).
-    #[must_use]
-    pub fn index_to_bitstring(&self, index: usize) -> String {
-        (0..self.num_qubits)
-            .map(|q| if index & (1 << q) != 0 { '1' } else { '0' })
-            .collect()
-    }
-
-    /// Parses a left-to-right bitstring into a basis index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the string length does not match the qubit count or contains
-    /// characters other than `0`/`1`.
-    #[must_use]
-    pub fn bitstring_to_index(&self, bits: &str) -> usize {
-        assert_eq!(bits.len(), self.num_qubits, "bitstring length mismatch");
-        let mut index = 0usize;
-        for (q, c) in bits.chars().enumerate() {
-            match c {
-                '1' => index |= 1 << q,
-                '0' => {}
-                _ => panic!("invalid bitstring character `{c}`"),
-            }
-        }
-        index
     }
 
     /// Total squared norm (should be 1 for a valid state).
@@ -414,7 +375,7 @@ impl StateVector {
     /// table over the CDF finds that index in O(1) expected steps; the
     /// result equals a binary search (`partition_point`) draw for draw.
     /// Returned indices use the same little-endian convention as
-    /// [`Self::probability_of`], so they can be packed directly into a
+    /// [`Self::probabilities`], so they can be packed directly into a
     /// bit-plane shot batch for CA-Post processing.
     #[must_use]
     pub fn sample_indices<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> Vec<u64> {
@@ -614,7 +575,7 @@ mod tests {
     #[test]
     fn zero_state_probabilities() {
         let s = StateVector::zero_state(3);
-        assert!((s.probability_of(0) - 1.0).abs() < 1e-12);
+        assert!((s.probabilities()[0] - 1.0).abs() < 1e-12);
         assert!((s.norm_sq() - 1.0).abs() < 1e-12);
     }
 
@@ -690,7 +651,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.x(1);
         let s = StateVector::from_circuit(&c);
-        assert!((s.probability_of(0b10) - 1.0).abs() < 1e-12);
+        assert!((s.probabilities()[0b10] - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -698,7 +659,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.rz(0, 1.234);
         let s = StateVector::from_circuit(&c);
-        assert!((s.probability_of(0) - 1.0).abs() < 1e-12);
+        assert!((s.probabilities()[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -707,7 +668,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.rx(0, theta);
         let s = StateVector::from_circuit(&c);
-        assert!((s.probability_of(1) - (theta / 2.0).sin().powi(2)).abs() < 1e-12);
+        assert!((s.probabilities()[1] - (theta / 2.0).sin().powi(2)).abs() < 1e-12);
         // ⟨Z⟩ = cos θ.
         assert!((s.expectation(&"Z".parse().unwrap()) - theta.cos()).abs() < 1e-12);
     }
@@ -736,7 +697,7 @@ mod tests {
         c.x(0);
         c.swap(0, 1);
         let s = StateVector::from_circuit(&c);
-        assert!((s.probability_of(0b10) - 1.0).abs() < 1e-12);
+        assert!((s.probabilities()[0b10] - 1.0).abs() < 1e-12);
 
         // CZ phase shows up in the X basis.
         let mut c = Circuit::new(2);
@@ -745,7 +706,7 @@ mod tests {
         c.cz(0, 1);
         c.h(0);
         let s = StateVector::from_circuit(&c);
-        assert!((s.probability_of(0b11) - 1.0).abs() < 1e-12);
+        assert!((s.probabilities()[0b11] - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -761,16 +722,6 @@ mod tests {
         let s = bell();
         let obs: SignedPauli = "-ZZ".parse().unwrap();
         assert!((s.expectation_signed(&obs) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bitstring_conversion_roundtrip() {
-        let s = StateVector::zero_state(4);
-        for idx in [0usize, 1, 5, 15, 8] {
-            let bits = s.index_to_bitstring(idx);
-            assert_eq!(s.bitstring_to_index(&bits), idx);
-        }
-        assert_eq!(s.index_to_bitstring(0b0001), "1000");
     }
 
     #[test]

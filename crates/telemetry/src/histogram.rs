@@ -259,12 +259,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 90th-percentile estimate.
-    #[must_use]
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
     /// 99th-percentile estimate.
     #[must_use]
     pub fn p99(&self) -> u64 {

@@ -14,7 +14,7 @@
 //! - [`Histogram`]: 64 fixed power-of-two buckets, a three-relaxed-RMW
 //!   record path (cheap enough to stay on in release builds — the
 //!   `telemetry` bench in `quclear-bench` gates it under 100ns/op), and
-//!   coherent snapshots with p50/p90/p99/max estimation.
+//!   coherent snapshots with p50/p99/max estimation.
 //! - [`MetricsRegistry`]: names → shared metric handles. Registration is
 //!   idempotent and returns the *same* cell, so bookkeeping reads (the
 //!   engine's `stats()`) and metric exposition cannot drift apart.

@@ -135,16 +135,6 @@ impl Benchmark {
         }
     }
 
-    /// Returns `true` for the QAOA benchmarks, whose results are measured as
-    /// probability distributions (and absorbed with the CNOT-network path).
-    #[must_use]
-    pub fn measures_probabilities(&self) -> bool {
-        matches!(
-            self.category(),
-            BenchmarkCategory::QaoaLabs | BenchmarkCategory::QaoaMaxCut
-        )
-    }
-
     /// The Pauli-rotation program of the benchmark.
     #[must_use]
     pub fn rotations(&self) -> Vec<PauliRotation> {
@@ -283,14 +273,6 @@ mod tests {
         let bench = Benchmark::MaxCutRegular { n: 20, degree: 8 };
         assert_eq!(bench.native_cnot_count(), 160);
         assert_eq!(bench.native_single_qubit_count(), 140);
-    }
-
-    #[test]
-    fn probability_measurement_flag() {
-        assert!(Benchmark::Labs(10).measures_probabilities());
-        assert!(Benchmark::MaxCutRegular { n: 15, degree: 4 }.measures_probabilities());
-        assert!(!Benchmark::Ucc(2, 4).measures_probabilities());
-        assert!(!Benchmark::Molecule(Molecule::LiH).measures_probabilities());
     }
 
     #[test]

@@ -204,7 +204,7 @@ mod tests {
         let h = labs_hamiltonian(10);
         assert!(!h.is_empty());
         for (coeff, p) in &h {
-            assert!(p.is_uniform(PauliOp::Z), "LABS terms are Z-only");
+            assert!(p.x_bits().is_zero(), "LABS terms are Z-only");
             assert!(
                 p.weight() == 2 || p.weight() == 4,
                 "unexpected weight {}",

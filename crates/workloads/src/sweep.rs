@@ -41,25 +41,6 @@ impl SweepScenario {
     pub fn is_empty(&self) -> bool {
         self.angle_sets.is_empty()
     }
-
-    /// The rotation program of evaluation point `point`: the shared
-    /// structure re-bound to that point's angles. This is the shape the
-    /// engine's estimation entry point
-    /// (`quclear_engine::Engine::estimate_observables`) consumes — one call
-    /// per sweep point estimates every observable of an
-    /// [`ObservableSweep`] from one shot batch per commuting group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `point` is out of range.
-    #[must_use]
-    pub fn program_at(&self, point: usize) -> Vec<PauliRotation> {
-        self.program
-            .iter()
-            .zip(&self.angle_sets[point])
-            .map(|(rotation, &angle)| PauliRotation::new(rotation.pauli().clone(), angle))
-            .collect()
-    }
 }
 
 /// A VQE-style sweep over a benchmark's ansatz: `points` random parameter

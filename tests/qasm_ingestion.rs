@@ -40,7 +40,7 @@ fn test_observables(n: usize) -> Vec<SignedPauli> {
 fn lifted_ansatz_matches_the_native_program_termwise() {
     let ansatz = zz_chain_qasm(5, 2, 23);
     let lifted = lift_qasm(&ansatz.qasm).unwrap();
-    assert_eq!(lifted.num_rotations(), ansatz.program.len());
+    assert_eq!(lifted.rotations.len(), ansatz.program.len());
     assert!(lifted.trailing_clifford.is_identity());
     for (got, want) in lifted.rotations.iter().zip(&ansatz.program) {
         assert_eq!(got.pauli(), want.pauli());
