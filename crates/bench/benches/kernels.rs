@@ -16,8 +16,8 @@
 //! * `statevector` — the dense simulation behind `estimate`:
 //!   `StateVector::from_circuit` of the optimized UCC-(6,12) circuit, the
 //!   same state built the way `estimate` builds it (one in-place pass per
-//!   program rotation, then the resynthesized extracted Clifford
-//!   inverted), and for the benzene commuting group with the longest
+//!   run of commuting same-X rotations, then the resynthesized extracted
+//!   Clifford inverted), benzene's rotation runs alone, and for the benzene commuting group with the longest
 //!   diagonalizer the work every group of a request runs: one gather of the
 //!   diagonalizer's monomial prefix into a reused scratch state, one `H`
 //!   pass per pivot, and a guide-table `sample_indices(8192)`.
@@ -32,7 +32,7 @@ use quclear_circuit::Gate;
 use quclear_core::{compile, QuClearConfig};
 use quclear_engine::Engine;
 use quclear_pauli::{PauliFrame, PauliOp, PauliRotation, PauliString, SignedPauli};
-use quclear_sim::StateVector;
+use quclear_sim::{RotationRun, StateVector};
 use quclear_tableau::{conjugate_all_by_gate, random_clifford_circuit, CliffordTableau};
 use quclear_workloads::{Benchmark, Molecule};
 use rand::rngs::StdRng;
@@ -184,21 +184,41 @@ fn bench_statevector(c: &mut Criterion) {
         },
     );
     // The same state (up to global phase) the way `estimate` builds it:
-    // one pass per program rotation, then the resynthesized extracted
-    // Clifford inverted.
+    // one pass per run of the program's (memoized) rotation-run plan, then
+    // the resynthesized extracted Clifford inverted.
     let uncompute = engine
         .template_for(&ucc_program)
         .expect("UCC-(6,12) template")
         .extracted()
         .inverse();
+    let apply_runs = |state: &mut StateVector, runs: &[RotationRun], program: &[PauliRotation]| {
+        for run in runs {
+            state.apply_rotation_run(run, &program[run.range()]);
+        }
+    };
     group.bench_with_input(
         BenchmarkId::new("rotations_then_clifford", "ucc612"),
-        &(ucc_program, uncompute),
-        |b, (program, uncompute)| {
+        &(RotationRun::plan(&ucc_program), ucc_program, uncompute),
+        |b, (runs, program, uncompute)| {
             b.iter(|| {
                 let mut state = StateVector::zero_state(uncompute.num_qubits());
-                state.apply_rotations(black_box(program));
+                apply_runs(&mut state, runs, black_box(program));
                 state.apply_circuit(black_box(uncompute));
+                state
+            });
+        },
+    );
+
+    // Benzene's 1,254 rotations as fused rotation runs, no Clifford.
+    let benzene = Benchmark::Molecule(Molecule::Benzene);
+    let program = benzene.rotations();
+    group.bench_with_input(
+        BenchmarkId::new("rotation_runs", "benzene"),
+        &(RotationRun::plan(&program), program.clone()),
+        |b, (runs, program)| {
+            b.iter(|| {
+                let mut state = StateVector::zero_state(program[0].num_qubits());
+                apply_runs(&mut state, runs, black_box(program));
                 state
             });
         },
@@ -206,8 +226,6 @@ fn bench_statevector(c: &mut Criterion) {
 
     // The benzene group with the longest diagonalizer: the per-group work
     // of an estimate after its one shared simulation.
-    let benzene = Benchmark::Molecule(Molecule::Benzene);
-    let program = benzene.rotations();
     let plan = engine
         .measurement_plan(&program, &benzene.observables())
         .expect("benzene measurement plan");

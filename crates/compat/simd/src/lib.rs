@@ -26,7 +26,7 @@
 
 #![warn(missing_docs)]
 
-use std::ops::{BitAnd, BitOr, BitXor, BitXorAssign};
+use std::ops::{BitAnd, BitXor, BitXorAssign};
 
 /// The lane width of the slice kernels, in 64-bit words (256-bit lanes).
 pub const LANE_WORDS: usize = 4;
@@ -97,15 +97,6 @@ impl BitAnd for Lane {
     }
 }
 
-impl BitOr for Lane {
-    type Output = Lane;
-
-    #[inline]
-    fn bitor(self, rhs: Lane) -> Lane {
-        self.zip_with(rhs, |a, b| a | b)
-    }
-}
-
 impl BitXorAssign for Lane {
     #[inline]
     fn bitxor_assign(&mut self, rhs: Lane) {
@@ -140,26 +131,6 @@ pub fn xor_into(dst: &mut [u64], src: &[u64]) {
     }
     while i < len {
         dst[i] ^= src[i];
-        i += 1;
-    }
-}
-
-/// `dst[i] |= src[i]`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn or_into(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "or_into length mismatch");
-    let len = dst.len();
-    let mut i = 0;
-    while i + LANE_WORDS <= len {
-        (Lane::load(&dst[i..]) | Lane::load(&src[i..])).store(&mut dst[i..]);
-        i += LANE_WORDS;
-    }
-    while i < len {
-        dst[i] |= src[i];
         i += 1;
     }
 }
@@ -352,7 +323,6 @@ mod tests {
         let b = Lane([3, 2, 1, 0]);
         assert_eq!((a ^ b).0, [2, 0, 2, u64::MAX]);
         assert_eq!((a & b).0, [1, 2, 1, 0]);
-        assert_eq!((a | b).0, [3, 2, 3, u64::MAX]);
         assert_eq!(a.andnot(b).0, [0, 0, 2, u64::MAX]);
         assert_eq!(a.popcount(), 1 + 1 + 2 + 64);
         let mut c = a;
@@ -382,11 +352,6 @@ mod tests {
             xor_into(&mut d, &b);
             for i in 0..len {
                 assert_eq!(d[i], a[i] ^ b[i]);
-            }
-            let mut d = a.clone();
-            or_into(&mut d, &b);
-            for i in 0..len {
-                assert_eq!(d[i], a[i] | b[i]);
             }
             let mut d = a.clone();
             xor_and_into(&mut d, &b, &c);

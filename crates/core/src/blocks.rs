@@ -84,12 +84,6 @@ impl CommutingBlocks {
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
-
-    /// Flattens the blocks back into a single rotation sequence.
-    #[must_use]
-    pub fn flatten(&self) -> Vec<PauliRotation> {
-        self.blocks.iter().flatten().cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +103,6 @@ mod tests {
         let rotations = vec![rot("ZZII"), rot("IZZI"), rot("IIZZ"), rot("ZIIZ")];
         let blocks = CommutingBlocks::from_rotations(&rotations);
         assert_eq!(blocks.num_blocks(), 1);
-        assert_eq!(blocks.flatten().len(), 4);
     }
 
     #[test]
@@ -152,18 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn flatten_preserves_order_and_count() {
-        let rotations = vec![rot("ZZ"), rot("XX"), rot("ZI")];
-        let blocks = CommutingBlocks::from_rotations(&rotations);
-        let flat = blocks.flatten();
-        assert_eq!(flat.len(), 3);
-        assert_eq!(flat[2].pauli().to_string(), "ZI");
-    }
-
-    #[test]
     fn empty_input_gives_no_blocks() {
         let blocks = CommutingBlocks::from_rotations(&[]);
         assert_eq!(blocks.num_blocks(), 0);
-        assert_eq!(blocks.flatten().len(), 0);
     }
 }

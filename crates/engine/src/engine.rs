@@ -197,6 +197,7 @@ struct EngineCore {
     cache_entries: Arc<Gauge>,
     measurement_groups: Arc<Gauge>,
     measurement_dense_passes: Arc<Gauge>,
+    rotation_passes: Arc<Gauge>,
     stage_fingerprint: Arc<Histogram>,
     stage_extract: Arc<Histogram>,
     stage_absorb_post: Arc<Histogram>,
@@ -330,6 +331,11 @@ impl Engine {
                 "quclear_engine_measurement_dense_passes",
                 "state-vector passes (one gather plus one per Hadamard, per group) to run \
                  the diagonalizers of the most recently built measurement plan",
+            ),
+            rotation_passes: metrics.gauge(
+                "quclear_engine_rotation_passes",
+                "state-vector passes (one per run of commuting same-X rotations) that \
+                 the most recent estimate ran to simulate its program",
             ),
             stage_fingerprint: stage("fingerprint"),
             stage_extract: stage("extract"),
@@ -815,9 +821,12 @@ impl Engine {
     ///
     /// The optimized circuit `U'` satisfies `program = U_CL · U'`, so its
     /// state is built as `U_CL† · U_program|0⟩` (equal up to global phase,
-    /// which sampling cannot see): one in-place pass per program rotation,
+    /// which sampling cannot see): one in-place pass per run of consecutive
+    /// commuting rotations that share an X mask ([`RotationRun`](quclear_sim::RotationRun), planned
+    /// once per template; a UCC excitation's 2 or 8 strings are one run),
     /// then the template's short resynthesized `U_CL` inverted — far fewer
-    /// passes than the optimized circuit has gates, and no bind.
+    /// passes than the program has rotations, and no bind. The pass count
+    /// is exported on the `quclear_engine_rotation_passes` gauge.
     ///
     /// Deterministic: the same `(program, observables, shots, seed)` always
     /// produces the same batches (group `g` samples with
@@ -909,23 +918,27 @@ impl Engine {
     }
 
     /// `U_CL† · U_program|0⟩`, the optimized circuit's state up to global
-    /// phase: `program`'s rotations one pass each, then the template's
-    /// extracted Clifford inverted. Passes run in runs of
-    /// `max(1, 2^20 / 2^n)` (about 10^6 amplitude updates), with a deadline
-    /// check before each run.
+    /// phase: one pass per run of `program`'s memoized [`RotationRun`](quclear_sim::RotationRun)
+    /// plan, then the template's extracted Clifford inverted. Passes go in
+    /// batches of `max(1, 2^20 / 2^n)` (about 10^6 amplitude updates), with
+    /// a deadline check before each batch.
     fn simulate_optimized(
         &self,
         template: &CompiledTemplate,
         program: &[PauliRotation],
     ) -> Result<StateVector, EngineError> {
         let n = template.num_qubits();
-        let run = ((1usize << 20) >> n).max(1);
+        let batch = ((1usize << 20) >> n).max(1);
+        let runs = template.rotation_runs(program);
+        self.core.rotation_passes.set(runs.len() as i64);
         let mut state = StateVector::zero_state(n);
-        for rotations in program.chunks(run) {
+        for runs in runs.chunks(batch) {
             self.deadline.check()?;
-            state.apply_rotations(rotations);
+            for run in runs {
+                state.apply_rotation_run(run, &program[run.range()]);
+            }
         }
-        for gates in template.extracted().inverse().gates().chunks(run) {
+        for gates in template.extracted().inverse().gates().chunks(batch) {
             self.deadline.check()?;
             gates.iter().for_each(|gate| state.apply_gate(gate));
         }
@@ -1405,6 +1418,14 @@ mod tests {
             gauge("quclear_engine_measurement_dense_passes"),
             Some(plan.dense_passes() as i64)
         );
+        // An estimate runs one pass per rotation run: ZZZZ and YYXX have
+        // different X masks, so two.
+        assert_eq!(gauge("quclear_engine_rotation_passes"), Some(0));
+        engine
+            .estimate_observables(&program_a(), &other, 16, 3)
+            .unwrap();
+        assert_eq!(stage("simulate"), 1);
+        assert_eq!(gauge("quclear_engine_rotation_passes"), Some(2));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use quclear_core::{
     ProbabilityAbsorber, QuClearConfig, QuClearResult,
 };
 use quclear_pauli::{PauliRotation, SignedPauli};
+use quclear_sim::RotationRun;
 use quclear_telemetry::Histogram;
 
 use crate::error::EngineError;
@@ -130,6 +131,10 @@ pub struct CompiledTemplate {
     /// Memoized CA-Post shot absorber (or the reason the extracted Clifford
     /// does not reduce to one), built on first use and shared across clones.
     probability_absorber: Arc<OnceLock<Result<Arc<ProbabilityAbsorber>, AbsorptionError>>>,
+    /// The program's runs of commuting same-X rotations, one dense pass
+    /// each in an estimate; built on the first estimate (so templates that
+    /// are never estimated pay nothing) and shared across clones.
+    rotation_runs: Arc<OnceLock<Vec<RotationRun>>>,
     /// Stage histograms attached by the owning engine; `None` for
     /// standalone templates.
     stage_metrics: Option<StageMetrics>,
@@ -290,6 +295,7 @@ impl CompiledTemplate {
             absorbed_memo: Arc::default(),
             measurement_memo: Arc::default(),
             probability_absorber: Arc::new(OnceLock::new()),
+            rotation_runs: Arc::new(OnceLock::new()),
             stage_metrics: None,
         })
     }
@@ -446,6 +452,13 @@ impl CompiledTemplate {
     #[must_use]
     pub fn skeleton_cnot_count(&self) -> usize {
         self.skeleton.cnot_count()
+    }
+
+    /// The runs of [`RotationRun::plan`] for `program`, memoized: the plan
+    /// is structural, so any program with this template's axes shares it.
+    pub(crate) fn rotation_runs(&self, program: &[PauliRotation]) -> &[RotationRun] {
+        self.rotation_runs
+            .get_or_init(|| RotationRun::plan(program))
     }
 
     /// The extracted Clifford subcircuit shared by every binding.

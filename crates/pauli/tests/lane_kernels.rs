@@ -34,9 +34,6 @@ proptest! {
         simd::xor_into(&mut d, &b);
         prop_assert_eq!(&d, &zip(|a, b, _| a ^ b));
         let mut d = a.clone();
-        simd::or_into(&mut d, &b);
-        prop_assert_eq!(&d, &zip(|a, b, _| a | b));
-        let mut d = a.clone();
         simd::xor_and_into(&mut d, &b, &c);
         prop_assert_eq!(&d, &zip(|a, b, c| a ^ (b & c)));
         let mut d = a.clone();

@@ -24,8 +24,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod runs;
 mod state;
 
+pub use runs::RotationRun;
 pub use state::StateVector;
 
 #[cfg(test)]

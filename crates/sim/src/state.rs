@@ -2,8 +2,10 @@
 
 use quclear_circuit::math::{single_qubit_matrix, C64};
 use quclear_circuit::{Circuit, Gate, MonomialMap};
-use quclear_pauli::{BitVec, PauliRotation, PauliString, SignedPauli};
+use quclear_pauli::{PauliRotation, PauliString, SignedPauli};
 use rand::Rng;
+
+use crate::runs::{masks, parity, RotationRun, RunKey, Table, TABLE};
 
 /// A dense `2^n`-amplitude quantum state.
 ///
@@ -240,20 +242,14 @@ impl StateVector {
     /// This simulates a rotation *exactly* (one pass over amplitude pairs)
     /// without synthesizing it into gates, so rotation programs — including
     /// the lifted programs produced by `quclear_core::lift` — can be
-    /// validated directly against circuits, and `estimate` can run a program
-    /// as one pass per rotation instead of one per gate.
-    ///
-    /// Every amplitude `j` becomes `c·ψ[j] + m·σ(j ^ x)·ψ[j ^ x]`, where `x`
-    /// is the string's X mask, `σ` the Z-parity sign and
-    /// `m = −i·sin(θ/2)·i^{#Y}` is purely real or purely imaginary, so each
-    /// update is four real multiplies. Strings whose X mask fits in the low
-    /// three qubits (pure-Z strings and the identity included) pair lanes
-    /// inside aligned 8-amplitude chunks; wider ones split each block at
-    /// the highest X bit and pair 8-wide chunks of the low and high halves.
-    /// The sign of a lane is the chunk's Z parity plus an 8-entry table.
-    /// Amplitudes agree with the allocate-`P|ψ⟩`-and-combine formula to
-    /// within rounding (`1e-12`, checked by `tests/kernel_oracle.rs`), not
-    /// bit for bit.
+    /// validated directly against circuits. It is the one-member case of
+    /// [`Self::apply_rotation_run`] and runs the same kernel: every
+    /// amplitude `j` becomes `c·ψ[j] + m·σ(j ^ x)·ψ[j ^ x]`, where `x` is the
+    /// string's X mask, `σ` the Z-parity sign and `m = −i·sin(θ/2)·i^{#Y}`
+    /// is purely real or purely imaginary, so each update is four real
+    /// multiplies. Amplitudes agree with the allocate-`P|ψ⟩`-and-combine
+    /// formula to within rounding (`1e-12`, checked by
+    /// `tests/kernel_oracle.rs`), not bit for bit.
     ///
     /// # Panics
     ///
@@ -289,20 +285,59 @@ impl StateVector {
         if rotation.angle() == 0.0 {
             return;
         }
-        // The state has at most 26 qubits, so one word holds each mask.
-        let low_word = |bits: &BitVec| bits.words().first().map_or(0, |&w| w as usize);
-        let x = low_word(rotation.pauli().x_bits());
-        let z = low_word(rotation.pauli().z_bits());
-        let (s, c) = (rotation.angle() / 2.0).sin_cos();
-        // m = −i·s·i^{#Y}: imaginary for an even Y count, real for an odd
-        // one; `mu` is its one non-zero component.
-        let y_count = (x & z).count_ones();
-        let mu = if matches!(y_count % 4, 0 | 3) { -s } else { s };
+        let (x, z) = masks(rotation);
+        let mut key = RunKey::new(x, z);
+        let code = key.admit(x, z).expect("a run admits its own reference");
+        self.run_pass(&key, [(code, rotation.angle())]);
+    }
+
+    /// Applies a whole [`RotationRun`] in one dense pass: `rotations` are
+    /// the run's members (`program[run.range()]` of the program it was
+    /// planned from), angles included. Each amplitude pair `(j, j ^ x)`
+    /// gets the rotation `exp(−i·φ(j)/2·P_1)` about the run's first axis,
+    /// with `(cos(φ/2), sin(φ/2))` read from a table of at most 128 entries
+    /// keyed by a GF(2)-linear function of `j`, so a pass costs what one
+    /// [`Self::apply_rotation`] pass does. The state agrees with applying
+    /// the members one by one to within rounding (`1e-12`, checked by
+    /// `tests/kernel_oracle.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run acts on a different number of qubits or
+    /// `rotations` is not as long as the run.
+    pub fn apply_rotation_run(&mut self, run: &RotationRun, rotations: &[PauliRotation]) {
+        assert_eq!(
+            run.num_qubits(),
+            self.num_qubits,
+            "run qubit count does not match the state"
+        );
+        assert_eq!(
+            rotations.len(),
+            run.range().len(),
+            "a run needs one rotation per member"
+        );
+        if rotations.iter().all(|r| r.angle() == 0.0) {
+            return;
+        }
+        let members = run.codes().iter().zip(rotations);
+        self.run_pass(run.key(), members.map(|(&code, r)| (code, r.angle())));
+    }
+
+    /// One pass of the rotation kernel for a run key and its members.
+    fn run_pass(&mut self, key: &RunKey, members: impl IntoIterator<Item = (u8, f64)>) {
+        let table = key.table(members);
+        let (key_masks, len) = key.key_masks();
+        let pass = Pass {
+            x: key.x,
+            masks: &key_masks[..len],
+            table: &table,
+            y_sign: if key.imaginary() { 1.0 } else { -1.0 },
+        };
         let amps = self.amps.as_mut_slice();
-        if y_count % 2 == 0 {
-            rotate::<true>(amps, x, z, c, mu);
+        if key.imaginary() {
+            pass.rotate::<true>(amps);
         } else {
-            rotate::<false>(amps, x, z, c, mu);
+            pass.rotate::<false>(amps);
         }
     }
 
@@ -482,11 +517,6 @@ fn negate(amps: &mut [C64]) {
 /// Width of the fixed lane arrays of the rotation kernel.
 const LANES: usize = 8;
 
-/// `parity(v)` as `0` or `1`.
-fn parity(v: usize) -> usize {
-    (v.count_ones() & 1) as usize
-}
-
 /// `c·a + m·b` for `m = i·mu` (`IMAG`) or `m = mu`: four real multiplies.
 #[inline(always)]
 fn axpy<const IMAG: bool>(c: f64, a: C64, mu: f64, b: C64) -> C64 {
@@ -497,68 +527,127 @@ fn axpy<const IMAG: bool>(c: f64, a: C64, mu: f64, b: C64) -> C64 {
     }
 }
 
-/// The rotation pass `ψ[j] ← c·ψ[j] + m·σ(j ^ x)·ψ[j ^ x]`, with
-/// `σ(i) = (−1)^{|i & z|}` and `m` given by `IMAG` and `mu` (see
-/// [`axpy`]).
+/// One pass of the rotation kernel: `ψ[j] ← c·ψ[j] + m·ψ[j ^ x]`, with
+/// `(c, mu)` (see [`axpy`]) read from `table` at the key of `j ^ x`.
 ///
-/// A lane's sign splits into the parity of its chunk's high bits (one
-/// popcount per chunk) and `lane[r]`, the parity of the lane index under
-/// `z`. Each `coef[b]` table holds `±mu` for a chunk of parity `b`.
-fn rotate<const IMAG: bool>(amps: &mut [C64], x: usize, z: usize, c: f64, mu: f64) {
-    let lane: [usize; LANES] = std::array::from_fn(|r| parity(r & z));
-    let signed = |bit: usize| if bit == 0 { mu } else { -mu };
-    if x < LANES {
-        // Partners share an aligned chunk: lane r pairs with lane r ^ x.
-        let coef: [[f64; LANES]; 2] =
-            std::array::from_fn(|b| std::array::from_fn(|r| signed(b ^ lane[r ^ x])));
-        let mut chunks = amps.chunks_exact_mut(LANES);
-        for (k, chunk) in (&mut chunks).enumerate() {
-            let coef = &coef[parity((k * LANES) & z)];
+/// Bit `i` of the key of an index is its parity under `masks[i]`; the last
+/// mask is the run's reference Z mask, so the last bit is the sign
+/// `σ(j ^ x)`. The key is GF(2)-linear, so a lane's key is its chunk's key
+/// (carried from chunk to chunk by one XOR) XOR its lane's, and each chunk
+/// reads one precomputed row of eight `(c, mu)` lanes per chunk key.
+struct Pass<'a> {
+    x: usize,
+    masks: &'a [usize],
+    table: &'a Table,
+    /// `σ(j ^ x)·σ(j)`: `−1` when the reference has an odd Y count.
+    y_sign: f64,
+}
+
+impl Pass<'_> {
+    fn key(&self, v: usize) -> usize {
+        self.masks
+            .iter()
+            .enumerate()
+            .fold(0, |key, (i, &m)| key | parity(v & m) << i)
+    }
+
+    /// `steps[t]` is the key of bits `shift..=shift + t`: what flips when a
+    /// counter of units `2^shift` steps past `t` trailing ones.
+    fn steps(&self, shift: u32) -> [usize; 32] {
+        std::array::from_fn(|t| {
+            let bits = t as u32 + 1 + shift;
+            if bits < usize::BITS {
+                self.key(((2usize << t) - 1) << shift)
+            } else {
+                0
+            }
+        })
+    }
+
+    /// For every chunk key `k`, the `(c, mu)` lanes of a chunk: entry `r`
+    /// is the table at `k ^ lane[r]`.
+    fn lane_coefs(&self, lane: &[usize; LANES]) -> Vec<Lanes> {
+        (0..1usize << self.masks.len())
+            .map(|k| {
+                let entry = |r: usize| self.table[(k ^ lane[r]) % TABLE];
+                Lanes {
+                    c: std::array::from_fn(|r| entry(r).0),
+                    mu: std::array::from_fn(|r| entry(r).1),
+                    mu_low: std::array::from_fn(|r| entry(r).1 * self.y_sign),
+                }
+            })
+            .collect()
+    }
+
+    fn rotate<const IMAG: bool>(&self, amps: &mut [C64]) {
+        let x = self.x;
+        let lane: [usize; LANES] = std::array::from_fn(|r| self.key(r));
+        if x < LANES {
+            // Partners share an aligned chunk: lane r pairs with lane
+            // r ^ x, and key(j ^ x) = key(j) ^ key(x).
+            let coefs = self.lane_coefs(&lane.map(|k| k ^ self.key(x)));
+            let last = coefs.len() - 1;
+            let steps = self.steps(LANES.trailing_zeros());
+            let mut chunk_key = 0;
+            let mut chunks = amps.chunks_exact_mut(LANES);
+            for (k, chunk) in (&mut chunks).enumerate() {
+                let coef = &coefs[chunk_key & last];
+                let mut old = [C64::ZERO; LANES];
+                old.copy_from_slice(chunk);
+                for r in 0..LANES {
+                    chunk[r] = axpy::<IMAG>(coef.c[r], old[r], coef.mu[r], old[(r ^ x) % LANES]);
+                }
+                chunk_key ^= steps[(k + 1).trailing_zeros() as usize % 32];
+            }
+            // A state of fewer than 8 amplitudes is one short chunk; its
+            // partners stay inside it because x < 2^n.
+            let tail = chunks.into_remainder();
             let mut old = [C64::ZERO; LANES];
-            old.copy_from_slice(chunk);
-            for r in 0..LANES {
-                chunk[r] = axpy::<IMAG>(c, old[r], coef[r], old[(r ^ x) % LANES]);
+            old[..tail.len()].copy_from_slice(tail);
+            for (r, amp) in tail.iter_mut().enumerate() {
+                *amp = axpy::<IMAG>(coefs[0].c[r], old[r], coefs[0].mu[r], old[r ^ x]);
             }
+            return;
         }
-        // A state of fewer than 8 amplitudes is one short chunk; its
-        // partners stay inside it because x < 2^n.
-        let tail = chunks.into_remainder();
-        let mut old = [C64::ZERO; LANES];
-        old[..tail.len()].copy_from_slice(tail);
-        for (r, amp) in tail.iter_mut().enumerate() {
-            *amp = axpy::<IMAG>(c, old[r], coef[0][r], old[r ^ x]);
-        }
-        return;
-    }
-    // Pivot p = the highest X bit: in every 2^(p+1) block, low-half offset
-    // k pairs with high-half offset k ^ x_low, i.e. chunk t with chunk
-    // t ^ x_chunk, lane r with lane r ^ x_lane.
-    let half = 1usize << (usize::BITS - 1 - x.leading_zeros());
-    let x_low = x & (half - 1);
-    let (x_chunk, x_lane) = (x_low / LANES, x_low % LANES);
-    // Pair r is low lane r and high lane r ^ x_lane. The high amplitude's
-    // partner is the low one, with sign σ(j) = chunk parity + lane[r]; the
-    // low amplitude's is σ(j ^ x) = σ(j)·(−1)^{#Y}.
-    let y = parity(x & z);
-    let lo_coef: [[f64; LANES]; 2] =
-        std::array::from_fn(|b| std::array::from_fn(|r| signed(b ^ lane[r] ^ y)));
-    let hi_coef: [[f64; LANES]; 2] =
-        std::array::from_fn(|b| std::array::from_fn(|r| signed(b ^ lane[r])));
-    for (block_index, block) in amps.chunks_exact_mut(2 * half).enumerate() {
-        let base = block_index * 2 * half;
-        let (lo, hi) = block.split_at_mut(half);
-        for (t, lo_chunk) in lo.chunks_exact_mut(LANES).enumerate() {
-            let b = parity((base + t * LANES) & z);
-            let hi_chunk = &mut hi[(t ^ x_chunk) * LANES..][..LANES];
-            let (lo_coef, hi_coef) = (&lo_coef[b], &hi_coef[b]);
-            for r in 0..LANES {
-                let h = (r ^ x_lane) % LANES;
-                let (lo_amp, hi_amp) = (lo_chunk[r], hi_chunk[h]);
-                lo_chunk[r] = axpy::<IMAG>(c, lo_amp, lo_coef[r], hi_amp);
-                hi_chunk[h] = axpy::<IMAG>(c, hi_amp, hi_coef[r], lo_amp);
+        // Pivot p = the highest X bit: in every 2^(p+1) block, low-half
+        // offset k pairs with high-half offset k ^ x_low, i.e. chunk t with
+        // chunk t ^ x_chunk, lane r with lane r ^ x_lane.
+        let half = 1usize << (usize::BITS - 1 - x.leading_zeros());
+        let x_low = x & (half - 1);
+        let (x_chunk, x_lane) = (x_low / LANES, x_low % LANES);
+        // With j the low amplitude, the high one (j ^ x) reads the table
+        // at key(j); the low one at key(j ^ x), which differs only in the
+        // sign bit: the same entry with mu times `y_sign`.
+        let coefs = self.lane_coefs(&lane);
+        let last = coefs.len() - 1;
+        let chunk_steps = self.steps(LANES.trailing_zeros());
+        let block_steps = self.steps(half.trailing_zeros() + 1);
+        let mut block_key = 0;
+        for (b, block) in amps.chunks_exact_mut(2 * half).enumerate() {
+            let (lo, hi) = block.split_at_mut(half);
+            let mut chunk_key = block_key;
+            for (t, lo_chunk) in lo.chunks_exact_mut(LANES).enumerate() {
+                let hi_chunk = &mut hi[(t ^ x_chunk) * LANES..][..LANES];
+                let coef = &coefs[chunk_key & last];
+                for (r, lo) in lo_chunk.iter_mut().enumerate() {
+                    let h = (r ^ x_lane) % LANES;
+                    let (lo_amp, hi_amp) = (*lo, hi_chunk[h]);
+                    *lo = axpy::<IMAG>(coef.c[r], lo_amp, coef.mu_low[r], hi_amp);
+                    hi_chunk[h] = axpy::<IMAG>(coef.c[r], hi_amp, coef.mu[r], lo_amp);
+                }
+                chunk_key ^= chunk_steps[(t + 1).trailing_zeros() as usize % 32];
             }
+            block_key ^= block_steps[(b + 1).trailing_zeros() as usize % 32];
         }
     }
+}
+
+/// The `(c, mu)` coefficients of the eight lanes of a chunk, and the
+/// pivot path's `mu` for the low amplitude of a pair (`mu · y_sign`).
+struct Lanes {
+    c: [f64; LANES],
+    mu: [f64; LANES],
+    mu_low: [f64; LANES],
 }
 
 #[cfg(test)]
