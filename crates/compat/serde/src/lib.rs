@@ -115,6 +115,16 @@ impl Json {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
     }
+
+    /// Mutable [`Json::get`]: lets a reader move a decoded value out of the
+    /// tree instead of cloning it.
+    #[must_use]
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Object(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
 }
 
 /// Types that can render themselves as a [`Json`] tree.

@@ -8,7 +8,7 @@
 
 #![warn(missing_docs)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde::{Json, Serialize};
 
@@ -78,8 +78,14 @@ fn render(
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(i) => out.push_str(&i.to_string()),
-        Json::Uint(u) => out.push_str(&u.to_string()),
+        // Numbers are formatted straight into `out`: writing to a `String`
+        // cannot fail, so the `fmt::Result`s are discarded.
+        Json::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Json::Uint(u) => {
+            let _ = write!(out, "{u}");
+        }
         Json::Float(x) => {
             if !x.is_finite() {
                 return Err(Error {
@@ -87,11 +93,11 @@ fn render(
                 });
             }
             // Match serde_json: always distinguishable from integers.
-            if x.fract() == 0.0 && x.abs() < 1e15 {
-                out.push_str(&format!("{x:.1}"));
+            let _ = if x.fract() == 0.0 && x.abs() < 1e15 {
+                write!(out, "{x:.1}")
             } else {
-                out.push_str(&format!("{x}"));
-            }
+                write!(out, "{x}")
+            };
         }
         Json::Str(s) => push_escaped(s, out),
         Json::Array(items) => {
@@ -153,6 +159,7 @@ fn render(
 /// input, trailing garbage, or over-deep nesting.
 pub fn from_str(text: &str) -> Result<Json, Error> {
     let mut parser = Parser {
+        text,
         src: text.as_bytes(),
         pos: 0,
     };
@@ -169,6 +176,10 @@ pub fn from_str(text: &str) -> Result<Json, Error> {
 const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The input; `src` is its bytes. Every string run the parser copies
+    /// starts and ends next to an ASCII byte, so slicing `text` there is
+    /// always on a character boundary and needs no UTF-8 re-validation.
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
@@ -293,82 +304,75 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go.
+            let run = find_special(&self.src[self.pos..], false);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(&b) = self.src.get(self.pos) else {
                 return Err(self.error("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.src.get(self.pos) else {
-                        return Err(self.error("unterminated escape"));
+            if b == b'"' {
+                return Ok(out);
+            }
+            // `b` is a backslash: decode one escape.
+            let Some(&esc) = self.src.get(self.pos) else {
+                return Err(self.error("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let first = self.parse_hex4()?;
+                    let code = if (0xD800..0xDC00).contains(&first) {
+                        // High surrogate: require the paired low surrogate
+                        // escape *immediately* — we are inside a string
+                        // literal, so no whitespace skipping (`eat` would)
+                        // is allowed here.
+                        if self.src.get(self.pos) == Some(&b'\\')
+                            && self.src.get(self.pos + 1) == Some(&b'u')
+                        {
+                            self.pos += 2;
+                        } else {
+                            return Err(self.error("unpaired surrogate"));
+                        }
+                        let second = self.parse_hex4()?;
+                        if !(0xDC00..0xE000).contains(&second) {
+                            return Err(self.error("invalid low surrogate"));
+                        }
+                        0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+                    } else {
+                        first
                     };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: require the paired low
-                                // surrogate escape *immediately* — we are
-                                // inside a string literal, so no whitespace
-                                // skipping (`eat` would) is allowed here.
-                                if self.src.get(self.pos) == Some(&b'\\')
-                                    && self.src.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                } else {
-                                    return Err(self.error("unpaired surrogate"));
-                                }
-                                let second = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&second) {
-                                    return Err(self.error("invalid low surrogate"));
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                first
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(self.error("invalid unicode escape")),
-                            }
-                        }
-                        other => {
-                            return Err(self.error(format!("invalid escape `\\{}`", other as char)))
-                        }
+                    match char::from_u32(code) {
+                        Some(c) => out.push(c),
+                        None => return Err(self.error("invalid unicode escape")),
                     }
                 }
-                _ => {
-                    // Copy the full UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let Some(chunk) = self.src.get(start..end) else {
-                        return Err(self.error("truncated UTF-8 sequence"));
-                    };
-                    match std::str::from_utf8(chunk) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.error("invalid UTF-8 in string")),
-                    }
-                    self.pos = end;
-                }
+                other => return Err(self.error(format!("invalid escape `\\{}`", other as char))),
             }
         }
     }
 
+    /// Reads exactly four hex digits (no sign, unlike `from_str_radix`).
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         let Some(chunk) = self.src.get(self.pos..self.pos + 4) else {
             return Err(self.error("truncated \\u escape"));
         };
-        let text = std::str::from_utf8(chunk).map_err(|_| self.error("invalid \\u escape"))?;
-        let value = u32::from_str_radix(text, 16).map_err(|_| self.error("invalid \\u escape"))?;
+        let mut value = 0;
+        for &b in chunk {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.error("invalid \\u escape"))?;
+            value = value * 16 + digit;
+        }
         self.pos += 4;
         Ok(value)
     }
@@ -390,7 +394,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         if !is_float {
             // Prefer exact integer variants when the digits fit.
             if let Ok(u) = text.parse::<u64>() {
@@ -407,31 +411,72 @@ impl Parser<'_> {
     }
 }
 
-/// Length of the UTF-8 sequence introduced by `first` (1 for ASCII and for
-/// malformed continuation bytes, which `from_utf8` then rejects).
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 1,
+/// Writes `s` as a quoted JSON string, copying the runs between escapable
+/// bytes whole. Every escapable byte is ASCII, so each run ends on a
+/// character boundary.
+fn push_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.reserve(bytes.len() + 2);
+    out.push('"');
+    let mut run_start = 0;
+    loop {
+        let at = run_start + find_special(&bytes[run_start..], true);
+        out.push_str(&s[run_start..at]);
+        let Some(&b) = bytes.get(at) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run_start = at + 1;
     }
+    out.push('"');
 }
 
-fn push_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// `0x01` in every byte of a word.
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every byte of a word.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Offset of the first `"` or `\` in `bytes` (also of the first byte below
+/// 0x20 when `controls` is set), or `bytes.len()` if there is none.
+///
+/// Scans eight bytes per step. `(x - n·LOW_BITS) & !x & HIGH_BITS` flags
+/// every byte of `x` below `n`; a borrow can also flag a byte *above* a
+/// flagged one, never below, so the lowest flag is exact, and so is the
+/// lowest flag of an OR of such masks.
+fn find_special(bytes: &[u8], controls: bool) -> usize {
+    let below = |x: u64, n: u8| x.wrapping_sub(LOW_BITS * u64::from(n)) & !x & HIGH_BITS;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for chunk in &mut chunks {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        let x = u64::from_le_bytes(word);
+        let mut flags = below(x ^ (LOW_BITS * u64::from(b'"')), 1)
+            | below(x ^ (LOW_BITS * u64::from(b'\\')), 1);
+        if controls {
+            flags |= below(x, 0x20);
         }
+        if flags != 0 {
+            return offset + flags.trailing_zeros() as usize / 8;
+        }
+        offset += 8;
     }
-    out.push('"');
+    let tail = chunks.remainder();
+    offset
+        + tail
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+            .unwrap_or(tail.len())
 }
 
 #[cfg(test)]
@@ -503,6 +548,91 @@ mod tests {
         // the high surrogate unpaired.
         assert!(from_str(r#""\ud83d \ude00""#).is_err());
         assert!(from_str(r#""\ud83dx\ude00""#).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // `u32::from_str_radix` accepts a leading `+`; an escape must not.
+        for bad in [
+            r#""\u+049""#,
+            r#""\u-049""#,
+            r#""\u 049""#,
+            r#""\u0x49""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(from_str(bad).is_err(), "`{bad}` must not parse");
+        }
+        let err = from_str(r#""Z\u+049""#).unwrap_err().to_string();
+        assert_eq!(err, "serde_json error: invalid \\u escape at byte 4");
+        assert_eq!(
+            from_str(r#""\u0049\u004a\u004B\u00e9""#).unwrap(),
+            Json::Str("IJKé".into())
+        );
+    }
+
+    #[test]
+    fn control_characters_render_as_lowercase_unicode_escapes() {
+        assert_eq!(
+            to_string("\u{0}a\u{1f}\u{7f}é\u{1b}\r").unwrap(),
+            "\"\\u0000a\\u001f\u{7f}é\\u001b\\r\""
+        );
+        let all: String = (0u8..0x20).map(char::from).collect();
+        let text = to_string(all.as_str()).unwrap();
+        assert_eq!(from_str(&text).unwrap(), Json::Str(all));
+    }
+
+    /// Damaged and random texts: nothing panics, every error names its
+    /// byte, and whatever parses renders to a textual fixed point. (The
+    /// proptest shim is not a dependency of this crate; `tests/codec_fuzz.rs`
+    /// fuzzes the same parser through the wire decoders.)
+    #[test]
+    fn fuzzed_texts_parse_to_fixed_points_or_fail_with_a_position() {
+        const SEEDS: [&str; 3] = [
+            r#"{"a":[1,-2,3.5e-7,true,null,"x\"\\\/\b\f\n\r\t\u00e9\ud83d\ude00"],"b":{}}"#,
+            "[0,-0.0,2.0,1e15,1e999,18446744073709551616,-9223372036854775809,\"é😀\"]",
+            " { \"k\" : [ [ ] , { } , \"\\u0041\" , -1E+2 ] } ",
+        ];
+        const BYTES: &[u8] = b"{}[]\",:\\/u0123456789abcdefABCDEF-+.eEtrulsn \t\n";
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        for round in 0..20_000 {
+            let mut bytes: Vec<u8> = if round % 2 == 0 {
+                SEEDS[next() % SEEDS.len()].as_bytes().to_vec()
+            } else {
+                (0..next() % 48)
+                    .map(|_| BYTES[next() % BYTES.len()])
+                    .collect()
+            };
+            for _ in 0..next() % 3 {
+                if !bytes.is_empty() {
+                    let at = next() % bytes.len();
+                    bytes[at] = BYTES[next() % BYTES.len()];
+                }
+            }
+            let cut = next() % (bytes.len() + 1);
+            if round % 3 == 0 {
+                bytes.truncate(cut);
+            }
+            let Ok(text) = std::str::from_utf8(&bytes) else {
+                continue;
+            };
+            match from_str(text) {
+                Ok(tree) => {
+                    if let Ok(once) = value_to_string(&tree) {
+                        let twice = value_to_string(&from_str(&once).unwrap()).unwrap();
+                        assert_eq!(twice, once, "from {text:?}");
+                    }
+                }
+                Err(error) => {
+                    assert!(error.to_string().contains(" at byte "), "{error}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -248,16 +248,30 @@ impl fmt::Debug for PauliString {
 impl FromStr for PauliString {
     type Err = ParsePauliError;
 
+    /// Parses one operator letter per qubit straight into the X/Z words, 64
+    /// qubits per word. Every accepted letter is ASCII, so the byte index of
+    /// the first rejected byte is its qubit index and a character boundary.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut ops = Vec::with_capacity(s.len());
-        for c in s.chars() {
-            let op = PauliOp::from_char(c).ok_or(ParsePauliError::InvalidCharacter(c))?;
-            ops.push(op);
-        }
-        if ops.is_empty() {
+        if s.is_empty() {
             return Err(ParsePauliError::Empty);
         }
-        Ok(PauliString::from_ops(&ops))
+        let mut p = PauliString::identity(s.len());
+        let (xs, zs) = p.xz_words_mut();
+        for (w, chunk) in s.as_bytes().chunks(64).enumerate() {
+            let (mut x, mut z) = (0u64, 0u64);
+            for (i, &b) in chunk.iter().enumerate() {
+                let Some(op) = PauliOp::from_char(char::from(b)) else {
+                    let bad = s[w * 64 + i..].chars().next().unwrap_or(char::from(b));
+                    return Err(ParsePauliError::InvalidCharacter(bad));
+                };
+                let (xb, zb) = op.xz();
+                x |= u64::from(xb) << i;
+                z |= u64::from(zb) << i;
+            }
+            xs[w] = x;
+            zs[w] = z;
+        }
+        Ok(p)
     }
 }
 

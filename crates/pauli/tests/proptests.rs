@@ -1,7 +1,7 @@
 //! Property-based tests for the Pauli algebra.
 
 use proptest::prelude::*;
-use quclear_pauli::{PauliOp, PauliString, SignedPauli};
+use quclear_pauli::{ParsePauliError, PauliOp, PauliString, SignedPauli};
 
 /// Strategy producing a random Pauli string on `n` qubits.
 fn pauli_string(n: usize) -> impl Strategy<Value = PauliString> {
@@ -128,5 +128,93 @@ proptest! {
             let r = restrict(&a, &sup);
             prop_assert_eq!(embed(&r, 10, &sup), a);
         }
+    }
+}
+
+/// The per-character parser the word-level `FromStr` replaced, kept as the
+/// oracle: one `PauliOp::from_char` per character, then `from_ops`.
+fn oracle_parse(s: &str) -> Result<PauliString, ParsePauliError> {
+    let ops = s
+        .chars()
+        .map(|c| PauliOp::from_char(c).ok_or(ParsePauliError::InvalidCharacter(c)))
+        .collect::<Result<Vec<PauliOp>, ParsePauliError>>()?;
+    if ops.is_empty() {
+        return Err(ParsePauliError::Empty);
+    }
+    Ok(PauliString::from_ops(&ops))
+}
+
+fn oracle_parse_signed(s: &str) -> Result<SignedPauli, ParsePauliError> {
+    let (negative, rest) = match s.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, s.strip_prefix('+').unwrap_or(s)),
+    };
+    Ok(SignedPauli::new(oracle_parse(rest)?, negative))
+}
+
+/// Lengths around the word boundaries, plus small ones.
+const PARSE_LENGTHS: [usize; 12] = [0, 1, 2, 5, 63, 64, 65, 100, 127, 128, 129, 130];
+const PARSE_LETTERS: [char; 8] = ['I', 'X', 'Y', 'Z', 'i', 'x', 'y', 'z'];
+/// Characters the parser must reject, ASCII and not.
+const PARSE_BAD: [char; 10] = ['+', '-', 'Q', 'q', ' ', '\0', 'é', '中', '😀', '\u{80}'];
+
+/// A string of `len` letters with up to two characters swapped for rejected
+/// ones, behind a `""`, `"+"`, `"-"` or `"+-"` prefix.
+fn axis_text(
+    prefix: u8,
+    len: usize,
+    letters: &[u8],
+    bad: [(usize, usize); 2],
+    bad_count: usize,
+) -> String {
+    let mut chars: Vec<char> = letters[..len]
+        .iter()
+        .map(|&l| PARSE_LETTERS[usize::from(l) % PARSE_LETTERS.len()])
+        .collect();
+    for &(at, which) in &bad[..bad_count] {
+        if !chars.is_empty() {
+            let at = at % chars.len();
+            chars[at] = PARSE_BAD[which % PARSE_BAD.len()];
+        }
+    }
+    let prefix = ["", "+", "-", "+-"][usize::from(prefix % 4)];
+    prefix.chars().chain(chars).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The word-level parsers agree with the per-character oracle on value
+    /// and on error: `Empty`, or `InvalidCharacter` of the first bad char.
+    #[test]
+    fn word_parser_matches_per_char_oracle(
+        prefix in 0u8..4,
+        len in 0usize..PARSE_LENGTHS.len(),
+        letters in prop::collection::vec(any::<u8>(), 130),
+        bad in ((any::<usize>(), any::<usize>()), (any::<usize>(), any::<usize>())),
+        bad_count in 0usize..3,
+    ) {
+        let bad = [bad.0, bad.1];
+        let text = axis_text(prefix, PARSE_LENGTHS[len], &letters, bad, bad_count);
+        prop_assert_eq!(text.parse::<PauliString>(), oracle_parse(&text));
+        prop_assert_eq!(text.parse::<SignedPauli>(), oracle_parse_signed(&text));
+        if let Ok(p) = text.parse::<PauliString>() {
+            // Bits past the last qubit stay clear.
+            prop_assert!(p.x_bits().tail_is_clear() && p.z_bits().tail_is_clear());
+        }
+    }
+}
+
+#[test]
+fn lone_signs_and_empty_strings_parse_like_the_oracle() {
+    for text in [
+        "", "+", "-", "++", "--", "+-", "-+", "-+X", "+-X", "x", "-i",
+    ] {
+        assert_eq!(text.parse::<PauliString>(), oracle_parse(text), "{text:?}");
+        assert_eq!(
+            text.parse::<SignedPauli>(),
+            oracle_parse_signed(text),
+            "{text:?}"
+        );
     }
 }

@@ -19,7 +19,11 @@
 //! ```
 //!
 //! The JSON is produced and consumed with the in-tree `serde`/`serde_json`
-//! stand-ins; no external dependencies are involved.
+//! stand-ins; no external dependencies are involved. Encoding builds a
+//! `Json` tree and renders it in one pass; decoding parses one tree and
+//! moves its strings out rather than copying them. Every byte this module
+//! writes, and every decode error message, is pinned by the wire corpus
+//! (`tests/wire_corpus.rs`).
 
 use std::io::{self, Read, Write};
 
@@ -525,33 +529,33 @@ impl Request {
     /// Returns a [`WireError`] (kind `"bad_request"`) describing the first
     /// malformed or missing field.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let tree = parse(payload)?;
+        let mut tree = parse(payload)?;
         let id = field_u64(&tree, "id")?;
-        let kind_name = field_str(&tree, "kind")?;
+        let kind_name = field_str(&mut tree, "kind")?;
         let kind = match kind_name.as_str() {
             "compile" => RequestKind::Compile {
-                program: field_strings(&tree, "program")?,
+                program: field_strings(&mut tree, "program")?,
                 angles: field_f64s(&tree, "angles")?,
             },
             "sweep" => RequestKind::Sweep {
-                program: field_strings(&tree, "program")?,
+                program: field_strings(&mut tree, "program")?,
                 angle_sets: field_f64_sets(&tree, "angle_sets")?,
             },
             "compile_qasm" => RequestKind::CompileQasm {
-                qasm: field_str(&tree, "qasm")?,
+                qasm: field_str(&mut tree, "qasm")?,
             },
             "bind_qasm" => RequestKind::BindQasm {
-                qasm: field_str(&tree, "qasm")?,
+                qasm: field_str(&mut tree, "qasm")?,
                 angles: field_f64s(&tree, "angles")?,
             },
             "absorb" => RequestKind::Absorb {
-                program: field_strings(&tree, "program")?,
-                observables: field_strings(&tree, "observables")?,
+                program: field_strings(&mut tree, "program")?,
+                observables: field_strings(&mut tree, "observables")?,
             },
             "estimate" => RequestKind::Estimate {
-                program: field_strings(&tree, "program")?,
+                program: field_strings(&mut tree, "program")?,
                 angles: field_f64s(&tree, "angles")?,
-                observables: field_strings(&tree, "observables")?,
+                observables: field_strings(&mut tree, "observables")?,
                 shots: field_u64(&tree, "shots")?,
                 seed: field_u64(&tree, "seed")?,
             },
@@ -581,7 +585,7 @@ impl CompiledSummary {
         ]
     }
 
-    fn from_json(tree: &Json) -> Result<Self, WireError> {
+    fn from_json(tree: &mut Json) -> Result<Self, WireError> {
         Ok(CompiledSummary {
             optimized_qasm: field_str(tree, "optimized_qasm")?,
             extracted_qasm: field_str(tree, "extracted_qasm")?,
@@ -599,7 +603,7 @@ fn error_json(error: &WireError) -> Json {
     ])
 }
 
-fn error_from_json(tree: &Json) -> Result<WireError, WireError> {
+fn error_from_json(tree: &mut Json) -> Result<WireError, WireError> {
     Ok(WireError {
         kind: field_str(tree, "kind")?,
         message: field_str(tree, "message")?,
@@ -712,7 +716,7 @@ impl Response {
     }
 
     fn decode_inner(payload: &[u8]) -> Result<Response, WireError> {
-        let tree = parse(payload).map_err(|e| WireError::new("bad_response", e.message))?;
+        let mut tree = parse(payload).map_err(|e| WireError::new("bad_response", e.message))?;
         let id = field_u64(&tree, "id")?;
         let ok = tree
             .get("ok")
@@ -720,21 +724,20 @@ impl Response {
             .ok_or_else(|| WireError::new("bad_response", "missing boolean `ok`"))?;
         if !ok {
             let error = tree
-                .get("error")
+                .get_mut("error")
                 .ok_or_else(|| WireError::new("bad_response", "failure without `error`"))?;
             return Ok(Response {
                 id,
                 body: Err(error_from_json(error)?),
             });
         }
-        let kind = field_str(&tree, "kind")?;
+        let kind = field_str(&mut tree, "kind")?;
         let body = match kind.as_str() {
-            "compiled" => ResponseBody::Compiled(CompiledSummary::from_json(&tree)?),
+            "compiled" => ResponseBody::Compiled(CompiledSummary::from_json(&mut tree)?),
             "sweep" => {
-                let items = tree
-                    .get("results")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| WireError::new("bad_response", "missing `results` array"))?;
+                let Some(Json::Array(items)) = tree.get_mut("results") else {
+                    return Err(WireError::new("bad_response", "missing `results` array"));
+                };
                 let mut results = Vec::with_capacity(items.len());
                 for item in items {
                     let ok = item
@@ -744,7 +747,7 @@ impl Response {
                     if ok {
                         results.push(Ok(CompiledSummary::from_json(item)?));
                     } else {
-                        let error = item.get("error").ok_or_else(|| {
+                        let error = item.get_mut("error").ok_or_else(|| {
                             WireError::new("bad_response", "failed sweep item without `error`")
                         })?;
                         results.push(Err(error_from_json(error)?));
@@ -753,7 +756,7 @@ impl Response {
                 ResponseBody::Sweep(results)
             }
             "absorbed" => ResponseBody::Absorbed {
-                observables: field_strings(&tree, "observables")?,
+                observables: field_strings(&mut tree, "observables")?,
                 groups: groups_from_json(&tree)?,
             },
             "estimated" => ResponseBody::Estimated {
@@ -847,6 +850,11 @@ fn field<'a>(tree: &'a Json, key: &str) -> Result<&'a Json, WireError> {
         .ok_or_else(|| WireError::new("bad_request", format!("missing field `{key}`")))
 }
 
+fn field_mut<'a>(tree: &'a mut Json, key: &str) -> Result<&'a mut Json, WireError> {
+    tree.get_mut(key)
+        .ok_or_else(|| WireError::new("bad_request", format!("missing field `{key}`")))
+}
+
 fn field_u64(tree: &Json, key: &str) -> Result<u64, WireError> {
     field(tree, key)?
         .as_u64()
@@ -871,22 +879,46 @@ fn field_u64_or_zero(tree: &Json, key: &str) -> Result<u64, WireError> {
     }
 }
 
-fn field_str(tree: &Json, key: &str) -> Result<String, WireError> {
-    Ok(field(tree, key)?
-        .as_str()
-        .ok_or_else(|| WireError::new("bad_request", format!("field `{key}` is not a string")))?
-        .to_string())
+/// Moves a decoded string out of the tree instead of copying it; the tree
+/// is dropped once its fields are read. The parser grows strings by
+/// doubling and a moved string outlives the tree, so it gives back the
+/// slack first (usually a shrink in place): keeping up to 2× each QASM
+/// text raised perfbench `qaoa_sweep`'s peak RSS by about a third, as its
+/// oracle holds on to decoded sweep responses.
+fn take_string(s: &mut String) -> String {
+    let mut s = std::mem::take(s);
+    s.shrink_to_fit();
+    s
 }
 
-fn field_strings(tree: &Json, key: &str) -> Result<Vec<String>, WireError> {
-    field(tree, key)?
-        .as_array()
-        .ok_or_else(|| WireError::new("bad_request", format!("field `{key}` is not an array")))?
-        .iter()
-        .map(|item| {
-            item.as_str().map(str::to_string).ok_or_else(|| {
-                WireError::new("bad_request", format!("`{key}` items must be strings"))
-            })
+/// Moves the string at `key` out of the tree, via [`take_string`].
+fn field_str(tree: &mut Json, key: &str) -> Result<String, WireError> {
+    match field_mut(tree, key)? {
+        Json::Str(s) => Ok(take_string(s)),
+        _ => Err(WireError::new(
+            "bad_request",
+            format!("field `{key}` is not a string"),
+        )),
+    }
+}
+
+/// Moves the strings of the array at `key` out of the tree, via
+/// [`take_string`].
+fn field_strings(tree: &mut Json, key: &str) -> Result<Vec<String>, WireError> {
+    let Json::Array(items) = field_mut(tree, key)? else {
+        return Err(WireError::new(
+            "bad_request",
+            format!("field `{key}` is not an array"),
+        ));
+    };
+    items
+        .iter_mut()
+        .map(|item| match item {
+            Json::Str(s) => Ok(take_string(s)),
+            _ => Err(WireError::new(
+                "bad_request",
+                format!("`{key}` items must be strings"),
+            )),
         })
         .collect()
 }
@@ -1194,6 +1226,19 @@ mod tests {
             let err = Response::decode(bad).unwrap_err();
             assert_eq!(err.kind, "bad_response", "payload {bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_with_a_sign_are_rejected() {
+        // `u32::from_str_radix` accepts a leading `+`, which once decoded
+        // this axis as `ZI`.
+        let frame = br#"{"id":1,"kind":"compile","program":["Z\u+049"],"angles":[0.5]}"#;
+        let err = Request::decode(frame).unwrap_err();
+        assert_eq!(err.kind, "bad_request");
+        assert_eq!(
+            err.message,
+            "serde_json error: invalid \\u escape at byte 40"
+        );
     }
 
     #[test]

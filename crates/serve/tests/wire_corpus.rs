@@ -275,7 +275,10 @@ fn constructed_responses() -> Vec<(&'static str, Case)> {
                 ])),
             ),
         ),
-        ("resp.sweep.empty", response(4, Ok(ResponseBody::Sweep(vec![])))),
+        (
+            "resp.sweep.empty",
+            response(4, Ok(ResponseBody::Sweep(vec![]))),
+        ),
         (
             "resp.absorbed",
             response(
@@ -320,7 +323,10 @@ fn constructed_responses() -> Vec<(&'static str, Case)> {
             "resp.stats.nan_rate",
             response(10, Ok(ResponseBody::Stats(stats(f64::NAN)))),
         ),
-        ("resp.metrics", response(11, Ok(ResponseBody::Metrics(snapshot())))),
+        (
+            "resp.metrics",
+            response(11, Ok(ResponseBody::Metrics(snapshot()))),
+        ),
         (
             "resp.metrics.empty",
             response(
@@ -334,7 +340,10 @@ fn constructed_responses() -> Vec<(&'static str, Case)> {
             "resp.health",
             response(13, Ok(ResponseBody::Health { uptime_ms: 0 })),
         ),
-        ("resp.shutting_down", response(14, Ok(ResponseBody::ShuttingDown))),
+        (
+            "resp.shutting_down",
+            response(14, Ok(ResponseBody::ShuttingDown)),
+        ),
     ];
     // Every error kind the server, the engine mapping and the client emit.
     for kind in [
@@ -358,7 +367,10 @@ fn constructed_responses() -> Vec<(&'static str, Case)> {
             name,
             response(
                 20,
-                Err(WireError::new(kind, format!("{kind} at byte 7: `{AWKWARD}`"))),
+                Err(WireError::new(
+                    kind,
+                    format!("{kind} at byte 7: `{AWKWARD}`"),
+                )),
             ),
         ));
     }
@@ -723,14 +735,22 @@ fn error_line(error: &WireError) -> String {
 /// Asserts `encode(decode(bytes)) == bytes` for a frame that decodes.
 fn assert_request_fixed_point(name: &str, bytes: &[u8]) {
     if let Ok(decoded) = Request::decode(bytes) {
-        assert_eq!(decoded.encode(), bytes, "{name}: request is not a fixed point");
+        assert_eq!(
+            decoded.encode(),
+            bytes,
+            "{name}: request is not a fixed point"
+        );
     }
 }
 
 fn assert_response_fixed_point(name: &str, bytes: &[u8]) {
     let decoded = Response::decode(bytes)
         .unwrap_or_else(|e| panic!("{name}: served or encoded response must decode: {e}"));
-    assert_eq!(decoded.encode(), bytes, "{name}: response is not a fixed point");
+    assert_eq!(
+        decoded.encode(),
+        bytes,
+        "{name}: response is not a fixed point"
+    );
 }
 
 /// The corpus line of one case, with the fixed-point checks on the way.
@@ -747,7 +767,11 @@ fn outcome(name: &str, case: &Case, servers: &Servers) -> String {
         Case::Response(response) => {
             let bytes = response.encode();
             if let Ok(decoded) = Response::decode(&bytes) {
-                assert_eq!(decoded.encode(), bytes, "{name}: response is not a fixed point");
+                assert_eq!(
+                    decoded.encode(),
+                    bytes,
+                    "{name}: response is not a fixed point"
+                );
             }
             bytes_line(&bytes)
         }
