@@ -16,8 +16,9 @@
 //! `encode(decode(bytes)) == bytes`.
 //!
 //! The corpus pins the codec (escapes, number spellings, field order, error
-//! messages) and the served QASM text, so a rewrite of either must keep it
-//! byte-identical. To regenerate after an intended wire change, run
+//! messages) and what the engine serves (QASM text, absorbed observables,
+//! seeded estimates), so a rewrite of either must keep it byte-identical.
+//! To regenerate after an intended wire or output change, run
 //! `cargo test -p quclear-serve --test wire_corpus -- --ignored
 //! regenerate_corpus` and review the diff.
 
