@@ -9,19 +9,26 @@
 //! ids time the four codec layers of a served request on `qaoa_sweep`'s
 //! 16-point MaxCut-(n20, d8) sweep and `vqe_estimate`'s UCC-(6,12) request;
 //! `wire_decode_vs_copy_smoke` bounds `Response::decode` against a UTF-8
-//! check plus copy of the same bytes. Record a baseline with
+//! check plus copy of the same bytes. The `qasm/*` ids time the two QASM
+//! texts a server returns per bound point, rendered from scratch by
+//! `to_qasm` and served from the template; `qasm_render_vs_angles_smoke`
+//! bounds the served render against formatting its angles alone. Record a
+//! baseline with
 //! `CRITERION_JSON=... cargo bench -p quclear-bench --bench engine` (see
 //! `BENCH_engine.json` at the workspace root).
 
+use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use quclear_circuit::qasm::to_qasm;
-use quclear_core::{compile, QuClearConfig};
-use quclear_engine::Engine;
+use quclear_circuit::Gate;
+use quclear_core::{compile, QuClearConfig, QuClearResult};
+use quclear_engine::{CompiledTemplate, Engine};
 use quclear_pauli::PauliRotation;
 use quclear_serve::{CompiledSummary, Request, RequestKind, Response, ResponseBody};
-use quclear_workloads::{qaoa_grid_sweep, vqe_sweep, Benchmark, Graph};
+use quclear_workloads::{qaoa_grid_sweep, vqe_sweep, Benchmark, Graph, Molecule, SweepScenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,13 +169,18 @@ fn axes(program: &[PauliRotation]) -> Vec<String> {
     program.iter().map(|r| r.pauli().to_string()).collect()
 }
 
-/// `qaoa_sweep`'s request shape and its served answer: a 16-point
-/// (γ, β) grid over MaxCut on the 20-node, degree-8 Table II graph.
-fn qaoa_sweep_wire() -> (Request, Response) {
+/// `qaoa_sweep`'s sweep: a 16-point (γ, β) grid over MaxCut on the
+/// 20-node, degree-8 Table II graph.
+fn maxcut_n20_r8_sweep() -> SweepScenario {
     let graph = Graph::regular(20, 8, 0x51CA);
     let gammas = [0.3, 0.9, 1.7, 2.6];
     let betas = [0.2, 0.5, 0.9, 1.3];
-    let sweep = qaoa_grid_sweep(&graph, &gammas, &betas);
+    qaoa_grid_sweep(&graph, &gammas, &betas)
+}
+
+/// `qaoa_sweep`'s request shape and its served answer.
+fn qaoa_sweep_wire() -> (Request, Response) {
+    let sweep = maxcut_n20_r8_sweep();
     let request = Request {
         id: 7,
         kind: RequestKind::Sweep {
@@ -290,12 +302,109 @@ fn wire_decode_vs_copy_smoke(_c: &mut Criterion) {
     );
 }
 
+/// One bound point as a server binds it: the program's template from an
+/// engine, and one bind of `angles` through it.
+fn served_point(
+    program: &[PauliRotation],
+    angles: &[f64],
+) -> (Arc<CompiledTemplate>, QuClearResult) {
+    let engine = Engine::new(4);
+    let template = engine.template_for(program).unwrap();
+    let bound = engine.bind(&template, angles).unwrap();
+    (template, bound)
+}
+
+/// A bound point of `qaoa_sweep`'s grid.
+fn maxcut_n20_r8_point() -> (Arc<CompiledTemplate>, QuClearResult) {
+    let sweep = maxcut_n20_r8_sweep();
+    served_point(&sweep.program, &sweep.angle_sets[5])
+}
+
+fn bench_qasm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("qasm");
+    group.sample_size(30);
+    let (maxcut, maxcut_bound) = maxcut_n20_r8_point();
+    group.bench_with_input(
+        BenchmarkId::new("to_qasm", "maxcut_n20_r8"),
+        &maxcut_bound,
+        |b, bound| {
+            b.iter(|| (to_qasm(&bound.optimized), to_qasm(&bound.extracted)));
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("served", "maxcut_n20_r8"),
+        &maxcut_bound.optimized,
+        |b, optimized| {
+            b.iter(|| maxcut.render_qasm(black_box(optimized)));
+        },
+    );
+    let h2o = Benchmark::Molecule(Molecule::H2O).rotations();
+    let h2o_angles: Vec<f64> = h2o.iter().map(PauliRotation::angle).collect();
+    let (h2o, h2o_bound) = served_point(&h2o, &h2o_angles);
+    group.bench_with_input(
+        BenchmarkId::new("served", "h2o"),
+        &h2o_bound.optimized,
+        |b, optimized| {
+            b.iter(|| h2o.render_qasm(black_box(optimized)));
+        },
+    );
+    group.finish();
+}
+
+/// Ceiling on a served render (both texts of one bound point) over
+/// formatting the bound circuit's rotation angles alone. On the recording
+/// host (BENCH_engine.json, `qasm_record`) the served render reads
+/// 1.08–1.33× and the parent's two `to_qasm` calls it replaced 4.9–5.3×;
+/// 2.5 leaves the former at least 1.88× headroom and fails the latter.
+const MAX_RENDER_OVER_ANGLES: f64 = 2.5;
+
+/// The QASM layer's ratio smoke: serving both texts of a bound
+/// MaxCut-(n20, r8) point must cost at most [`MAX_RENDER_OVER_ANGLES`]×
+/// writing its angles, in shortest round-trip form, into a reused buffer.
+/// Runs in `--test` mode too.
+fn qasm_render_vs_angles_smoke(_c: &mut Criterion) {
+    let (template, bound) = maxcut_n20_r8_point();
+    let angles: Vec<f64> = bound
+        .optimized
+        .gates()
+        .iter()
+        .filter_map(|gate| match *gate {
+            Gate::Rz { angle, .. } | Gate::Rx { angle, .. } | Gate::Ry { angle, .. } => Some(angle),
+            _ => None,
+        })
+        .collect();
+    let mut scratch = String::new();
+    let angles_ns = best_of_ns(200, || {
+        scratch.clear();
+        for angle in &angles {
+            let _ = write!(scratch, "{angle}");
+        }
+        black_box(&scratch);
+    });
+    let served_ns = best_of_ns(200, || {
+        black_box(template.render_qasm(black_box(&bound.optimized)));
+    });
+    let ratio = served_ns / angles_ns;
+    println!(
+        "qasm/render_vs_angles_smoke: {} angles, angles={:.1} us served={:.1} us ratio={ratio:.2}",
+        angles.len(),
+        angles_ns / 1e3,
+        served_ns / 1e3,
+    );
+    assert!(
+        ratio <= MAX_RENDER_OVER_ANGLES,
+        "a served render costs {ratio:.2}x formatting its angles alone (ceiling {MAX_RENDER_OVER_ANGLES})"
+    );
+}
+
 criterion_group!(
     benches,
     bench_cold_vs_warm,
     bench_batched_sweep,
     bench_wire,
+    bench_qasm,
     warm_vs_cold_smoke,
-    wire_decode_vs_copy_smoke
+    wire_decode_vs_copy_smoke,
+    qasm_render_vs_angles_smoke
 );
 criterion_main!(benches);

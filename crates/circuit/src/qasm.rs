@@ -40,6 +40,11 @@ use crate::{Circuit, Gate};
 /// as the shortest decimal that round-trips the `f64` exactly, so
 /// `from_qasm(to_qasm(c))` is gate-for-gate equal to `c`.
 ///
+/// The text is appended gate by gate into one pre-sized `String` by the
+/// module's one gate writer, which formats qubit indices without the
+/// `fmt` machinery and only angles through `Display`. [`QasmHoles`] is
+/// built by the same writer, so a hole fill is byte-identical to this.
+///
 /// # Panics
 ///
 /// Panics if a rotation angle is NaN or infinite — there is no valid QASM
@@ -61,39 +66,168 @@ use crate::{Circuit, Gate};
 /// ```
 #[must_use]
 pub fn to_qasm(circuit: &Circuit) -> String {
-    let mut out = String::new();
-    out.push_str("OPENQASM 2.0;\n");
-    out.push_str("include \"qelib1.inc\";\n");
-    let _ = writeln!(out, "qreg q[{}];", circuit.num_qubits());
+    let mut out = String::with_capacity(qasm_capacity(circuit));
+    push_header(&mut out, circuit.num_qubits());
     for gate in circuit.gates() {
-        if let Gate::Rz { angle, .. } | Gate::Rx { angle, .. } | Gate::Ry { angle, .. } = *gate {
-            assert!(
-                angle.is_finite(),
-                "cannot serialize non-finite rotation angle {angle} as QASM"
-            );
-        }
-        let line = match *gate {
-            Gate::H(q) => format!("h q[{q}];"),
-            Gate::S(q) => format!("s q[{q}];"),
-            Gate::Sdg(q) => format!("sdg q[{q}];"),
-            Gate::X(q) => format!("x q[{q}];"),
-            Gate::Y(q) => format!("y q[{q}];"),
-            Gate::Z(q) => format!("z q[{q}];"),
-            Gate::SqrtX(q) => format!("sx q[{q}];"),
-            Gate::SqrtXdg(q) => format!("sxdg q[{q}];"),
-            // `{}` prints the shortest decimal that round-trips the f64
-            // exactly, so `from_qasm(to_qasm(c))` is gate-for-gate equal.
-            Gate::Rz { qubit, angle } => format!("rz({angle}) q[{qubit}];"),
-            Gate::Rx { qubit, angle } => format!("rx({angle}) q[{qubit}];"),
-            Gate::Ry { qubit, angle } => format!("ry({angle}) q[{qubit}];"),
-            Gate::Cx { control, target } => format!("cx q[{control}], q[{target}];"),
-            Gate::Cz { a, b } => format!("cz q[{a}], q[{b}];"),
-            Gate::Swap { a, b } => format!("swap q[{a}], q[{b}];"),
-        };
-        out.push_str(&line);
-        out.push('\n');
+        push_gate(&mut out, gate, push_angle);
     }
     out
+}
+
+/// A guess at a circuit's QASM length that holds most of them without
+/// regrowing: about 17 bytes per gate (`cx q[12], q[13];\n`) plus the
+/// header. Longer angles only cost a regrow.
+fn qasm_capacity(circuit: &Circuit) -> usize {
+    64 + 20 * circuit.len()
+}
+
+/// Appends the program header: version, include and the one register.
+fn push_header(out: &mut String, num_qubits: usize) {
+    out.push_str("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[");
+    push_index(out, num_qubits);
+    out.push_str("];\n");
+}
+
+/// The one gate writer: appends `gate`'s line, newline included, to `out`.
+/// A rotation's angle is written by `angle`: [`to_qasm`] formats it in
+/// place, [`QasmHoles`] leaves a hole there.
+fn push_gate(out: &mut String, gate: &Gate, angle: impl FnOnce(&mut String, f64)) {
+    let (head, first, second) = match *gate {
+        Gate::H(q) => ("h q[", q, None),
+        Gate::S(q) => ("s q[", q, None),
+        Gate::Sdg(q) => ("sdg q[", q, None),
+        Gate::X(q) => ("x q[", q, None),
+        Gate::Y(q) => ("y q[", q, None),
+        Gate::Z(q) => ("z q[", q, None),
+        Gate::SqrtX(q) => ("sx q[", q, None),
+        Gate::SqrtXdg(q) => ("sxdg q[", q, None),
+        Gate::Rz { qubit, .. } => ("rz(", qubit, None),
+        Gate::Rx { qubit, .. } => ("rx(", qubit, None),
+        Gate::Ry { qubit, .. } => ("ry(", qubit, None),
+        Gate::Cx { control, target } => ("cx q[", control, Some(target)),
+        Gate::Cz { a, b } => ("cz q[", a, Some(b)),
+        Gate::Swap { a, b } => ("swap q[", a, Some(b)),
+    };
+    out.push_str(head);
+    if let Some(theta) = rotation_angle(gate) {
+        angle(out, theta);
+        out.push_str(") q[");
+    }
+    push_index(out, first);
+    if let Some(second) = second {
+        out.push_str("], q[");
+        push_index(out, second);
+    }
+    out.push_str("];\n");
+}
+
+/// Appends a rotation angle as the shortest decimal that round-trips the
+/// `f64` exactly, so `from_qasm(to_qasm(c))` is gate-for-gate equal.
+fn push_angle(out: &mut String, angle: f64) {
+    assert!(
+        angle.is_finite(),
+        "cannot serialize non-finite rotation angle {angle} as QASM"
+    );
+    let _ = write!(out, "{angle}");
+}
+
+/// Appends a qubit index in decimal.
+fn push_index(out: &mut String, index: usize) {
+    if index >= 10 {
+        push_index(out, index / 10);
+    }
+    out.push(char::from(b'0' + (index % 10) as u8));
+}
+
+/// The angle of a rotation gate, `None` for every other gate.
+fn rotation_angle(gate: &Gate) -> Option<f64> {
+    match *gate {
+        Gate::Rz { angle, .. } | Gate::Rx { angle, .. } | Gate::Ry { angle, .. } => Some(angle),
+        _ => None,
+    }
+}
+
+/// A circuit's OpenQASM text with every rotation angle cut out, for
+/// rendering circuits that differ from it only in their angles.
+///
+/// Built by [`to_qasm`]'s gate writer, with a hole where each angle would
+/// go. [`QasmHoles::fill`] copies the fixed text between the holes and
+/// formats only the angles, so it costs a copy plus one float format per
+/// rotation, and its output is byte-identical to [`to_qasm`] on the same
+/// circuit.
+///
+/// # Examples
+///
+/// ```
+/// use quclear_circuit::qasm::{to_qasm, QasmHoles};
+/// use quclear_circuit::Circuit;
+///
+/// let mut qc = Circuit::new(2);
+/// qc.cx(0, 1);
+/// qc.rz(1, 0.5);
+/// let holes = QasmHoles::new(&qc);
+/// let mut rebound = Circuit::new(2);
+/// rebound.cx(0, 1);
+/// rebound.rz(1, -1.25);
+/// assert_eq!(holes.fill(&rebound).as_deref(), Some(to_qasm(&rebound).as_str()));
+/// ```
+#[derive(Clone, Debug)]
+pub struct QasmHoles {
+    /// The text with the angles cut out.
+    text: String,
+    /// Per hole: its byte offset in `text` and the index of its gate.
+    holes: Vec<(usize, usize)>,
+    num_qubits: usize,
+    num_gates: usize,
+}
+
+impl QasmHoles {
+    /// Renders `circuit` with a hole for each rotation angle.
+    #[must_use]
+    pub fn new(circuit: &Circuit) -> Self {
+        let mut text = String::with_capacity(qasm_capacity(circuit));
+        let mut holes = Vec::new();
+        push_header(&mut text, circuit.num_qubits());
+        for (index, gate) in circuit.gates().iter().enumerate() {
+            push_gate(&mut text, gate, |out, _| holes.push((out.len(), index)));
+        }
+        text.shrink_to_fit();
+        QasmHoles {
+            text,
+            holes,
+            num_qubits: circuit.num_qubits(),
+            num_gates: circuit.len(),
+        }
+    }
+
+    /// The OpenQASM text of `circuit`, which must have the gates of the
+    /// circuit the holes were cut from up to rotation angles: byte-identical
+    /// to [`to_qasm`]`(circuit)`.
+    ///
+    /// Returns `None` when `circuit` visibly does not fit: a different
+    /// register or gate count, or a hole that does not land on a rotation.
+    /// Gates between the holes are not compared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rotation angle is NaN or infinite, as [`to_qasm`] does.
+    #[must_use]
+    pub fn fill(&self, circuit: &Circuit) -> Option<String> {
+        if circuit.num_qubits() != self.num_qubits || circuit.len() != self.num_gates {
+            return None;
+        }
+        let gates = circuit.gates();
+        let mut out = String::with_capacity(self.text.len() + 24 * self.holes.len());
+        let mut copied = 0;
+        for &(offset, gate) in &self.holes {
+            let angle = rotation_angle(&gates[gate])?;
+            out.push_str(&self.text[copied..offset]);
+            push_angle(&mut out, angle);
+            copied = offset;
+        }
+        out.push_str(&self.text[copied..]);
+        Some(out)
+    }
 }
 
 /// Error returned by [`from_qasm`], locating the offending token.
@@ -940,6 +1074,97 @@ mod tests {
         let mut c = Circuit::new(1);
         c.rz(0, f64::NAN);
         assert!(std::panic::catch_unwind(|| to_qasm(&c)).is_err());
+        let holes = QasmHoles::new(&Circuit::from_gates(
+            1,
+            vec![Gate::Rx {
+                qubit: 0,
+                angle: 1.0,
+            }],
+        ));
+        let bad = Circuit::from_gates(
+            1,
+            vec![Gate::Rx {
+                qubit: 0,
+                angle: f64::INFINITY,
+            }],
+        );
+        assert!(std::panic::catch_unwind(|| holes.fill(&bad)).is_err());
+    }
+
+    #[test]
+    fn every_gate_writes_its_exact_line() {
+        let gates = vec![
+            Gate::H(0),
+            Gate::S(1),
+            Gate::Sdg(2),
+            Gate::X(3),
+            Gate::Y(4),
+            Gate::Z(5),
+            Gate::SqrtX(6),
+            Gate::SqrtXdg(7),
+            Gate::Rz {
+                qubit: 8,
+                angle: -0.0,
+            },
+            Gate::Rx {
+                qubit: 9,
+                angle: 0.1,
+            },
+            Gate::Ry {
+                qubit: 10,
+                angle: -2.5e-7,
+            },
+            Gate::Cx {
+                control: 11,
+                target: 0,
+            },
+            Gate::Cz { a: 100, b: 9 },
+            Gate::Swap { a: 1, b: 1234 },
+        ];
+        let text = to_qasm(&Circuit::from_gates(1235, gates));
+        let expected = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1235];\n\
+                        h q[0];\ns q[1];\nsdg q[2];\nx q[3];\ny q[4];\nz q[5];\n\
+                        sx q[6];\nsxdg q[7];\nrz(-0) q[8];\nrx(0.1) q[9];\n\
+                        ry(-0.00000025) q[10];\ncx q[11], q[0];\ncz q[100], q[9];\n\
+                        swap q[1], q[1234];\n";
+        assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn hole_fill_matches_to_qasm_and_rejects_other_shapes() {
+        let holes = QasmHoles::new(&sample_circuit());
+        let rebound = Circuit::from_gates(
+            3,
+            sample_circuit()
+                .gates()
+                .iter()
+                .map(|g| match *g {
+                    Gate::Rz { qubit, .. } => Gate::Rz {
+                        qubit,
+                        angle: 1e300,
+                    },
+                    Gate::Ry { qubit, .. } => Gate::Ry {
+                        qubit,
+                        angle: -1e-300,
+                    },
+                    other => other,
+                })
+                .collect(),
+        );
+        assert_eq!(holes.fill(&rebound).unwrap(), to_qasm(&rebound));
+        assert_eq!(
+            holes.fill(&sample_circuit()).unwrap(),
+            to_qasm(&sample_circuit())
+        );
+        // A different gate count, register or a hole on a Clifford: no text.
+        let mut longer = sample_circuit();
+        longer.h(0);
+        assert!(holes.fill(&longer).is_none());
+        let wider = Circuit::from_gates(4, sample_circuit().gates().to_vec());
+        assert!(holes.fill(&wider).is_none());
+        let mut shifted = sample_circuit().gates().to_vec();
+        shifted.swap(2, 3);
+        assert!(holes.fill(&Circuit::from_gates(3, shifted)).is_none());
     }
 
     #[test]

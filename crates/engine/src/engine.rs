@@ -29,8 +29,9 @@ use crate::singleflight::{Role, SingleFlight};
 use crate::template::{CompiledTemplate, StageMetrics};
 
 /// Metric name of the engine's per-stage latency histograms (labeled by
-/// `stage`: `fingerprint`, `extract`, `bind`, `peephole`, `absorb_pre`,
-/// `absorb_post`, `diagonalize`, `simulate`, `sample`, `readout`).
+/// `stage`: `fingerprint`, `extract`, `bind`, `peephole`, `render`,
+/// `absorb_pre`, `absorb_post`, `diagonalize`, `simulate`, `sample`,
+/// `readout`).
 pub const ENGINE_STAGE_METRIC: &str = "quclear_engine_stage_duration_ns";
 
 /// Metric name of the single-flight latency histograms (labeled by `role`:
@@ -350,6 +351,7 @@ impl Engine {
                 peephole: stage("peephole"),
                 absorb_pre: stage("absorb_pre"),
                 diagonalize: stage("diagonalize"),
+                render: stage("render"),
             },
             metrics,
             config,
@@ -593,10 +595,8 @@ impl Engine {
         self.template(&axes)
     }
 
-    /// Compiles one program, reusing a cached template when available.
-    ///
-    /// The deadline is checked at every stage boundary: before the template
-    /// lookup resolves and again before binding.
+    /// Compiles one program, reusing a cached template when available:
+    /// [`Self::template_for`], then [`Self::bind`] with its angles.
     ///
     /// # Errors
     ///
@@ -604,8 +604,27 @@ impl Engine {
     /// [`EngineError::DeadlineExceeded`] once the handle's budget is spent.
     pub fn compile(&self, program: &[PauliRotation]) -> Result<QuClearResult, EngineError> {
         let template = self.template_for(program)?;
+        let angles: Vec<f64> = program.iter().map(PauliRotation::angle).collect();
+        self.bind(&template, &angles)
+    }
+
+    /// Binds `angles` to a template this engine handed out: the deadline is
+    /// checked first, a panicking bind is contained as
+    /// [`EngineError::CompilationPanicked`], and each success counts in
+    /// [`EngineStats::binds`]. Every compile, sweep and QASM compile binds
+    /// through here, after one template lookup.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::DeadlineExceeded`] once the handle's budget is spent;
+    /// otherwise as [`CompiledTemplate::bind`].
+    pub fn bind(
+        &self,
+        template: &CompiledTemplate,
+        angles: &[f64],
+    ) -> Result<QuClearResult, EngineError> {
         self.deadline.check()?;
-        let result = contain_panics(|| template.bind_program(program))?;
+        let result = contain_panics(|| template.bind(angles))?;
         self.core.binds.inc();
         Ok(result)
     }
@@ -630,16 +649,10 @@ impl Engine {
         angle_sets: &[Vec<f64>],
     ) -> Result<Vec<Result<QuClearResult, EngineError>>, EngineError> {
         let template = self.template_for(program)?;
-        let results = angle_sets
+        Ok(angle_sets
             .iter()
-            .map(|angles| {
-                self.deadline.check()?;
-                let result = contain_panics(|| template.bind(angles))?;
-                self.core.binds.inc();
-                Ok(result)
-            })
-            .collect();
-        Ok(results)
+            .map(|angles| self.bind(&template, angles))
+            .collect())
     }
 
     /// Compiles OpenQASM 2.0 text, reusing a cached template when available.
@@ -722,12 +735,7 @@ impl Engine {
         angles: Option<&[f64]>,
     ) -> Result<QuClearResult, EngineError> {
         let template = self.template(lifted.axes())?;
-        self.deadline.check()?;
-        let result = contain_panics(|| match angles {
-            Some(angles) => template.bind(angles),
-            None => template.bind(lifted.native_angles()),
-        })?;
-        self.core.binds.inc();
+        let result = self.bind(&template, angles.unwrap_or(lifted.native_angles()))?;
         Ok(lifted.attach(result))
     }
 
@@ -1386,6 +1394,12 @@ mod tests {
         assert_eq!(stage("extract"), 1);
         assert_eq!(stage("bind"), 2);
         assert_eq!(stage("absorb_pre"), 1);
+        // Compiles render nothing; a served render of a bind is one stage.
+        assert_eq!(stage("render"), 0);
+        let template = engine.template_for(&program_a()).unwrap();
+        let bound = engine.bind(&template, &[0.3, 0.7]).unwrap();
+        let _ = template.render_qasm(&bound.optimized);
+        assert_eq!(stage("render"), 1);
         // Uncontended compiles lead their own flights.
         let leader = engine
             .metrics_snapshot()

@@ -32,6 +32,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
+use quclear_circuit::qasm::{to_qasm, QasmHoles};
 use quclear_circuit::{is_zero_rotation, optimize, Circuit, Gate};
 use quclear_core::{
     extract_clifford, AbsorbedObservables, AbsorptionError, AbsorptionPlan, MeasurementPlan,
@@ -58,6 +59,8 @@ pub(crate) struct StageMetrics {
     /// Measurement-plan synthesis: grouping plus per-group diagonalizing
     /// Clifford sweeps (memo misses only).
     pub(crate) diagonalize: Arc<Histogram>,
+    /// Both OpenQASM texts of one served bind ([`CompiledTemplate::render_qasm`]).
+    pub(crate) render: Arc<Histogram>,
 }
 
 /// One parameterized `Rz` in the template skeleton, bound to
@@ -80,6 +83,15 @@ struct Slot {
 /// Produced by [`CompiledTemplate::compile`] (or through the caching
 /// [`crate::Engine`]). Templates are immutable and [`Send`]`+`[`Sync`]; a
 /// single template can serve concurrent `bind` calls from many threads.
+///
+/// A template holds one patchable skeleton (the peephole-optimized marker
+/// circuit, with its parameterized `Rz` slots decoded) and the extracted
+/// Clifford every bind shares. What is derived from them on demand is built
+/// once, on first use, and shared across clones: the CA-Pre and
+/// measurement-plan memos, the CA-Post absorber, the rotation-run plan, and
+/// the served OpenQASM ([`Self::render_qasm`]) — the extracted Clifford's
+/// text, and the skeleton's text with its angles cut out, so a bind that
+/// returns the patched skeleton renders by filling in its angles.
 ///
 /// # Examples
 ///
@@ -135,9 +147,23 @@ pub struct CompiledTemplate {
     /// each in an estimate; built on the first estimate (so templates that
     /// are never estimated pay nothing) and shared across clones.
     rotation_runs: Arc<OnceLock<Vec<RotationRun>>>,
+    /// The served OpenQASM, rendered on the first [`Self::render_qasm`]
+    /// (so templates that are only estimated or absorbed pay nothing) and
+    /// shared across clones.
+    qasm: Arc<OnceLock<TemplateQasm>>,
     /// Stage histograms attached by the owning engine; `None` for
     /// standalone templates.
     stage_metrics: Option<StageMetrics>,
+}
+
+/// A template's OpenQASM, rendered once.
+#[derive(Debug)]
+struct TemplateQasm {
+    /// The extracted Clifford's text: the same for every bind.
+    extracted: String,
+    /// The skeleton's text with its angles cut out; `None` for a raw
+    /// skeleton that every bind peepholes, which never returns it verbatim.
+    skeleton: Option<QasmHoles>,
 }
 
 /// Soft cap on memoized observable sets per template and memo: workloads
@@ -296,6 +322,7 @@ impl CompiledTemplate {
             measurement_memo: Arc::default(),
             probability_absorber: Arc::new(OnceLock::new()),
             rotation_runs: Arc::new(OnceLock::new()),
+            qasm: Arc::new(OnceLock::new()),
             stage_metrics: None,
         })
     }
@@ -465,6 +492,44 @@ impl CompiledTemplate {
     #[must_use]
     pub fn extracted(&self) -> &Circuit {
         &self.extracted
+    }
+
+    /// The two OpenQASM texts served for a bind of this template:
+    /// `(to_qasm(optimized), to_qasm(extracted))`, byte for byte, where
+    /// `optimized` is the bind's optimized circuit and `extracted` the
+    /// template's extracted Clifford. Recorded as the `render` stage.
+    ///
+    /// Both come from text rendered once per template, on the first call.
+    /// The extracted text is copied. The optimized text fills the
+    /// skeleton's angle holes when `optimized` has the skeleton's length
+    /// and a rotation under every hole, and is rendered by `to_qasm`
+    /// otherwise. For a bind of this template that check is exact: a bind
+    /// either returns the patched skeleton verbatim, or (a zero-angle slot,
+    /// or a raw skeleton) runs the peephole on it. On a patchable skeleton
+    /// that pass drops the zero rotation and adds no gate, so the result is
+    /// shorter; a raw skeleton keeps no holes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an angle of `optimized` is NaN or infinite, as `to_qasm`
+    /// does.
+    #[must_use]
+    pub fn render_qasm(&self, optimized: &Circuit) -> (String, String) {
+        let start = Instant::now();
+        let qasm = self.qasm.get_or_init(|| TemplateQasm {
+            extracted: to_qasm(&self.extracted),
+            skeleton: (!self.raw_skeleton).then(|| QasmHoles::new(&self.skeleton)),
+        });
+        let optimized = qasm
+            .skeleton
+            .as_ref()
+            .and_then(|holes| holes.fill(optimized))
+            .unwrap_or_else(|| to_qasm(optimized));
+        let texts = (optimized, qasm.extracted.clone());
+        if let Some(metrics) = &self.stage_metrics {
+            metrics.render.record_duration(start.elapsed());
+        }
+        texts
     }
 
     /// CA-Pre on an observable set, memoized per template: the first call

@@ -3,9 +3,10 @@
 //! remain unitarily correct even in the zero-angle corner where the two
 //! pipelines legitimately produce different gate lists.
 
-use std::f64::consts::PI;
+use std::f64::consts::{FRAC_PI_2, PI};
 
 use proptest::prelude::*;
+use quclear_circuit::qasm::{from_qasm, to_qasm};
 use quclear_core::{compile, QuClearConfig};
 use quclear_engine::{CompiledTemplate, Engine, ENGINE_STAGE_METRIC};
 use quclear_pauli::{PauliOp, PauliRotation, PauliString};
@@ -35,8 +36,67 @@ fn rotation_strategy(n: usize, len: usize) -> impl Strategy<Value = Vec<PauliRot
     prop::collection::vec(single, 1..=len)
 }
 
+/// Angles that stress the served text: exact `0.0` and `-0.0`, multiples
+/// of π/2 (which cancel a slot's folded offset or land on zero), the
+/// extremes 1e-300 and 1e300, whose shortest spellings are 300 digits
+/// long, and ordinary values.
+fn served_angle_strategy(len: usize) -> impl Strategy<Value = Vec<f64>> {
+    let angle = (0u8..8, -4i32..=4, -3.2f64..3.2).prop_map(|(kind, k, x)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from(k) * FRAC_PI_2,
+        3 => 1e-300,
+        4 => -1e300,
+        _ => x,
+    });
+    prop::collection::vec(angle, len)
+}
+
+/// The texts a server returns for a bind equal `to_qasm` of the bound
+/// circuits byte for byte, and parse back to the bound circuit.
+fn served_texts_match_to_qasm(template: &CompiledTemplate, angles: &[f64]) -> Result<(), String> {
+    let angles = &angles[..template.num_params()];
+    let bound = template.bind(angles).unwrap();
+    let (optimized, extracted) = template.render_qasm(&bound.optimized);
+    prop_assert_eq!(&optimized, &to_qasm(&bound.optimized));
+    prop_assert_eq!(&extracted, &to_qasm(&bound.extracted));
+    let reparsed = from_qasm(&optimized).unwrap();
+    prop_assert_eq!(reparsed.num_qubits(), bound.optimized.num_qubits());
+    prop_assert_eq!(reparsed.gates(), bound.optimized.gates());
+    let reparsed = from_qasm(&extracted).unwrap();
+    prop_assert_eq!(reparsed.gates(), bound.extracted.gates());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A served render — the skeleton's holes filled, or `to_qasm` when the
+    /// bind ran the peephole — is `to_qasm` of the bind, for a patchable
+    /// skeleton with and without the peephole and for a raw skeleton (the
+    /// program's first rotation repeated, which the marker peephole merges).
+    /// Each template renders twice, so the second render reuses its text.
+    #[test]
+    fn served_qasm_equals_to_qasm_of_the_bind(
+        small in rotation_strategy(3, 6),
+        large in rotation_strategy(8, 10),
+        first in served_angle_strategy(11),
+        second in served_angle_strategy(11),
+    ) {
+        for program in [&small, &large] {
+            let mut repeated = vec![program[0].clone()];
+            repeated.extend(program.iter().cloned());
+            for (program, config) in [
+                (program, QuClearConfig::default()),
+                (program, QuClearConfig::without_peephole()),
+                (&repeated, QuClearConfig::default()),
+            ] {
+                let template = CompiledTemplate::compile_program(program, &config).unwrap();
+                served_texts_match_to_qasm(&template, &first)?;
+                served_texts_match_to_qasm(&template, &second)?;
+            }
+        }
+    }
 
     /// The headline invariant: binding a template with a program's angles is
     /// gate-for-gate identical to compiling that program from scratch, for

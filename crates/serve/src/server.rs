@@ -31,6 +31,7 @@
 //!   workers drain, and [`Server::join`] returns only when every thread has
 //!   exited — no leaks, no aborted writes.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -42,7 +43,9 @@ use std::time::{Duration, Instant};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{Arc, Mutex, PoisonError};
 
-use quclear_engine::{Deadline, Engine, EngineError};
+use quclear_circuit::qasm::to_qasm;
+use quclear_core::QuClearResult;
+use quclear_engine::{CompiledTemplate, Deadline, Engine, EngineError, ENGINE_STAGE_METRIC};
 use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -155,6 +158,9 @@ struct ServeMetrics {
     panics_contained: Arc<Counter>,
     frame_bytes_in: Arc<Histogram>,
     frame_bytes_out: Arc<Histogram>,
+    /// The engine's `render` stage cell, for the QASM renders the server
+    /// does itself (templates record their own).
+    render: Arc<Histogram>,
     /// Per-kind handling latency, prebuilt so the hot path never takes the
     /// registry lock.
     request_duration: BTreeMap<&'static str, Arc<Histogram>>,
@@ -214,6 +220,11 @@ impl ServeMetrics {
                 SERVE_FRAME_METRIC,
                 "frame payload sizes in bytes",
                 ("direction", "out"),
+            ),
+            render: registry.histogram_labeled(
+                ENGINE_STAGE_METRIC,
+                "engine pipeline stage latency in nanoseconds",
+                ("stage", "render"),
             ),
             request_duration: REQUEST_KIND_NAMES
                 .iter()
@@ -744,11 +755,11 @@ fn handle_request(
         } => sweep(&engine, &program, &angle_sets),
         RequestKind::CompileQasm { qasm } => engine
             .compile_qasm(&qasm)
-            .map(|result| ResponseBody::Compiled(summarize(&result)))
+            .map(|result| summarize_qasm(shared, &result))
             .map_err(|e| engine_error(&e)),
         RequestKind::BindQasm { qasm, angles } => engine
             .bind_qasm(&qasm, &angles)
-            .map(|result| ResponseBody::Compiled(summarize(&result)))
+            .map(|result| summarize_qasm(shared, &result))
             .map_err(|e| engine_error(&e)),
         RequestKind::Absorb {
             program,
@@ -800,60 +811,97 @@ fn parse_axes(program: &[String]) -> Result<Vec<SignedPauli>, WireError> {
 }
 
 /// Folds axis signs into the angles (`exp(-iθ/2·(−P)) = exp(-i(−θ)/2·P)`)
-/// and pairs them up as rotations.
-fn to_rotations(axes: &[SignedPauli], angles: &[f64]) -> Result<Vec<PauliRotation>, WireError> {
-    if axes.len() != angles.len() {
-        return Err(WireError::new(
+/// and pairs them up as rotations, moving each axis.
+fn to_rotations(axes: Vec<SignedPauli>, angles: &[f64]) -> Result<Vec<PauliRotation>, WireError> {
+    check_angle_count(&axes, angles)?;
+    Ok(axes
+        .into_iter()
+        .zip(angles)
+        .map(|(axis, &angle)| PauliRotation::with_signed_pauli(axis, angle))
+        .collect())
+}
+
+fn check_angle_count(axes: &[SignedPauli], angles: &[f64]) -> Result<(), WireError> {
+    if axes.len() == angles.len() {
+        Ok(())
+    } else {
+        Err(WireError::new(
             "angle_count",
             format!("{} axes but {} angles", axes.len(), angles.len()),
-        ));
+        ))
     }
-    Ok(axes
+}
+
+/// Splits signed axes into the positive axes the engine's template cache
+/// keys on (the key `estimate` and `absorb` look up too) and each axis's
+/// sign, moving every Pauli string.
+fn split_signs(axes: Vec<SignedPauli>) -> (Vec<SignedPauli>, Vec<bool>) {
+    axes.into_iter()
+        .map(|axis| {
+            let negative = axis.is_negative();
+            (SignedPauli::positive(axis.into_pauli()), negative)
+        })
+        .unzip()
+}
+
+/// Folds the axis signs into one angle set, as [`PauliRotation::with_signed_pauli`]
+/// does. A set of the wrong length passes unfolded (folding would silently
+/// truncate it), so its bind reports the arity mismatch.
+fn fold_signs<'a>(angles: &'a [f64], negative: &[bool]) -> Cow<'a, [f64]> {
+    if angles.len() != negative.len() || !negative.contains(&true) {
+        return Cow::Borrowed(angles);
+    }
+    angles
         .iter()
-        .zip(angles)
-        .map(|(axis, &angle)| PauliRotation::with_signed_pauli(axis.clone(), angle))
-        .collect())
+        .zip(negative)
+        .map(|(&angle, &negative)| if negative { -angle } else { angle })
+        .collect()
+}
+
+/// Binds one angle set to a template the request looked up, and renders it.
+fn bind_summary(
+    engine: &Engine,
+    template: &CompiledTemplate,
+    angles: &[f64],
+) -> Result<CompiledSummary, WireError> {
+    let bound = engine
+        .bind(template, angles)
+        .map_err(|e| engine_error(&e))?;
+    let texts = template.render_qasm(&bound.optimized);
+    Ok(summarize(&bound, texts))
+}
+
+/// The answer to a QASM compile: its result carries the lifted program's
+/// trailing Clifford, so both texts render from scratch, timed into the
+/// engine's `render` stage like a template's.
+fn summarize_qasm(shared: &Shared, result: &QuClearResult) -> ResponseBody {
+    let start = Instant::now();
+    let texts = (to_qasm(&result.optimized), to_qasm(&result.extracted));
+    shared.metrics.render.record_duration(start.elapsed());
+    ResponseBody::Compiled(summarize(result, texts))
 }
 
 fn compile(engine: &Engine, program: &[String], angles: &[f64]) -> Result<ResponseBody, WireError> {
     let axes = parse_axes(program)?;
-    let rotations = to_rotations(&axes, angles)?;
-    engine
-        .compile(&rotations)
-        .map(|result| ResponseBody::Compiled(summarize(&result)))
-        .map_err(|e| engine_error(&e))
+    check_angle_count(&axes, angles)?;
+    let (axes, negative) = split_signs(axes);
+    let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
+    bind_summary(engine, &template, &fold_signs(angles, &negative)).map(ResponseBody::Compiled)
 }
 
+/// One template lookup, then one bind and render per angle set; each set's
+/// failure lands in its own slot.
 fn sweep(
     engine: &Engine,
     program: &[String],
     angle_sets: &[Vec<f64>],
 ) -> Result<ResponseBody, WireError> {
-    let axes = parse_axes(program)?;
-    // The engine's sweep binds raw angles against positive axes, so fold
-    // each axis sign into every angle set once up front. Sets of the wrong
-    // length pass through unfolded (folding would silently truncate them) so
-    // the engine's bind reports the arity mismatch in that set's slot.
-    let folded: Vec<Vec<f64>> = angle_sets
-        .iter()
-        .map(|set| {
-            if set.len() != axes.len() {
-                return set.clone();
-            }
-            set.iter()
-                .zip(&axes)
-                .map(|(&angle, axis)| if axis.is_negative() { -angle } else { angle })
-                .collect()
-        })
-        .collect();
-    let rotations = to_rotations(&axes, &vec![0.0; axes.len()])?;
-    let results = engine
-        .sweep(&rotations, &folded)
-        .map_err(|e| engine_error(&e))?;
+    let (axes, negative) = split_signs(parse_axes(program)?);
+    let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
     Ok(ResponseBody::Sweep(
-        results
-            .into_iter()
-            .map(|result| result.map(|r| summarize(&r)).map_err(|e| engine_error(&e)))
+        angle_sets
+            .iter()
+            .map(|set| bind_summary(engine, &template, &fold_signs(set, &negative)))
             .collect(),
     ))
 }
@@ -864,7 +912,8 @@ fn absorb(
     observables: &[String],
 ) -> Result<ResponseBody, WireError> {
     let axes = parse_axes(program)?;
-    let rotations = to_rotations(&axes, &vec![0.0; axes.len()])?;
+    let zeros = vec![0.0; axes.len()];
+    let rotations = to_rotations(axes, &zeros)?;
     let parsed: Vec<SignedPauli> = observables
         .iter()
         .map(|o| {
@@ -893,8 +942,7 @@ fn estimate(
     shots: u64,
     seed: u64,
 ) -> Result<ResponseBody, WireError> {
-    let axes = parse_axes(program)?;
-    let rotations = to_rotations(&axes, angles)?;
+    let rotations = to_rotations(parse_axes(program)?, angles)?;
     let parsed: Vec<SignedPauli> = observables
         .iter()
         .map(|o| {
@@ -916,10 +964,14 @@ fn estimate(
     })
 }
 
-fn summarize(result: &quclear_core::QuClearResult) -> CompiledSummary {
+/// A compiled answer from a bound result and its two QASM texts.
+fn summarize(
+    result: &QuClearResult,
+    (optimized_qasm, extracted_qasm): (String, String),
+) -> CompiledSummary {
     CompiledSummary {
-        optimized_qasm: quclear_circuit::qasm::to_qasm(&result.optimized),
-        extracted_qasm: quclear_circuit::qasm::to_qasm(&result.extracted),
+        optimized_qasm,
+        extracted_qasm,
         num_qubits: result.optimized.num_qubits(),
         cnot_count: result.cnot_count(),
         gate_count: result.optimized.len(),

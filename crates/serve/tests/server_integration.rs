@@ -15,7 +15,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use quclear_engine::{Engine, ProgramFingerprint};
+use quclear_circuit::qasm::to_qasm;
+use quclear_engine::{Engine, ProgramFingerprint, ENGINE_STAGE_METRIC};
 use quclear_pauli::PauliRotation;
 use quclear_serve::{Client, ClientError, RequestKind, ResponseBody, Server, ServerConfig};
 
@@ -716,6 +717,48 @@ fn metrics_endpoint_spans_engine_and_serve() {
 /// The `metrics` snapshot carries the per-kind request latency histograms:
 /// kinds that served requests show their counts and quantiles, and the
 /// counts agree with the requests the connection actually made.
+/// A program with a negative axis is one template for every request kind:
+/// compile, sweep and estimate each look it up once, and only the first
+/// lookup misses. Each compiled point is rendered once, as the engine's
+/// `render` stage, into the bytes `to_qasm` gives for the signed program.
+#[test]
+fn signed_programs_cost_one_template_miss_across_request_kinds() {
+    let engine = Arc::new(Engine::new(16));
+    let server = start_server(Arc::clone(&engine), 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let axes = ["-ZZI", "IXX", "-YIZ"];
+    let angles = [0.3, -0.4, 0.5];
+
+    let compiled = client.compile(&axes, &angles).expect("compile");
+    let swept = client
+        .sweep(&axes, &[angles.to_vec(), vec![1.0, 0.0, -2.0]])
+        .expect("sweep");
+    client
+        .estimate(&axes, &angles, &["+ZII", "-XXI"], 64, 3)
+        .expect("estimate");
+    let stats = engine.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 2));
+    assert_eq!(stats.binds, 3);
+
+    let program: Vec<PauliRotation> = axes
+        .iter()
+        .zip(angles)
+        .map(|(axis, angle)| PauliRotation::with_signed_pauli(axis.parse().unwrap(), angle))
+        .collect();
+    let direct = quclear_core::compile(&program, engine.config());
+    assert_eq!(compiled.optimized_qasm, to_qasm(&direct.optimized));
+    assert_eq!(compiled.extracted_qasm, to_qasm(&direct.extracted));
+    assert_eq!(swept[0].as_ref().unwrap(), &compiled);
+
+    let renders = engine
+        .metrics_snapshot()
+        .histogram(ENGINE_STAGE_METRIC, Some(("stage", "render")))
+        .expect("render stage registered")
+        .count();
+    assert_eq!(renders, 3);
+    server.stop();
+}
+
 #[test]
 fn metrics_carry_request_latency_histograms() {
     let engine = Arc::new(Engine::new(16));
