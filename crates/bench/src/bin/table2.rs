@@ -43,3 +43,32 @@ fn main() {
     table.print();
     save_json("table2", &rows);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins a row of `results/table2.json`: fields in declaration order.
+    #[test]
+    fn flat_row_renders_its_fields_in_order() {
+        let row = Row {
+            benchmark: "UCC-(2,4)".into(),
+            category: "UCCSD".into(),
+            qubits: 4,
+            num_pauli: 24,
+            native_cnot: 128,
+            native_single_qubit: 0,
+        };
+        assert_eq!(
+            serde_json::to_string_pretty(&row).unwrap(),
+            r#"{
+  "benchmark": "UCC-(2,4)",
+  "category": "UCCSD",
+  "qubits": 4,
+  "num_pauli": 24,
+  "native_cnot": 128,
+  "native_single_qubit": 0
+}"#
+        );
+    }
+}

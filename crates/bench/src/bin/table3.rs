@@ -93,3 +93,58 @@ fn main() {
 
     save_json("table3", &rows);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quclear_bench::MethodResult;
+
+    /// Pins a row of `results/table3.json`: per-method results nest as an
+    /// object in method-name order.
+    #[test]
+    fn method_results_nest_in_key_order() {
+        let mut results = BTreeMap::new();
+        results.insert(
+            "tket".to_string(),
+            MethodResult {
+                cnot_count: 40,
+                entangling_depth: 31,
+                single_qubit_count: 52,
+                compile_time_s: 0.0625,
+            },
+        );
+        results.insert(
+            "QuCLEAR".to_string(),
+            MethodResult {
+                cnot_count: 12,
+                entangling_depth: 9,
+                single_qubit_count: 30,
+                compile_time_s: 2.0,
+            },
+        );
+        let row = Row {
+            benchmark: "UCC-(2,4)".into(),
+            results,
+        };
+        assert_eq!(
+            serde_json::to_string_pretty(&row).unwrap(),
+            r#"{
+  "benchmark": "UCC-(2,4)",
+  "results": {
+    "QuCLEAR": {
+      "cnot_count": 12,
+      "entangling_depth": 9,
+      "single_qubit_count": 30,
+      "compile_time_s": 2.0
+    },
+    "tket": {
+      "cnot_count": 40,
+      "entangling_depth": 31,
+      "single_qubit_count": 52,
+      "compile_time_s": 0.0625
+    }
+  }
+}"#
+        );
+    }
+}

@@ -104,3 +104,27 @@ fn main() {
     table.print();
     save_json("table4", &rows);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pins a row of `results/table4.json`: an integral `f64` keeps its `.0`,
+    /// so readers can tell it from a count.
+    #[test]
+    fn integral_floats_keep_their_decimal_point() {
+        let row = Row {
+            count: 500,
+            observable_absorption_s: 2.0,
+            state_post_processing_s: 0.000_125,
+        };
+        assert_eq!(
+            serde_json::to_string_pretty(&row).unwrap(),
+            r#"{
+  "count": 500,
+  "observable_absorption_s": 2.0,
+  "state_post_processing_s": 0.000125
+}"#
+        );
+    }
+}
