@@ -13,9 +13,8 @@ use quclear_circuit::optimize;
 use quclear_core::{extract_clifford, ExtractionConfig};
 use quclear_pauli::PauliRotation;
 use quclear_workloads::Benchmark;
-use serde::Serialize;
+use serde::Json;
 
-#[derive(Serialize)]
 struct Breakdown {
     benchmark: String,
     native: usize,
@@ -23,6 +22,21 @@ struct Breakdown {
     plus_commuting_blocks: usize,
     plus_absorption: usize,
     plus_local_optimization: usize,
+}
+
+impl Breakdown {
+    fn to_json(&self) -> Json {
+        let counts = [
+            ("native", self.native),
+            ("extraction_recursive_tree", self.extraction_recursive_tree),
+            ("plus_commuting_blocks", self.plus_commuting_blocks),
+            ("plus_absorption", self.plus_absorption),
+            ("plus_local_optimization", self.plus_local_optimization),
+        ];
+        let mut entries = vec![("benchmark".into(), Json::Str(self.benchmark.clone()))];
+        entries.extend(counts.map(|(key, count)| (key.into(), Json::Uint(count as u64))));
+        Json::Object(entries)
+    }
 }
 
 fn breakdown(bench: &Benchmark) -> Breakdown {
@@ -90,5 +104,8 @@ fn main() {
     table.print();
     println!("\n(paper, UCC-(4,8):        2624 → 1014 → 984 → ~half → 448)");
     println!("(paper, MaxCut-(n20,r8):  320  → 286  → 258 → 129 → 129)");
-    save_json("figure10", &rows);
+    save_json(
+        "figure10",
+        &Json::Array(rows.iter().map(Breakdown::to_json).collect()),
+    );
 }

@@ -11,14 +11,28 @@ use quclear_baselines::Method;
 use quclear_bench::{save_json, TablePrinter};
 use quclear_circuit::{route, CouplingMap};
 use quclear_workloads::Benchmark;
-use serde::Serialize;
+use serde::Json;
 
-#[derive(Serialize)]
 struct Row {
     benchmark: String,
     device: String,
     /// Post-routing CNOT count per method (SWAPs count as three CNOTs).
     routed_cnot: BTreeMap<String, usize>,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        let routed_cnot = self
+            .routed_cnot
+            .iter()
+            .map(|(method, &count)| (method.clone(), Json::Uint(count as u64)))
+            .collect();
+        Json::Object(vec![
+            ("benchmark".into(), Json::Str(self.benchmark.clone())),
+            ("device".into(), Json::Str(self.device.clone())),
+            ("routed_cnot".into(), Json::Object(routed_cnot)),
+        ])
+    }
 }
 
 fn main() {
@@ -89,5 +103,8 @@ fn main() {
         }
         table.print();
     }
-    save_json("figure11", &rows);
+    save_json(
+        "figure11",
+        &Json::Array(rows.iter().map(Row::to_json).collect()),
+    );
 }

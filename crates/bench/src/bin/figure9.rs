@@ -8,15 +8,38 @@ use std::time::Instant;
 
 use quclear_bench::{save_json, suite_from_args, TablePrinter};
 use quclear_core::{compile, QuClearConfig};
-use serde::Serialize;
+use serde::Json;
 
-#[derive(Serialize)]
 struct Row {
     benchmark: String,
     cnot_without_peephole: usize,
     cnot_with_peephole: usize,
     time_without_peephole_s: f64,
     time_with_peephole_s: f64,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("benchmark".into(), Json::Str(self.benchmark.clone())),
+            (
+                "cnot_without_peephole".into(),
+                Json::Uint(self.cnot_without_peephole as u64),
+            ),
+            (
+                "cnot_with_peephole".into(),
+                Json::Uint(self.cnot_with_peephole as u64),
+            ),
+            (
+                "time_without_peephole_s".into(),
+                Json::Float(self.time_without_peephole_s),
+            ),
+            (
+                "time_with_peephole_s".into(),
+                Json::Float(self.time_with_peephole_s),
+            ),
+        ])
+    }
 }
 
 fn main() {
@@ -72,5 +95,8 @@ fn main() {
             100.0 * (1.0 - ratio_product.powf(1.0 / count as f64))
         );
     }
-    save_json("figure9", &rows);
+    save_json(
+        "figure9",
+        &Json::Array(rows.iter().map(Row::to_json).collect()),
+    );
 }

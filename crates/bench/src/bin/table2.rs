@@ -4,9 +4,8 @@
 //! Run with `cargo run -p quclear-bench --release --bin table2`.
 
 use quclear_bench::{save_json, suite_from_args, TablePrinter};
-use serde::Serialize;
+use serde::Json;
 
-#[derive(Serialize)]
 struct Row {
     benchmark: String,
     category: String,
@@ -14,6 +13,22 @@ struct Row {
     num_pauli: usize,
     native_cnot: usize,
     native_single_qubit: usize,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("benchmark".into(), Json::Str(self.benchmark.clone())),
+            ("category".into(), Json::Str(self.category.clone())),
+            ("qubits".into(), Json::Uint(self.qubits as u64)),
+            ("num_pauli".into(), Json::Uint(self.num_pauli as u64)),
+            ("native_cnot".into(), Json::Uint(self.native_cnot as u64)),
+            (
+                "native_single_qubit".into(),
+                Json::Uint(self.native_single_qubit as u64),
+            ),
+        ])
+    }
 }
 
 fn main() {
@@ -41,7 +56,10 @@ fn main() {
     }
     println!("Table II: benchmark information (native, unoptimized circuits)\n");
     table.print();
-    save_json("table2", &rows);
+    save_json(
+        "table2",
+        &Json::Array(rows.iter().map(Row::to_json).collect()),
+    );
 }
 
 #[cfg(test)]
@@ -60,7 +78,7 @@ mod tests {
             native_single_qubit: 0,
         };
         assert_eq!(
-            serde_json::to_string_pretty(&row).unwrap(),
+            serde_json::to_string_pretty(&row.to_json()),
             r#"{
   "benchmark": "UCC-(2,4)",
   "category": "UCCSD",

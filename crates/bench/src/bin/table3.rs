@@ -8,12 +8,25 @@ use std::collections::BTreeMap;
 
 use quclear_baselines::Method;
 use quclear_bench::{evaluate_method, save_json, suite_from_args, MethodResult, TablePrinter};
-use serde::Serialize;
+use serde::Json;
 
-#[derive(Serialize)]
 struct Row {
     benchmark: String,
     results: BTreeMap<String, MethodResult>,
+}
+
+impl Row {
+    fn to_json(&self) -> Json {
+        let results = self
+            .results
+            .iter()
+            .map(|(method, result)| (method.clone(), result.to_json()))
+            .collect();
+        Json::Object(vec![
+            ("benchmark".into(), Json::Str(self.benchmark.clone())),
+            ("results".into(), Json::Object(results)),
+        ])
+    }
 }
 
 fn main() {
@@ -91,13 +104,15 @@ fn main() {
         }
     }
 
-    save_json("table3", &rows);
+    save_json(
+        "table3",
+        &Json::Array(rows.iter().map(Row::to_json).collect()),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quclear_bench::MethodResult;
 
     /// Pins a row of `results/table3.json`: per-method results nest as an
     /// object in method-name order.
@@ -127,7 +142,7 @@ mod tests {
             results,
         };
         assert_eq!(
-            serde_json::to_string_pretty(&row).unwrap(),
+            serde_json::to_string_pretty(&row.to_json()),
             r#"{
   "benchmark": "UCC-(2,4)",
   "results": {

@@ -16,10 +16,10 @@ use quclear_baselines::Method;
 use quclear_circuit::Circuit;
 use quclear_pauli::PauliRotation;
 use quclear_workloads::Benchmark;
-use serde::Serialize;
+use serde::Json;
 
 /// The metrics reported for one (benchmark, method) cell of Table III.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MethodResult {
     /// CNOT gate count (SWAPs count as three).
     pub cnot_count: usize,
@@ -41,6 +41,23 @@ impl MethodResult {
             single_qubit_count: circuit.single_qubit_count(),
             compile_time_s,
         }
+    }
+
+    /// The cell as a JSON object, fields in declaration order.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("cnot_count".into(), Json::Uint(self.cnot_count as u64)),
+            (
+                "entangling_depth".into(),
+                Json::Uint(self.entangling_depth as u64),
+            ),
+            (
+                "single_qubit_count".into(),
+                Json::Uint(self.single_qubit_count as u64),
+            ),
+            ("compile_time_s".into(), Json::Float(self.compile_time_s)),
+        ])
     }
 }
 
@@ -100,11 +117,10 @@ pub fn workspace_root() -> PathBuf {
     }
 }
 
-/// Serializes `value` as pretty JSON into `results/<name>.json`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
+/// Writes `value` as pretty JSON into `results/<name>.json`.
+pub fn save_json(name: &str, value: &Json) {
     let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialization failed");
-    fs::write(&path, json).expect("failed to write results file");
+    fs::write(&path, serde_json::to_string_pretty(value)).expect("failed to write results file");
     println!("\nwrote {}", path.display());
 }
 

@@ -1,16 +1,11 @@
-//! Offline stand-in for the [`serde`](https://crates.io/crates/serde) crate.
+//! The workspace's JSON value, [`Json`], in the place of the
+//! [`serde`](https://crates.io/crates/serde) crate.
 //!
-//! The build environment of this repository has no network access, so this
-//! crate provides the subset the workspace uses: a [`Serialize`] trait (here
-//! producing an explicit [`Json`] tree rather than driving a generic
-//! `Serializer`) and a `#[derive(Serialize)]` macro for structs with named
-//! fields. `serde_json::to_string_pretty` renders the tree.
+//! The build environment of this repository has no network access. Every
+//! JSON producer in the workspace builds a [`Json`] tree directly, and
+//! `serde_json` renders and parses it.
 
 #![warn(missing_docs)]
-
-use std::collections::{BTreeMap, HashMap};
-
-pub use serde_derive::Serialize;
 
 /// A JSON value tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -123,146 +118,6 @@ impl Json {
         match self {
             Json::Object(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-}
-
-/// Types that can render themselves as a [`Json`] tree.
-pub trait Serialize {
-    /// Converts the value into a JSON tree.
-    fn to_json(&self) -> Json;
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
-    }
-}
-
-impl Serialize for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-macro_rules! impl_serialize_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i64)
-            }
-        }
-    )*};
-}
-
-macro_rules! impl_serialize_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_json(&self) -> Json {
-                Json::Uint(*self as u64)
-            }
-        }
-    )*};
-}
-
-impl_serialize_int!(i8, i16, i32, i64, isize);
-impl_serialize_uint!(u8, u16, u32, u64, usize);
-
-impl Serialize for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
-    }
-}
-
-impl Serialize for f32 {
-    fn to_json(&self) -> Json {
-        Json::Float(f64::from(*self))
-    }
-}
-
-impl Serialize for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl Serialize for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_json(&self) -> Json {
-        Json::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_json(&self) -> Json {
-        // Deterministic output: sort keys.
-        let mut entries: Vec<(String, Json)> =
-            self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Json::Object(entries)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn primitives_and_containers() {
-        assert_eq!(3usize.to_json(), Json::Uint(3));
-        assert_eq!((-3i32).to_json(), Json::Int(-3));
-        assert_eq!(true.to_json(), Json::Bool(true));
-        assert_eq!("hi".to_string().to_json(), Json::Str("hi".into()));
-        assert_eq!(None::<u8>.to_json(), Json::Null);
-        assert_eq!(
-            vec![1u8, 2].to_json(),
-            Json::Array(vec![Json::Uint(1), Json::Uint(2)])
-        );
-    }
-
-    #[test]
-    fn maps_are_ordered() {
-        let mut m = BTreeMap::new();
-        m.insert("b".to_string(), 1usize);
-        m.insert("a".to_string(), 2usize);
-        match m.to_json() {
-            Json::Object(entries) => {
-                assert_eq!(entries[0].0, "a");
-                assert_eq!(entries[1].0, "b");
-            }
-            other => panic!("expected object, got {other:?}"),
         }
     }
 }

@@ -1,138 +1,8 @@
-//! Derive macro for the offline `serde` stand-in.
+//! Offline stand-in for the
+//! [`serde_derive`](https://crates.io/crates/serde_derive) crate, with no
+//! API.
 //!
-//! Supports `#[derive(Serialize)]` on structs with named fields (the only
-//! shape the workspace serializes). The input is parsed directly from the
-//! token stream — no `syn`/`quote`, since the build environment is offline.
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// Derives `serde::Serialize` for a struct with named fields.
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    match expand(input) {
-        Ok(ts) => ts,
-        Err(msg) => format!("compile_error!({msg:?});").parse().unwrap(),
-    }
-}
-
-fn expand(input: TokenStream) -> Result<TokenStream, String> {
-    let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = 0;
-
-    // Skip outer attributes and visibility.
-    loop {
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => i += 2,
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1;
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
-
-    match tokens.get(i) {
-        Some(TokenTree::Ident(id)) if id.to_string() == "struct" => i += 1,
-        other => {
-            return Err(format!(
-                "Serialize derive supports only structs, found {other:?}"
-            ))
-        }
-    }
-
-    let name = match tokens.get(i) {
-        Some(TokenTree::Ident(id)) => {
-            i += 1;
-            id.to_string()
-        }
-        other => return Err(format!("expected struct name, found {other:?}")),
-    };
-
-    if matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err("Serialize derive does not support generic structs".to_string());
-    }
-
-    let body = match tokens.get(i) {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
-        other => {
-            return Err(format!(
-                "Serialize derive supports only structs with named fields, found {other:?}"
-            ))
-        }
-    };
-
-    let fields = parse_field_names(body)?;
-
-    let mut entries = String::new();
-    for field in &fields {
-        entries.push_str(&format!(
-            "(::std::string::String::from({field:?}), ::serde::Serialize::to_json(&self.{field})),"
-        ));
-    }
-
-    let out = format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_json(&self) -> ::serde::Json {{\n\
-                 ::serde::Json::Object(::std::vec![{entries}])\n\
-             }}\n\
-         }}"
-    );
-    out.parse()
-        .map_err(|e| format!("generated code failed to parse: {e:?}"))
-}
-
-/// Extracts field names from the token stream inside the struct braces.
-fn parse_field_names(body: TokenStream) -> Result<Vec<String>, String> {
-    let tokens: Vec<TokenTree> = body.into_iter().collect();
-    let mut fields = Vec::new();
-    let mut i = 0;
-
-    while i < tokens.len() {
-        // Skip attributes (doc comments arrive as `#[doc = "…"]`).
-        while matches!(tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-            i += 2;
-        }
-        // Skip visibility.
-        if matches!(tokens.get(i), Some(TokenTree::Ident(id)) if id.to_string() == "pub") {
-            i += 1;
-            if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                if g.delimiter() == Delimiter::Parenthesis {
-                    i += 1;
-                }
-            }
-        }
-        let Some(tree) = tokens.get(i) else { break };
-        let TokenTree::Ident(field) = tree else {
-            return Err(format!("expected field name, found {tree:?}"));
-        };
-        fields.push(field.to_string());
-        i += 1;
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
-            other => return Err(format!("expected `:` after field name, found {other:?}")),
-        }
-        // Skip the type: consume until a top-level comma, tracking angle
-        // brackets so `BTreeMap<String, V>` stays one type.
-        let mut angle_depth = 0i32;
-        while let Some(tree) = tokens.get(i) {
-            if let TokenTree::Punct(p) = tree {
-                match p.as_char() {
-                    '<' => angle_depth += 1,
-                    '>' => angle_depth -= 1,
-                    ',' if angle_depth == 0 => {
-                        i += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-    }
-
-    Ok(fields)
-}
+//! No crate derives anything any more: every JSON producer builds a
+//! `serde::Json` tree directly. `serde` still declares the dependency (and
+//! lock files pin it), so the crate stays as an empty placeholder until
+//! that edge is dropped.

@@ -1,19 +1,17 @@
 //! Offline stand-in for the [`serde_json`](https://crates.io/crates/serde_json)
-//! crate: renders and parses the [`serde::Json`] tree used by the offline
-//! `serde` stand-in. Only the entry points the workspace uses are provided:
-//! [`to_string`] / [`to_string_pretty`] for serialization and [`from_str`]
-//! (returning the dynamic [`Json`] tree) for deserialization — the
-//! `quclear-serve` wire protocol reads typed fields out of the tree with
-//! the `Json` accessors.
+//! crate, over the workspace's [`Json`] tree (from the `serde` stand-in)
+//! rather than over typed values: [`to_string`] / [`to_string_pretty`]
+//! render a tree, and [`from_str`] parses text into one. The
+//! `quclear-serve` wire protocol builds its messages as trees and reads
+//! typed fields out of parsed ones with the `Json` accessors.
 
 #![warn(missing_docs)]
 
 use std::fmt::{self, Write as _};
 
-use serde::{Json, Serialize};
+use serde::Json;
 
-/// Serialization error (infallible in practice for this stand-in; kept for
-/// signature compatibility).
+/// A parse error: what was wrong and at which byte.
 #[derive(Debug)]
 pub struct Error {
     message: String,
@@ -27,46 +25,28 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Serializes a value as compact JSON.
+/// Renders a tree as compact JSON.
 ///
-/// # Errors
-///
-/// Returns an error if the value contains a non-finite float.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    value_to_string(&value.to_json())
-}
-
-/// Serializes an already-built [`Json`] tree as compact JSON, without the
-/// intermediate clone that going through [`Serialize::to_json`] on a
-/// wrapper would cost (used by the `quclear-serve` wire protocol, whose
-/// messages are built as trees directly).
-///
-/// # Errors
-///
-/// Returns an error if the tree contains a non-finite float.
-pub fn value_to_string(value: &Json) -> Result<String, Error> {
+/// Rendering is total: JSON has no spelling for NaN or infinity, so a
+/// non-finite float renders as `null` (a reader that wants a number then
+/// rejects the field instead of the writer failing).
+#[must_use]
+pub fn to_string(value: &Json) -> String {
     let mut out = String::new();
-    render(value, None, 0, &mut out)?;
-    Ok(out)
+    render(value, None, 0, &mut out);
+    out
 }
 
-/// Serializes a value as pretty-printed JSON (two-space indent).
-///
-/// # Errors
-///
-/// Returns an error if the value contains a non-finite float.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders a tree as pretty-printed JSON (two-space indent); see
+/// [`to_string`].
+#[must_use]
+pub fn to_string_pretty(value: &Json) -> String {
     let mut out = String::new();
-    render(&value.to_json(), Some(2), 0, &mut out)?;
-    Ok(out)
+    render(value, Some(2), 0, &mut out);
+    out
 }
 
-fn render(
-    value: &Json,
-    indent: Option<usize>,
-    depth: usize,
-    out: &mut String,
-) -> Result<(), Error> {
+fn render(value: &Json, indent: Option<usize>, depth: usize, out: &mut String) {
     let (newline, pad, pad_close) = match indent {
         Some(width) => (
             "\n",
@@ -86,12 +66,8 @@ fn render(
         Json::Uint(u) => {
             let _ = write!(out, "{u}");
         }
+        Json::Float(x) if !x.is_finite() => out.push_str("null"),
         Json::Float(x) => {
-            if !x.is_finite() {
-                return Err(Error {
-                    message: format!("non-finite float {x} is not representable in JSON"),
-                });
-            }
             // Match serde_json: always distinguishable from integers.
             let _ = if x.fract() == 0.0 && x.abs() < 1e15 {
                 write!(out, "{x:.1}")
@@ -103,7 +79,7 @@ fn render(
         Json::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
-                return Ok(());
+                return;
             }
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -112,7 +88,7 @@ fn render(
                 }
                 out.push_str(newline);
                 out.push_str(&pad);
-                render(item, indent, depth + 1, out)?;
+                render(item, indent, depth + 1, out);
             }
             out.push_str(newline);
             out.push_str(&pad_close);
@@ -121,7 +97,7 @@ fn render(
         Json::Object(entries) => {
             if entries.is_empty() {
                 out.push_str("{}");
-                return Ok(());
+                return;
             }
             out.push('{');
             for (i, (key, item)) in entries.iter().enumerate() {
@@ -135,14 +111,13 @@ fn render(
                 if indent.is_some() {
                     out.push(' ');
                 }
-                render(item, indent, depth + 1, out)?;
+                render(item, indent, depth + 1, out);
             }
             out.push_str(newline);
             out.push_str(&pad_close);
             out.push('}');
         }
     }
-    Ok(())
 }
 
 /// Parses JSON text into a [`Json`] tree.
@@ -482,27 +457,42 @@ fn find_special(bytes: &[u8], controls: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+
+    fn str(s: &str) -> Json {
+        Json::Str(s.into())
+    }
 
     #[test]
     fn compact_and_pretty_roundtrip_shapes() {
-        let mut m: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        m.insert("xs".into(), vec![1, 2]);
-        assert_eq!(to_string(&m).unwrap(), r#"{"xs":[1,2]}"#);
-        let pretty = to_string_pretty(&m).unwrap();
+        let m = Json::Object(vec![(
+            "xs".into(),
+            Json::Array(vec![Json::Uint(1), Json::Uint(2)]),
+        )]);
+        assert_eq!(to_string(&m), r#"{"xs":[1,2]}"#);
+        let pretty = to_string_pretty(&m);
         assert!(pretty.contains("\n  \"xs\": [\n"));
     }
 
     #[test]
     fn floats_keep_a_decimal_point() {
-        assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
-        assert_eq!(to_string(&2.5f64).unwrap(), "2.5");
-        assert!(to_string(&f64::NAN).is_err());
+        assert_eq!(to_string(&Json::Float(2.0)), "2.0");
+        assert_eq!(to_string(&Json::Float(2.5)), "2.5");
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_null() {
+        let tree = Json::Array(vec![
+            Json::Float(f64::NAN),
+            Json::Object(vec![("x".into(), Json::Float(f64::NEG_INFINITY))]),
+            Json::Float(f64::INFINITY),
+            Json::Float(-0.5),
+        ]);
+        assert_eq!(to_string(&tree), r#"[null,{"x":null},null,-0.5]"#);
     }
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(to_string("a\"b\n").unwrap(), r#""a\"b\n""#);
+        assert_eq!(to_string(&str("a\"b\n")), r#""a\"b\n""#);
     }
 
     #[test]
@@ -573,11 +563,11 @@ mod tests {
     #[test]
     fn control_characters_render_as_lowercase_unicode_escapes() {
         assert_eq!(
-            to_string("\u{0}a\u{1f}\u{7f}é\u{1b}\r").unwrap(),
+            to_string(&str("\u{0}a\u{1f}\u{7f}é\u{1b}\r")),
             "\"\\u0000a\\u001f\u{7f}é\\u001b\\r\""
         );
         let all: String = (0u8..0x20).map(char::from).collect();
-        let text = to_string(all.as_str()).unwrap();
+        let text = to_string(&str(&all));
         assert_eq!(from_str(&text).unwrap(), Json::Str(all));
     }
 
@@ -623,10 +613,9 @@ mod tests {
             };
             match from_str(text) {
                 Ok(tree) => {
-                    if let Ok(once) = value_to_string(&tree) {
-                        let twice = value_to_string(&from_str(&once).unwrap()).unwrap();
-                        assert_eq!(twice, once, "from {text:?}");
-                    }
+                    let once = to_string(&tree);
+                    let twice = to_string(&from_str(&once).unwrap());
+                    assert_eq!(twice, once, "from {text:?}");
                 }
                 Err(error) => {
                     assert!(error.to_string().contains(" at byte "), "{error}");
@@ -637,15 +626,15 @@ mod tests {
 
     #[test]
     fn serializer_output_parses_back_identically() {
-        let mut m: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        m.insert("angles".into(), vec![0.5, -1.25, 3.0]);
-        let text = to_string(&m).unwrap();
+        let angles = [0.5, -1.25, 3.0].map(Json::Float).to_vec();
+        let m = Json::Object(vec![("angles".into(), Json::Array(angles))]);
+        let text = to_string(&m);
         let tree = from_str(&text).unwrap();
         let angles = tree.get("angles").unwrap().as_array().unwrap();
         let values: Vec<f64> = angles.iter().map(|v| v.as_f64().unwrap()).collect();
         assert_eq!(values, vec![0.5, -1.25, 3.0]);
         // Pretty output parses to the same tree.
-        assert_eq!(from_str(&to_string_pretty(&m).unwrap()).unwrap(), tree);
+        assert_eq!(from_str(&to_string_pretty(&m)).unwrap(), tree);
     }
 
     #[test]

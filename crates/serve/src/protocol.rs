@@ -519,7 +519,7 @@ impl Request {
             | RequestKind::Health
             | RequestKind::Shutdown => {}
         }
-        render(&obj(entries))
+        serde_json::to_string(&obj(entries)).into_bytes()
     }
 
     /// Decodes a request frame.
@@ -699,7 +699,7 @@ impl Response {
                 }
             }
         }
-        render(&obj(entries))
+        serde_json::to_string(&obj(entries)).into_bytes()
     }
 
     /// Decodes a response frame.
@@ -808,36 +808,6 @@ impl Response {
 // ---------------------------------------------------------------------------
 // JSON field helpers
 // ---------------------------------------------------------------------------
-
-fn render(tree: &Json) -> Vec<u8> {
-    // Fast path: almost every tree is already finite — serialize it in
-    // place. Only a tree that actually holds a NaN/inf angle pays the
-    // sanitizing rebuild.
-    let text = match serde_json::value_to_string(tree) {
-        Ok(text) => text,
-        Err(_) => serde_json::value_to_string(&sanitize(tree))
-            .expect("sanitize() removed every non-finite float"),
-    };
-    text.into_bytes()
-}
-
-/// Replaces non-finite floats with `null` so encoding is total: JSON has no
-/// spelling for NaN/inf, and callers pass arbitrary `f64` angles. The
-/// receiver's typed field parsing then rejects the `null` with a structured
-/// `… must be numbers` error instead of the sender panicking.
-fn sanitize(tree: &Json) -> Json {
-    match tree {
-        Json::Float(x) if !x.is_finite() => Json::Null,
-        Json::Array(items) => Json::Array(items.iter().map(sanitize).collect()),
-        Json::Object(entries) => Json::Object(
-            entries
-                .iter()
-                .map(|(k, v)| (k.clone(), sanitize(v)))
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
 
 fn parse(payload: &[u8]) -> Result<Json, WireError> {
     let text = std::str::from_utf8(payload)

@@ -320,12 +320,6 @@ impl MetricsSnapshot {
     }
 }
 
-impl serde::Serialize for MetricsSnapshot {
-    fn to_json(&self) -> Json {
-        MetricsSnapshot::to_json(self)
-    }
-}
-
 fn label_matches(sample: &Option<(String, String)>, wanted: Option<(&str, &str)>) -> bool {
     match (sample, wanted) {
         (None, None) => true,
@@ -476,7 +470,7 @@ mod tests {
         let rebuilt = MetricsSnapshot::from_json(&snapshot.to_json()).unwrap();
         assert_eq!(rebuilt, snapshot);
         // Through actual text, too.
-        let text = serde_json::value_to_string(&snapshot.to_json()).unwrap();
+        let text = serde_json::to_string(&snapshot.to_json());
         let reparsed = MetricsSnapshot::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(reparsed, snapshot);
     }
