@@ -279,13 +279,18 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next quote or backslash in one go.
-            let run = find_special(&self.src[self.pos..], false);
+            // Copy the run up to the next quote, backslash or control
+            // character in one go.
+            let run = find_special(&self.src[self.pos..]);
             out.push_str(&self.text[self.pos..self.pos + run]);
             self.pos += run;
             let Some(&b) = self.src.get(self.pos) else {
                 return Err(self.error("unterminated string"));
             };
+            if b < 0x20 {
+                // RFC 8259 §7: U+0000 to U+001F must be escaped.
+                return Err(self.error("unescaped control character in string"));
+            }
             self.pos += 1;
             if b == b'"' {
                 return Ok(out);
@@ -396,7 +401,7 @@ fn push_escaped(s: &str, out: &mut String) {
     out.push('"');
     let mut run_start = 0;
     loop {
-        let at = run_start + find_special(&bytes[run_start..], true);
+        let at = run_start + find_special(&bytes[run_start..]);
         out.push_str(&s[run_start..at]);
         let Some(&b) = bytes.get(at) else { break };
         match b {
@@ -421,14 +426,14 @@ const LOW_BITS: u64 = 0x0101_0101_0101_0101;
 /// `0x80` in every byte of a word.
 const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
 
-/// Offset of the first `"` or `\` in `bytes` (also of the first byte below
-/// 0x20 when `controls` is set), or `bytes.len()` if there is none.
+/// Offset of the first `"`, `\` or byte below 0x20 in `bytes` (the bytes a
+/// JSON string must escape), or `bytes.len()` if there is none.
 ///
 /// Scans eight bytes per step. `(x - n·LOW_BITS) & !x & HIGH_BITS` flags
 /// every byte of `x` below `n`; a borrow can also flag a byte *above* a
 /// flagged one, never below, so the lowest flag is exact, and so is the
 /// lowest flag of an OR of such masks.
-fn find_special(bytes: &[u8], controls: bool) -> usize {
+fn find_special(bytes: &[u8]) -> usize {
     let below = |x: u64, n: u8| x.wrapping_sub(LOW_BITS * u64::from(n)) & !x & HIGH_BITS;
     let mut chunks = bytes.chunks_exact(8);
     let mut offset = 0;
@@ -436,11 +441,9 @@ fn find_special(bytes: &[u8], controls: bool) -> usize {
         let mut word = [0; 8];
         word.copy_from_slice(chunk);
         let x = u64::from_le_bytes(word);
-        let mut flags = below(x ^ (LOW_BITS * u64::from(b'"')), 1)
-            | below(x ^ (LOW_BITS * u64::from(b'\\')), 1);
-        if controls {
-            flags |= below(x, 0x20);
-        }
+        let flags = below(x ^ (LOW_BITS * u64::from(b'"')), 1)
+            | below(x ^ (LOW_BITS * u64::from(b'\\')), 1)
+            | below(x, 0x20);
         if flags != 0 {
             return offset + flags.trailing_zeros() as usize / 8;
         }
@@ -450,7 +453,7 @@ fn find_special(bytes: &[u8], controls: bool) -> usize {
     offset
         + tail
             .iter()
-            .position(|&b| b == b'"' || b == b'\\' || (controls && b < 0x20))
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
             .unwrap_or(tail.len())
 }
 
@@ -657,6 +660,20 @@ mod tests {
         ] {
             assert!(from_str(bad).is_err(), "`{bad}` must not parse");
         }
+        // Raw control characters inside a string fail at their byte, in the
+        // word-at-a-time scan and in its tail alike; DEL (0x7f) needs no
+        // escape.
+        for (text, at) in [
+            ("\"ab\u{1}\"", 3),
+            ("\"0123\t5678901\"", 5),
+            ("\"\u{0}\"", 1),
+        ] {
+            assert_eq!(
+                from_str(text).unwrap_err().to_string(),
+                format!("serde_json error: unescaped control character in string at byte {at}")
+            );
+        }
+        assert_eq!(from_str("\"\u{7f}\"").unwrap(), Json::Str("\u{7f}".into()));
         // Over-deep nesting errors instead of overflowing the stack.
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(from_str(&deep).is_err());
