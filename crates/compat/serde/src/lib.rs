@@ -96,12 +96,6 @@ impl Json {
         }
     }
 
-    /// Whether the value is `null`.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Looks up `key` in an object (first match; `None` on non-objects).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Json> {

@@ -26,10 +26,13 @@
 //!   `Instant` comes from `crate::sync` so models run on virtual time, and
 //!   `SystemTime` is banned outright. Deliberate wall-clock reads are
 //!   allowlisted with a reason.
-//! * **dead-pub-fn** — a `pub fn` or `pub const fn` in a first-party
-//!   `crates/*/src` file (not `crates/compat/*`, which mirrors external
-//!   crates' APIs, and not `xtask`) must be named by some caller. Callers
-//!   are the production code of `crates/*/src`, `crates/*/benches`, `src`,
+//! * **dead-pub-fn** — a `pub fn` or `pub const fn` in a `crates/*/src`
+//!   file must be named by some caller. That includes the `crates/compat`
+//!   shims that production code links (`serde`, `serde_json`, `simd`,
+//!   `rand`, `criterion`): their API is what the workspace calls, not all
+//!   of the crate they stand in for. Only [`API_EXEMPT_CRATES`] (the shims
+//!   that only tests call, and `xtask`) are exempt. Callers are the
+//!   production code of `crates/*/src`, `crates/*/benches`, `src`,
 //!   `examples` and `perfbench/src`; the definition itself, `tests/`
 //!   trees, `#[cfg(test)]` items and doc examples do not count. A
 //!   function only tests use is deleted, made private, moved into the one
@@ -180,12 +183,18 @@ fn file_rules_apply(rel: &str) -> bool {
             .any(|c| rel.starts_with(&format!("crates/{c}/")))
 }
 
+/// Crates whose `pub fn`s the dead-pub-fn rule does not check: the
+/// `proptest` and `sched` shims exist for tests, which never count as
+/// callers, and the lint itself has no library API.
+const API_EXEMPT_CRATES: &[&str] = &["compat/proptest", "compat/sched", "xtask"];
+
 /// Whether the dead-pub-fn rule checks the `pub fn`s `rel` defines.
 fn defines_api(rel: &str) -> bool {
     rel.starts_with("crates/")
         && rel.contains("/src/")
-        && !rel.starts_with("crates/compat/")
-        && !rel.starts_with("crates/xtask/")
+        && !API_EXEMPT_CRATES
+            .iter()
+            .any(|c| rel.starts_with(&format!("crates/{c}/")))
 }
 
 struct Finding {
@@ -770,7 +779,7 @@ mod tests {
             ),
             (
                 "crates/app/src/main.rs",
-                "fn main() { mylib::by_other_crate(); }\n",
+                "fn main() { mylib::by_other_crate(); shim::linked_api(); }\n",
             ),
             ("examples/demo.rs", "fn main() { mylib::by_example(); }\n"),
             (
@@ -779,7 +788,11 @@ mod tests {
             ),
             (
                 "crates/compat/shim/src/lib.rs",
-                "pub fn mirrored_api() {}\n",
+                "pub fn linked_api() {}\npub fn unlinked_api() {}\n",
+            ),
+            (
+                "crates/compat/proptest/src/lib.rs",
+                "pub fn test_only_api() {}\n",
             ),
         ]
     }
@@ -792,6 +805,7 @@ mod tests {
             ("unused", 9),
             ("by_test_module", 10),
             ("by_tests_tree", 13),
+            ("unlinked_api", 2),
         ];
         let want: Vec<(String, usize)> = want.iter().map(|&(n, l)| (n.to_string(), l)).collect();
         assert_eq!(findings, want);
@@ -805,7 +819,7 @@ mod tests {
         );
         let findings = dead(&dead_api_fixture(), &allow);
         assert!(findings.iter().all(|(name, _)| name != "unused"));
-        assert_eq!(findings.len(), 3);
+        assert_eq!(findings.len(), 4);
         // The waiver for a live function matched nothing: stale.
         let unused = allow.unused();
         assert_eq!(unused.len(), 1);
