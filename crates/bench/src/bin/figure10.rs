@@ -26,16 +26,21 @@ struct Breakdown {
 
 impl Breakdown {
     fn to_json(&self) -> Json {
-        let counts = [
-            ("native", self.native),
-            ("extraction_recursive_tree", self.extraction_recursive_tree),
-            ("plus_commuting_blocks", self.plus_commuting_blocks),
-            ("plus_absorption", self.plus_absorption),
-            ("plus_local_optimization", self.plus_local_optimization),
-        ];
-        let mut entries = vec![("benchmark".into(), Json::Str(self.benchmark.clone()))];
-        entries.extend(counts.map(|(key, count)| (key.into(), Json::Uint(count as u64))));
-        Json::Object(entries)
+        let uint = |n: usize| Json::Uint(n as u64);
+        Json::object([
+            ("benchmark", Json::Str(self.benchmark.clone())),
+            ("native", uint(self.native)),
+            (
+                "extraction_recursive_tree",
+                uint(self.extraction_recursive_tree),
+            ),
+            ("plus_commuting_blocks", uint(self.plus_commuting_blocks)),
+            ("plus_absorption", uint(self.plus_absorption)),
+            (
+                "plus_local_optimization",
+                uint(self.plus_local_optimization),
+            ),
+        ])
     }
 }
 
@@ -104,8 +109,6 @@ fn main() {
     table.print();
     println!("\n(paper, UCC-(4,8):        2624 → 1014 → 984 → ~half → 448)");
     println!("(paper, MaxCut-(n20,r8):  320  → 286  → 258 → 129 → 129)");
-    save_json(
-        "figure10",
-        &Json::Array(rows.iter().map(Breakdown::to_json).collect()),
-    );
+    let rows = Json::Array(rows.iter().map(Breakdown::to_json).collect());
+    save_json("figure10", &rows);
 }

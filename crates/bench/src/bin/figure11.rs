@@ -25,12 +25,11 @@ impl Row {
         let routed_cnot = self
             .routed_cnot
             .iter()
-            .map(|(method, &count)| (method.clone(), Json::Uint(count as u64)))
-            .collect();
-        Json::Object(vec![
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("device".into(), Json::Str(self.device.clone())),
-            ("routed_cnot".into(), Json::Object(routed_cnot)),
+            .map(|(method, &count)| (method.as_str(), Json::Uint(count as u64)));
+        Json::object([
+            ("benchmark", Json::Str(self.benchmark.clone())),
+            ("device", Json::Str(self.device.clone())),
+            ("routed_cnot", Json::object(routed_cnot)),
         ])
     }
 }
@@ -103,8 +102,6 @@ fn main() {
         }
         table.print();
     }
-    save_json(
-        "figure11",
-        &Json::Array(rows.iter().map(Row::to_json).collect()),
-    );
+    let rows = Json::Array(rows.iter().map(Row::to_json).collect());
+    save_json("figure11", &rows);
 }

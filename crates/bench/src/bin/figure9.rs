@@ -20,22 +20,17 @@ struct Row {
 
 impl Row {
     fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
+        let uint = |n: usize| Json::Uint(n as u64);
+        Json::object([
+            ("benchmark", Json::Str(self.benchmark.clone())),
+            ("cnot_without_peephole", uint(self.cnot_without_peephole)),
+            ("cnot_with_peephole", uint(self.cnot_with_peephole)),
             (
-                "cnot_without_peephole".into(),
-                Json::Uint(self.cnot_without_peephole as u64),
-            ),
-            (
-                "cnot_with_peephole".into(),
-                Json::Uint(self.cnot_with_peephole as u64),
-            ),
-            (
-                "time_without_peephole_s".into(),
+                "time_without_peephole_s",
                 Json::Float(self.time_without_peephole_s),
             ),
             (
-                "time_with_peephole_s".into(),
+                "time_with_peephole_s",
                 Json::Float(self.time_with_peephole_s),
             ),
         ])
@@ -95,8 +90,6 @@ fn main() {
             100.0 * (1.0 - ratio_product.powf(1.0 / count as f64))
         );
     }
-    save_json(
-        "figure9",
-        &Json::Array(rows.iter().map(Row::to_json).collect()),
-    );
+    let rows = Json::Array(rows.iter().map(Row::to_json).collect());
+    save_json("figure9", &rows);
 }

@@ -17,16 +17,14 @@ struct Row {
 
 impl Row {
     fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("category".into(), Json::Str(self.category.clone())),
-            ("qubits".into(), Json::Uint(self.qubits as u64)),
-            ("num_pauli".into(), Json::Uint(self.num_pauli as u64)),
-            ("native_cnot".into(), Json::Uint(self.native_cnot as u64)),
-            (
-                "native_single_qubit".into(),
-                Json::Uint(self.native_single_qubit as u64),
-            ),
+        let uint = |n: usize| Json::Uint(n as u64);
+        Json::object([
+            ("benchmark", Json::Str(self.benchmark.clone())),
+            ("category", Json::Str(self.category.clone())),
+            ("qubits", uint(self.qubits)),
+            ("num_pauli", uint(self.num_pauli)),
+            ("native_cnot", uint(self.native_cnot)),
+            ("native_single_qubit", uint(self.native_single_qubit)),
         ])
     }
 }
@@ -56,10 +54,8 @@ fn main() {
     }
     println!("Table II: benchmark information (native, unoptimized circuits)\n");
     table.print();
-    save_json(
-        "table2",
-        &Json::Array(rows.iter().map(Row::to_json).collect()),
-    );
+    let rows = Json::Array(rows.iter().map(Row::to_json).collect());
+    save_json("table2", &rows);
 }
 
 #[cfg(test)]

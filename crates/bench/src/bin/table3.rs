@@ -17,14 +17,10 @@ struct Row {
 
 impl Row {
     fn to_json(&self) -> Json {
-        let results = self
-            .results
-            .iter()
-            .map(|(method, result)| (method.clone(), result.to_json()))
-            .collect();
-        Json::Object(vec![
-            ("benchmark".into(), Json::Str(self.benchmark.clone())),
-            ("results".into(), Json::Object(results)),
+        let results = self.results.iter().map(|(m, r)| (m.as_str(), r.to_json()));
+        Json::object([
+            ("benchmark", Json::Str(self.benchmark.clone())),
+            ("results", Json::object(results)),
         ])
     }
 }
@@ -104,10 +100,8 @@ fn main() {
         }
     }
 
-    save_json(
-        "table3",
-        &Json::Array(rows.iter().map(Row::to_json).collect()),
-    );
+    let rows = Json::Array(rows.iter().map(Row::to_json).collect());
+    save_json("table3", &rows);
 }
 
 #[cfg(test)]

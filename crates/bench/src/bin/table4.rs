@@ -24,14 +24,14 @@ struct Row {
 
 impl Row {
     fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("count".into(), Json::Uint(self.count as u64)),
+        Json::object([
+            ("count", Json::Uint(self.count as u64)),
             (
-                "observable_absorption_s".into(),
+                "observable_absorption_s",
                 Json::Float(self.observable_absorption_s),
             ),
             (
-                "state_post_processing_s".into(),
+                "state_post_processing_s",
                 Json::Float(self.state_post_processing_s),
             ),
         ])
@@ -117,10 +117,8 @@ fn main() {
         ]);
     }
     table.print();
-    save_json(
-        "table4",
-        &Json::Array(rows.iter().map(Row::to_json).collect()),
-    );
+    let rows = Json::Array(rows.iter().map(Row::to_json).collect());
+    save_json("table4", &rows);
 }
 
 #[cfg(test)]

@@ -46,17 +46,12 @@ impl MethodResult {
     /// The cell as a JSON object, fields in declaration order.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("cnot_count".into(), Json::Uint(self.cnot_count as u64)),
-            (
-                "entangling_depth".into(),
-                Json::Uint(self.entangling_depth as u64),
-            ),
-            (
-                "single_qubit_count".into(),
-                Json::Uint(self.single_qubit_count as u64),
-            ),
-            ("compile_time_s".into(), Json::Float(self.compile_time_s)),
+        let uint = |n: usize| Json::Uint(n as u64);
+        Json::object([
+            ("cnot_count", uint(self.cnot_count)),
+            ("entangling_depth", uint(self.entangling_depth)),
+            ("single_qubit_count", uint(self.single_qubit_count)),
+            ("compile_time_s", Json::Float(self.compile_time_s)),
         ])
     }
 }

@@ -29,6 +29,17 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object of `(key, value)` entries, in order.
+    #[must_use]
+    pub fn object<'a>(entries: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Object(
+            entries
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
     /// The value as a boolean, if it is one.
     #[must_use]
     pub fn as_bool(&self) -> Option<bool> {

@@ -47,14 +47,6 @@ pub fn to_string_pretty(value: &Json) -> String {
 }
 
 fn render(value: &Json, indent: Option<usize>, depth: usize, out: &mut String) {
-    let (newline, pad, pad_close) = match indent {
-        Some(width) => (
-            "\n",
-            " ".repeat(width * (depth + 1)),
-            " ".repeat(width * depth),
-        ),
-        None => ("", String::new(), String::new()),
-    };
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -76,47 +68,42 @@ fn render(value: &Json, indent: Option<usize>, depth: usize, out: &mut String) {
             };
         }
         Json::Str(s) => push_escaped(s, out),
+        Json::Array(items) if items.is_empty() => out.push_str("[]"),
         Json::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(newline);
-                out.push_str(&pad);
+                newline(indent, depth + 1, out);
                 render(item, indent, depth + 1, out);
             }
-            out.push_str(newline);
-            out.push_str(&pad_close);
+            newline(indent, depth, out);
             out.push(']');
         }
+        Json::Object(entries) if entries.is_empty() => out.push_str("{}"),
         Json::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
             out.push('{');
             for (i, (key, item)) in entries.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(newline);
-                out.push_str(&pad);
+                newline(indent, depth + 1, out);
                 push_escaped(key, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
+                out.push_str(if indent.is_some() { ": " } else { ":" });
                 render(item, indent, depth + 1, out);
             }
-            out.push_str(newline);
-            out.push_str(&pad_close);
+            newline(indent, depth, out);
             out.push('}');
         }
+    }
+}
+
+/// Starts a line indented to `depth` when pretty-printing.
+fn newline(indent: Option<usize>, depth: usize, out: &mut String) {
+    if let Some(width) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', width * depth));
     }
 }
 

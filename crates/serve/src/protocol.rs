@@ -416,15 +416,6 @@ pub enum ResponseBody {
 // JSON encoding
 // ---------------------------------------------------------------------------
 
-fn obj(entries: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn str_array(items: &[String]) -> Json {
     Json::Array(items.iter().map(|s| Json::Str(s.clone())).collect())
 }
@@ -519,7 +510,7 @@ impl Request {
             | RequestKind::Health
             | RequestKind::Shutdown => {}
         }
-        serde_json::to_string(&obj(entries)).into_bytes()
+        serde_json::to_string(&Json::object(entries)).into_bytes()
     }
 
     /// Decodes a request frame.
@@ -597,7 +588,7 @@ impl CompiledSummary {
 }
 
 fn error_json(error: &WireError) -> Json {
-    obj(vec![
+    Json::object(vec![
         ("kind", Json::Str(error.kind.clone())),
         ("message", Json::Str(error.message.clone())),
     ])
@@ -635,9 +626,9 @@ impl Response {
                                 Ok(summary) => {
                                     let mut e = vec![("ok", Json::Bool(true))];
                                     e.extend(summary.to_entries());
-                                    obj(e)
+                                    Json::object(e)
                                 }
-                                Err(error) => obj(vec![
+                                Err(error) => Json::object(vec![
                                     ("ok", Json::Bool(false)),
                                     ("error", error_json(error)),
                                 ]),
@@ -699,7 +690,7 @@ impl Response {
                 }
             }
         }
-        serde_json::to_string(&obj(entries)).into_bytes()
+        serde_json::to_string(&Json::object(entries)).into_bytes()
     }
 
     /// Decodes a response frame.

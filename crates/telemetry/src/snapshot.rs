@@ -246,10 +246,10 @@ impl MetricsSnapshot {
                 )
             })
             .collect();
-        Json::Object(vec![
-            ("counters".to_string(), Json::Array(counters)),
-            ("gauges".to_string(), Json::Array(gauges)),
-            ("histograms".to_string(), Json::Array(histograms)),
+        Json::object([
+            ("counters", Json::Array(counters)),
+            ("gauges", Json::Array(gauges)),
+            ("histograms", Json::Array(histograms)),
         ])
     }
 
@@ -373,20 +373,18 @@ fn sample_object(
     help: &str,
     fields: Vec<(&str, Json)>,
 ) -> Json {
-    let mut entries = vec![("name".to_string(), Json::Str(name.to_string()))];
+    let mut entries = vec![("name", Json::Str(name.to_string()))];
     if let Some((key, value)) = label {
         entries.push((
-            "label".to_string(),
+            "label",
             Json::Array(vec![Json::Str(key.clone()), Json::Str(value.clone())]),
         ));
     }
     if !help.is_empty() {
-        entries.push(("help".to_string(), Json::Str(help.to_string())));
+        entries.push(("help", Json::Str(help.to_string())));
     }
-    for (key, value) in fields {
-        entries.push((key.to_string(), value));
-    }
-    Json::Object(entries)
+    entries.extend(fields);
+    Json::object(entries)
 }
 
 fn sample_array<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], String> {
