@@ -588,7 +588,7 @@ impl CompiledSummary {
 }
 
 fn error_json(error: &WireError) -> Json {
-    Json::object(vec![
+    Json::object([
         ("kind", Json::Str(error.kind.clone())),
         ("message", Json::Str(error.message.clone())),
     ])
@@ -628,7 +628,7 @@ impl Response {
                                     e.extend(summary.to_entries());
                                     Json::object(e)
                                 }
-                                Err(error) => Json::object(vec![
+                                Err(error) => Json::object([
                                     ("ok", Json::Bool(false)),
                                     ("error", error_json(error)),
                                 ]),
