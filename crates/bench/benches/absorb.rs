@@ -19,6 +19,7 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use quclear_core::{compile, QuClearConfig, ShotBatch};
 use quclear_pauli::{BitVec, PauliOp, PauliString, SignedPauli};
+use quclear_tableau::CliffordTableau;
 use quclear_workloads::Benchmark;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,6 +50,7 @@ fn bench_ca_pre(c: &mut Criterion) {
     let n = bench.num_qubits();
     let result = compile(&bench.rotations(), &QuClearConfig::default());
     let plan = result.absorption_plan();
+    let heisenberg = CliffordTableau::heisenberg_from_circuit(&result.extracted);
     let observables = random_observables(n, OBSERVABLES, 0xCAFE);
 
     let mut group = c.benchmark_group("ca_pre");
@@ -60,7 +62,7 @@ fn bench_ca_pre(c: &mut Criterion) {
             b.iter(|| {
                 black_box(obs)
                     .iter()
-                    .map(|o| result.heisenberg.apply_signed(o))
+                    .map(|o| heisenberg.apply_signed(o))
                     .collect::<Vec<_>>()
             });
         },

@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 use quclear_circuit::{Circuit, Gate};
 use quclear_pauli::{BitVec, PauliFrame, PauliOp, PauliString, SignedPauli};
@@ -54,36 +53,23 @@ use crate::shots::ShotBatch;
 /// assert_eq!(absorbed.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct AbsorptionPlan {
     n: usize,
-    heisenberg: CliffordTableau,
     /// Gate sequence whose frame replay implements `P ↦ U_CL† P U_CL`
-    /// (the gates of the inverse extracted circuit, in time order). Shared so
-    /// cloning a plan — e.g. into every cached template — is cheap.
-    replay: Arc<[Gate]>,
+    /// (the gates of the inverse extracted circuit, in time order).
+    inverse_gates: Vec<Gate>,
 }
 
 impl AbsorptionPlan {
-    /// Builds a plan from the Heisenberg map plus the extracted Clifford
-    /// circuit it was derived from. CA-Pre replays the inverse extracted
-    /// gates over the observable frame, so `extracted` should be the short
-    /// resynthesized `U_CL` the pipeline serves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit and tableau disagree on the qubit count.
+    /// Builds a plan from the extracted Clifford circuit. CA-Pre replays the
+    /// inverse extracted gates over the observable frame, so `extracted`
+    /// should be the short resynthesized `U_CL` the pipeline serves.
     #[must_use]
-    pub fn from_extraction(heisenberg: CliffordTableau, extracted: &Circuit) -> Self {
-        assert_eq!(
-            extracted.num_qubits(),
-            heisenberg.num_qubits(),
-            "extracted circuit and Heisenberg tableau must share a register"
-        );
+    pub fn from_extracted(extracted: &Circuit) -> Self {
         AbsorptionPlan {
-            n: heisenberg.num_qubits(),
-            heisenberg,
-            replay: extracted.inverse().gates().to_vec().into(),
+            n: extracted.num_qubits(),
+            inverse_gates: extracted.inverse().gates().to_vec(),
         }
     }
 
@@ -93,10 +79,12 @@ impl AbsorptionPlan {
         self.n
     }
 
-    /// The Heisenberg map `P ↦ U_CL† P U_CL`.
+    /// The gates of `U_CL†` in time order: the sequence CA-Pre replays, and
+    /// the circuit that takes the program's state to the optimized
+    /// circuit's.
     #[must_use]
-    pub fn heisenberg(&self) -> &CliffordTableau {
-        &self.heisenberg
+    pub fn inverse_gates(&self) -> &[Gate] {
+        &self.inverse_gates
     }
 
     /// CA-Pre on a whole observable set: loads the set into one frame,
@@ -112,7 +100,7 @@ impl AbsorptionPlan {
     #[must_use]
     pub fn absorb(&self, observables: &[SignedPauli]) -> AbsorbedObservables {
         let mut frame = PauliFrame::from_signed(self.n, observables);
-        for gate in self.replay.iter() {
+        for gate in &self.inverse_gates {
             conjugate_all_by_gate(&mut frame, gate);
         }
         AbsorbedObservables { frame }
@@ -489,20 +477,13 @@ mod tests {
             .collect()
     }
 
-    fn plan_for(extracted: &Circuit) -> AbsorptionPlan {
-        AbsorptionPlan::from_extraction(
-            CliffordTableau::heisenberg_from_circuit(extracted),
-            extracted,
-        )
-    }
-
     #[test]
     fn absorb_observables_through_cnot() {
         // U_CL = CNOT(0→1): O = XX becomes XI (Heisenberg map of CNOT).
         let mut e = Circuit::new(2);
         e.cx(0, 1);
         let obs: Vec<SignedPauli> = vec!["XX".parse().unwrap(), "ZZ".parse().unwrap()];
-        let absorbed = plan_for(&e).absorb(&obs);
+        let absorbed = AbsorptionPlan::from_extracted(&e).absorb(&obs);
         assert_eq!(absorbed.get(0).to_string(), "+XI");
         assert_eq!(absorbed.get(1).to_string(), "+IZ");
     }
@@ -615,9 +596,9 @@ mod tests {
             .map(|s| s.parse().unwrap())
             .collect();
         for extracted in [&layer, &deep] {
-            let plan = plan_for(extracted);
-            let scalar = per_string(plan.heisenberg(), &observables);
-            let absorbed = plan.absorb(&observables);
+            let heisenberg = CliffordTableau::heisenberg_from_circuit(extracted);
+            let scalar = per_string(&heisenberg, &observables);
+            let absorbed = AbsorptionPlan::from_extracted(extracted).absorb(&observables);
             assert_eq!(absorbed.to_vec(), scalar);
             // Sign plane mirrors the per-row signs.
             for (i, o) in scalar.iter().enumerate() {
@@ -633,7 +614,7 @@ mod tests {
         let mut e = Circuit::new(2);
         e.cx(0, 1);
         let observables: Vec<SignedPauli> = vec!["ZZ".parse().unwrap(), "XX".parse().unwrap()];
-        let absorbed = plan_for(&e).absorb(&observables);
+        let absorbed = AbsorptionPlan::from_extracted(&e).absorb(&observables);
         // CNOT absorption: ZZ → IZ, XX → XI — they commute qubit-wise.
         let groups = absorbed.commuting_groups();
         let covered: usize = groups.iter().map(Vec::len).sum();

@@ -73,12 +73,6 @@ impl Gf2Matrix {
         Gf2Matrix { n, rows }
     }
 
-    /// Matrix dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Entry accessor.
     ///
     /// # Panics

@@ -17,7 +17,7 @@
 //!   probability measurements (Proposition 1),
 //! * [`compile`] — the end-to-end pipeline with the ablation switches used by
 //!   Figures 9 and 10,
-//! * [`lift`](lift()) / [`lift_qasm`] — the ingestion front door: a
+//! * [`lift`](lift()) — the ingestion front door: a
 //!   gate-level (e.g. QASM-parsed) circuit is rewritten as a Pauli-rotation
 //!   program plus one trailing Clifford ([`LiftedProgram`]), so external
 //!   circuits enter the pipeline exactly like native programs.
@@ -66,7 +66,7 @@ pub use grouping::{
     diagonalize_commuting_frame, group_commuting, group_commuting_frame, group_qubitwise_commuting,
     qubit_wise_commute, GroupDiagonalizer, MeasurementGroup, MeasurementPlan, PlannedGroup,
 };
-pub use lift::{lift, lift_qasm, LiftedProgram};
+pub use lift::{lift, LiftedProgram};
 pub use pipeline::{compile, QuClearConfig, QuClearResult};
 pub use shots::ShotBatch;
 pub use tree::{LookaheadOps, TreeSynthesizer};

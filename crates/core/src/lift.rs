@@ -14,10 +14,8 @@
 //! generator frame of the accumulated Clifford `C`: the 2n rows `C†·X_q·C`
 //! and `C†·Z_q·C`. A Clifford gate rewrites only the rows of the qubits it
 //! touches (each new row is a signed product of at most two old rows), so
-//! the whole pass is `O(gates · n/64)` words. The forward trailing tableau
-//! `P ↦ C·P·C†` is then built once from the collected Clifford gates
-//! ([`CliffordTableau::from_circuit`] — the same word-parallel
-//! [`CliffordTableau::then_gate`] fold, just done at the end).
+//! the whole pass is `O(gates · n/64)` words. The Clifford gates themselves
+//! are kept, in their original order, as the trailing circuit.
 //!
 //! When a rotation gate arrives (`Rz`/`Rx`/`Ry`, and `T`/`T†` once parsed as
 //! `Rz(±π/4)`), it commutes leftwards past `C`:
@@ -30,8 +28,8 @@
 //!
 //! # Examples
 //!
-//! The textbook ZZ-interaction gadget lifts to a single two-qubit rotation
-//! with an identity trailing Clifford:
+//! The textbook ZZ-interaction gadget lifts to a single two-qubit rotation;
+//! its two CNOTs stay behind in the trailing Clifford, where they cancel:
 //!
 //! ```
 //! use quclear_circuit::Circuit;
@@ -44,29 +42,27 @@
 //! let lifted = lift(&qc);
 //! assert_eq!(lifted.rotations.len(), 1);
 //! assert_eq!(lifted.rotations[0].pauli().to_string(), "ZZ");
-//! assert!(lifted.trailing_clifford.is_identity());
+//! assert_eq!(lifted.trailing_circuit().cnot_count(), 2);
 //! ```
 //!
-//! Lifted programs compile like native ones; [`LiftedProgram::attach`] folds
-//! the trailing Clifford back into the result:
+//! Lifted programs compile like native ones; [`LiftedProgram::attach`]
+//! appends the trailing Clifford to the result's extracted Clifford:
 //!
 //! ```
-//! use quclear_core::{compile, lift_qasm, QuClearConfig};
+//! use quclear_circuit::qasm::from_qasm;
+//! use quclear_core::{compile, lift, QuClearConfig};
 //!
-//! let lifted = lift_qasm(
+//! let lifted = lift(&from_qasm(
 //!     "qreg q[2]; h q[0]; cx q[0], q[1]; rz(pi/4) q[1]; cx q[0], q[1];",
-//! )?;
+//! )?);
 //! let result = lifted.attach(compile(&lifted.rotations, &QuClearConfig::default()));
 //! assert_eq!(result.optimized.num_qubits(), 2);
 //! # Ok::<(), quclear_circuit::qasm::ParseQasmError>(())
 //! ```
 
-use quclear_circuit::qasm::{from_qasm, ParseQasmError};
+use crate::pipeline::QuClearResult;
 use quclear_circuit::{Circuit, Gate};
 use quclear_pauli::{PauliOp, PauliRotation, PauliString, SignedPauli};
-use quclear_tableau::CliffordTableau;
-
-use crate::pipeline::QuClearResult;
 
 /// Ordered product `i^k · f₀·f₁·…`, asserting that the result is Hermitian
 /// (the exponent of `i` ends up even), as any Clifford conjugation image
@@ -181,23 +177,17 @@ impl HeisenbergFrame {
             }
         }
     }
-
-    /// The frame as a tableau: the Heisenberg map `P ↦ C†·P·C`.
-    fn into_tableau(self) -> CliffordTableau {
-        let n = self.n;
-        CliffordTableau::from_generator_images(&self.rows[..n], &self.rows[n..])
-    }
 }
 
-/// A gate-level circuit rewritten as `trailing_clifford ∘ rotations`: the
-/// rotation sequence applied first (in vector order), followed by one
-/// Clifford.
+/// A gate-level circuit rewritten as `trailing ∘ rotations`: the rotation
+/// sequence applied first (in vector order), followed by one Clifford
+/// circuit.
 ///
-/// Produced by [`lift`] / [`lift_qasm`]. The rotation program is what enters
+/// Produced by [`lift`]. The rotation program is what enters
 /// [`compile`](crate::compile) or the engine; the trailing Clifford is never
-/// executed — [`LiftedProgram::attach`] merges it into a compilation result,
-/// where Clifford Absorption folds it into measurements like any extracted
-/// Clifford.
+/// executed — [`LiftedProgram::attach`] appends it to a compilation
+/// result's extracted Clifford, which Clifford Absorption folds into
+/// measurements.
 ///
 /// # Examples
 ///
@@ -219,13 +209,10 @@ pub struct LiftedProgram {
     /// `exp(-i·θᵢ/2·(±Pᵢ))` with the conjugated-axis sign already folded
     /// into the angle.
     pub rotations: Vec<PauliRotation>,
-    /// The forward map `P ↦ C·P·C†` of the trailing Clifford `C`.
-    pub trailing_clifford: CliffordTableau,
     num_qubits: usize,
     axes: Vec<SignedPauli>,
     angles: Vec<f64>,
     trailing_circuit: Circuit,
-    heisenberg: CliffordTableau,
 }
 
 impl LiftedProgram {
@@ -261,17 +248,10 @@ impl LiftedProgram {
         &self.trailing_circuit
     }
 
-    /// The Heisenberg map `P ↦ C†·P·C` of the trailing Clifford — the
-    /// direction Clifford Absorption uses to rewrite observables.
-    #[must_use]
-    pub fn heisenberg(&self) -> &CliffordTableau {
-        &self.heisenberg
-    }
-
     /// Merges the trailing Clifford into a compilation of
-    /// [`Self::rotations`]: the returned result's `optimized ∘ extracted`
-    /// is equivalent to the original circuit, and its Heisenberg map (hence
-    /// CA-Pre/CA-Post) accounts for both Cliffords.
+    /// [`Self::rotations`] by appending it to the extracted Clifford: the
+    /// returned result's `optimized ∘ extracted` is equivalent to the
+    /// original circuit, and CA-Pre/CA-Post absorb both Cliffords.
     ///
     /// # Panics
     ///
@@ -282,27 +262,20 @@ impl LiftedProgram {
         let n = self.num_qubits;
         // `compile(&[])` legitimately produces zero-qubit circuits; widen
         // them so Clifford-only inputs round-trip.
-        let (optimized, mut extracted, heisenberg) = if compiled.optimized.num_qubits() == n {
-            (compiled.optimized, compiled.extracted, compiled.heisenberg)
+        let (optimized, mut extracted) = if compiled.optimized.num_qubits() == n {
+            (compiled.optimized, compiled.extracted)
         } else {
             assert!(
                 compiled.optimized.is_empty() && compiled.extracted.is_empty(),
                 "attach: compiled result is for {} qubits, lifted program for {n}",
                 compiled.optimized.num_qubits()
             );
-            (
-                Circuit::new(n),
-                Circuit::new(n),
-                CliffordTableau::identity(n),
-            )
+            (Circuit::new(n), Circuit::new(n))
         };
         extracted.append(&self.trailing_circuit);
         QuClearResult {
             optimized,
             extracted,
-            // Total trailing unitary: C_lift · U_ext (extracted runs first in
-            // time order), so the Heisenberg map applies the lift's first.
-            heisenberg: self.heisenberg.then(&heisenberg),
         }
     }
 }
@@ -310,8 +283,9 @@ impl LiftedProgram {
 /// Lifts a gate-level circuit into a Pauli-rotation program followed by one
 /// trailing Clifford.
 ///
-/// Clifford gates fold into a running tableau; every `Rz`/`Rx`/`Ry` becomes
-/// a [`PauliRotation`] about the running Clifford's conjugated image of its
+/// Clifford gates fold into a running Heisenberg generator frame and are
+/// kept as the trailing circuit; every `Rz`/`Rx`/`Ry` becomes a
+/// [`PauliRotation`] about the running Clifford's conjugated image of its
 /// native axis (see the [module docs](self) for the algebra). The pass is a
 /// single `O(gates · n/64)`-word sweep and never fails: the whole workspace
 /// gate set is liftable.
@@ -335,7 +309,7 @@ impl LiftedProgram {
 /// let lifted = lift(&qc);
 /// assert_eq!(lifted.rotations.len(), 1);
 /// assert_eq!(lifted.rotations[0].pauli().to_string(), "ZZZ");
-/// assert!(lifted.trailing_clifford.is_identity());
+/// assert_eq!(lifted.trailing_circuit().cnot_count(), 4);
 /// ```
 #[must_use]
 pub fn lift(circuit: &Circuit) -> LiftedProgram {
@@ -371,40 +345,17 @@ pub fn lift(circuit: &Circuit) -> LiftedProgram {
         .collect();
     LiftedProgram {
         rotations,
-        trailing_clifford: CliffordTableau::from_circuit(&trailing),
         num_qubits: n,
         axes,
         angles,
         trailing_circuit: trailing,
-        heisenberg: frame.into_tableau(),
     }
-}
-
-/// Parses OpenQASM 2.0 text and lifts it in one step.
-///
-/// # Errors
-///
-/// Returns the [`ParseQasmError`] of [`from_qasm`] when the text does not
-/// parse; the lift itself cannot fail.
-///
-/// # Examples
-///
-/// ```
-/// use quclear_core::lift_qasm;
-///
-/// let lifted = lift_qasm(
-///     "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\nrz(pi/3) q[1];\ncx q[0], q[1];\n",
-/// )?;
-/// assert_eq!(lifted.rotations[0].pauli().to_string(), "ZZ");
-/// # Ok::<(), quclear_circuit::qasm::ParseQasmError>(())
-/// ```
-pub fn lift_qasm(text: &str) -> Result<LiftedProgram, ParseQasmError> {
-    Ok(lift(&from_qasm(text)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quclear_tableau::CliffordTableau;
 
     /// A circuit exercising every Clifford gate kind.
     fn all_clifford_gates(n: usize) -> Circuit {
@@ -432,7 +383,6 @@ mod tests {
         let lifted = lift(&c);
         assert!(lifted.rotations.is_empty());
         assert_eq!(lifted.trailing_circuit().gates(), c.gates());
-        assert_eq!(lifted.trailing_clifford, CliffordTableau::from_circuit(&c));
     }
 
     #[test]
@@ -440,11 +390,15 @@ mod tests {
         // The frame's row rules implement pre-composition by hand; the
         // tableau built from the inverse circuit is the trusted oracle.
         let c = all_clifford_gates(4);
-        let lifted = lift(&c);
-        assert_eq!(
-            *lifted.heisenberg(),
-            CliffordTableau::heisenberg_from_circuit(&c)
-        );
+        let mut frame = HeisenbergFrame::identity(4);
+        for gate in c.gates() {
+            frame.push_clifford(gate);
+        }
+        let oracle = CliffordTableau::heisenberg_from_circuit(&c);
+        for q in 0..4 {
+            assert_eq!(*frame.x_row(q), oracle.x_image(q), "X_{q} row");
+            assert_eq!(*frame.z_row(q), oracle.z_image(q), "Z_{q} row");
+        }
     }
 
     #[test]
@@ -543,8 +497,7 @@ mod tests {
         assert_eq!(lifted.rotations.len(), 1);
         assert_eq!(lifted.rotations[0].pauli().to_string(), "ZZZZ");
         assert!((lifted.rotations[0].angle() - 0.9).abs() < 1e-15);
-        assert!(lifted.trailing_clifford.is_identity());
-        assert!(lifted.heisenberg().is_identity());
+        assert!(CliffordTableau::from_circuit(lifted.trailing_circuit()).is_identity());
     }
 
     #[test]
@@ -601,16 +554,13 @@ mod tests {
         qc.rz(1, 0.8);
         qc.h(0);
         let lifted = lift(&qc);
-        let result = lifted.attach(crate::compile(
-            &lifted.rotations,
-            &crate::QuClearConfig::default(),
-        ));
-        // The composed Heisenberg map must match the one computed from the
-        // composed extracted circuit.
-        assert_eq!(
-            result.heisenberg,
-            CliffordTableau::heisenberg_from_circuit(&result.extracted)
-        );
+        let compiled = crate::compile(&lifted.rotations, &crate::QuClearConfig::default());
+        let result = lifted.attach(compiled.clone());
+        // The extracted Clifford runs first, then the lift's trailing one.
+        let mut expected = compiled.extracted;
+        expected.append(lifted.trailing_circuit());
+        assert_eq!(result.extracted.gates(), expected.gates());
+        assert_eq!(result.optimized.gates(), compiled.optimized.gates());
     }
 
     #[test]
@@ -630,7 +580,6 @@ mod tests {
     fn empty_circuit_lifts_to_empty_everything() {
         let lifted = lift(&Circuit::new(3));
         assert!(lifted.rotations.is_empty());
-        assert!(lifted.trailing_clifford.is_identity());
         assert!(lifted.trailing_circuit().is_empty());
     }
 }

@@ -3,7 +3,6 @@
 
 use quclear_circuit::{optimize, Circuit};
 use quclear_pauli::{PauliRotation, SignedPauli};
-use quclear_tableau::CliffordTableau;
 
 use crate::absorb::{AbsorbedObservables, AbsorptionError, AbsorptionPlan, ProbabilityAbsorber};
 use crate::extract::{extract_clifford, ExtractionConfig};
@@ -53,8 +52,6 @@ pub struct QuClearResult {
     /// `O(n²)` gates, equal to the raw extraction log up to global phase.
     /// [`crate::extract_clifford`] still returns the raw log.
     pub extracted: Circuit,
-    /// The Heisenberg map `P ↦ U_CL† P U_CL`.
-    pub heisenberg: CliffordTableau,
 }
 
 impl QuClearResult {
@@ -99,7 +96,7 @@ impl QuClearResult {
     /// conjugating one string at a time.
     #[must_use]
     pub fn absorption_plan(&self) -> AbsorptionPlan {
-        AbsorptionPlan::from_extraction(self.heisenberg.clone(), &self.extracted)
+        AbsorptionPlan::from_extracted(&self.extracted)
     }
 
     /// CA modules for probability-distribution measurements.
@@ -142,7 +139,6 @@ pub fn compile(rotations: &[PauliRotation], config: &QuClearConfig) -> QuClearRe
     QuClearResult {
         optimized,
         extracted: extraction.extracted,
-        heisenberg: extraction.heisenberg,
     }
 }
 

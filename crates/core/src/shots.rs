@@ -244,16 +244,16 @@ mod tests {
 
     #[test]
     fn transpose64_is_an_involution_and_moves_bits() {
-        use quclear_pauli::transpose64;
+        use quclear_pauli::transpose64_top;
         let mut a = [0u64; 64];
         a[3] = 1 << 17;
         a[63] = (1 << 0) | (1 << 63);
         let orig = a;
-        transpose64(&mut a);
+        transpose64_top(&mut a, 64);
         assert_eq!(a[17] & (1 << 3), 1 << 3);
         assert_eq!(a[0] & (1 << 63), 1 << 63);
         assert_eq!(a[63] & (1 << 63), 1 << 63);
-        transpose64(&mut a);
+        transpose64_top(&mut a, 64);
         assert_eq!(a, orig);
     }
 

@@ -63,7 +63,7 @@ fn shot_count() -> impl Strategy<Value = usize> {
 
 /// The scalar oracle: applies `x ↦ A·x ⊕ b` one shot and one bit at a time.
 fn naive_affine(matrix: &Gf2Matrix, offset: &[bool], shots: &[u64]) -> Vec<u64> {
-    let n = matrix.dim();
+    let n = offset.len();
     shots
         .iter()
         .map(|&x| {

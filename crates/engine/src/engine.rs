@@ -701,7 +701,7 @@ impl Engine {
     /// parameter-sweep fast path for QASM-origin ansätze: the structure is
     /// parsed, lifted and template-compiled once, then every angle set is
     /// an `O(gates)` bind. For more control (e.g. lifting once for many
-    /// binds), use [`quclear_core::lift_qasm`] with
+    /// binds), use [`quclear_core::lift`] on the parsed circuit with
     /// [`Self::compile_lifted`]. The deadline is checked as for
     /// [`Self::compile_qasm`].
     ///
@@ -946,7 +946,7 @@ impl Engine {
                 state.apply_rotation_run(run, &program[run.range()]);
             }
         }
-        for gates in template.extracted().inverse().gates().chunks(batch) {
+        for gates in template.inverse_extracted_gates().chunks(batch) {
             self.deadline.check()?;
             gates.iter().for_each(|gate| state.apply_gate(gate));
         }

@@ -87,11 +87,13 @@ struct Slot {
 /// A template holds one patchable skeleton (the peephole-optimized marker
 /// circuit, with its parameterized `Rz` slots decoded) and the extracted
 /// Clifford every bind shares. What is derived from them on demand is built
-/// once, on first use, and shared across clones: the CA-Pre and
-/// measurement-plan memos, the CA-Post absorber, the rotation-run plan, and
-/// the served OpenQASM ([`Self::render_qasm`]) — the extracted Clifford's
-/// text, and the skeleton's text with its angles cut out, so a bind that
-/// returns the patched skeleton renders by filling in its angles.
+/// once, on first use, and owned by the template: one memo of observable
+/// sets (each set's CA-Pre rewriting and its measurement plan), the CA-Post
+/// absorber, the rotation-run plan, and the served OpenQASM
+/// ([`Self::render_qasm`]) — the extracted Clifford's text, and the
+/// skeleton's text with its angles cut out, so a bind that returns the
+/// patched skeleton renders by filling in its angles. The engine's cache
+/// shares a template as an `Arc<CompiledTemplate>`.
 ///
 /// # Examples
 ///
@@ -110,7 +112,7 @@ struct Slot {
 /// assert!(result.cnot_count() <= 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CompiledTemplate {
     fingerprint: ProgramFingerprint,
     config: QuClearConfig,
@@ -127,30 +129,24 @@ pub struct CompiledTemplate {
     raw_skeleton: bool,
     extracted: Circuit,
     /// Batch absorption recipe (angle-independent, like the extracted
-    /// Clifford it derives from): built once at compile time so every warm
-    /// bind gets CA-Pre/CA-Post for free. It holds the template's one copy
-    /// of the Heisenberg tableau.
+    /// Clifford it derives from): the inverse extracted gates that CA-Pre
+    /// replays and an estimate's simulation ends with, built once at
+    /// compile time.
     absorption: AbsorptionPlan,
-    /// Memoized CA-Pre results per observable set. Shared across template
-    /// clones (the cache hands out `Arc<CompiledTemplate>` clones), so a
-    /// template cache hit never re-conjugates an observable set it has
-    /// already rewritten.
-    absorbed_memo: Arc<ObservableSetMemo<AbsorbedObservables>>,
-    /// Memoized measurement-reduction plans (commuting groups + per-group
-    /// diagonalizers + composed readout maps) per observable set, shared
-    /// across clones like the CA-Pre memo.
-    measurement_memo: Arc<ObservableSetMemo<MeasurementPlan>>,
+    /// Memoized observable sets: each set's CA-Pre rewriting and, built on
+    /// first use, its measurement plan. A template cache hit never
+    /// re-conjugates or re-diagonalizes a set it has already seen.
+    observable_sets: ObservableSetMemo,
     /// Memoized CA-Post shot absorber (or the reason the extracted Clifford
-    /// does not reduce to one), built on first use and shared across clones.
-    probability_absorber: Arc<OnceLock<Result<Arc<ProbabilityAbsorber>, AbsorptionError>>>,
+    /// does not reduce to one), built on first use.
+    probability_absorber: OnceLock<Result<Arc<ProbabilityAbsorber>, AbsorptionError>>,
     /// The program's runs of commuting same-X rotations, one dense pass
     /// each in an estimate; built on the first estimate (so templates that
-    /// are never estimated pay nothing) and shared across clones.
-    rotation_runs: Arc<OnceLock<Vec<RotationRun>>>,
+    /// are never estimated pay nothing).
+    rotation_runs: OnceLock<Vec<RotationRun>>,
     /// The served OpenQASM, rendered on the first [`Self::render_qasm`]
-    /// (so templates that are only estimated or absorbed pay nothing) and
-    /// shared across clones.
-    qasm: Arc<OnceLock<TemplateQasm>>,
+    /// (so templates that are only estimated or absorbed pay nothing).
+    qasm: OnceLock<TemplateQasm>,
     /// Stage histograms attached by the owning engine; `None` for
     /// standalone templates.
     stage_metrics: Option<StageMetrics>,
@@ -166,63 +162,70 @@ struct TemplateQasm {
     skeleton: Option<QasmHoles>,
 }
 
-/// Soft cap on memoized observable sets per template and memo: workloads
-/// measure a handful of Hamiltonians per ansatz, so this is generous, and it
-/// bounds memory if a caller streams unique sets through one template.
+/// Soft cap on memoized observable sets per template: workloads measure a
+/// handful of Hamiltonians per ansatz, so this is generous, and it bounds
+/// memory if a caller streams unique sets through one template.
 const OBSERVABLE_SET_MEMO_CAPACITY: usize = 16;
 
-/// A per-template memo from observable sets to a result derived from them.
+/// One memoized observable set: its CA-Pre rewriting, and the measurement
+/// plan built from that rewriting on first use.
+#[derive(Debug)]
+struct ObservableSet {
+    absorbed: Arc<AbsorbedObservables>,
+    plan: OnceLock<Arc<MeasurementPlan>>,
+}
+
+/// A per-template memo from observable sets to what is derived from them.
 ///
 /// Entries are keyed by a 64-bit hash of the set, and the stored set
 /// disambiguates collisions exactly: a collision recomputes, never
 /// corrupts. Past [`OBSERVABLE_SET_MEMO_CAPACITY`] sets, an arbitrary entry
 /// is dropped: the memo is a convenience cache, not an LRU.
-#[derive(Debug)]
-struct ObservableSetMemo<T> {
-    entries: RwLock<HashMap<u64, MemoEntry<T>>>,
+#[derive(Debug, Default)]
+struct ObservableSetMemo {
+    entries: RwLock<HashMap<u64, MemoEntry>>,
 }
 
 /// One memoized set: the exact observables (the collision check) and the
-/// shared result.
-type MemoEntry<T> = (Vec<SignedPauli>, Arc<T>);
+/// shared entry.
+type MemoEntry = (Vec<SignedPauli>, Arc<ObservableSet>);
 
-impl<T> Default for ObservableSetMemo<T> {
-    fn default() -> Self {
-        ObservableSetMemo {
-            entries: RwLock::new(HashMap::new()),
-        }
-    }
-}
-
-impl<T> ObservableSetMemo<T> {
-    /// Returns the memoized result for `observables`, or runs `compute`
-    /// (with no lock held) and memoizes its result.
-    fn get_or_compute(&self, observables: &[SignedPauli], compute: impl FnOnce() -> T) -> Arc<T> {
+impl ObservableSetMemo {
+    /// Returns the entry for `observables`, or runs `absorb` (with no lock
+    /// held) and memoizes a new entry holding its result.
+    fn get_or_absorb(
+        &self,
+        observables: &[SignedPauli],
+        absorb: impl FnOnce() -> AbsorbedObservables,
+    ) -> Arc<ObservableSet> {
         let key = observable_set_key(observables);
         // Both acquisitions recover from lock poisoning: the map only holds
         // `Arc`s and every mutation below is a single HashMap operation, so
         // it is structurally valid at every panic point. A panicked request
         // (e.g. an `absorb` on mismatched register sizes, contained by the
         // engine) must not disable the memo for the template's lifetime.
-        if let Some((set, value)) = self
+        if let Some((set, entry)) = self
             .entries
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
         {
             if set == observables {
-                return Arc::clone(value);
+                return Arc::clone(entry);
             }
         }
-        let value = Arc::new(compute());
+        let entry = Arc::new(ObservableSet {
+            absorbed: Arc::new(absorb()),
+            plan: OnceLock::new(),
+        });
         let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
         if entries.len() >= OBSERVABLE_SET_MEMO_CAPACITY && !entries.contains_key(&key) {
             if let Some(&evict) = entries.keys().next() {
                 entries.remove(&evict);
             }
         }
-        entries.insert(key, (observables.to_vec(), Arc::clone(&value)));
-        value
+        entries.insert(key, (observables.to_vec(), Arc::clone(&entry)));
+        entry
     }
 }
 
@@ -306,8 +309,7 @@ impl CompiledTemplate {
             (raw, raw_slots, false)
         };
 
-        let absorption =
-            AbsorptionPlan::from_extraction(extraction.heisenberg, &extraction.extracted);
+        let absorption = AbsorptionPlan::from_extracted(&extraction.extracted);
         Ok(CompiledTemplate {
             fingerprint: ProgramFingerprint::of_axes(axes, config),
             config: *config,
@@ -318,17 +320,16 @@ impl CompiledTemplate {
             raw_skeleton,
             extracted: extraction.extracted,
             absorption,
-            absorbed_memo: Arc::default(),
-            measurement_memo: Arc::default(),
-            probability_absorber: Arc::new(OnceLock::new()),
-            rotation_runs: Arc::new(OnceLock::new()),
-            qasm: Arc::new(OnceLock::new()),
+            observable_sets: ObservableSetMemo::default(),
+            probability_absorber: OnceLock::new(),
+            rotation_runs: OnceLock::new(),
+            qasm: OnceLock::new(),
             stage_metrics: None,
         })
     }
 
     /// Attaches the engine's stage histograms (recorded on every bind /
-    /// absorb through this template and its clones).
+    /// absorb through this template).
     pub(crate) fn set_stage_metrics(&mut self, metrics: StageMetrics) {
         self.stage_metrics = Some(metrics);
     }
@@ -366,7 +367,7 @@ impl CompiledTemplate {
     /// * [`EngineError::NonFiniteAngle`] — an angle is NaN or infinite.
     pub fn bind(&self, angles: &[f64]) -> Result<QuClearResult, EngineError> {
         // The `bind` stage times validation, patching and the peephole, not
-        // the copies of the shared parts below.
+        // the copy of the extracted Clifford below.
         let start = Instant::now();
         let optimized = self.patch_and_peephole(angles);
         if let Some(metrics) = &self.stage_metrics {
@@ -375,7 +376,6 @@ impl CompiledTemplate {
         Ok(QuClearResult {
             optimized: optimized?,
             extracted: self.extracted.clone(),
-            heisenberg: self.absorption.heisenberg().clone(),
         })
     }
 
@@ -494,6 +494,11 @@ impl CompiledTemplate {
         &self.extracted
     }
 
+    /// The gates of the extracted Clifford's inverse, in time order.
+    pub(crate) fn inverse_extracted_gates(&self) -> &[Gate] {
+        self.absorption.inverse_gates()
+    }
+
     /// The two OpenQASM texts served for a bind of this template:
     /// `(to_qasm(optimized), to_qasm(extracted))`, byte for byte, where
     /// `optimized` is the bind's optimized circuit and `extracted` the
@@ -532,21 +537,11 @@ impl CompiledTemplate {
         texts
     }
 
-    /// CA-Pre on an observable set, memoized per template: the first call
-    /// conjugates the whole set through the extracted Clifford in one
-    /// word-parallel frame sweep; repeat calls with the same set return the
-    /// shared result without re-conjugating anything (hash lookup plus an
-    /// exact equality check — collisions recompute, never corrupt).
-    ///
-    /// The memo is shared across clones of the template, so an
-    /// [`crate::Engine`] cache hit reuses rewritten sets from earlier binds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an observable's qubit count differs from the template's.
-    #[must_use]
-    pub fn absorb_observables(&self, observables: &[SignedPauli]) -> Arc<AbsorbedObservables> {
-        self.absorbed_memo.get_or_compute(observables, || {
+    /// The memo entry for an observable set: on a miss, CA-Pre conjugates
+    /// the whole set through the extracted Clifford in one word-parallel
+    /// frame sweep, recorded as the `absorb_pre` stage.
+    fn observable_set(&self, observables: &[SignedPauli]) -> Arc<ObservableSet> {
+        self.observable_sets.get_or_absorb(observables, || {
             let start = Instant::now();
             let absorbed = self.absorption.absorb(observables);
             if let Some(metrics) = &self.stage_metrics {
@@ -556,38 +551,56 @@ impl CompiledTemplate {
         })
     }
 
-    /// The measurement-reduction plan for an observable set, memoized per
-    /// template: CA-Pre absorbs the set (reusing [`Self::absorb_observables`]'s
-    /// memo), then the absorbed frame is partitioned into general-commuting
-    /// groups and each group gets a diagonalizing Clifford plus a composed
-    /// affine readout map. Repeat calls with the same set return the shared
-    /// `Arc` without re-diagonalizing (hash lookup plus exact equality —
-    /// collisions recompute, never corrupt). Shared across template clones,
-    /// so an [`crate::Engine`] cache hit reuses plans from earlier requests.
+    /// CA-Pre on an observable set, memoized per template: the first call
+    /// conjugates the whole set through the extracted Clifford in one
+    /// word-parallel frame sweep; repeat calls with the same set return the
+    /// shared result without re-conjugating anything (hash lookup plus an
+    /// exact equality check — collisions recompute, never corrupt).
     ///
-    /// Only the grouping + diagonalization work (memo misses) is recorded in
-    /// the `diagonalize` stage histogram; the CA-Pre part records under
-    /// `absorb_pre` as usual.
+    /// The memo lives on the template, so an [`crate::Engine`] cache hit
+    /// reuses rewritten sets from earlier requests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observable's qubit count differs from the template's.
+    #[must_use]
+    pub fn absorb_observables(&self, observables: &[SignedPauli]) -> Arc<AbsorbedObservables> {
+        Arc::clone(&self.observable_set(observables).absorbed)
+    }
+
+    /// The measurement-reduction plan for an observable set, memoized per
+    /// template next to the set's CA-Pre rewriting: the absorbed frame is
+    /// partitioned into general-commuting groups and each group gets a
+    /// diagonalizing Clifford plus a composed affine readout map. Repeat
+    /// calls with the same set return the shared `Arc` without
+    /// re-diagonalizing (hash lookup plus exact equality — collisions
+    /// recompute, never corrupt), and an [`crate::Engine`] cache hit reuses
+    /// plans from earlier requests.
+    ///
+    /// Only the grouping + diagonalization work (the plan's first build) is
+    /// recorded in the `diagonalize` stage histogram; the CA-Pre part
+    /// records under `absorb_pre`, once per memoized set.
     ///
     /// # Panics
     ///
     /// Panics if an observable's qubit count differs from the template's.
     #[must_use]
     pub fn measurement_plan(&self, observables: &[SignedPauli]) -> Arc<MeasurementPlan> {
-        self.measurement_memo.get_or_compute(observables, || {
-            let absorbed = self.absorb_observables(observables);
+        let set = self.observable_set(observables);
+        let plan = set.plan.get_or_init(|| {
             let start = Instant::now();
-            let plan = MeasurementPlan::from_absorbed(&absorbed);
+            let plan = MeasurementPlan::from_absorbed(&set.absorbed);
             if let Some(metrics) = &self.stage_metrics {
                 metrics.diagonalize.record_duration(start.elapsed());
             }
-            plan
-        })
+            Arc::new(plan)
+        });
+        Arc::clone(plan)
     }
 
     /// The CA-Post shot absorber for this template's extracted Clifford,
-    /// built on first use and shared across template clones (so an engine
-    /// cache hit never re-derives the affine map).
+    /// built on first use (so an engine cache hit never re-derives the
+    /// affine map).
     ///
     /// # Errors
     ///
@@ -682,7 +695,7 @@ mod tests {
     use super::*;
     use quclear_core::compile;
 
-    impl<T> ObservableSetMemo<T> {
+    impl ObservableSetMemo {
         fn len(&self) -> usize {
             self.entries
                 .read()
@@ -704,7 +717,6 @@ mod tests {
         let direct = compile(&program, &config);
         assert_eq!(bound.optimized.gates(), direct.optimized.gates());
         assert_eq!(bound.extracted.gates(), direct.extracted.gates());
-        assert_eq!(bound.heisenberg, direct.heisenberg);
     }
 
     #[test]
@@ -768,13 +780,34 @@ mod tests {
             .iter()
             .map(|set| template.measurement_plan(set))
             .collect();
-        // Each plan also filled the CA-Pre memo; both stay at the cap.
-        assert_eq!(template.absorbed_memo.len(), OBSERVABLE_SET_MEMO_CAPACITY);
-        let plan_count = template.measurement_memo.len();
-        assert_eq!(plan_count, OBSERVABLE_SET_MEMO_CAPACITY);
-        // Eviction runs before the insert, so the latest set is retained.
-        let again = template.measurement_plan(sets.last().unwrap());
+        // Each plan sits next to its set's CA-Pre result; the memo stays at
+        // the cap.
+        assert_eq!(template.observable_sets.len(), OBSERVABLE_SET_MEMO_CAPACITY);
+        // Eviction runs before the insert, so the latest set is retained,
+        // with its rewriting and its plan.
+        let last = sets.last().unwrap();
+        let absorbed = template.absorb_observables(last);
+        let again = template.measurement_plan(last);
         assert!(Arc::ptr_eq(&again, plans.last().unwrap()));
+        assert!(Arc::ptr_eq(&absorbed, &template.absorb_observables(last)));
+        assert_eq!(template.observable_sets.len(), OBSERVABLE_SET_MEMO_CAPACITY);
+
+        // Through an engine: an absorb and then an estimate of the same
+        // set conjugate it once.
+        let engine = crate::Engine::new(4);
+        let observables = &sets[0];
+        engine.absorb_observables(&program, observables).unwrap();
+        engine
+            .estimate_observables(&program, observables, 64, 7)
+            .unwrap();
+        let stage = |name: &str| {
+            engine
+                .metrics_snapshot()
+                .histogram(crate::ENGINE_STAGE_METRIC, Some(("stage", name)))
+                .map_or(0, |h| h.count())
+        };
+        assert_eq!(stage("absorb_pre"), 1);
+        assert_eq!(stage("diagonalize"), 1);
     }
 
     #[test]

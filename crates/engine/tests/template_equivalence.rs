@@ -116,7 +116,6 @@ proptest! {
         let direct = compile(&program, &config);
         prop_assert_eq!(bound.optimized.gates(), direct.optimized.gates());
         prop_assert_eq!(bound.extracted.gates(), direct.extracted.gates());
-        prop_assert_eq!(&bound.heisenberg, &direct.heisenberg);
     }
 
     /// Rebinding to fresh angles equals a fresh compile of the re-angled

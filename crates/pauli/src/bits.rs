@@ -271,17 +271,13 @@ impl BitVec {
 
 /// Transposes a 64×64 bit matrix in place (the recursive block swap of
 /// Hacker's Delight 7-3, mirrored for least-significant-bit-first
-/// indexing): entry (bit `j` of word `i`) swaps with (bit `i` of word `j`).
+/// indexing): entry (bit `j` of word `i`) swaps with (bit `i` of word `j`),
+/// but only the first `rows` output words are produced; the remaining words
+/// are left in an unspecified state. `rows = 64` is the full transpose.
 ///
 /// This is the building block for word-parallel layout changes between
 /// row-major bit vectors and column-major bit-planes (Pauli frames, shot
 /// batches): 4096 bits move in ~6·64 word operations, never one at a time.
-pub fn transpose64(a: &mut [u64; 64]) {
-    transpose64_top(a, 64);
-}
-
-/// [`transpose64`], but only the first `rows` output words are produced;
-/// the remaining words are left in an unspecified state.
 ///
 /// Butterflies whose outputs all land past `rows` are skipped, so a partial
 /// transpose costs roughly `rows/64` of the full ladder plus the shared
@@ -401,6 +397,11 @@ impl fmt::Debug for BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full 64-row transpose.
+    fn transpose64(a: &mut [u64; 64]) {
+        transpose64_top(a, 64);
+    }
 
     #[test]
     fn zeros_is_empty_of_ones() {

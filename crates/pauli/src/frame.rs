@@ -205,25 +205,6 @@ impl PauliFrame {
         );
     }
 
-    /// Overwrites row `i` with the given Pauli and sign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the Pauli is not on `n` qubits or `i` is out of range.
-    pub fn load_row(&mut self, i: usize, pauli: &PauliString, negative: bool) {
-        assert_eq!(
-            pauli.num_qubits(),
-            self.n,
-            "qubit count mismatch in PauliFrame::load_row"
-        );
-        for q in 0..self.n {
-            let (xb, zb) = pauli.op(q).xz();
-            self.x[q].set(i, xb);
-            self.z[q].set(i, zb);
-        }
-        self.signs.set(i, negative);
-    }
-
     /// Number of qubits each row acts on.
     #[must_use]
     pub fn num_qubits(&self) -> usize {
@@ -690,15 +671,6 @@ mod tests {
         assert_eq!(g.num_rows(), 2);
         assert_eq!(g.get(0).to_string(), "+YY");
         assert_eq!(g.get(1).to_string(), "+XI");
-    }
-
-    #[test]
-    fn load_row_overwrites() {
-        let mut f = PauliFrame::identities(3, 2);
-        assert_eq!(f.weight(0), 0);
-        f.load_row(1, &"XYZ".parse().unwrap(), true);
-        assert_eq!(f.get(1).to_string(), "-XYZ");
-        assert_eq!(f.weight(0), 0);
     }
 
     /// The word-level row gather agrees with per-bit reads across word

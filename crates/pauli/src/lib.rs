@@ -37,7 +37,7 @@ mod rotation;
 mod signed;
 mod string;
 
-pub use bits::{transpose64, transpose64_pack32, transpose64_top, BitVec};
+pub use bits::{transpose64_pack32, transpose64_top, BitVec};
 pub use frame::PauliFrame;
 pub use op::PauliOp;
 pub use rotation::PauliRotation;

@@ -12,8 +12,8 @@
 //! This crate provides:
 //!
 //! * [`conjugate_pauli_by_gate`] — the per-gate conjugation rules,
-//! * [`CliffordTableau`] — the conjugation map with composition, application
-//!   and inversion,
+//! * [`CliffordTableau`] — the conjugation map, built gate by gate and
+//!   applied to Pauli strings,
 //! * [`synthesize_clifford`] — Aaronson–Gottesman-style synthesis back to a
 //!   gate-level circuit,
 //! * [`random_clifford_circuit`] — random Cliffords for tests and benches.

@@ -13,11 +13,10 @@ use crate::rules::conjugate_all_by_gate;
 /// formalism of Aaronson and Gottesman, 4n² + O(n) bits).
 ///
 /// The tableau *is* the map `P ↦ U·P·U†`; [`CliffordTableau::apply`] evaluates
-/// it on arbitrary Pauli strings, [`CliffordTableau::then_gate`] composes it
-/// with one more gate (`P ↦ g·M(P)·g†`), and [`CliffordTableau::inverse`]
-/// produces the map of `U†`. This is exactly the machinery the QuCLEAR paper
-/// uses to update Pauli strings and observables during Clifford Extraction and
-/// Absorption.
+/// it on arbitrary Pauli strings and [`CliffordTableau::then_gate`] composes it
+/// with one more gate (`P ↦ g·M(P)·g†`). Clifford Extraction keeps its running
+/// Heisenberg map in one, resynthesis reads it back into a circuit, and
+/// probability absorption reads the forward map of the extracted Clifford.
 ///
 /// # Representation
 ///
@@ -60,88 +59,6 @@ impl CliffordTableau {
             frame.set_op(n + q, q, PauliOp::Z);
         }
         CliffordTableau { n, frame }
-    }
-
-    /// Builds a tableau from explicit generator images.
-    fn from_rows(n: usize, x_rows: &[SignedPauli], z_rows: &[SignedPauli]) -> Self {
-        debug_assert_eq!(x_rows.len(), n);
-        debug_assert_eq!(z_rows.len(), n);
-        let mut frame = PauliFrame::identities(n, 2 * n);
-        for (q, row) in x_rows.iter().enumerate() {
-            frame.load_row(q, row.pauli(), row.is_negative());
-        }
-        for (q, row) in z_rows.iter().enumerate() {
-            frame.load_row(n + q, row.pauli(), row.is_negative());
-        }
-        CliffordTableau { n, frame }
-    }
-
-    /// Builds a tableau directly from explicit generator images:
-    /// `x_images[q]` is `U X_q U†` and `z_images[q]` is `U Z_q U†`.
-    ///
-    /// This is the constructor for passes that *compute* a Clifford map row
-    /// by row instead of replaying a circuit — e.g. the lift pass, which
-    /// maintains Heisenberg generator images incrementally. The caller is
-    /// responsible for supplying a valid symplectic map; debug builds verify
-    /// the generator commutation relations (`U X_i U†` anticommutes with
-    /// `U Z_i U†` and commutes with every other image).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slices have different lengths or any image acts on
-    /// a different number of qubits. In debug builds, also panics when the
-    /// images do not satisfy the generator commutation relations.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use quclear_tableau::CliffordTableau;
-    ///
-    /// // The Hadamard map on one qubit: X ↦ Z, Z ↦ X.
-    /// let h = CliffordTableau::from_generator_images(
-    ///     &["Z".parse()?],
-    ///     &["X".parse()?],
-    /// );
-    /// assert_eq!(h.apply(&"X".parse()?).to_string(), "+Z");
-    /// # Ok::<(), quclear_pauli::ParsePauliError>(())
-    /// ```
-    #[must_use]
-    pub fn from_generator_images(x_images: &[SignedPauli], z_images: &[SignedPauli]) -> Self {
-        let n = x_images.len();
-        assert_eq!(
-            z_images.len(),
-            n,
-            "generator image counts mismatch: {} X rows vs {} Z rows",
-            n,
-            z_images.len()
-        );
-        for row in x_images.iter().chain(z_images) {
-            assert_eq!(
-                row.num_qubits(),
-                n,
-                "generator image acts on {} qubits, expected {n}",
-                row.num_qubits()
-            );
-        }
-        #[cfg(debug_assertions)]
-        for i in 0..n {
-            for j in 0..n {
-                debug_assert_eq!(
-                    x_images[i].commutes_with(&z_images[j]),
-                    i != j,
-                    "images of X_{i} and Z_{j} violate the generator commutation relations"
-                );
-                debug_assert!(
-                    i == j || x_images[i].commutes_with(&x_images[j]),
-                    "images of X_{i} and X_{j} must commute"
-                );
-                debug_assert!(
-                    i == j || z_images[i].commutes_with(&z_images[j]),
-                    "images of Z_{i} and Z_{j} must commute"
-                );
-            }
-        }
-        CliffordTableau::from_rows(n, x_images, z_images)
     }
 
     /// Builds the map `P ↦ U·P·U†` of the Clifford circuit `U`.
@@ -211,27 +128,6 @@ impl CliffordTableau {
     /// Panics if `gate` is not Clifford.
     pub fn then_gate(&mut self, gate: &Gate) {
         conjugate_all_by_gate(&mut self.frame, gate);
-    }
-
-    /// Composes two maps: the result applies `self` first, then `other`
-    /// (`(other ∘ self)(P) = other(self(P))`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit counts differ.
-    #[must_use]
-    pub fn then(&self, other: &CliffordTableau) -> CliffordTableau {
-        assert_eq!(
-            self.n, other.n,
-            "qubit count mismatch in tableau composition"
-        );
-        let x_rows: Vec<SignedPauli> = (0..self.n)
-            .map(|q| other.apply_signed(&self.x_image(q)))
-            .collect();
-        let z_rows: Vec<SignedPauli> = (0..self.n)
-            .map(|q| other.apply_signed(&self.z_image(q)))
-            .collect();
-        CliffordTableau::from_rows(self.n, &x_rows, &z_rows)
     }
 
     /// Applies the map to a phase-free Pauli string, returning `±P'`.
@@ -351,86 +247,6 @@ impl CliffordTableau {
             x.count_ones() == 1 && x.get(j) && z.count_ones() == 1 && z.get(self.n + j)
         })
     }
-
-    /// The inverse map (the tableau of `U†` if `self` is the tableau of `U`).
-    ///
-    /// Computed by inverting the symplectic (GF(2)) matrix of the map and
-    /// fixing signs so that `self.apply(inverse.apply(P)) = P`.
-    #[must_use]
-    pub fn inverse(&self) -> CliffordTableau {
-        let n = self.n;
-        // Build the 2n × 2n GF(2) matrix A whose column j is the (x|z) vector
-        // of the image of generator j (generators ordered X_0..X_{n-1},
-        // Z_0..Z_{n-1}), then invert it to find generator preimages.
-        let dim = 2 * n;
-        let column = |row: &SignedPauli| -> Vec<bool> {
-            let mut v = vec![false; dim];
-            for q in 0..n {
-                let (x, z) = row.pauli().op(q).xz();
-                v[q] = x;
-                v[n + q] = z;
-            }
-            v
-        };
-        // Augmented matrix [A | I], columns indexed by generator.
-        let mut a: Vec<Vec<bool>> = vec![vec![false; dim]; dim];
-        for j in 0..n {
-            let cx = column(&self.x_image(j));
-            let cz = column(&self.z_image(j));
-            for i in 0..dim {
-                a[i][j] = cx[i];
-                a[i][n + j] = cz[i];
-            }
-        }
-        let mut inv: Vec<Vec<bool>> = (0..dim)
-            .map(|i| (0..dim).map(|j| i == j).collect())
-            .collect();
-        // Gauss–Jordan elimination over GF(2).
-        for col in 0..dim {
-            let pivot = (col..dim)
-                .find(|&r| a[r][col])
-                .expect("Clifford tableau matrix must be invertible");
-            a.swap(col, pivot);
-            inv.swap(col, pivot);
-            for r in 0..dim {
-                if r != col && a[r][col] {
-                    for c in 0..dim {
-                        a[r][c] ^= a[col][c];
-                        inv[r][c] ^= inv[col][c];
-                    }
-                }
-            }
-        }
-        // Row i of `inv` now expresses basis vector e_i in terms of the
-        // original generator images; equivalently, column j of `inv` gives the
-        // preimage of generator j.
-        let preimage = |j: usize| -> PauliString {
-            let mut x = BitVec::zeros(n);
-            let mut z = BitVec::zeros(n);
-            for q in 0..n {
-                // Coefficient of X_q generator (index q) and Z_q (index n+q)
-                // in the preimage of generator j.
-                if inv[q][j] {
-                    x.set(q, true);
-                }
-                if inv[n + q][j] {
-                    z.set(q, true);
-                }
-            }
-            PauliString::from_xz(x, z)
-        };
-        let mut x_rows = Vec::with_capacity(n);
-        let mut z_rows = Vec::with_capacity(n);
-        for q in 0..n {
-            let px = preimage(q);
-            let sign = self.apply(&px).is_negative();
-            x_rows.push(SignedPauli::new(px, sign));
-            let pz = preimage(n + q);
-            let sign = self.apply(&pz).is_negative();
-            z_rows.push(SignedPauli::new(pz, sign));
-        }
-        CliffordTableau::from_rows(n, &x_rows, &z_rows)
-    }
 }
 
 impl fmt::Debug for CliffordTableau {
@@ -502,40 +318,6 @@ mod tests {
                 "U†(U P U†)U must be P for {s}"
             );
         }
-    }
-
-    #[test]
-    fn composition_matches_circuit_concatenation() {
-        let mut c1 = Circuit::new(3);
-        c1.h(0);
-        c1.cx(0, 1);
-        let mut c2 = Circuit::new(3);
-        c2.s(1);
-        c2.cx(1, 2);
-        let t1 = CliffordTableau::from_circuit(&c1);
-        let t2 = CliffordTableau::from_circuit(&c2);
-        let mut both = c1.clone();
-        both.append(&c2);
-        let t_both = CliffordTableau::from_circuit(&both);
-        assert_eq!(t1.then(&t2), t_both);
-    }
-
-    #[test]
-    fn inverse_composes_to_identity() {
-        let mut c = Circuit::new(4);
-        c.h(0);
-        c.cx(0, 1);
-        c.s(2);
-        c.cx(2, 3);
-        c.cx(1, 2);
-        c.sdg(3);
-        c.h(3);
-        let t = CliffordTableau::from_circuit(&c);
-        let inv = t.inverse();
-        assert!(t.then(&inv).is_identity());
-        assert!(inv.then(&t).is_identity());
-        // And it matches the tableau of the inverse circuit.
-        assert_eq!(inv, CliffordTableau::from_circuit(&c.inverse()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for the Clifford tableau.
 
 use proptest::prelude::*;
+use quclear_circuit::Circuit;
 use quclear_pauli::{PauliFrame, PauliOp, PauliString, SignedPauli};
 use quclear_tableau::{
     conjugate_all_by_gate, conjugate_pauli_by_gate, random_clifford_circuit, synthesize_clifford,
@@ -26,9 +27,13 @@ fn pauli_string(n: usize) -> impl Strategy<Value = PauliString> {
 
 const N: usize = 5;
 
-fn random_tableau(seed: u64, gates: usize) -> CliffordTableau {
+fn random_circuit(seed: u64, gates: usize) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
-    CliffordTableau::from_circuit(&random_clifford_circuit(N, gates, &mut rng))
+    random_clifford_circuit(N, gates, &mut rng)
+}
+
+fn random_tableau(seed: u64, gates: usize) -> CliffordTableau {
+    CliffordTableau::from_circuit(&random_circuit(seed, gates))
 }
 
 proptest! {
@@ -66,11 +71,13 @@ proptest! {
         prop_assert_eq!(lhs, rhs);
     }
 
-    /// Inverse tableau really inverts: U†(U P U†)U = P including sign.
+    /// The Heisenberg map inverts the forward map: U†(U P U†)U = P
+    /// including sign.
     #[test]
     fn inverse_roundtrip(seed in 0u64..256, p in pauli_string(N)) {
-        let t = random_tableau(seed, 30);
-        let inv = t.inverse();
+        let circuit = random_circuit(seed, 30);
+        let t = CliffordTableau::from_circuit(&circuit);
+        let inv = CliffordTableau::heisenberg_from_circuit(&circuit);
         let roundtrip = inv.apply_signed(&t.apply(&p));
         prop_assert_eq!(roundtrip.pauli(), &p);
         prop_assert!(!roundtrip.is_negative());
@@ -94,16 +101,21 @@ proptest! {
         prop_assert_eq!(CliffordTableau::from_circuit(&circuit), t);
     }
 
-    /// Composition of tableaus matches sequential application.
+    /// The tableau of two concatenated circuits matches applying the two
+    /// circuits' tableaus in sequence.
     #[test]
     fn composition_matches_application(
         seed1 in 0u64..128,
         seed2 in 0u64..128,
         p in pauli_string(N),
     ) {
-        let t1 = random_tableau(seed1, 20);
-        let t2 = random_tableau(seed2.wrapping_add(1000), 20);
-        let composed = t1.then(&t2);
+        let c1 = random_circuit(seed1, 20);
+        let c2 = random_circuit(seed2.wrapping_add(1000), 20);
+        let t1 = CliffordTableau::from_circuit(&c1);
+        let t2 = CliffordTableau::from_circuit(&c2);
+        let mut both = c1;
+        both.append(&c2);
+        let composed = CliffordTableau::from_circuit(&both);
         prop_assert_eq!(composed.apply(&p), t2.apply_signed(&t1.apply(&p)));
     }
 

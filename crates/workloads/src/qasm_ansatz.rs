@@ -39,8 +39,8 @@ pub struct QasmAnsatz {
 /// The returned [`QasmAnsatz::program`] lists the corresponding rotations —
 /// `ZZ` terms, `X` mixers and one `Z…Z` term per layer — in the order the
 /// lift pass discovers them, so
-/// `quclear_core::lift_qasm(&ansatz.qasm)?.rotations` matches it rotation
-/// for rotation.
+/// `quclear_core::lift(&from_qasm(&ansatz.qasm)?).rotations` matches it
+/// rotation for rotation.
 ///
 /// # Panics
 ///

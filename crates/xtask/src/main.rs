@@ -491,6 +491,38 @@ fn lint_file(rel: &str, content: &str, allow: &Allowlist) -> Vec<Finding> {
     findings
 }
 
+/// `code` with every `use …;` item blanked to spaces up to its `;`,
+/// newlines kept: an import or a `pub use` re-export names a function
+/// without calling it. The `;` stays, so a `pub` before the blanked item
+/// never reads as adjacent to the next `fn`. `code` must already be
+/// [`code_only`], so `use` is always the keyword.
+fn blank_use_items(code: &str) -> String {
+    let chars: Vec<char> = code.chars().collect();
+    let mut out = String::with_capacity(code.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let keyword = chars[i..].starts_with(&['u', 's', 'e'])
+            && (i == 0 || !is_ident(chars[i - 1]))
+            && chars.get(i + 3).is_none_or(|&c| !is_ident(c));
+        if !keyword {
+            out.push(chars[i]);
+            i += 1;
+            continue;
+        }
+        let end = chars[i..]
+            .iter()
+            .position(|&c| c == ';')
+            .map_or(chars.len(), |p| i + p);
+        out.extend(
+            chars[i..end]
+                .iter()
+                .map(|&c| if c == '\n' { c } else { ' ' }),
+        );
+        i = end;
+    }
+    out
+}
+
 /// Identifier-like tokens of `code` as `(line index, token, adjacent)`,
 /// where `adjacent` says only whitespace separates the token from the one
 /// before it (so `pub fn name` is three adjacent tokens, `pub(crate) fn` is
@@ -531,7 +563,7 @@ fn dead_pub_fns(sources: &[(String, String)], allow: &Allowlist) -> Vec<Finding>
         if in_tests_tree(rel) {
             continue;
         }
-        let code = production_lines(content).join("\n");
+        let code = blank_use_items(&production_lines(content).join("\n"));
         let toks = tokens(&code);
         for (k, &(line, name, adjacent)) in toks.iter().enumerate() {
             let before = |n: usize, word: &str| k >= n && toks[k - n].1 == word;
@@ -799,13 +831,31 @@ mod tests {
 
     #[test]
     fn dead_pub_fn_flags_functions_without_a_production_caller() {
-        let findings = dead(&dead_api_fixture(), &no_waivers());
+        let mut sources = dead_api_fixture();
+        // A crate root that re-exports two functions and calls one: the
+        // `use` lines are not callers.
+        sources.extend([
+            (
+                "crates/lib2/src/lib.rs",
+                "mod inner;\npub use inner::{reexported_only, reexported_and_called};\n\
+                 use self::inner::imported_only;\n\
+                 fn f() {\n    reexported_and_called();\n}\n",
+            ),
+            (
+                "crates/lib2/src/inner.rs",
+                "pub fn reexported_only() {}\npub fn reexported_and_called() {}\n\
+                 pub fn imported_only() {}\n",
+            ),
+        ]);
+        let findings = dead(&sources, &no_waivers());
         let want = [
             ("docs_only", 6),
             ("unused", 9),
             ("by_test_module", 10),
             ("by_tests_tree", 13),
             ("unlinked_api", 2),
+            ("reexported_only", 1),
+            ("imported_only", 3),
         ];
         let want: Vec<(String, usize)> = want.iter().map(|&(n, l)| (n.to_string(), l)).collect();
         assert_eq!(findings, want);

@@ -27,9 +27,7 @@ pub use quclear_workloads as workloads;
 pub mod prelude {
     pub use quclear_circuit::qasm::{from_qasm, to_qasm};
     pub use quclear_circuit::{optimize, Circuit, CouplingMap, Gate};
-    pub use quclear_core::{
-        lift, lift_qasm, AbsorbedObservables, AbsorptionPlan, LiftedProgram, ShotBatch,
-    };
+    pub use quclear_core::{lift, AbsorbedObservables, AbsorptionPlan, LiftedProgram, ShotBatch};
     pub use quclear_engine::{CompiledTemplate, Deadline, Engine, ProgramFingerprint};
     pub use quclear_pauli::{PauliOp, PauliRotation, PauliString, SignedPauli};
     pub use quclear_serve::{Client, ClientError, RetryPolicy, Server, ServerConfig};

@@ -5,6 +5,7 @@
 use quclear::core::{compile, QuClearConfig};
 use quclear::prelude::*;
 use quclear::sim::StateVector;
+use quclear::tableau::CliffordTableau;
 use quclear::workloads::{qaoa_grid_sweep, vqe_sweep, Benchmark, Graph};
 
 /// An engine-compiled sweep point implements the same unitary as the
@@ -101,9 +102,10 @@ fn warm_binds_reuse_the_cached_absorption_plan() {
 
     // The batch rewriting agrees with the per-string reference.
     let reference = compile(&sweep.program, &QuClearConfig::default());
+    let heisenberg = CliffordTableau::heisenberg_from_circuit(&reference.extracted);
     let scalar: Vec<SignedPauli> = observables
         .iter()
-        .map(|o| reference.heisenberg.apply_signed(o))
+        .map(|o| heisenberg.apply_signed(o))
         .collect();
     assert_eq!(first.to_vec(), scalar);
 

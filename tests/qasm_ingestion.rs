@@ -2,9 +2,10 @@
 //! parse → lift → template cache → bind, and both the optimized circuits and
 //! the absorbed expectation values match the native Pauli-rotation path.
 
-use quclear::core::{compile, lift_qasm, QuClearConfig};
+use quclear::core::{compile, QuClearConfig};
 use quclear::prelude::*;
 use quclear::sim::StateVector;
+use quclear::tableau::CliffordTableau;
 use quclear::workloads::{hardware_efficient_qasm, zz_chain_qasm};
 use quclear_circuit::qasm::from_qasm;
 
@@ -39,9 +40,9 @@ fn test_observables(n: usize) -> Vec<SignedPauli> {
 #[test]
 fn lifted_ansatz_matches_the_native_program_termwise() {
     let ansatz = zz_chain_qasm(5, 2, 23);
-    let lifted = lift_qasm(&ansatz.qasm).unwrap();
+    let lifted = lift(&from_qasm(&ansatz.qasm).unwrap());
     assert_eq!(lifted.rotations.len(), ansatz.program.len());
-    assert!(lifted.trailing_clifford.is_identity());
+    assert!(CliffordTableau::from_circuit(lifted.trailing_circuit()).is_identity());
     for (got, want) in lifted.rotations.iter().zip(&ansatz.program) {
         assert_eq!(got.pauli(), want.pauli());
         assert!((got.angle() - want.angle()).abs() < 1e-12);
@@ -108,7 +109,7 @@ fn qasm_ingestion_hits_the_template_cache() {
     assert_eq!((stats.hits, stats.misses), (1, 1));
 
     // bind_qasm with b's native angles must equal compile_qasm of b.
-    let lifted_b = lift_qasm(&b.qasm).unwrap();
+    let lifted_b = lift(&from_qasm(&b.qasm).unwrap());
     let bound = engine.bind_qasm(&a.qasm, lifted_b.native_angles()).unwrap();
     let direct = engine.compile_qasm(&b.qasm).unwrap();
     assert_eq!(bound.optimized.gates(), direct.optimized.gates());
@@ -125,8 +126,8 @@ fn non_trivial_trailing_clifford_composes_through_the_engine() {
     let engine = Engine::new(16);
 
     let result = engine.compile_qasm(&ansatz.qasm).unwrap();
-    let lifted = lift_qasm(&ansatz.qasm).unwrap();
-    assert!(!lifted.trailing_clifford.is_identity());
+    let lifted = lift(&from_qasm(&ansatz.qasm).unwrap());
+    assert!(!CliffordTableau::from_circuit(lifted.trailing_circuit()).is_identity());
 
     let parsed = from_qasm(&ansatz.qasm).unwrap();
     let reference = StateVector::from_circuit(&parsed);
