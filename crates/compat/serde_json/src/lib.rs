@@ -362,6 +362,9 @@ impl Parser<'_> {
             }
         }
         let text = &self.text[start..self.pos];
+        if !is_json_number(text.as_bytes()) {
+            return Err(self.error(format!("invalid number `{text}`")));
+        }
         if !is_float {
             // Prefer exact integer variants when the digits fit.
             if let Ok(u) = text.parse::<u64>() {
@@ -376,6 +379,39 @@ impl Parser<'_> {
             Err(_) => Err(self.error(format!("invalid number `{text}`"))),
         }
     }
+}
+
+/// Whether `text` is a number in the grammar of RFC 8259 §6:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. Rust's own
+/// number parsers are laxer (`1.`, `.5`, `01`), so a run must pass this
+/// before it reaches them.
+fn is_json_number(text: &[u8]) -> bool {
+    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut rest = text.strip_prefix(b"-").unwrap_or(text);
+    let int = digits(rest);
+    if int == 0 || (int > 1 && rest[0] == b'0') {
+        return false;
+    }
+    rest = &rest[int..];
+    if let Some(fraction) = rest.strip_prefix(b".") {
+        let len = digits(fraction);
+        if len == 0 {
+            return false;
+        }
+        rest = &fraction[len..];
+    }
+    if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+        let exponent = exponent
+            .strip_prefix(b"+")
+            .or_else(|| exponent.strip_prefix(b"-"))
+            .unwrap_or(exponent);
+        let len = digits(exponent);
+        if len == 0 {
+            return false;
+        }
+        rest = &exponent[len..];
+    }
+    rest.is_empty()
 }
 
 /// Writes `s` as a quoted JSON string, copying the runs between escapable
@@ -644,8 +680,48 @@ mod tests {
             "\"\\ud83d\"",
             "--1",
             "+1",
+            "-",
+            "-.5",
+            ".5",
+            "1.",
+            "1.e5",
+            "01",
+            "-01",
+            "[01,2]",
+            "1e",
+            "1e+",
+            "1.5.2",
+            "1e5e5",
+            "0x10",
         ] {
             assert!(from_str(bad).is_err(), "`{bad}` must not parse");
+        }
+        // A malformed number fails with the run it read, at the byte after it.
+        for (text, run, at) in [
+            ("-.5", "-.5", 3),
+            ("1.", "1.", 2),
+            ("1.e5", "1.e5", 4),
+            ("01", "01", 2),
+            ("[01,2]", "01", 3),
+        ] {
+            assert_eq!(
+                from_str(text).unwrap_err().to_string(),
+                format!("serde_json error: invalid number `{run}` at byte {at}")
+            );
+        }
+        // Every spelling the grammar allows still parses.
+        for (text, value) in [
+            ("0", Json::Uint(0)),
+            ("-0", Json::Int(0)),
+            ("-0.0", Json::Float(-0.0)),
+            ("10", Json::Uint(10)),
+            ("1.25", Json::Float(1.25)),
+            ("1e3", Json::Float(1000.0)),
+            ("1E+3", Json::Float(1000.0)),
+            ("-2.5e-1", Json::Float(-0.25)),
+            ("0.5", Json::Float(0.5)),
+        ] {
+            assert_eq!(from_str(text).unwrap(), value, "`{text}`");
         }
         // Raw control characters inside a string fail at their byte, in the
         // word-at-a-time scan and in its tail alike; DEL (0x7f) needs no
