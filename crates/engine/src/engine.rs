@@ -701,7 +701,7 @@ impl Engine {
     /// parameter-sweep fast path for QASM-origin ansätze: the structure is
     /// parsed, lifted and template-compiled once, then every angle set is
     /// an `O(gates)` bind. For more control (e.g. lifting once for many
-    /// binds), use [`quclear_core::lift`] on the parsed circuit with
+    /// binds), use [`quclear_core::lift()`] on the parsed circuit with
     /// [`Self::compile_lifted`]. The deadline is checked as for
     /// [`Self::compile_qasm`].
     ///
@@ -927,7 +927,7 @@ impl Engine {
 
     /// `U_CL† · U_program|0⟩`, the optimized circuit's state up to global
     /// phase: one pass per run of `program`'s memoized [`RotationRun`](quclear_sim::RotationRun)
-    /// plan, then the template's extracted Clifford inverted. Passes go in
+    /// plan, then the inverse extracted gates the template stores. Passes go in
     /// batches of `max(1, 2^20 / 2^n)` (about 10^6 amplitude updates), with
     /// a deadline check before each batch.
     fn simulate_optimized(
