@@ -555,6 +555,31 @@ mod tests {
         );
     }
 
+    /// Pins the greedy schedule of one commuting block. Every pick is
+    /// scored against the block's first rotation, which is therefore
+    /// scheduled last.
+    #[test]
+    fn commuting_block_schedule_is_pinned() {
+        let rotations = vec![
+            rot("ZZII", 0.1),
+            rot("IZZI", 0.2),
+            rot("IIZZ", 0.3),
+            rot("ZIIZ", 0.4),
+            rot("ZIZI", 0.5),
+        ];
+        let result = extract_clifford(&rotations, &ExtractionConfig::default());
+        let angles: Vec<f64> = result
+            .optimized
+            .gates()
+            .iter()
+            .filter_map(|g| match g {
+                Gate::Rz { angle, .. } => Some(*angle),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(angles, vec![0.2, 0.4, 0.5, 0.3, 0.1]);
+    }
+
     #[test]
     fn identity_and_zero_angle_rotations_are_skipped() {
         let rotations = vec![rot("III", 0.5), rot("ZZI", 0.0), rot("ZIZ", 0.3)];
