@@ -52,7 +52,7 @@ pub fn synthesize_paulihedral_like(rotations: &[PauliRotation]) -> Circuit {
 
     let mut qc = Circuit::new(n);
     for block in blocks.blocks() {
-        let ordered = order_block(block);
+        let ordered = order_block(&rotations[block.clone()]);
         for (i, rotation) in ordered.iter().enumerate() {
             if rotation.is_trivial() {
                 continue;

@@ -43,7 +43,10 @@ pub fn synthesize_tket_like(rotations: &[PauliRotation]) -> Circuit {
 
     let mut qc = Circuit::new(n);
     for block in blocks.blocks() {
-        let non_trivial: Vec<&PauliRotation> = block.iter().filter(|r| !r.is_trivial()).collect();
+        let non_trivial: Vec<&PauliRotation> = rotations[block.clone()]
+            .iter()
+            .filter(|r| !r.is_trivial())
+            .collect();
         if non_trivial.is_empty() {
             continue;
         }

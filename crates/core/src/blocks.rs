@@ -7,10 +7,12 @@
 //! without assuming any prior knowledge about the benchmark (Section V-C of
 //! the paper).
 
+use std::ops::Range;
+
 use quclear_pauli::PauliRotation;
 
 /// A partition of a rotation sequence into maximal runs of mutually commuting
-/// rotations.
+/// rotations, held as index ranges into that sequence.
 ///
 /// # Examples
 ///
@@ -24,13 +26,13 @@ use quclear_pauli::PauliRotation;
 ///     PauliRotation::parse("XII", 0.3)?, // does not commute → new block
 /// ];
 /// let blocks = CommutingBlocks::from_rotations(&rotations);
-/// assert_eq!(blocks.num_blocks(), 2);
-/// assert_eq!(blocks.blocks()[0].len(), 2);
+/// assert_eq!(blocks.blocks(), &[0..2, 2..3]);
+/// assert_eq!(rotations[blocks.blocks()[0].clone()].len(), 2);
 /// # Ok::<(), quclear_pauli::ParsePauliError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct CommutingBlocks {
-    blocks: Vec<Vec<PauliRotation>>,
+    blocks: Vec<Range<usize>>,
 }
 
 impl CommutingBlocks {
@@ -39,50 +41,36 @@ impl CommutingBlocks {
     /// new block starts. Complexity O(n·m²) in the worst case (all commuting).
     #[must_use]
     pub fn from_rotations(rotations: &[PauliRotation]) -> Self {
-        let mut blocks: Vec<Vec<PauliRotation>> = Vec::new();
-        for rotation in rotations {
-            let fits = blocks.last().is_some_and(|block| {
-                block
-                    .iter()
-                    .all(|other| other.pauli().commutes_with(rotation.pauli()))
-            });
-            if fits {
-                blocks
-                    .last_mut()
-                    .expect("fits implies a last block exists")
-                    .push(rotation.clone());
-            } else {
-                blocks.push(vec![rotation.clone()]);
+        let mut blocks: Vec<Range<usize>> = Vec::new();
+        for (i, rotation) in rotations.iter().enumerate() {
+            match blocks.last_mut() {
+                Some(block)
+                    if rotations[block.clone()]
+                        .iter()
+                        .all(|other| other.pauli().commutes_with(rotation.pauli())) =>
+                {
+                    block.end = i + 1;
+                }
+                _ => blocks.push(i..i + 1),
             }
         }
         CommutingBlocks { blocks }
     }
 
-    /// Treats every rotation as its own block (disables intra-block
-    /// reordering); used by the ablation experiments.
+    /// Treats each of `len` rotations as its own block (disables
+    /// intra-block reordering); used by the ablation experiments.
     #[must_use]
-    pub fn singletons(rotations: &[PauliRotation]) -> Self {
+    pub fn singletons(len: usize) -> Self {
         CommutingBlocks {
-            blocks: rotations.iter().map(|r| vec![r.clone()]).collect(),
+            blocks: (0..len).map(|i| i..i + 1).collect(),
         }
     }
 
-    /// The blocks, in circuit order.
+    /// The blocks, in circuit order, as index ranges into the partitioned
+    /// sequence.
     #[must_use]
-    pub fn blocks(&self) -> &[Vec<PauliRotation>] {
+    pub fn blocks(&self) -> &[Range<usize>] {
         &self.blocks
-    }
-
-    /// Mutable access to the blocks (the extractor reorders rotations within
-    /// a block in place).
-    pub(crate) fn blocks_mut(&mut self) -> &mut [Vec<PauliRotation>] {
-        &mut self.blocks
-    }
-
-    /// Number of blocks.
-    #[must_use]
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
     }
 }
 
@@ -95,14 +83,14 @@ mod tests {
     }
 
     fn block_sizes(blocks: &CommutingBlocks) -> Vec<usize> {
-        blocks.blocks().iter().map(Vec::len).collect()
+        blocks.blocks().iter().map(ExactSizeIterator::len).collect()
     }
 
     #[test]
     fn all_commuting_forms_one_block() {
         let rotations = vec![rot("ZZII"), rot("IZZI"), rot("IIZZ"), rot("ZIIZ")];
         let blocks = CommutingBlocks::from_rotations(&rotations);
-        assert_eq!(blocks.num_blocks(), 1);
+        assert_eq!(block_sizes(&blocks), vec![4]);
     }
 
     #[test]
@@ -133,20 +121,18 @@ mod tests {
             rot("IIX"),
         ];
         let blocks = CommutingBlocks::from_rotations(&rotations);
-        assert_eq!(blocks.num_blocks(), 2);
         assert_eq!(block_sizes(&blocks), vec![3, 3]);
     }
 
     #[test]
     fn singletons_disable_grouping() {
-        let rotations = vec![rot("ZZ"), rot("XX")];
-        let blocks = CommutingBlocks::singletons(&rotations);
-        assert_eq!(block_sizes(&blocks), vec![1, 1]);
+        let blocks = CommutingBlocks::singletons(2);
+        assert_eq!(blocks.blocks(), &[0..1, 1..2]);
     }
 
     #[test]
     fn empty_input_gives_no_blocks() {
         let blocks = CommutingBlocks::from_rotations(&[]);
-        assert_eq!(blocks.num_blocks(), 0);
+        assert!(blocks.blocks().is_empty());
     }
 }

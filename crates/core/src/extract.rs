@@ -5,22 +5,26 @@
 //! single-qubit basis changes, the CNOT tree and the `Rz` — and defers the
 //! mirrored uncomputation to the end of the circuit, where it accumulates
 //! into one Clifford subcircuit `U_CL`. Every later rotation is rewritten
-//! through the Heisenberg map `P ↦ U_CL† P U_CL` (maintained as a stabilizer
-//! tableau), and within each commuting block the rotation that becomes
-//! cheapest is scheduled next.
+//! through the Heisenberg map `P ↦ U_CL† P U_CL`, and within each commuting
+//! block the rotation that becomes cheapest is scheduled next.
 //!
 //! # Word-parallel bookkeeping
 //!
-//! Two structures keep the inner loop cheap:
+//! Three structures keep the inner loop cheap:
 //!
+//! * **One schedule** — two index vectors over slots: the rotation each slot
+//!   extracts and the frame row of its image. A pick rotates a slot range
+//!   of its commuting block (the block bounds come from [`CommutingBlocks`]),
+//!   and the lookahead is the next slots, across blocks. No rotation or
+//!   string is cloned.
 //! * **Pending-image frame** — the images of *every* not-yet-scheduled
 //!   rotation axis under the current Heisenberg map are held in a
-//!   column-major [`PauliFrame`]. Advancing the map by one extracted gate
-//!   updates all pending images in a single word-parallel pass
-//!   ([`quclear_tableau::conjugate_all_by_gate`]) instead of re-applying the
-//!   tableau per lookahead string. The frame is compacted once more than
-//!   half of its rows have been consumed, so its width tracks the remaining
-//!   work.
+//!   column-major [`PauliFrame`], the extractor's only Clifford state.
+//!   Advancing the map by one extracted gate updates all pending images in
+//!   a single word-parallel pass
+//!   ([`quclear_tableau::conjugate_all_by_gate`]). The frame is compacted
+//!   to the pending slots once more than half of its rows have been
+//!   consumed, so its width tracks the remaining work.
 //! * **Scratch buffers** — `find_next_pauli` scores `O(block²)` (current,
 //!   candidate) pairs, and every score synthesizes a one-lookahead CNOT
 //!   tree. The scorer reads each candidate row word-wise into one reused
@@ -71,7 +75,8 @@ impl Default for ExtractionConfig {
 /// mirror of every emitted basis layer and CNOT tree, so it carries as many
 /// CNOTs as the optimized circuit. [`ExtractionResult::resynthesized`]
 /// swaps it for an `O(n²)`-gate circuit of the same Clifford;
-/// [`crate::compile`] serves that form.
+/// [`crate::compile`] serves that form. The result holds circuits only: the
+/// Clifford's tableau is built from `extracted` when it is needed.
 #[derive(Clone, Debug)]
 pub struct ExtractionResult {
     /// The optimized (non-Clifford) circuit `U'` to run on hardware.
@@ -80,8 +85,6 @@ pub struct ExtractionResult {
     /// formally follows `optimized`: the raw extraction log, or its
     /// resynthesis after [`ExtractionResult::resynthesized`].
     pub extracted: Circuit,
-    /// The Heisenberg map `P ↦ U_CL† · P · U_CL` used to absorb observables.
-    pub heisenberg: CliffordTableau,
 }
 
 impl ExtractionResult {
@@ -96,15 +99,17 @@ impl ExtractionResult {
     }
 
     /// Replaces `extracted` with [`synthesize_clifford`] of its tableau when
-    /// that circuit has fewer gates. The resynthesis implements the same
-    /// Clifford up to global phase (equal tableaux), so `heisenberg`, every
-    /// absorption and every expectation value are unchanged, while the
+    /// that circuit has fewer gates. The tableau is folded from `extracted`
+    /// as it stands (the raw log, for a fresh result). The resynthesis
+    /// implements the same Clifford up to global phase (equal tableaux), so
+    /// every absorption and every expectation value is unchanged, while the
     /// circuit shrinks from one mirrored tree per rotation to `O(n²)` gates.
     #[must_use]
     pub fn resynthesized(mut self) -> Self {
-        // `heisenberg` is the tableau of U_CL†; its synthesis, inverted, is
-        // a circuit for U_CL.
-        let short = synthesize_clifford(&self.heisenberg).inverse();
+        // The Heisenberg tableau of U_CL is the tableau of U_CL†; its
+        // synthesis, inverted, is a circuit for U_CL.
+        let heisenberg = CliffordTableau::heisenberg_from_circuit(&self.extracted);
+        let short = synthesize_clifford(&heisenberg).inverse();
         if short.len() < self.extracted.len() {
             self.extracted = short;
         }
@@ -150,66 +155,53 @@ pub fn extract_clifford(
         );
     }
 
-    let mut blocks = if config.reorder_commuting {
+    let blocks = if config.reorder_commuting {
         CommutingBlocks::from_rotations(rotations)
     } else {
-        CommutingBlocks::singletons(rotations)
+        CommutingBlocks::singletons(rotations.len())
     };
 
-    // Frame of all rotation axes; row_ids[b][p] is the frame row holding the
-    // image of blocks[b][p] under the Heisenberg map extracted so far.
-    let all_axes: Vec<PauliString> = blocks
-        .blocks()
-        .iter()
-        .flatten()
-        .map(|r| r.pauli().clone())
-        .collect();
-    let mut row_ids: Vec<Vec<usize>> = Vec::with_capacity(blocks.num_blocks());
-    let mut next_row = 0;
-    for block in blocks.blocks() {
-        row_ids.push((next_row..next_row + block.len()).collect());
-        next_row += block.len();
-    }
-
+    // The schedule: slot i holds the index of the i-th rotation to extract
+    // (`order`) and the frame row of its image under the Clifford extracted
+    // so far (`rows`). A pick permutes slots inside a commuting block.
+    let mut order: Vec<usize> = (0..rotations.len()).collect();
+    let mut rows = order.clone();
     let mut state = ExtractionState {
         n,
         config: *config,
         optimized: Circuit::new(n),
         segments: Vec::new(),
-        phi: CliffordTableau::identity(n),
-        images: PauliFrame::from_paulis(n, &all_axes),
+        images: PauliFrame::from_paulis(n, rotations.iter().map(PauliRotation::pauli)),
         scratch: Scratch::default(),
     };
 
-    let mut processed = 0usize;
-    let total = all_axes.len();
-    let num_blocks = blocks.num_blocks();
-    for block_idx in 0..num_blocks {
-        let block_len = blocks.blocks()[block_idx].len();
-        for pos in 0..block_len {
-            // Choose which commuting rotation to schedule at this position.
-            if config.reorder_commuting && pos + 1 < block_len {
-                let chosen = state.find_next_pauli(&blocks, &row_ids, block_idx, pos);
-                if chosen != pos {
-                    let block = &mut blocks.blocks_mut()[block_idx];
-                    let rotation = block.remove(chosen);
-                    block.insert(pos, rotation);
-                    let ids = &mut row_ids[block_idx];
-                    let id = ids.remove(chosen);
-                    ids.insert(pos, id);
-                }
+    for block in blocks.blocks() {
+        for i in block.clone() {
+            // Move the chosen rotation into slot i, shifting the slots it
+            // passes one to the right.
+            if i + 1 < block.end {
+                let chosen = i + 1 + state.find_next_pauli(rows[i], &rows[i + 1..block.end]);
+                order[i..=chosen].rotate_right(1);
+                rows[i..=chosen].rotate_right(1);
             }
-            let lookahead_rows =
-                collect_lookahead_rows(&row_ids, block_idx, pos, state.config.lookahead_depth);
-            let rotation = blocks.blocks()[block_idx][pos].clone();
-            state.process_rotation(&rotation, row_ids[block_idx][pos], &lookahead_rows);
-            processed += 1;
+            // Lookahead crosses block boundaries: later blocks cannot be
+            // reordered but their strings still guide the tree structure.
+            let lookahead_end = rows.len().min(i + 1 + config.lookahead_depth);
+            state.process_rotation(
+                rotations[order[i]].angle(),
+                rows[i],
+                &rows[i + 1..lookahead_end],
+            );
 
-            // Compact the frame once most of its rows have been consumed so
-            // word-parallel updates only sweep live rows.
-            let live = total - processed;
-            if state.images.num_rows() > 128 && state.images.num_rows() >= 2 * live {
-                compact_frame(&mut state.images, &mut row_ids, block_idx, pos);
+            // Compact the frame to the pending slots once most of its rows
+            // have been consumed, so word-parallel updates only sweep live
+            // rows.
+            let pending = &mut rows[i + 1..];
+            if state.images.num_rows() > 128 && state.images.num_rows() >= 2 * pending.len() {
+                state.images = state.images.select_rows(pending);
+                for (new_row, row) in pending.iter_mut().enumerate() {
+                    *row = new_row;
+                }
             }
         }
     }
@@ -225,56 +217,6 @@ pub fn extract_clifford(
     ExtractionResult {
         optimized: state.optimized,
         extracted,
-        heisenberg: state.phi,
-    }
-}
-
-/// Collects the frame rows of the rotations that follow (`block_idx`, `pos`),
-/// in execution order, up to the lookahead depth. Lookahead crosses block
-/// boundaries: later blocks cannot be reordered but their strings still guide
-/// the tree structure.
-fn collect_lookahead_rows(
-    row_ids: &[Vec<usize>],
-    block_idx: usize,
-    pos: usize,
-    depth: usize,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(depth);
-    let mut b = block_idx;
-    let mut p = pos + 1;
-    while out.len() < depth && b < row_ids.len() {
-        if p < row_ids[b].len() {
-            out.push(row_ids[b][p]);
-            p += 1;
-        } else {
-            b += 1;
-            p = 0;
-        }
-    }
-    out
-}
-
-/// Rebuilds `images` keeping only the rows of not-yet-processed slots
-/// (everything strictly after (`block_idx`, `pos`)), renumbering `row_ids`.
-fn compact_frame(
-    images: &mut PauliFrame,
-    row_ids: &mut [Vec<usize>],
-    block_idx: usize,
-    pos: usize,
-) {
-    let mut keep = Vec::new();
-    for (b, ids) in row_ids.iter().enumerate().skip(block_idx) {
-        let start = if b == block_idx { pos + 1 } else { 0 };
-        keep.extend_from_slice(&ids[start..]);
-    }
-    *images = images.select_rows(&keep);
-    let mut new_id = 0;
-    for (b, ids) in row_ids.iter_mut().enumerate().skip(block_idx) {
-        let start = if b == block_idx { pos + 1 } else { 0 };
-        for id in &mut ids[start..] {
-            *id = new_id;
-            new_id += 1;
-        }
     }
 }
 
@@ -358,39 +300,36 @@ struct ExtractionState {
     /// Extracted subcircuits, one per processed rotation, each in execution
     /// order. The final extracted Clifford is their reverse concatenation.
     segments: Vec<Vec<Gate>>,
-    /// `P ↦ U_CL† P U_CL` for the Clifford extracted so far.
-    phi: CliffordTableau,
-    /// Images of the pending rotation axes under `phi`, advanced gate by
-    /// gate in lockstep with it (word-parallel over all pending rows).
+    /// Images of the rotation axes under `P ↦ U_CL† P U_CL` for the
+    /// Clifford extracted so far, advanced gate by gate (word-parallel over
+    /// all rows). This frame is the extractor's only Clifford state.
     images: PauliFrame,
     /// Reusable buffers of scoring and tree synthesis.
     scratch: Scratch,
 }
 
 impl ExtractionState {
-    /// The greedy `find_next_pauli` of Algorithm 2: among the not-yet-scheduled
-    /// rotations of the current commuting block, pick the one with the fewest
-    /// non-identity operators after extracting the current rotation's Clifford
-    /// subcircuit.
-    fn find_next_pauli(
-        &mut self,
-        blocks: &CommutingBlocks,
-        row_ids: &[Vec<usize>],
-        block_idx: usize,
-        pos: usize,
-    ) -> usize {
-        let block = &blocks.blocks()[block_idx];
-        let current = self.images.row_pauli(row_ids[block_idx][pos]);
+    /// The greedy pick of commuting-block reordering: returns the offset in
+    /// `candidates` of the row with the fewest non-identity operators after
+    /// extracting the Clifford subcircuit of the rotation in `current_row`
+    /// (the first strict minimum on ties).
+    ///
+    /// The caller scores against the slot being filled and then rotates the
+    /// pick into it, so the rotation displaced into the next slot is scored
+    /// against again: every pick of a block is scored against the block's
+    /// *first* rotation, which is scheduled last. Algorithm 2 scores against
+    /// the rotation just extracted instead.
+    fn find_next_pauli(&mut self, current_row: usize, candidates: &[usize]) -> usize {
+        let current = self.images.row_pauli(current_row);
         if current.is_identity() {
-            return pos + 1;
+            return 0;
         }
         let support = current.support();
-        let mut best = pos + 1;
+        let mut best = 0;
         let mut best_cost = usize::MAX;
         let mut candidate = PauliString::identity(self.n);
-        debug_assert_eq!(row_ids[block_idx].len(), block.len());
-        for (offset, &candidate_row) in row_ids[block_idx][pos + 1..].iter().enumerate() {
-            self.images.read_row_into(candidate_row, &mut candidate);
+        for (offset, &row) in candidates.iter().enumerate() {
+            self.images.read_row_into(row, &mut candidate);
             let cost = extraction_cost(
                 self.config.recursive_tree,
                 &current,
@@ -400,29 +339,29 @@ impl ExtractionState {
             );
             if cost < best_cost {
                 best_cost = cost;
-                best = pos + 1 + offset;
+                best = offset;
             }
         }
         best
     }
 
-    /// Emits the optimized half-circuit for one rotation and extends the
-    /// extracted Clifford with its mirror.
-    fn process_rotation(&mut self, rotation: &PauliRotation, row: usize, lookahead_rows: &[usize]) {
+    /// Emits the optimized half-circuit for the rotation by `angle` whose
+    /// image sits in `row`, and extends the extracted Clifford with its
+    /// mirror.
+    fn process_rotation(&mut self, angle: f64, row: usize, lookahead_rows: &[usize]) {
         let updated = self.images.get(row);
-        let angle = rotation.angle() * updated.sign();
+        let signed_angle = angle * updated.sign();
         let pauli = updated.into_pauli();
-        if pauli.is_identity() || rotation.angle() == 0.0 {
+        if pauli.is_identity() || angle == 0.0 {
             // Global phase only; nothing to synthesize.
             return;
         }
 
         // Single-qubit basis changes (X → H, Y → S†·H) so every non-identity
-        // operator becomes Z. The Heisenberg map and the pending images
-        // advance together, one word-parallel pass per gate.
+        // operator becomes Z. The pending images advance with one
+        // word-parallel pass per gate.
         let basis = basis_change_circuit(self.n, &pauli);
         for gate in basis.gates() {
-            self.phi.then_gate(gate);
             conjugate_all_by_gate(&mut self.images, gate);
         }
 
@@ -443,15 +382,14 @@ impl ExtractionState {
         let mut forward = basis;
         forward.extend(tree_gates.iter().copied());
         self.optimized.append(&forward);
-        self.optimized.rz(root, angle);
+        self.optimized.rz(root, signed_angle);
 
         // The mirror of the forward Clifford is deferred to the end.
         self.segments.push(forward.inverse().gates().to_vec());
 
-        // Finish updating the Heisenberg map: φ ← (P ↦ W φ(P) W†) with W the
-        // forward Clifford just emitted.
+        // Finish advancing the images through the forward Clifford W just
+        // emitted: P ↦ W P W†.
         for gate in &self.scratch.gates {
-            self.phi.then_gate(gate);
             conjugate_all_by_gate(&mut self.images, gate);
         }
     }
@@ -548,11 +486,6 @@ mod tests {
             .filter(|g| matches!(g, Gate::Rz { .. }))
             .count();
         assert_eq!(rz_count, 3);
-        // The Heisenberg tableau matches the extracted circuit.
-        assert_eq!(
-            result.heisenberg,
-            CliffordTableau::heisenberg_from_circuit(&result.extracted)
-        );
     }
 
     /// Pins the greedy schedule of one commuting block. Every pick is
@@ -629,10 +562,6 @@ mod tests {
         };
         let result = extract_clifford(&rotations, &config);
         assert!(result.extracted.is_clifford());
-        assert_eq!(
-            result.heisenberg,
-            CliffordTableau::heisenberg_from_circuit(&result.extracted)
-        );
     }
 
     #[test]

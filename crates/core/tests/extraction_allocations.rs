@@ -48,7 +48,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 const QUBITS: usize = 12;
 const ROTATIONS: usize = 128;
-const MAX_ALLOCATIONS_PER_ROTATION: usize = 64;
+const MAX_ALLOCATIONS_PER_ROTATION: usize = 12;
 
 /// One commuting block: `ROTATIONS` distinct seeded Z-strings on `QUBITS`
 /// qubits, so `find_next_pauli` scores every remaining pair.

@@ -113,7 +113,8 @@ impl PauliFrame {
         }
     }
 
-    /// Builds a frame from phase-free Pauli strings (all signs positive).
+    /// Builds a frame from borrowed phase-free Pauli strings (all signs
+    /// positive).
     ///
     /// The row-major → column-major layout change runs through
     /// [`transpose64_top`] blocks (64 rows × 64 qubits at a time), so loading
@@ -123,9 +124,10 @@ impl PauliFrame {
     ///
     /// Panics if any string is not on `n` qubits.
     #[must_use]
-    pub fn from_paulis(n: usize, paulis: &[PauliString]) -> Self {
+    pub fn from_paulis<'a>(n: usize, paulis: impl IntoIterator<Item = &'a PauliString>) -> Self {
+        let paulis: Vec<&PauliString> = paulis.into_iter().collect();
         let mut frame = PauliFrame::identities(n, paulis.len());
-        frame.fill_planes(paulis, |p| (p.x_bits(), p.z_bits()));
+        frame.fill_planes(&paulis, |p| (p.x_bits(), p.z_bits()));
         frame
     }
 
