@@ -10,8 +10,8 @@
 
 use quclear_circuit::{optimize, Circuit, Gate};
 use quclear_core::CommutingBlocks;
-use quclear_pauli::{PauliOp, PauliRotation, SignedPauli};
-use quclear_tableau::conjugate_pauli_by_gate;
+use quclear_pauli::{PauliFrame, PauliOp, PauliRotation, SignedPauli};
+use quclear_tableau::conjugate_all_by_gate;
 
 /// Synthesizes a rotation program with the simultaneous-diagonalization
 /// strategy (including the final peephole clean-up).
@@ -105,61 +105,45 @@ pub fn diagonalize_commuting_set(n: usize, paulis: &[SignedPauli]) -> Diagonaliz
         }
     }
 
-    let mut working: Vec<SignedPauli> = paulis.to_vec();
+    // Every member lives in one frame; each gate conjugates all of them in
+    // one word-parallel pass.
+    let mut working = PauliFrame::from_signed(n, paulis);
     let mut gates: Vec<Gate> = Vec::new();
-    let apply = |gate: Gate, working: &mut Vec<SignedPauli>, gates: &mut Vec<Gate>| {
-        for p in working.iter_mut() {
-            *p = conjugate_pauli_by_gate(p, &gate);
-        }
+    let mut apply = |gate: Gate, working: &mut PauliFrame| {
+        conjugate_all_by_gate(working, &gate);
         gates.push(gate);
     };
 
     for q in 0..n {
         // Find a Pauli with an X component at q (an unprocessed column).
-        let Some(idx) = working
-            .iter()
-            .position(|p| matches!(p.pauli().op(q), PauliOp::X | PauliOp::Y))
-        else {
+        let Some(idx) = working.x_plane(q).iter_ones().next() else {
             continue;
         };
         // Make the pivot carry a plain X at q.
-        if working[idx].pauli().op(q) == PauliOp::Y {
-            apply(Gate::S(q), &mut working, &mut gates);
+        if working.op(idx, q) == PauliOp::Y {
+            apply(Gate::S(q), &mut working);
         }
-        // Clear the pivot's other columns: X/Y via CX(q→j), Z via CZ(q, j).
-        loop {
-            let pivot = working[idx].pauli().clone();
-            let mut changed = false;
-            for j in 0..n {
-                if j == q {
-                    continue;
-                }
-                match pivot.op(j) {
-                    PauliOp::X | PauliOp::Y => {
-                        if pivot.op(j) == PauliOp::Y {
-                            apply(Gate::S(j), &mut working, &mut gates);
-                        }
-                        apply(
-                            Gate::Cx {
-                                control: q,
-                                target: j,
-                            },
-                            &mut working,
-                            &mut gates,
-                        );
-                        changed = true;
-                        break;
+        // Clear the pivot's other columns one gate step at a time: X/Y via
+        // CX(q→j), Z via CZ(q, j), always at the lowest such column j.
+        while let Some((j, op)) = (0..n)
+            .filter(|&j| j != q)
+            .map(|j| (j, working.op(idx, j)))
+            .find(|&(_, op)| op != PauliOp::I)
+        {
+            match op {
+                PauliOp::X | PauliOp::Y => {
+                    if op == PauliOp::Y {
+                        apply(Gate::S(j), &mut working);
                     }
-                    PauliOp::Z => {
-                        apply(Gate::Cz { a: q, b: j }, &mut working, &mut gates);
-                        changed = true;
-                        break;
-                    }
-                    PauliOp::I => {}
+                    apply(
+                        Gate::Cx {
+                            control: q,
+                            target: j,
+                        },
+                        &mut working,
+                    );
                 }
-            }
-            if !changed {
-                break;
+                _ => apply(Gate::Cz { a: q, b: j }, &mut working),
             }
         }
         // The pivot now has q as its only non-identity column among the
@@ -167,14 +151,14 @@ pub fn diagonalize_commuting_set(n: usize, paulis: &[SignedPauli]) -> Diagonaliz
         // into a Y); normalize to X and turn it into Z with a Hadamard.
         // Every other member commutes with the pivot, so after the Hadamard
         // all members are I/Z at q.
-        if working[idx].pauli().op(q) == PauliOp::Y {
-            apply(Gate::S(q), &mut working, &mut gates);
+        if working.op(idx, q) == PauliOp::Y {
+            apply(Gate::S(q), &mut working);
         }
-        apply(Gate::H(q), &mut working, &mut gates);
+        apply(Gate::H(q), &mut working);
     }
 
     debug_assert!(
-        working.iter().all(|p| p.pauli().x_bits().is_zero()),
+        (0..n).all(|q| working.x_plane(q).is_zero()),
         "diagonalization failed to clear all X components"
     );
 
@@ -183,12 +167,9 @@ pub fn diagonalize_commuting_set(n: usize, paulis: &[SignedPauli]) -> Diagonaliz
     // circuit. Since exp(-iθ/2·P) = C† · exp(-iθ/2·P') · C, a block is
     // implemented as the circuit [C][Z-rotation ladders][C†] in time order,
     // which is exactly how `synthesize_tket_like` uses the result.
-    let mut forward = Circuit::new(n);
-    forward.extend(gates.iter().copied());
-    let transformed = working;
     Diagonalization {
-        circuit: forward,
-        transformed,
+        circuit: Circuit::from_gates(n, gates),
+        transformed: (0..paulis.len()).map(|i| working.get(i)).collect(),
     }
 }
 

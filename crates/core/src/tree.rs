@@ -297,12 +297,19 @@ fn weight_of(op: PauliOp) -> usize {
     usize::from(!op.is_identity())
 }
 
+/// The scalar conjugation rules, the oracle the parity-tree checks below
+/// run on.
+#[cfg(test)]
+#[path = "../../tableau/tests/support/scalar_rules.rs"]
+mod scalar_rules;
+
 #[cfg(test)]
 mod tests {
+    use super::scalar_rules::conjugate_pauli_by_gate;
     use super::*;
     use quclear_circuit::Circuit;
     use quclear_pauli::SignedPauli;
-    use quclear_tableau::{conjugate_pauli_by_gate, CliffordTableau};
+    use quclear_tableau::CliffordTableau;
 
     /// Checks the defining parity-tree property: conjugating the all-Z string
     /// on the support through the tree circuit leaves a single Z on the root.

@@ -11,7 +11,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`conjugate_pauli_by_gate`] — the per-gate conjugation rules,
+//! * [`conjugate_all_by_gate`] — the per-gate conjugation rules, applied
+//!   to every row of a [`quclear_pauli::PauliFrame`] by its word-parallel
+//!   bit-plane kernels (the one implementation of the rules; a scalar rule
+//!   table survives only as a test oracle),
 //! * [`CliffordTableau`] — the conjugation map, built gate by gate and
 //!   applied to Pauli strings,
 //! * [`synthesize_clifford`] — Aaronson–Gottesman-style synthesis back to a
@@ -42,7 +45,7 @@ mod synth;
 mod tableau;
 
 pub use random::random_clifford_circuit;
-pub use rules::{conjugate_all_by_gate, conjugate_pauli_by_gate};
+pub use rules::conjugate_all_by_gate;
 pub use synth::synthesize_clifford;
 pub use tableau::CliffordTableau;
 

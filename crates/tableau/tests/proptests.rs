@@ -1,14 +1,18 @@
 //! Property-based tests for the Clifford tableau.
 
 use proptest::prelude::*;
-use quclear_circuit::Circuit;
+use quclear_circuit::{Circuit, Gate};
 use quclear_pauli::{PauliFrame, PauliOp, PauliString, SignedPauli};
 use quclear_tableau::{
-    conjugate_all_by_gate, conjugate_pauli_by_gate, random_clifford_circuit, synthesize_clifford,
-    CliffordTableau,
+    conjugate_all_by_gate, random_clifford_circuit, synthesize_clifford, CliffordTableau,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "support/scalar_rules.rs"]
+mod scalar_rules;
+
+use scalar_rules::conjugate_pauli_by_gate;
 
 fn pauli_string(n: usize) -> impl Strategy<Value = PauliString> {
     prop::collection::vec(0u8..4, n).prop_map(|ops| {
@@ -180,6 +184,50 @@ proptest! {
         prop_assert_eq!(frame.num_rows(), scalar.len());
         for (i, row) in scalar.iter().enumerate() {
             prop_assert_eq!(&frame.get(i), row);
+        }
+    }
+}
+
+/// The batched frame conjugation must agree with the scalar rule on
+/// every two-qubit signed Pauli for every Clifford gate.
+#[test]
+fn batched_conjugation_matches_scalar_rules() {
+    let gates = [
+        Gate::H(0),
+        Gate::H(1),
+        Gate::S(0),
+        Gate::Sdg(1),
+        Gate::X(0),
+        Gate::Y(1),
+        Gate::Z(0),
+        Gate::SqrtX(1),
+        Gate::SqrtXdg(0),
+        Gate::Cx {
+            control: 0,
+            target: 1,
+        },
+        Gate::Cx {
+            control: 1,
+            target: 0,
+        },
+        Gate::Cz { a: 0, b: 1 },
+        Gate::Swap { a: 0, b: 1 },
+    ];
+    // All 32 signed two-qubit Paulis.
+    let mut rows: Vec<SignedPauli> = Vec::new();
+    for a in "IXYZ".chars() {
+        for b in "IXYZ".chars() {
+            for sign in ["+", "-"] {
+                rows.push(format!("{sign}{a}{b}").parse().unwrap());
+            }
+        }
+    }
+    for gate in gates {
+        let mut frame = PauliFrame::from_signed(2, &rows);
+        conjugate_all_by_gate(&mut frame, &gate);
+        for (i, row) in rows.iter().enumerate() {
+            let scalar = conjugate_pauli_by_gate(row, &gate);
+            assert_eq!(frame.get(i), scalar, "gate {gate} on {row}");
         }
     }
 }

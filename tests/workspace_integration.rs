@@ -155,6 +155,25 @@ fn served_extracted_clifford_is_the_resynthesized_raw_log() {
     );
 }
 
+/// The t|ket⟩-like baseline's summed CNOT and gate counts over the quick
+/// Table III suite (`table3 --tiny`: every benchmark of at most 400
+/// rotations) are pinned, so a change to how its diagonalizing Cliffords
+/// are computed cannot move a single gate of that column unnoticed.
+#[test]
+fn tket_like_counts_are_pinned_on_the_tiny_suite() {
+    let (mut cnots, mut gates) = (0, 0);
+    for bench in Benchmark::all() {
+        let rotations = bench.rotations();
+        if rotations.len() > 400 {
+            continue;
+        }
+        let circuit = Method::TketLike.compile(&rotations);
+        cnots += circuit.cnot_count();
+        gates += circuit.len();
+    }
+    assert_eq!((cnots, gates), (4_182, 6_352));
+}
+
 /// End-to-end QAOA equivalence through the facade: simulated measurement
 /// distribution of the optimized circuit + CA modules equals the original.
 #[test]
