@@ -188,12 +188,6 @@ impl Circuit {
         self.depth_impl(true)
     }
 
-    /// Full circuit depth counting every gate.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth_impl(false)
-    }
-
     fn depth_impl(&self, entangling_only: bool) -> usize {
         let mut per_qubit = vec![0usize; self.num_qubits];
         let mut max_depth = 0;
@@ -272,6 +266,13 @@ impl fmt::Display for Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Circuit {
+        /// Full circuit depth counting every gate.
+        fn depth(&self) -> usize {
+            self.depth_impl(false)
+        }
+    }
 
     fn ghz(n: usize) -> Circuit {
         let mut c = Circuit::new(n);

@@ -638,10 +638,13 @@ impl Registers {
         self.regs.iter().any(|(n, _, _)| n == name)
     }
 
-    /// Appends a register at the end of the flattened index space.
-    fn declare(&mut self, name: String, size: usize) {
+    /// Appends a register at the end of the flattened index space, or
+    /// returns `None` when the total qubit count would overflow `usize`.
+    fn declare(&mut self, name: String, size: usize) -> Option<()> {
         let offset = self.total();
+        offset.checked_add(size)?;
         self.regs.push((name, offset, size));
+        Some(())
     }
 
     /// `(offset, size)` of a declared register.
@@ -884,7 +887,7 @@ fn parse_statement(
                 return Err(cur.error_here(token, "expected a register name after `qreg`"));
             };
             cur.expect(b'[', "after the register name")?;
-            let Some((size, _)) = cur.take_uint()? else {
+            let Some((size, size_at)) = cur.take_uint()? else {
                 let token = cur.rest();
                 return Err(cur.error_here(token, "expected a register size"));
             };
@@ -897,8 +900,17 @@ fn parse_statement(
                     format!("duplicate `qreg` declaration of register `{name}`"),
                 ));
             }
-            registers.declare(name, size);
-            Ok(())
+            let total = registers.total();
+            registers.declare(name, size).ok_or_else(|| {
+                cur.error(
+                    size_at,
+                    size.to_string(),
+                    format!(
+                        "register of {size} qubits after {total} declared ones overflows \
+                         the qubit count"
+                    ),
+                )
+            })
         }
         _ => {
             parse_gate(cur, &head, head_at, registers, gates)?;
@@ -1357,6 +1369,20 @@ mod tests {
         assert!(err.message.contains("out of range"), "{err}");
         assert_eq!(err.token, "99999999999999999999999");
         assert_eq!(err.column, 8);
+
+        // Register sizes that each fit but whose total overflows: the
+        // flattened offsets must not wrap (into a 1-qubit `h q[0]`) or reach
+        // the circuit builder.
+        let err = from_qasm("qreg a[18446744073709551615]; qreg b[2]; h b[1];").unwrap_err();
+        assert_eq!((err.line, err.column), (1, 38));
+        assert_eq!(err.token, "2");
+        assert!(err.message.contains("overflows"), "{err}");
+        let err =
+            from_qasm("qreg a[9223372036854775808];\nqreg b[9223372036854775808];\nh b[0];\n")
+                .unwrap_err();
+        assert_eq!((err.line, err.column), (2, 8));
+        assert_eq!(err.token, "9223372036854775808");
+        assert!(err.message.contains("overflows"), "{err}");
 
         // A malformed version number.
         let err = from_qasm("OPENQASM 2.0.1;\nqreg q[1];\n").unwrap_err();

@@ -17,7 +17,7 @@ use std::error::Error;
 use std::fmt;
 
 use quclear_circuit::{Circuit, Gate};
-use quclear_pauli::{BitVec, PauliFrame, PauliOp, PauliString, SignedPauli};
+use quclear_pauli::{PauliFrame, PauliOp, PauliString, SignedPauli};
 use quclear_tableau::{conjugate_all_by_gate, CliffordTableau};
 
 use crate::gf2::Gf2Matrix;
@@ -142,12 +142,6 @@ impl AbsorbedObservables {
     #[must_use]
     pub fn frame(&self) -> &PauliFrame {
         &self.frame
-    }
-
-    /// The coefficient-sign plane: bit `i` set means `O'_i` carries `−1`.
-    #[must_use]
-    pub fn signs(&self) -> &BitVec {
-        self.frame.sign_plane()
     }
 
     /// The `i`-th rewritten observable.
@@ -362,18 +356,6 @@ impl ProbabilityAbsorber {
             }
         }
         circuit
-    }
-
-    /// The classical linear map `A` of the CNOT network.
-    #[must_use]
-    pub fn matrix(&self) -> &Gf2Matrix {
-        &self.matrix
-    }
-
-    /// The affine offset `b` of the network (bit flips).
-    #[must_use]
-    pub fn offset(&self) -> &[bool] {
-        &self.offset
     }
 
     /// CA-Post on a single measured basis-state index: returns the basis
@@ -602,7 +584,7 @@ mod tests {
             assert_eq!(absorbed.to_vec(), scalar);
             // Sign plane mirrors the per-row signs.
             for (i, o) in scalar.iter().enumerate() {
-                assert_eq!(absorbed.signs().get(i), o.is_negative());
+                assert_eq!(absorbed.frame().sign_plane().get(i), o.is_negative());
                 assert_eq!(absorbed.sign(i), o.sign());
                 assert_eq!(absorbed.original_expectation(i, 0.25), o.sign() * 0.25);
             }

@@ -92,16 +92,6 @@ impl Gf2Matrix {
         self.rows[row].set(col, value);
     }
 
-    /// The bit-packed row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    #[must_use]
-    pub fn row(&self, r: usize) -> &BitVec {
-        &self.rows[r]
-    }
-
     /// Matrix–vector product over GF(2).
     ///
     /// # Panics

@@ -317,12 +317,6 @@ impl GroupDiagonalizer {
         &self.z_supports[i]
     }
 
-    /// All parity masks, in member order.
-    #[must_use]
-    pub fn z_supports(&self) -> &[BitVec] {
-        &self.z_supports
-    }
-
     /// The composed sign of member `i` as `±1.0` (input-frame sign times
     /// conjugation phase).
     #[must_use]

@@ -29,8 +29,7 @@ const WORD_BITS: usize = 64;
 ///
 /// // Three 2-qubit shots: |11⟩, |01⟩, |10⟩ (bit q of the index = qubit q).
 /// let batch = ShotBatch::from_indices(2, &[0b11, 0b01, 0b10]);
-/// assert_eq!(batch.num_shots(), 3);
-/// assert_eq!(batch.index(1), 0b01);
+/// assert_eq!(batch.to_indices(), [0b11, 0b01, 0b10]);
 /// // ⟨Z₀⟩ over the batch: outcomes −1, −1, +1.
 /// let z0: quclear_pauli::PauliString = "ZI".parse()?;
 /// assert!((batch.parity_expectation(z0.z_bits()) + 1.0 / 3.0).abs() < 1e-12);
@@ -121,40 +120,10 @@ impl ShotBatch {
         self.n
     }
 
-    /// Number of shots in the batch.
-    #[must_use]
-    pub fn num_shots(&self) -> usize {
-        self.shots
-    }
-
-    /// The bit-plane of qubit `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    #[must_use]
-    pub fn plane(&self, q: usize) -> &BitVec {
-        &self.planes[q]
-    }
-
     /// All planes, qubit-major.
     #[must_use]
     pub fn planes(&self) -> &[BitVec] {
         &self.planes
-    }
-
-    /// Reads back shot `i` as a basis-state index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn index(&self, i: usize) -> u64 {
-        assert!(i < self.shots, "shot {i} out of range {}", self.shots);
-        self.planes
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (q, plane)| acc | (u64::from(plane.get(i)) << q))
     }
 
     /// Unpacks the batch back into basis-state indices (inverse transpose,
@@ -261,12 +230,9 @@ mod tests {
     fn pack_unpack_roundtrip_non_multiple_of_64() {
         let shots: Vec<u64> = (0..157).map(|i| (i * 2654435761) % (1 << 20)).collect();
         let batch = ShotBatch::from_indices(20, &shots);
-        assert_eq!(batch.num_shots(), 157);
+        assert_eq!(batch.shots, 157);
         assert_eq!(batch.num_qubits(), 20);
         assert_eq!(batch.to_indices(), shots);
-        for (i, &s) in shots.iter().enumerate() {
-            assert_eq!(batch.index(i), s, "shot {i}");
-        }
         // Plane tail bits beyond the shot count stay zero.
         for plane in batch.planes() {
             assert!(plane.count_ones() <= 157);
@@ -314,7 +280,7 @@ mod tests {
     #[test]
     fn empty_batch_is_well_defined() {
         let batch = ShotBatch::from_indices(4, &[]);
-        assert_eq!(batch.num_shots(), 0);
+        assert_eq!(batch.shots, 0);
         assert!(batch.to_indices().is_empty());
         assert_eq!(batch.parity_expectation(&BitVec::zeros(4)), 0.0);
     }

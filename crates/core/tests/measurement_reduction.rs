@@ -39,7 +39,8 @@ fn diagonal_pauli(diag: &GroupDiagonalizer, i: usize) -> SignedPauli {
 fn outcome_planes(diag: &GroupDiagonalizer, shots: &ShotBatch) -> Vec<BitVec> {
     let n = diag.num_qubits();
     let mut planes: Vec<BitVec> = Vec::with_capacity(diag.len());
-    for chunk in diag.z_supports().chunks(n.max(1)) {
+    let z_supports: Vec<&BitVec> = (0..diag.len()).map(|i| diag.z_support(i)).collect();
+    for chunk in z_supports.chunks(n.max(1)) {
         let mut rows: Vec<Vec<bool>> = chunk
             .iter()
             .map(|row| (0..n).map(|q| row.get(q)).collect())

@@ -27,10 +27,8 @@ fn affine_map(n: usize) -> impl Strategy<Value = (Gf2Matrix, Vec<bool>)> {
             for (r, c) in ops {
                 if r != c {
                     // row_r += row_c: an elementary operation over GF(2).
-                    let src = m.row(c).clone();
-                    let mut dst = m.row(r).clone();
-                    dst.xor_with(&src);
-                    for (col, bit) in (0..n).map(|col| (col, dst.get(col))) {
+                    for col in 0..n {
+                        let bit = m.get(r, col) ^ m.get(c, col);
                         m.set(r, col, bit);
                     }
                 }

@@ -32,6 +32,7 @@
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -98,8 +99,14 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Looks up `key`, refreshing its recency stamp. Takes only the read
     /// lock — concurrent hits (same or different keys) never contend
-    /// exclusively.
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+    /// exclusively. Any borrowed form of the key works, as for
+    /// [`HashMap::get`], so a `Vec` key is found by slice without
+    /// allocating.
+    pub fn get<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let map = read_lock(&self.map);
         let entry = map.get(key)?;
         // ordering: Relaxed — a recency hint; a racing stale store only

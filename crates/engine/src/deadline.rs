@@ -79,14 +79,6 @@ impl Deadline {
         self.at.is_some_and(|at| Instant::now() >= at)
     }
 
-    /// Time left before expiry: `None` for unbounded, `Some(ZERO)` once
-    /// expired.
-    #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at
-            .map(|at| at.saturating_duration_since(Instant::now()))
-    }
-
     /// The cooperative stage-boundary check: `Ok` while budget remains,
     /// [`EngineError::DeadlineExceeded`] once it is spent.
     ///
@@ -110,7 +102,6 @@ mod tests {
     fn unbounded_never_expires() {
         let d = Deadline::none();
         assert!(!d.expired());
-        assert_eq!(d.remaining(), None);
         assert_eq!(d.instant(), None);
         d.check().unwrap();
         assert_eq!(Deadline::default(), Deadline::none());
@@ -120,7 +111,6 @@ mod tests {
     fn zero_budget_expires_immediately() {
         let d = Deadline::within(Duration::ZERO);
         assert!(d.expired());
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
         assert_eq!(d.check(), Err(EngineError::DeadlineExceeded));
     }
 
@@ -128,7 +118,11 @@ mod tests {
     fn generous_budget_has_time_remaining() {
         let d = Deadline::within(Duration::from_secs(3600));
         assert!(!d.expired());
-        assert!(d.remaining().unwrap() > Duration::from_secs(3500));
+        let left = d
+            .instant()
+            .unwrap()
+            .saturating_duration_since(Instant::now());
+        assert!(left > Duration::from_secs(3500));
         d.check().unwrap();
     }
 

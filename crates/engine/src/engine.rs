@@ -12,8 +12,7 @@ use crate::sync::{Arc, Mutex, PoisonError};
 use quclear_circuit::qasm::from_qasm;
 use quclear_circuit::Gate;
 use quclear_core::{
-    lift, AbsorbedObservables, LiftedProgram, MeasurementPlan, QuClearConfig, QuClearResult,
-    ShotBatch,
+    lift, AbsorbedObservables, MeasurementPlan, QuClearConfig, QuClearResult, ShotBatch,
 };
 use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_sim::StateVector;
@@ -30,8 +29,7 @@ use crate::template::{CompiledTemplate, StageMetrics};
 
 /// Metric name of the engine's per-stage latency histograms (labeled by
 /// `stage`: `fingerprint`, `extract`, `bind`, `peephole`, `render`,
-/// `absorb_pre`, `absorb_post`, `diagonalize`, `simulate`, `sample`,
-/// `readout`).
+/// `absorb_pre`, `diagonalize`, `simulate`, `sample`, `readout`).
 pub const ENGINE_STAGE_METRIC: &str = "quclear_engine_stage_duration_ns";
 
 /// Metric name of the single-flight latency histograms (labeled by `role`:
@@ -102,12 +100,6 @@ impl EngineStats {
             (self.hits.min(total)) as f64 / total as f64
         }
     }
-
-    /// Total template lookups observed (`hits + misses`).
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.hits.saturating_add(self.misses)
-    }
 }
 
 /// A high-throughput compilation engine with a shared template cache.
@@ -141,8 +133,8 @@ impl EngineStats {
 ///
 /// An `Engine` is a cheap handle: the cache, single-flight table and
 /// metrics live in one shared core, and the handle adds the [`Deadline`]
-/// its operations run under. [`Engine::new`] and friends build a handle
-/// with [`Deadline::none`], which never fails with
+/// its operations run under. [`Engine::new`] and [`Engine::default`] build a
+/// handle with [`Deadline::none`], which never fails with
 /// [`EngineError::DeadlineExceeded`]. [`Engine::with_deadline`] returns a
 /// handle on the **same** core under a request budget — a serving front
 /// end makes one per request.
@@ -201,7 +193,6 @@ struct EngineCore {
     rotation_passes: Arc<Gauge>,
     stage_fingerprint: Arc<Histogram>,
     stage_extract: Arc<Histogram>,
-    stage_absorb_post: Arc<Histogram>,
     stage_simulate: Arc<Histogram>,
     stage_sample: Arc<Histogram>,
     stage_readout: Arc<Histogram>,
@@ -224,6 +215,12 @@ impl Default for Engine {
         Engine::new(DEFAULT_CACHE_CAPACITY)
     }
 }
+
+/// Widest register the engine compiles. Extraction, its Clifford frames and
+/// the QASM lift grow with the square of the width, so a wider program is
+/// refused as [`EngineError::TooManyQubits`] before it is fingerprinted,
+/// lifted or extracted. Table II's widest program has 20 qubits.
+pub const MAX_QUBITS: usize = 1024;
 
 /// Largest register [`Engine::estimate_observables`] will simulate: the
 /// dense statevector simulator's own guard rail.
@@ -266,12 +263,6 @@ impl Engine {
     /// for `capacity` cached templates (clamped to at least one).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Engine::with_config(capacity, QuClearConfig::default())
-    }
-
-    /// Creates an engine compiling with an explicit pipeline configuration.
-    #[must_use]
-    pub fn with_config(capacity: usize, config: QuClearConfig) -> Self {
         let cache = LruCache::new(capacity);
         let metrics = Arc::new(MetricsRegistry::new());
         let stage = |name: &str| {
@@ -340,7 +331,6 @@ impl Engine {
             ),
             stage_fingerprint: stage("fingerprint"),
             stage_extract: stage("extract"),
-            stage_absorb_post: stage("absorb_post"),
             stage_simulate: stage("simulate"),
             stage_sample: stage("sample"),
             stage_readout: stage("readout"),
@@ -354,7 +344,7 @@ impl Engine {
                 render: stage("render"),
             },
             metrics,
-            config,
+            config: QuClearConfig::default(),
             cache,
             fault_armed: AtomicBool::new(false),
             fault_fingerprint: Mutex::new(None),
@@ -398,14 +388,17 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Propagates template-compilation failures (inconsistent register
-    /// sizes, contained panics). A coalesced caller receives a clone of the
+    /// [`EngineError::TooManyQubits`] when the first axis is wider than
+    /// [`MAX_QUBITS`], before anything is fingerprinted. Propagates
+    /// template-compilation failures (inconsistent register sizes,
+    /// contained panics). A coalesced caller receives a clone of the
     /// leader's error; failed compilations are never cached, so a later
     /// request retries from scratch. [`EngineError::DeadlineExceeded`] once
     /// the handle's budget is spent; a detached waiter counts as a miss
     /// without a `coalesced_waits` increment, preserving the
     /// `coalesced_waits <= hits + misses` snapshot invariant.
     pub fn template(&self, axes: &[SignedPauli]) -> Result<Arc<CompiledTemplate>, EngineError> {
+        check_width(axes.first().map_or(0, SignedPauli::num_qubits))?;
         let core = &*self.core;
         let fingerprint_start = Instant::now();
         let fingerprint = ProgramFingerprint::of_axes(axes, &core.config);
@@ -670,8 +663,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::QasmParse`] when the text does not parse; otherwise
-    /// the same conditions as [`Self::compile`].
+    /// [`EngineError::QasmParse`] when the text does not parse;
+    /// [`EngineError::TooManyQubits`] when it declares more than
+    /// [`MAX_QUBITS`] qubits; otherwise the same conditions as
+    /// [`Self::compile`].
     ///
     /// # Examples
     ///
@@ -689,9 +684,7 @@ impl Engine {
     /// # Ok::<(), quclear_engine::EngineError>(())
     /// ```
     pub fn compile_qasm(&self, qasm: &str) -> Result<QuClearResult, EngineError> {
-        let lifted = lift(&from_qasm(qasm)?);
-        self.deadline.check()?;
-        self.compile_lifted(&lifted, None)
+        self.compile_lifted(qasm, None)
     }
 
     /// Compiles OpenQASM 2.0 text with the rotation angles overridden.
@@ -700,40 +693,35 @@ impl Engine {
     /// circuit (in gate order, counting `t`/`tdg` as rotations) — the
     /// parameter-sweep fast path for QASM-origin ansätze: the structure is
     /// parsed, lifted and template-compiled once, then every angle set is
-    /// an `O(gates)` bind. For more control (e.g. lifting once for many
-    /// binds), use [`quclear_core::lift()`] on the parsed circuit with
-    /// [`Self::compile_lifted`]. The deadline is checked as for
+    /// an `O(gates)` bind. The deadline is checked as for
     /// [`Self::compile_qasm`].
     ///
     /// # Errors
     ///
-    /// [`EngineError::QasmParse`] when the text does not parse;
-    /// [`EngineError::AngleCountMismatch`] when `angles.len()` differs from
-    /// the circuit's rotation count; otherwise as [`Self::compile`].
+    /// As [`Self::compile_qasm`], plus [`EngineError::AngleCountMismatch`]
+    /// when `angles.len()` differs from the circuit's rotation count.
     pub fn bind_qasm(&self, qasm: &str, angles: &[f64]) -> Result<QuClearResult, EngineError> {
-        let lifted = lift(&from_qasm(qasm)?);
-        self.deadline.check()?;
-        self.compile_lifted(&lifted, Some(angles))
+        self.compile_lifted(qasm, Some(angles))
     }
 
-    /// Compiles an already-lifted program through the template cache,
-    /// binding either its native angles (`angles = None`) or an explicit
-    /// override.
+    /// Parses and lifts QASM text, then compiles the lifted program through
+    /// the template cache, binding either its native angles
+    /// (`angles = None`) or an explicit override. The width bound is
+    /// checked before the lift, whose frame grows with its square.
     ///
     /// The template is keyed on the lifted *signed* axes, so circuits whose
     /// conjugated axes differ only by sign do not collide. The trailing
-    /// Clifford is composed into the result via [`LiftedProgram::attach`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::compile`], plus
-    /// [`EngineError::AngleCountMismatch`] for an override of the wrong
-    /// length.
-    pub fn compile_lifted(
+    /// Clifford is composed into the result via
+    /// [`quclear_core::LiftedProgram::attach`].
+    fn compile_lifted(
         &self,
-        lifted: &LiftedProgram,
+        qasm: &str,
         angles: Option<&[f64]>,
     ) -> Result<QuClearResult, EngineError> {
+        let circuit = from_qasm(qasm)?;
+        check_width(circuit.num_qubits())?;
+        let lifted = lift(&circuit);
+        self.deadline.check()?;
         let template = self.template(lifted.axes())?;
         let result = self.bind(&template, angles.unwrap_or(lifted.native_angles()))?;
         Ok(lifted.attach(result))
@@ -953,33 +941,6 @@ impl Engine {
         Ok(state)
     }
 
-    /// CA-Post for measured shots, served through the template cache: the
-    /// extracted Clifford is reduced once per template to a classical affine
-    /// map over GF(2) (memoized on the template, like the CA-Pre results),
-    /// and every call rewrites the shot batch word-parallel — no quantum
-    /// re-simulation, no tableau algebra.
-    ///
-    /// # Errors
-    ///
-    /// Propagates template-compilation failures, and returns
-    /// [`EngineError::NotAbsorbable`] when the program's extracted Clifford
-    /// is not a basis layer + CNOT network (the QAOA form of Proposition 1);
-    /// such programs should use [`Self::absorb_observables`] instead.
-    pub fn post_process_shots(
-        &self,
-        program: &[PauliRotation],
-        shots: &ShotBatch,
-    ) -> Result<ShotBatch, EngineError> {
-        let template = self.template_for(program)?;
-        let absorber = template
-            .probability_absorber()
-            .map_err(EngineError::NotAbsorbable)?;
-        let start = Instant::now();
-        let processed = contain_panics(|| Ok(absorber.post_process_shots(shots)))?;
-        self.core.stage_absorb_post.record_duration(start.elapsed());
-        Ok(processed)
-    }
-
     /// The engine's metric registry: per-stage latency histograms
     /// ([`ENGINE_STAGE_METRIC`], [`ENGINE_SINGLEFLIGHT_METRIC`]) plus the
     /// cache counters behind [`Engine::stats`]. Other subsystems (the
@@ -1042,6 +1003,17 @@ impl Engine {
         self.core.cache.clear();
         self.core.cache_entries.set(0);
     }
+}
+
+/// Refuses a register wider than [`MAX_QUBITS`].
+fn check_width(qubits: usize) -> Result<(), EngineError> {
+    if qubits > MAX_QUBITS {
+        return Err(EngineError::TooManyQubits {
+            qubits,
+            limit: MAX_QUBITS,
+        });
+    }
+    Ok(())
 }
 
 /// Runs `f`, converting a panic into [`EngineError::CompilationPanicked`].
@@ -1330,7 +1302,6 @@ mod tests {
         };
         let rate = extreme.hit_rate();
         assert!((0.0..=1.0).contains(&rate), "rate {rate} out of range");
-        assert_eq!(extreme.lookups(), u64::MAX);
         // All hits: exactly 1.
         let all_hits = EngineStats {
             hits: 7,
@@ -1443,36 +1414,35 @@ mod tests {
     }
 
     #[test]
-    fn post_process_shots_roundtrips_qaoa_form_programs() {
+    fn registers_wider_than_the_bound_are_refused_before_any_work() {
         let engine = Engine::new(8);
-        // ZZ-rotation programs are the QAOA form Proposition 1 covers.
-        let program = vec![rot("ZZ", 0.4), rot("IZ", 0.9)];
-        engine.compile(&program).unwrap();
-        let shots = ShotBatch::from_indices(2, &[0b00, 0b01, 0b10, 0b11, 0b01]);
-        let processed = engine.post_process_shots(&program, &shots).unwrap();
-        assert_eq!(processed.num_shots(), 5);
-        // Template-side absorber construction happened once; the stage
-        // histogram saw the call.
-        let snapshot = engine.metrics_snapshot();
-        let absorb_post = snapshot
-            .histogram(ENGINE_STAGE_METRIC, Some(("stage", "absorb_post")))
-            .unwrap();
-        assert_eq!(absorb_post.count(), 1);
-    }
-
-    #[test]
-    fn post_process_shots_rejects_non_absorbable_programs() {
-        let engine = Engine::new(8);
-        // An X-axis rotation extracts a Clifford with a Hadamard-like basis
-        // change sandwich that is not a pure basis layer + CNOT network for
-        // CA-Post... unless it is: probe and accept either a clean answer or
-        // the typed rejection, but never a panic or a wrong-variant error.
-        let program = vec![rot("XY", 0.3), rot("YX", 0.8)];
-        let shots = ShotBatch::from_indices(2, &[0, 1, 2, 3]);
-        match engine.post_process_shots(&program, &shots) {
-            Ok(processed) => assert_eq!(processed.num_shots(), 4),
-            Err(EngineError::NotAbsorbable(_)) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
+        let too_wide = |qubits: usize| EngineError::TooManyQubits {
+            qubits,
+            limit: MAX_QUBITS,
+        };
+        let axis = |width: usize| -> SignedPauli { "Z".repeat(width).parse().unwrap() };
+        assert_eq!(
+            engine.template(&[axis(MAX_QUBITS + 1)]).unwrap_err(),
+            too_wide(MAX_QUBITS + 1)
+        );
+        let qasm = format!("qreg q[{}];\nh q[0];\n", MAX_QUBITS + 1);
+        assert_eq!(
+            engine.compile_qasm(&qasm).unwrap_err(),
+            too_wide(MAX_QUBITS + 1)
+        );
+        assert_eq!(
+            engine.bind_qasm(&qasm, &[]).unwrap_err(),
+            too_wide(MAX_QUBITS + 1)
+        );
+        // Nothing was fingerprinted, looked up or compiled.
+        let stats = engine.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
+        let fingerprints = engine
+            .metrics_snapshot()
+            .histogram(ENGINE_STAGE_METRIC, Some(("stage", "fingerprint")))
+            .map_or(0, |h| h.count());
+        assert_eq!(fingerprints, 0);
+        // The bound itself is served.
+        engine.template(&[axis(MAX_QUBITS)]).unwrap();
     }
 }

@@ -8,7 +8,6 @@ use std::error::Error;
 use std::fmt;
 
 use quclear_circuit::qasm::ParseQasmError;
-use quclear_core::AbsorptionError;
 
 /// Errors produced by the compilation engine.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,11 +41,15 @@ pub enum EngineError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// The program's extracted Clifford is not of the basis-layer + CNOT
-    /// network form required for CA-Post shot post-processing
-    /// ([`crate::Engine::post_process_shots`]); use observable absorption
-    /// instead.
-    NotAbsorbable(AbsorptionError),
+    /// The program's register is wider than [`crate::MAX_QUBITS`]. Refused
+    /// before any work whose cost grows with the width (fingerprinting,
+    /// lifting, extraction). Not transient.
+    TooManyQubits {
+        /// Width of the refused register.
+        qubits: usize,
+        /// The engine's bound, [`crate::MAX_QUBITS`].
+        limit: usize,
+    },
     /// The request cannot be served by sampled observable estimation
     /// ([`crate::Engine::estimate_observables`]): the register exceeds the
     /// dense simulator's qubit budget, or the shot count is zero or above
@@ -88,9 +91,10 @@ impl fmt::Display for EngineError {
             EngineError::CompilationPanicked { message } => {
                 write!(f, "compilation panicked: {message}")
             }
-            EngineError::NotAbsorbable(inner) => {
-                write!(f, "shot post-processing is not available: {inner}")
-            }
+            EngineError::TooManyQubits { qubits, limit } => write!(
+                f,
+                "register of {qubits} qubits exceeds the engine's limit of {limit}"
+            ),
             EngineError::NotEstimable { reason } => {
                 write!(f, "sampled estimation is not available: {reason}")
             }

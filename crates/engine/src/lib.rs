@@ -60,6 +60,7 @@ pub use deadline::Deadline;
 pub use engine::{
     group_shot_seed, Engine, EngineStats, EstimateResult, DEFAULT_CACHE_CAPACITY,
     ENGINE_SINGLEFLIGHT_METRIC, ENGINE_STAGE_METRIC, MAX_ESTIMABLE_QUBITS, MAX_ESTIMATE_SHOTS,
+    MAX_QUBITS,
 };
 pub use error::EngineError;
 pub use fingerprint::ProgramFingerprint;

@@ -26,24 +26,21 @@
 //! Both circuits implement the same unitary; they just need not be
 //! gate-identical.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use quclear_circuit::qasm::{to_qasm, QasmHoles};
 use quclear_circuit::{is_zero_rotation, optimize, Circuit, Gate};
 use quclear_core::{
-    extract_clifford, AbsorbedObservables, AbsorptionError, AbsorptionPlan, MeasurementPlan,
-    ProbabilityAbsorber, QuClearConfig, QuClearResult,
+    extract_clifford, AbsorbedObservables, AbsorptionPlan, MeasurementPlan, QuClearConfig,
+    QuClearResult,
 };
 use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_sim::RotationRun;
 use quclear_telemetry::Histogram;
 
+use crate::cache::LruCache;
 use crate::error::EngineError;
-use crate::fingerprint::ProgramFingerprint;
 
 /// Histogram handles for the template-side pipeline stages, attached by the
 /// owning [`crate::Engine`] after compilation. Templates compiled directly
@@ -87,9 +84,9 @@ struct Slot {
 /// A template holds one patchable skeleton (the peephole-optimized marker
 /// circuit, with its parameterized `Rz` slots decoded) and the extracted
 /// Clifford every bind shares. What is derived from them on demand is built
-/// once, on first use, and owned by the template: one memo of observable
-/// sets (each set's CA-Pre rewriting and its measurement plan), the CA-Post
-/// absorber, the rotation-run plan, and the served OpenQASM
+/// once, on first use, and owned by the template: a bounded LRU of
+/// observable sets (each set's CA-Pre rewriting and its measurement plan),
+/// the rotation-run plan, and the served OpenQASM
 /// ([`Self::render_qasm`]) — the extracted Clifford's text, and the
 /// skeleton's text with its angles cut out, so a bind that returns the
 /// patched skeleton renders by filling in its angles. The engine's cache
@@ -114,8 +111,8 @@ struct Slot {
 /// ```
 #[derive(Debug)]
 pub struct CompiledTemplate {
-    fingerprint: ProgramFingerprint,
-    config: QuClearConfig,
+    /// Whether the compiling config ran the peephole, so binds do too.
+    peephole: bool,
     num_qubits: usize,
     num_params: usize,
     /// The circuit every bind patches, with marker angles in its slots: the
@@ -133,13 +130,11 @@ pub struct CompiledTemplate {
     /// replays and an estimate's simulation ends with, built once at
     /// compile time.
     absorption: AbsorptionPlan,
-    /// Memoized observable sets: each set's CA-Pre rewriting and, built on
-    /// first use, its measurement plan. A template cache hit never
-    /// re-conjugates or re-diagonalizes a set it has already seen.
-    observable_sets: ObservableSetMemo,
-    /// Memoized CA-Post shot absorber (or the reason the extracted Clifford
-    /// does not reduce to one), built on first use.
-    probability_absorber: OnceLock<Result<Arc<ProbabilityAbsorber>, AbsorptionError>>,
+    /// Memoized observable sets, keyed by the exact set: each set's CA-Pre
+    /// rewriting and, built on first use, its measurement plan. A template
+    /// cache hit never re-conjugates or re-diagonalizes a set it still
+    /// holds.
+    observable_sets: LruCache<Vec<SignedPauli>, ObservableSet>,
     /// The program's runs of commuting same-X rotations, one dense pass
     /// each in an estimate; built on the first estimate (so templates that
     /// are never estimated pay nothing).
@@ -162,10 +157,10 @@ struct TemplateQasm {
     skeleton: Option<QasmHoles>,
 }
 
-/// Soft cap on memoized observable sets per template: workloads measure a
-/// handful of Hamiltonians per ansatz, so this is generous, and it bounds
-/// memory if a caller streams unique sets through one template.
-const OBSERVABLE_SET_MEMO_CAPACITY: usize = 16;
+/// Observable sets memoized per template: workloads measure a handful of
+/// Hamiltonians per ansatz, so this is generous, and it bounds memory if a
+/// caller streams unique sets through one template.
+const OBSERVABLE_SET_CAPACITY: usize = 16;
 
 /// One memoized observable set: its CA-Pre rewriting, and the measurement
 /// plan built from that rewriting on first use.
@@ -173,73 +168,6 @@ const OBSERVABLE_SET_MEMO_CAPACITY: usize = 16;
 struct ObservableSet {
     absorbed: Arc<AbsorbedObservables>,
     plan: OnceLock<Arc<MeasurementPlan>>,
-}
-
-/// A per-template memo from observable sets to what is derived from them.
-///
-/// Entries are keyed by a 64-bit hash of the set, and the stored set
-/// disambiguates collisions exactly: a collision recomputes, never
-/// corrupts. Past [`OBSERVABLE_SET_MEMO_CAPACITY`] sets, an arbitrary entry
-/// is dropped: the memo is a convenience cache, not an LRU.
-#[derive(Debug, Default)]
-struct ObservableSetMemo {
-    entries: RwLock<HashMap<u64, MemoEntry>>,
-}
-
-/// One memoized set: the exact observables (the collision check) and the
-/// shared entry.
-type MemoEntry = (Vec<SignedPauli>, Arc<ObservableSet>);
-
-impl ObservableSetMemo {
-    /// Returns the entry for `observables`, or runs `absorb` (with no lock
-    /// held) and memoizes a new entry holding its result.
-    fn get_or_absorb(
-        &self,
-        observables: &[SignedPauli],
-        absorb: impl FnOnce() -> AbsorbedObservables,
-    ) -> Arc<ObservableSet> {
-        let key = observable_set_key(observables);
-        // Both acquisitions recover from lock poisoning: the map only holds
-        // `Arc`s and every mutation below is a single HashMap operation, so
-        // it is structurally valid at every panic point. A panicked request
-        // (e.g. an `absorb` on mismatched register sizes, contained by the
-        // engine) must not disable the memo for the template's lifetime.
-        if let Some((set, entry)) = self
-            .entries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            if set == observables {
-                return Arc::clone(entry);
-            }
-        }
-        let entry = Arc::new(ObservableSet {
-            absorbed: Arc::new(absorb()),
-            plan: OnceLock::new(),
-        });
-        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-        if entries.len() >= OBSERVABLE_SET_MEMO_CAPACITY && !entries.contains_key(&key) {
-            if let Some(&evict) = entries.keys().next() {
-                entries.remove(&evict);
-            }
-        }
-        entries.insert(key, (observables.to_vec(), Arc::clone(&entry)));
-        entry
-    }
-}
-
-/// Order-sensitive 64-bit hash of an observable set (axes + signs + size).
-fn observable_set_key(observables: &[SignedPauli]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    observables.len().hash(&mut hasher);
-    for observable in observables {
-        observable.is_negative().hash(&mut hasher);
-        observable.pauli().num_qubits().hash(&mut hasher);
-        observable.pauli().x_bits().words().hash(&mut hasher);
-        observable.pauli().z_bits().words().hash(&mut hasher);
-    }
-    hasher.finish()
 }
 
 impl CompiledTemplate {
@@ -311,8 +239,7 @@ impl CompiledTemplate {
 
         let absorption = AbsorptionPlan::from_extracted(&extraction.extracted);
         Ok(CompiledTemplate {
-            fingerprint: ProgramFingerprint::of_axes(axes, config),
-            config: *config,
+            peephole: config.apply_peephole,
             num_qubits,
             num_params: axes.len(),
             skeleton,
@@ -320,8 +247,7 @@ impl CompiledTemplate {
             raw_skeleton,
             extracted: extraction.extracted,
             absorption,
-            observable_sets: ObservableSetMemo::default(),
-            probability_absorber: OnceLock::new(),
+            observable_sets: LruCache::new(OBSERVABLE_SET_CAPACITY),
             rotation_runs: OnceLock::new(),
             qasm: OnceLock::new(),
             stage_metrics: None,
@@ -400,7 +326,7 @@ impl CompiledTemplate {
         // peephole already eliminated every such pair angle-independently.
         // So unless a patched slot landed on zero, an optimized skeleton is
         // the pipeline's output verbatim.
-        if !self.config.apply_peephole || !(self.raw_skeleton || any_zero) {
+        if !self.peephole || !(self.raw_skeleton || any_zero) {
             return Ok(patched);
         }
         Ok(self.run_peephole(&patched))
@@ -447,18 +373,6 @@ impl CompiledTemplate {
     pub fn bind_program(&self, program: &[PauliRotation]) -> Result<QuClearResult, EngineError> {
         let angles: Vec<f64> = program.iter().map(PauliRotation::angle).collect();
         self.bind(&angles)
-    }
-
-    /// The structural fingerprint the template was compiled from.
-    #[must_use]
-    pub fn fingerprint(&self) -> ProgramFingerprint {
-        self.fingerprint
-    }
-
-    /// The pipeline configuration the template was compiled with.
-    #[must_use]
-    pub fn config(&self) -> &QuClearConfig {
-        &self.config
     }
 
     /// Register size of the compiled program.
@@ -539,23 +453,30 @@ impl CompiledTemplate {
 
     /// The memo entry for an observable set: on a miss, CA-Pre conjugates
     /// the whole set through the extracted Clifford in one word-parallel
-    /// frame sweep, recorded as the `absorb_pre` stage.
+    /// frame sweep, recorded as the `absorb_pre` stage, with no lock held.
     fn observable_set(&self, observables: &[SignedPauli]) -> Arc<ObservableSet> {
-        self.observable_sets.get_or_absorb(observables, || {
-            let start = Instant::now();
-            let absorbed = self.absorption.absorb(observables);
-            if let Some(metrics) = &self.stage_metrics {
-                metrics.absorb_pre.record_duration(start.elapsed());
-            }
-            absorbed
-        })
+        if let Some(set) = self.observable_sets.get(observables) {
+            return set;
+        }
+        let start = Instant::now();
+        let absorbed = self.absorption.absorb(observables);
+        if let Some(metrics) = &self.stage_metrics {
+            metrics.absorb_pre.record_duration(start.elapsed());
+        }
+        let set = Arc::new(ObservableSet {
+            absorbed: Arc::new(absorbed),
+            plan: OnceLock::new(),
+        });
+        self.observable_sets
+            .insert(observables.to_vec(), Arc::clone(&set));
+        set
     }
 
     /// CA-Pre on an observable set, memoized per template: the first call
     /// conjugates the whole set through the extracted Clifford in one
     /// word-parallel frame sweep; repeat calls with the same set return the
-    /// shared result without re-conjugating anything (hash lookup plus an
-    /// exact equality check — collisions recompute, never corrupt).
+    /// shared result without re-conjugating anything (a hash lookup keyed
+    /// by the exact set, in an LRU of the last 16 sets).
     ///
     /// The memo lives on the template, so an [`crate::Engine`] cache hit
     /// reuses rewritten sets from earlier requests.
@@ -573,9 +494,8 @@ impl CompiledTemplate {
     /// partitioned into general-commuting groups and each group gets a
     /// diagonalizing Clifford plus a composed affine readout map. Repeat
     /// calls with the same set return the shared `Arc` without
-    /// re-diagonalizing (hash lookup plus exact equality — collisions
-    /// recompute, never corrupt), and an [`crate::Engine`] cache hit reuses
-    /// plans from earlier requests.
+    /// re-diagonalizing, and an [`crate::Engine`] cache hit reuses plans
+    /// from earlier requests.
     ///
     /// Only the grouping + diagonalization work (the plan's first build) is
     /// recorded in the `diagonalize` stage histogram; the CA-Pre part
@@ -596,22 +516,6 @@ impl CompiledTemplate {
             Arc::new(plan)
         });
         Arc::clone(plan)
-    }
-
-    /// The CA-Post shot absorber for this template's extracted Clifford,
-    /// built on first use (so an engine cache hit never re-derives the
-    /// affine map).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`AbsorptionError`] when the extracted
-    /// Clifford is not a basis layer + CNOT network (Proposition 1 of the
-    /// QuCLEAR paper does not apply); the error is memoized too, so
-    /// repeated probes of a non-absorbable template stay cheap.
-    pub fn probability_absorber(&self) -> Result<Arc<ProbabilityAbsorber>, AbsorptionError> {
-        self.probability_absorber
-            .get_or_init(|| ProbabilityAbsorber::from_extracted(&self.extracted).map(Arc::new))
-            .clone()
     }
 }
 
@@ -695,15 +599,6 @@ mod tests {
     use super::*;
     use quclear_core::compile;
 
-    impl ObservableSetMemo {
-        fn len(&self) -> usize {
-            self.entries
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len()
-        }
-    }
-
     fn rot(s: &str, angle: f64) -> PauliRotation {
         PauliRotation::parse(s, angle).unwrap()
     }
@@ -782,15 +677,15 @@ mod tests {
             .collect();
         // Each plan sits next to its set's CA-Pre result; the memo stays at
         // the cap.
-        assert_eq!(template.observable_sets.len(), OBSERVABLE_SET_MEMO_CAPACITY);
-        // Eviction runs before the insert, so the latest set is retained,
-        // with its rewriting and its plan.
+        assert_eq!(template.observable_sets.len(), OBSERVABLE_SET_CAPACITY);
+        // The memo is an LRU, so the latest set is retained, with its
+        // rewriting and its plan.
         let last = sets.last().unwrap();
         let absorbed = template.absorb_observables(last);
         let again = template.measurement_plan(last);
         assert!(Arc::ptr_eq(&again, plans.last().unwrap()));
         assert!(Arc::ptr_eq(&absorbed, &template.absorb_observables(last)));
-        assert_eq!(template.observable_sets.len(), OBSERVABLE_SET_MEMO_CAPACITY);
+        assert_eq!(template.observable_sets.len(), OBSERVABLE_SET_CAPACITY);
 
         // Through an engine: an absorb and then an estimate of the same
         // set conjugate it once.

@@ -42,12 +42,6 @@ impl SignedPauli {
         SignedPauli::new(pauli, false)
     }
 
-    /// Creates a `-P` signed Pauli.
-    #[must_use]
-    pub fn negative(pauli: PauliString) -> Self {
-        SignedPauli::new(pauli, true)
-    }
-
     /// The positive identity on `n` qubits.
     #[must_use]
     pub fn identity(n: usize) -> Self {

@@ -982,11 +982,12 @@ fn summarize(
 fn engine_error(error: &EngineError) -> WireError {
     let kind = match error {
         EngineError::QasmParse(_) => "qasm_parse",
-        EngineError::InconsistentQubitCounts { .. } => "bad_program",
+        EngineError::InconsistentQubitCounts { .. } | EngineError::TooManyQubits { .. } => {
+            "bad_program"
+        }
         EngineError::AngleCountMismatch { .. } => "angle_count",
         EngineError::NonFiniteAngle { .. } => "non_finite_angle",
         EngineError::CompilationPanicked { .. } => "panicked",
-        EngineError::NotAbsorbable(_) => "not_absorbable",
         EngineError::NotEstimable { .. } => "not_estimable",
         EngineError::DeadlineExceeded => "deadline_exceeded",
     };

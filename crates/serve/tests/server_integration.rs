@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use quclear_circuit::qasm::to_qasm;
-use quclear_engine::{Engine, ProgramFingerprint, ENGINE_STAGE_METRIC};
+use quclear_engine::{Engine, ProgramFingerprint, ENGINE_STAGE_METRIC, MAX_QUBITS};
 use quclear_pauli::PauliRotation;
 use quclear_serve::{Client, ClientError, RequestKind, ResponseBody, Server, ServerConfig};
 
@@ -192,7 +192,7 @@ fn identical_and_distinct_fingerprints_mix() {
         "exactly one compile per distinct structure"
     );
     assert_eq!(
-        stats.lookups(),
+        stats.hits + stats.misses,
         (threads * per_thread) as u64,
         "every request is accounted as hit or miss"
     );
@@ -936,6 +936,38 @@ fn oversized_shot_counts_are_refused_and_the_server_keeps_serving() {
         .expect("estimate after the refused estimate");
     assert_eq!(expectations.len(), 1);
 
+    server.stop();
+}
+
+/// A register wider than `MAX_QUBITS` is refused as `bad_program`, naming
+/// its width and the bound, before the engine fingerprints, lifts or
+/// extracts anything; the server keeps serving.
+#[test]
+fn registers_wider_than_the_bound_answer_bad_program() {
+    let engine = Arc::new(Engine::new(16));
+    let server = start_server(Arc::clone(&engine), 2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let wide = MAX_QUBITS + 1;
+    let axis = "Z".repeat(wide);
+    let qasm = format!("OPENQASM 2.0;\nqreg q[{wide}];\nh q[0];\n");
+    let refusals = [
+        client.compile(&[axis.as_str()], &[0.1]).unwrap_err(),
+        client.compile_qasm(&qasm).unwrap_err(),
+    ];
+    for err in refusals {
+        let remote = err.remote().expect("remote error");
+        assert_eq!(remote.kind, "bad_program");
+        assert!(
+            remote.message.contains(&wide.to_string())
+                && remote.message.contains(&MAX_QUBITS.to_string()),
+            "{}",
+            remote.message
+        );
+    }
+    assert_eq!(engine.stats().misses, 0, "nothing was compiled");
+    client
+        .compile(&["ZZ"], &[0.1])
+        .expect("compile after the refusals");
     server.stop();
 }
 

@@ -176,7 +176,7 @@ impl HistogramSnapshot {
     }
 
     /// Total number of recorded samples (the sum of the bucket counts —
-    /// coherent with [`HistogramSnapshot::buckets`] by construction).
+    /// coherent with [`HistogramSnapshot::nonzero_buckets`] by construction).
     #[must_use]
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -192,23 +192,6 @@ impl HistogramSnapshot {
     #[must_use]
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Mean recorded value (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / count as f64
-        }
-    }
-
-    /// The per-bucket counts.
-    #[must_use]
-    pub fn buckets(&self) -> &[u64; NUM_BUCKETS] {
-        &self.buckets
     }
 
     /// The non-empty buckets as `(index, count)` pairs (compact wire form).
@@ -297,7 +280,6 @@ mod tests {
         assert_eq!(snap.sum(), 0);
         assert_eq!(snap.max(), 0);
         assert_eq!(snap.quantile(0.5), 0);
-        assert_eq!(snap.mean(), 0.0);
         assert!(snap.nonzero_buckets().is_empty());
     }
 

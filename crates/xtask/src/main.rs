@@ -27,10 +27,11 @@
 //!   `SystemTime` is banned outright. Deliberate wall-clock reads are
 //!   allowlisted with a reason.
 //! * **dead-pub-fn** — a `pub fn` or `pub const fn` in a `crates/*/src`
-//!   file must be named by some caller. That includes the `crates/compat`
-//!   shims that production code links (`serde`, `serde_json`, `simd`,
-//!   `rand`, `criterion`): their API is what the workspace calls, not all
-//!   of the crate they stand in for. Only [`API_EXEMPT_CRATES`] (the shims
+//!   file must be used by some caller: called (`name(`, `.name(`), named
+//!   in a path (`::name`) or passed as a function value. That includes the
+//!   `crates/compat` shims that production code links (`serde`,
+//!   `serde_json`, `simd`, `rand`, `criterion`): their API is what the
+//!   workspace calls, not all of the crate they stand in for. Only [`API_EXEMPT_CRATES`] (the shims
 //!   that only tests call, and `xtask`) are exempt. Callers are the
 //!   production code of `crates/*/src`, `crates/*/benches`, `src`,
 //!   `examples` and `perfbench/src`; the definition itself, `tests/`
@@ -48,9 +49,9 @@
 //! `#[cfg(test)]` gates (a `mod`, a `fn`, a `use …;`: the attribute to the
 //! item's closing brace or semicolon) is skipped; code after that item is
 //! linted again. `tests/` trees are not walked — tests may take whatever
-//! shortcuts they like. Names match as whole words, so a dead `pub fn`
-//! whose name some other item also uses (`new`, `len`) reads as live: the
-//! rule errs toward missing dead code, never toward flagging live code.
+//! shortcuts they like. Uses match by name, so a dead `pub fn` whose name
+//! some other function also has (`new`, `len`) reads as live; a field or a
+//! local of that name does not. The rule errs toward missing dead code.
 //! The lint is deliberately dumb and loud: it exists to force a
 //! human-written justification into the diff, not to prove anything.
 
@@ -492,13 +493,15 @@ fn lint_file(rel: &str, content: &str, allow: &Allowlist) -> Vec<Finding> {
 }
 
 /// `code` with every `use …;` item blanked to spaces up to its `;`,
-/// newlines kept: an import or a `pub use` re-export names a function
-/// without calling it. The `;` stays, so a `pub` before the blanked item
-/// never reads as adjacent to the next `fn`. `code` must already be
+/// newlines kept, and the words those items named: an import or a
+/// `pub use` re-export names a function without calling it, but brings it
+/// into scope. The `;` stays, so a `pub` before the blanked item never
+/// reads as adjacent to the next `fn`. `code` must already be
 /// [`code_only`], so `use` is always the keyword.
-fn blank_use_items(code: &str) -> String {
+fn blank_use_items(code: &str) -> (String, HashSet<String>) {
     let chars: Vec<char> = code.chars().collect();
     let mut out = String::with_capacity(code.len());
+    let mut imported = HashSet::new();
     let mut i = 0;
     while i < chars.len() {
         let keyword = chars[i..].starts_with(&['u', 's', 'e'])
@@ -513,6 +516,8 @@ fn blank_use_items(code: &str) -> String {
             .iter()
             .position(|&c| c == ';')
             .map_or(chars.len(), |p| i + p);
+        let item: String = chars[i..end].iter().collect();
+        imported.extend(item.split(|c| !is_ident(c)).map(str::to_string));
         out.extend(
             chars[i..end]
                 .iter()
@@ -520,32 +525,109 @@ fn blank_use_items(code: &str) -> String {
         );
         i = end;
     }
-    out
+    (out, imported)
 }
 
-/// Identifier-like tokens of `code` as `(line index, token, adjacent)`,
-/// where `adjacent` says only whitespace separates the token from the one
-/// before it (so `pub fn name` is three adjacent tokens, `pub(crate) fn` is
-/// not).
-fn tokens(code: &str) -> Vec<(usize, &str, bool)> {
+/// Keywords a `(` can follow without opening a call.
+const KEYWORDS: &[&str] = &[
+    "for", "if", "in", "let", "match", "move", "mut", "return", "while", "where",
+];
+
+/// One identifier-like token of [`code_only`] text, with the punctuation
+/// around it.
+struct Token<'a> {
+    /// 0-based line index.
+    line: usize,
+    text: &'a str,
+    /// Only whitespace separates the token from the one before it (so
+    /// `pub fn name` is three adjacent tokens, `pub(crate) fn` is not).
+    adjacent: bool,
+    /// The punctuation between the previous token and this one, whitespace
+    /// removed (`::`, `(`, `.`, `,`, …).
+    before: String,
+    /// The innermost bracket open at the token is the `(` of a call: it
+    /// directly follows a name that is not a keyword, or a `>`.
+    in_call: bool,
+}
+
+/// The identifier-like tokens of `code`. The punctuation after token `k` is
+/// `before` of token `k + 1`; the returned `String` is what follows the
+/// last token.
+fn tokens(code: &str) -> (Vec<Token<'_>>, String) {
     let mut out = Vec::new();
-    let (mut line, mut adjacent, mut start) = (0, false, None);
+    let (mut line, mut start) = (0, None);
+    let mut gap = String::new();
+    // Per open bracket: whether it is a call's `(`.
+    let mut brackets: Vec<bool> = Vec::new();
     for (i, c) in code.char_indices().chain([(code.len(), ' ')]) {
         if is_ident(c) {
-            start.get_or_insert(i);
+            if start.is_none() {
+                start = Some(i);
+                out.push(Token {
+                    line,
+                    text: "",
+                    adjacent: !out.is_empty() && gap.is_empty(),
+                    before: std::mem::take(&mut gap),
+                    in_call: brackets.last() == Some(&true),
+                });
+            }
             continue;
         }
         if let Some(s) = start.take() {
-            out.push((line, &code[s..i], adjacent));
-            adjacent = true;
+            out.last_mut().expect("pushed at the token start").text = &code[s..i];
         }
-        if c == '\n' {
-            line += 1;
-        } else if !c.is_whitespace() {
-            adjacent = false;
+        match c {
+            '\n' => line += 1,
+            '(' => {
+                let after_name = gap.is_empty()
+                    && out
+                        .last()
+                        .is_some_and(|t: &Token| !KEYWORDS.contains(&t.text));
+                brackets.push(after_name || gap.ends_with('>'));
+            }
+            '[' | '{' => brackets.push(false),
+            ')' | ']' | '}' => {
+                brackets.pop();
+            }
+            _ => {}
+        }
+        if !c.is_whitespace() {
+            gap.push(c);
         }
     }
-    out
+    (out, gap)
+}
+
+/// The names `toks` binds as locals: every name in a `let` pattern (up to
+/// its `=`), a `for` pattern (up to `in`) or a closure's `|…|` parameters,
+/// and every name followed by a single `:` (parameters, fields). Errs
+/// toward binding too much: `a | b` reads as a closure opening at `b`.
+fn local_bindings<'a>(toks: &[Token<'a>], tail: &str) -> HashSet<&'a str> {
+    let mut locals = HashSet::new();
+    let mut pattern: Option<&str> = None;
+    for (k, tok) in toks.iter().enumerate() {
+        let ended = pattern.is_some_and(|open| match open {
+            "let" => tok.before.contains(['=', ';']),
+            "for" => tok.text == "in",
+            _ => tok.before.contains('|'),
+        });
+        if ended {
+            pattern = None;
+        } else if pattern.is_some() {
+            locals.insert(tok.text);
+        } else if tok.before.ends_with('|') && !tok.before.ends_with("||") {
+            locals.insert(tok.text);
+            pattern = Some("|");
+        }
+        if tok.text == "let" || tok.text == "for" {
+            pattern = Some(tok.text);
+        }
+        let next = toks.get(k + 1).map_or(tail, |t| t.before.as_str());
+        if next.starts_with(':') && !next.starts_with("::") {
+            locals.insert(tok.text);
+        }
+    }
+    locals
 }
 
 /// Whether `rel` lies in a `tests/` tree, whose code never counts as a caller.
@@ -554,8 +636,14 @@ fn in_tests_tree(rel: &str) -> bool {
 }
 
 /// dead-pub-fn: every `pub fn` / `pub const fn` that [`defines_api`] files
-/// declare must be named somewhere in the production code of `sources`
+/// declare must be used somewhere in the production code of `sources`
 /// (`(path, content)` pairs) outside `tests/` trees and its own definition.
+/// A name counts as used where it is called (`name(`, `.name(`,
+/// `name::<`), named in a path (`::name`), or passed as a function value:
+/// a whole argument of a call (`f(name)`, `f(a, name)`) in a file that has
+/// a function of that name in scope (defines it or imports it with `use`)
+/// and binds no local of that name ([`local_bindings`]). A field, a local
+/// binding or a struct-literal field of the same name is not a use.
 fn dead_pub_fns(sources: &[(String, String)], allow: &Allowlist) -> Vec<Finding> {
     let mut used: HashSet<String> = HashSet::new();
     let mut defined: Vec<(&str, usize, String)> = Vec::new();
@@ -563,19 +651,36 @@ fn dead_pub_fns(sources: &[(String, String)], allow: &Allowlist) -> Vec<Finding>
         if in_tests_tree(rel) {
             continue;
         }
-        let code = blank_use_items(&production_lines(content).join("\n"));
-        let toks = tokens(&code);
-        for (k, &(line, name, adjacent)) in toks.iter().enumerate() {
-            let before = |n: usize, word: &str| k >= n && toks[k - n].1 == word;
-            if !(adjacent && before(1, "fn")) {
-                used.insert(name.to_string());
+        let (code, imported) = blank_use_items(&production_lines(content).join("\n"));
+        let (toks, tail) = tokens(&code);
+        let locals = local_bindings(&toks, &tail);
+        let mut in_scope: HashSet<&str> = imported.iter().map(String::as_str).collect();
+        in_scope.extend(
+            toks.windows(2)
+                .filter(|w| w[0].text == "fn")
+                .map(|w| w[1].text),
+        );
+        for (k, tok) in toks.iter().enumerate() {
+            let before = |n: usize, word: &str| k >= n && toks[k - n].text == word;
+            if tok.adjacent && before(1, "fn") {
+                let public = toks[k - 1].adjacent
+                    && (before(2, "pub")
+                        || (before(2, "const") && toks[k - 2].adjacent && before(3, "pub")));
+                if public && defines_api(rel) {
+                    defined.push((rel, tok.line + 1, tok.text.to_string()));
+                }
                 continue;
             }
-            let fn_adjacent = toks[k - 1].2;
-            let public = fn_adjacent
-                && (before(2, "pub") || (before(2, "const") && toks[k - 2].2 && before(3, "pub")));
-            if public && defines_api(rel) {
-                defined.push((rel, line + 1, name.to_string()));
+            let next = toks.get(k + 1).map_or(tail.as_str(), |t| t.before.as_str());
+            let called = next.starts_with('(') || next.starts_with("::<");
+            let in_path = tok.before.ends_with("::");
+            let as_value = tok.in_call
+                && (tok.before.ends_with('(') || tok.before.ends_with(','))
+                && (next.starts_with(')') || next.starts_with(','))
+                && in_scope.contains(tok.text)
+                && !locals.contains(tok.text);
+            if called || in_path || as_value {
+                used.insert(tok.text.to_string());
             }
         }
     }
@@ -859,6 +964,34 @@ mod tests {
         ];
         let want: Vec<(String, usize)> = want.iter().map(|&(n, l)| (n.to_string(), l)).collect();
         assert_eq!(findings, want);
+    }
+
+    /// A field, a local binding, a struct-literal field or a pattern of the
+    /// same name is not a use; a call, a path or a function value is.
+    #[test]
+    fn dead_pub_fn_counts_calls_not_names() {
+        let sources = [
+            (
+                "crates/lib/src/lib.rs",
+                "pub fn fingerprint() -> u64 { 1 }\npub fn config() {}\npub fn width() {}\n\
+                 pub fn called() {}\npub fn in_path() {}\npub fn as_value(x: u8) -> u8 { x }\n\
+                 pub fn shadowed(x: u8) -> u8 { x }\n",
+            ),
+            (
+                "crates/app/src/main.rs",
+                "use lib::{as_value, fingerprint, shadowed};\n\
+                 struct Template { fingerprint: u64, width: usize }\n\
+                 fn main() {\n    let fingerprint = 7;\n    lookup(&fingerprint);\n    \
+                 store(fingerprint, 1);\n    let t = Template { fingerprint, width: 2 };\n    \
+                 let _ = t.fingerprint + t.width as u64;\n    \
+                 for (config, shadowed) in pairs() {\n        use_both(config, shadowed);\n    }\n    \
+                 lib::called();\n    let f = lib::in_path;\n    \
+                 let _ = [1u8].iter().copied().map(as_value);\n}\n",
+            ),
+        ];
+        let findings = dead(&sources, &no_waivers());
+        let names: Vec<&str> = findings.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["fingerprint", "config", "width", "shadowed"]);
     }
 
     #[test]
