@@ -211,12 +211,6 @@ impl Circuit {
         max_depth
     }
 
-    /// Returns `true` if every gate is a Clifford gate.
-    #[must_use]
-    pub fn is_clifford(&self) -> bool {
-        self.gates.iter().all(Gate::is_clifford)
-    }
-
     /// The inverse circuit: gates reversed and individually inverted.
     #[must_use]
     pub fn inverse(&self) -> Circuit {
@@ -225,18 +219,6 @@ impl Circuit {
             num_qubits: self.num_qubits,
             gates,
         }
-    }
-
-    /// Returns a circuit on `new_size` qubits with every qubit index mapped
-    /// through `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mapped index is `>= new_size`.
-    #[must_use]
-    pub fn map_qubits(&self, new_size: usize, mut f: impl FnMut(usize) -> usize) -> Circuit {
-        let gates: Vec<Gate> = self.gates.iter().map(|g| g.map_qubits(&mut f)).collect();
-        Circuit::from_gates(new_size, gates)
     }
 }
 
@@ -346,7 +328,8 @@ mod tests {
     #[test]
     fn map_qubits_into_larger_register() {
         let c = ghz(3);
-        let mapped = c.map_qubits(10, |q| q + 5);
+        let gates = c.gates().iter().map(|g| g.map_qubits(|q| q + 5)).collect();
+        let mapped = Circuit::from_gates(10, gates);
         assert_eq!(mapped.num_qubits(), 10);
         assert_eq!(mapped.cnot_count(), 2);
         assert_eq!(
@@ -363,9 +346,9 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0);
         c.cx(0, 1);
-        assert!(c.is_clifford());
+        assert!(c.gates().iter().all(Gate::is_clifford));
         c.rz(1, 0.3);
-        assert!(!c.is_clifford());
+        assert!(!c.gates().iter().all(Gate::is_clifford));
     }
 
     #[test]

@@ -49,18 +49,6 @@ impl QubitList {
         &self.qubits[..self.len as usize]
     }
 
-    /// Number of qubits (1 or 2).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Always `false`: every gate acts on at least one qubit.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Whether `q` is in the list.
     #[must_use]
     pub fn contains(&self, q: usize) -> bool {
@@ -88,7 +76,7 @@ impl QubitList {
 /// let g = Gate::Cx { control: 0, target: 2 };
 /// assert!(g.is_two_qubit());
 /// assert!(g.is_clifford());
-/// assert_eq!(g.qubits(), vec![0, 2]);
+/// assert_eq!(g.qubit_list().as_slice(), &[0, 2]);
 /// assert_eq!(g.inverse(), g);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -154,16 +142,8 @@ pub enum Gate {
 }
 
 impl Gate {
-    /// The qubits the gate acts on (one or two entries).
-    #[must_use]
-    pub fn qubits(&self) -> Vec<usize> {
-        self.qubit_list().as_slice().to_vec()
-    }
-
-    /// The qubits the gate acts on, without allocating.
-    ///
-    /// Prefer this in hot paths (the peephole optimizer calls it per gate
-    /// pair); [`Gate::qubits`] stays for callers that want a `Vec`.
+    /// The qubits the gate acts on (one or two entries), without
+    /// allocating.
     #[must_use]
     pub fn qubit_list(&self) -> QubitList {
         match *self {
@@ -306,7 +286,7 @@ impl fmt::Display for Gate {
             Gate::Cx { control, target } => write!(f, "cx q{control}, q{target}"),
             Gate::Cz { a, b } => write!(f, "cz q{a}, q{b}"),
             Gate::Swap { a, b } => write!(f, "swap q{a}, q{b}"),
-            ref g => write!(f, "{} q{}", g.name(), g.qubits()[0]),
+            ref g => write!(f, "{} q{}", g.name(), g.qubit_list().as_slice()[0]),
         }
     }
 }
@@ -317,16 +297,13 @@ mod tests {
 
     #[test]
     fn qubit_listing() {
-        assert_eq!(Gate::H(3).qubits(), vec![3]);
-        assert_eq!(
-            Gate::Cx {
-                control: 1,
-                target: 4
-            }
-            .qubits(),
-            vec![1, 4]
-        );
-        assert_eq!(Gate::Swap { a: 2, b: 0 }.qubits(), vec![2, 0]);
+        assert_eq!(Gate::H(3).qubit_list().as_slice(), &[3]);
+        let cx = Gate::Cx {
+            control: 1,
+            target: 4,
+        };
+        assert_eq!(cx.qubit_list().as_slice(), &[1, 4]);
+        assert_eq!(Gate::Swap { a: 2, b: 0 }.qubit_list().as_slice(), &[2, 0]);
     }
 
     #[test]

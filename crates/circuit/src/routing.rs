@@ -83,8 +83,8 @@ pub fn route_with_layout(
         .iter()
         .filter(|g| g.is_two_qubit())
         .map(|g| {
-            let q = g.qubits();
-            (q[0], q[1])
+            let q = g.qubit_list();
+            (q.as_slice()[0], q.as_slice()[1])
         })
         .collect();
 
@@ -116,8 +116,8 @@ pub fn route_with_layout(
             out.push(gate.map_qubits(|q| l2p[q]));
             continue;
         }
-        let qs = gate.qubits();
-        let (la, lb) = (qs[0], qs[1]);
+        let qs = gate.qubit_list();
+        let (la, lb) = (qs.as_slice()[0], qs.as_slice()[1]);
         future_idx += 1;
         loop {
             let (pa, pb) = (l2p[la], l2p[lb]);
@@ -185,7 +185,7 @@ pub fn initial_layout_by_interaction(circuit: &Circuit, coupling: &CouplingMap) 
     let mut weight = vec![0usize; n_logical];
     for g in circuit.gates() {
         if g.is_two_qubit() {
-            for q in g.qubits() {
+            for &q in g.qubit_list().as_slice() {
                 weight[q] += 1;
             }
         }
@@ -252,7 +252,8 @@ mod tests {
         let result = route(&c, &coupling);
         for g in result.circuit.gates() {
             if g.is_two_qubit() {
-                let q = g.qubits();
+                let q = g.qubit_list();
+                let q = q.as_slice();
                 assert!(
                     coupling.are_connected(q[0], q[1]),
                     "gate {g} not on an edge"
@@ -277,7 +278,7 @@ mod tests {
             .iter()
             .find(|g| matches!(g, Gate::H(_)))
             .unwrap();
-        assert_eq!(h_gate.qubits()[0], result.final_layout[0]);
+        assert_eq!(h_gate.qubit_list().as_slice()[0], result.final_layout[0]);
     }
 
     #[test]

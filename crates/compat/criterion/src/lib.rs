@@ -183,15 +183,6 @@ impl Criterion {
             test_mode: self.test_mode,
         }
     }
-
-    /// Benchmarks a single closure outside any group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        let test_mode = self.test_mode;
-        let mut group = self.benchmark_group("");
-        group.run(id.to_string(), 50, test_mode, f);
-        group.finish();
-        self
-    }
 }
 
 /// A named group of benchmarks sharing configuration.

@@ -73,12 +73,6 @@ impl AbsorptionPlan {
         }
     }
 
-    /// Number of qubits.
-    #[must_use]
-    pub fn num_qubits(&self) -> usize {
-        self.n
-    }
-
     /// The gates of `U_CL†` in time order: the sequence CA-Pre replays, and
     /// the circuit that takes the program's state to the optimized
     /// circuit's.
@@ -129,12 +123,6 @@ impl AbsorbedObservables {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.frame.num_rows() == 0
-    }
-
-    /// Number of qubits.
-    #[must_use]
-    pub fn num_qubits(&self) -> usize {
-        self.frame.num_qubits()
     }
 
     /// The rewritten observables as a column-major frame (the layout the
@@ -324,12 +312,6 @@ impl ProbabilityAbsorber {
             matrix,
             offset,
         })
-    }
-
-    /// Number of qubits.
-    #[must_use]
-    pub fn num_qubits(&self) -> usize {
-        self.n
     }
 
     /// The per-qubit measurement basis (`Z`, `X` or `Y`). For QAOA circuits

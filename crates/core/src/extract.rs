@@ -477,7 +477,7 @@ mod tests {
         // verify structural invariants.
         let rotations = vec![rot("ZZI", 0.4), rot("IXX", 0.2), rot("YIZ", 0.9)];
         let result = extract_clifford(&rotations, &ExtractionConfig::default());
-        assert!(result.extracted.is_clifford());
+        assert!(result.extracted.gates().iter().all(Gate::is_clifford));
         // Optimized circuit contains exactly one Rz per non-trivial rotation.
         let rz_count = result
             .optimized
@@ -561,7 +561,7 @@ mod tests {
             lookahead_depth: 4,
         };
         let result = extract_clifford(&rotations, &config);
-        assert!(result.extracted.is_clifford());
+        assert!(result.extracted.gates().iter().all(Gate::is_clifford));
     }
 
     #[test]

@@ -21,8 +21,12 @@ use quclear_pauli::BitVec;
 /// ```
 /// use quclear_core::Gf2Matrix;
 ///
-/// let mut m = Gf2Matrix::identity(3);
-/// m.set(0, 2, true);
+/// // x0' = x0 ⊕ x2, x1' = x1, x2' = x2.
+/// let m = Gf2Matrix::from_rows(vec![
+///     vec![true, false, true],
+///     vec![false, true, false],
+///     vec![false, false, true],
+/// ]);
 /// let v = m.mul_vec(&[false, false, true]);
 /// assert_eq!(v, vec![true, false, true]);
 /// ```
@@ -46,15 +50,6 @@ impl Gf2Matrix {
         Gf2Matrix { n, rows }
     }
 
-    /// The `n × n` zero matrix.
-    #[must_use]
-    pub fn zeros(n: usize) -> Self {
-        Gf2Matrix {
-            n,
-            rows: vec![BitVec::zeros(n); n],
-        }
-    }
-
     /// Builds a matrix from explicit boolean rows.
     ///
     /// # Panics
@@ -71,25 +66,6 @@ impl Gf2Matrix {
             })
             .collect();
         Gf2Matrix { n, rows }
-    }
-
-    /// Entry accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    #[must_use]
-    pub fn get(&self, row: usize, col: usize) -> bool {
-        self.rows[row].get(col)
-    }
-
-    /// Entry mutator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn set(&mut self, row: usize, col: usize, value: bool) {
-        self.rows[row].set(col, value);
     }
 
     /// Matrix–vector product over GF(2).
@@ -215,8 +191,7 @@ mod tests {
     #[test]
     fn cnot_like_matrix_and_inverse() {
         // x0' = x0, x1' = x0 ⊕ x1 (a CNOT from qubit 0 to qubit 1).
-        let mut m = Gf2Matrix::identity(2);
-        m.set(1, 0, true);
+        let m = Gf2Matrix::from_rows(vec![vec![true, false], vec![true, true]]);
         assert_eq!(m.mul_index(0b01), 0b11);
         assert_eq!(m.mul_index(0b10), 0b10);
         let inv = m.inverse().unwrap();
@@ -226,10 +201,12 @@ mod tests {
 
     #[test]
     fn singular_matrix_has_no_inverse() {
-        let m = Gf2Matrix::zeros(3);
+        let m = Gf2Matrix::from_rows(vec![vec![false; 3]; 3]);
         assert!(m.inverse().is_none());
-        let mut m = Gf2Matrix::identity(3);
-        m.set(2, 2, false);
+        let mut rows = vec![vec![false; 3]; 3];
+        rows[0][0] = true;
+        rows[1][1] = true;
+        let m = Gf2Matrix::from_rows(rows);
         assert!(m.inverse().is_none());
     }
 

@@ -209,19 +209,12 @@ pub struct LiftedProgram {
     /// `exp(-i·θᵢ/2·(±Pᵢ))` with the conjugated-axis sign already folded
     /// into the angle.
     pub rotations: Vec<PauliRotation>,
-    num_qubits: usize,
     axes: Vec<SignedPauli>,
     angles: Vec<f64>,
     trailing_circuit: Circuit,
 }
 
 impl LiftedProgram {
-    /// Register size of the lifted circuit.
-    #[must_use]
-    pub fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
     /// The conjugated rotation axes with their structural signs.
     ///
     /// These are the axes to fingerprint and template-compile: the sign is
@@ -259,7 +252,7 @@ impl LiftedProgram {
     /// (an empty compilation — the Clifford-only case — is widened).
     #[must_use]
     pub fn attach(&self, compiled: QuClearResult) -> QuClearResult {
-        let n = self.num_qubits;
+        let n = self.trailing_circuit.num_qubits();
         // `compile(&[])` legitimately produces zero-qubit circuits; widen
         // them so Clifford-only inputs round-trip.
         let (optimized, mut extracted) = if compiled.optimized.num_qubits() == n {
@@ -345,7 +338,6 @@ pub fn lift(circuit: &Circuit) -> LiftedProgram {
         .collect();
     LiftedProgram {
         rotations,
-        num_qubits: n,
         axes,
         angles,
         trailing_circuit: trailing,

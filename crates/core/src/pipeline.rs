@@ -116,6 +116,7 @@ impl QuClearResult {
 /// # Examples
 ///
 /// ```
+/// use quclear_circuit::Gate;
 /// use quclear_core::{compile, QuClearConfig};
 /// use quclear_pauli::PauliRotation;
 ///
@@ -125,7 +126,7 @@ impl QuClearResult {
 /// ];
 /// let result = compile(&program, &QuClearConfig::default());
 /// assert!(result.cnot_count() <= 4);
-/// assert!(result.extracted.is_clifford());
+/// assert!(result.extracted.gates().iter().all(Gate::is_clifford));
 /// # Ok::<(), quclear_pauli::ParsePauliError>(())
 /// ```
 #[must_use]

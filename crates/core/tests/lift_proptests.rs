@@ -76,7 +76,7 @@ fn decode_rotation(word: u64) -> PauliRotation {
 /// Simulates the lifted program: rotations (exact Pauli exponentials), then
 /// the trailing Clifford circuit.
 fn simulate_lifted(lifted: &quclear_core::LiftedProgram) -> StateVector {
-    let mut state = StateVector::zero_state(lifted.num_qubits());
+    let mut state = StateVector::zero_state(lifted.trailing_circuit().num_qubits());
     state.apply_rotations(&lifted.rotations);
     state.apply_circuit(lifted.trailing_circuit());
     state

@@ -15,25 +15,27 @@ use proptest::prelude::*;
 use quclear_core::{Gf2Matrix, ShotBatch};
 use quclear_pauli::BitVec;
 
-/// An invertible-ish random GF(2) matrix (identity + random off-diagonal
-/// XORs, i.e. a product of elementary row operations — always invertible).
-fn affine_map(n: usize) -> impl Strategy<Value = (Gf2Matrix, Vec<bool>)> {
+/// The rows of a random invertible GF(2) matrix (identity + random
+/// off-diagonal XORs, i.e. a product of elementary row operations), and an
+/// offset.
+fn affine_map(n: usize) -> impl Strategy<Value = (Vec<Vec<bool>>, Vec<bool>)> {
     (
         prop::collection::vec((0usize..n, 0usize..n), 0..3 * n),
         prop::collection::vec(any::<bool>(), n),
     )
         .prop_map(move |(ops, offset)| {
-            let mut m = Gf2Matrix::identity(n);
+            let mut rows: Vec<Vec<bool>> =
+                (0..n).map(|r| (0..n).map(|c| r == c).collect()).collect();
             for (r, c) in ops {
                 if r != c {
                     // row_r += row_c: an elementary operation over GF(2).
-                    for col in 0..n {
-                        let bit = m.get(r, col) ^ m.get(c, col);
-                        m.set(r, col, bit);
+                    let source = rows[c].clone();
+                    for (bit, added) in rows[r].iter_mut().zip(source) {
+                        *bit ^= added;
                     }
                 }
             }
-            (m, offset)
+            (rows, offset)
         })
 }
 
@@ -60,7 +62,7 @@ fn shot_count() -> impl Strategy<Value = usize> {
 }
 
 /// The scalar oracle: applies `x ↦ A·x ⊕ b` one shot and one bit at a time.
-fn naive_affine(matrix: &Gf2Matrix, offset: &[bool], shots: &[u64]) -> Vec<u64> {
+fn naive_affine(rows: &[Vec<bool>], offset: &[bool], shots: &[u64]) -> Vec<u64> {
     let n = offset.len();
     shots
         .iter()
@@ -68,8 +70,8 @@ fn naive_affine(matrix: &Gf2Matrix, offset: &[bool], shots: &[u64]) -> Vec<u64> 
             let mut out = 0u64;
             for (r, &flip) in offset.iter().enumerate().take(n) {
                 let mut bit = flip;
-                for c in 0..n {
-                    bit ^= matrix.get(r, c) && (x >> c) & 1 == 1;
+                for (c, &entry) in rows[r].iter().enumerate() {
+                    bit ^= entry && (x >> c) & 1 == 1;
                 }
                 out |= u64::from(bit) << r;
             }
@@ -86,18 +88,18 @@ proptest! {
     /// exact multiples and 3 words).
     #[test]
     fn plane_affine_map_matches_naive_per_shot_loop(
-        (matrix, offset) in affine_map(9),
+        (rows, offset) in affine_map(9),
         shots in prop::collection::vec(0u64..(1 << 9), 0..200),
     ) {
         let batch = ShotBatch::from_indices(9, &shots);
-        let mut planes = matrix.mul_planes(batch.planes());
+        let mut planes = Gf2Matrix::from_rows(rows.clone()).mul_planes(batch.planes());
         for (plane, &flip) in planes.iter_mut().zip(&offset) {
             if flip {
                 plane.flip_all();
             }
         }
         let mapped = ShotBatch::from_planes(planes);
-        prop_assert_eq!(mapped.to_indices(), naive_affine(&matrix, &offset, &shots));
+        prop_assert_eq!(mapped.to_indices(), naive_affine(&rows, &offset, &shots));
     }
 
     /// Pack → unpack is the identity for any shot count, through both the

@@ -60,13 +60,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline at an absolute instant (e.g. one computed when a request
-    /// frame arrived, shared across its pipeline stages).
-    #[must_use]
-    pub const fn at(instant: Instant) -> Self {
-        Deadline { at: Some(instant) }
-    }
-
     /// The absolute expiry instant, or `None` for an unbounded deadline.
     #[must_use]
     pub const fn instant(&self) -> Option<Instant> {
@@ -136,8 +129,7 @@ mod tests {
 
     #[test]
     fn absolute_deadlines_are_shared_state() {
-        let at = Instant::now() + Duration::from_secs(10);
-        let a = Deadline::at(at);
+        let a = Deadline::within(Duration::from_secs(10));
         let b = a; // Copy: one budget, many stages
         assert_eq!(a.instant(), b.instant());
     }

@@ -260,13 +260,6 @@ impl BitVec {
             }
         }
     }
-
-    /// Resets every bit to zero.
-    pub fn clear(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
-    }
 }
 
 /// Transposes a 64×64 bit matrix in place (the recursive block swap of
@@ -467,14 +460,6 @@ mod tests {
         let mut a = BitVec::zeros(4);
         let b = BitVec::zeros(5);
         a.xor_with(&b);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut b = BitVec::from_bools([true, true, true]);
-        b.clear();
-        assert!(b.is_zero());
-        assert_eq!(b.len(), 3);
     }
 
     #[test]

@@ -304,14 +304,6 @@ impl PauliFrame {
         }
     }
 
-    /// Pauli weight of row `i` (number of non-identity operators).
-    #[must_use]
-    pub fn weight(&self, i: usize) -> usize {
-        (0..self.n)
-            .filter(|&q| self.x[q].get(i) || self.z[q].get(i))
-            .count()
-    }
-
     /// The X bit-plane of qubit `q` (bit `i` = row `i` has an X component).
     #[must_use]
     pub fn x_plane(&self, q: usize) -> &BitVec {
@@ -483,9 +475,9 @@ mod tests {
         assert_eq!(f.num_qubits(), 4);
         assert_eq!(f.get(0).to_string(), "+XIZY");
         assert_eq!(f.get(1).to_string(), "-ZZZZ");
-        assert_eq!(f.weight(2), 0);
-        assert_eq!(f.weight(0), 3);
-        assert_eq!(f.weight(1), 4);
+        assert_eq!(f.row_pauli(2).weight(), 0);
+        assert_eq!(f.row_pauli(0).weight(), 3);
+        assert_eq!(f.row_pauli(1).weight(), 4);
     }
 
     #[test]
@@ -700,7 +692,6 @@ mod tests {
             assert_eq!(f.row_pauli(i), expected, "row {i}");
             assert_eq!(f.row_x_support(i), *expected.x_bits(), "row {i}");
             assert_eq!(f.row_z_support(i), *expected.z_bits(), "row {i}");
-            assert_eq!(expected.weight(), f.weight(i), "row {i}");
         }
     }
 }

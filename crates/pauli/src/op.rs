@@ -15,7 +15,6 @@ use std::fmt;
 ///
 /// assert_eq!(PauliOp::from_xz(true, true), PauliOp::Y);
 /// assert_eq!(PauliOp::Y.xz(), (true, true));
-/// assert!(!PauliOp::X.commutes_with(PauliOp::Z));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum PauliOp {
@@ -62,38 +61,6 @@ impl PauliOp {
         self == PauliOp::I
     }
 
-    /// Returns `true` if the two single-qubit operators commute.
-    ///
-    /// Two non-identity Paulis commute exactly when they are equal.
-    #[must_use]
-    pub fn commutes_with(self, other: PauliOp) -> bool {
-        self == PauliOp::I || other == PauliOp::I || self == other
-    }
-
-    /// Multiplies two single-qubit Paulis.
-    ///
-    /// Returns the resulting operator together with the exponent `k` (mod 4)
-    /// such that `self · other = i^k · result`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use quclear_pauli::PauliOp;
-    /// // X · Y = i Z
-    /// assert_eq!(PauliOp::X.mul(PauliOp::Y), (PauliOp::Z, 1));
-    /// // Y · X = -i Z
-    /// assert_eq!(PauliOp::Y.mul(PauliOp::X), (PauliOp::Z, 3));
-    /// ```
-    #[must_use]
-    #[allow(clippy::should_implement_trait)] // returns a phase alongside the product
-    pub fn mul(self, other: PauliOp) -> (PauliOp, u8) {
-        let (x1, z1) = self.xz();
-        let (x2, z2) = other.xz();
-        let result = PauliOp::from_xz(x1 ^ x2, z1 ^ z2);
-        let g = phase_exponent(x1, z1, x2, z2);
-        (result, g)
-    }
-
     /// Parses an operator from its single-character name.
     ///
     /// Accepts upper- or lower-case `I`, `X`, `Y`, `Z`. Returns `None` for any
@@ -121,35 +88,6 @@ impl PauliOp {
     }
 }
 
-/// Phase exponent contribution of multiplying literal single-qubit Paulis.
-///
-/// Returns `k` (mod 4) such that `P1 · P2 = i^k · P3` where `P1 = (x1, z1)`,
-/// `P2 = (x2, z2)` and `P3 = (x1^x2, z1^z2)` are literal Paulis
-/// (`Y` meaning the Hermitian `Y`).
-#[must_use]
-pub(crate) fn phase_exponent(x1: bool, z1: bool, x2: bool, z2: bool) -> u8 {
-    // Signed contribution in {-1, 0, 1}, following Aaronson & Gottesman's `g`.
-    let g: i8 = match (x1, z1) {
-        (false, false) => 0,
-        (true, true) => i8::from(z2) - i8::from(x2),
-        (true, false) => {
-            if z2 {
-                2 * i8::from(x2) - 1
-            } else {
-                0
-            }
-        }
-        (false, true) => {
-            if x2 {
-                1 - 2 * i8::from(z2)
-            } else {
-                0
-            }
-        }
-    };
-    g.rem_euclid(4) as u8
-}
-
 impl fmt::Display for PauliOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_char())
@@ -159,6 +97,7 @@ impl fmt::Display for PauliOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PauliString;
 
     #[test]
     fn xz_roundtrip() {
@@ -177,14 +116,24 @@ mod tests {
         assert_eq!(PauliOp::from_char('Q'), None);
     }
 
+    /// `a · b` as one-qubit strings: the product and its i-exponent.
+    fn mul(a: PauliOp, b: PauliOp) -> (PauliOp, u8) {
+        let (product, k) = PauliString::from_ops(&[a]).mul(&PauliString::from_ops(&[b]));
+        (product.op(0), k)
+    }
+
+    fn commutes(a: PauliOp, b: PauliOp) -> bool {
+        PauliString::from_ops(&[a]).commutes_with(&PauliString::from_ops(&[b]))
+    }
+
     #[test]
     fn commutation_table() {
         use PauliOp::*;
-        assert!(X.commutes_with(X));
-        assert!(I.commutes_with(Z));
-        assert!(!X.commutes_with(Y));
-        assert!(!Y.commutes_with(Z));
-        assert!(!Z.commutes_with(X));
+        assert!(commutes(X, X));
+        assert!(commutes(I, Z));
+        assert!(!commutes(X, Y));
+        assert!(!commutes(Y, Z));
+        assert!(!commutes(Z, X));
     }
 
     /// Check the full single-qubit multiplication table against the
@@ -212,7 +161,7 @@ mod tests {
             (Z, I, Z, 0),
         ];
         for (a, b, want, phase) in table {
-            assert_eq!(a.mul(b), (want, phase), "{a} * {b}");
+            assert_eq!(mul(a, b), (want, phase), "{a} * {b}");
         }
     }
 
@@ -225,8 +174,8 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let (r1, p1) = a.mul(b);
-                let (r2, p2) = b.mul(a);
+                let (r1, p1) = mul(a, b);
+                let (r2, p2) = mul(b, a);
                 assert_eq!(r1, r2);
                 assert_eq!((p1 + 2) % 4, p2, "{a}{b} should anticommute");
             }

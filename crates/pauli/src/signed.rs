@@ -42,12 +42,6 @@ impl SignedPauli {
         SignedPauli::new(pauli, false)
     }
 
-    /// The positive identity on `n` qubits.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        SignedPauli::positive(PauliString::identity(n))
-    }
-
     /// The underlying phase-free Pauli string.
     #[must_use]
     pub fn pauli(&self) -> &PauliString {

@@ -115,7 +115,7 @@ proptest! {
     #[test]
     fn signed_identity_is_neutral(a in pauli_string(5), neg in any::<bool>()) {
         let sp = SignedPauli::new(a, neg);
-        let id = SignedPauli::identity(5);
+        let id = SignedPauli::positive(PauliString::identity(5));
         prop_assert_eq!(sp.mul(&id), sp.clone());
         prop_assert_eq!(id.mul(&sp), sp);
     }

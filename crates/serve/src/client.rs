@@ -435,23 +435,6 @@ impl Client {
         expect_compiled(body)
     }
 
-    /// Compiles QASM text with its rotation angles overridden.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn bind_qasm(
-        &mut self,
-        qasm: &str,
-        angles: &[f64],
-    ) -> Result<CompiledSummary, ClientError> {
-        let body = self.request(RequestKind::BindQasm {
-            qasm: qasm.to_string(),
-            angles: angles.to_vec(),
-        })?;
-        expect_compiled(body)
-    }
-
     /// CA-Pre on the server: rewrites `observables` through `axes`'s
     /// extracted Clifford, returning the rewritten strings and their greedy
     /// commuting groups.
@@ -474,41 +457,6 @@ impl Client {
                 observables,
                 groups,
             } => Ok((observables, groups)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Sampled simultaneous measurement on the server: estimates every
-    /// observable of the bound program from one seeded shot batch per
-    /// commuting group, returning `(expectations, groups,
-    /// shot_budget_divisor)`. Deterministic in its arguments, so retries are
-    /// safe.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    #[allow(clippy::type_complexity)]
-    pub fn estimate(
-        &mut self,
-        axes: &[&str],
-        angles: &[f64],
-        observables: &[&str],
-        shots: u64,
-        seed: u64,
-    ) -> Result<(Vec<f64>, Vec<Vec<usize>>, f64), ClientError> {
-        let body = self.request(RequestKind::Estimate {
-            program: axes.iter().map(|s| (*s).to_string()).collect(),
-            angles: angles.to_vec(),
-            observables: observables.iter().map(|s| (*s).to_string()).collect(),
-            shots,
-            seed,
-        })?;
-        match body {
-            ResponseBody::Estimated {
-                expectations,
-                groups,
-                shot_budget_divisor,
-            } => Ok((expectations, groups, shot_budget_divisor)),
             other => Err(unexpected(&other)),
         }
     }

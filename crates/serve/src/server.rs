@@ -810,6 +810,21 @@ fn parse_axes(program: &[String]) -> Result<Vec<SignedPauli>, WireError> {
         .collect()
 }
 
+/// Parses the wire spelling of signed observables.
+fn parse_observables(observables: &[String]) -> Result<Vec<SignedPauli>, WireError> {
+    observables
+        .iter()
+        .map(|o| {
+            o.parse::<SignedPauli>().map_err(|e| {
+                WireError::new(
+                    "bad_observable",
+                    format!("observable `{o}` does not parse: {e}"),
+                )
+            })
+        })
+        .collect()
+}
+
 /// Folds axis signs into the angles (`exp(-iθ/2·(−P)) = exp(-i(−θ)/2·P)`)
 /// and pairs them up as rotations, moving each axis.
 fn to_rotations(axes: Vec<SignedPauli>, angles: &[f64]) -> Result<Vec<PauliRotation>, WireError> {
@@ -914,17 +929,7 @@ fn absorb(
     let axes = parse_axes(program)?;
     let zeros = vec![0.0; axes.len()];
     let rotations = to_rotations(axes, &zeros)?;
-    let parsed: Vec<SignedPauli> = observables
-        .iter()
-        .map(|o| {
-            o.parse::<SignedPauli>().map_err(|e| {
-                WireError::new(
-                    "bad_observable",
-                    format!("observable `{o}` does not parse: {e}"),
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let parsed = parse_observables(observables)?;
     let absorbed = engine
         .absorb_observables(&rotations, &parsed)
         .map_err(|e| engine_error(&e))?;
@@ -943,17 +948,7 @@ fn estimate(
     seed: u64,
 ) -> Result<ResponseBody, WireError> {
     let rotations = to_rotations(parse_axes(program)?, angles)?;
-    let parsed: Vec<SignedPauli> = observables
-        .iter()
-        .map(|o| {
-            o.parse::<SignedPauli>().map_err(|e| {
-                WireError::new(
-                    "bad_observable",
-                    format!("observable `{o}` does not parse: {e}"),
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let parsed = parse_observables(observables)?;
     let result = engine
         .estimate_observables(&rotations, &parsed, shots, seed)
         .map_err(|e| engine_error(&e))?;

@@ -18,7 +18,9 @@ use std::sync::{Arc, Barrier};
 use quclear_circuit::qasm::to_qasm;
 use quclear_engine::{Engine, ProgramFingerprint, ENGINE_STAGE_METRIC, MAX_QUBITS};
 use quclear_pauli::PauliRotation;
-use quclear_serve::{Client, ClientError, RequestKind, ResponseBody, Server, ServerConfig};
+use quclear_serve::{
+    Client, ClientError, CompiledSummary, RequestKind, ResponseBody, Server, ServerConfig,
+};
 
 /// Liveness probe through the generic request path: the server's uptime in
 /// milliseconds.
@@ -35,6 +37,50 @@ fn shutdown_server(client: &mut Client) -> Result<(), ClientError> {
     match client.request(RequestKind::Shutdown)? {
         ResponseBody::ShuttingDown => Ok(()),
         other => panic!("unexpected shutdown response {other:?}"),
+    }
+}
+
+/// Compiles QASM text with its rotation angles overridden.
+fn bind_qasm(
+    client: &mut Client,
+    qasm: &str,
+    angles: &[f64],
+) -> Result<CompiledSummary, ClientError> {
+    let kind = RequestKind::BindQasm {
+        qasm: qasm.to_string(),
+        angles: angles.to_vec(),
+    };
+    match client.request(kind)? {
+        ResponseBody::Compiled(summary) => Ok(summary),
+        other => panic!("unexpected bind_qasm response {other:?}"),
+    }
+}
+
+/// Sampled estimate on the server: `(expectations, groups,
+/// shot_budget_divisor)`.
+#[allow(clippy::type_complexity)]
+fn estimate(
+    client: &mut Client,
+    axes: &[&str],
+    angles: &[f64],
+    observables: &[&str],
+    shots: u64,
+    seed: u64,
+) -> Result<(Vec<f64>, Vec<Vec<usize>>, f64), ClientError> {
+    let kind = RequestKind::Estimate {
+        program: axes.iter().map(|s| (*s).to_string()).collect(),
+        angles: angles.to_vec(),
+        observables: observables.iter().map(|s| (*s).to_string()).collect(),
+        shots,
+        seed,
+    };
+    match client.request(kind)? {
+        ResponseBody::Estimated {
+            expectations,
+            groups,
+            shot_budget_divisor,
+        } => Ok((expectations, groups, shot_budget_divisor)),
+        other => panic!("unexpected estimate response {other:?}"),
     }
 }
 
@@ -293,7 +339,7 @@ fn sweep_qasm_absorb_and_health_roundtrip() {
     let ansatz =
         |theta: f64| format!("qreg q[3];\ncx q[0], q[1];\nrz({theta}) q[1];\ncx q[0], q[1];\n");
     let first = client.compile_qasm(&ansatz(0.25)).expect("compile_qasm");
-    let second = client.bind_qasm(&ansatz(0.0), &[1.5]).expect("bind_qasm");
+    let second = bind_qasm(&mut client, &ansatz(0.0), &[1.5]).expect("bind_qasm");
     assert_eq!(first.gate_count, second.gate_count);
 
     // A QASM parse error comes back as a structured remote error.
@@ -733,9 +779,7 @@ fn signed_programs_cost_one_template_miss_across_request_kinds() {
     let swept = client
         .sweep(&axes, &[angles.to_vec(), vec![1.0, 0.0, -2.0]])
         .expect("sweep");
-    client
-        .estimate(&axes, &angles, &["+ZII", "-XXI"], 64, 3)
-        .expect("estimate");
+    estimate(&mut client, &axes, &angles, &["+ZII", "-XXI"], 64, 3).expect("estimate");
     let stats = engine.stats();
     assert_eq!((stats.misses, stats.hits), (1, 2));
     assert_eq!(stats.binds, 3);
@@ -806,9 +850,8 @@ fn estimate_roundtrips_matches_engine_and_reports_grouping() {
     let axes = ["ZZII", "IXXI", "IIZZ", "XXII"];
     let angles = [0.3, -0.7, 0.2, 0.9];
     let observables = ["+ZZII", "-IZZI", "+XXII", "+ZIII", "+IIZZ"];
-    let (expectations, groups, divisor) = client
-        .estimate(&axes, &angles, &observables, 500, 42)
-        .expect("estimate");
+    let (expectations, groups, divisor) =
+        estimate(&mut client, &axes, &angles, &observables, 500, 42).expect("estimate");
     assert_eq!(expectations.len(), observables.len());
     let covered: usize = groups.iter().map(Vec::len).sum();
     assert_eq!(covered, observables.len());
@@ -835,9 +878,7 @@ fn estimate_roundtrips_matches_engine_and_reports_grouping() {
     assert_eq!(groups, local.groups);
 
     // Zero shots is a structured, non-transient error.
-    let err = client
-        .estimate(&axes, &angles, &observables, 0, 42)
-        .unwrap_err();
+    let err = estimate(&mut client, &axes, &angles, &observables, 0, 42).unwrap_err();
     assert_eq!(err.remote().expect("remote error").kind, "not_estimable");
     assert!(!client.is_broken());
 
@@ -858,9 +899,7 @@ fn estimate_respects_the_server_deadline() {
     )
     .expect("binding an ephemeral port");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let err = client
-        .estimate(&["ZZII"], &[0.4], &["+ZZII"], 100, 1)
-        .unwrap_err();
+    let err = estimate(&mut client, &["ZZII"], &[0.4], &["+ZZII"], 100, 1).unwrap_err();
     assert_eq!(
         err.remote().expect("remote error").kind,
         "deadline_exceeded"
@@ -900,16 +939,13 @@ fn panicking_diagonalization_answers_only_its_request() {
 
     // Observables on the wrong register size panic inside the contained
     // plan-building region; the panic answers this request alone.
-    let err = client
-        .estimate(&["ZZII"], &[0.4], &["+ZZ"], 100, 1)
-        .unwrap_err();
+    let err = estimate(&mut client, &["ZZII"], &[0.4], &["+ZZ"], 100, 1).unwrap_err();
     assert_eq!(err.remote().expect("remote error").kind, "panicked");
     assert!(!client.is_broken());
 
     // The same connection, engine and template keep serving.
-    let (expectations, _, _) = client
-        .estimate(&["ZZII"], &[0.4], &["+ZZII"], 100, 1)
-        .expect("estimate after panic");
+    let (expectations, _, _) =
+        estimate(&mut client, &["ZZII"], &[0.4], &["+ZZII"], 100, 1).expect("estimate after panic");
     assert_eq!(expectations.len(), 1);
     health(&mut client).expect("health after panic");
 
@@ -924,15 +960,12 @@ fn oversized_shot_counts_are_refused_and_the_server_keeps_serving() {
     let engine = Arc::new(Engine::new(16));
     let server = start_server(Arc::clone(&engine), 2);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let err = client
-        .estimate(&["ZZII"], &[0.4], &["+ZZII"], 1 << 40, 1)
-        .unwrap_err();
+    let err = estimate(&mut client, &["ZZII"], &[0.4], &["+ZZII"], 1 << 40, 1).unwrap_err();
     assert_eq!(err.remote().expect("remote error").kind, "not_estimable");
 
     let mut fresh = Client::connect(server.local_addr()).expect("fresh connection");
     health(&mut fresh).expect("health after the refused estimate");
-    let (expectations, _, _) = fresh
-        .estimate(&["ZZII"], &[0.4], &["+ZZII"], 100, 1)
+    let (expectations, _, _) = estimate(&mut fresh, &["ZZII"], &[0.4], &["+ZZII"], 100, 1)
         .expect("estimate after the refused estimate");
     assert_eq!(expectations.len(), 1);
 

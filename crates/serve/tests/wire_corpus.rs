@@ -355,7 +355,6 @@ fn constructed_responses() -> Vec<(&'static str, Case)> {
         "angle_count",
         "qasm_parse",
         "non_finite_angle",
-        "not_absorbable",
         "not_estimable",
         "panicked",
         "deadline_exceeded",

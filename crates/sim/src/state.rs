@@ -397,12 +397,6 @@ impl StateVector {
         (overlap - 1.0).abs() < tol
     }
 
-    /// Total squared norm (should be 1 for a valid state).
-    #[must_use]
-    pub fn norm_sq(&self) -> f64 {
-        self.amps.iter().map(|a| a.norm_sq()).sum()
-    }
-
     /// Samples `shots` computational-basis measurement outcomes from the
     /// state's probability distribution by inverse-CDF sampling: shot `s`
     /// is the first index whose cumulative probability exceeds the `s`-th
@@ -665,7 +659,7 @@ mod tests {
     fn zero_state_probabilities() {
         let s = StateVector::zero_state(3);
         assert!((s.probabilities()[0] - 1.0).abs() < 1e-12);
-        assert!((s.norm_sq() - 1.0).abs() < 1e-12);
+        assert!((s.probabilities().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -706,7 +700,7 @@ mod tests {
             C64::ZERO,
             C64::new(half, 0.0),
         ]);
-        assert_eq!(state.norm_sq(), 1.0);
+        assert_eq!(state.probabilities().iter().sum::<f64>(), 1.0);
         let draws = [
             0.0,
             0.25,

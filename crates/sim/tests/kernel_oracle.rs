@@ -68,7 +68,7 @@ fn scalar_apply_gate(amps: &mut [C64], gate: &Gate) {
             }
         }
         ref g => {
-            let q = g.qubits()[0];
+            let q = g.qubit_list().as_slice()[0];
             let u = single_qubit_matrix(g);
             let qm = 1usize << q;
             for i in 0..amps.len() {

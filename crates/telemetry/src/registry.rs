@@ -148,16 +148,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers (or retrieves) a histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a metric-kind mismatch, like [`MetricsRegistry::counter`].
-    #[must_use]
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_impl(name, help, None)
-    }
-
     /// Registers (or retrieves) a histogram with a `key="value"` label.
     ///
     /// # Panics
@@ -165,16 +155,7 @@ impl MetricsRegistry {
     /// Panics on a metric-kind mismatch, like [`MetricsRegistry::counter`].
     #[must_use]
     pub fn histogram_labeled(&self, name: &str, help: &str, label: (&str, &str)) -> Arc<Histogram> {
-        self.histogram_impl(name, help, Some(label))
-    }
-
-    fn histogram_impl(
-        &self,
-        name: &str,
-        help: &str,
-        label: Option<(&str, &str)>,
-    ) -> Arc<Histogram> {
-        let key = metric_key(name, label);
+        let key = metric_key(name, Some(label));
         match self.register(key, help, || Metric::Histogram(Arc::new(Histogram::new()))) {
             Metric::Histogram(histogram) => histogram,
             other => panic!("metric `{name}` is a {}, not a histogram", other.kind()),
@@ -288,9 +269,10 @@ mod tests {
     #[test]
     fn find_histogram_does_not_register() {
         let registry = MetricsRegistry::new();
-        assert!(registry.find_histogram("absent", None).is_none());
-        let _ = registry.histogram("present_ns", "");
-        assert!(registry.find_histogram("present_ns", None).is_some());
+        let label = Some(("stage", "extract"));
+        assert!(registry.find_histogram("absent", label).is_none());
+        let _ = registry.histogram_labeled("present_ns", "", ("stage", "extract"));
+        assert!(registry.find_histogram("present_ns", label).is_some());
         assert!(registry.snapshot().counters.is_empty());
         assert_eq!(registry.snapshot().histograms.len(), 1);
     }

@@ -71,12 +71,6 @@ impl HistogramSample {
     pub fn histogram(&self) -> HistogramSnapshot {
         HistogramSnapshot::from_parts(&self.buckets, self.sum, self.max)
     }
-
-    /// Total sample count.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|&(_, count)| count).sum()
-    }
 }
 
 /// A coherent point-in-time copy of every metric in a

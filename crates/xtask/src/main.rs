@@ -4,9 +4,9 @@
 //! cargo run -p xtask -- lint
 //! ```
 //!
-//! A pure-text lint pass (no extra dependencies, no proc macros). Four rules
-//! enforce the workspace's concurrency-invariant conventions over
-//! `crates/*/src`, and one keeps the public API down to what is called:
+//! A lint pass with no extra dependencies. Four text rules enforce the
+//! workspace's concurrency-invariant conventions over `crates/*/src`, and
+//! one asks rustc which public functions are called:
 //!
 //! * **lock-unwrap** — no `.unwrap()` / `.expect(` directly on
 //!   `lock()`/`read()`/`write()` results. Long-running services recover
@@ -27,37 +27,39 @@
 //!   `SystemTime` is banned outright. Deliberate wall-clock reads are
 //!   allowlisted with a reason.
 //! * **dead-pub-fn** — a `pub fn` or `pub const fn` in a `crates/*/src`
-//!   file must be used by some caller: called (`name(`, `.name(`), named
-//!   in a path (`::name`) or passed as a function value. That includes the
-//!   `crates/compat` shims that production code links (`serde`,
-//!   `serde_json`, `simd`, `rand`, `criterion`): their API is what the
-//!   workspace calls, not all of the crate they stand in for. Only [`API_EXEMPT_CRATES`] (the shims
-//!   that only tests call, and `xtask`) are exempt. Callers are the
-//!   production code of `crates/*/src`, `crates/*/benches`, `src`,
-//!   `examples` and `perfbench/src`; the definition itself, `tests/`
-//!   trees, `#[cfg(test)]` items and doc examples do not count. A
-//!   function only tests use is deleted, made private, moved into the one
-//!   test that uses it, or waived with a reason naming its users.
+//!   file must be used by some production target: the libraries,
+//!   binaries and examples of the workspace, the benches or perfbench.
+//!   That includes the `crates/compat` shims that production code links
+//!   (their API is what the workspace calls, not all of the crate they
+//!   stand in for); only [`API_EXEMPT_CRATES`] are exempt. rustc decides:
+//!   the rule mirrors the workspace into [`API_MIRROR`], puts a unique
+//!   `#[deprecated(note = "api=<file>:<line>:<name>")]` before each such
+//!   function, runs the [`API_CHECKS`] and flags every note that no "use
+//!   of deprecated" warning names. A function only tests use is deleted,
+//!   made private, moved into the one test that uses it, or waived with a
+//!   reason naming its users.
 //!
 //! Findings print as `file:line: [rule] message` and the process exits
 //! nonzero. Deliberate exceptions live in `crates/xtask/lint.allow`
 //! (`rule path [fn name] # reason`), one documented waiver per line; a
 //! waiver that suppresses nothing is itself reported as `stale-allow`.
 //!
-//! Scope and limits: this is a *text* lint. Comments and string or char
-//! literals are blanked before any rule looks at a line, and every item a
-//! `#[cfg(test)]` gates (a `mod`, a `fn`, a `use …;`: the attribute to the
-//! item's closing brace or semicolon) is skipped; code after that item is
-//! linted again. `tests/` trees are not walked — tests may take whatever
-//! shortcuts they like. Uses match by name, so a dead `pub fn` whose name
-//! some other function also has (`new`, `len`) reads as live; a field or a
-//! local of that name does not. The rule errs toward missing dead code.
-//! The lint is deliberately dumb and loud: it exists to force a
-//! human-written justification into the diff, not to prove anything.
+//! Scope and limits: the text rules read `crates/*/src` with comments and
+//! literals blanked and every item a `#[cfg(test)]` gates skipped (the
+//! attribute to the item's closing brace or semicolon; code after it is
+//! read again). They are deliberately dumb and loud: they force a
+//! human-written justification into the diff, they prove nothing.
+//! dead-pub-fn only finds its functions this way (and marks every `use`
+//! item `#[allow(deprecated)]`, so an import or re-export is no use); a
+//! call resolves to one function, so `Vec::len` keeps no other `len`
+//! live. Code the checks do not compile (tests, doc examples, the
+//! `sched-model` feature) is no caller. The mirror and its build stay
+//! under `target/`; a mirrored file is rewritten only when its text
+//! changed, so a repeat run rebuilds only what was edited.
 
 use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 
 /// How many lines above an `Ordering::Relaxed` use the `// ordering:`
 /// audit comment may sit.
@@ -68,10 +70,30 @@ const ORDERING_COMMENT_WINDOW: usize = 8;
 /// the lint itself would otherwise flag its own pattern strings.
 const EXCLUDED_CRATES: &[&str] = &["compat/sched", "xtask"];
 
-/// Trees the lint reads (`target/` directories inside them are not walked).
-/// Their production code, outside `tests/` trees, is what may call a
-/// `pub fn`.
-const SOURCE_ROOTS: &[&str] = &["crates", "src", "examples", "perfbench/src"];
+/// What dead-pub-fn mirrors: every tree and manifest the [`API_CHECKS`]
+/// build (`target/` directories inside them are not copied).
+const MIRRORED: &[&str] = &[
+    "Cargo.toml",
+    "Cargo.lock",
+    "crates",
+    "src",
+    "examples",
+    "tests",
+    "perfbench",
+];
+
+/// Where dead-pub-fn mirrors the workspace, relative to its root; the
+/// checks build into its `target/`.
+const API_MIRROR: &str = "target/xtask-api";
+
+/// The `cargo check` arguments whose targets count as callers: every
+/// library, binary and example of the workspace, the benches, and the
+/// serving benchmark, a package of its own.
+const API_CHECKS: &[&[&str]] = &[
+    &["--workspace", "--lib", "--bins", "--examples"],
+    &["-p", "quclear-bench", "--benches"],
+    &["--manifest-path", "perfbench/Cargo.toml"],
+];
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -100,30 +122,29 @@ fn workspace_root() -> PathBuf {
 fn lint() -> ExitCode {
     let root = workspace_root();
     let allow = Allowlist::load(&root.join("crates/xtask/lint.allow"));
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for dir in SOURCE_ROOTS {
-        for file in rust_files(&root.join(dir)) {
-            let rel = file
-                .strip_prefix(&root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
-            match std::fs::read_to_string(&file) {
-                Ok(content) => sources.push((rel, content)),
-                Err(e) => {
-                    eprintln!("xtask lint: cannot read {rel}: {e}");
-                    return ExitCode::FAILURE;
-                }
+    let mut findings: Vec<Finding> = Vec::new();
+    let mut files = 0;
+    for file in files_under(&root.join("crates")) {
+        let rel = relative(&root, &file);
+        if !(rel.ends_with(".rs") && file_rules_apply(&rel)) {
+            continue;
+        }
+        match std::fs::read_to_string(&file) {
+            Ok(content) => findings.extend(lint_file(&rel, &content, &allow)),
+            Err(e) => {
+                eprintln!("xtask lint: cannot read {rel}: {e}");
+                return ExitCode::FAILURE;
             }
         }
+        files += 1;
     }
-    let mut findings: Vec<Finding> = Vec::new();
-    for (rel, content) in &sources {
-        if file_rules_apply(rel) {
-            findings.extend(lint_file(rel, content, &allow));
+    match uncalled_pub_fns(&root, API_CHECKS) {
+        Ok(uncalled) => findings.extend(dead_pub_fns(uncalled, &allow)),
+        Err(e) => {
+            eprintln!("xtask lint: dead-pub-fn: {e}");
+            return ExitCode::FAILURE;
         }
     }
-    findings.extend(dead_pub_fns(&sources, &allow));
     for waiver in allow.unused() {
         findings.push(Finding {
             file: "crates/xtask/lint.allow".to_string(),
@@ -135,10 +156,6 @@ fn lint() -> ExitCode {
             ),
         });
     }
-    let files = sources
-        .iter()
-        .filter(|(rel, _)| !in_tests_tree(rel))
-        .count();
     if findings.is_empty() {
         println!("xtask lint: {files} files clean");
         ExitCode::SUCCESS
@@ -151,22 +168,30 @@ fn lint() -> ExitCode {
     }
 }
 
-/// All `.rs` files under `dir`, skipping `target/` trees.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
+/// `file` relative to `root`, with `/` separators.
+fn relative(root: &Path, file: &Path) -> String {
+    file.strip_prefix(root)
+        .unwrap_or(file)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// All files under `path` (or `path` itself when it is a file), skipping
+/// `target/` trees.
+fn files_under(path: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
+    let mut stack = vec![path.to_path_buf()];
+    while let Some(path) = stack.pop() {
+        let Ok(entries) = std::fs::read_dir(&path) else {
+            if path.is_file() {
+                out.push(path);
+            }
             continue;
         };
         for entry in entries.flatten() {
             let path = entry.path();
-            if path.is_dir() {
-                if !path.ends_with("target") {
-                    stack.push(path);
-                }
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
+            if !(path.is_dir() && path.ends_with("target")) {
+                stack.push(path);
             }
         }
     }
@@ -492,203 +517,149 @@ fn lint_file(rel: &str, content: &str, allow: &Allowlist) -> Vec<Finding> {
     findings
 }
 
-/// `code` with every `use …;` item blanked to spaces up to its `;`,
-/// newlines kept, and the words those items named: an import or a
-/// `pub use` re-export names a function without calling it, but brings it
-/// into scope. The `;` stays, so a `pub` before the blanked item never
-/// reads as adjacent to the next `fn`. `code` must already be
-/// [`code_only`], so `use` is always the keyword.
-fn blank_use_items(code: &str) -> (String, HashSet<String>) {
-    let chars: Vec<char> = code.chars().collect();
-    let mut out = String::with_capacity(code.len());
-    let mut imported = HashSet::new();
-    let mut i = 0;
-    while i < chars.len() {
-        let keyword = chars[i..].starts_with(&['u', 's', 'e'])
-            && (i == 0 || !is_ident(chars[i - 1]))
-            && chars.get(i + 3).is_none_or(|&c| !is_ident(c));
-        if !keyword {
-            out.push(chars[i]);
-            i += 1;
+/// The `pub fn` / `pub const fn` items declared on `code`, a line of
+/// [`production_lines`]: the char column of each `pub`, and the name.
+fn pub_fns(code: &str) -> Vec<(usize, &str)> {
+    let mut found = Vec::new();
+    for (at, _) in code.match_indices("pub ") {
+        if code[..at].ends_with(is_ident) {
             continue;
         }
-        let end = chars[i..]
-            .iter()
-            .position(|&c| c == ';')
-            .map_or(chars.len(), |p| i + p);
-        let item: String = chars[i..end].iter().collect();
-        imported.extend(item.split(|c| !is_ident(c)).map(str::to_string));
-        out.extend(
-            chars[i..end]
-                .iter()
-                .map(|&c| if c == '\n' { c } else { ' ' }),
-        );
-        i = end;
-    }
-    (out, imported)
-}
-
-/// Keywords a `(` can follow without opening a call.
-const KEYWORDS: &[&str] = &[
-    "for", "if", "in", "let", "match", "move", "mut", "return", "while", "where",
-];
-
-/// One identifier-like token of [`code_only`] text, with the punctuation
-/// around it.
-struct Token<'a> {
-    /// 0-based line index.
-    line: usize,
-    text: &'a str,
-    /// Only whitespace separates the token from the one before it (so
-    /// `pub fn name` is three adjacent tokens, `pub(crate) fn` is not).
-    adjacent: bool,
-    /// The punctuation between the previous token and this one, whitespace
-    /// removed (`::`, `(`, `.`, `,`, …).
-    before: String,
-    /// The innermost bracket open at the token is the `(` of a call: it
-    /// directly follows a name that is not a keyword, or a `>`.
-    in_call: bool,
-}
-
-/// The identifier-like tokens of `code`. The punctuation after token `k` is
-/// `before` of token `k + 1`; the returned `String` is what follows the
-/// last token.
-fn tokens(code: &str) -> (Vec<Token<'_>>, String) {
-    let mut out = Vec::new();
-    let (mut line, mut start) = (0, None);
-    let mut gap = String::new();
-    // Per open bracket: whether it is a call's `(`.
-    let mut brackets: Vec<bool> = Vec::new();
-    for (i, c) in code.char_indices().chain([(code.len(), ' ')]) {
-        if is_ident(c) {
-            if start.is_none() {
-                start = Some(i);
-                out.push(Token {
-                    line,
-                    text: "",
-                    adjacent: !out.is_empty() && gap.is_empty(),
-                    before: std::mem::take(&mut gap),
-                    in_call: brackets.last() == Some(&true),
-                });
-            }
+        let rest = code[at + 4..].trim_start();
+        let rest = rest.strip_prefix("const ").map_or(rest, str::trim_start);
+        let Some(rest) = rest.strip_prefix("fn ").map(str::trim_start) else {
             continue;
-        }
-        if let Some(s) = start.take() {
-            out.last_mut().expect("pushed at the token start").text = &code[s..i];
-        }
-        match c {
-            '\n' => line += 1,
-            '(' => {
-                let after_name = gap.is_empty()
-                    && out
-                        .last()
-                        .is_some_and(|t: &Token| !KEYWORDS.contains(&t.text));
-                brackets.push(after_name || gap.ends_with('>'));
-            }
-            '[' | '{' => brackets.push(false),
-            ')' | ']' | '}' => {
-                brackets.pop();
-            }
-            _ => {}
-        }
-        if !c.is_whitespace() {
-            gap.push(c);
+        };
+        let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+        if !name.is_empty() {
+            found.push((code[..at].chars().count(), name));
         }
     }
-    (out, gap)
+    found
 }
 
-/// The names `toks` binds as locals: every name in a `let` pattern (up to
-/// its `=`), a `for` pattern (up to `in`) or a closure's `|…|` parameters,
-/// and every name followed by a single `:` (parameters, fields). Errs
-/// toward binding too much: `a | b` reads as a closure opening at `b`.
-fn local_bindings<'a>(toks: &[Token<'a>], tail: &str) -> HashSet<&'a str> {
-    let mut locals = HashSet::new();
-    let mut pattern: Option<&str> = None;
-    for (k, tok) in toks.iter().enumerate() {
-        let ended = pattern.is_some_and(|open| match open {
-            "let" => tok.before.contains(['=', ';']),
-            "for" => tok.text == "in",
-            _ => tok.before.contains('|'),
-        });
-        if ended {
-            pattern = None;
-        } else if pattern.is_some() {
-            locals.insert(tok.text);
-        } else if tok.before.ends_with('|') && !tok.before.ends_with("||") {
-            locals.insert(tok.text);
-            pattern = Some("|");
+/// The char column where a `use` item (an import or a re-export) starts
+/// on `code`, a line of [`production_lines`].
+fn use_item(code: &str) -> Option<usize> {
+    let item = code.trim_start();
+    let mut rest = item.strip_prefix("pub").unwrap_or(item);
+    if rest.starts_with('(') {
+        rest = &rest[rest.find(')')? + 1..];
+    }
+    let rest = rest.trim_start().strip_prefix("use")?;
+    (!rest.starts_with(is_ident)).then(|| code.len() - item.len())
+}
+
+/// `content` as the dead-pub-fn checks compile it, and the
+/// `(rel, line, name)` of each function it declares. Every `use` item gets
+/// `#[allow(deprecated)]`, since naming a function there calls nothing.
+/// When `declares_api`, every [`pub_fns`] item gets
+/// `#[deprecated(note = "api=<rel>:<line>:<name>")]`. Both go on the
+/// item's own line, so line numbers stay as they are.
+fn annotate(rel: &str, content: &str, declares_api: bool) -> (String, Vec<PubFn>) {
+    let mut out = String::with_capacity(content.len());
+    let mut defined = Vec::new();
+    for (i, (line, code)) in content.lines().zip(production_lines(content)).enumerate() {
+        let mut inserts: Vec<(usize, String)> = use_item(&code)
+            .map(|col| (col, "#[allow(deprecated)] ".to_string()))
+            .into_iter()
+            .collect();
+        if declares_api {
+            for (col, name) in pub_fns(&code) {
+                let note = format!("#[deprecated(note = \"api={rel}:{}:{name}\")] ", i + 1);
+                inserts.push((col, note));
+                defined.push((rel.to_string(), i + 1, name.to_string()));
+            }
         }
-        if tok.text == "let" || tok.text == "for" {
-            pattern = Some(tok.text);
+        inserts.sort();
+        let mut copied = 0;
+        for (col, text) in inserts {
+            let at = line.char_indices().nth(col).map_or(line.len(), |(b, _)| b);
+            out.push_str(&line[copied..at]);
+            out.push_str(&text);
+            copied = at;
         }
-        let next = toks.get(k + 1).map_or(tail, |t| t.before.as_str());
-        if next.starts_with(':') && !next.starts_with("::") {
-            locals.insert(tok.text);
+        out.push_str(&line[copied..]);
+        out.push('\n');
+    }
+    (out, defined)
+}
+
+/// A `pub fn` as `(file, line, name)`.
+type PubFn = (String, usize, String);
+
+/// dead-pub-fn, the compiler's half: mirrors the [`MIRRORED`] part of the
+/// workspace at `root` into [`API_MIRROR`], [`annotate`]s every `.rs` file,
+/// runs `cargo check` with each of `checks` there and returns every
+/// function of a file that [`defines_api`] that no "use of deprecated"
+/// warning names.
+fn uncalled_pub_fns(root: &Path, checks: &[&[&str]]) -> std::io::Result<Vec<PubFn>> {
+    let mirror = root.join(API_MIRROR);
+    let mut defined = Vec::new();
+    let mut mirrored = HashSet::new();
+    for entry in MIRRORED {
+        for file in files_under(&root.join(entry)) {
+            let rel = relative(root, &file);
+            let mut bytes = std::fs::read(&file)?;
+            if rel.ends_with(".rs") {
+                let (text, fns) =
+                    annotate(&rel, &String::from_utf8_lossy(&bytes), defines_api(&rel));
+                defined.extend(fns);
+                bytes = text.into_bytes();
+            }
+            // Rewriting an unchanged file would make cargo rebuild it.
+            let dst = mirror.join(&rel);
+            if std::fs::read(&dst).ok().as_ref() != Some(&bytes) {
+                std::fs::create_dir_all(dst.parent().unwrap_or(&mirror))?;
+                std::fs::write(&dst, &bytes)?;
+            }
+            mirrored.insert(rel);
         }
     }
-    locals
-}
-
-/// Whether `rel` lies in a `tests/` tree, whose code never counts as a caller.
-fn in_tests_tree(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/")
-}
-
-/// dead-pub-fn: every `pub fn` / `pub const fn` that [`defines_api`] files
-/// declare must be used somewhere in the production code of `sources`
-/// (`(path, content)` pairs) outside `tests/` trees and its own definition.
-/// A name counts as used where it is called (`name(`, `.name(`,
-/// `name::<`), named in a path (`::name`), or passed as a function value:
-/// a whole argument of a call (`f(name)`, `f(a, name)`) in a file that has
-/// a function of that name in scope (defines it or imports it with `use`)
-/// and binds no local of that name ([`local_bindings`]). A field, a local
-/// binding or a struct-literal field of the same name is not a use.
-fn dead_pub_fns(sources: &[(String, String)], allow: &Allowlist) -> Vec<Finding> {
-    let mut used: HashSet<String> = HashSet::new();
-    let mut defined: Vec<(&str, usize, String)> = Vec::new();
-    for (rel, content) in sources {
-        if in_tests_tree(rel) {
-            continue;
-        }
-        let (code, imported) = blank_use_items(&production_lines(content).join("\n"));
-        let (toks, tail) = tokens(&code);
-        let locals = local_bindings(&toks, &tail);
-        let mut in_scope: HashSet<&str> = imported.iter().map(String::as_str).collect();
-        in_scope.extend(
-            toks.windows(2)
-                .filter(|w| w[0].text == "fn")
-                .map(|w| w[1].text),
-        );
-        for (k, tok) in toks.iter().enumerate() {
-            let before = |n: usize, word: &str| k >= n && toks[k - n].text == word;
-            if tok.adjacent && before(1, "fn") {
-                let public = toks[k - 1].adjacent
-                    && (before(2, "pub")
-                        || (before(2, "const") && toks[k - 2].adjacent && before(3, "pub")));
-                if public && defines_api(rel) {
-                    defined.push((rel, tok.line + 1, tok.text.to_string()));
-                }
-                continue;
-            }
-            let next = toks.get(k + 1).map_or(tail.as_str(), |t| t.before.as_str());
-            let called = next.starts_with('(') || next.starts_with("::<");
-            let in_path = tok.before.ends_with("::");
-            let as_value = tok.in_call
-                && (tok.before.ends_with('(') || tok.before.ends_with(','))
-                && (next.starts_with(')') || next.starts_with(','))
-                && in_scope.contains(tok.text)
-                && !locals.contains(tok.text);
-            if called || in_path || as_value {
-                used.insert(tok.text.to_string());
+    // A file deleted from the workspace must leave the build too (cargo
+    // would still compile a stale example or bench).
+    for entry in MIRRORED {
+        for file in files_under(&mirror.join(entry)) {
+            if !mirrored.contains(&relative(&mirror, &file)) {
+                std::fs::remove_file(&file)?;
             }
         }
     }
-    defined
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let mut used = HashSet::new();
+    for args in checks {
+        let out = Command::new(&cargo)
+            .current_dir(&mirror)
+            .args(["check", "--offline", "--color=never"])
+            .args(["--message-format=short", "--target-dir=target"])
+            .args(*args)
+            // Every use stays a warning, and the caller's flags cannot
+            // invalidate the mirror's build cache.
+            .env("RUSTFLAGS", "--cap-lints=warn")
+            .output()?;
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if !out.status.success() {
+            let failed = format!("cargo check {args:?} failed:\n{stderr}");
+            return Err(std::io::Error::other(failed));
+        }
+        for line in stderr.lines() {
+            if let (true, Some(at)) = (line.contains("use of deprecated"), line.find("api=")) {
+                used.insert(line[at + 4..].trim_end().to_string());
+            }
+        }
+    }
+    defined.retain(|(rel, line, name)| !used.contains(&format!("{rel}:{line}:{name}")));
+    Ok(defined)
+}
+
+/// dead-pub-fn, the waivers' half: a finding for every `uncalled` function
+/// that `allow` does not waive.
+fn dead_pub_fns(uncalled: Vec<PubFn>, allow: &Allowlist) -> Vec<Finding> {
+    uncalled
         .into_iter()
-        .filter(|(rel, _, name)| !used.contains(name) && !allow.allows("dead-pub-fn", rel, name))
-        .map(|(rel, line, name)| Finding {
-            file: rel.to_string(),
+        .filter(|(rel, _, name)| !allow.allows("dead-pub-fn", rel, name))
+        .map(|(file, line, name)| Finding {
+            file,
             line,
             rule: "dead-pub-fn",
             message: format!(
@@ -857,152 +828,148 @@ fn prod(m: &std::sync::Mutex<u32>) -> u32 {
         assert_eq!(rules(&findings), vec![("lock-unwrap", 11)]);
     }
 
-    fn dead(sources: &[(&str, &str)], allow: &Allowlist) -> Vec<(String, usize)> {
-        let sources: Vec<(String, String)> = sources
-            .iter()
-            .map(|(rel, content)| (rel.to_string(), content.to_string()))
-            .collect();
-        dead_pub_fns(&sources, allow)
-            .into_iter()
-            .map(|f| {
-                assert_eq!(f.rule, "dead-pub-fn");
-                let quoted = f.message.split('`').nth(1).unwrap_or("");
-                let name = quoted.trim_start_matches("pub fn ").to_string();
-                (name, f.line)
-            })
-            .collect()
+    #[test]
+    fn annotate_marks_each_production_pub_fn_in_place() {
+        let src = "\
+/// `pub fn in_docs()`
+pub fn one() {}
+    pub const fn two() -> u8 { 2 } /* é */ pub fn three() {}
+pub(crate) fn crate_private() {}
+const S: &str = \"pub fn in_string()\";
+#[cfg(test)]
+pub fn test_only() {}
+";
+        let (text, defined) = annotate("crates/a/src/lib.rs", src, true);
+        let names: Vec<(usize, &str)> = defined.iter().map(|(_, l, n)| (*l, n.as_str())).collect();
+        assert_eq!(names, [(2, "one"), (3, "two"), (3, "three")]);
+        let note = |line: usize, name: &str| {
+            format!("#[deprecated(note = \"api=crates/a/src/lib.rs:{line}:{name}\")] ")
+        };
+        let want = format!(
+            "    {}pub const fn two() -> u8 {{ 2 }} /* é */ {}pub fn three() {{}}",
+            note(3, "two"),
+            note(3, "three")
+        );
+        assert_eq!(text.lines().nth(2), Some(want.as_str()));
+        assert_eq!(text.lines().count(), src.lines().count());
     }
 
-    /// One library file whose `pub fn`s are each reached (or not) by one
-    /// kind of caller.
-    const LIB: &str = "\
-/// Mentioned only here: `docs_only()`; see also [`by_test_module`].
-///
-/// ```
-/// assert!(mylib::docs_only());
-/// ```
-pub fn docs_only() -> bool {
-    true
+    /// A two-crate workspace: `app` calls `Bag::new` and `Vec::len`, its
+    /// example calls `by_example`, and nothing else of `lib` is called by a
+    /// production target.
+    const FIXTURE: &[(&str, &str)] = &[
+        (
+            "Cargo.toml",
+            "[workspace]\nmembers = [\"crates/lib\", \"crates/app\"]\nresolver = \"2\"\n",
+        ),
+        (
+            "crates/lib/Cargo.toml",
+            "[package]\nname = \"lib\"\nversion = \"0.1.0\"\nedition = \"2021\"\n",
+        ),
+        (
+            "crates/lib/src/lib.rs",
+            "\
+pub struct Bag(Vec<u8>);
+impl Bag {
+    pub fn new() -> Bag { Bag(Vec::new()) }
+    pub fn len(&self) -> usize { self.0.len() }
 }
-pub fn unused() {}
-pub const fn by_test_module() -> u32 {
-    1
-}
+/// ```
+/// lib::docs_only();
+/// ```
+pub fn docs_only() {}
+pub const fn by_test_module() -> u32 { 1 }
 pub fn by_tests_tree() {}
-pub fn by_other_crate() {}
 pub fn by_example() {}
-pub fn by_bench() {}
-pub fn by_own_file() {}
-pub(crate) fn crate_private() {}
-fn private() {
-    by_own_file();
-}
-
+pub fn waived() {}
 #[cfg(test)]
 mod tests {
     #[test]
-    fn t() {
-        assert_eq!(super::by_test_module(), 1);
-    }
+    fn t() { assert_eq!(super::by_test_module(), 1); }
 }
-";
+pub mod inner { pub fn reexported_only() {} }
+pub use inner::reexported_only;
+",
+        ),
+        (
+            "crates/lib/tests/it.rs",
+            "#[test]\nfn t() { lib::by_tests_tree(); }\n",
+        ),
+        (
+            "crates/app/Cargo.toml",
+            "[package]\nname = \"app\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
+             [dependencies]\nlib = { path = \"../lib\" }\n",
+        ),
+        (
+            "crates/app/src/main.rs",
+            "fn main() { let _ = (lib::Bag::new(), vec![1].len()); }\n",
+        ),
+        (
+            "crates/app/examples/demo.rs",
+            "fn main() { lib::by_example(); }\n",
+        ),
+    ];
 
-    fn dead_api_fixture() -> Vec<(&'static str, &'static str)> {
-        vec![
-            ("crates/lib/src/lib.rs", LIB),
-            (
-                "crates/lib/tests/it.rs",
-                "fn t() { mylib::by_tests_tree(); }\n",
-            ),
-            (
-                "crates/app/src/main.rs",
-                "fn main() { mylib::by_other_crate(); shim::linked_api(); }\n",
-            ),
-            ("examples/demo.rs", "fn main() { mylib::by_example(); }\n"),
-            (
-                "crates/bench/benches/b.rs",
-                "fn b() { mylib::by_bench(); }\n",
-            ),
-            (
-                "crates/compat/shim/src/lib.rs",
-                "pub fn linked_api() {}\npub fn unlinked_api() {}\n",
-            ),
-            (
-                "crates/compat/proptest/src/lib.rs",
-                "pub fn test_only_api() {}\n",
-            ),
-        ]
+    /// [`FIXTURE`]'s uncalled functions, written to a temp dir and checked
+    /// once (offline: the fixture has no dependencies) for every test.
+    fn fixture_uncalled() -> Vec<PubFn> {
+        static UNCALLED: std::sync::OnceLock<Vec<PubFn>> = std::sync::OnceLock::new();
+        UNCALLED
+            .get_or_init(|| {
+                let root =
+                    std::env::temp_dir().join(format!("xtask-dead-api-{}", std::process::id()));
+                for (rel, text) in FIXTURE {
+                    let path = root.join(rel);
+                    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                    std::fs::write(path, text).unwrap();
+                }
+                let checks: &[&[&str]] = &[&["--workspace", "--lib", "--bins", "--examples"]];
+                let uncalled = uncalled_pub_fns(&root, checks);
+                std::fs::remove_dir_all(&root).unwrap();
+                uncalled.unwrap()
+            })
+            .clone()
+    }
+
+    fn names(uncalled: &[PubFn]) -> Vec<(&str, usize)> {
+        uncalled.iter().map(|(_, l, n)| (n.as_str(), *l)).collect()
     }
 
     #[test]
     fn dead_pub_fn_flags_functions_without_a_production_caller() {
-        let mut sources = dead_api_fixture();
-        // A crate root that re-exports two functions and calls one: the
-        // `use` lines are not callers.
-        sources.extend([
-            (
-                "crates/lib2/src/lib.rs",
-                "mod inner;\npub use inner::{reexported_only, reexported_and_called};\n\
-                 use self::inner::imported_only;\n\
-                 fn f() {\n    reexported_and_called();\n}\n",
-            ),
-            (
-                "crates/lib2/src/inner.rs",
-                "pub fn reexported_only() {}\npub fn reexported_and_called() {}\n\
-                 pub fn imported_only() {}\n",
-            ),
-        ]);
-        let findings = dead(&sources, &no_waivers());
         let want = [
-            ("docs_only", 6),
-            ("unused", 9),
+            ("len", 4),
+            ("docs_only", 9),
             ("by_test_module", 10),
-            ("by_tests_tree", 13),
-            ("unlinked_api", 2),
-            ("reexported_only", 1),
-            ("imported_only", 3),
+            ("by_tests_tree", 11),
+            ("waived", 13),
+            ("reexported_only", 19),
         ];
-        let want: Vec<(String, usize)> = want.iter().map(|&(n, l)| (n.to_string(), l)).collect();
-        assert_eq!(findings, want);
+        assert_eq!(names(&fixture_uncalled()), want);
     }
 
-    /// A field, a local binding, a struct-literal field or a pattern of the
-    /// same name is not a use; a call, a path or a function value is.
+    /// A call resolves to one function: `Vec::len` keeps `Bag::len` no more
+    /// live than any other name would (a name match reads it as called),
+    /// and a re-export calls nothing.
     #[test]
     fn dead_pub_fn_counts_calls_not_names() {
-        let sources = [
-            (
-                "crates/lib/src/lib.rs",
-                "pub fn fingerprint() -> u64 { 1 }\npub fn config() {}\npub fn width() {}\n\
-                 pub fn called() {}\npub fn in_path() {}\npub fn as_value(x: u8) -> u8 { x }\n\
-                 pub fn shadowed(x: u8) -> u8 { x }\n",
-            ),
-            (
-                "crates/app/src/main.rs",
-                "use lib::{as_value, fingerprint, shadowed};\n\
-                 struct Template { fingerprint: u64, width: usize }\n\
-                 fn main() {\n    let fingerprint = 7;\n    lookup(&fingerprint);\n    \
-                 store(fingerprint, 1);\n    let t = Template { fingerprint, width: 2 };\n    \
-                 let _ = t.fingerprint + t.width as u64;\n    \
-                 for (config, shadowed) in pairs() {\n        use_both(config, shadowed);\n    }\n    \
-                 lib::called();\n    let f = lib::in_path;\n    \
-                 let _ = [1u8].iter().copied().map(as_value);\n}\n",
-            ),
-        ];
-        let findings = dead(&sources, &no_waivers());
-        let names: Vec<&str> = findings.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(names, ["fingerprint", "config", "width", "shadowed"]);
+        let uncalled = fixture_uncalled();
+        let flagged: Vec<&str> = names(&uncalled).into_iter().map(|(n, _)| n).collect();
+        assert!(flagged.contains(&"len"));
+        assert!(flagged.contains(&"reexported_only"));
+        assert!(!flagged.contains(&"new"));
     }
 
     #[test]
     fn dead_pub_fn_waivers_suppress_and_go_stale() {
         let allow = Allowlist::parse(
-            "dead-pub-fn crates/lib/src/lib.rs unused # used by a tool\n\
+            "dead-pub-fn crates/lib/src/lib.rs waived # used by a tool\n\
              dead-pub-fn crates/lib/src/lib.rs by_example # example calls it\n",
         );
-        let findings = dead(&dead_api_fixture(), &allow);
-        assert!(findings.iter().all(|(name, _)| name != "unused"));
-        assert_eq!(findings.len(), 4);
+        let findings = dead_pub_fns(fixture_uncalled(), &allow);
+        assert_eq!(findings.len(), 5);
+        assert!(findings.iter().all(|f| f.rule == "dead-pub-fn"));
+        assert!(!findings.iter().any(|f| f.message.contains("fn waived`")));
         // The waiver for a live function matched nothing: stale.
         let unused = allow.unused();
         assert_eq!(unused.len(), 1);

@@ -233,7 +233,8 @@ fn routed_circuits_respect_device_connectivity() {
         let routed = route(&circuit, &coupling);
         for gate in routed.circuit.gates() {
             if gate.is_two_qubit() {
-                let q = gate.qubits();
+                let q = gate.qubit_list();
+                let q = q.as_slice();
                 assert!(
                     coupling.are_connected(q[0], q[1]),
                     "gate {gate} off the coupling map"
