@@ -34,6 +34,7 @@
 
 mod circuit;
 mod coupling;
+pub mod float;
 mod gate;
 pub mod math;
 mod monomial;

@@ -29,8 +29,7 @@
 //! Parse failures return a [`ParseQasmError`] carrying the 1-based line and
 //! column of the offending token.
 
-use std::fmt::Write as _;
-
+use crate::float::{push_f64, push_u64};
 use crate::{Circuit, Gate};
 
 /// Serializes a circuit as an OpenQASM 2.0 program.
@@ -41,9 +40,10 @@ use crate::{Circuit, Gate};
 /// `from_qasm(to_qasm(c))` is gate-for-gate equal to `c`.
 ///
 /// The text is appended gate by gate into one pre-sized `String` by the
-/// module's one gate writer, which formats qubit indices without the
-/// `fmt` machinery and only angles through `Display`. [`QasmHoles`] is
-/// built by the same writer, so a hole fill is byte-identical to this.
+/// module's one gate writer, which writes qubit indices and angles with
+/// [`crate::float`] instead of the `fmt` machinery; an angle's text is
+/// byte-identical to its `Display`. [`QasmHoles`] is built by the same
+/// writer, so a hole fill is byte-identical to this.
 ///
 /// # Panics
 ///
@@ -122,21 +122,19 @@ fn push_gate(out: &mut String, gate: &Gate, angle: impl FnOnce(&mut String, f64)
 }
 
 /// Appends a rotation angle as the shortest decimal that round-trips the
-/// `f64` exactly, so `from_qasm(to_qasm(c))` is gate-for-gate equal.
+/// `f64` exactly, so `from_qasm(to_qasm(c))` is gate-for-gate equal. The
+/// text is the angle's `Display`, written by [`push_f64`].
 fn push_angle(out: &mut String, angle: f64) {
     assert!(
         angle.is_finite(),
         "cannot serialize non-finite rotation angle {angle} as QASM"
     );
-    let _ = write!(out, "{angle}");
+    push_f64(out, angle);
 }
 
 /// Appends a qubit index in decimal.
 fn push_index(out: &mut String, index: usize) {
-    if index >= 10 {
-        push_index(out, index / 10);
-    }
-    out.push(char::from(b'0' + (index % 10) as u8));
+    push_u64(out, index as u64);
 }
 
 /// The angle of a rotation gate, `None` for every other gate.
@@ -152,9 +150,10 @@ fn rotation_angle(gate: &Gate) -> Option<f64> {
 ///
 /// Built by [`to_qasm`]'s gate writer, with a hole where each angle would
 /// go. [`QasmHoles::fill`] copies the fixed text between the holes and
-/// formats only the angles, so it costs a copy plus one float format per
-/// rotation, and its output is byte-identical to [`to_qasm`] on the same
-/// circuit.
+/// writes only the angles, with the same shortest round-trip writer
+/// ([`crate::float::push_f64`]), so it costs a copy plus one float write
+/// per rotation, and its output is byte-identical to [`to_qasm`] on the
+/// same circuit.
 ///
 /// # Examples
 ///

@@ -7,9 +7,14 @@
 
 #![warn(missing_docs)]
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use serde::Json;
+
+/// The shortest round-trip float writer and the decimal integer writer,
+/// shared with `quclear-circuit`'s OpenQASM output.
+#[path = "../../../circuit/src/float.rs"]
+mod float;
 
 /// A parse error: what was wrong and at which byte.
 #[derive(Debug)]
@@ -50,22 +55,24 @@ fn render(value: &Json, indent: Option<usize>, depth: usize, out: &mut String) {
     match value {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        // Numbers are formatted straight into `out`: writing to a `String`
-        // cannot fail, so the `fmt::Result`s are discarded.
+        // Numbers are written straight into `out`, as `Display` spells
+        // them, without the `fmt` machinery.
         Json::Int(i) => {
-            let _ = write!(out, "{i}");
+            if *i < 0 {
+                out.push('-');
+            }
+            float::push_u64(out, i.unsigned_abs());
         }
-        Json::Uint(u) => {
-            let _ = write!(out, "{u}");
-        }
+        Json::Uint(u) => float::push_u64(out, *u),
         Json::Float(x) if !x.is_finite() => out.push_str("null"),
         Json::Float(x) => {
-            // Match serde_json: always distinguishable from integers.
-            let _ = if x.fract() == 0.0 && x.abs() < 1e15 {
-                write!(out, "{x:.1}")
-            } else {
-                write!(out, "{x}")
-            };
+            float::push_f64(out, *x);
+            // Match serde_json: always distinguishable from integers. Below
+            // 1e15 an integral value's digits are all before the point, so
+            // this is `{x:.1}`.
+            if x.fract() == 0.0 && x.abs() < 1e15 {
+                out.push_str(".0");
+            }
         }
         Json::Str(s) => push_escaped(s, out),
         Json::Array(items) if items.is_empty() => out.push_str("[]"),
@@ -481,6 +488,10 @@ fn find_special(bytes: &[u8]) -> usize {
 }
 
 #[cfg(test)]
+#[path = "../../../circuit/tests/support/float_cases.rs"]
+mod float_cases;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -503,6 +514,47 @@ mod tests {
     fn floats_keep_a_decimal_point() {
         assert_eq!(to_string(&Json::Float(2.0)), "2.0");
         assert_eq!(to_string(&Json::Float(2.5)), "2.5");
+    }
+
+    /// The rule the renderer used to spell floats with, kept as the
+    /// oracle: `null` when non-finite, `{x:.1}` when integral and below
+    /// 1e15, `{x}` otherwise.
+    fn fmt_rule(x: f64) -> String {
+        if !x.is_finite() {
+            "null".to_string()
+        } else if x.fract() == 0.0 && x.abs() < 1e15 {
+            format!("{x:.1}")
+        } else {
+            format!("{x}")
+        }
+    }
+
+    #[test]
+    fn floats_render_by_the_fmt_rule() {
+        let random = crate::float_cases::random_bit_patterns(0x5EED_5EED, 1_000_000);
+        for x in random.chain(crate::float_cases::edge_values()) {
+            assert_eq!(
+                to_string(&Json::Float(x)),
+                fmt_rule(x),
+                "bits {:#018x}",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn integers_render_as_display() {
+        let mut ints = vec![i64::MIN, i64::MIN + 1, i64::MAX, -1, 0, 1];
+        ints.extend((1..19).flat_map(|d| {
+            let p = 10i64.pow(d);
+            [-p - 1, -p, -p + 1, p - 1, p, p + 1]
+        }));
+        for i in ints {
+            assert_eq!(to_string(&Json::Int(i)), i.to_string());
+            let u = i.unsigned_abs();
+            assert_eq!(to_string(&Json::Uint(u)), u.to_string());
+        }
+        assert_eq!(to_string(&Json::Uint(u64::MAX)), u64::MAX.to_string());
     }
 
     #[test]

@@ -656,19 +656,24 @@ fn send_response(shared: &Shared, stream: &mut TcpStream, response: Response) ->
     if encoded.len() > max {
         let too_large = Response {
             id: response.id,
-            body: Err(WireError::new(
-                "response_too_large",
-                format!(
-                    "response of {} bytes exceeds the server's {max} byte frame \
-                     limit; split the request (e.g. fewer angle sets per sweep)",
-                    encoded.len()
-                ),
-            )),
+            body: Err(response_too_large(&encoded.len().to_string(), max)),
         };
         encoded = too_large.encode();
     }
     shared.metrics.frame_bytes_out.record(encoded.len() as u64);
     write_frame_with_limit(stream, &encoded, max)
+}
+
+/// The `response_too_large` error for an answer of `size` bytes (a number,
+/// or a lower bound such as `at least 5000`) over the `max` byte cap.
+fn response_too_large(size: &str, max: usize) -> WireError {
+    WireError::new(
+        "response_too_large",
+        format!(
+            "response of {size} bytes exceeds the server's {max} byte frame \
+             limit; split the request (e.g. fewer angle sets per sweep)"
+        ),
+    )
 }
 
 /// Builds the response for one raw frame. Panics anywhere in decoding or
@@ -752,7 +757,12 @@ fn handle_request(
         RequestKind::Sweep {
             program,
             angle_sets,
-        } => sweep(&engine, &program, &angle_sets),
+        } => sweep(
+            &engine,
+            &program,
+            &angle_sets,
+            shared.config.max_frame_bytes,
+        ),
         RequestKind::CompileQasm { qasm } => engine
             .compile_qasm(&qasm)
             .map(|result| summarize_qasm(shared, &result))
@@ -906,19 +916,50 @@ fn compile(engine: &Engine, program: &[String], angles: &[f64]) -> Result<Respon
 
 /// One template lookup, then one bind and render per angle set; each set's
 /// failure lands in its own slot.
+///
+/// The answer is bounded while it is built, so a small request cannot make
+/// the server hold far more than `max_bytes` before `send_response` sees
+/// the frame. Every set that binds carries the template's extracted text,
+/// the same for each, and JSON escaping only adds bytes: once the first
+/// point has rendered, `sets that validate × extracted text` is a lower
+/// bound on the encoded answer, checked before any further bind. A running
+/// sum of each point's two texts is the exact backstop, and the sweep stops
+/// at the first point that takes it past the cap. (The skeleton's text is
+/// not counted up front: a bind with a zero-angle slot re-runs the
+/// peephole and may render shorter than it.)
 fn sweep(
     engine: &Engine,
     program: &[String],
     angle_sets: &[Vec<f64>],
+    max_bytes: usize,
 ) -> Result<ResponseBody, WireError> {
     let (axes, negative) = split_signs(parse_axes(program)?);
     let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
-    Ok(ResponseBody::Sweep(
-        angle_sets
-            .iter()
-            .map(|set| bind_summary(engine, &template, &fold_signs(set, &negative)))
-            .collect(),
-    ))
+    let validating = angle_sets
+        .iter()
+        .filter(|set| set.len() == axes.len() && set.iter().all(|a| a.is_finite()))
+        .count();
+    let too_large = |bytes: usize| response_too_large(&format!("at least {bytes}"), max_bytes);
+    let mut points = Vec::with_capacity(angle_sets.len());
+    let mut text_bytes = 0;
+    let mut first = true;
+    for set in angle_sets {
+        let point = bind_summary(engine, &template, &fold_signs(set, &negative));
+        if let Ok(summary) = &point {
+            if std::mem::take(&mut first) {
+                let floor = validating.saturating_mul(summary.extracted_qasm.len());
+                if floor > max_bytes {
+                    return Err(too_large(floor));
+                }
+            }
+            text_bytes += summary.optimized_qasm.len() + summary.extracted_qasm.len();
+            if text_bytes > max_bytes {
+                return Err(too_large(text_bytes));
+            }
+        }
+        points.push(point);
+    }
+    Ok(ResponseBody::Sweep(points))
 }
 
 fn absorb(

@@ -12,14 +12,18 @@
 //! Shutdown is exercised in every test: `Server::stop` joins all server
 //! threads, so a test that returns has, by construction, leaked none.
 
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use quclear_circuit::qasm::to_qasm;
 use quclear_engine::{Engine, ProgramFingerprint, ENGINE_STAGE_METRIC, MAX_QUBITS};
 use quclear_pauli::PauliRotation;
+use quclear_serve::protocol::{read_frame, write_frame};
 use quclear_serve::{
-    Client, ClientError, CompiledSummary, RequestKind, ResponseBody, Server, ServerConfig,
+    Client, ClientError, CompiledSummary, Request, RequestKind, Response, ResponseBody, Server,
+    ServerConfig,
 };
 
 /// Liveness probe through the generic request path: the server's uptime in
@@ -599,6 +603,153 @@ fn oversized_responses_degrade_to_structured_errors() {
     // Same connection keeps serving small responses.
     health(&mut client).expect("health after oversized response");
     server.stop();
+}
+
+/// Peak resident set size of this process so far, from `/proc/self/status`
+/// (`None` where that file does not exist).
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// A sweep whose answer cannot fit the frame cap is refused once its first
+/// point has rendered, before the rest is built: 10,000 angle sets on one
+/// 1,000-qubit axis (a 61 KB request) would otherwise make the server hold
+/// a ~400 MB answer, and over 1 GB while building it, only for
+/// `send_response` to refuse it.
+#[test]
+fn oversized_sweeps_are_refused_before_they_are_built() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(Engine::new(16)),
+        ServerConfig {
+            // A worker owns a connection: one for `client`, one for the raw
+            // stream the timed request goes over.
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let max_frame_bytes = ServerConfig::default().max_frame_bytes;
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let axis = "Z".repeat(1000);
+    // Compile the template first, so the timed request is the sweep alone.
+    let one = client
+        .sweep(&[&axis], &[vec![0.5]])
+        .expect("one point fits");
+    let extracted = one[0]
+        .as_ref()
+        .expect("the point binds")
+        .extracted_qasm
+        .len();
+    // The 61 KB request is encoded before the clock starts: the budget is
+    // the server's, from the frame's first byte to the answer's last.
+    let request = Request {
+        id: 2,
+        kind: RequestKind::Sweep {
+            program: vec![axis.clone()],
+            angle_sets: vec![vec![0.5]; 10_000],
+        },
+    }
+    .encode();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let peak_before = peak_rss_bytes();
+    let start = Instant::now();
+    write_frame(&mut stream, &request).expect("write the request");
+    let answer = read_frame(&mut stream, max_frame_bytes)
+        .expect("read the answer")
+        .expect("the server answers");
+    let elapsed = start.elapsed();
+    let remote = Response::decode(&answer)
+        .expect("a response")
+        .body
+        .expect_err("10,000 points cannot fit the frame cap");
+    assert_eq!(remote.kind, "response_too_large");
+    assert!(
+        remote.message.starts_with(&format!(
+            "response of at least {} bytes",
+            10_000 * extracted
+        )),
+        "{}",
+        remote.message
+    );
+    // Decoding the request's 10,000 sets is most of it (~2 ms optimized);
+    // an unoptimized build gets ten times the release budget.
+    let budget = Duration::from_millis(if cfg!(debug_assertions) { 100 } else { 10 });
+    assert!(elapsed < budget, "refused after {elapsed:?}");
+    if let (Some(before), Some(after)) = (peak_before, peak_rss_bytes()) {
+        let rise = after.saturating_sub(before);
+        assert!(
+            rise < 2 * max_frame_bytes as u64,
+            "peak RSS rose by {rise} bytes"
+        );
+    }
+    health(&mut client).expect("health after the refused sweep");
+    server.stop();
+}
+
+/// The sweep's early refusal only fires on answers that do not fit. For
+/// random programs and angle sets (all-zero sets that re-run the peephole,
+/// sets of the wrong length that fail their slot), a server whose cap is
+/// exactly the frame the answer encodes to sends it whole, and one whose
+/// cap is a byte below the answer's QASM text refuses it as
+/// `response_too_large`, "at least" that text.
+#[test]
+fn the_sweep_bound_never_refuses_an_answer_that_fits() {
+    let served = |max_frame_bytes: usize, axes: &[&str], sets: &[Vec<f64>]| {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            Arc::new(Engine::new(16)),
+            ServerConfig {
+                workers: 1,
+                max_frame_bytes,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        // A fresh client's first request has id 1.
+        let answer = Client::connect(server.local_addr())
+            .expect("connect")
+            .sweep(axes, sets);
+        server.stop();
+        answer
+    };
+    for tag in 0..6_u64 {
+        let axes = program_axes(100 + tag, 3 + 3 * tag as usize);
+        let axes: Vec<&str> = axes.iter().map(String::as_str).collect();
+        let sets: Vec<Vec<f64>> = (0..2 + 3 * tag as usize)
+            .map(|i| match i % 3 {
+                0 => (0..axes.len())
+                    .map(|a| 0.1 + 0.37 * (i + a) as f64)
+                    .collect(),
+                1 => vec![0.0; axes.len()],
+                _ => vec![0.5; axes.len() + 1],
+            })
+            .collect();
+        let answer = served(ServerConfig::default().max_frame_bytes, &axes, &sets).expect("fits");
+        let text: usize = answer
+            .iter()
+            .flatten()
+            .map(|point| point.optimized_qasm.len() + point.extracted_qasm.len())
+            .sum();
+        let frame = Response {
+            id: 1,
+            body: Ok(ResponseBody::Sweep(answer.clone())),
+        }
+        .encode()
+        .len();
+        assert_eq!(served(frame, &axes, &sets).expect("fits exactly"), answer);
+        let err = served(text - 1, &axes, &sets).expect_err("a byte short of its text");
+        let remote = err.remote().expect("remote error");
+        assert_eq!(remote.kind, "response_too_large");
+        assert!(
+            remote.message.starts_with("response of at least"),
+            "{}",
+            remote.message
+        );
+    }
 }
 
 /// A request that times out on the client side desynchronizes that
