@@ -68,7 +68,7 @@ pub fn push_f64(out: &mut String, x: f64) {
         out.push_str(if x.is_sign_negative() { "-0" } else { "0" });
         return;
     }
-    let (digits, exponent) = short_decimal(x.abs()).unwrap_or_else(|| shortest(mantissa, exponent));
+    let (digits, exponent) = shortest(mantissa, exponent);
     // The text is built right to left in `buf` when it fits; a decimal
     // point far from the digits adds a run of zeros pushed separately.
     let mut buf = [0u8; 32];
@@ -115,8 +115,8 @@ pub fn push_f64(out: &mut String, x: f64) {
 
 /// Appends `n` in decimal.
 pub fn push_u64(out: &mut String, n: u64) {
-    // Qubit indices and small counts: a char or two is cheaper than
-    // building and checking the digit buffer.
+    // Qubit indices: one or two chars cost less than the digit buffer, its
+    // UTF-8 check and the copy.
     if n < 100 {
         if n >= 10 {
             out.push(char::from(b'0' + (n / 10) as u8));
@@ -177,40 +177,6 @@ fn write_digits(buf: &mut [u8], end: usize, mut n: u64) -> usize {
 fn write_pair(buf: &mut [u8], at: usize, pair: u32) {
     let pair = pair as usize * 2;
     buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-}
-
-/// The shortest decimal of a positive finite `x` when it has at most three
-/// digits after the point and `x · 1000 < 2^51` (`0.9`, `2.25`, `40`),
-/// `None` otherwise. Ryū finds these too, but only after dividing some 16
-/// digits away; this costs a few multiplies and one division, and every
-/// other double one multiply and a compare.
-///
-/// It is exact. Say `d / 1000` lies in `x`'s rounding interval (within half
-/// an ulp of `x`, the bounds as round-half-even takes them). With
-/// `y = x · 1000 < 2^51` the interval is less than half a unit of `d` wide,
-/// so `d` is the only candidate with three digits after the point, and
-/// `|fl(y) − d| ≤ 2^-52 · y` (half an ulp of `x` scaled, plus the rounding
-/// of the product), so `d` is `y` rounded. Conversely `d / 1000` rounds to
-/// `x` exactly when the correctly rounded quotient `d / 1000` equals `x`.
-/// A candidate with fewer digits after the point is `d` with its trailing
-/// zeros dropped, since `d` is the only one at three; and a candidate with
-/// more digits after the point has more significant digits, as both are
-/// within an ulp of `x`.
-fn short_decimal(x: f64) -> Option<(u64, i32)> {
-    let y = x * 1000.0;
-    if y >= (1u64 << 51) as f64 {
-        return None;
-    }
-    let d = (y + 0.5) as i64 as f64;
-    if (y - d).abs() > 2.0 * y * f64::EPSILON || d / 1000.0 != x {
-        return None;
-    }
-    let (mut digits, mut exponent) = (d as u64, -3);
-    while exponent < 0 && digits.is_multiple_of(10) {
-        digits /= 10;
-        exponent += 1;
-    }
-    Some((digits, exponent))
 }
 
 /// Ryū's shortest decimal for a positive finite double given its raw
@@ -307,24 +273,32 @@ fn shortest(ieee_mantissa: u64, ieee_exponent: u32) -> (u64, i32) {
         let outside = vr == vm && !(accept_bounds && vm_is_trailing_zeros);
         vr + u64::from(outside || last_removed_digit >= 5)
     } else {
-        // Whether `k` more digits can go only gets harder as `k` grows, so
-        // the most that can go is found greedily, 16 + 8 + 4 + 2 + 1 digits
-        // at a time. Only the last removed digit rounds.
+        // The common case. Ryū's reference drops two digits if it can
+        // and then one at a time, which suits a full-precision double (its
+        // 17 digits shrink by one or two) but takes some fifteen divisions
+        // for `0.5`; four at a time while they can go, then two, then one,
+        // costs a full-precision double one more check. Only the last
+        // removed digit rounds.
         let mut round_up = false;
-        for (digits, scale) in [
-            (16, 10_u64.pow(16)),
-            (8, 100_000_000),
-            (4, 10_000),
-            (2, 100),
-            (1, 10),
-        ] {
-            if vp / scale > vm / scale {
-                round_up = vr % scale >= scale / 2;
-                vr /= scale;
-                vp /= scale;
-                vm /= scale;
-                removed += digits;
-            }
+        while vp / 10_000 > vm / 10_000 {
+            round_up = vr % 10_000 >= 5_000;
+            vr /= 10_000;
+            vp /= 10_000;
+            vm /= 10_000;
+            removed += 4;
+        }
+        if vp / 100 > vm / 100 {
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed += 2;
+        }
+        if vp / 10 > vm / 10 {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vm /= 10;
+            removed += 1;
         }
         vr + u64::from(vr == vm || round_up)
     };

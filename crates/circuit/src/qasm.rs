@@ -84,7 +84,7 @@ fn qasm_capacity(circuit: &Circuit) -> usize {
 /// Appends the program header: version, include and the one register.
 fn push_header(out: &mut String, num_qubits: usize) {
     out.push_str("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[");
-    push_index(out, num_qubits);
+    push_u64(out, num_qubits as u64);
     out.push_str("];\n");
 }
 
@@ -113,10 +113,10 @@ fn push_gate(out: &mut String, gate: &Gate, angle: impl FnOnce(&mut String, f64)
         angle(out, theta);
         out.push_str(") q[");
     }
-    push_index(out, first);
+    push_u64(out, first as u64);
     if let Some(second) = second {
         out.push_str("], q[");
-        push_index(out, second);
+        push_u64(out, second as u64);
     }
     out.push_str("];\n");
 }
@@ -130,11 +130,6 @@ fn push_angle(out: &mut String, angle: f64) {
         "cannot serialize non-finite rotation angle {angle} as QASM"
     );
     push_f64(out, angle);
-}
-
-/// Appends a qubit index in decimal.
-fn push_index(out: &mut String, index: usize) {
-    push_u64(out, index as u64);
 }
 
 /// The angle of a rotation gate, `None` for every other gate.

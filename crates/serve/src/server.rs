@@ -656,7 +656,7 @@ fn send_response(shared: &Shared, stream: &mut TcpStream, response: Response) ->
     if encoded.len() > max {
         let too_large = Response {
             id: response.id,
-            body: Err(response_too_large(&encoded.len().to_string(), max)),
+            body: Err(response_too_large(&format!("{} bytes", encoded.len()), max)),
         };
         encoded = too_large.encode();
     }
@@ -664,13 +664,13 @@ fn send_response(shared: &Shared, stream: &mut TcpStream, response: Response) ->
     write_frame_with_limit(stream, &encoded, max)
 }
 
-/// The `response_too_large` error for an answer of `size` bytes (a number,
-/// or a lower bound such as `at least 5000`) over the `max` byte cap.
+/// The `response_too_large` error for an answer of `size` (`5000 bytes`,
+/// or a lower bound such as `at least 5000 bytes`) over the `max` byte cap.
 fn response_too_large(size: &str, max: usize) -> WireError {
     WireError::new(
         "response_too_large",
         format!(
-            "response of {size} bytes exceeds the server's {max} byte frame \
+            "response of {size} exceeds the server's {max} byte frame \
              limit; split the request (e.g. fewer angle sets per sweep)"
         ),
     )
@@ -762,6 +762,7 @@ fn handle_request(
             &program,
             &angle_sets,
             shared.config.max_frame_bytes,
+            deadline,
         ),
         RequestKind::CompileQasm { qasm } => engine
             .compile_qasm(&qasm)
@@ -920,18 +921,23 @@ fn compile(engine: &Engine, program: &[String], angles: &[f64]) -> Result<Respon
 /// The answer is bounded while it is built, so a small request cannot make
 /// the server hold far more than `max_bytes` before `send_response` sees
 /// the frame. Every set that binds carries the template's extracted text,
-/// the same for each, and JSON escaping only adds bytes: once the first
-/// point has rendered, `sets that validate × extracted text` is a lower
-/// bound on the encoded answer, checked before any further bind. A running
-/// sum of each point's two texts is the exact backstop, and the sweep stops
-/// at the first point that takes it past the cap. (The skeleton's text is
-/// not counted up front: a bind with a zero-angle slot re-runs the
-/// peephole and may render shorter than it.)
+/// the same for each, and JSON escaping only adds bytes. Once the first
+/// point has rendered, `sets that validate × extracted text` bounds the
+/// answer from below if every one of them binds, and the sweep is refused
+/// there, before any further bind. Only the request's `deadline` can stop
+/// a set that validates from binding (its slot then holds a short
+/// `deadline_exceeded` error), so that floor is skipped once the deadline
+/// has passed, and the refusal says what it assumes. A running sum of each
+/// point's two texts is the exact backstop: the sweep stops at the first
+/// point that takes it past the cap. (The skeleton's text is not counted
+/// up front: a bind with a zero-angle slot re-runs the peephole and may
+/// render shorter than it.)
 fn sweep(
     engine: &Engine,
     program: &[String],
     angle_sets: &[Vec<f64>],
     max_bytes: usize,
+    deadline: Deadline,
 ) -> Result<ResponseBody, WireError> {
     let (axes, negative) = split_signs(parse_axes(program)?);
     let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
@@ -939,22 +945,26 @@ fn sweep(
         .iter()
         .filter(|set| set.len() == axes.len() && set.iter().all(|a| a.is_finite()))
         .count();
-    let too_large = |bytes: usize| response_too_large(&format!("at least {bytes}"), max_bytes);
     let mut points = Vec::with_capacity(angle_sets.len());
     let mut text_bytes = 0;
     let mut first = true;
     for set in angle_sets {
         let point = bind_summary(engine, &template, &fold_signs(set, &negative));
         if let Ok(summary) = &point {
-            if std::mem::take(&mut first) {
+            if std::mem::take(&mut first) && !deadline.expired() {
                 let floor = validating.saturating_mul(summary.extracted_qasm.len());
                 if floor > max_bytes {
-                    return Err(too_large(floor));
+                    let size =
+                        format!("at least {floor} bytes if all {validating} valid angle sets bind");
+                    return Err(response_too_large(&size, max_bytes));
                 }
             }
             text_bytes += summary.optimized_qasm.len() + summary.extracted_qasm.len();
             if text_bytes > max_bytes {
-                return Err(too_large(text_bytes));
+                return Err(response_too_large(
+                    &format!("at least {text_bytes} bytes"),
+                    max_bytes,
+                ));
             }
         }
         points.push(point);
@@ -1055,4 +1065,35 @@ fn read_frame_polling(shared: &Shared, stream: &mut TcpStream) -> io::Result<Opt
         }
         Ok(!expired)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Once the request's deadline has passed, the sets still to come
+    /// would fail to bind, so the up-front floor is skipped and only the
+    /// running sum of the texts can refuse the sweep. The engine handle
+    /// here has no deadline, so every set binds and the sum decides.
+    #[test]
+    fn a_passed_deadline_skips_the_sweep_floor() {
+        let engine = Engine::new(4);
+        let program = vec!["Z".repeat(200)];
+        let sets = vec![vec![0.5]; 10];
+        let Ok(ResponseBody::Sweep(one)) =
+            sweep(&engine, &program, &sets[..1], usize::MAX, Deadline::none())
+        else {
+            panic!("one point fits");
+        };
+        let point = one[0].as_ref().expect("the point binds");
+        let cap = 3 * (point.optimized_qasm.len() + point.extracted_qasm.len());
+        let refusal = |deadline| match sweep(&engine, &program, &sets, cap, deadline) {
+            Err(error) => error.message,
+            Ok(_) => panic!("ten points cannot fit three"),
+        };
+        assert!(refusal(Deadline::none()).contains("if all 10 valid angle sets bind"));
+        let passed = refusal(Deadline::within(Duration::ZERO));
+        assert!(!passed.contains("valid angle sets"), "{passed}");
+        assert!(passed.starts_with("response of at least"), "{passed}");
+    }
 }

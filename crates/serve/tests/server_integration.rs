@@ -12,18 +12,15 @@
 //! Shutdown is exercised in every test: `Server::stop` joins all server
 //! threads, so a test that returns has, by construction, leaked none.
 
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use quclear_circuit::qasm::to_qasm;
 use quclear_engine::{Engine, ProgramFingerprint, ENGINE_STAGE_METRIC, MAX_QUBITS};
 use quclear_pauli::PauliRotation;
-use quclear_serve::protocol::{read_frame, write_frame};
 use quclear_serve::{
-    Client, ClientError, CompiledSummary, Request, RequestKind, Response, ResponseBody, Server,
-    ServerConfig,
+    Client, ClientError, CompiledSummary, RequestKind, Response, ResponseBody, Server, ServerConfig,
 };
 
 /// Liveness probe through the generic request path: the server's uptime in
@@ -605,37 +602,19 @@ fn oversized_responses_degrade_to_structured_errors() {
     server.stop();
 }
 
-/// Peak resident set size of this process so far, from `/proc/self/status`
-/// (`None` where that file does not exist).
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
 /// A sweep whose answer cannot fit the frame cap is refused once its first
 /// point has rendered, before the rest is built: 10,000 angle sets on one
 /// 1,000-qubit axis (a 61 KB request) would otherwise make the server hold
 /// a ~400 MB answer, and over 1 GB while building it, only for
-/// `send_response` to refuse it.
+/// `send_response` to refuse it. The engine's bind counter shows that one
+/// point was built.
 #[test]
 fn oversized_sweeps_are_refused_before_they_are_built() {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::new(Engine::new(16)),
-        ServerConfig {
-            // A worker owns a connection: one for `client`, one for the raw
-            // stream the timed request goes over.
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let max_frame_bytes = ServerConfig::default().max_frame_bytes;
+    let engine = Arc::new(Engine::new(16));
+    let server =
+        Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let axis = "Z".repeat(1000);
-    // Compile the template first, so the timed request is the sweep alone.
     let one = client
         .sweep(&[&axis], &[vec![0.5]])
         .expect("one point fits");
@@ -644,49 +623,83 @@ fn oversized_sweeps_are_refused_before_they_are_built() {
         .expect("the point binds")
         .extracted_qasm
         .len();
-    // The 61 KB request is encoded before the clock starts: the budget is
-    // the server's, from the frame's first byte to the answer's last.
-    let request = Request {
-        id: 2,
-        kind: RequestKind::Sweep {
-            program: vec![axis.clone()],
-            angle_sets: vec![vec![0.5]; 10_000],
-        },
-    }
-    .encode();
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    let peak_before = peak_rss_bytes();
-    let start = Instant::now();
-    write_frame(&mut stream, &request).expect("write the request");
-    let answer = read_frame(&mut stream, max_frame_bytes)
-        .expect("read the answer")
-        .expect("the server answers");
-    let elapsed = start.elapsed();
-    let remote = Response::decode(&answer)
-        .expect("a response")
-        .body
+    let binds = engine.stats().binds;
+    let err = client
+        .sweep(&[&axis], &vec![vec![0.5]; 10_000])
         .expect_err("10,000 points cannot fit the frame cap");
+    let remote = err.remote().expect("remote error");
     assert_eq!(remote.kind, "response_too_large");
     assert!(
         remote.message.starts_with(&format!(
-            "response of at least {} bytes",
+            "response of at least {} bytes if all 10000 valid angle sets bind",
             10_000 * extracted
         )),
         "{}",
         remote.message
     );
-    // Decoding the request's 10,000 sets is most of it (~2 ms optimized);
-    // an unoptimized build gets ten times the release budget.
-    let budget = Duration::from_millis(if cfg!(debug_assertions) { 100 } else { 10 });
-    assert!(elapsed < budget, "refused after {elapsed:?}");
-    if let (Some(before), Some(after)) = (peak_before, peak_rss_bytes()) {
-        let rise = after.saturating_sub(before);
-        assert!(
-            rise < 2 * max_frame_bytes as u64,
-            "peak RSS rose by {rise} bytes"
+    assert_eq!(
+        engine.stats().binds - binds,
+        1,
+        "points built before the refusal"
+    );
+    health(&mut client).expect("health after the refused sweep");
+    server.stop();
+}
+
+/// Sets the request's deadline stops from binding are not counted as
+/// points: under a spent deadline every slot holds a short
+/// `deadline_exceeded` error, and that answer is sent even though the
+/// same sets, bound, could not fit the cap.
+#[test]
+fn sweeps_past_their_deadline_are_answered_not_refused() {
+    let engine = Arc::new(Engine::new(16));
+    let axis = "Z".repeat(1000);
+    let sets = vec![vec![0.5]; 10];
+    // Warm the template through a server without a deadline: a cached
+    // template is served even past the deadline, so the sweep below reaches
+    // its binds.
+    let warm = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            request_deadline: None,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let one = Client::connect(warm.local_addr())
+        .expect("connect")
+        .sweep(&[&axis], &sets[..1])
+        .expect("one point fits");
+    warm.stop();
+    let extracted = one[0]
+        .as_ref()
+        .expect("the point binds")
+        .extracted_qasm
+        .len();
+    let max_frame_bytes = 4 * extracted;
+    assert!(sets.len() * extracted > max_frame_bytes);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            max_frame_bytes,
+            request_deadline: Some(Duration::ZERO),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let answer = Client::connect(server.local_addr())
+        .expect("connect")
+        .sweep(&[&axis], &sets)
+        .expect("an answer of deadline errors fits");
+    assert_eq!(answer.len(), sets.len());
+    for slot in &answer {
+        assert_eq!(
+            slot.as_ref().expect_err("the deadline is spent").kind,
+            "deadline_exceeded"
         );
     }
-    health(&mut client).expect("health after the refused sweep");
     server.stop();
 }
 
