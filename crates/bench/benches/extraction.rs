@@ -4,6 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use quclear_circuit::optimize;
 use quclear_core::{compile, extract_clifford, ExtractionConfig, QuClearConfig};
+use quclear_pauli::{PauliOp, PauliRotation, PauliString};
 use quclear_workloads::Benchmark;
 
 fn bench_extraction(c: &mut Criterion) {
@@ -19,6 +20,8 @@ fn bench_extraction(c: &mut Criterion) {
         Benchmark::Ucc(6, 12),
         Benchmark::Molecule(quclear_workloads::Molecule::Benzene),
         Benchmark::Labs(15),
+        // One block of 615 diagonal rotations, where picking dominates.
+        Benchmark::Labs(20),
     ] {
         let rotations = bench.rotations();
         group.bench_with_input(
@@ -29,7 +32,35 @@ fn bench_extraction(c: &mut Criterion) {
             },
         );
     }
+    let rotations = z_block(64, 4_000);
+    group.bench_with_input(
+        BenchmarkId::new("extract", "z_block-(n64, r4000)"),
+        &rotations,
+        |b, rotations| {
+            b.iter(|| extract_clifford(rotations, &ExtractionConfig::default()));
+        },
+    );
     group.finish();
+}
+
+/// One commuting block of `count` seeded random {I, Z} strings on `n`
+/// qubits: every pick chooses among all remaining rotations.
+fn z_block(n: usize, count: usize) -> Vec<PauliRotation> {
+    let mut state = 0x5EED_u64;
+    (0..count)
+        .map(|i| {
+            let mut pauli = PauliString::identity(n);
+            for q in 0..n {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if (state >> 33) & 1 == 1 {
+                    pauli.set_op(q, PauliOp::Z);
+                }
+            }
+            PauliRotation::new(pauli, 0.01 + 0.001 * i as f64)
+        })
+        .collect()
 }
 
 fn bench_full_pipeline(c: &mut Criterion) {

@@ -25,20 +25,35 @@
 //!   ([`quclear_tableau::conjugate_all_by_gate`]). The frame is compacted
 //!   to the pending slots once more than half of its rows have been
 //!   consumed, so its width tracks the remaining work.
-//! * **Scratch buffers** — `find_next_pauli` scores `O(block²)` (current,
-//!   candidate) pairs, and every score synthesizes a one-lookahead CNOT
-//!   tree. The scorer reads each candidate row word-wise into one reused
-//!   string, basis-remaps only the current rotation's support into a dense
-//!   operator row, and builds the tree in a reused index arena, so a score
-//!   allocates nothing. There is deliberately no memo of scores: a score
-//!   costs less than hashing and looking up its (current, candidate) key.
+//! * **Block scoring** — `find_next_pauli` picks among every remaining
+//!   candidate of a commuting block. A candidate's score is its weight off
+//!   the current rotation's support plus F(n_Z, n_I, n_Y, n_X), the weight
+//!   left on the support after the one-lookahead CNOT tree, where the counts
+//!   are the candidate's basis-remapped operators there. With one lookahead
+//!   string the tree only groups the support by operator and chains each
+//!   group, so F depends on those four counts alone; it is the synthesizer's
+//!   own output on a canonical row with those counts, memoized per
+//!   extraction. One pass over the frame's X and Z planes fills four
+//!   bit-sliced counters (off-support, Z, Y, X) for all candidate rows at
+//!   once, `O(n · B/64)` words per pick, with no row gathered and no tree
+//!   built per candidate. The off-support count is a lower bound on the
+//!   score: whenever the best score drops, one word-parallel comparison
+//!   marks the rows whose count is still below it, so a candidate that
+//!   cannot win costs one bit test. The counters, the current row and the
+//!   memo live in reused scratch, so a pick allocates nothing once they
+//!   have grown.
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 use quclear_circuit::{Circuit, Gate};
 use quclear_pauli::{PauliFrame, PauliOp, PauliRotation, PauliString};
 use quclear_tableau::{conjugate_all_by_gate, synthesize_clifford, CliffordTableau};
 
 use crate::blocks::CommutingBlocks;
-use crate::tree::{apply_cx, FrameLookahead, LookaheadOps, TreeScratch, TreeSynthesizer};
+use crate::tree::{
+    apply_cx, FrameLookahead, LookaheadOps, TreeScratch, TreeSynthesizer, GROUP_OPS,
+};
 
 /// Configuration of the Clifford Extraction pass.
 #[derive(Clone, Copy, Debug)]
@@ -144,6 +159,17 @@ pub fn extract_clifford(
     rotations: &[PauliRotation],
     config: &ExtractionConfig,
 ) -> ExtractionResult {
+    extract_with(rotations, config, ExtractionState::find_next_pauli)
+}
+
+/// [`extract_clifford`] with the greedy pick of commuting-block reordering
+/// supplied by `pick(state, current_row, candidates)`, which returns the
+/// offset of the chosen candidate.
+fn extract_with(
+    rotations: &[PauliRotation],
+    config: &ExtractionConfig,
+    mut pick: impl FnMut(&mut ExtractionState, usize, &[usize]) -> usize,
+) -> ExtractionResult {
     let n = rotations
         .first()
         .map_or(0, quclear_pauli::PauliRotation::num_qubits);
@@ -180,7 +206,7 @@ pub fn extract_clifford(
             // Move the chosen rotation into slot i, shifting the slots it
             // passes one to the right.
             if i + 1 < block.end {
-                let chosen = i + 1 + state.find_next_pauli(rows[i], &rows[i + 1..block.end]);
+                let chosen = i + 1 + pick(&mut state, rows[i], &rows[i + 1..block.end]);
                 order[i..=chosen].rotate_right(1);
                 rows[i..=chosen].rotate_right(1);
             }
@@ -240,57 +266,167 @@ impl LookaheadOps for DenseLookahead<'_> {
 /// Reusable buffers of the extraction inner loop.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Tree synthesizer buffers, shared by scoring and emission.
+    /// Tree synthesizer buffers of the emitted trees.
     tree: TreeScratch,
-    /// Dense candidate operators on the current support, basis-remapped and
-    /// then conjugated through the scored tree.
+    /// CNOTs of the tree being emitted.
+    gates: Vec<Gate>,
+    /// The support of the rotation being emitted.
+    support: Vec<usize>,
+    /// The operators of the rotation whose pick is being made, by qubit.
+    current: Vec<PauliOp>,
+    /// Per-candidate operator counts of the pick being made.
+    counts: RowCounts,
+    /// The memo of F, the weight left on the support after the tree.
+    after: AfterTree,
+}
+
+/// Counters of [`RowCounts`]: a candidate's weight off the current support,
+/// then its Z, Y and X operators on the support after the basis remap.
+const OFF: usize = 0;
+const ON_Z: usize = 1;
+const ON_Y: usize = 2;
+const ON_X: usize = 3;
+
+/// Four bit-sliced counters per frame row, over a run of 64-row frame
+/// words: bit `k` of counter `c` for the rows of word `first_word + w` is
+/// bit `row % 64` of `planes[(w * 4 + c) * bits + k]`. One mark bit per
+/// row, laid out the same way in `marks`, records a comparison of every
+/// row's counter at once.
+#[derive(Debug, Default)]
+struct RowCounts {
+    first_word: usize,
+    bits: usize,
+    planes: Vec<u64>,
+    marks: Vec<u64>,
+}
+
+impl RowCounts {
+    /// Zeroes the counters of the frame words `words`, wide enough to count
+    /// to `max_count`.
+    fn reset(&mut self, words: Range<usize>, max_count: usize) {
+        self.first_word = words.start;
+        self.bits = (usize::BITS - max_count.leading_zeros()) as usize;
+        self.planes.clear();
+        self.planes.resize(words.len() * 4 * self.bits, 0);
+        self.marks.clear();
+        self.marks.resize(words.len(), !0);
+    }
+
+    /// Adds one to counter `c` of each row of covered word `w` whose bit is
+    /// set in `ones`: a ripple-carry add across the counter's bit planes.
+    #[inline]
+    fn add(&mut self, w: usize, c: usize, ones: u64) {
+        let start = (w * 4 + c) * self.bits;
+        let mut carry = ones;
+        for plane in &mut self.planes[start..start + self.bits] {
+            if carry == 0 {
+                return;
+            }
+            let next = *plane & carry;
+            *plane ^= carry;
+            carry = next;
+        }
+        debug_assert_eq!(carry, 0, "a row counter overflowed");
+    }
+
+    /// Marks exactly the rows whose counter `c` is below `limit`: a
+    /// bit-sliced comparison, most significant bit first, of 64 rows at a
+    /// time.
+    fn mark_below(&mut self, c: usize, limit: usize) {
+        let bits = self.bits;
+        if limit >> bits != 0 {
+            self.marks.fill(!0);
+            return;
+        }
+        for (w, marks) in self.marks.iter_mut().enumerate() {
+            let planes = &self.planes[(w * 4 + c) * bits..][..bits];
+            let (mut below, mut equal) = (0, !0u64);
+            for (k, &plane) in planes.iter().enumerate().rev() {
+                if (limit >> k) & 1 == 1 {
+                    below |= equal & !plane;
+                    equal &= plane;
+                } else {
+                    equal &= !plane;
+                }
+            }
+            *marks = below;
+        }
+    }
+
+    /// Whether frame row `row` is marked.
+    #[inline]
+    fn is_marked(&self, row: usize) -> bool {
+        (self.marks[row / 64 - self.first_word] >> (row % 64)) & 1 == 1
+    }
+
+    /// Counter `c` of frame row `row`.
+    #[inline]
+    fn get(&self, row: usize, c: usize) -> usize {
+        let (w, bit) = (row / 64 - self.first_word, row % 64);
+        let start = (w * 4 + c) * self.bits;
+        self.planes[start..start + self.bits]
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (k, &plane)| {
+                acc | (((plane >> bit) & 1) as usize) << k
+            })
+    }
+}
+
+/// The basis remap of the current rotation's operator `current` (X sites
+/// conjugate by H, Y sites by S† then H), applied to 64 rows' X and Z bits.
+#[inline]
+fn remap_words(current: PauliOp, x: u64, z: u64) -> (u64, u64) {
+    match current {
+        PauliOp::X => (z, x),
+        // S†: (x, z) → (x, z ^ x); then H swaps the bits.
+        PauliOp::Y => (x ^ z, x),
+        PauliOp::I | PauliOp::Z => (x, z),
+    }
+}
+
+/// The memo of F(n_Z, n_I, n_Y, n_X): the weight left on a rotation's
+/// support after extracting its CNOT tree, synthesized for one lookahead
+/// string whose basis-remapped operators there number `[n_Z, n_I, n_Y,
+/// n_X]`. The tree groups the support by operator and chains each group, so
+/// the tree and the weight after it depend on these counts alone; F is
+/// computed once per counts on a canonical row and kept for the extraction.
+#[derive(Debug, Default)]
+struct AfterTree {
+    memo: HashMap<[usize; 4], usize>,
+    /// The canonical row: the counts' operators in group order.
     ops: Vec<PauliOp>,
-    /// CNOTs of the tree being scored or emitted.
+    /// Its support, `0..ops.len()`.
+    qubits: Vec<usize>,
+    tree: TreeScratch,
     gates: Vec<Gate>,
 }
 
-/// Cost of a candidate (number of non-identity operators) after extracting
-/// the Clifford subcircuit that would be synthesized for `current` (whose
-/// non-identity qubits are `support`) when optimizing for the candidate.
-/// Both strings are images under the current Heisenberg map; the cost
-/// depends on nothing else. Signs are irrelevant to the weight, so the
-/// simulation is entirely sign-free: the basis layer is applied with
-/// two-bit operator maps (X sites conjugate by H, Y sites by S† then H)
-/// and the tree gates with the two-operator CX rule. Both act only on the
-/// support, so the candidate's weight off the support is carried over as
-/// is.
-fn extraction_cost(
-    recursive_tree: bool,
-    current: &PauliString,
-    support: &[usize],
-    candidate: &PauliString,
-    scratch: &mut Scratch,
-) -> usize {
-    debug_assert!(!support.is_empty());
-    let ops = &mut scratch.ops;
-    ops.resize(candidate.num_qubits(), PauliOp::I);
-    let mut on_support = 0;
-    for &q in support {
-        let (x, z) = candidate.op(q).xz();
-        on_support += usize::from(x | z);
-        ops[q] = match current.op(q) {
-            PauliOp::X => PauliOp::from_xz(z, x),
-            // S†: (x, z) → (x, z ^ x); then H swaps the bits.
-            PauliOp::Y => PauliOp::from_xz(x ^ z, x),
-            PauliOp::I | PauliOp::Z => PauliOp::from_xz(x, z),
-        };
+impl AfterTree {
+    /// F of `counts` (`[n_Z, n_I, n_Y, n_X]`), computed on first use.
+    fn weight(&mut self, recursive_tree: bool, counts: [usize; 4]) -> usize {
+        if let Some(&weight) = self.memo.get(&counts) {
+            return weight;
+        }
+        self.ops.clear();
+        for (&op, &count) in GROUP_OPS.iter().zip(&counts) {
+            self.ops.extend(std::iter::repeat_n(op, count));
+        }
+        self.qubits.clear();
+        self.qubits.extend(0..self.ops.len());
+        self.gates.clear();
+        TreeSynthesizer::new(&DenseLookahead(&self.ops), recursive_tree).synthesize_into(
+            &self.qubits,
+            &mut self.tree,
+            &mut self.gates,
+        );
+        for gate in &self.gates {
+            apply_cx(&mut self.ops, gate);
+        }
+        let weight = self.ops.iter().filter(|op| !op.is_identity()).count();
+        self.memo.insert(counts, weight);
+        weight
     }
-    scratch.gates.clear();
-    TreeSynthesizer::new(&DenseLookahead(ops), recursive_tree).synthesize_into(
-        support,
-        &mut scratch.tree,
-        &mut scratch.gates,
-    );
-    for gate in &scratch.gates {
-        apply_cx(ops, gate);
-    }
-    let after = support.iter().filter(|&&q| !ops[q].is_identity()).count();
-    candidate.weight() - on_support + after
 }
 
 struct ExtractionState {
@@ -304,7 +440,7 @@ struct ExtractionState {
     /// Clifford extracted so far, advanced gate by gate (word-parallel over
     /// all rows). This frame is the extractor's only Clifford state.
     images: PauliFrame,
-    /// Reusable buffers of scoring and tree synthesis.
+    /// Reusable buffers of picking and tree synthesis.
     scratch: Scratch,
 }
 
@@ -314,32 +450,71 @@ impl ExtractionState {
     /// extracting the Clifford subcircuit of the rotation in `current_row`
     /// (the first strict minimum on ties).
     ///
+    /// The candidates' rows lie in one run of frame rows (a block's rows,
+    /// less the ones already picked), so one pass over that run's plane
+    /// words counts every candidate at once; each is then scored from its
+    /// counts, or skipped once its off-support weight alone reaches the best
+    /// score so far.
+    ///
     /// The caller scores against the slot being filled and then rotates the
     /// pick into it, so the rotation displaced into the next slot is scored
     /// against again: every pick of a block is scored against the block's
     /// *first* rotation, which is scheduled last. Algorithm 2 scores against
     /// the rotation just extracted instead.
     fn find_next_pauli(&mut self, current_row: usize, candidates: &[usize]) -> usize {
-        let current = self.images.row_pauli(current_row);
-        if current.is_identity() {
+        let Scratch {
+            current,
+            counts,
+            after,
+            ..
+        } = &mut self.scratch;
+        current.clear();
+        current.extend((0..self.n).map(|q| self.images.op(current_row, q)));
+        let support = current.iter().filter(|op| !op.is_identity()).count();
+        if support == 0 {
             return 0;
         }
-        let support = current.support();
+
+        let (lo, hi) = candidates
+            .iter()
+            .fold((usize::MAX, 0), |(lo, hi), &row| (lo.min(row), hi.max(row)));
+        let words = lo / 64..hi / 64 + 1;
+        counts.reset(words.clone(), self.n);
+        for (q, &op) in current.iter().enumerate() {
+            let xs = &self.images.x_plane(q).words()[words.clone()];
+            let zs = &self.images.z_plane(q).words()[words.clone()];
+            if op.is_identity() {
+                for (w, (&x, &z)) in xs.iter().zip(zs).enumerate() {
+                    counts.add(w, OFF, x | z);
+                }
+                continue;
+            }
+            for (w, (&x, &z)) in xs.iter().zip(zs).enumerate() {
+                let (x, z) = remap_words(op, x, z);
+                counts.add(w, ON_Z, z & !x);
+                counts.add(w, ON_Y, x & z);
+                counts.add(w, ON_X, x & !z);
+            }
+        }
+
         let mut best = 0;
         let mut best_cost = usize::MAX;
-        let mut candidate = PauliString::identity(self.n);
         for (offset, &row) in candidates.iter().enumerate() {
-            self.images.read_row_into(row, &mut candidate);
-            let cost = extraction_cost(
-                self.config.recursive_tree,
-                &current,
-                &support,
-                &candidate,
-                &mut self.scratch,
+            if !counts.is_marked(row) {
+                continue;
+            }
+            let off = counts.get(row, OFF);
+            let (z, y, x) = (
+                counts.get(row, ON_Z),
+                counts.get(row, ON_Y),
+                counts.get(row, ON_X),
             );
+            let cost =
+                off + after.weight(self.config.recursive_tree, [z, support - z - y - x, y, x]);
             if cost < best_cost {
                 best_cost = cost;
                 best = offset;
+                counts.mark_below(OFF, best_cost);
             }
         }
         best
@@ -368,15 +543,23 @@ impl ExtractionState {
         // CNOT tree optimized for the following Pauli strings (their images
         // now include the basis layer just applied), read operator-by-
         // operator straight out of the pending-image frame.
-        let support = pauli.support();
-        let tree_gates = &mut self.scratch.gates;
+        let Scratch {
+            tree,
+            gates: tree_gates,
+            support,
+            ..
+        } = &mut self.scratch;
+        support.clear();
+        support.extend(
+            pauli
+                .ops()
+                .filter(|(_, op)| !op.is_identity())
+                .map(|(q, _)| q),
+        );
         tree_gates.clear();
         let lookahead = FrameLookahead::new(&self.images, lookahead_rows);
-        let root = TreeSynthesizer::new(&lookahead, self.config.recursive_tree).synthesize_into(
-            &support,
-            &mut self.scratch.tree,
-            tree_gates,
-        );
+        let root = TreeSynthesizer::new(&lookahead, self.config.recursive_tree)
+            .synthesize_into(support, tree, tree_gates);
 
         // Emit [basis][tree][Rz] into the optimized circuit.
         let mut forward = basis;
@@ -385,7 +568,8 @@ impl ExtractionState {
         self.optimized.rz(root, signed_angle);
 
         // The mirror of the forward Clifford is deferred to the end.
-        self.segments.push(forward.inverse().gates().to_vec());
+        self.segments
+            .push(forward.gates().iter().rev().map(Gate::inverse).collect());
 
         // Finish advancing the images through the forward Clifford W just
         // emitted: P ↦ W P W†.
@@ -571,6 +755,93 @@ mod tests {
         assert!(result.extracted.is_empty());
     }
 
+    /// Buffers of the per-candidate scorer.
+    #[derive(Default)]
+    struct OracleScratch {
+        tree: TreeScratch,
+        ops: Vec<PauliOp>,
+        gates: Vec<Gate>,
+    }
+
+    /// The per-candidate scorer the block pick replaced: the cost of a
+    /// candidate (number of non-identity operators) after extracting
+    /// the Clifford subcircuit that would be synthesized for `current` (whose
+    /// non-identity qubits are `support`) when optimizing for the candidate.
+    /// Both strings are images under the current Heisenberg map; the cost
+    /// depends on nothing else. Signs are irrelevant to the weight, so the
+    /// simulation is entirely sign-free: the basis layer is applied with
+    /// two-bit operator maps (X sites conjugate by H, Y sites by S† then H)
+    /// and the tree gates with the two-operator CX rule. Both act only on the
+    /// support, so the candidate's weight off the support is carried over as
+    /// is.
+    fn extraction_cost(
+        recursive_tree: bool,
+        current: &PauliString,
+        support: &[usize],
+        candidate: &PauliString,
+        scratch: &mut OracleScratch,
+    ) -> usize {
+        debug_assert!(!support.is_empty());
+        let ops = &mut scratch.ops;
+        ops.resize(candidate.num_qubits(), PauliOp::I);
+        let mut on_support = 0;
+        for &q in support {
+            let (x, z) = candidate.op(q).xz();
+            on_support += usize::from(x | z);
+            ops[q] = match current.op(q) {
+                PauliOp::X => PauliOp::from_xz(z, x),
+                // S†: (x, z) → (x, z ^ x); then H swaps the bits.
+                PauliOp::Y => PauliOp::from_xz(x ^ z, x),
+                PauliOp::I | PauliOp::Z => PauliOp::from_xz(x, z),
+            };
+        }
+        scratch.gates.clear();
+        TreeSynthesizer::new(&DenseLookahead(ops), recursive_tree).synthesize_into(
+            support,
+            &mut scratch.tree,
+            &mut scratch.gates,
+        );
+        for gate in &scratch.gates {
+            apply_cx(ops, gate);
+        }
+        let after = support.iter().filter(|&&q| !ops[q].is_identity()).count();
+        candidate.weight() - on_support + after
+    }
+
+    /// The per-candidate pick: gathers every candidate row out of the frame
+    /// and scores it with [`extraction_cost`], keeping the first strict
+    /// minimum.
+    fn oracle_pick(
+        state: &ExtractionState,
+        scratch: &mut OracleScratch,
+        current_row: usize,
+        candidates: &[usize],
+    ) -> usize {
+        let current = state.images.row_pauli(current_row);
+        if current.is_identity() {
+            return 0;
+        }
+        let support = current.support();
+        let mut best = 0;
+        let mut best_cost = usize::MAX;
+        let mut candidate = PauliString::identity(state.n);
+        for (offset, &row) in candidates.iter().enumerate() {
+            state.images.read_row_into(row, &mut candidate);
+            let cost = extraction_cost(
+                state.config.recursive_tree,
+                &current,
+                &support,
+                &candidate,
+                scratch,
+            );
+            if cost < best_cost {
+                best_cost = cost;
+                best = offset;
+            }
+        }
+        best
+    }
+
     /// The clone-based scoring formula: basis-change a copy of the whole
     /// candidate, synthesize the one-lookahead tree with the allocating
     /// entry point, conjugate the whole copy through the tree and count.
@@ -607,6 +878,79 @@ mod tests {
         PauliString::from_ops(&ops)
     }
 
+    /// A random (current, candidate) pair on 1–70 qubits; `round` picks
+    /// the kind of pair.
+    fn random_pair(rng: &mut proptest::TestRng, round: usize) -> (PauliString, PauliString) {
+        use PauliOp::{I, X, Y, Z};
+        let n = 1 + (rng.next_u64() % 70) as usize;
+        match round % 4 {
+            // Uniform operators.
+            0 => (
+                random_pauli(rng, n, &[I, X, Y, Z]),
+                random_pauli(rng, n, &[I, X, Y, Z]),
+            ),
+            // Y-heavy on both sides.
+            1 => (
+                random_pauli(rng, n, &[I, Y, Y, Y, X, Z]),
+                random_pauli(rng, n, &[I, Y, Y, Y, X, Z]),
+            ),
+            // No Z left on the support after the basis change, so the Y and
+            // X subtrees' chains come first.
+            2 => (
+                random_pauli(rng, n, &[I, Z, Z]),
+                random_pauli(rng, n, &[X, Y, Y]),
+            ),
+            // Disjoint supports: the candidate lives off the current
+            // rotation's support.
+            _ => {
+                let current = random_pauli(rng, n, &[I, I, X, Y, Z]);
+                let mut candidate = random_pauli(rng, n, &[X, Y, Z]);
+                for q in current.support() {
+                    candidate.set_op(q, I);
+                }
+                (current, candidate)
+            }
+        }
+    }
+
+    /// A random program of `rows` rotations on `n` qubits in one to three
+    /// runs, each a set of commuting strings: random {I, Z} strings,
+    /// conjugated through a random Clifford circuit of its own unless
+    /// `diagonal`.
+    fn random_blocks(
+        rng: &mut proptest::TestRng,
+        n: usize,
+        rows: usize,
+        diagonal: bool,
+    ) -> Vec<PauliRotation> {
+        let runs = 1 + (rng.next_u64() % 3) as usize;
+        let mut rotations = Vec::new();
+        for run in 0..runs {
+            let len = rows * (run + 1) / runs - rows * run / runs;
+            let strings: Vec<PauliString> = (0..len)
+                .map(|_| random_pauli(rng, n, &[PauliOp::I, PauliOp::Z]))
+                .collect();
+            let mut frame = PauliFrame::from_paulis(n, &strings);
+            for _ in 0..if diagonal { 0 } else { 4 * n } {
+                let q = (rng.next_u64() % n as u64) as usize;
+                let gate = match rng.next_u64() % 3 {
+                    0 => Gate::H(q),
+                    1 => Gate::S(q),
+                    _ if n > 1 => Gate::Cx {
+                        control: q,
+                        target: (q + 1 + (rng.next_u64() % (n as u64 - 1)) as usize) % n,
+                    },
+                    _ => Gate::H(q),
+                };
+                conjugate_all_by_gate(&mut frame, &gate);
+            }
+            rotations.extend(
+                (0..len).map(|i| PauliRotation::new(frame.row_pauli(i), 0.1 + 0.01 * i as f64)),
+            );
+        }
+        rotations
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
@@ -618,39 +962,10 @@ mod tests {
             seed in proptest::any::<u64>(),
             recursive_tree in proptest::any::<bool>(),
         ) {
-            use PauliOp::{I, X, Y, Z};
             let mut rng = proptest::TestRng::deterministic(&seed.to_string());
-            let mut scratch = Scratch::default();
+            let mut scratch = OracleScratch::default();
             for round in 0..32 {
-                let n = 1 + (rng.next_u64() % 70) as usize;
-                let (current, candidate) = match round % 4 {
-                    // Uniform operators.
-                    0 => (
-                        random_pauli(&mut rng, n, &[I, X, Y, Z]),
-                        random_pauli(&mut rng, n, &[I, X, Y, Z]),
-                    ),
-                    // Y-heavy on both sides.
-                    1 => (
-                        random_pauli(&mut rng, n, &[I, Y, Y, Y, X, Z]),
-                        random_pauli(&mut rng, n, &[I, Y, Y, Y, X, Z]),
-                    ),
-                    // No Z left on the support after the basis change, so
-                    // the Y and X subtrees' chains come first.
-                    2 => (
-                        random_pauli(&mut rng, n, &[I, Z, Z]),
-                        random_pauli(&mut rng, n, &[X, Y, Y]),
-                    ),
-                    // Disjoint supports: the candidate lives off the
-                    // current rotation's support.
-                    _ => {
-                        let current = random_pauli(&mut rng, n, &[I, I, X, Y, Z]);
-                        let mut candidate = random_pauli(&mut rng, n, &[X, Y, Z]);
-                        for q in current.support() {
-                            candidate.set_op(q, I);
-                        }
-                        (current, candidate)
-                    }
-                };
+                let (current, candidate) = random_pair(&mut rng, round);
                 if current.is_identity() {
                     continue;
                 }
@@ -667,6 +982,82 @@ mod tests {
                     "current {current} candidate {candidate}: {cost} != {expected}"
                 );
             }
+        }
+
+        /// The identity the block pick rests on: a candidate's score is its
+        /// weight off the current support plus F of its basis-remapped
+        /// operator counts on the support. One memo serves every pair, as
+        /// one serves a whole extraction.
+        #[test]
+        fn score_is_off_support_weight_plus_f_of_the_counts(
+            seed in proptest::any::<u64>(),
+            recursive_tree in proptest::any::<bool>(),
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let mut scratch = OracleScratch::default();
+            let mut after = AfterTree::default();
+            for round in 0..32 {
+                let (current, candidate) = random_pair(&mut rng, round);
+                if current.is_identity() {
+                    continue;
+                }
+                let support = current.support();
+                let mut counts = [0usize; 4];
+                for &q in &support {
+                    let (x, z) = candidate.op(q).xz();
+                    let (x, z) = remap_words(current.op(q), u64::from(x), u64::from(z));
+                    let op = PauliOp::from_xz(x == 1, z == 1);
+                    counts[GROUP_OPS.iter().position(|&g| g == op).unwrap()] += 1;
+                }
+                let off = candidate.weight() - (support.len() - counts[1]);
+                let expected =
+                    extraction_cost(recursive_tree, &current, &support, &candidate, &mut scratch);
+                let score = off + after.weight(recursive_tree, counts);
+                proptest::prop_assert!(
+                    score == expected,
+                    "current {current} candidate {candidate}: {score} != {expected}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Every pick of a whole extraction, block pick against the
+        /// per-candidate oracle: 2–300 rows, so candidates cross 64-row
+        /// words and the frame is compacted; 1–130 qubits, so the qubit
+        /// words of a gathered row are crossed too.
+        #[test]
+        fn block_pick_matches_the_per_candidate_pick(
+            seed in proptest::any::<u64>(),
+            recursive_tree in proptest::any::<bool>(),
+            diagonal in proptest::any::<bool>(),
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let n = 1 + (rng.next_u64() % 130) as usize;
+            let rows = 2 + (rng.next_u64() % 299) as usize;
+            let rotations = random_blocks(&mut rng, n, rows, diagonal);
+            let config = ExtractionConfig {
+                recursive_tree,
+                ..ExtractionConfig::default()
+            };
+            let mut oracle = OracleScratch::default();
+            let mut mismatches = Vec::new();
+            let mut picks = 0;
+            let _ = extract_with(&rotations, &config, |state, current_row, candidates| {
+                let pick = state.find_next_pauli(current_row, candidates);
+                let expected = oracle_pick(state, &mut oracle, current_row, candidates);
+                if pick != expected {
+                    mismatches.push((picks, pick, expected));
+                }
+                picks += 1;
+                expected
+            });
+            proptest::prop_assert!(
+                mismatches.is_empty(),
+                "{n} qubits, {rows} rows: (pick, block, oracle) {mismatches:?}"
+            );
         }
     }
 }

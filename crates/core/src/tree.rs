@@ -168,22 +168,32 @@ impl<'a, L: LookaheadOps + ?Sized> TreeSynthesizer<'a, L> {
         }
         let start = gates.len();
 
-        // Step 1: partition the qubits by the next Pauli's operator into
-        // contiguous Z, I, Y, X groups appended to the arena, each in input
-        // order.
+        // Step 1: a stable counting partition of the qubits by the next
+        // Pauli's operator into contiguous Z, I, Y, X groups appended to the
+        // arena, each in input order. Each operator is read once and parked
+        // in the live row until its qubit is placed.
         let base = scratch.arena.len();
+        let mut sizes = [0usize; 4];
+        for i in range.clone() {
+            let q = scratch.arena[i];
+            let op = self.lookahead.op_at(depth, q);
+            scratch.live[q] = op;
+            sizes[group_of(op)] += 1;
+        }
+        let mut next = [base; 4];
         let mut group_ends = [base; 4];
-        for (op, end) in [PauliOp::Z, PauliOp::I, PauliOp::Y, PauliOp::X]
-            .into_iter()
-            .zip(&mut group_ends)
-        {
-            for i in range.clone() {
-                let q = scratch.arena[i];
-                if self.lookahead.op_at(depth, q) == op {
-                    scratch.arena.push(q);
-                }
-            }
-            *end = scratch.arena.len();
+        let mut end = base;
+        for g in 0..4 {
+            next[g] = end;
+            end += sizes[g];
+            group_ends[g] = end;
+        }
+        scratch.arena.resize(end, 0);
+        for i in range {
+            let q = scratch.arena[i];
+            let slot = &mut next[group_of(scratch.live[q])];
+            scratch.arena[*slot] = q;
+            *slot += 1;
         }
 
         // Step 2: synthesize each subtree (recursively, using the Pauli after
@@ -209,10 +219,16 @@ impl<'a, L: LookaheadOps + ?Sized> TreeSynthesizer<'a, L> {
         // this node's own subtrees, `gates[start..]`, which act only on the
         // node's qubits. Earlier gates belong to other branches, on disjoint
         // qubits, so they cannot reach these roots. The live view is a dense
-        // phase-free row updated with the two-operator CX rule.
+        // phase-free row updated with the two-operator CX rule; a deeper
+        // level may have overwritten it, so each qubit is reset to its
+        // group's operator rather than read again.
         let live = &mut scratch.live;
-        for &q in &scratch.arena[base..] {
-            live[q] = self.lookahead.op_at(depth, q);
+        let mut group_start = base;
+        for (op, end) in GROUP_OPS.into_iter().zip(group_ends) {
+            for &q in &scratch.arena[group_start..end] {
+                live[q] = op;
+            }
+            group_start = end;
         }
         for gate in &gates[start..] {
             apply_cx(live, gate);
@@ -247,6 +263,21 @@ impl<'a, L: LookaheadOps + ?Sized> TreeSynthesizer<'a, L> {
     }
 }
 
+/// The order of a node's subtrees: qubits grouped by the next Pauli's
+/// operator.
+pub(crate) const GROUP_OPS: [PauliOp; 4] = [PauliOp::Z, PauliOp::I, PauliOp::Y, PauliOp::X];
+
+/// The index of `op`'s group in [`GROUP_OPS`].
+#[inline]
+fn group_of(op: PauliOp) -> usize {
+    match op {
+        PauliOp::Z => 0,
+        PauliOp::I => 1,
+        PauliOp::Y => 2,
+        PauliOp::X => 3,
+    }
+}
+
 /// Reusable buffers of [`TreeSynthesizer::synthesize_into`].
 #[derive(Debug, Default)]
 pub(crate) struct TreeScratch {
@@ -255,6 +286,7 @@ pub(crate) struct TreeScratch {
     arena: Vec<usize>,
     /// Dense live view of the next Pauli at the roots being connected,
     /// indexed by qubit; only the current node's qubits are meaningful.
+    /// The partition also parks each qubit's operator here.
     live: Vec<PauliOp>,
 }
 

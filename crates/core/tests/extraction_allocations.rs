@@ -1,6 +1,6 @@
 //! Allocation gate for Clifford extraction.
 //!
-//! Scoring candidates and synthesizing CNOT trees run over reused scratch
+//! Picking candidates and synthesizing CNOT trees run over reused scratch
 //! buffers, so extracting a commuting block costs a bounded number of heap
 //! allocations per rotation however large the block is. A counting global
 //! allocator makes this a deterministic check, unlike a timing smoke. This
@@ -48,10 +48,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 const QUBITS: usize = 12;
 const ROTATIONS: usize = 128;
-const MAX_ALLOCATIONS_PER_ROTATION: usize = 12;
+const MAX_ALLOCATIONS_PER_ROTATION: usize = 4;
 
 /// One commuting block: `ROTATIONS` distinct seeded Z-strings on `QUBITS`
-/// qubits, so `find_next_pauli` scores every remaining pair.
+/// qubits, so `find_next_pauli` picks among every remaining candidate.
 fn z_block() -> Vec<PauliRotation> {
     let mut state = 0x51CA_u64;
     let mut masks = Vec::new();

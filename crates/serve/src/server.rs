@@ -625,7 +625,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             }
         };
         shared.metrics.frame_bytes_in.record(payload.len() as u64);
-        let (response, continuation) = respond(shared, &payload);
+        let (response, kind, continuation) = respond(shared, &payload);
         shared.metrics.requests_served.inc();
         #[cfg(any(test, feature = "faults"))]
         if let Some(faults) = faults.as_mut() {
@@ -639,7 +639,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 crate::faults::WriteFault::Disconnect => return,
             }
         }
-        let sent = send_response(shared, &mut stream, response);
+        let sent = send_response(shared, &mut stream, response, kind);
         if sent.is_err() || matches!(continuation, Continuation::CloseConnection) {
             return;
         }
@@ -649,11 +649,21 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 /// Writes a response within the configured frame cap. A response that
 /// encodes larger than the cap (e.g. an enormous sweep) degrades into a
 /// structured `response_too_large` error on the same id, so the client
-/// learns *why* instead of seeing a silently dropped connection.
-fn send_response(shared: &Shared, stream: &mut TcpStream, response: Response) -> io::Result<()> {
+/// learns *why* instead of seeing a silently dropped connection. A refused
+/// answer counts as an error of its request `kind` (one that already was
+/// an error has been counted).
+fn send_response(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    response: Response,
+    kind: &str,
+) -> io::Result<()> {
     let max = shared.config.max_frame_bytes;
     let mut encoded = response.encode();
     if encoded.len() > max {
+        if response.body.is_ok() {
+            shared.metrics.error(kind).inc();
+        }
         let too_large = Response {
             id: response.id,
             body: Err(response_too_large(&format!("{} bytes", encoded.len()), max)),
@@ -676,9 +686,11 @@ fn response_too_large(size: &str, max: usize) -> WireError {
     )
 }
 
-/// Builds the response for one raw frame. Panics anywhere in decoding or
-/// handling are converted into an error response carrying the panic text.
-fn respond(shared: &Shared, payload: &[u8]) -> (Response, Continuation) {
+/// Builds the response for one raw frame, with the request's kind name
+/// (`"unknown"` when the frame does not decode). Panics anywhere in
+/// decoding or handling are converted into an error response carrying the
+/// panic text.
+fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continuation) {
     let request = match Request::decode(payload) {
         Ok(request) => request,
         Err(error) => {
@@ -690,6 +702,7 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, Continuation) {
                     id: 0,
                     body: Err(error),
                 },
+                "unknown",
                 Continuation::KeepServing,
             );
         }
@@ -720,7 +733,7 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, Continuation) {
                     shared.metrics.deadline_exceeded.inc();
                 }
             }
-            (Response { id, body }, continuation)
+            (Response { id, body }, kind_name, continuation)
         }
         Err(panic) => {
             shared.metrics.panics_contained.inc();
@@ -738,6 +751,7 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, Continuation) {
                         format!("request handling panicked: {message}"),
                     )),
                 },
+                kind_name,
                 Continuation::KeepServing,
             )
         }

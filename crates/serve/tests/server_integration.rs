@@ -573,13 +573,14 @@ fn trickled_frames_are_reclaimed_past_the_idle_budget() {
 
 /// A response that would exceed the server's frame cap degrades into a
 /// structured `response_too_large` error on the same connection — the
-/// client learns why, instead of watching the socket die.
+/// client learns why, instead of watching the socket die — and counts as
+/// an error of its request kind.
 #[test]
 fn oversized_responses_degrade_to_structured_errors() {
     let engine = Arc::new(Engine::new(16));
     let server = Server::bind(
         "127.0.0.1:0",
-        engine,
+        Arc::clone(&engine),
         ServerConfig {
             workers: 2,
             // Far below any compiled-circuit response, far above the error
@@ -599,6 +600,15 @@ fn oversized_responses_degrade_to_structured_errors() {
     );
     // Same connection keeps serving small responses.
     health(&mut client).expect("health after oversized response");
+    // A 300-byte cap cannot carry a `metrics` answer either, so take the
+    // engine's snapshot, the one that request returns.
+    let errors = |kind: &str| {
+        engine
+            .metrics_snapshot()
+            .counter_value(quclear_serve::SERVE_ERROR_METRIC, Some(("kind", kind)))
+    };
+    assert_eq!(errors("compile"), Some(1));
+    assert_eq!(errors("health"), Some(0));
     server.stop();
 }
 
