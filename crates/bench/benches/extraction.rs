@@ -22,6 +22,9 @@ fn bench_extraction(c: &mut Criterion) {
         Benchmark::Labs(15),
         // One block of 615 diagonal rotations, where picking dominates.
         Benchmark::Labs(20),
+        // 13,400 rotations in small blocks, where emission dominates: the
+        // trees, and every pending image advanced through every gate.
+        Benchmark::Ucc(10, 20),
     ] {
         let rotations = bench.rotations();
         group.bench_with_input(

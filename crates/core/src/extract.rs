@@ -5,18 +5,22 @@
 //! single-qubit basis changes, the CNOT tree and the `Rz` — and defers the
 //! mirrored uncomputation to the end of the circuit, where it accumulates
 //! into one Clifford subcircuit `U_CL`. Every later rotation is rewritten
-//! through the Heisenberg map `P ↦ U_CL† P U_CL`, and within each commuting
-//! block the rotation that becomes cheapest is scheduled next.
+//! through the Heisenberg map `P ↦ U_CL† P U_CL`. Before a rotation is
+//! extracted, the rotation that becomes cheapest after it is scheduled next,
+//! from the rest of its commuting block or, at a block boundary, from the
+//! whole next block.
 //!
 //! # Word-parallel bookkeeping
 //!
 //! Three structures keep the inner loop cheap:
 //!
 //! * **One schedule** — two index vectors over slots: the rotation each slot
-//!   extracts and the frame row of its image. A pick rotates a slot range
-//!   of its commuting block (the block bounds come from [`CommutingBlocks`]),
-//!   and the lookahead is the next slots, across blocks. No rotation or
-//!   string is cloned.
+//!   extracts and the frame row of its image. While slot `i` is still
+//!   unextracted, the pick for slot `i + 1` is scored against it and rotated
+//!   into place from the remaining slots of slot `i + 1`'s commuting block
+//!   (the block bounds come from [`CommutingBlocks`]). Slot `i`'s lookahead
+//!   is the next slots, across blocks, so it starts with the rotation its
+//!   score assumed. No rotation or string is cloned.
 //! * **Pending-image frame** — the images of *every* not-yet-scheduled
 //!   rotation axis under the current Heisenberg map are held in a
 //!   column-major [`PauliFrame`], the extractor's only Clifford state.
@@ -36,7 +40,8 @@
 //!   extraction. One pass over the frame's X and Z planes fills four
 //!   bit-sliced counters (off-support, Z, Y, X) for all candidate rows at
 //!   once, `O(n · B/64)` words per pick, with no row gathered and no tree
-//!   built per candidate. The off-support count is a lower bound on the
+//!   built per candidate; 15 qubits at a time are summed in registers
+//!   before one add into the counters. The off-support count is a lower bound on the
 //!   score: whenever the best score drops, one word-parallel comparison
 //!   marks the rows whose count is still below it, so a candidate that
 //!   cannot win costs one bit test. The counters, the current row and the
@@ -201,17 +206,34 @@ fn extract_with(
         scratch: Scratch::default(),
     };
 
-    for block in blocks.blocks() {
+    // No rotation precedes the first slot, so its pick is scored against
+    // the input's first rotation, which then competes for the second slot.
+    let blocks = blocks.blocks();
+    if let Some(first) = blocks.first().filter(|block| block.len() > 1) {
+        let chosen = 1 + pick(&mut state, rows[0], &rows[1..first.end]);
+        order[..=chosen].rotate_right(1);
+        rows[..=chosen].rotate_right(1);
+    }
+
+    for (b, block) in blocks.iter().enumerate() {
         for i in block.clone() {
-            // Move the chosen rotation into slot i, shifting the slots it
-            // passes one to the right.
-            if i + 1 < block.end {
-                let chosen = i + 1 + pick(&mut state, rows[i], &rows[i + 1..block.end]);
-                order[i..=chosen].rotate_right(1);
-                rows[i..=chosen].rotate_right(1);
+            // While slot i is unextracted, pick its successor against it
+            // among the remaining slots of the successor's block: slot i's
+            // own block or, at a boundary, the next one, whose commuting
+            // members may go in any order. Move the pick into slot i + 1,
+            // shifting the slots it passes one to the right.
+            let successor_end = if i + 1 < block.end {
+                block.end
+            } else {
+                blocks.get(b + 1).map_or(0, |next| next.end)
+            };
+            if successor_end > i + 2 {
+                let chosen = i + 1 + pick(&mut state, rows[i], &rows[i + 1..successor_end]);
+                order[i + 1..=chosen].rotate_right(1);
+                rows[i + 1..=chosen].rotate_right(1);
             }
-            // Lookahead crosses block boundaries: later blocks cannot be
-            // reordered but their strings still guide the tree structure.
+            // Lookahead crosses block boundaries and starts with the pick
+            // just made, the rotation its score assumed comes next.
             let lookahead_end = rows.len().min(i + 1 + config.lookahead_depth);
             state.process_rotation(
                 rotations[order[i]].angle(),
@@ -312,18 +334,19 @@ impl RowCounts {
         self.marks.resize(words.len(), !0);
     }
 
-    /// Adds one to counter `c` of each row of covered word `w` whose bit is
-    /// set in `ones`: a ripple-carry add across the counter's bit planes.
+    /// Adds the bit-sliced `sum` to counter `c` of the rows of covered word
+    /// `w`: a ripple-carry add across the counter's bit planes.
     #[inline]
-    fn add(&mut self, w: usize, c: usize, ones: u64) {
+    fn add(&mut self, w: usize, c: usize, sum: &[u64; CHUNK_BITS]) {
         let start = (w * 4 + c) * self.bits;
-        let mut carry = ones;
-        for plane in &mut self.planes[start..start + self.bits] {
-            if carry == 0 {
+        let mut carry = 0;
+        for (k, plane) in self.planes[start..start + self.bits].iter_mut().enumerate() {
+            let addend = sum.get(k).copied().unwrap_or(0);
+            if k >= CHUNK_BITS && carry == 0 {
                 return;
             }
-            let next = *plane & carry;
-            *plane ^= carry;
+            let next = (*plane & addend) | (carry & (*plane ^ addend));
+            *plane ^= addend ^ carry;
             carry = next;
         }
         debug_assert_eq!(carry, 0, "a row counter overflowed");
@@ -370,6 +393,22 @@ impl RowCounts {
             .fold(0, |acc, (k, &plane)| {
                 acc | (((plane >> bit) & 1) as usize) << k
             })
+    }
+}
+
+/// Bits of a chunk's in-register counters, and the qubits of a chunk, whose
+/// counts are summed in registers before one add into the row counters.
+const CHUNK_BITS: usize = 4;
+const CHUNK_QUBITS: usize = (1 << CHUNK_BITS) - 1;
+
+/// Adds one to the bit-sliced counter `counter` in each lane set in `ones`.
+#[inline]
+fn add_one(counter: &mut [u64; CHUNK_BITS], ones: u64) {
+    let mut carry = ones;
+    for plane in counter {
+        let next = *plane & carry;
+        *plane ^= carry;
+        carry = next;
     }
 }
 
@@ -456,11 +495,10 @@ impl ExtractionState {
     /// counts, or skipped once its off-support weight alone reaches the best
     /// score so far.
     ///
-    /// The caller scores against the slot being filled and then rotates the
-    /// pick into it, so the rotation displaced into the next slot is scored
-    /// against again: every pick of a block is scored against the block's
-    /// *first* rotation, which is scheduled last. Algorithm 2 scores against
-    /// the rotation just extracted instead.
+    /// As in Algorithm 2, `current_row` holds the rotation about to be
+    /// extracted, and the pick becomes the next one; only the program's
+    /// first slot, which no rotation precedes, is picked against the input's
+    /// first rotation.
     fn find_next_pauli(&mut self, current_row: usize, candidates: &[usize]) -> usize {
         let Scratch {
             current,
@@ -480,20 +518,34 @@ impl ExtractionState {
             .fold((usize::MAX, 0), |(lo, hi), &row| (lo.min(row), hi.max(row)));
         let words = lo / 64..hi / 64 + 1;
         counts.reset(words.clone(), self.n);
-        for (q, &op) in current.iter().enumerate() {
-            let xs = &self.images.x_plane(q).words()[words.clone()];
-            let zs = &self.images.z_plane(q).words()[words.clone()];
-            if op.is_identity() {
-                for (w, (&x, &z)) in xs.iter().zip(zs).enumerate() {
-                    counts.add(w, OFF, x | z);
-                }
-                continue;
+        let mut chunk = [(&[][..], &[][..], PauliOp::I); CHUNK_QUBITS];
+        for start in (0..self.n).step_by(CHUNK_QUBITS) {
+            let qubits = start..self.n.min(start + CHUNK_QUBITS);
+            for (slot, q) in chunk.iter_mut().zip(qubits.clone()) {
+                *slot = (
+                    &self.images.x_plane(q).words()[words.clone()],
+                    &self.images.z_plane(q).words()[words.clone()],
+                    current[q],
+                );
             }
-            for (w, (&x, &z)) in xs.iter().zip(zs).enumerate() {
-                let (x, z) = remap_words(op, x, z);
-                counts.add(w, ON_Z, z & !x);
-                counts.add(w, ON_Y, x & z);
-                counts.add(w, ON_X, x & !z);
+            let chunk = &chunk[..qubits.len()];
+            for w in 0..words.len() {
+                // The chunk's counts, summed in registers.
+                let mut sums = [[0u64; CHUNK_BITS]; 4];
+                for &(xs, zs, op) in chunk {
+                    let (x, z) = (xs[w], zs[w]);
+                    if op.is_identity() {
+                        add_one(&mut sums[OFF], x | z);
+                    } else {
+                        let (x, z) = remap_words(op, x, z);
+                        add_one(&mut sums[ON_Z], z & !x);
+                        add_one(&mut sums[ON_Y], x & z);
+                        add_one(&mut sums[ON_X], x & !z);
+                    }
+                }
+                for (c, sum) in sums.iter().enumerate() {
+                    counts.add(w, c, sum);
+                }
             }
         }
 
@@ -602,6 +654,7 @@ pub fn basis_change_circuit(n: usize, pauli: &PauliString) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{random_blocks, random_pauli};
 
     fn rot(s: &str, angle: f64) -> PauliRotation {
         PauliRotation::parse(s, angle).unwrap()
@@ -672,9 +725,10 @@ mod tests {
         assert_eq!(rz_count, 3);
     }
 
-    /// Pins the greedy schedule of one commuting block. Every pick is
-    /// scored against the block's first rotation, which is therefore
-    /// scheduled last.
+    /// Pins the greedy schedule of one commuting block. The first slot goes
+    /// to the rotation that scores best against the input's first one
+    /// (`IZZI` against `ZZII`); every later pick is scored against the
+    /// rotation extracted just before it, so `ZZII` follows `IZZI`.
     #[test]
     fn commuting_block_schedule_is_pinned() {
         let rotations = vec![
@@ -694,7 +748,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(angles, vec![0.2, 0.4, 0.5, 0.3, 0.1]);
+        assert_eq!(angles, vec![0.2, 0.1, 0.4, 0.5, 0.3]);
     }
 
     #[test]
@@ -869,15 +923,6 @@ mod tests {
         ops.iter().filter(|op| !op.is_identity()).count()
     }
 
-    /// A random string on `n` qubits whose operators are drawn from
-    /// `palette` (repeats weight the draw).
-    fn random_pauli(rng: &mut proptest::TestRng, n: usize, palette: &[PauliOp]) -> PauliString {
-        let ops: Vec<PauliOp> = (0..n)
-            .map(|_| palette[(rng.next_u64() % palette.len() as u64) as usize])
-            .collect();
-        PauliString::from_ops(&ops)
-    }
-
     /// A random (current, candidate) pair on 1–70 qubits; `round` picks
     /// the kind of pair.
     fn random_pair(rng: &mut proptest::TestRng, round: usize) -> (PauliString, PauliString) {
@@ -913,42 +958,43 @@ mod tests {
         }
     }
 
-    /// A random program of `rows` rotations on `n` qubits in one to three
-    /// runs, each a set of commuting strings: random {I, Z} strings,
-    /// conjugated through a random Clifford circuit of its own unless
-    /// `diagonal`.
-    fn random_blocks(
+    /// Two random programs of commuting runs back to back, the second
+    /// conjugated through Cliffords, so picks cross block boundaries. Every
+    /// rotation is non-trivial and their angles differ in magnitude, so the
+    /// optimized circuit's `Rz` angles name the rotation each slot extracted.
+    fn distinct_program(
         rng: &mut proptest::TestRng,
         n: usize,
         rows: usize,
         diagonal: bool,
     ) -> Vec<PauliRotation> {
-        let runs = 1 + (rng.next_u64() % 3) as usize;
-        let mut rotations = Vec::new();
-        for run in 0..runs {
-            let len = rows * (run + 1) / runs - rows * run / runs;
-            let strings: Vec<PauliString> = (0..len)
-                .map(|_| random_pauli(rng, n, &[PauliOp::I, PauliOp::Z]))
-                .collect();
-            let mut frame = PauliFrame::from_paulis(n, &strings);
-            for _ in 0..if diagonal { 0 } else { 4 * n } {
-                let q = (rng.next_u64() % n as u64) as usize;
-                let gate = match rng.next_u64() % 3 {
-                    0 => Gate::H(q),
-                    1 => Gate::S(q),
-                    _ if n > 1 => Gate::Cx {
-                        control: q,
-                        target: (q + 1 + (rng.next_u64() % (n as u64 - 1)) as usize) % n,
-                    },
-                    _ => Gate::H(q),
-                };
-                conjugate_all_by_gate(&mut frame, &gate);
-            }
-            rotations.extend(
-                (0..len).map(|i| PauliRotation::new(frame.row_pauli(i), 0.1 + 0.01 * i as f64)),
-            );
-        }
+        let mut rotations = random_blocks(rng, n, rows, diagonal);
+        rotations.extend(random_blocks(rng, n, rows, false));
+        rotations.retain(|r| !r.pauli().is_identity());
         rotations
+            .iter()
+            .enumerate()
+            .map(|(i, r)| PauliRotation::new(r.pauli().clone(), 0.1 + 0.001 * i as f64))
+            .collect()
+    }
+
+    /// The rotation behind each `Rz` of `optimized`, in circuit order.
+    fn emitted_order(rotations: &[PauliRotation], optimized: &Circuit) -> Vec<usize> {
+        optimized
+            .gates()
+            .iter()
+            .filter_map(|g| match g {
+                Gate::Rz { angle, .. } => rotations.iter().position(|r| r.angle() == angle.abs()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The strings of `rows` of `frame`, sorted.
+    fn sorted_strings(frame: &PauliFrame, rows: impl Iterator<Item = usize>) -> Vec<String> {
+        let mut strings: Vec<String> = rows.map(|row| frame.row_pauli(row).to_string()).collect();
+        strings.sort();
+        strings
     }
 
     proptest::proptest! {
@@ -1057,6 +1103,75 @@ mod tests {
             proptest::prop_assert!(
                 mismatches.is_empty(),
                 "{n} qubits, {rows} rows: (pick, block, oracle) {mismatches:?}"
+            );
+        }
+
+        /// Algorithm 2's calling convention, through the `pick` hook. The
+        /// pick that fills slot `k + 1` is scored against slot `k`, the
+        /// rotation extracted just before it, among the remaining slots of
+        /// slot `k + 1`'s block, across block boundaries too; the program's
+        /// first pick fills slot 0 against the input's first rotation. Every
+        /// image is followed independently: each input axis conjugated
+        /// through the forward gates emitted so far.
+        #[test]
+        fn every_pick_is_scored_against_the_rotation_extracted_before_it(
+            seed in proptest::any::<u64>(),
+            recursive_tree in proptest::any::<bool>(),
+            diagonal in proptest::any::<bool>(),
+        ) {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let n = 1 + (rng.next_u64() % 130) as usize;
+            let rows = 1 + (rng.next_u64() % 150) as usize;
+            let rotations = distinct_program(&mut rng, n, rows, diagonal);
+            let config = ExtractionConfig {
+                recursive_tree,
+                ..ExtractionConfig::default()
+            };
+            let emitted = emitted_order(&rotations, &extract_clifford(&rotations, &config).optimized);
+            proptest::prop_assert_eq!(emitted.len(), rotations.len());
+
+            let blocks = CommutingBlocks::from_rotations(&rotations);
+            let blocks = blocks.blocks();
+            let block_of = |slot: usize| blocks.iter().find(|b| b.contains(&slot)).unwrap().clone();
+            let mut images = PauliFrame::from_paulis(n, rotations.iter().map(PauliRotation::pauli));
+            let (mut applied, mut picks, mut boundary_picks) = (0, 0, 0);
+            let mut errors = Vec::new();
+            let _ = extract_with(&rotations, &config, |state, current_row, candidates| {
+                let gates = state.optimized.gates();
+                for gate in &gates[applied..] {
+                    if !matches!(gate, Gate::Rz { .. }) {
+                        conjugate_all_by_gate(&mut images, gate);
+                    }
+                }
+                applied = gates.len();
+                let extracted = gates.iter().filter(|g| matches!(g, Gate::Rz { .. })).count();
+                let first = picks == 0 && blocks[0].len() > 1;
+                let slot = if first { 0 } else { extracted + 1 };
+                let current = if first { 0 } else { emitted[slot - 1] };
+                let block = block_of(slot);
+                boundary_picks += usize::from(slot > 0 && slot == block.start);
+                if state.images.row_pauli(current_row) != images.row_pauli(current) {
+                    errors.push(format!("pick {picks} (slot {slot}): scored against the wrong row"));
+                }
+                let remaining = block.filter(|&r| !emitted[..slot].contains(&r) && r != current);
+                if sorted_strings(&state.images, candidates.iter().copied())
+                    != sorted_strings(&images, remaining)
+                {
+                    errors.push(format!("pick {picks} (slot {slot}): wrong candidates"));
+                }
+                let pick = state.find_next_pauli(current_row, candidates);
+                if state.images.row_pauli(candidates[pick]) != images.row_pauli(emitted[slot]) {
+                    errors.push(format!("pick {picks} (slot {slot}): the pick was not extracted there"));
+                }
+                picks += 1;
+                pick
+            });
+            proptest::prop_assert!(errors.is_empty(), "{n} qubits: {errors:?}");
+            // A block of length L takes L - 1 picks, one per slot but its last.
+            proptest::prop_assert_eq!(picks, blocks.iter().map(|b| b.len() - 1).sum::<usize>());
+            proptest::prop_assert_eq!(
+                boundary_picks,
+                blocks[1..].iter().filter(|b| b.len() > 1).count()
             );
         }
     }

@@ -53,6 +53,8 @@ mod grouping;
 pub mod lift;
 mod pipeline;
 mod shots;
+#[cfg(test)]
+mod testing;
 mod tree;
 
 pub use absorb::{

@@ -92,25 +92,25 @@ fn served_extracted_clifford_is_the_resynthesized_raw_log() {
     // Every later support depends on every earlier tree and reordering
     // choice, so a changed choice almost always moves the log length.
     const PINS: [(&str, usize, usize, usize); 19] = [
-        ("UCC-(2,4)", 27, 69, 49),
-        ("UCC-(2,6)", 130, 293, 227),
-        ("UCC-(4,8)", 611, 1243, 977),
-        ("UCC-(6,12)", 3727, 7471, 6125),
-        ("UCC-(8,16)", 13935, 27618, 23271),
-        ("UCC-(10,20)", 40069, 78295, 67216),
-        ("LiH", 81, 182, 131),
-        ("H2O", 339, 718, 565),
-        ("benzene", 3471, 6955, 5912),
-        ("LABS-(n10)", 109, 199, 119),
-        ("LABS-(n15)", 411, 693, 426),
-        ("LABS-(n20)", 1177, 1832, 1197),
-        ("MaxCut-(n15, r4)", 65, 125, 80),
-        ("MaxCut-(n20, r4)", 87, 167, 107),
-        ("MaxCut-(n20, r8)", 118, 238, 138),
-        ("MaxCut-(n20, r12)", 162, 322, 182),
-        ("MaxCut-(n10, e12)", 29, 61, 39),
-        ("MaxCut-(n15, e63)", 109, 202, 124),
-        ("MaxCut-(n20, e117)", 166, 323, 186),
+        ("UCC-(2,4)", 25, 67, 45),
+        ("UCC-(2,6)", 110, 270, 205),
+        ("UCC-(4,8)", 531, 1146, 870),
+        ("UCC-(6,12)", 3305, 6908, 5490),
+        ("UCC-(8,16)", 12703, 25838, 21214),
+        ("UCC-(10,20)", 36759, 74571, 63021),
+        ("LiH", 73, 184, 132),
+        ("H2O", 299, 682, 521),
+        ("benzene", 3017, 6249, 5160),
+        ("LABS-(n10)", 90, 180, 100),
+        ("LABS-(n15)", 358, 640, 373),
+        ("LABS-(n20)", 945, 1600, 965),
+        ("MaxCut-(n15, r4)", 59, 119, 74),
+        ("MaxCut-(n20, r4)", 88, 168, 108),
+        ("MaxCut-(n20, r8)", 113, 233, 133),
+        ("MaxCut-(n20, r12)", 158, 318, 178),
+        ("MaxCut-(n10, e12)", 26, 58, 36),
+        ("MaxCut-(n15, e63)", 86, 179, 101),
+        ("MaxCut-(n20, e117)", 161, 318, 181),
     ];
     let config = QuClearConfig::default();
     let benches = Benchmark::all();
@@ -147,7 +147,7 @@ fn served_extracted_clifford_is_the_resynthesized_raw_log() {
     }
     assert_eq!(
         (cnot_total, gate_total, raw_total),
-        (64_823, 127_006, 107_071)
+        (58_906, 119_728, 98_907)
     );
     assert!(
         served_total <= 3_000,
