@@ -108,15 +108,11 @@ impl Span {
         self.pivots.clear();
     }
 
-    /// The basis vectors (none on an empty register, whose width is zero).
-    fn vectors(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.vectors.chunks_exact(self.width.max(1))
-    }
-
     /// Whether `pauli` commutes with every vector of the basis.
     fn commutes_with(&self, pauli: &PauliString) -> bool {
         let (x, z) = (pauli.x_bits().words(), pauli.z_bits().words());
-        self.vectors().all(|vector| {
+        // An empty register has width zero and no vectors.
+        self.vectors.chunks_exact(self.width.max(1)).all(|vector| {
             let (vx, vz) = vector.split_at(x.len());
             let odd = vx
                 .iter()

@@ -41,12 +41,12 @@
 //!   bit-sliced counters (off-support, Z, Y, X) for all candidate rows at
 //!   once, `O(n · B/64)` words per pick, with no row gathered and no tree
 //!   built per candidate; 15 qubits at a time are summed in registers
-//!   before one add into the counters. The off-support count is a lower bound on the
-//!   score: whenever the best score drops, one word-parallel comparison
-//!   marks the rows whose count is still below it, so a candidate that
-//!   cannot win costs one bit test. The counters, the current row and the
-//!   memo live in reused scratch, so a pick allocates nothing once they
-//!   have grown.
+//!   before one add into the counters. The off-support count is a lower
+//!   bound on the score: whenever the best score drops, one word-parallel
+//!   comparison marks the rows whose count is still below it, so a
+//!   candidate that cannot win costs one bit test. The counters, the
+//!   current row and the memo live in reused scratch, so a pick allocates
+//!   nothing once they have grown.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -169,7 +169,9 @@ pub fn extract_clifford(
 
 /// [`extract_clifford`] with the greedy pick of commuting-block reordering
 /// supplied by `pick(state, current_row, candidates)`, which returns the
-/// offset of the chosen candidate.
+/// offset of the chosen candidate. `current_row` holds the rotation
+/// extracted just before the slot being filled (for slot 0, the input's
+/// first rotation).
 fn extract_with(
     rotations: &[PauliRotation],
     config: &ExtractionConfig,
@@ -232,8 +234,9 @@ fn extract_with(
                 order[i + 1..=chosen].rotate_right(1);
                 rows[i + 1..=chosen].rotate_right(1);
             }
-            // Lookahead crosses block boundaries and starts with the pick
-            // just made, the rotation its score assumed comes next.
+            // Lookahead crosses block boundaries. It starts with the pick
+            // just made, so the tree is built for the successor the pick's
+            // score assumed.
             let lookahead_end = rows.len().min(i + 1 + config.lookahead_depth);
             state.process_rotation(
                 rotations[order[i]].angle(),
