@@ -354,71 +354,92 @@ impl Parser<'_> {
     fn parse_number(&mut self) -> Result<Json, Error> {
         self.skip_ws();
         let start = self.pos;
-        if self.src.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.src.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = &self.text[start..self.pos];
-        if !is_json_number(text.as_bytes()) {
-            return Err(self.error(format!("invalid number `{text}`")));
-        }
-        if !is_float {
-            // Prefer exact integer variants when the digits fit.
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::Uint(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(x) => Ok(Json::Float(x)),
-            Err(_) => Err(self.error(format!("invalid number `{text}`"))),
-        }
+        let read = number_prefix(&self.text[start..]);
+        self.pos += match read {
+            Ok((_, len)) | Err(len) => len,
+        };
+        read.map(|(value, _)| value).map_err(|_| {
+            let text = &self.text[start..self.pos];
+            self.error(format!("invalid number `{text}`"))
+        })
     }
 }
 
-/// Whether `text` is a number in the grammar of RFC 8259 §6:
-/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. Rust's own
-/// number parsers are laxer (`1.`, `.5`, `01`), so a run must pass this
-/// before it reaches them.
-fn is_json_number(text: &[u8]) -> bool {
-    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
-    let mut rest = text.strip_prefix(b"-").unwrap_or(text);
-    let int = digits(rest);
-    if int == 0 || (int > 1 && rest[0] == b'0') {
-        return false;
+/// Reads the number at the start of `text` as [`from_str`] does: the longest
+/// run of number bytes (`-`, `+`, digits, `.`, `e`, `E`), checked against
+/// RFC 8259's grammar, as `Uint`/`Int` when it has no fraction or exponent
+/// and its digits fit, `Float` otherwise. Returns the value and the run's
+/// length, or `Err(length)` when the run is not a JSON number. A wire
+/// decoder that reads numbers without building a tree calls this, so its
+/// numbers follow the parser's grammar and classification exactly.
+///
+/// # Errors
+///
+/// The run's length when it is not a JSON number (empty, `-.5`, `01`, …).
+#[inline]
+pub fn number_prefix(text: &str) -> Result<(Json, usize), usize> {
+    let src = text.as_bytes();
+    let is_number_byte = |b: &u8| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+    // One pass reads the longest grammatical number; it is the run when the
+    // byte after it ends the run. Otherwise the run, a longer one, is not a
+    // number (`01`, `1.5.2`, `1e5e5`, `1-2`).
+    let (len, is_float) = grammatical_prefix(src);
+    if len == 0 || src.get(len).is_some_and(is_number_byte) {
+        let sign = usize::from(src.first() == Some(&b'-'));
+        return Err(sign + src[sign..].iter().take_while(|b| is_number_byte(b)).count());
     }
-    rest = &rest[int..];
-    if let Some(fraction) = rest.strip_prefix(b".") {
-        let len = digits(fraction);
-        if len == 0 {
-            return false;
+    // The run is ASCII, so it ends on a character boundary.
+    let text = &text[..len];
+    if !is_float {
+        // Prefer exact integer variants when the digits fit.
+        if let Ok(u) = text.parse::<u64>() {
+            return Ok((Json::Uint(u), len));
         }
-        rest = &fraction[len..];
-    }
-    if let Some(exponent) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
-        let exponent = exponent
-            .strip_prefix(b"+")
-            .or_else(|| exponent.strip_prefix(b"-"))
-            .unwrap_or(exponent);
-        let len = digits(exponent);
-        if len == 0 {
-            return false;
+        if let Ok(i) = text.parse::<i64>() {
+            return Ok((Json::Int(i), len));
         }
-        rest = &exponent[len..];
     }
-    rest.is_empty()
+    text.parse::<f64>()
+        .map(|x| (Json::Float(x), len))
+        .map_err(|_| len)
+}
+
+/// The length of the longest prefix of `src` in the grammar of RFC 8259 §6,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, or 0 when no
+/// prefix is a number, and whether it has a fraction or an exponent. Rust's
+/// own number parsers are laxer (`1.`, `.5`, `01`), so a number must pass
+/// this before it reaches them.
+#[inline]
+fn grammatical_prefix(src: &[u8]) -> (usize, bool) {
+    let digits = |from: usize| {
+        src[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let mut len = usize::from(src.first() == Some(&b'-'));
+    match src.get(len) {
+        Some(b'0') => len += 1,
+        Some(b'1'..=b'9') => len += digits(len),
+        _ => return (0, false),
+    }
+    let int_end = len;
+    if src.get(len) == Some(&b'.') {
+        let fraction = digits(len + 1);
+        if fraction == 0 {
+            return (0, false);
+        }
+        len += 1 + fraction;
+    }
+    if let Some(b'e' | b'E') = src.get(len) {
+        let sign = usize::from(matches!(src.get(len + 1), Some(b'+' | b'-')));
+        let exponent = digits(len + 1 + sign);
+        if exponent == 0 {
+            return (0, false);
+        }
+        len += 1 + sign + exponent;
+    }
+    (len, len > int_end)
 }
 
 /// Writes `s` as a quoted JSON string, copying the runs between escapable

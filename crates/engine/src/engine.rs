@@ -404,13 +404,7 @@ impl Engine {
         let fingerprint = ProgramFingerprint::of_axes(axes, &core.config);
         core.stage_fingerprint
             .record_duration(fingerprint_start.elapsed());
-        self.maybe_injected_panic(&fingerprint);
-        // Hit fast path: the cache's *read* lock plus an atomic recency bump —
-        // concurrent hits never serialize, even on the same template. Hits
-        // are served even past the deadline: answering from the cache is
-        // cheaper than composing the error.
-        if let Some(template) = core.cache.get(&fingerprint) {
-            core.hits.inc();
+        if let Some(template) = self.cached_template(&fingerprint) {
             return Ok(template);
         }
 
@@ -453,6 +447,35 @@ impl Engine {
             }
         }
         result
+    }
+
+    /// The cached template whose structural fingerprint is `fingerprint`,
+    /// for a caller that fingerprinted the program itself (the server's
+    /// frame scan does, straight from the frame's bytes). A hit counts and
+    /// fires the [`Self::inject_lookup_panic`] hook exactly as one of
+    /// [`Self::template`]'s does; a miss counts nothing, so a caller that
+    /// then falls back to [`Self::template`] counts one miss in all.
+    ///
+    /// A hit takes the cache's *read* lock plus an atomic recency bump, so
+    /// concurrent hits never serialize, even on the same template. Hits are
+    /// served even past the deadline: answering from the cache is cheaper
+    /// than composing the error.
+    #[must_use]
+    pub fn cached_template(
+        &self,
+        fingerprint: &ProgramFingerprint,
+    ) -> Option<Arc<CompiledTemplate>> {
+        self.maybe_injected_panic(fingerprint);
+        let template = self.core.cache.get(fingerprint)?;
+        self.core.hits.inc();
+        Some(template)
+    }
+
+    /// Records the time a caller of [`Self::cached_template`] spent
+    /// fingerprinting a program, under the `fingerprint` stage that
+    /// [`Self::template`] times its own fingerprinting in.
+    pub fn record_fingerprint_time(&self, elapsed: std::time::Duration) {
+        self.core.stage_fingerprint.record_duration(elapsed);
     }
 
     /// Single-flight leader body: re-check the cache, then compile outside

@@ -62,21 +62,17 @@ impl ProgramFingerprint {
     /// programs whose terms carry structural signs.
     #[must_use]
     pub fn of_program(program: &[PauliRotation], config: &QuClearConfig) -> Self {
-        let mut hasher = Lanes::new();
-        hash_config(&mut hasher, config);
-        // The register size must enter the hash explicitly: BitVec words are
-        // zero-padded, so e.g. "ZZ" and "ZZI" share identical backing words.
-        hasher.write_u64(program.first().map_or(0, PauliRotation::num_qubits) as u64);
-        hasher.write_u64(program.len() as u64);
+        let mut builder = FingerprintBuilder::new(config);
         for rotation in program {
-            hash_axis(
-                &mut hasher,
-                rotation.pauli().x_bits().words(),
-                rotation.pauli().z_bits().words(),
+            let pauli = rotation.pauli();
+            builder.axis(
+                pauli.num_qubits(),
+                pauli.x_bits().words(),
+                pauli.z_bits().words(),
                 false,
             );
         }
-        hasher.finish()
+        builder.finish()
     }
 
     /// Fingerprints a program given as signed Pauli axes.
@@ -85,19 +81,83 @@ impl ProgramFingerprint {
     /// angle), so `-ZZ` and `+ZZ` produce different fingerprints.
     #[must_use]
     pub fn of_axes(axes: &[SignedPauli], config: &QuClearConfig) -> Self {
-        let mut hasher = Lanes::new();
-        hash_config(&mut hasher, config);
-        hasher.write_u64(axes.first().map_or(0, SignedPauli::num_qubits) as u64);
-        hasher.write_u64(axes.len() as u64);
+        let mut builder = FingerprintBuilder::new(config);
         for axis in axes {
-            hash_axis(
-                &mut hasher,
-                axis.pauli().x_bits().words(),
-                axis.pauli().z_bits().words(),
+            let pauli = axis.pauli();
+            builder.axis(
+                pauli.num_qubits(),
+                pauli.x_bits().words(),
+                pauli.z_bits().words(),
                 axis.is_negative(),
             );
         }
-        hasher.finish()
+        builder.finish()
+    }
+}
+
+/// A [`ProgramFingerprint`] fed one axis at a time, as X/Z words, so a
+/// reader can fingerprint a program without building its Pauli strings.
+/// [`ProgramFingerprint::of_program`] and [`ProgramFingerprint::of_axes`]
+/// are loops over it.
+///
+/// # Examples
+///
+/// ```
+/// use quclear_core::QuClearConfig;
+/// use quclear_engine::{FingerprintBuilder, ProgramFingerprint};
+/// use quclear_pauli::SignedPauli;
+///
+/// let config = QuClearConfig::default();
+/// let axes: Vec<SignedPauli> = vec!["XYZ".parse()?, "-ZZI".parse()?];
+/// let mut builder = FingerprintBuilder::new(&config);
+/// builder.axis(3, &[0b011], &[0b110], false);
+/// builder.axis(3, &[0b000], &[0b011], true);
+/// assert_eq!(builder.finish(), ProgramFingerprint::of_axes(&axes, &config));
+/// # Ok::<(), quclear_pauli::ParsePauliError>(())
+/// ```
+#[derive(Debug)]
+pub struct FingerprintBuilder {
+    lanes: Lanes,
+    axes: u64,
+}
+
+impl FingerprintBuilder {
+    /// Starts a fingerprint of a program compiled under `config`.
+    #[must_use]
+    pub fn new(config: &QuClearConfig) -> Self {
+        let mut lanes = Lanes::new();
+        hash_config(&mut lanes, config);
+        FingerprintBuilder { lanes, axes: 0 }
+    }
+
+    /// Adds the next axis: `num_qubits` operators whose X and Z bits are
+    /// `x_words` and `z_words` (64 qubits per word, padding bits zero), with
+    /// its sign.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if either slice is not `num_qubits.div_ceil(64)`
+    /// words long.
+    pub fn axis(&mut self, num_qubits: usize, x_words: &[u64], z_words: &[u64], negative: bool) {
+        debug_assert_eq!(x_words.len(), num_qubits.div_ceil(64));
+        debug_assert_eq!(z_words.len(), num_qubits.div_ceil(64));
+        let lanes = &mut self.lanes;
+        // One header word per axis: the register size enters explicitly,
+        // since the words are zero-padded ("ZZ" and "ZZI" share them), and
+        // it fixes the axis's word count, so the (X, Z) framing is
+        // unambiguous across axes.
+        lanes.write_u64(0x5eed_0000_0000_000f ^ ((num_qubits as u64) << 1 | u64::from(negative)));
+        for &w in x_words.iter().chain(z_words) {
+            lanes.write_u64(w);
+        }
+        self.axes += 1;
+    }
+
+    /// The fingerprint of the axes added so far.
+    #[must_use]
+    pub fn finish(mut self) -> ProgramFingerprint {
+        self.lanes.write_u64(self.axes);
+        self.lanes.finish()
     }
 }
 
@@ -114,18 +174,6 @@ impl fmt::Display for ProgramFingerprint {
     }
 }
 
-fn hash_axis(hasher: &mut Lanes, x_words: &[u64], z_words: &[u64], negative: bool) {
-    // Separators make (X, Z) framing unambiguous across register sizes.
-    hasher.write_u64(0x5eed_0000_0000_000f ^ u64::from(negative));
-    hasher.write_u64(x_words.len() as u64);
-    for &w in x_words {
-        hasher.write_u64(w);
-    }
-    for &w in z_words {
-        hasher.write_u64(w);
-    }
-}
-
 fn hash_config(hasher: &mut Lanes, config: &QuClearConfig) {
     hasher.write_u64(u64::from(config.extraction.recursive_tree));
     hasher.write_u64(u64::from(config.extraction.reorder_commuting));
@@ -133,8 +181,9 @@ fn hash_config(hasher: &mut Lanes, config: &QuClearConfig) {
     hasher.write_u64(u64::from(config.apply_peephole));
 }
 
-/// Two independent 64-bit mixing lanes (SplitMix64-style finalizers over an
-/// FNV-like accumulation), combined into the 128-bit digest.
+/// Two independent 64-bit lanes (a multiply-rotate accumulation each, with
+/// a SplitMix64-style finalizer), combined into the 128-bit digest.
+#[derive(Debug)]
 struct Lanes {
     a: u64,
     b: u64,
@@ -148,9 +197,19 @@ impl Lanes {
         }
     }
 
+    /// Absorbs one word. Each lane's step is a bijection of its state for a
+    /// fixed word and of the word for a fixed state, so two word sequences
+    /// that differ in one position never meet in either lane; the full mix
+    /// runs once, in [`Self::finish`].
     fn write_u64(&mut self, word: u64) {
-        self.a = mix(self.a ^ word, 0xff51_afd7_ed55_8ccd);
-        self.b = mix(self.b.wrapping_add(word), 0xc4ce_b9fe_1a85_ec53);
+        self.a = (self.a ^ word)
+            .wrapping_mul(0xff51_afd7_ed55_8ccd)
+            .rotate_left(29);
+        self.b = self
+            .b
+            .wrapping_add(word)
+            .wrapping_mul(0xc4ce_b9fe_1a85_ec53)
+            .rotate_left(37);
     }
 
     fn finish(&self) -> ProgramFingerprint {
@@ -239,6 +298,17 @@ mod tests {
         assert_ne!(
             ProgramFingerprint::of_program(&[rot("ZZ", 0.1)], &config),
             ProgramFingerprint::of_program(&[rot("ZZI", 0.1)], &config)
+        );
+    }
+
+    #[test]
+    fn every_axis_width_is_part_of_the_key() {
+        // A later axis of another width shares the words of an equal-width
+        // one; the program must not hit the equal-width program's template.
+        let config = QuClearConfig::default();
+        assert_ne!(
+            ProgramFingerprint::of_program(&[rot("ZZ", 0.1), rot("ZZ", 0.1)], &config),
+            ProgramFingerprint::of_program(&[rot("ZZ", 0.1), rot("ZZI", 0.1)], &config)
         );
     }
 

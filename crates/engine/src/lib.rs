@@ -63,7 +63,7 @@ pub use engine::{
     MAX_QUBITS,
 };
 pub use error::EngineError;
-pub use fingerprint::ProgramFingerprint;
+pub use fingerprint::{FingerprintBuilder, ProgramFingerprint};
 pub use singleflight::SingleFlight;
 pub use template::CompiledTemplate;
 

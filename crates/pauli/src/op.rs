@@ -46,7 +46,7 @@ impl PauliOp {
 
     /// Returns the symplectic `(x, z)` bits of the operator.
     #[must_use]
-    pub fn xz(self) -> (bool, bool) {
+    pub const fn xz(self) -> (bool, bool) {
         match self {
             PauliOp::I => (false, false),
             PauliOp::X => (true, false),
@@ -66,7 +66,7 @@ impl PauliOp {
     /// Accepts upper- or lower-case `I`, `X`, `Y`, `Z`. Returns `None` for any
     /// other character.
     #[must_use]
-    pub fn from_char(c: char) -> Option<Self> {
+    pub const fn from_char(c: char) -> Option<Self> {
         match c.to_ascii_uppercase() {
             'I' => Some(PauliOp::I),
             'X' => Some(PauliOp::X),

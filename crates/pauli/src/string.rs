@@ -245,32 +245,78 @@ impl fmt::Debug for PauliString {
     }
 }
 
+impl PauliString {
+    /// Writes one operator letter per qubit of `letters` (`I`, `X`, `Y`,
+    /// `Z`, either case) into the X/Z words `xs` and `zs`, 64 qubits per
+    /// word in [`BitVec`]'s layout, overwriting the first
+    /// `letters.len().div_ceil(64)` words of each and leaving the rest. This
+    /// is the loop [`PauliString`]'s `from_str` runs; a wire decoder can run
+    /// it over a fixed buffer without building a string.
+    ///
+    /// # Errors
+    ///
+    /// The index of the first byte that is not an operator letter; the
+    /// words are then partly written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` or `zs` has fewer than `letters.len().div_ceil(64)`
+    /// words.
+    pub fn letters_into_words(letters: &[u8], xs: &mut [u64], zs: &mut [u64]) -> Result<(), usize> {
+        for (w, chunk) in letters.chunks(64).enumerate() {
+            let (mut x, mut z, mut valid) = (0u64, 0u64, LETTER);
+            for (i, &b) in chunk.iter().enumerate() {
+                let bits = LETTER_BITS[usize::from(b)];
+                valid &= bits;
+                x |= u64::from(bits & 1) << i;
+                z |= u64::from((bits >> 1) & 1) << i;
+            }
+            if valid == 0 {
+                let bad = chunk.iter().position(|&b| LETTER_BITS[usize::from(b)] == 0);
+                return Err(w * 64 + bad.unwrap_or(0));
+            }
+            xs[w] = x;
+            zs[w] = z;
+        }
+        Ok(())
+    }
+}
+
+/// The marker bit of [`LETTER_BITS`].
+const LETTER: u8 = 4;
+
+/// Each byte's operator as [`PauliOp::from_char`] reads it: bit 0 its X
+/// bit, bit 1 its Z bit and [`LETTER`] set, or 0 for a byte that is no
+/// operator letter.
+const LETTER_BITS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        if let Some(op) = PauliOp::from_char(b as u8 as char) {
+            let (x, z) = op.xz();
+            table[b] = LETTER | x as u8 | ((z as u8) << 1);
+        }
+        b += 1;
+    }
+    table
+};
+
 impl FromStr for PauliString {
     type Err = ParsePauliError;
 
-    /// Parses one operator letter per qubit straight into the X/Z words, 64
-    /// qubits per word. Every accepted letter is ASCII, so the byte index of
-    /// the first rejected byte is its qubit index and a character boundary.
+    /// Parses one operator letter per qubit straight into the X/Z words
+    /// ([`PauliString::letters_into_words`]). Every accepted letter is
+    /// ASCII, so the byte index of the first rejected byte is its qubit
+    /// index and a character boundary.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if s.is_empty() {
             return Err(ParsePauliError::Empty);
         }
         let mut p = PauliString::identity(s.len());
         let (xs, zs) = p.xz_words_mut();
-        for (w, chunk) in s.as_bytes().chunks(64).enumerate() {
-            let (mut x, mut z) = (0u64, 0u64);
-            for (i, &b) in chunk.iter().enumerate() {
-                let Some(op) = PauliOp::from_char(char::from(b)) else {
-                    let bad = s[w * 64 + i..].chars().next().unwrap_or(char::from(b));
-                    return Err(ParsePauliError::InvalidCharacter(bad));
-                };
-                let (xb, zb) = op.xz();
-                x |= u64::from(xb) << i;
-                z |= u64::from(zb) << i;
-            }
-            xs[w] = x;
-            zs[w] = z;
-        }
+        PauliString::letters_into_words(s.as_bytes(), xs, zs).map_err(|at| {
+            ParsePauliError::InvalidCharacter(s[at..].chars().next().unwrap_or('?'))
+        })?;
         Ok(p)
     }
 }

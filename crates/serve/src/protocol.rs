@@ -24,9 +24,19 @@
 //! moves its strings out rather than copying them. Every byte this module
 //! writes, and every decode error message, is pinned by the wire corpus
 //! (`tests/wire_corpus.rs`).
+//!
+//! The server reads `compile` and `sweep` frames with
+//! [`ScannedRequest::scan`] first: one pass that fingerprints the axes
+//! straight from the bytes and reads the angles, building no tree, since a
+//! warm answer needs only the template and the angles. Every frame the scan
+//! cannot fully validate, and every other kind, takes [`Request::decode`],
+//! so errors keep that decoder's messages.
 
 use std::io::{self, Read, Write};
 
+use quclear_core::QuClearConfig;
+use quclear_engine::{FingerprintBuilder, ProgramFingerprint, MAX_QUBITS};
+use quclear_pauli::PauliString;
 use quclear_telemetry::MetricsSnapshot;
 use serde::Json;
 
@@ -793,6 +803,333 @@ impl Response {
             }
         };
         Ok(Response { id, body: Ok(body) })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The warm-path scan
+// ---------------------------------------------------------------------------
+
+/// The words of the scan's axis buffer: [`MAX_QUBITS`] qubits, 64 a word.
+const SCAN_WORDS: usize = MAX_QUBITS.div_ceil(64);
+
+/// The angles a scanned frame carries.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ScannedAngles {
+    /// A `compile` frame's angles, one per axis.
+    Compile(Vec<f64>),
+    /// A `sweep` frame's angle sets, in order.
+    Sweep(Vec<Vec<f64>>),
+}
+
+/// One sign bit per program axis, set when the axis is negative: bit
+/// `i % 64` of word `i / 64` for axis `i`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AxisSigns {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl AxisSigns {
+    fn with_capacity(axes: usize) -> Self {
+        AxisSigns {
+            words: Vec::with_capacity(axes.div_ceil(64)),
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, negative: bool) {
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        if negative {
+            self.words[self.len / 64] |= 1 << (self.len % 64);
+        }
+        self.len += 1;
+    }
+
+    /// Folds the signs into one angle set in place (`exp(-iθ/2·(−P)) =
+    /// exp(-i(−θ)/2·P)`), as [`quclear_pauli::PauliRotation::with_signed_pauli`]
+    /// does. A set of another length is left as it is, so its bind reports
+    /// the arity mismatch instead of a silently truncated fold.
+    pub fn fold_into(&self, angles: &mut [f64]) {
+        if angles.len() != self.len {
+            return;
+        }
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let angle = &mut angles[w * 64 + bits.trailing_zeros() as usize];
+                *angle = -*angle;
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+impl FromIterator<bool> for AxisSigns {
+    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut signs = AxisSigns::with_capacity(iter.size_hint().0);
+        for negative in iter {
+            signs.push(negative);
+        }
+        signs
+    }
+}
+
+/// A `compile` or `sweep` frame read in one pass over its bytes, building no
+/// `Json` node, `String` or Pauli string: each axis's letters go straight
+/// into one fixed buffer of X/Z words and from there into the program's
+/// [`ProgramFingerprint`], and its sign into one bit. This is all a warm
+/// request needs, since the template is keyed by the axes alone and binding
+/// needs only the angles and the signs.
+///
+/// [`ScannedRequest::scan`] takes a frame only when it can tell that
+/// [`Request::decode`] accepts it with the same values *and* that the
+/// server's axis parse and angle count check pass: everything else (an
+/// escape, a non-ASCII byte, an unknown or repeated field, a non-number
+/// angle, an axis that does not parse or is wider than [`MAX_QUBITS`], axes
+/// of unequal width, a `compile` whose angle count differs from its axis
+/// count, a syntax error) is declined and takes the tree decoder, so every
+/// error message stays that decoder's.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ScannedRequest<'a> {
+    /// Client-chosen correlation id.
+    pub id: u64,
+    /// The frame's angles, as the tree decoder reads them, bit for bit.
+    pub angles: ScannedAngles,
+    /// The program's sign-stripped axes, fingerprinted as
+    /// [`ProgramFingerprint::of_axes`] does (the template cache's key).
+    pub fingerprint: ProgramFingerprint,
+    /// The axis signs.
+    pub signs: AxisSigns,
+    /// The text between the `program` array's brackets: ASCII, no escapes.
+    program: &'a str,
+}
+
+impl<'a> ScannedRequest<'a> {
+    /// Scans `payload` as a `compile` or `sweep` frame whose program is
+    /// fingerprinted under `config`, or returns `None` when the frame must
+    /// take [`Request::decode`] instead (any other kind, and every frame
+    /// listed in the type's documentation).
+    #[must_use]
+    pub fn scan(payload: &'a [u8], config: &QuClearConfig) -> Option<Self> {
+        // Validating the frame once lets every number be read from `str`
+        // slices; a frame that is not UTF-8 takes the tree decoder's error.
+        let text = std::str::from_utf8(payload).ok()?;
+        let mut scan = Scan {
+            text,
+            src: payload,
+            pos: 0,
+        };
+        let mut id = None;
+        let mut sweep = None;
+        let mut program: Option<(&'a str, FingerprintBuilder, AxisSigns)> = None;
+        let mut angles = None;
+        let mut angle_sets = None;
+        scan.expect(b'{')?;
+        loop {
+            let key = scan.plain_str()?;
+            scan.expect(b':')?;
+            let axes = program.as_ref().map(|(_, _, signs)| signs.len);
+            match key {
+                b"id" if id.is_none() => id = Some(scan.number()?.as_u64()?),
+                b"kind" if sweep.is_none() => {
+                    sweep = Some(match scan.plain_str()? {
+                        b"compile" => false,
+                        b"sweep" => true,
+                        _ => return None,
+                    });
+                }
+                b"program" if program.is_none() => program = Some(scan.program(config)?),
+                b"angles" if angles.is_none() => angles = Some(scan.numbers(axes)?),
+                b"angle_sets" if angle_sets.is_none() => {
+                    angle_sets = Some(scan.number_sets(axes)?);
+                }
+                _ => return None,
+            }
+            if !scan.eat(b',') {
+                break;
+            }
+        }
+        scan.expect(b'}')?;
+        scan.skip_ws();
+        if scan.pos != payload.len() {
+            return None;
+        }
+        let (program, fingerprint, signs) = program?;
+        let angles = match (sweep?, angles, angle_sets) {
+            (false, Some(angles), None) if angles.len() == signs.len => {
+                ScannedAngles::Compile(angles)
+            }
+            (true, None, Some(sets)) => ScannedAngles::Sweep(sets),
+            _ => return None,
+        };
+        Some(ScannedRequest {
+            id: id?,
+            angles,
+            fingerprint: fingerprint.finish(),
+            signs,
+            program,
+        })
+    }
+
+    /// The request's wire kind name.
+    #[must_use]
+    pub fn kind_name(&self) -> &'static str {
+        match self.angles {
+            ScannedAngles::Compile(_) => "compile",
+            ScannedAngles::Sweep(_) => "sweep",
+        }
+    }
+
+    /// The program's axes as the frame spells them, signs included: what a
+    /// template miss parses.
+    pub fn axes(&self) -> impl Iterator<Item = &'a str> {
+        // The scan checked that the span is quoted strings without escapes,
+        // separated by commas and whitespace.
+        self.program.split('"').skip(1).step_by(2)
+    }
+}
+
+/// The scan's cursor: the frame's bytes and the next one to read. Its
+/// whitespace set and number grammar are the tree parser's
+/// (`serde_json::from_str`, whose number reader it calls).
+struct Scan<'a> {
+    /// The frame; `src` is its bytes.
+    text: &'a str,
+    src: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.src.get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        let found = self.src.get(self.pos) == Some(&byte);
+        self.pos += usize::from(found);
+        found
+    }
+
+    fn expect(&mut self, byte: u8) -> Option<()> {
+        self.eat(byte).then_some(())
+    }
+
+    /// A string holding only printable ASCII other than `\`, without its
+    /// quotes.
+    fn plain_str(&mut self) -> Option<&'a [u8]> {
+        self.expect(b'"')?;
+        let rest = &self.src[self.pos..];
+        let len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || !(0x20..0x80).contains(&b))?;
+        if rest[len] != b'"' {
+            return None;
+        }
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+
+    /// A number, read by the tree parser's own reader, so its grammar and its
+    /// `Uint`/`Int`/`Float` classification are the tree's.
+    fn number(&mut self) -> Option<Json> {
+        self.skip_ws();
+        if !matches!(self.src.get(self.pos), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        // Every byte before `pos` that the scan read is ASCII, so `pos` is
+        // a character boundary.
+        let (value, len) = serde_json::number_prefix(&self.text[self.pos..]).ok()?;
+        self.pos += len;
+        Some(value)
+    }
+
+    /// An array of numbers as `f64`s, in a vector sized up front, so reading
+    /// it allocates once: `len` numbers when the caller knows how many to
+    /// expect (a program read before its angles: one per axis), else one
+    /// more than the commas before the first `]`.
+    fn numbers(&mut self, len: Option<usize>) -> Option<Vec<f64>> {
+        self.expect(b'[')?;
+        let len = len.unwrap_or_else(|| {
+            let rest = &self.src[self.pos..];
+            let end = rest.iter().position(|&b| b == b']').unwrap_or(rest.len());
+            rest[..end].iter().filter(|&&b| b == b',').count() + 1
+        });
+        let mut out = Vec::with_capacity(len);
+        if self.eat(b']') {
+            return Some(out);
+        }
+        loop {
+            out.push(self.number()?.as_f64()?);
+            if !self.eat(b',') {
+                self.expect(b']')?;
+                return Some(out);
+            }
+        }
+    }
+
+    /// An array of [`Self::numbers`] arrays, each expected `len` long.
+    fn number_sets(&mut self, len: Option<usize>) -> Option<Vec<Vec<f64>>> {
+        self.expect(b'[')?;
+        let mut sets = Vec::new();
+        if self.eat(b']') {
+            return Some(sets);
+        }
+        loop {
+            sets.push(self.numbers(len)?);
+            if !self.eat(b',') {
+                self.expect(b']')?;
+                return Some(sets);
+            }
+        }
+    }
+
+    /// The `program` array: its span, the fingerprint of its sign-stripped
+    /// axes so far and their signs. Each axis's letters are read into one
+    /// fixed buffer of X/Z words by the word loop `PauliString::from_str`
+    /// runs; the sign strip is `SignedPauli::from_str`'s.
+    fn program(
+        &mut self,
+        config: &QuClearConfig,
+    ) -> Option<(&'a str, FingerprintBuilder, AxisSigns)> {
+        self.expect(b'[')?;
+        let start = self.pos;
+        let mut builder = FingerprintBuilder::new(config);
+        // Every axis takes at least four bytes (`"Z",`).
+        let mut signs = AxisSigns::with_capacity((self.src.len() - start) / 4 + 1);
+        let (mut xs, mut zs) = ([0u64; SCAN_WORDS], [0u64; SCAN_WORDS]);
+        let mut width = None;
+        let mut end = self.pos;
+        if !self.eat(b']') {
+            loop {
+                let axis = self.plain_str()?;
+                let (negative, letters) = match axis.split_first() {
+                    Some((b'-', rest)) => (true, rest),
+                    Some((b'+', rest)) => (false, rest),
+                    _ => (false, axis),
+                };
+                let n = letters.len();
+                if n == 0 || n > MAX_QUBITS || *width.get_or_insert(n) != n {
+                    return None;
+                }
+                let words = n.div_ceil(64);
+                PauliString::letters_into_words(letters, &mut xs, &mut zs).ok()?;
+                builder.axis(n, &xs[..words], &zs[..words], false);
+                signs.push(negative);
+                end = self.pos;
+                if !self.eat(b',') {
+                    self.expect(b']')?;
+                    break;
+                }
+            }
+        }
+        Some((&self.text[start..end], builder, signs))
     }
 }
 

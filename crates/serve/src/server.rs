@@ -31,7 +31,6 @@
 //!   workers drain, and [`Server::join`] returns only when every thread has
 //!   exited — no leaks, no aborted writes.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -50,8 +49,8 @@ use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::protocol::{
-    write_frame_with_limit, CompiledSummary, Request, RequestKind, Response, ResponseBody,
-    StatsSummary, WireError, MAX_FRAME_BYTES,
+    write_frame_with_limit, AxisSigns, CompiledSummary, Request, RequestKind, Response,
+    ResponseBody, ScannedAngles, ScannedRequest, StatsSummary, WireError, MAX_FRAME_BYTES,
 };
 
 /// Metric family: per-request-kind handling latency, in nanoseconds
@@ -426,6 +425,20 @@ impl Server {
         self.shared.local_addr
     }
 
+    /// Answers one request frame's payload in process, as a worker does
+    /// between reading the frame and writing the answer: decode, handle and
+    /// encode, counted as a served request. It exists to time and probe the
+    /// served path without a socket; a `shutdown` request still stops the
+    /// server when remote shutdown is allowed.
+    #[must_use]
+    pub fn answer(&self, payload: &[u8]) -> Vec<u8> {
+        let shared = &*self.shared;
+        shared.metrics.frame_bytes_in.record(payload.len() as u64);
+        let (response, kind, _) = respond(shared, payload);
+        shared.metrics.requests_served.inc();
+        encode_response(shared, &response, kind)
+    }
+
     /// The engine behind the server (e.g. to inspect stats directly).
     #[must_use]
     pub fn engine(&self) -> &Arc<Engine> {
@@ -639,7 +652,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 crate::faults::WriteFault::Disconnect => return,
             }
         }
-        let sent = send_response(shared, &mut stream, response, kind);
+        let sent = send_response(shared, &mut stream, &response, kind);
         if sent.is_err() || matches!(continuation, Continuation::CloseConnection) {
             return;
         }
@@ -655,9 +668,15 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 fn send_response(
     shared: &Shared,
     stream: &mut TcpStream,
-    response: Response,
+    response: &Response,
     kind: &str,
 ) -> io::Result<()> {
+    let encoded = encode_response(shared, response, kind);
+    write_frame_with_limit(stream, &encoded, shared.config.max_frame_bytes)
+}
+
+/// Encodes a response within the frame cap, as [`send_response`] sends it.
+fn encode_response(shared: &Shared, response: &Response, kind: &str) -> Vec<u8> {
     let max = shared.config.max_frame_bytes;
     let mut encoded = response.encode();
     if encoded.len() > max {
@@ -671,7 +690,7 @@ fn send_response(
         encoded = too_large.encode();
     }
     shared.metrics.frame_bytes_out.record(encoded.len() as u64);
-    write_frame_with_limit(stream, &encoded, max)
+    encoded
 }
 
 /// The `response_too_large` error for an answer of `size` (`5000 bytes`,
@@ -691,24 +710,30 @@ fn response_too_large(size: &str, max: usize) -> WireError {
 /// decoding or handling are converted into an error response carrying the
 /// panic text.
 fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continuation) {
-    let request = match Request::decode(payload) {
-        Ok(request) => request,
-        Err(error) => {
-            shared.metrics.error("unknown").inc();
-            // The id could not be recovered; answer on id 0 so the client
-            // can at least surface the failure.
-            return (
-                Response {
-                    id: 0,
-                    body: Err(error),
-                },
-                "unknown",
-                Continuation::KeepServing,
-            );
-        }
+    let scan_start = Instant::now();
+    let request = match ScannedRequest::scan(payload, shared.engine.config()) {
+        Some(scanned) => Decoded::Scanned(scanned, scan_start.elapsed()),
+        None => match Request::decode(payload) {
+            Ok(request) => Decoded::Tree(request),
+            Err(error) => {
+                shared.metrics.error("unknown").inc();
+                // The id could not be recovered; answer on id 0 so the client
+                // can at least surface the failure.
+                return (
+                    Response {
+                        id: 0,
+                        body: Err(error),
+                    },
+                    "unknown",
+                    Continuation::KeepServing,
+                );
+            }
+        },
     };
-    let id = request.id;
-    let kind_name = request.kind.name();
+    let (id, kind_name) = match &request {
+        Decoded::Scanned(scanned, _) => (scanned.id, scanned.kind_name()),
+        Decoded::Tree(request) => (request.id, request.kind.name()),
+    };
     // The request's time-in-system budget starts now — after the frame was
     // read, before any pipeline stage. One absolute deadline is shared by
     // every stage (and every bind of a sweep), so slow stages eat into the
@@ -718,8 +743,12 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continua
         .request_deadline
         .map_or(Deadline::none(), Deadline::within);
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        handle_request(shared, request.kind, deadline)
+    let outcome = catch_unwind(AssertUnwindSafe(|| match request {
+        Decoded::Scanned(scanned, scan_time) => (
+            handle_scanned(shared, scanned, scan_time, deadline),
+            Continuation::KeepServing,
+        ),
+        Decoded::Tree(request) => handle_request(shared, request.kind, deadline),
     }));
     shared
         .metrics
@@ -758,6 +787,52 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continua
     }
 }
 
+/// A request frame, read by the scan or decoded as a tree.
+enum Decoded<'a> {
+    /// A `compile` or `sweep` frame the scan read, with the scan's time.
+    Scanned(ScannedRequest<'a>, Duration),
+    /// Every other frame.
+    Tree(Request),
+}
+
+/// Answers a scanned `compile` or `sweep` under the request's deadline. A
+/// template hit needs no parsed axis: the scan's fingerprint finds the
+/// template and its sign bits fold the angles; the scan's time is the
+/// lookup's fingerprint stage. A miss parses the axes from the frame and
+/// looks them up as the tree path does, so it counts one miss.
+fn handle_scanned(
+    shared: &Shared,
+    scanned: ScannedRequest<'_>,
+    scan_time: Duration,
+    deadline: Deadline,
+) -> Result<ResponseBody, WireError> {
+    let engine = shared.engine.with_deadline(deadline);
+    let template = match engine.cached_template(&scanned.fingerprint) {
+        Some(template) => {
+            engine.record_fingerprint_time(scan_time);
+            template
+        }
+        None => {
+            let (axes, _) = split_signs(parse_axes(scanned.axes())?);
+            engine.template(&axes).map_err(|e| engine_error(&e))?
+        }
+    };
+    match scanned.angles {
+        ScannedAngles::Compile(mut angles) => {
+            scanned.signs.fold_into(&mut angles);
+            bind_summary(&engine, &template, &angles).map(ResponseBody::Compiled)
+        }
+        ScannedAngles::Sweep(angle_sets) => sweep_points(
+            &engine,
+            &template,
+            &scanned.signs,
+            angle_sets,
+            shared.config.max_frame_bytes,
+            deadline,
+        ),
+    }
+}
+
 /// Dispatches one decoded request against the shared engine under the
 /// request's deadline.
 fn handle_request(
@@ -767,14 +842,14 @@ fn handle_request(
 ) -> (Result<ResponseBody, WireError>, Continuation) {
     let engine = shared.engine.with_deadline(deadline);
     let body = match kind {
-        RequestKind::Compile { program, angles } => compile(&engine, &program, &angles),
+        RequestKind::Compile { program, angles } => compile(&engine, &program, angles),
         RequestKind::Sweep {
             program,
             angle_sets,
         } => sweep(
             &engine,
             &program,
-            &angle_sets,
+            angle_sets,
             shared.config.max_frame_bytes,
             deadline,
         ),
@@ -824,10 +899,13 @@ fn handle_request(
 }
 
 /// Parses the wire spelling of a rotation program into signed axes.
-fn parse_axes(program: &[String]) -> Result<Vec<SignedPauli>, WireError> {
+fn parse_axes<S: AsRef<str>>(
+    program: impl IntoIterator<Item = S>,
+) -> Result<Vec<SignedPauli>, WireError> {
     program
-        .iter()
+        .into_iter()
         .map(|axis| {
+            let axis = axis.as_ref();
             axis.parse::<SignedPauli>().map_err(|e| {
                 WireError::new("bad_program", format!("axis `{axis}` does not parse: {e}"))
             })
@@ -875,27 +953,13 @@ fn check_angle_count(axes: &[SignedPauli], angles: &[f64]) -> Result<(), WireErr
 /// Splits signed axes into the positive axes the engine's template cache
 /// keys on (the key `estimate` and `absorb` look up too) and each axis's
 /// sign, moving every Pauli string.
-fn split_signs(axes: Vec<SignedPauli>) -> (Vec<SignedPauli>, Vec<bool>) {
-    axes.into_iter()
-        .map(|axis| {
-            let negative = axis.is_negative();
-            (SignedPauli::positive(axis.into_pauli()), negative)
-        })
-        .unzip()
-}
-
-/// Folds the axis signs into one angle set, as [`PauliRotation::with_signed_pauli`]
-/// does. A set of the wrong length passes unfolded (folding would silently
-/// truncate it), so its bind reports the arity mismatch.
-fn fold_signs<'a>(angles: &'a [f64], negative: &[bool]) -> Cow<'a, [f64]> {
-    if angles.len() != negative.len() || !negative.contains(&true) {
-        return Cow::Borrowed(angles);
-    }
-    angles
-        .iter()
-        .zip(negative)
-        .map(|(&angle, &negative)| if negative { -angle } else { angle })
-        .collect()
+fn split_signs(axes: Vec<SignedPauli>) -> (Vec<SignedPauli>, AxisSigns) {
+    let signs = axes.iter().map(SignedPauli::is_negative).collect();
+    let axes = axes
+        .into_iter()
+        .map(|axis| SignedPauli::positive(axis.into_pauli()))
+        .collect();
+    (axes, signs)
 }
 
 /// Binds one angle set to a template the request looked up, and renders it.
@@ -921,16 +985,33 @@ fn summarize_qasm(shared: &Shared, result: &QuClearResult) -> ResponseBody {
     ResponseBody::Compiled(summarize(result, texts))
 }
 
-fn compile(engine: &Engine, program: &[String], angles: &[f64]) -> Result<ResponseBody, WireError> {
+fn compile(
+    engine: &Engine,
+    program: &[String],
+    mut angles: Vec<f64>,
+) -> Result<ResponseBody, WireError> {
     let axes = parse_axes(program)?;
-    check_angle_count(&axes, angles)?;
-    let (axes, negative) = split_signs(axes);
+    check_angle_count(&axes, &angles)?;
+    let (axes, signs) = split_signs(axes);
     let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
-    bind_summary(engine, &template, &fold_signs(angles, &negative)).map(ResponseBody::Compiled)
+    signs.fold_into(&mut angles);
+    bind_summary(engine, &template, &angles).map(ResponseBody::Compiled)
 }
 
-/// One template lookup, then one bind and render per angle set; each set's
-/// failure lands in its own slot.
+fn sweep(
+    engine: &Engine,
+    program: &[String],
+    angle_sets: Vec<Vec<f64>>,
+    max_bytes: usize,
+    deadline: Deadline,
+) -> Result<ResponseBody, WireError> {
+    let (axes, signs) = split_signs(parse_axes(program)?);
+    let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
+    sweep_points(engine, &template, &signs, angle_sets, max_bytes, deadline)
+}
+
+/// One bind and render per angle set of a sweep, on the template its
+/// program looked up; each set's failure lands in its own slot.
 ///
 /// The answer is bounded while it is built, so a small request cannot make
 /// the server hold far more than `max_bytes` before `send_response` sees
@@ -946,24 +1027,24 @@ fn compile(engine: &Engine, program: &[String], angles: &[f64]) -> Result<Respon
 /// point that takes it past the cap. (The skeleton's text is not counted
 /// up front: a bind with a zero-angle slot re-runs the peephole and may
 /// render shorter than it.)
-fn sweep(
+fn sweep_points(
     engine: &Engine,
-    program: &[String],
-    angle_sets: &[Vec<f64>],
+    template: &CompiledTemplate,
+    signs: &AxisSigns,
+    angle_sets: Vec<Vec<f64>>,
     max_bytes: usize,
     deadline: Deadline,
 ) -> Result<ResponseBody, WireError> {
-    let (axes, negative) = split_signs(parse_axes(program)?);
-    let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
     let validating = angle_sets
         .iter()
-        .filter(|set| set.len() == axes.len() && set.iter().all(|a| a.is_finite()))
+        .filter(|set| set.len() == template.num_params() && set.iter().all(|a| a.is_finite()))
         .count();
     let mut points = Vec::with_capacity(angle_sets.len());
     let mut text_bytes = 0;
     let mut first = true;
-    for set in angle_sets {
-        let point = bind_summary(engine, &template, &fold_signs(set, &negative));
+    for mut set in angle_sets {
+        signs.fold_into(&mut set);
+        let point = bind_summary(engine, template, &set);
         if let Ok(summary) = &point {
             if std::mem::take(&mut first) && !deadline.expired() {
                 let floor = validating.saturating_mul(summary.extracted_qasm.len());
@@ -1094,14 +1175,18 @@ mod tests {
         let engine = Engine::new(4);
         let program = vec!["Z".repeat(200)];
         let sets = vec![vec![0.5]; 10];
-        let Ok(ResponseBody::Sweep(one)) =
-            sweep(&engine, &program, &sets[..1], usize::MAX, Deadline::none())
-        else {
+        let Ok(ResponseBody::Sweep(one)) = sweep(
+            &engine,
+            &program,
+            sets[..1].to_vec(),
+            usize::MAX,
+            Deadline::none(),
+        ) else {
             panic!("one point fits");
         };
         let point = one[0].as_ref().expect("the point binds");
         let cap = 3 * (point.optimized_qasm.len() + point.extracted_qasm.len());
-        let refusal = |deadline| match sweep(&engine, &program, &sets, cap, deadline) {
+        let refusal = |deadline| match sweep(&engine, &program, sets.clone(), cap, deadline) {
             Err(error) => error.message,
             Ok(_) => panic!("ten points cannot fit three"),
         };

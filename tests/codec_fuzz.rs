@@ -19,8 +19,10 @@ use std::io::{self, Read};
 use proptest::prelude::*;
 use quclear_circuit::qasm::{from_qasm, to_qasm};
 use quclear_circuit::{Circuit, Gate};
+use quclear_core::QuClearConfig;
+use quclear_engine::ProgramFingerprint;
 use quclear_pauli::{ParsePauliError, SignedPauli};
-use quclear_serve::protocol::{read_frame, MAX_FRAME_BYTES};
+use quclear_serve::protocol::{read_frame, ScannedAngles, ScannedRequest, MAX_FRAME_BYTES};
 use quclear_serve::{Request, RequestKind, Response, WireError};
 
 /// The encoded frames of the wire corpus (its non-error lines).
@@ -75,6 +77,7 @@ fn check_decoders(bytes: &[u8]) -> Result<(), String> {
     if let Ok(text) = std::str::from_utf8(bytes) {
         check_pauli(text)?;
     }
+    check_scan(bytes)?;
 
     match Request::decode(bytes) {
         Ok(request) => {
@@ -109,6 +112,145 @@ fn check_decoders(bytes: &[u8]) -> Result<(), String> {
         Err(error) => assert_typed(&error, "bad_response")?,
     }
     Ok(())
+}
+
+/// Whatever the warm-path scan accepts, the tree decoder accepts with the
+/// same id, kind and angles (bit for bit); the axes parse, their signs are
+/// the scan's sign bits and their sign-stripped fingerprint is the scan's;
+/// a `compile` has one angle per axis. Returns whether the scan took it.
+fn check_scan(bytes: &[u8]) -> Result<bool, String> {
+    let config = QuClearConfig::default();
+    let Some(scanned) = ScannedRequest::scan(bytes, &config) else {
+        return Ok(false);
+    };
+    let request = Request::decode(bytes);
+    prop_assert!(
+        request.is_ok(),
+        "scanned frame rejected by the tree: {request:?}"
+    );
+    let request = request.unwrap();
+    prop_assert_eq!(request.id, scanned.id);
+    let bits = |set: &[f64]| set.iter().map(|a| a.to_bits()).collect::<Vec<u64>>();
+    let program = match (&request.kind, &scanned.angles) {
+        (RequestKind::Compile { program, angles }, ScannedAngles::Compile(scanned_angles)) => {
+            prop_assert_eq!(bits(angles), bits(scanned_angles));
+            prop_assert_eq!(program.len(), angles.len());
+            program
+        }
+        (
+            RequestKind::Sweep {
+                program,
+                angle_sets,
+            },
+            ScannedAngles::Sweep(scanned_sets),
+        ) => {
+            prop_assert_eq!(angle_sets.len(), scanned_sets.len());
+            for (set, scanned_set) in angle_sets.iter().zip(scanned_sets) {
+                prop_assert_eq!(bits(set), bits(scanned_set));
+            }
+            program
+        }
+        (kind, angles) => return Err(format!("kinds differ: {kind:?} vs {angles:?}")),
+    };
+    let axes: Vec<SignedPauli> = program
+        .iter()
+        .map(|axis| axis.parse::<SignedPauli>())
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("a scanned axis does not parse: {e}"))?;
+    let signs = axes.iter().map(SignedPauli::is_negative).collect();
+    prop_assert_eq!(&scanned.signs, &signs);
+    let positive: Vec<SignedPauli> = axes
+        .into_iter()
+        .map(|axis| SignedPauli::positive(axis.into_pauli()))
+        .collect();
+    prop_assert_eq!(
+        scanned.fingerprint,
+        ProgramFingerprint::of_axes(&positive, &config)
+    );
+    let spelled: Vec<&str> = scanned.axes().collect();
+    prop_assert_eq!(
+        spelled,
+        program.iter().map(String::as_str).collect::<Vec<_>>()
+    );
+    Ok(true)
+}
+
+/// One random axis spelling over `n` qubits: mixed case, an optional sign.
+fn spell_axis(n: usize, draws: &[u8]) -> String {
+    let sign = ["", "+", "-"][usize::from(draws[0]) % 3];
+    let letters: String = (0..n)
+        .map(|q| {
+            b"IXYZixyz"[usize::from(draws[(q % (draws.len() - 1)) + 1] ^ (q as u8)) % 8] as char
+        })
+        .collect();
+    format!("{sign}{letters}")
+}
+
+/// One number, spelled one of several ways the tree accepts.
+fn spell_number(pick: u8, x: f64) -> String {
+    match pick % 8 {
+        0 => "-0".to_string(),
+        1 => "123456789012345678901234567890".to_string(),
+        2 => "1e999".to_string(),
+        3 => format!("{}", x.trunc() as i64),
+        4 => format!("{x:e}"),
+        5 => "-18446744073709551616".to_string(),
+        6 => "2.5E-3".to_string(),
+        _ => format!("{x:?}"),
+    }
+}
+
+/// A random valid `compile` or `sweep` frame: fields in a random order,
+/// whitespace between every token, numbers spelled many ways.
+fn random_frame(sweep: bool, n: usize, axes: usize, draws: &[u8], order: usize) -> String {
+    let ws = |i: usize| [" ", "\t", "\n", "\r\n ", ""][usize::from(draws[i % draws.len()]) % 5];
+    let program: Vec<String> = (0..axes)
+        .map(|a| {
+            format!(
+                "{}\"{}\"{}",
+                ws(a),
+                spell_axis(n, &draws[a % 8..]),
+                ws(a + 1)
+            )
+        })
+        .collect();
+    let numbers = |salt: usize| -> String {
+        let items: Vec<String> = (0..axes)
+            .map(|a| {
+                let draw = draws[(a + salt) % draws.len()];
+                let x = (f64::from(draw) - 128.0) * 0.0371 * (a as f64 + 1.0);
+                format!("{}{}{}", ws(a + salt), spell_number(draw, x), ws(a + 2))
+            })
+            .collect();
+        format!("[{}]", items.join(","))
+    };
+    let angles = if sweep {
+        let sets: Vec<String> = (0..1 + usize::from(draws[0]) % 3).map(numbers).collect();
+        format!("\"angle_sets\"{}:{}[{}]", ws(3), ws(4), sets.join(","))
+    } else {
+        format!("\"angles\"{}:{}{}", ws(5), ws(6), numbers(0))
+    };
+    let kind = if sweep { "sweep" } else { "compile" };
+    let mut fields = [
+        format!(
+            "\"id\"{}:{}{}",
+            ws(7),
+            ws(8),
+            u64::from(draws[1]) * 1_000_003
+        ),
+        format!("\"kind\":{}\"{kind}\"", ws(9)),
+        format!("\"program\"{}:[{}]", ws(10), program.join(",")),
+        angles,
+    ];
+    fields.rotate_left(order % 4);
+    if order & 4 != 0 {
+        fields.swap(0, 1);
+    }
+    let body: Vec<String> = fields
+        .iter()
+        .map(|f| format!("{}{f}{}", ws(11), ws(12)))
+        .collect();
+    format!("{}{{{}}}{}", ws(13), body.join(","), ws(14))
 }
 
 /// `SignedPauli::from_str` fails only as `Empty` or on a character that is
@@ -174,6 +316,93 @@ proptest! {
         }
         check_decoders(&frame)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Random valid `compile`/`sweep` frames take the scan, and the scan
+    /// reads what the tree decoder reads (`check_scan`), on 1–1,024
+    /// qubits, across 64-bit word boundaries.
+    #[test]
+    fn valid_frames_take_the_scan_and_agree_with_the_tree(
+        sweep in any::<bool>(),
+        n in 1usize..=1024,
+        axes in 0usize..12,
+        draws in prop::collection::vec(any::<u8>(), 16..32),
+        order in 0usize..8,
+    ) {
+        let frame = random_frame(sweep, n, axes, &draws, order);
+        prop_assert!(check_scan(frame.as_bytes())?, "declined valid frame {frame}");
+    }
+
+    /// The scan's fingerprint changes with one letter, with the order of
+    /// two axes and with the register size.
+    #[test]
+    fn the_scan_fingerprint_tells_programs_apart(
+        n in 1usize..=200,
+        draws in prop::collection::vec(any::<u8>(), 16..32),
+        at in any::<usize>(),
+    ) {
+        let config = QuClearConfig::default();
+        let frame = |program: &[String]| {
+            Request {
+                id: 1,
+                kind: RequestKind::Compile { program: program.to_vec(), angles: vec![0.5; program.len()] },
+            }
+            .encode()
+        };
+        let fingerprint = |program: &[String]| {
+            ScannedRequest::scan(&frame(program), &config).map(|s| s.fingerprint)
+        };
+        let a = spell_axis(n, &draws).trim_start_matches(['+', '-']).to_ascii_uppercase();
+        let b = spell_axis(n, &draws[3..]).trim_start_matches(['+', '-']).to_ascii_uppercase();
+        let base = fingerprint(&[a.clone(), b.clone()]).unwrap();
+        let q = at % n;
+        let mut changed = a.clone().into_bytes();
+        changed[q] = if changed[q] == b'X' { b'Z' } else { b'X' };
+        let changed = String::from_utf8(changed).unwrap();
+        prop_assert_ne!(fingerprint(&[changed, b.clone()]).unwrap(), base);
+        if a != b {
+            prop_assert_ne!(fingerprint(&[b.clone(), a.clone()]).unwrap(), base);
+        }
+        prop_assert_ne!(fingerprint(&[format!("{a}I"), format!("{b}I")]).unwrap(), base);
+    }
+}
+
+/// Frames the scan cannot fully validate are declined, so they take the
+/// tree decoder and its exact error or value.
+#[test]
+fn the_scan_declines_what_it_cannot_validate() {
+    let config = QuClearConfig::default();
+    for frame in [
+        r#"{"id":1,"kind":"compile","program":["Z\u0049"],"angles":[0.5]}"#,
+        r#"{"id":1,"id":2,"kind":"compile","program":["ZI"],"angles":[0.5]}"#,
+        r#"{"id":1,"kind":"compile","program":["ZI"],"angles":[0.5],"extra":0}"#,
+        r#"{"id":1,"kind":"compile","program":["ZI"],"angles":[null]}"#,
+        r#"{"id":1,"kind":"compile","program":["ZI"],"angles":[0.5,]}"#,
+        r#"{"id":1,"kind":"compile","program":["ZI","Z"],"angles":[0.5,0.5]}"#,
+        r#"{"id":1,"kind":"compile","program":["ZI"],"angles":[0.5,0.5]}"#,
+        r#"{"id":1,"kind":"compile","program":["ZQ"],"angles":[0.5]}"#,
+        r#"{"id":1,"kind":"compile","program":["é"],"angles":[0.5]}"#,
+        r#"{"id":1,"kind":"compile","program":[""],"angles":[0.5]}"#,
+        r#"{"id":1,"kind":"estimate","program":["ZI"],"angles":[0.5]}"#,
+        r#"{"id":-1,"kind":"compile","program":["ZI"],"angles":[0.5]}"#,
+        r#"{"id":1,"kind":"sweep","program":["ZI"],"angles":[0.5]}"#,
+        r#"{"id":1,"kind":"compile","program":["ZI"],"angles":[0.5]} x"#,
+    ] {
+        assert!(
+            ScannedRequest::scan(frame.as_bytes(), &config).is_none(),
+            "the scan took {frame}"
+        );
+        check_decoders(frame.as_bytes()).unwrap();
+    }
+    let wide = format!(
+        r#"{{"id":1,"kind":"compile","program":["{}"],"angles":[0.5]}}"#,
+        "Z".repeat(1025)
+    );
+    assert!(ScannedRequest::scan(wide.as_bytes(), &config).is_none());
+    assert!(ScannedRequest::scan(&[0xff, b'{'], &config).is_none());
 }
 
 #[test]
