@@ -546,8 +546,12 @@ impl ExtractionState {
                         add_one(&mut sums[ON_X], x & !z);
                     }
                 }
+                // An all-zero sum adds nothing; on {I, Z} blocks that is
+                // every Y and X counter.
                 for (c, sum) in sums.iter().enumerate() {
-                    counts.add(w, c, sum);
+                    if sum.iter().any(|&plane| plane != 0) {
+                        counts.add(w, c, sum);
+                    }
                 }
             }
         }
