@@ -2,12 +2,13 @@
 //!
 //! A warm `compile` or `sweep` needs only the template its axes key and the
 //! angles, so the server reads those frames with one scan
-//! (`ScannedRequest::scan`) that fingerprints the axes straight from the
-//! frame's bytes. Three ids time that path without a socket:
+//! (`ScannedRequest::scan`) that reads the axes' X/Z words straight from
+//! the frame's bytes and fingerprints them. Three ids time that path
+//! without a socket:
 //!
 //! - `serve_path/decode_to_hit/H2O`: a warm H2O `compile` frame (184 axes,
 //!   full-precision angles) from its bytes to the template hit, i.e. the
-//!   scan plus `Engine::cached_template`;
+//!   scan, its fingerprint and `Engine::cached_template`;
 //! - `serve_path/compile/H2O`: the whole in-process answer to that frame
 //!   (`Server::answer`: scan, lookup, bind, render, `Response::encode`);
 //! - `serve_path/sweep/MaxCut-(n20, r8)`: `Server::answer` of `qaoa_sweep`'s
@@ -76,7 +77,7 @@ fn warm_server(engine: &Arc<Engine>, frames: &[&[u8]]) -> Server {
     let server = Server::bind("127.0.0.1:0", Arc::clone(engine), config).expect("bind loopback");
     for frame in frames {
         assert!(
-            ScannedRequest::scan(frame, engine.config()).is_some(),
+            ScannedRequest::scan(frame).is_some(),
             "the frame must take the scan"
         );
         let cold = Response::decode(&server.answer(frame)).expect("the answer decodes");
@@ -112,8 +113,10 @@ fn bench_serve_path(c: &mut Criterion) {
         &h2o,
         |b, frame| {
             b.iter(|| {
-                let scanned = ScannedRequest::scan(black_box(frame), engine.config()).unwrap();
-                engine.cached_template(&scanned.fingerprint).unwrap()
+                let scanned = ScannedRequest::scan(black_box(frame)).unwrap();
+                engine
+                    .cached_template(&scanned.fingerprint(engine.config()))
+                    .unwrap()
             });
         },
     );

@@ -471,9 +471,11 @@ impl Engine {
         Some(template)
     }
 
-    /// Records the time a caller of [`Self::cached_template`] spent
-    /// fingerprinting a program, under the `fingerprint` stage that
-    /// [`Self::template`] times its own fingerprinting in.
+    /// Records the time a caller of [`Self::cached_template`] spent hashing
+    /// a program's X/Z words into its fingerprint, under the `fingerprint`
+    /// stage that [`Self::template`] times its own hashing in. Only the
+    /// hash belongs there: reading the words from a frame is the caller's
+    /// decode.
     pub fn record_fingerprint_time(&self, elapsed: std::time::Duration) {
         self.core.stage_fingerprint.record_duration(elapsed);
     }

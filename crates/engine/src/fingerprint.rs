@@ -181,8 +181,8 @@ fn hash_config(hasher: &mut Lanes, config: &QuClearConfig) {
     hasher.write_u64(u64::from(config.apply_peephole));
 }
 
-/// Two independent 64-bit lanes (a multiply-rotate accumulation each, with
-/// a SplitMix64-style finalizer), combined into the 128-bit digest.
+/// Two independent 64-bit mixing lanes (SplitMix64-style finalizers over an
+/// FNV-like accumulation), combined into the 128-bit digest.
 #[derive(Debug)]
 struct Lanes {
     a: u64,
@@ -197,19 +197,9 @@ impl Lanes {
         }
     }
 
-    /// Absorbs one word. Each lane's step is a bijection of its state for a
-    /// fixed word and of the word for a fixed state, so two word sequences
-    /// that differ in one position never meet in either lane; the full mix
-    /// runs once, in [`Self::finish`].
     fn write_u64(&mut self, word: u64) {
-        self.a = (self.a ^ word)
-            .wrapping_mul(0xff51_afd7_ed55_8ccd)
-            .rotate_left(29);
-        self.b = self
-            .b
-            .wrapping_add(word)
-            .wrapping_mul(0xc4ce_b9fe_1a85_ec53)
-            .rotate_left(37);
+        self.a = mix(self.a ^ word, 0xff51_afd7_ed55_8ccd);
+        self.b = mix(self.b.wrapping_add(word), 0xc4ce_b9fe_1a85_ec53);
     }
 
     fn finish(&self) -> ProgramFingerprint {

@@ -251,7 +251,7 @@ impl PauliString {
     /// word in [`BitVec`]'s layout, overwriting the first
     /// `letters.len().div_ceil(64)` words of each and leaving the rest. This
     /// is the loop [`PauliString`]'s `from_str` runs; a wire decoder can run
-    /// it over a fixed buffer without building a string.
+    /// it over words of its own without building a string.
     ///
     /// # Errors
     ///

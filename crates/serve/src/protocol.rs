@@ -26,9 +26,10 @@
 //! (`tests/wire_corpus.rs`).
 //!
 //! The server reads `compile` and `sweep` frames with
-//! [`ScannedRequest::scan`] first: one pass that fingerprints the axes
-//! straight from the bytes and reads the angles, building no tree, since a
-//! warm answer needs only the template and the angles. Every frame the scan
+//! [`ScannedRequest::scan`] first: one pass that reads the axes' X/Z words
+//! straight from the bytes, for the template cache's fingerprint, and the
+//! angles, building no tree, since a warm answer needs only the template
+//! and the angles. Every frame the scan
 //! cannot fully validate, and every other kind, takes [`Request::decode`],
 //! so errors keep that decoder's messages.
 
@@ -810,9 +811,6 @@ impl Response {
 // The warm-path scan
 // ---------------------------------------------------------------------------
 
-/// The words of the scan's axis buffer: [`MAX_QUBITS`] qubits, 64 a word.
-const SCAN_WORDS: usize = MAX_QUBITS.div_ceil(64);
-
 /// The angles a scanned frame carries.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScannedAngles {
@@ -822,66 +820,10 @@ pub enum ScannedAngles {
     Sweep(Vec<Vec<f64>>),
 }
 
-/// One sign bit per program axis, set when the axis is negative: bit
-/// `i % 64` of word `i / 64` for axis `i`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AxisSigns {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AxisSigns {
-    fn with_capacity(axes: usize) -> Self {
-        AxisSigns {
-            words: Vec::with_capacity(axes.div_ceil(64)),
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, negative: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
-        if negative {
-            self.words[self.len / 64] |= 1 << (self.len % 64);
-        }
-        self.len += 1;
-    }
-
-    /// Folds the signs into one angle set in place (`exp(-iθ/2·(−P)) =
-    /// exp(-i(−θ)/2·P)`), as [`quclear_pauli::PauliRotation::with_signed_pauli`]
-    /// does. A set of another length is left as it is, so its bind reports
-    /// the arity mismatch instead of a silently truncated fold.
-    pub fn fold_into(&self, angles: &mut [f64]) {
-        if angles.len() != self.len {
-            return;
-        }
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let angle = &mut angles[w * 64 + bits.trailing_zeros() as usize];
-                *angle = -*angle;
-                bits &= bits - 1;
-            }
-        }
-    }
-}
-
-impl FromIterator<bool> for AxisSigns {
-    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut signs = AxisSigns::with_capacity(iter.size_hint().0);
-        for negative in iter {
-            signs.push(negative);
-        }
-        signs
-    }
-}
-
 /// A `compile` or `sweep` frame read in one pass over its bytes, building no
 /// `Json` node, `String` or Pauli string: each axis's letters go straight
-/// into one fixed buffer of X/Z words and from there into the program's
-/// [`ProgramFingerprint`], and its sign into one bit. This is all a warm
+/// into the program's X/Z words, which [`Self::fingerprint`] hashes into the
+/// template cache's key, and its sign into one flag. This is all a warm
 /// request needs, since the template is keyed by the axes alone and binding
 /// needs only the angles and the signs.
 ///
@@ -893,28 +835,32 @@ impl FromIterator<bool> for AxisSigns {
 /// of unequal width, a `compile` whose angle count differs from its axis
 /// count, a syntax error) is declined and takes the tree decoder, so every
 /// error message stays that decoder's.
+///
+/// Everything the scan keeps is bounded by the frame's length, so a frame
+/// of `n` bytes holds `O(n)` memory however its fields are ordered.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScannedRequest<'a> {
     /// Client-chosen correlation id.
     pub id: u64,
     /// The frame's angles, as the tree decoder reads them, bit for bit.
     pub angles: ScannedAngles,
-    /// The program's sign-stripped axes, fingerprinted as
-    /// [`ProgramFingerprint::of_axes`] does (the template cache's key).
-    pub fingerprint: ProgramFingerprint,
-    /// The axis signs.
-    pub signs: AxisSigns,
+    /// One flag per program axis, set when the axis is negative.
+    pub signs: Vec<bool>,
+    /// Qubits per axis: a scanned program's axes all have this width.
+    num_qubits: usize,
+    /// Each axis's X words, then its Z words, `num_qubits.div_ceil(64)` of
+    /// each, in [`quclear_pauli::BitVec`]'s layout.
+    words: Vec<u64>,
     /// The text between the `program` array's brackets: ASCII, no escapes.
     program: &'a str,
 }
 
 impl<'a> ScannedRequest<'a> {
-    /// Scans `payload` as a `compile` or `sweep` frame whose program is
-    /// fingerprinted under `config`, or returns `None` when the frame must
-    /// take [`Request::decode`] instead (any other kind, and every frame
-    /// listed in the type's documentation).
+    /// Scans `payload` as a `compile` or `sweep` frame, or returns `None`
+    /// when the frame must take [`Request::decode`] instead (any other
+    /// kind, and every frame listed in the type's documentation).
     #[must_use]
-    pub fn scan(payload: &'a [u8], config: &QuClearConfig) -> Option<Self> {
+    pub fn scan(payload: &'a [u8]) -> Option<Self> {
         // Validating the frame once lets every number be read from `str`
         // slices; a frame that is not UTF-8 takes the tree decoder's error.
         let text = std::str::from_utf8(payload).ok()?;
@@ -922,17 +868,19 @@ impl<'a> ScannedRequest<'a> {
             text,
             src: payload,
             pos: 0,
+            // Every number takes a digit and a separator.
+            spare: payload.len() / 2,
         };
         let mut id = None;
         let mut sweep = None;
-        let mut program: Option<(&'a str, FingerprintBuilder, AxisSigns)> = None;
+        let mut program = None;
         let mut angles = None;
         let mut angle_sets = None;
         scan.expect(b'{')?;
         loop {
             let key = scan.plain_str()?;
             scan.expect(b':')?;
-            let axes = program.as_ref().map(|(_, _, signs)| signs.len);
+            let axes = program.as_ref().map(|p: &ScannedProgram| p.signs.len());
             match key {
                 b"id" if id.is_none() => id = Some(scan.number()?.as_u64()?),
                 b"kind" if sweep.is_none() => {
@@ -942,7 +890,7 @@ impl<'a> ScannedRequest<'a> {
                         _ => return None,
                     });
                 }
-                b"program" if program.is_none() => program = Some(scan.program(config)?),
+                b"program" if program.is_none() => program = Some(scan.program()?),
                 b"angles" if angles.is_none() => angles = Some(scan.numbers(axes)?),
                 b"angle_sets" if angle_sets.is_none() => {
                     angle_sets = Some(scan.number_sets(axes)?);
@@ -958,9 +906,14 @@ impl<'a> ScannedRequest<'a> {
         if scan.pos != payload.len() {
             return None;
         }
-        let (program, fingerprint, signs) = program?;
+        let ScannedProgram {
+            span,
+            num_qubits,
+            words,
+            signs,
+        } = program?;
         let angles = match (sweep?, angles, angle_sets) {
-            (false, Some(angles), None) if angles.len() == signs.len => {
+            (false, Some(angles), None) if angles.len() == signs.len() => {
                 ScannedAngles::Compile(angles)
             }
             (true, None, Some(sets)) => ScannedAngles::Sweep(sets),
@@ -969,9 +922,10 @@ impl<'a> ScannedRequest<'a> {
         Some(ScannedRequest {
             id: id?,
             angles,
-            fingerprint: fingerprint.finish(),
             signs,
-            program,
+            num_qubits,
+            words,
+            program: span,
         })
     }
 
@@ -984,6 +938,22 @@ impl<'a> ScannedRequest<'a> {
         }
     }
 
+    /// The structural fingerprint of the program's sign-stripped axes under
+    /// `config`: what [`ProgramFingerprint::of_axes`] gives for the parsed
+    /// axes, hashed from the scanned words.
+    #[must_use]
+    pub fn fingerprint(&self, config: &QuClearConfig) -> ProgramFingerprint {
+        let mut builder = FingerprintBuilder::new(config);
+        let words = self.num_qubits.div_ceil(64);
+        if words > 0 {
+            for axis in self.words.chunks_exact(2 * words) {
+                let (xs, zs) = axis.split_at(words);
+                builder.axis(self.num_qubits, xs, zs, false);
+            }
+        }
+        builder.finish()
+    }
+
     /// The program's axes as the frame spells them, signs included: what a
     /// template miss parses.
     pub fn axes(&self) -> impl Iterator<Item = &'a str> {
@@ -991,6 +961,15 @@ impl<'a> ScannedRequest<'a> {
         // separated by commas and whitespace.
         self.program.split('"').skip(1).step_by(2)
     }
+}
+
+/// What [`Scan::program`] reads: the fields of [`ScannedRequest`] that
+/// describe the program.
+struct ScannedProgram<'a> {
+    span: &'a str,
+    num_qubits: usize,
+    words: Vec<u64>,
+    signs: Vec<bool>,
 }
 
 /// The scan's cursor: the frame's bytes and the next one to read. Its
@@ -1001,6 +980,9 @@ struct Scan<'a> {
     text: &'a str,
     src: &'a [u8],
     pos: usize,
+    /// The numbers the frame may still hold, at most half its bytes: what
+    /// [`Self::numbers`] may still reserve on an expected count's word.
+    spare: usize,
 }
 
 impl<'a> Scan<'a> {
@@ -1051,20 +1033,30 @@ impl<'a> Scan<'a> {
     }
 
     /// An array of numbers as `f64`s, in a vector sized up front, so reading
-    /// it allocates once: `len` numbers when the caller knows how many to
-    /// expect (a program read before its angles: one per axis), else one
-    /// more than the commas before the first `]`.
-    fn numbers(&mut self, len: Option<usize>) -> Option<Vec<f64>> {
+    /// it allocates once (an empty one allocates nothing). The size is
+    /// `expected` (one number per axis, when the program came first) while
+    /// the frame's [`Self::spare`] covers it, else one more than the commas
+    /// before the array's `]`. An honest frame's expected counts add up to
+    /// the numbers it holds; a frame of `n` bytes that lies about them (a
+    /// long program before many short sets) still reserves at most `n / 2`
+    /// numbers on their word.
+    fn numbers(&mut self, expected: Option<usize>) -> Option<Vec<f64>> {
         self.expect(b'[')?;
-        let len = len.unwrap_or_else(|| {
-            let rest = &self.src[self.pos..];
-            let end = rest.iter().position(|&b| b == b']').unwrap_or(rest.len());
-            rest[..end].iter().filter(|&&b| b == b',').count() + 1
-        });
-        let mut out = Vec::with_capacity(len);
         if self.eat(b']') {
-            return Some(out);
+            return Some(Vec::new());
         }
+        let len = match expected {
+            Some(len) if len <= self.spare => {
+                self.spare -= len;
+                len
+            }
+            _ => {
+                let rest = &self.src[self.pos..];
+                let end = rest.iter().position(|&b| b == b']').unwrap_or(rest.len());
+                rest[..end].iter().filter(|&&b| b == b',').count() + 1
+            }
+        };
+        let mut out = Vec::with_capacity(len);
         loop {
             out.push(self.number()?.as_f64()?);
             if !self.eat(b',') {
@@ -1074,15 +1066,15 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// An array of [`Self::numbers`] arrays, each expected `len` long.
-    fn number_sets(&mut self, len: Option<usize>) -> Option<Vec<Vec<f64>>> {
+    /// An array of [`Self::numbers`] arrays, each expected `expected` long.
+    fn number_sets(&mut self, expected: Option<usize>) -> Option<Vec<Vec<f64>>> {
         self.expect(b'[')?;
         let mut sets = Vec::new();
         if self.eat(b']') {
             return Some(sets);
         }
         loop {
-            sets.push(self.numbers(len)?);
+            sets.push(self.numbers(expected)?);
             if !self.eat(b',') {
                 self.expect(b']')?;
                 return Some(sets);
@@ -1090,21 +1082,20 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// The `program` array: its span, the fingerprint of its sign-stripped
-    /// axes so far and their signs. Each axis's letters are read into one
-    /// fixed buffer of X/Z words by the word loop `PauliString::from_str`
-    /// runs; the sign strip is `SignedPauli::from_str`'s.
-    fn program(
-        &mut self,
-        config: &QuClearConfig,
-    ) -> Option<(&'a str, FingerprintBuilder, AxisSigns)> {
+    /// The `program` array, its axes sign-stripped. Each axis's letters are
+    /// read into the program's words by the word loop
+    /// `PauliString::from_str` runs; the sign strip is
+    /// `SignedPauli::from_str`'s. Both vectors are sized once, after the
+    /// first axis, from its width and the bytes left in the frame.
+    fn program(&mut self) -> Option<ScannedProgram<'a>> {
         self.expect(b'[')?;
         let start = self.pos;
-        let mut builder = FingerprintBuilder::new(config);
-        // Every axis takes at least four bytes (`"Z",`).
-        let mut signs = AxisSigns::with_capacity((self.src.len() - start) / 4 + 1);
-        let (mut xs, mut zs) = ([0u64; SCAN_WORDS], [0u64; SCAN_WORDS]);
-        let mut width = None;
+        let mut program = ScannedProgram {
+            span: "",
+            num_qubits: 0,
+            words: Vec::new(),
+            signs: Vec::new(),
+        };
         let mut end = self.pos;
         if !self.eat(b']') {
             loop {
@@ -1115,13 +1106,24 @@ impl<'a> Scan<'a> {
                     _ => (false, axis),
                 };
                 let n = letters.len();
-                if n == 0 || n > MAX_QUBITS || *width.get_or_insert(n) != n {
+                let words = n.div_ceil(64);
+                if program.signs.is_empty() {
+                    if n == 0 || n > MAX_QUBITS {
+                        return None;
+                    }
+                    // Each later axis takes at least `n + 3` bytes (`,"…"`).
+                    let axes = 1 + (self.src.len() - self.pos) / (n + 3);
+                    program.num_qubits = n;
+                    program.words.reserve_exact(2 * words * axes);
+                    program.signs.reserve_exact(axes);
+                } else if n != program.num_qubits {
                     return None;
                 }
-                let words = n.div_ceil(64);
-                PauliString::letters_into_words(letters, &mut xs, &mut zs).ok()?;
-                builder.axis(n, &xs[..words], &zs[..words], false);
-                signs.push(negative);
+                let at = program.words.len();
+                program.words.resize(at + 2 * words, 0);
+                let (xs, zs) = program.words[at..].split_at_mut(words);
+                PauliString::letters_into_words(letters, xs, zs).ok()?;
+                program.signs.push(negative);
                 end = self.pos;
                 if !self.eat(b',') {
                     self.expect(b']')?;
@@ -1129,7 +1131,8 @@ impl<'a> Scan<'a> {
                 }
             }
         }
-        Some((&self.text[start..end], builder, signs))
+        program.span = &self.text[start..end];
+        Some(program)
     }
 }
 

@@ -49,8 +49,8 @@ use quclear_pauli::{PauliRotation, SignedPauli};
 use quclear_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::protocol::{
-    write_frame_with_limit, AxisSigns, CompiledSummary, Request, RequestKind, Response,
-    ResponseBody, ScannedAngles, ScannedRequest, StatsSummary, WireError, MAX_FRAME_BYTES,
+    write_frame_with_limit, CompiledSummary, Request, RequestKind, Response, ResponseBody,
+    ScannedAngles, ScannedRequest, StatsSummary, WireError, MAX_FRAME_BYTES,
 };
 
 /// Metric family: per-request-kind handling latency, in nanoseconds
@@ -710,9 +710,8 @@ fn response_too_large(size: &str, max: usize) -> WireError {
 /// decoding or handling are converted into an error response carrying the
 /// panic text.
 fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continuation) {
-    let scan_start = Instant::now();
-    let request = match ScannedRequest::scan(payload, shared.engine.config()) {
-        Some(scanned) => Decoded::Scanned(scanned, scan_start.elapsed()),
+    let request = match ScannedRequest::scan(payload) {
+        Some(scanned) => Decoded::Scanned(scanned),
         None => match Request::decode(payload) {
             Ok(request) => Decoded::Tree(request),
             Err(error) => {
@@ -731,7 +730,7 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continua
         },
     };
     let (id, kind_name) = match &request {
-        Decoded::Scanned(scanned, _) => (scanned.id, scanned.kind_name()),
+        Decoded::Scanned(scanned) => (scanned.id, scanned.kind_name()),
         Decoded::Tree(request) => (request.id, request.kind.name()),
     };
     // The request's time-in-system budget starts now — after the frame was
@@ -744,8 +743,8 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continua
         .map_or(Deadline::none(), Deadline::within);
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| match request {
-        Decoded::Scanned(scanned, scan_time) => (
-            handle_scanned(shared, scanned, scan_time, deadline),
+        Decoded::Scanned(scanned) => (
+            handle_scanned(shared, scanned, deadline),
             Continuation::KeepServing,
         ),
         Decoded::Tree(request) => handle_request(shared, request.kind, deadline),
@@ -789,27 +788,30 @@ fn respond(shared: &Shared, payload: &[u8]) -> (Response, &'static str, Continua
 
 /// A request frame, read by the scan or decoded as a tree.
 enum Decoded<'a> {
-    /// A `compile` or `sweep` frame the scan read, with the scan's time.
-    Scanned(ScannedRequest<'a>, Duration),
+    /// A `compile` or `sweep` frame the scan read.
+    Scanned(ScannedRequest<'a>),
     /// Every other frame.
     Tree(Request),
 }
 
 /// Answers a scanned `compile` or `sweep` under the request's deadline. A
 /// template hit needs no parsed axis: the scan's fingerprint finds the
-/// template and its sign bits fold the angles; the scan's time is the
-/// lookup's fingerprint stage. A miss parses the axes from the frame and
-/// looks them up as the tree path does, so it counts one miss.
+/// template and its signs fold the angles; hashing the scanned words is
+/// the lookup's fingerprint stage. A miss parses the axes from the frame and
+/// looks them up as the tree path does, so it counts one miss (and times
+/// its own fingerprint).
 fn handle_scanned(
     shared: &Shared,
     scanned: ScannedRequest<'_>,
-    scan_time: Duration,
     deadline: Deadline,
 ) -> Result<ResponseBody, WireError> {
     let engine = shared.engine.with_deadline(deadline);
-    let template = match engine.cached_template(&scanned.fingerprint) {
+    let hash_start = Instant::now();
+    let fingerprint = scanned.fingerprint(engine.config());
+    let hashed = hash_start.elapsed();
+    let template = match engine.cached_template(&fingerprint) {
         Some(template) => {
-            engine.record_fingerprint_time(scan_time);
+            engine.record_fingerprint_time(hashed);
             template
         }
         None => {
@@ -819,7 +821,7 @@ fn handle_scanned(
     };
     match scanned.angles {
         ScannedAngles::Compile(mut angles) => {
-            scanned.signs.fold_into(&mut angles);
+            fold_signs(&mut angles, &scanned.signs);
             bind_summary(&engine, &template, &angles).map(ResponseBody::Compiled)
         }
         ScannedAngles::Sweep(angle_sets) => sweep_points(
@@ -953,13 +955,27 @@ fn check_angle_count(axes: &[SignedPauli], angles: &[f64]) -> Result<(), WireErr
 /// Splits signed axes into the positive axes the engine's template cache
 /// keys on (the key `estimate` and `absorb` look up too) and each axis's
 /// sign, moving every Pauli string.
-fn split_signs(axes: Vec<SignedPauli>) -> (Vec<SignedPauli>, AxisSigns) {
-    let signs = axes.iter().map(SignedPauli::is_negative).collect();
-    let axes = axes
-        .into_iter()
-        .map(|axis| SignedPauli::positive(axis.into_pauli()))
-        .collect();
-    (axes, signs)
+fn split_signs(axes: Vec<SignedPauli>) -> (Vec<SignedPauli>, Vec<bool>) {
+    axes.into_iter()
+        .map(|axis| {
+            let negative = axis.is_negative();
+            (SignedPauli::positive(axis.into_pauli()), negative)
+        })
+        .unzip()
+}
+
+/// Folds the axis signs into one angle set in place, as
+/// [`PauliRotation::with_signed_pauli`] does. A set of the wrong length is
+/// left as it is (folding would silently truncate it), so its bind reports
+/// the arity mismatch.
+fn fold_signs(angles: &mut [f64], negative: &[bool]) {
+    if angles.len() == negative.len() {
+        for (angle, &negative) in angles.iter_mut().zip(negative) {
+            if negative {
+                *angle = -*angle;
+            }
+        }
+    }
 }
 
 /// Binds one angle set to a template the request looked up, and renders it.
@@ -994,7 +1010,7 @@ fn compile(
     check_angle_count(&axes, &angles)?;
     let (axes, signs) = split_signs(axes);
     let template = engine.template(&axes).map_err(|e| engine_error(&e))?;
-    signs.fold_into(&mut angles);
+    fold_signs(&mut angles, &signs);
     bind_summary(engine, &template, &angles).map(ResponseBody::Compiled)
 }
 
@@ -1030,7 +1046,7 @@ fn sweep(
 fn sweep_points(
     engine: &Engine,
     template: &CompiledTemplate,
-    signs: &AxisSigns,
+    signs: &[bool],
     angle_sets: Vec<Vec<f64>>,
     max_bytes: usize,
     deadline: Deadline,
@@ -1043,7 +1059,7 @@ fn sweep_points(
     let mut text_bytes = 0;
     let mut first = true;
     for mut set in angle_sets {
-        signs.fold_into(&mut set);
+        fold_signs(&mut set, signs);
         let point = bind_summary(engine, template, &set);
         if let Ok(summary) = &point {
             if std::mem::take(&mut first) && !deadline.expired() {

@@ -120,7 +120,7 @@ fn check_decoders(bytes: &[u8]) -> Result<(), String> {
 /// a `compile` has one angle per axis. Returns whether the scan took it.
 fn check_scan(bytes: &[u8]) -> Result<bool, String> {
     let config = QuClearConfig::default();
-    let Some(scanned) = ScannedRequest::scan(bytes, &config) else {
+    let Some(scanned) = ScannedRequest::scan(bytes) else {
         return Ok(false);
     };
     let request = Request::decode(bytes);
@@ -157,14 +157,14 @@ fn check_scan(bytes: &[u8]) -> Result<bool, String> {
         .map(|axis| axis.parse::<SignedPauli>())
         .collect::<Result<_, _>>()
         .map_err(|e| format!("a scanned axis does not parse: {e}"))?;
-    let signs = axes.iter().map(SignedPauli::is_negative).collect();
+    let signs: Vec<bool> = axes.iter().map(SignedPauli::is_negative).collect();
     prop_assert_eq!(&scanned.signs, &signs);
     let positive: Vec<SignedPauli> = axes
         .into_iter()
         .map(|axis| SignedPauli::positive(axis.into_pauli()))
         .collect();
     prop_assert_eq!(
-        scanned.fingerprint,
+        scanned.fingerprint(&config),
         ProgramFingerprint::of_axes(&positive, &config)
     );
     let spelled: Vec<&str> = scanned.axes().collect();
@@ -353,7 +353,7 @@ proptest! {
             .encode()
         };
         let fingerprint = |program: &[String]| {
-            ScannedRequest::scan(&frame(program), &config).map(|s| s.fingerprint)
+            ScannedRequest::scan(&frame(program)).map(|s| s.fingerprint(&config))
         };
         let a = spell_axis(n, &draws).trim_start_matches(['+', '-']).to_ascii_uppercase();
         let b = spell_axis(n, &draws[3..]).trim_start_matches(['+', '-']).to_ascii_uppercase();
@@ -374,7 +374,6 @@ proptest! {
 /// tree decoder and its exact error or value.
 #[test]
 fn the_scan_declines_what_it_cannot_validate() {
-    let config = QuClearConfig::default();
     for frame in [
         r#"{"id":1,"kind":"compile","program":["Z\u0049"],"angles":[0.5]}"#,
         r#"{"id":1,"id":2,"kind":"compile","program":["ZI"],"angles":[0.5]}"#,
@@ -392,7 +391,7 @@ fn the_scan_declines_what_it_cannot_validate() {
         r#"{"id":1,"kind":"compile","program":["ZI"],"angles":[0.5]} x"#,
     ] {
         assert!(
-            ScannedRequest::scan(frame.as_bytes(), &config).is_none(),
+            ScannedRequest::scan(frame.as_bytes()).is_none(),
             "the scan took {frame}"
         );
         check_decoders(frame.as_bytes()).unwrap();
@@ -401,8 +400,8 @@ fn the_scan_declines_what_it_cannot_validate() {
         r#"{{"id":1,"kind":"compile","program":["{}"],"angles":[0.5]}}"#,
         "Z".repeat(1025)
     );
-    assert!(ScannedRequest::scan(wide.as_bytes(), &config).is_none());
-    assert!(ScannedRequest::scan(&[0xff, b'{'], &config).is_none());
+    assert!(ScannedRequest::scan(wide.as_bytes()).is_none());
+    assert!(ScannedRequest::scan(&[0xff, b'{']).is_none());
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! The server reads a `compile` frame with one scan that builds no JSON
 //! tree, no `String` and no Pauli string per axis: the angles go into one
-//! vector and the axis signs into one word vector, and the axes are
-//! fingerprinted from a fixed word buffer. So going from the frame's bytes
+//! vector, the axis signs into another and every axis's X/Z words into a
+//! third, which the fingerprint is hashed from. So going from the frame's bytes
 //! to a template hit allocates the same small number of times whatever the
 //! program's length. A counting global allocator makes this a deterministic
 //! check. This binary holds a single test so nothing else allocates while it
@@ -55,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations the scan may make: the angle vector and the sign words, with
+/// Allocations the scan may make: the angle, sign and word vectors, with
 /// headroom.
 const MAX_SCAN_ALLOCATIONS: usize = 4;
 
@@ -80,8 +80,8 @@ fn frame_to_hit_allocations(benchmark: Benchmark) -> (usize, usize) {
     let compiled = engine.template(&axes).unwrap();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let scanned = ScannedRequest::scan(&frame, engine.config()).expect("the frame takes the scan");
-    let template = engine.cached_template(&scanned.fingerprint);
+    let scanned = ScannedRequest::scan(&frame).expect("the frame takes the scan");
+    let template = engine.cached_template(&scanned.fingerprint(engine.config()));
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     let template = template.expect("the scan's fingerprint hits the template");
